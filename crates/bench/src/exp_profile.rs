@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 use submod_core::NodeId;
 use submod_data::DatasetConfig;
-use submod_dataflow::Pipeline;
+use submod_dataflow::{MemoryBudget, Pipeline};
 use submod_dist::{
     bound_dataflow, bound_in_memory, distributed_greedy, distributed_greedy_dataflow,
     BoundingConfig, DistGreedyConfig, SamplingStrategy,
@@ -88,10 +88,19 @@ pub fn profile(ctx: &BenchCtx) {
             .expect("dataflow greedy");
     });
     // Same instance, same selection (the differential suite pins
-    // bit-identity), but up to 64 certified pops per engine pass.
-    let batched = greedy.clone().winner_batch(64);
-    run_phase(&mut phases, "greedy (dataflow driver, winner_batch 64)", || {
-        distributed_greedy_dataflow(&pipeline, &graph, &objective, &ground, k, &batched)
+    // bit-identity), on the other side of the driver's computed choice:
+    // the phase above ran partition-resident (unlimited budget); this one
+    // runs the over-budget fallback, up to 64 certified pops per engine
+    // pass. Adaptive rounds keep every partition at n/16 rows or more
+    // (40 B each resident), so a budget of n bytes is below all of them
+    // at any `--scale`.
+    let starved = Pipeline::builder()
+        .workers(8)
+        .memory_budget(MemoryBudget::bytes(n as u64))
+        .build()
+        .expect("pipeline");
+    run_phase(&mut phases, "greedy (dataflow driver, over budget: winner_batch 64)", || {
+        distributed_greedy_dataflow(&starved, &graph, &objective, &ground, k, &greedy)
             .map(drop)
             .expect("batched dataflow greedy");
     });
@@ -206,6 +215,9 @@ fn render_markdown(
         "greedy.rounds",
         "greedy.steps",
         "greedy.winners_collected",
+        "greedy.phases_resident",
+        "greedy.phases_batched",
+        "greedy.partition_footprint_peak",
         "dataflow.records_shuffled",
         "dataflow.stages_fused",
         "dataflow.spill.bytes_written",

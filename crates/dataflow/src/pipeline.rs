@@ -154,6 +154,15 @@ impl Pipeline {
         self.ctx.metrics.snapshot()
     }
 
+    /// Charges `bytes` of worker-resident state a transform closure builds
+    /// outside the engine's own buffers (e.g. a per-group working set
+    /// inside [`PCollection::flat_map_eager`]) to
+    /// [`PipelineMetrics::peak_worker_bytes`], so the peak covers what a
+    /// worker really held.
+    pub fn observe_worker_bytes(&self, bytes: u64) {
+        self.ctx.metrics.observe_worker_bytes(bytes);
+    }
+
     /// Whether chained per-shard transforms fuse into single passes.
     pub fn fusion_enabled(&self) -> bool {
         self.ctx.fusion

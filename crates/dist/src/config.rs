@@ -153,6 +153,11 @@ pub struct DistGreedyConfig {
 }
 
 impl DistGreedyConfig {
+    /// The multi-winner batch width a new configuration starts with: the
+    /// dataflow driver's fallback when a partition does not fit one
+    /// worker (see [`DistGreedyConfig::winner_batch`]).
+    pub const DEFAULT_WINNER_BATCH: usize = 64;
+
     /// `machines` partitions processed over `rounds` rounds.
     ///
     /// # Errors
@@ -172,7 +177,7 @@ impl DistGreedyConfig {
             seed: 0,
             schedule: DeltaSchedule::default_schedule(),
             adversarial_first_round: None,
-            winner_batch: 0,
+            winner_batch: Self::DEFAULT_WINNER_BATCH,
         })
     }
 
@@ -204,13 +209,19 @@ impl DistGreedyConfig {
         self
     }
 
-    /// Enables the dataflow driver's threshold-filtered multi-winner
-    /// passes: each engine pass certifies up to `batch` winners at once
-    /// instead of one per machine per pass, cutting the pass count by up
-    /// to `batch / machines` while selecting the **identical** subset
-    /// (invalidated pops fall back to further passes). `0` (the default)
-    /// keeps the one-pop-per-step lockstep. The in-memory driver ignores
-    /// the setting — its bulk path already runs machines to completion.
+    /// Sets the width of the dataflow driver's **over-budget fallback**.
+    /// The driver runs a phase partition-resident (one grouped engine
+    /// pass, every machine's queue inside its worker) whenever the largest
+    /// partition fits the pipeline's per-worker budget; that choice is
+    /// computed per round and is not configurable. Only when a partition
+    /// does not fit does `batch` matter: each engine pass then certifies
+    /// up to `batch` winners against a threshold τ (invalidated pops fall
+    /// back to further passes), selecting the **identical** subset.
+    /// The default is [`DistGreedyConfig::DEFAULT_WINNER_BATCH`]. `0`
+    /// makes the fallback the one-pop-per-machine-per-pass lockstep
+    /// `step()` loop — the test oracle the other two paths are pinned
+    /// against, not a deployment. The in-memory driver ignores the
+    /// setting — its bulk path already runs machines to completion.
     pub fn winner_batch(mut self, batch: usize) -> Self {
         self.winner_batch = batch;
         self

@@ -16,11 +16,14 @@
 //! - [`InMemoryGreedyBackend`] keys the pool into per-machine
 //!   [`AddressablePq`]s on the driver — the `O(pool)`-per-phase baseline.
 //! - [`DataflowGreedyBackend`] keeps the scored pool inside the engine as
-//!   a `(machine, (node, priority))` collection: winners come from the
-//!   engine's per-key argmax aggregation
-//!   (`PCollection::argmax_per_key`), the previous winners ride to
-//!   workers as a broadcast side-input, and only `O(machines)` rows per
-//!   step ever reach the driver.
+//!   a `(machine, (node, priority))` collection. When every partition
+//!   fits one worker (computed per round from the pipeline's budget) the
+//!   phase is **partition-resident**: one `group_by_key`, then each
+//!   worker runs its machines' queues to completion and only the winner
+//!   rows reach the driver. Otherwise winners come from τ-certified
+//!   multi-winner passes, or — the test oracle — from the per-key argmax
+//!   aggregation (`PCollection::argmax_per_key`) one step at a time, the
+//!   previous winners riding to workers as a broadcast side-input.
 //!
 //! Both backends run the same arithmetic in the same order — priorities
 //! seed from the utility, every decrease is the single subtraction
@@ -205,6 +208,68 @@ fn canonical_pool(ground: &[NodeId]) -> Vec<u64> {
     pool
 }
 
+/// Driver bytes of one collected winner row, `(machine, node, priority)`
+/// from a lockstep step or `(machine, (t, node))` from a resident pass.
+const WINNER_ROW_BYTES: usize = size_of::<(u64, u64, f64)>();
+
+/// Runs one machine to completion: up to `quota` pops off `queue`, each
+/// winner walking its adjacency so every still-enqueued same-bucket
+/// neighbor loses `(β/α)·s` (Algorithm 2's decrease). `bucket` is
+/// ascending by node id and maps the queue's local indices back to nodes;
+/// a neighbor on another machine falls out at the `binary_search`.
+/// Returns the winners in pop order — the `t`-th entry *is* the machine's
+/// step-`t` winner in the lockstep.
+#[inline]
+fn run_machine(
+    bucket: &[u64],
+    queue: &mut AddressablePq,
+    graph: &SimilarityGraph,
+    ratio: f64,
+    quota: usize,
+) -> Vec<u64> {
+    let mut sequence = Vec::with_capacity(quota.min(bucket.len()));
+    for _ in 0..quota {
+        let Some((local, _priority)) = queue.pop_max() else { break };
+        let winner = bucket[local as usize];
+        sequence.push(winner);
+        for (x, s) in graph.edges(NodeId::new(winner)) {
+            if let Ok(l) = bucket.binary_search(&x.raw()) {
+                if queue.contains(l as u32) {
+                    queue.decrease_by(l as u32, ratio * f64::from(s));
+                }
+            }
+        }
+    }
+    sequence
+}
+
+/// Reassembles per-machine pop sequences (ascending by machine) into the
+/// lockstep's outcome: step `t` collects the `t`-th pop of every machine
+/// that still had one, and the driver is charged one winner row per pop.
+fn step_major(n: usize, sequences: &[Vec<u64>]) -> PhaseOutcome {
+    let mut outcome = PhaseOutcome {
+        selected: Vec::new(),
+        members: NodeSet::new(n),
+        steps: 0,
+        peak_step_winners: 0,
+        driver_bytes: 0,
+    };
+    let longest = sequences.iter().map(Vec::len).max().unwrap_or(0);
+    for step in 0..longest {
+        let before = outcome.selected.len();
+        for sequence in sequences {
+            if let Some(&node) = sequence.get(step) {
+                outcome.selected.push(NodeId::new(node));
+                outcome.members.insert(NodeId::new(node));
+            }
+        }
+        outcome.steps += 1;
+        outcome.peak_step_winners = outcome.peak_step_winners.max(outcome.selected.len() - before);
+    }
+    outcome.driver_bytes = (outcome.selected.len() * WINNER_ROW_BYTES) as u64;
+    outcome
+}
+
 /// The in-memory reference: buckets and per-machine priority queues live
 /// on the driver (`O(pool)` per phase — the baseline the engine-resident
 /// driver is measured against). Buckets are ascending by id, so the
@@ -281,7 +346,7 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
                 winners.push((machine as u64, self.buckets[machine][local as usize], priority));
             }
         }
-        let driver_bytes = (winners.len() * size_of::<(u64, u64, f64)>()) as u64;
+        let driver_bytes = (winners.len() * WINNER_ROW_BYTES) as u64;
         Ok(StepWinners { winners, driver_bytes })
     }
 
@@ -297,44 +362,10 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
         let graph = self.graph;
         let machines: Vec<(&Vec<u64>, &mut AddressablePq)> =
             self.buckets.iter().zip(self.queues.iter_mut()).collect();
-        let sequences: Vec<Vec<u64>> = submod_exec::parallel_map(machines, |(bucket, queue)| {
-            let mut sequence = Vec::with_capacity(quota.min(bucket.len()));
-            for _ in 0..quota {
-                let Some((local, _priority)) = queue.pop_max() else { break };
-                let winner = bucket[local as usize];
-                sequence.push(winner);
-                for (x, s) in graph.edges(NodeId::new(winner)) {
-                    if let Ok(l) = bucket.binary_search(&x.raw()) {
-                        if queue.contains(l as u32) {
-                            queue.decrease_by(l as u32, ratio * f64::from(s));
-                        }
-                    }
-                }
-            }
-            sequence
+        let sequences = submod_exec::parallel_map(machines, |(bucket, queue)| {
+            run_machine(bucket, queue, graph, ratio, quota)
         });
-        let mut outcome = PhaseOutcome {
-            selected: Vec::new(),
-            members: NodeSet::new(n),
-            steps: 0,
-            peak_step_winners: 0,
-            driver_bytes: 0,
-        };
-        let longest = sequences.iter().map(Vec::len).max().unwrap_or(0);
-        for step in 0..longest {
-            let mut step_winners = 0usize;
-            for sequence in &sequences {
-                if let Some(&node) = sequence.get(step) {
-                    outcome.selected.push(NodeId::new(node));
-                    outcome.members.insert(NodeId::new(node));
-                    step_winners += 1;
-                }
-            }
-            outcome.steps += 1;
-            outcome.peak_step_winners = outcome.peak_step_winners.max(step_winners);
-            outcome.driver_bytes += (step_winners * size_of::<(u64, u64, f64)>()) as u64;
-        }
-        Ok(Some(outcome))
+        Ok(Some(step_major(n, &sequences)))
     }
 
     fn end_phase(&mut self, survivors: &NodeSet) -> Result<(), DistError> {
@@ -361,11 +392,19 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
 
 /// The engine-resident driver: the scored pool is born, lives, and dies
 /// inside the dataflow engine as a `(machine, (node, priority))`
-/// collection. Per step it broadcasts the previous winners as a
-/// side-input, applies the decrease wave shard-locally, selects each
-/// machine's argmax with the engine's per-key top-1 aggregation, and
-/// collects **only the winner rows** — `O(machines)` driver bytes per
-/// step, never `O(partition)`.
+/// collection, and the driver collects **only winner rows** — never
+/// `O(partition)`. A phase runs one of three ways, chosen per round by
+/// [`Self::partitions_fit`], never by a setting:
+///
+/// - **resident** ([`Self::phase_resident`]): every partition fits one
+///   worker, so the table is grouped by machine once and each worker runs
+///   its machines' queues to completion — one shuffle and one parallel
+///   map per round, the paper's §5 deployment;
+/// - **batched** (the τ-certified multi-winner passes of
+///   [`MachineGreedyBackend::phase_bulk`]): the over-budget fallback;
+/// - **lockstep** ([`MachineGreedyBackend::step`], one pop per machine
+///   per pass): the over-budget fallback when `winner_batch` is 0 — the
+///   test oracle the other two are pinned against.
 pub(crate) struct DataflowGreedyBackend<'a> {
     pipeline: &'a Pipeline,
     graph: &'a SimilarityGraph,
@@ -375,11 +414,19 @@ pub(crate) struct DataflowGreedyBackend<'a> {
     /// loop never counts the engine-resident collection).
     pool_len: usize,
     table: Option<PCollection<ScoredRow>>,
+    /// Partition count of the current phase.
+    machines: usize,
     broadcast_base: u64,
-    /// Multi-winner batch size for [`Self::phase_bulk`]; 0 disables the
-    /// batched mode and phases run the lockstep step loop.
+    /// Multi-winner batch size of the over-budget fallback; 0 makes the
+    /// fallback the lockstep step loop.
     winner_batch: usize,
 }
+
+/// Bytes one partition row costs the worker that runs its machine
+/// resident, at the moment the queue is built: the grouped
+/// `(node, priority)` row (16 B), the bucket's node id (8 B), and the
+/// queue's priority plus heap and position slots (8 + 4 + 4 B).
+const RESIDENT_BYTES_PER_ROW: u64 = 40;
 
 /// One scored-pool row: `(machine, (node, priority))`.
 type ScoredRow = (u64, (u64, f64));
@@ -426,17 +473,74 @@ impl<'a> DataflowGreedyBackend<'a> {
             pool,
             pool_len,
             table: None,
+            machines: 1,
             broadcast_base,
-            winner_batch: 0,
+            winner_batch: crate::DistGreedyConfig::DEFAULT_WINNER_BATCH,
         }
     }
 
-    /// Enables the threshold-filtered multi-winner mode: each engine pass
-    /// collects up to `batch` certified winners instead of one per
-    /// machine. 0 (the default) keeps the one-pop-per-step lockstep.
+    /// Sets the over-budget fallback: up to `batch` certified winners per
+    /// engine pass, or with 0 the one-pop-per-step lockstep.
     pub(crate) fn with_winner_batch(mut self, batch: usize) -> Self {
         self.winner_batch = batch;
         self
+    }
+
+    /// Whether the largest partition of this phase, run resident, fits
+    /// one worker: `rows × RESIDENT_BYTES_PER_ROW` against the pipeline's
+    /// per-worker budget. The largest partition holds at least the mean
+    /// (pigeonhole), so an unlimited budget, or a mean that is already
+    /// over, decides without looking; otherwise one `aggregate_per_key`
+    /// pass counts the partitions exactly.
+    fn partitions_fit(&self, table: &PCollection<ScoredRow>) -> Result<bool, DistError> {
+        let budget = self.pipeline.budget();
+        let mean_rows = (self.pool_len as u64).div_ceil(self.machines as u64);
+        let mut footprint = mean_rows * RESIDENT_BYTES_PER_ROW;
+        if !budget.is_unlimited() && !budget.exceeded_by(footprint) {
+            let largest_rows = table
+                .map(|(machine, _)| (machine, 1u64))?
+                .aggregate_per_key(0u64, |rows, one| rows + one, |a, b| a + b)?
+                .aggregate(0u64, |largest, (_, rows)| largest.max(rows), u64::max)?;
+            footprint = largest_rows * RESIDENT_BYTES_PER_ROW;
+        }
+        submod_obs::gauge!("greedy.partition_footprint_peak").fetch_max(footprint);
+        Ok(!budget.exceeded_by(footprint))
+    }
+
+    /// The partition-resident pass: groups the table by machine and runs
+    /// every machine's queue to completion inside its worker — the same
+    /// [`run_machine`] loop as the in-memory driver, over the shared
+    /// (owned or mapped) graph. Workers emit `(machine, (t, node))` for
+    /// the machine's `t`-th pop; the driver collects only those rows.
+    fn phase_resident(
+        &self,
+        table: &PCollection<ScoredRow>,
+        n: usize,
+        quota: usize,
+    ) -> Result<PhaseOutcome, DistError> {
+        let _span = submod_obs::span("greedy.resident_pass");
+        let (pipeline, graph, ratio) = (self.pipeline, self.graph, self.objective.ratio());
+        let mut rows: Vec<(u64, (u64, u64))> = table
+            .group_by_key()?
+            .flat_map_eager(|(machine, mut group)| {
+                pipeline.observe_worker_bytes(group.len() as u64 * RESIDENT_BYTES_PER_ROW);
+                // Ascending by node id, so the queue's smaller-local-index
+                // tie-break is the in-memory bucket's.
+                group.sort_unstable_by_key(|&(node, _)| node);
+                let (bucket, priorities): (Vec<u64>, Vec<f64>) = group.into_iter().unzip();
+                let mut queue = AddressablePq::with_priorities(priorities);
+                run_machine(&bucket, &mut queue, graph, ratio, quota)
+                    .into_iter()
+                    .enumerate()
+                    .map(move |(t, node)| (machine, (t as u64, node)))
+            })?
+            .collect()?;
+        rows.sort_unstable();
+        let sequences: Vec<Vec<u64>> = rows
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|machine| machine.iter().map(|&(_, (_, node))| node).collect())
+            .collect();
+        Ok(step_major(n, &sequences))
     }
 
     /// Applies one group of certified winners to the engine-resident
@@ -478,8 +582,9 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
         self.pool_len
     }
 
-    fn begin_phase(&mut self, keying: MachineKeying, _machines: usize) -> Result<u64, DistError> {
+    fn begin_phase(&mut self, keying: MachineKeying, machines: usize) -> Result<u64, DistError> {
         let objective = self.objective;
+        self.machines = machines;
         // Eager map: the phase-persistent table is materialized up front
         // anyway, and `objective` stays borrowed on the driver.
         let table = self
@@ -510,15 +615,21 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
             .map(|(machine, (node, priority))| (machine, node, priority))
             .collect();
         winners.sort_unstable_by_key(|&(machine, _, _)| machine);
-        let driver_bytes = (winners.len() * size_of::<(u64, u64, f64)>()) as u64;
+        let driver_bytes = (winners.len() * WINNER_ROW_BYTES) as u64;
         Ok(StepWinners { winners, driver_bytes })
     }
 
     fn phase_bulk(&mut self, n: usize, quota: usize) -> Result<Option<PhaseOutcome>, DistError> {
+        let mut table = self.table.clone().expect("phase_bulk called outside a phase");
+        if self.partitions_fit(&table)? {
+            submod_obs::counter!("greedy.phases_resident").incr();
+            return self.phase_resident(&table, n, quota).map(Some);
+        }
         if self.winner_batch == 0 {
+            submod_obs::counter!("greedy.phases_lockstep").incr();
             return Ok(None);
         }
-        let mut table = self.table.clone().expect("phase_bulk called outside a phase");
+        submod_obs::counter!("greedy.phases_batched").incr();
         let ratio = self.objective.ratio();
         // Per-machine pop sequences (machine id → winners in pop order),
         // reassembled step-major at the end: machine `m`'s `t`-th pop *is*
@@ -542,7 +653,7 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
                     .filter(move |&(_, (_, p))| p >= tau)?
                     .map(|(m, (v, p))| (m, v, p))?
                     .collect()?;
-                driver_bytes += (candidates.len() * size_of::<(u64, u64, f64)>()) as u64;
+                driver_bytes += (candidates.len() * WINNER_ROW_BYTES) as u64;
                 // When the whole table came back, the replay is complete:
                 // no engine-side rows exist to invalidate a pop.
                 let complete = candidates.len() as u64 == remaining;
@@ -598,7 +709,7 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
                     // loop always advances.
                     let mut rows: Vec<(u64, (u64, f64))> = table.argmax_per_key()?.collect()?;
                     rows.sort_unstable_by_key(|&(m, _)| m);
-                    driver_bytes += (rows.len() * size_of::<(u64, u64, f64)>()) as u64;
+                    driver_bytes += (rows.len() * WINNER_ROW_BYTES) as u64;
                     for (machine, (node, _)) in rows {
                         let pops = sequences.entry(machine).or_default();
                         if pops.len() < quota {
@@ -630,29 +741,10 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
                 self.table = Some(table.clone());
             }
         }
-        // Step-major reassembly: step t collects the t-th pop of every
-        // machine, ascending by machine — identical to the lockstep order.
-        let mut outcome = PhaseOutcome {
-            selected: Vec::new(),
-            members: NodeSet::new(n),
-            steps: 0,
-            peak_step_winners: 0,
-            driver_bytes,
-        };
-        let longest = sequences.values().map(Vec::len).max().unwrap_or(0);
-        for step in 0..longest {
-            let mut step_winners = 0usize;
-            for pops in sequences.values() {
-                if let Some(&node) = pops.get(step) {
-                    outcome.selected.push(NodeId::new(node));
-                    outcome.members.insert(NodeId::new(node));
-                    step_winners += 1;
-                }
-            }
-            outcome.steps += 1;
-            outcome.peak_step_winners = outcome.peak_step_winners.max(step_winners);
-        }
-        Ok(Some(outcome))
+        // The batched driver pays for every collected candidate, not only
+        // for the winners.
+        let sequences: Vec<Vec<u64>> = sequences.into_values().collect();
+        Ok(Some(PhaseOutcome { driver_bytes, ..step_major(n, &sequences) }))
     }
 
     fn end_phase(&mut self, survivors: &NodeSet) -> Result<(), DistError> {
@@ -788,14 +880,24 @@ mod tests {
             assert_eq!(via_bulk.steps, via_steps.steps, "quota {quota}");
             assert_eq!(via_bulk.peak_step_winners, via_steps.peak_step_winners);
             assert_eq!(via_bulk.driver_bytes, via_steps.driver_bytes);
-            // And the dataflow backend (no bulk path) agrees too.
+            // And the dataflow backend's resident pass (what an unlimited
+            // budget computes) agrees too, accounting included.
             let pipeline = Pipeline::new(3).unwrap();
             let mut df = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground);
             df.begin_phase(keying(), 4).unwrap();
             let via_df = run_phase(&mut df, 30, quota).unwrap();
             assert_eq!(via_bulk.selected, via_df.selected, "quota {quota}");
             assert_eq!(via_bulk.steps, via_df.steps);
+            assert_eq!(via_bulk.peak_step_winners, via_df.peak_step_winners);
+            assert_eq!(via_bulk.driver_bytes, via_df.driver_bytes);
         }
+    }
+
+    /// A pipeline whose budget is below a one-row partition, so every
+    /// phase over a non-empty pool takes the over-budget fallback.
+    fn starved_pipeline() -> Pipeline {
+        let budget = submod_dataflow::MemoryBudget::bytes(RESIDENT_BYTES_PER_ROW - 1);
+        Pipeline::builder().workers(3).memory_budget(budget).build().unwrap()
     }
 
     #[test]
@@ -804,11 +906,12 @@ mod tests {
         let ground = ground(30);
         let keying = || MachineKeying::Hash { seed: 7, machines: 4 };
         for (batch, quota) in [(1usize, 3usize), (2, 8), (3, 0), (8, 8), (64, 50)] {
-            let pipeline = Pipeline::new(3).unwrap();
-            let mut lock = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground);
+            let pipeline = starved_pipeline();
+            let mut lock = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground)
+                .with_winner_batch(0);
             lock.begin_phase(keying(), 4).unwrap();
             let via_steps = run_phase(&mut lock, 30, quota).unwrap();
-            let pipeline = Pipeline::new(3).unwrap();
+            let pipeline = starved_pipeline();
             let mut batched = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground)
                 .with_winner_batch(batch);
             batched.begin_phase(keying(), 4).unwrap();

@@ -11,7 +11,8 @@
 //! "arbitrary" analysis, a seeded hash for RandGreeDi), per-machine
 //! selection advances in synchronized Algorithm-2 steps, and on the
 //! dataflow driver ([`greedi_dataflow`]) the scored pool stays inside
-//! the engine with only `O(machines)` winner rows collected per step.
+//! the engine — partition-resident when a partition fits a worker,
+//! τ-batched passes when not — with only winner rows collected.
 //! The **merge phase** is deliberately driver-side on both drivers —
 //! holding the `m·k`-point union on one machine *is* the baseline's
 //! memory story the paper argues against.
@@ -187,11 +188,12 @@ pub(crate) fn greedi_with_journal(
     run_greedi(graph, objective, k, machines, style, seed, &mut backend, journal)
 }
 
-/// [`greedi`] with the map phase on the dataflow engine: partitions are
-/// engine shards of the keyed pool, per-machine argmax runs as engine
-/// aggregations, and the driver collects `O(machines)` winner rows per
-/// step until the `m·k`-point union is assembled for the (deliberately
-/// driver-side) merge.
+/// [`greedi`] with the map phase on the dataflow engine: the keyed pool
+/// is grouped by machine and every machine solved inside its worker
+/// (or, when a partition exceeds the per-worker budget, by τ-batched
+/// engine passes), and the driver collects only the winner rows that
+/// make up the `m·k`-point union for the (deliberately driver-side)
+/// merge.
 ///
 /// The outcome is **identical** to [`greedi`] by construction.
 ///

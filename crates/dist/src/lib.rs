@@ -18,8 +18,10 @@
 //!   deterministic keyed transform, per-machine argmax runs as
 //!   synchronized Algorithm-2 steps), so their selections are
 //!   bitwise-identical; the dataflow driver keeps the scored pool
-//!   engine-resident and only collects `O(machines)` winner rows per
-//!   step, metered by [`GreedyStats`].
+//!   engine-resident — grouped by machine and run inside the workers
+//!   when a partition fits the per-worker budget, τ-batched passes
+//!   otherwise — and only collects winner rows, metered by
+//!   [`GreedyStats`].
 //! - [`greedi`] / [`greedi_dataflow`] — the GreeDi / RandGreeDi baseline
 //!   whose merge machine must hold `m·k` points (§2's systems
 //!   motivation), with the map phase on the same shared backend.

@@ -19,10 +19,11 @@
 //! `PassBackend`): the in-memory driver holds per-machine priority
 //! queues (`O(pool)` driver bytes per round), while
 //! [`distributed_greedy_dataflow`] keeps the scored pool inside the
-//! engine and the driver only ever collects the `O(machines)` winner
-//! rows of each step plus the Δ-schedule bookkeeping. Their selections
-//! are **bitwise identical** at any thread count — the cross-driver
-//! differential suite pins this.
+//! engine — one grouped, partition-resident pass per round when every
+//! partition fits a worker, τ-batched passes when not — and the driver
+//! only ever collects winner rows plus the Δ-schedule bookkeeping. Their
+//! selections are **bitwise identical** at any thread count — the
+//! cross-driver differential suite pins this.
 //!
 //! With [`DistGreedyConfig::adaptive`] the partition count drops as the
 //! pool shrinks, so machines stay full and late rounds approach the
@@ -416,10 +417,13 @@ pub(crate) fn distributed_greedy_with_journal(
 }
 
 /// [`distributed_greedy`] on the dataflow engine: the scored pool lives
-/// in a [`submod_dataflow::PCollection`], partition assignment is the
-/// same deterministic keyed transform, per-machine argmax runs as
-/// engine-side aggregations, and the driver only collects the
-/// `O(machines)` winner rows of each step.
+/// in a [`submod_dataflow::PCollection`] and partition assignment is the
+/// same deterministic keyed transform. A round whose largest partition
+/// fits `pipeline`'s per-worker budget is grouped by machine once and
+/// every machine's priority-queue greedy runs inside its worker; a round
+/// that does not fit falls back to τ-batched engine passes
+/// ([`DistGreedyConfig::winner_batch`]). Either way the driver only
+/// collects winner rows.
 ///
 /// The outcome is **identical** to [`distributed_greedy`] by
 /// construction: both drivers share the round loop, the keying, the

@@ -3,7 +3,11 @@
 //! identical** subsets — same ids, same order, same objective-value bits,
 //! same round statistics — on proptest-generated datasets (clustered,
 //! degenerate/duplicate, adversarially partitioned, `k` near 0 and near
-//! `n`), at 1, 2, and 8 pool threads.
+//! `n`), at 1, 2, and 8 pool threads — and on **both sides of the
+//! dataflow driver's computed path choice**: under an unlimited budget
+//! (every round partition-resident) and under a budget below a one-row
+//! partition (every round on the over-budget fallback), with the path
+//! that ran read back from the `greedy.phases_*` counters.
 //!
 //! Kernel dispatch: nothing here calls the SIMD kernels directly, but CI
 //! runs this suite under `SUBMOD_KERNELS=scalar` as well as the default
@@ -11,6 +15,7 @@
 //! the portable kernels forced.
 
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
 use submod_core::{GraphBuilder, NodeId, PairwiseObjective, SimilarityGraph};
 use submod_dataflow::{MemoryBudget, Pipeline};
 use submod_dist::{
@@ -20,6 +25,64 @@ use submod_dist::{
 use submod_exec::with_threads;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// Worker bytes one resident partition row costs (README, "The driver
+/// memory model"); a budget one byte lower fits no partition at all.
+const RESIDENT_BYTES_PER_ROW: u64 = 40;
+
+/// `winner_batch` of the lockstep oracle; any other width is the
+/// τ-batched fallback.
+const LOCKSTEP: usize = 0;
+
+/// The fallback width `DistGreedyConfig::new` starts with.
+const DEFAULT_BATCH: usize = DistGreedyConfig::DEFAULT_WINNER_BATCH;
+
+/// Phases the dataflow driver ran since `before`, as
+/// `[resident, batched, lockstep]`, from the process-wide registry
+/// (`phases_since([0; 3])` is the running total).
+fn phases_since(before: [u64; 3]) -> [u64; 3] {
+    let names = ["greedy.phases_resident", "greedy.phases_batched", "greedy.phases_lockstep"];
+    std::array::from_fn(|i| submod_obs::counter(names[i]).value() - before[i])
+}
+
+/// The registry is process-wide and tests run on parallel threads: every
+/// test that runs a dataflow greedy holds this lock, so a counter delta
+/// belongs to the run between its two reads.
+fn registry_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A dataflow pipeline on one side of the fit line: unlimited, or starved
+/// below a one-row partition.
+fn pipeline(workers: usize, starved: bool) -> Pipeline {
+    let budget = if starved {
+        MemoryBudget::bytes(RESIDENT_BYTES_PER_ROW - 1)
+    } else {
+        MemoryBudget::unlimited()
+    };
+    Pipeline::builder().workers(workers).memory_budget(budget).build().expect("pipeline")
+}
+
+/// Asserts the phases one dataflow run added to the counters: resident
+/// for every phase on the unlimited side; on the starved side the
+/// fallback `winner_batch` selects for every phase with a non-empty pool
+/// (an empty pool fits any budget).
+fn assert_phases(before: [u64; 3], starved: bool, winner_batch: usize, pool_sizes: &[usize]) {
+    let total = pool_sizes.len() as u64;
+    let fell_back =
+        if starved { pool_sizes.iter().filter(|&&len| len > 0).count() as u64 } else { 0 };
+    let expected = if winner_batch == LOCKSTEP {
+        [total - fell_back, 0, fell_back]
+    } else {
+        [total - fell_back, fell_back, 0]
+    };
+    assert_eq!(
+        phases_since(before),
+        expected,
+        "[resident, batched, lockstep] phases (starved: {starved})"
+    );
+}
 
 /// A clustered instance: `clusters` tight groups with strong
 /// intra-cluster similarities, weak ring links between clusters, and
@@ -112,8 +175,9 @@ fn fingerprint(report: &DistGreedyReport) -> Fingerprint {
     )
 }
 
-/// Runs both drivers at every thread count and asserts one bit-exact
-/// outcome, returning it.
+/// Runs the in-memory driver and the dataflow driver on both sides of the
+/// fit line at every thread count, asserts one bit-exact outcome and the
+/// path each dataflow run took, and returns the outcome.
 fn assert_drivers_identical(
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
@@ -121,23 +185,36 @@ fn assert_drivers_identical(
     k: usize,
     config: &DistGreedyConfig,
     workers: usize,
+    winner_batch: usize,
 ) -> Fingerprint {
+    let _registry = registry_lock();
+    let config = config.clone().winner_batch(winner_batch);
     let mut outcomes = Vec::new();
     for &threads in &THREAD_COUNTS {
-        let (mem, df) = with_threads(threads, || {
-            let mem = distributed_greedy(graph, objective, ground, k, config).expect("in-memory");
-            let pipeline = Pipeline::new(workers).expect("pipeline");
-            let df = distributed_greedy_dataflow(&pipeline, graph, objective, ground, k, config)
-                .expect("dataflow");
-            (mem, df)
+        let mem = with_threads(threads, || {
+            distributed_greedy(graph, objective, ground, k, &config).expect("in-memory")
         });
-        assert_eq!(
-            fingerprint(&mem),
-            fingerprint(&df),
-            "drivers diverged at {threads} threads (machines {}, rounds {}, k {k})",
-            config.machines(),
-            config.rounds()
-        );
+        for starved in [false, true] {
+            let before = phases_since([0; 3]);
+            let pipeline = pipeline(workers, starved);
+            let df = with_threads(threads, || {
+                distributed_greedy_dataflow(&pipeline, graph, objective, ground, k, &config)
+                    .expect("dataflow")
+            });
+            assert_eq!(
+                fingerprint(&mem),
+                fingerprint(&df),
+                "drivers diverged at {threads} threads (machines {}, rounds {}, k {k}, \
+                 starved {starved})",
+                config.machines(),
+                config.rounds()
+            );
+            let pool_sizes: Vec<usize> = df.rounds.iter().map(|r| r.input_size).collect();
+            assert_phases(before, starved, winner_batch, &pool_sizes);
+            if starved {
+                assert!(pipeline.metrics().bytes_spilled > 0, "the budget must force spills");
+            }
+        }
         outcomes.push(fingerprint(&mem));
     }
     assert_eq!(outcomes[0], outcomes[1], "thread-count variance (1 vs 2)");
@@ -154,7 +231,7 @@ fn degenerate_duplicate_points_tie_break_identically() {
     let n = graph.num_nodes();
     for (machines, rounds) in [(1usize, 1usize), (3, 2), (5, 4)] {
         let config = DistGreedyConfig::new(machines, rounds).unwrap().seed(13);
-        assert_drivers_identical(&graph, &objective, &ground(n), n / 3, &config, 3);
+        assert_drivers_identical(&graph, &objective, &ground(n), n / 3, &config, 3, DEFAULT_BATCH);
     }
 }
 
@@ -164,7 +241,8 @@ fn k_near_zero_and_near_n_are_identical() {
     let n = graph.num_nodes();
     for k in [0usize, 1, 2, n - 2, n - 1, n] {
         let config = DistGreedyConfig::new(4, 3).unwrap().seed(2).adaptive(true);
-        let out = assert_drivers_identical(&graph, &objective, &ground(n), k, &config, 4);
+        let out =
+            assert_drivers_identical(&graph, &objective, &ground(n), k, &config, 4, DEFAULT_BATCH);
         assert_eq!(out.0.len(), k, "selection size at k = {k}");
     }
 }
@@ -180,23 +258,7 @@ fn adversarial_partitions_are_identical() {
         .unwrap()
         .seed(3)
         .adversarial_first_round(reference.selected().to_vec());
-    assert_drivers_identical(&graph, &objective, &ground(n), 6, &config, 3);
-}
-
-#[test]
-fn memory_pressure_does_not_change_the_selection() {
-    // A crushing 256-byte worker budget forces the engine-resident pool
-    // to spill; the selection must not move by a bit.
-    let (graph, objective) = clustered_instance(6, 12, 9);
-    let n = graph.num_nodes();
-    let config = DistGreedyConfig::new(4, 3).unwrap().seed(11);
-    let mem = distributed_greedy(&graph, &objective, &ground(n), 10, &config).unwrap();
-    let pipeline =
-        Pipeline::builder().workers(4).memory_budget(MemoryBudget::bytes(256)).build().unwrap();
-    let df = distributed_greedy_dataflow(&pipeline, &graph, &objective, &ground(n), 10, &config)
-        .unwrap();
-    assert_eq!(fingerprint(&mem), fingerprint(&df));
-    assert!(pipeline.metrics().bytes_spilled > 0, "the budget must have forced spills");
+    assert_drivers_identical(&graph, &objective, &ground(n), 6, &config, 3, DEFAULT_BATCH);
 }
 
 #[test]
@@ -206,13 +268,13 @@ fn batched_winner_passes_are_identical_to_lockstep() {
     // at every batch size and thread count.
     let (graph, objective) = clustered_instance(4, 8, 33);
     let n = graph.num_nodes();
-    let lockstep_config = DistGreedyConfig::new(3, 2).unwrap().seed(19).adaptive(true);
-    let lockstep =
-        assert_drivers_identical(&graph, &objective, &ground(n), n / 4, &lockstep_config, 3);
+    let config = DistGreedyConfig::new(3, 2).unwrap().seed(19).adaptive(true);
+    let run = |winner_batch| {
+        assert_drivers_identical(&graph, &objective, &ground(n), n / 4, &config, 3, winner_batch)
+    };
+    let lockstep = run(LOCKSTEP);
     for batch in [1usize, 2, 3, 8, 64] {
-        let config = lockstep_config.clone().winner_batch(batch);
-        let batched = assert_drivers_identical(&graph, &objective, &ground(n), n / 4, &config, 3);
-        assert_eq!(batched, lockstep, "winner_batch {batch} changed the outcome");
+        assert_eq!(run(batch), lockstep, "winner_batch {batch}");
     }
 }
 
@@ -226,42 +288,108 @@ fn batched_winner_invalidation_falls_back_identically() {
     // the selection still must not move by a bit.
     let (graph, objective) = degenerate_instance(5, 6);
     let n = graph.num_nodes();
-    let lockstep_config = DistGreedyConfig::new(2, 2).unwrap().seed(7);
-    let lockstep =
-        assert_drivers_identical(&graph, &objective, &ground(n), n / 2, &lockstep_config, 3);
+    let config = DistGreedyConfig::new(2, 2).unwrap().seed(7);
+    let run = |winner_batch| {
+        assert_drivers_identical(&graph, &objective, &ground(n), n / 2, &config, 3, winner_batch)
+    };
+    let lockstep = run(LOCKSTEP);
     for batch in [1usize, 2, 4, 16] {
-        let config = lockstep_config.clone().winner_batch(batch);
-        let batched = assert_drivers_identical(&graph, &objective, &ground(n), n / 2, &config, 3);
-        assert_eq!(batched, lockstep, "winner_batch {batch} changed the outcome");
+        assert_eq!(run(batch), lockstep, "winner_batch {batch}");
     }
+}
+
+/// GreeDi's map phase rides the same backend: in-memory against dataflow
+/// on both sides of the fit line (the starved side falls back to the
+/// default batched passes), one phase per run, at every thread count.
+fn assert_greedi_identical(
+    graph: &SimilarityGraph,
+    objective: &PairwiseObjective,
+    k: usize,
+    machines: usize,
+    style: PartitionStyle,
+    seed: u64,
+) {
+    let _registry = registry_lock();
+    let fp = |r: &submod_dist::GreediReport| {
+        (
+            r.selection.selected().iter().map(|v| v.raw()).collect::<Vec<_>>(),
+            r.selection.objective_value().to_bits(),
+            r.merge,
+        )
+    };
+    let mut outcomes = Vec::new();
+    for &threads in &THREAD_COUNTS {
+        let mem = with_threads(threads, || {
+            greedi(graph, objective, k, machines, style, seed).expect("in-memory")
+        });
+        for starved in [false, true] {
+            let before = phases_since([0; 3]);
+            let pipeline = pipeline(3, starved);
+            let df = with_threads(threads, || {
+                greedi_dataflow(&pipeline, graph, objective, k, machines, style, seed)
+                    .expect("dataflow")
+            });
+            assert_eq!(fp(&mem), fp(&df), "{style:?} diverged at {threads} threads");
+            assert_phases(before, starved, DEFAULT_BATCH, &[graph.num_nodes()]);
+        }
+        outcomes.push(fp(&mem));
+    }
+    assert_eq!(outcomes[0], outcomes[1], "{style:?} thread variance");
+    assert_eq!(outcomes[0], outcomes[2], "{style:?} thread variance");
 }
 
 #[test]
 fn greedi_drivers_are_identical_across_threads() {
     let (graph, objective) = clustered_instance(4, 9, 17);
     for style in [PartitionStyle::Arbitrary, PartitionStyle::Random] {
-        let mut outcomes = Vec::new();
-        for &threads in &THREAD_COUNTS {
-            let (mem, df) = with_threads(threads, || {
-                let mem = greedi(&graph, &objective, 7, 4, style, 3).expect("in-memory");
-                let pipeline = Pipeline::new(3).expect("pipeline");
-                let df = greedi_dataflow(&pipeline, &graph, &objective, 7, 4, style, 3)
-                    .expect("dataflow");
-                (mem, df)
-            });
-            let fp = |r: &submod_dist::GreediReport| {
-                (
-                    r.selection.selected().iter().map(|v| v.raw()).collect::<Vec<_>>(),
-                    r.selection.objective_value().to_bits(),
-                    r.merge.union_size,
-                )
-            };
-            assert_eq!(fp(&mem), fp(&df), "{style:?} diverged at {threads} threads");
-            outcomes.push(fp(&mem));
-        }
-        assert_eq!(outcomes[0], outcomes[1], "{style:?} thread variance");
-        assert_eq!(outcomes[0], outcomes[2], "{style:?} thread variance");
+        assert_greedi_identical(&graph, &objective, 7, 4, style, 3);
     }
+}
+
+/// The fit predicate at its boundary: a finite budget exactly at (or one
+/// byte above) the largest partition's footprint runs the round resident,
+/// one byte below takes the fallback, and the selection never moves. The
+/// footprint comes from the decision's own gauge, on a hash partition
+/// uneven enough that only the exact per-machine count — not the mean —
+/// can have produced it.
+#[test]
+fn fit_predicate_flips_at_the_largest_partition_footprint() {
+    let _registry = registry_lock();
+    let (graph, objective) = clustered_instance(6, 12, 9);
+    let n = graph.num_nodes();
+    let machines = 4;
+    let config = DistGreedyConfig::new(machines, 1).unwrap().seed(11);
+    let mem = distributed_greedy(&graph, &objective, &ground(n), 10, &config).unwrap();
+    let run = |budget: u64| {
+        let before = phases_since([0; 3]);
+        let pipeline =
+            Pipeline::builder().workers(3).memory_budget(MemoryBudget::bytes(budget)).build();
+        let df = distributed_greedy_dataflow(
+            &pipeline.unwrap(),
+            &graph,
+            &objective,
+            &ground(n),
+            10,
+            &config,
+        )
+        .unwrap();
+        assert_eq!(fingerprint(&mem), fingerprint(&df), "budget {budget}");
+        phases_since(before)
+    };
+
+    // The gauge is a running maximum: zero it, then let a roomy finite
+    // budget count the partitions.
+    submod_obs::reset_metrics();
+    assert_eq!(run(1 << 20), [1, 0, 0]);
+    let footprint = submod_obs::gauge("greedy.partition_footprint_peak").value();
+    assert_eq!(footprint % RESIDENT_BYTES_PER_ROW, 0);
+    assert!(
+        footprint > (n.div_ceil(machines) as u64) * RESIDENT_BYTES_PER_ROW,
+        "the partition must be uneven for the exact count to matter"
+    );
+    assert_eq!(run(footprint + 1), [1, 0, 0]);
+    assert_eq!(run(footprint), [1, 0, 0]);
+    assert_eq!(run(footprint - 1), [0, 1, 0]);
 }
 
 proptest! {
@@ -285,7 +413,7 @@ proptest! {
             .expect("config")
             .seed(seed)
             .adaptive(adaptive);
-        assert_drivers_identical(&graph, &objective, &ground(n), k, &config, 3);
+        assert_drivers_identical(&graph, &objective, &ground(n), k, &config, 3, DEFAULT_BATCH);
     }
 
     /// Degenerate shapes: duplicate-heavy clone groups with random clone
@@ -302,7 +430,7 @@ proptest! {
         let n = graph.num_nodes();
         let k = (n / 3).max(1);
         let config = DistGreedyConfig::new(machines, rounds).expect("config").seed(seed);
-        assert_drivers_identical(&graph, &objective, &ground(n), k, &config, 3);
+        assert_drivers_identical(&graph, &objective, &ground(n), k, &config, 3, DEFAULT_BATCH);
     }
 
     /// Batched-winner passes under random shapes, batch sizes, and
@@ -320,14 +448,11 @@ proptest! {
         let (graph, objective) = clustered_instance(clusters, per_cluster, seed);
         let n = graph.num_nodes();
         let k = (n / 4).max(1);
-        let lockstep_config =
-            DistGreedyConfig::new(machines, rounds).expect("config").seed(seed);
-        let lockstep =
-            assert_drivers_identical(&graph, &objective, &ground(n), k, &lockstep_config, 3);
-        let batched_config = lockstep_config.winner_batch(batch);
-        let batched =
-            assert_drivers_identical(&graph, &objective, &ground(n), k, &batched_config, 3);
-        prop_assert_eq!(batched, lockstep);
+        let config = DistGreedyConfig::new(machines, rounds).expect("config").seed(seed);
+        let run = |winner_batch| {
+            assert_drivers_identical(&graph, &objective, &ground(n), k, &config, 3, winner_batch)
+        };
+        prop_assert_eq!(run(batch), run(LOCKSTEP));
     }
 
     /// GreeDi under random shapes and both partition styles.
@@ -344,15 +469,6 @@ proptest! {
         let k = (n / 4).max(1);
         let style =
             if random_style { PartitionStyle::Random } else { PartitionStyle::Arbitrary };
-        let mem = greedi(&graph, &objective, k, machines, style, seed).expect("in-memory");
-        let pipeline = Pipeline::new(3).expect("pipeline");
-        let df = greedi_dataflow(&pipeline, &graph, &objective, k, machines, style, seed)
-            .expect("dataflow");
-        prop_assert_eq!(mem.selection.selected(), df.selection.selected());
-        prop_assert_eq!(
-            mem.selection.objective_value().to_bits(),
-            df.selection.objective_value().to_bits()
-        );
-        prop_assert_eq!(mem.merge, df.merge);
+        assert_greedi_identical(&graph, &objective, k, machines, style, seed);
     }
 }

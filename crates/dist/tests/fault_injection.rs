@@ -77,10 +77,14 @@ fn transient_io_is_retried_to_the_fault_free_answer() {
     let (graph, objective) = instance(70, 7);
     let g = ground(70);
     let config = DistGreedyConfig::new(3, 2).expect("config").seed(3);
-    // The fault-free answer, computed before any plan is installed.
-    let expected = fingerprint(
-        &distributed_greedy(&graph, &objective, &g, 10, &config).expect("plain").selection,
-    );
+    // The fault-free answer, computed under the inert plan (and the plan
+    // lock, so a concurrent test's seeded panic cannot land here).
+    let expected = {
+        let _off = faults::override_plan(FaultPlan::off());
+        fingerprint(
+            &distributed_greedy(&graph, &objective, &g, 10, &config).expect("plain").selection,
+        )
+    };
 
     let retries_before = submod_obs::counter("faults.retries").value();
     let injected_before = submod_obs::counter("faults.injected").value();
@@ -311,4 +315,87 @@ fn journal_counters_are_mirrored_into_obs() {
         "a resume must charge journal.records_replayed"
     );
     let _ = fs::remove_file(&journal);
+}
+
+/// The same guarantee for the partition-resident pass: a 1000-byte
+/// budget fits every partition of this run (≈ 20 rows × 40 B) and the
+/// scored table's shards, so the first spills of the run are the runs of
+/// the resident pass's own `group_by_key` — and a fault there, typed
+/// error or panic, still leaves the spill directory empty.
+#[test]
+fn faults_inside_the_resident_pass_leak_no_spill_files() {
+    let (graph, objective) = instance(60, 21);
+    let g = ground(60);
+    let config = DistGreedyConfig::new(3, 2).expect("config").seed(4);
+    // `[resident, batched, lockstep]` phases run since `before`.
+    let phases_since = |before: [u64; 3]| -> [u64; 3] {
+        let names = ["greedy.phases_resident", "greedy.phases_batched", "greedy.phases_lockstep"];
+        std::array::from_fn(|i| submod_obs::counter(names[i]).value() - before[i])
+    };
+    let build = |base: &PathBuf| {
+        fs::create_dir_all(base).expect("create base dir");
+        Pipeline::builder()
+            .workers(2)
+            .memory_budget(MemoryBudget::bytes(1000))
+            .spill_dir(base)
+            .build()
+            .expect("pipeline")
+    };
+    let assert_empty = |base: &PathBuf, path: &str| {
+        let leaked: Vec<_> = fs::read_dir(base).expect("read base dir").collect();
+        assert!(leaked.is_empty(), "{path} leaked spill state: {leaked:?}");
+        let _ = fs::remove_dir_all(base);
+    };
+
+    // Fault-free: both rounds run resident, and they do spill.
+    let base = temp_path("resident-raii-clean");
+    {
+        let _guard = faults::override_plan(FaultPlan::off());
+        let before = phases_since([0; 3]);
+        let pipeline = build(&base);
+        distributed_greedy_dataflow(&pipeline, &graph, &objective, &g, 10, &config).expect("run");
+        assert_eq!(phases_since(before), [2, 0, 0]);
+        assert!(pipeline.metrics().spill_files > 0, "the resident pass must spill");
+    }
+    assert_empty(&base, "clean run");
+
+    // Error path: the first spill — inside the first resident pass — is
+    // poisoned.
+    let base = temp_path("resident-raii-err");
+    {
+        let _guard =
+            faults::override_plan(FaultPlan { mode: FaultMode::PermanentIo, seed: 5, rate: 1.0 });
+        let before = phases_since([0; 3]);
+        let pipeline = build(&base);
+        let result = distributed_greedy_dataflow(&pipeline, &graph, &objective, &g, 10, &config);
+        assert!(result.is_err(), "the poisoned spill must fail the run");
+        assert_eq!(
+            phases_since(before),
+            [1, 0, 0],
+            "the run must die inside its first resident pass"
+        );
+    }
+    assert_empty(&base, "error path");
+
+    // Panic path: sweep the seeded plan so the one panic lands in
+    // different exec regions of the run, before and after a resident
+    // pass has begun; wherever it unwinds from, nothing is left behind.
+    let mut unwound_after_resident = 0;
+    for seed in 0..16 {
+        let base = temp_path(&format!("resident-raii-panic-{seed}"));
+        {
+            let _guard =
+                faults::override_plan(FaultPlan { mode: FaultMode::Panic, seed, rate: 0.1 });
+            let before = phases_since([0; 3]);
+            let pipeline = build(&base);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                distributed_greedy_dataflow(&pipeline, &graph, &objective, &g, 10, &config)
+            }));
+            if result.is_err() && phases_since(before)[0] > 0 {
+                unwound_after_resident += 1;
+            }
+        }
+        assert_empty(&base, "panic path");
+    }
+    assert!(unwound_after_resident > 0, "no panic of the sweep landed in or after a resident pass");
 }

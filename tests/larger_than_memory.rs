@@ -107,7 +107,11 @@ fn engine_resident_greedy_driver_memory_is_winners_only() {
     let objective = instance.objective(0.9).unwrap();
     let ground: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
     let machines = 4;
-    let config = DistGreedyConfig::new(machines, 3).unwrap().seed(41).adaptive(true);
+    // `winner_batch(0)`: no partition fits the 2 KiB budget below, and the
+    // winners-only accounting is the lockstep fallback's (the batched
+    // fallback also pays for the candidates it collects and discards).
+    let config =
+        DistGreedyConfig::new(machines, 3).unwrap().seed(41).adaptive(true).winner_batch(0);
 
     let (reference, mem_stats) =
         distributed_greedy_with_stats(&instance.graph, &objective, &ground, k, &config).unwrap();
@@ -172,6 +176,63 @@ fn engine_resident_greedy_driver_memory_is_winners_only() {
     }
     assert_eq!(fingerprints[0], fingerprints[1]);
     assert_eq!(fingerprints[0], fingerprints[2]);
+}
+
+/// The ISSUE 12 acceptance claim: when every partition fits one worker
+/// the dataflow driver runs the round partition-resident — one grouped
+/// engine pass, each machine's queue inside its worker — and that stays
+/// inside the budget it was admitted under. The resident working set
+/// (40 B per partition row) is charged to `peak_worker_bytes`, the driver
+/// still collects winner rows only, and nothing but the per-round
+/// survivor bitset is broadcast (the fallback paths also ship winners,
+/// so the broadcast total is what proves every round ran resident).
+#[test]
+fn partition_resident_greedy_stays_inside_a_fitting_budget() {
+    let instance = instance();
+    let n = instance.len();
+    let k = n / 10;
+    let objective = instance.objective(0.9).unwrap();
+    let ground: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+    let (machines, rounds) = (4, 3);
+    let config = DistGreedyConfig::new(machines, rounds).unwrap().seed(41).adaptive(true);
+    let (reference, _) =
+        distributed_greedy_with_stats(&instance.graph, &objective, &ground, k, &config).unwrap();
+
+    // ~n/4 rows × 40 B ≈ 5 KB per partition: fits 8 KiB, with little
+    // room to spare.
+    let budget = 8 * 1024;
+    let pipeline =
+        Pipeline::builder().workers(4).memory_budget(MemoryBudget::bytes(budget)).build().unwrap();
+    let (report, stats) = distributed_greedy_dataflow_with_stats(
+        &pipeline,
+        &instance.graph,
+        &objective,
+        &ground,
+        k,
+        &config,
+    )
+    .unwrap();
+    assert_eq!(report.selection.selected(), reference.selection.selected());
+    assert_eq!(report.rounds, reference.rounds);
+
+    let max_round_output = report.rounds.iter().map(|r| r.output_size).max().unwrap();
+    assert_eq!(stats.peak_round_bytes, 24 * max_round_output as u64);
+    assert_eq!(
+        stats.bytes_broadcast,
+        (rounds * n.div_ceil(64) * 8) as u64,
+        "a resident round broadcasts its survivor bitset and nothing else"
+    );
+    let metrics = pipeline.metrics();
+    assert!(
+        metrics.peak_worker_bytes >= (n.div_ceil(machines) * 40) as u64,
+        "the resident working set must be charged (peak {})",
+        metrics.peak_worker_bytes
+    );
+    assert!(
+        metrics.peak_worker_bytes <= budget + 4096,
+        "resident workers must respect the budget (peak {} bytes)",
+        metrics.peak_worker_bytes
+    );
 }
 
 #[test]
