@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
-use submod_knn::{build_knn_graph, Embeddings, KnnBackend};
+use submod_knn::{build_knn_graph, kmeans, Embeddings, IvfIndex, KnnBackend};
 
 fn embeddings(n: usize, dim: usize, seed: u64) -> Embeddings {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -53,5 +53,30 @@ fn bench_build_10k_64d(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_backends, bench_exact_scaling, bench_build_10k_64d);
+/// The repo benchmark's `embed-knn` shape: the 10-NN graph over 30 000 ×
+/// 64-d embeddings with the backend `auto` picks (IVF, 173 cells, 8
+/// probes), and on its own the k-means quantizer fit that is half of it.
+fn bench_build_30k_64d(c: &mut Criterion) {
+    let data = embeddings(30_000, 64, 11);
+    let mut group = c.benchmark_group("knn_build_30k_64d");
+    group.sample_size(10);
+    group.bench_function("ivf_auto", |b| {
+        b.iter(|| build_knn_graph(&data, 10, &KnnBackend::auto(data.len()), 0).unwrap())
+    });
+    group.finish();
+    let mut group = c.benchmark_group("kmeans_30k_173");
+    group.sample_size(10);
+    group.bench_function("fit_25_iterations", |b| {
+        b.iter(|| kmeans(&data, IvfIndex::default_nlist(data.len()), 25, 0).unwrap())
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_backends,
+    bench_exact_scaling,
+    bench_build_10k_64d,
+    bench_build_30k_64d
+);
 criterion_main!(benches);

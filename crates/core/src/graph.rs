@@ -228,17 +228,98 @@ impl SimilarityGraph {
     ///
     /// This mirrors the paper's §6 step "we symmetrize the graph, such that
     /// datapoints have a varying amount of, but at least k, neighbors".
+    ///
+    /// Linear in the edge count: rows are already sorted, so the transpose
+    /// (one counting pass, one fill in source order) has sorted rows too,
+    /// and each output row is a two-way merge of a row with its transpose.
+    /// The transpose is never whole: it is built for one stripe of target
+    /// nodes at a time (up to [`TRANSPOSE_STRIPES`] of them, each at least
+    /// [`MIN_STRIPE_EDGES`] in-edges), so on a large graph the scratch is
+    /// an eighth of the edge arrays rather than a second copy of them.
     pub fn symmetrized(&self) -> SimilarityGraph {
-        let mut edges: Vec<(NodeId, NodeId, f32)> =
-            Vec::with_capacity(self.num_directed_edges() * 2);
-        for i in 0..self.num_nodes() {
-            let v = NodeId::from_index(i);
-            for (w, s) in self.edges(v) {
-                edges.push((v, w, s));
-                edges.push((w, v, s));
+        self.symmetrized_in_stripes(MIN_STRIPE_EDGES)
+    }
+
+    /// [`Self::symmetrized`] with the stripe floor as a parameter (tests
+    /// lower it to drive small graphs through many stripes).
+    fn symmetrized_in_stripes(&self, min_stripe_edges: usize) -> SimilarityGraph {
+        let n = self.num_nodes();
+        let (offsets, neighbors, weights) = self.parts();
+
+        // In-degree prefix sums, then stripes of consecutive target nodes
+        // holding about `budget` in-edges each.
+        let mut t_offsets = vec![0usize; n + 1];
+        for &w in neighbors {
+            t_offsets[w as usize + 1] += 1;
+        }
+        for v in 0..n {
+            t_offsets[v + 1] += t_offsets[v];
+        }
+        let budget = neighbors.len().div_ceil(TRANSPOSE_STRIPES).max(min_stripe_edges);
+        let mut stripes: Vec<std::ops::Range<usize>> = Vec::with_capacity(TRANSPOSE_STRIPES + 1);
+        let mut lo = 0;
+        for v in 0..n {
+            if t_offsets[v + 1] - t_offsets[lo] >= budget || v + 1 == n {
+                stripes.push(lo..v + 1);
+                lo = v + 1;
             }
         }
-        Self::from_directed_edges_internal(self.num_nodes(), edges)
+
+        // Walks the closure row by row (`None` closes a row): for each
+        // stripe, transposes the edges that point into it (filling in
+        // ascending source order leaves every transposed row sorted by
+        // source id), then merges each of its rows with its in-edges.
+        let mut scratch: (Vec<u32>, Vec<f32>) = Default::default();
+        let mut cursor = vec![0usize; n];
+        let mut walk = |sink: &mut dyn FnMut(Option<(u32, f32)>)| {
+            for stripe in &stripes {
+                let base = t_offsets[stripe.start];
+                let in_edges = t_offsets[stripe.end] - base;
+                scratch.0.resize(in_edges, 0);
+                scratch.1.resize(in_edges, 0.0);
+                for v in stripe.clone() {
+                    cursor[v] = t_offsets[v] - base;
+                }
+                for v in 0..n {
+                    for e in offsets[v] as usize..offsets[v + 1] as usize {
+                        let w = neighbors[e] as usize;
+                        if stripe.contains(&w) {
+                            scratch.0[cursor[w]] = v as u32;
+                            scratch.1[cursor[w]] = weights[e];
+                            cursor[w] += 1;
+                        }
+                    }
+                }
+                for v in stripe.clone() {
+                    let out = offsets[v] as usize..offsets[v + 1] as usize;
+                    let inc = t_offsets[v] - base..t_offsets[v + 1] - base;
+                    merge_rows(
+                        (&neighbors[out.clone()], &weights[out]),
+                        (&scratch.0[inc.clone()], &scratch.1[inc]),
+                        |w, s| sink(Some((w, s))),
+                    );
+                    sink(None);
+                }
+            }
+        };
+
+        // Twice: once to size the arrays exactly (a guess of 2E would
+        // leave an already symmetric graph holding twice its bytes), once
+        // to fill them. The sink sees `None` at the end of every row.
+        let mut total = 0usize;
+        walk(&mut |edge| total += usize::from(edge.is_some()));
+        let mut out_offsets: Vec<u64> = Vec::with_capacity(n + 1);
+        let mut out_neighbors: Vec<u32> = Vec::with_capacity(total);
+        let mut out_weights: Vec<f32> = Vec::with_capacity(total);
+        out_offsets.push(0);
+        walk(&mut |edge| match edge {
+            Some((w, s)) => {
+                out_neighbors.push(w);
+                out_weights.push(s);
+            }
+            None => out_offsets.push(out_neighbors.len() as u64),
+        });
+        Self::from_built_parts(out_offsets, out_neighbors, out_weights)
     }
 
     /// Exposes the raw CSR arrays `(offsets, neighbors, weights)` for
@@ -422,6 +503,11 @@ impl SimilarityGraph {
             neighbors.push(w.raw() as u32);
             weights.push(s);
         }
+        Self::from_built_parts(offsets, neighbors, weights)
+    }
+
+    /// Wraps freshly built (valid by construction) CSR arrays.
+    fn from_built_parts(offsets: Vec<u64>, neighbors: Vec<u32>, weights: Vec<f32>) -> Self {
         let graph = SimilarityGraph { backing: Backing::Owned { offsets, neighbors, weights } };
         if store::force_mmap() {
             // SUBMOD_GRAPH_STORE=mmap: route every built graph through a
@@ -431,6 +517,38 @@ impl SimilarityGraph {
         } else {
             graph
         }
+    }
+}
+
+/// At most how many stripes of target nodes
+/// [`SimilarityGraph::symmetrized`] transposes one at a time: its scratch
+/// is `1/TRANSPOSE_STRIPES` of the edge arrays, paid for with that many
+/// sequential scans of them.
+const TRANSPOSE_STRIPES: usize = 8;
+
+/// In-edges a stripe holds at least (4 MiB of scratch): a graph smaller
+/// than this is transposed whole, in one scan.
+const MIN_STRIPE_EDGES: usize = 1 << 19;
+
+/// Merges two neighbor rows sorted by id into their union in id order,
+/// handing each `(neighbor, weight)` to `emit`; a neighbor present in
+/// both rows keeps the larger weight (by `total_cmp`, as the edge-stream
+/// builder dedups).
+#[inline]
+fn merge_rows(a: (&[u32], &[f32]), b: (&[u32], &[f32]), mut emit: impl FnMut(u32, f32)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.0.len() || j < b.0.len() {
+        let x = a.0.get(i).copied().unwrap_or(u32::MAX);
+        let y = b.0.get(j).copied().unwrap_or(u32::MAX);
+        match x.cmp(&y) {
+            std::cmp::Ordering::Less => emit(x, a.1[i]),
+            std::cmp::Ordering::Greater => emit(y, b.1[j]),
+            std::cmp::Ordering::Equal => {
+                emit(x, if a.1[i].total_cmp(&b.1[j]).is_ge() { a.1[i] } else { b.1[j] });
+            }
+        }
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
 }
 
@@ -605,6 +723,31 @@ mod tests {
         assert_eq!(g.edge_weight(NodeId::new(1), NodeId::new(0)), Some(0.7));
         assert_eq!(g.edge_weight(NodeId::new(2), NodeId::new(1)), Some(0.2));
         assert_eq!(g.num_undirected_edges(), 2);
+    }
+
+    #[test]
+    fn symmetrize_is_the_same_in_one_stripe_or_many() {
+        // A seeded directed graph: asymmetric weights, reciprocal pairs,
+        // rows without out-edges (odd ids) and without in-edges.
+        let n = 60u64;
+        let (mut directed, mut closure) = (GraphBuilder::new(60), GraphBuilder::new(60));
+        let mut s = 7u64;
+        for _ in 0..400 {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (v, w) = (((s >> 33) % n) & !1, (s >> 13) % n);
+            if v != w {
+                let weight = ((s >> 50) % 8) as f32 / 8.0;
+                directed.add_directed(v, w, weight).unwrap();
+                closure.add_undirected(v, w, weight).unwrap();
+            }
+        }
+        let (directed, reference) = (directed.build(), closure.build());
+        for min_stripe_edges in [1, 9, MIN_STRIPE_EDGES] {
+            let closed = directed.symmetrized_in_stripes(min_stripe_edges);
+            assert_eq!(closed.csr_parts(), reference.csr_parts(), "floor {min_stripe_edges}");
+        }
+        assert_eq!(SimilarityGraph::empty(0).symmetrized().num_nodes(), 0);
+        assert_eq!(SimilarityGraph::empty(3).symmetrized(), SimilarityGraph::empty(3));
     }
 
     #[test]

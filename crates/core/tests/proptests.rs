@@ -139,6 +139,43 @@ proptest! {
         prop_assert!(sym.num_directed_edges() >= graph.num_directed_edges());
     }
 
+    /// The linear-time `symmetrized()` (transpose + per-row merge) emits
+    /// CSR arrays byte-identical to the edge-stream closure it replaced —
+    /// every edge added in both directions to a `GraphBuilder`, globally
+    /// sorted and deduplicated keeping the larger weight — on directed
+    /// graphs with conflicting back-edge weights (±0 and exact ties
+    /// included), repeated edges, and empty rows. Under
+    /// `SUBMOD_GRAPH_STORE=mmap` both sides are mapped and must still
+    /// agree.
+    #[test]
+    fn symmetrize_matches_the_edge_stream_closure(
+        (n, edges) in (2usize..=24).prop_flat_map(|n| {
+            // Only the lower half of the ids ever has out-edges, so the
+            // upper rows are empty before the closure.
+            let weight = (0u8..6, 0.01f32..1.0).prop_map(|(pick, w)| match pick {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 0.5,
+                _ => w,
+            });
+            let edge = (0..(n as u64).div_ceil(2), 0..n as u64, weight);
+            (Just(n), proptest::collection::vec(edge, 0..n * 4))
+        })
+    ) {
+        let mut directed = GraphBuilder::new(n);
+        let mut closure = GraphBuilder::new(n);
+        for (v, w, s) in edges {
+            if v != w {
+                directed.add_directed(v, w, s).expect("valid edge");
+                closure.add_undirected(v, w, s).expect("valid edge");
+            }
+        }
+        let symmetric = directed.build().symmetrized();
+        let reference = closure.build();
+        prop_assert_eq!(symmetric.csr_parts(), reference.csr_parts());
+        prop_assert!(symmetric.is_symmetric());
+    }
+
     /// Induced subgraphs never contain foreign nodes and preserve symmetry.
     #[test]
     fn induced_subgraph_is_consistent(

@@ -1,73 +1,171 @@
-//! Register-blocked batch drivers over the per-backend micro-kernels.
+//! Batch drivers over the per-backend tile micro-kernel.
 //!
-//! The tiling scheme: queries advance in blocks of [`Q_BLOCK`], rows in
-//! tiles of 4. For each row tile the inner loop walks every query of the
-//! block, so one tile's worth of row data is loaded from memory once and
-//! reused `Q_BLOCK` times from cache — the row matrix streams once per
-//! query *block* instead of once per query. Within a query, rows are
-//! visited in strictly ascending index order (full tiles first, then the
-//! sub-tile remainder, which also runs ascending), which together with
-//! the shared [`TopK`] makes every batch result bitwise-identical to the
-//! corresponding one-query scan.
+//! One skeleton serves every driver: queries advance in blocks of
+//! [`Q_BLOCK`], and [`for_each_tile`] walks a block over the rows in
+//! tiles of 4 — for each row tile the backend's Q×4 micro-kernel scores
+//! the whole query block, so a tile's row data is loaded from memory
+//! once and reused `Q_BLOCK` times from cache: the row matrix streams
+//! once per query *block* instead of once per query. A short last tile repeats its final row (the repeats are
+//! scored and dropped), so there is no second, one-row code path. Every
+//! tile result is bitwise the single-pair kernel's, and [`TopK`]'s kept
+//! set does not depend on offer order, so each driver returns exactly
+//! what a one-query, one-row-at-a-time scan would.
 
 use crate::topk::TopK;
-use crate::{backend, scalar, Backend, Scored};
+use crate::{kernels, Scored, TileFn};
 
 /// Queries per block: large enough to amortize streaming the row matrix,
 /// small enough that a block of 2048-d queries still fits in L2.
 const Q_BLOCK: usize = 16;
 
-type DotFn = fn(&[f32], &[f32]) -> f32;
-type QuadFn = fn(&[f32], [&[f32]; 4]) -> [f32; 4];
-
-fn dot_fn() -> DotFn {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => crate::x86::dot,
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => crate::neon::dot,
-        _ => scalar::dot,
+/// Scores one block of at most [`Q_BLOCK`] queries against rows
+/// `0..n_rows` (`row_at(i)` yields row `i`), handing `sink` one call per
+/// row tile: the tile's first row, how many of its four rows are live,
+/// and one result quad per query.
+fn for_each_tile<'r>(
+    tile: TileFn,
+    queries: &[&[f32]],
+    n_rows: usize,
+    row_at: impl Fn(usize) -> &'r [f32],
+    mut sink: impl FnMut(usize, usize, &[[f32; 4]]),
+) {
+    let mut out = [[0.0f32; 4]; Q_BLOCK];
+    let out = &mut out[..queries.len()];
+    for first in (0..n_rows).step_by(4) {
+        let live = (n_rows - first).min(4);
+        let quad = std::array::from_fn(|j| row_at(first + j.min(live - 1)));
+        tile(queries, quad, out);
+        sink(first, live, out);
     }
 }
 
-fn dot4_fn() -> QuadFn {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => crate::x86::dot4,
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => crate::neon::dot4,
-        _ => scalar::dot4,
-    }
-}
-
-fn l2_fn() -> DotFn {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => crate::x86::l2,
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => crate::neon::l2,
-        _ => scalar::l2,
-    }
-}
-
-fn l2_4_fn() -> QuadFn {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => crate::x86::l2_4,
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => crate::neon::l2_4,
-        _ => scalar::l2_4,
-    }
-}
-
-/// Cosine similarity from a precomputed dot product and norm product;
-/// zero-norm pairs score 0 (the convention every search path shares).
+/// Cosine similarities of one query against a row quad from the tile's
+/// dot products: `dot / (row norm · query norm)`, and 0 for a zero-norm
+/// pair (the convention every search path shares). Branch-free — the
+/// zero-norm case masks the quotient instead of skipping the division —
+/// so the four lanes compile to one vector multiply, divide and mask;
+/// IEEE division is exact per lane, so the bits match the scalar form.
 #[inline]
-fn cosine(dot: f32, denom: f32) -> f32 {
-    if denom <= f32::MIN_POSITIVE {
-        0.0
-    } else {
-        dot / denom
+fn cosines(dots: [f32; 4], row_norms: [f32; 4], query_norm: f32) -> [f32; 4] {
+    std::array::from_fn(|j| {
+        let denom = row_norms[j] * query_norm;
+        // All-ones unless the pair is zero-norm: masks the quotient to +0.
+        let keep = u32::from(denom <= f32::MIN_POSITIVE).wrapping_sub(1);
+        f32::from_bits((dots[j] / denom).to_bits() & keep)
+    })
+}
+
+/// A block of queries accumulating their top-`k` rows by cosine
+/// similarity, each query owning its [`TopK`].
+///
+/// The block is scored against row sets piecewise — [`Self::score_rows`]
+/// takes any subset of the block's queries (a *group*) and any list of
+/// row ids — which is what lets an inverted-file index score each
+/// (queries probing a cell × the cell's rows) pair as one dense tile run
+/// straight off the original matrix. Because a [`TopK`]'s kept set is
+/// independent of offer order, the result per query equals a one-query
+/// scan over the union of the rows it was scored against, provided no row
+/// is offered to the same query twice.
+pub struct TopKBlock<'a> {
+    queries: &'a [&'a [f32]],
+    excludes: &'a [u32],
+    norms: Vec<f32>,
+    heaps: Vec<TopK>,
+}
+
+impl<'a> TopKBlock<'a> {
+    /// A block over `queries` (each of dimension `dim`), keeping `k` rows
+    /// per query. `excludes` is either empty or one row id per query to
+    /// skip (`u32::MAX` for none).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query's length is not `dim` or `excludes` is non-empty
+    /// with the wrong length.
+    pub fn new(queries: &'a [&'a [f32]], excludes: &'a [u32], dim: usize, k: usize) -> Self {
+        assert!(queries.iter().all(|q| q.len() == dim), "query dimension mismatch");
+        assert!(excludes.is_empty() || excludes.len() == queries.len(), "excludes length mismatch");
+        let dot = kernels().dot;
+        TopKBlock {
+            queries,
+            excludes,
+            norms: queries.iter().map(|q| dot(q, q).sqrt()).collect(),
+            heaps: vec![TopK::new(k); queries.len()],
+        }
+    }
+
+    /// Scores the queries at block positions `group` against the rows
+    /// `row_ids` of the `n × dim` matrix `data` (`row_norms[i] ==
+    /// norm(row i)`), offering every non-excluded row to each query's
+    /// tracker. Charges the `kernels.gather_top_k.*` counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a group position or row id is out of range, or
+    /// `row_norms` disagrees with the row count of `data`.
+    pub fn score_rows(
+        &mut self,
+        data: &[f32],
+        row_norms: &[f32],
+        dim: usize,
+        row_ids: &[u32],
+        group: &[u32],
+    ) {
+        assert_eq!(row_norms.len(), data.len() / dim, "norms length mismatch");
+        submod_obs::counter!("kernels.gather_top_k.calls").incr();
+        submod_obs::counter!("kernels.gather_top_k.candidates")
+            .add((group.len() * row_ids.len()) as u64);
+        self.score(data, row_norms, dim, row_ids.len(), |i| row_ids[i], group);
+    }
+
+    /// The shared scan: `id_at(i)` names the `i`-th row to score.
+    fn score(
+        &mut self,
+        data: &[f32],
+        row_norms: &[f32],
+        dim: usize,
+        n_rows: usize,
+        id_at: impl Fn(usize) -> u32,
+        group: &[u32],
+    ) {
+        let row_at = |i| {
+            let row = id_at(i) as usize;
+            &data[row * dim..(row + 1) * dim]
+        };
+        for slots in group.chunks(Q_BLOCK) {
+            // Per query block, not per tile: each query's vector, norm and
+            // excluded id, gathered through the group once.
+            let at = |j: usize| slots[j.min(slots.len() - 1)] as usize;
+            let queries: [&[f32]; Q_BLOCK] = std::array::from_fn(|j| self.queries[at(j)]);
+            let norms: [f32; Q_BLOCK] = std::array::from_fn(|j| self.norms[at(j)]);
+            let excludes: [u32; Q_BLOCK] =
+                std::array::from_fn(|j| self.excludes.get(at(j)).copied().unwrap_or(u32::MAX));
+            let queries = &queries[..slots.len()];
+            for_each_tile(kernels().dot_tile, queries, n_rows, row_at, |first, live, dots| {
+                // Per tile, not per query: the four row ids and their norms.
+                let ids: [u32; 4] = std::array::from_fn(|j| id_at(first + j.min(live - 1)));
+                let row_norms = ids.map(|id| row_norms[id as usize]);
+                for (q, dots) in dots.iter().enumerate() {
+                    let sims = cosines(*dots, row_norms, norms[q]);
+                    let heap = &mut self.heaps[slots[q] as usize];
+                    // Nearly every quad dies here, on one test for all four.
+                    if sims.iter().all(|&sim| sim < heap.floor()) {
+                        continue;
+                    }
+                    for j in 0..live {
+                        if ids[j] != excludes[q] {
+                            heap.offer(ids[j], sims[j]);
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    /// One result list per query, in block order, each sorted by
+    /// descending similarity with ties toward the smaller row id.
+    pub fn into_sorted(self) -> Vec<Vec<Scored>> {
+        self.heaps.into_iter().map(TopK::into_sorted).collect()
     }
 }
 
@@ -107,59 +205,17 @@ pub fn batch_top_k(
     // never per row or per query.
     submod_obs::counter!("kernels.batch_top_k.calls").incr();
     submod_obs::counter!("kernels.batch_top_k.row_scans").add((nq * n) as u64);
-    let dot1 = dot_fn();
-    let dot4 = dot4_fn();
-    let full = n / 4 * 4;
-    let mut out: Vec<Vec<Scored>> = Vec::with_capacity(nq);
-    for qb in (0..nq).step_by(Q_BLOCK) {
-        let qe = (qb + Q_BLOCK).min(nq);
-        let mut heaps: Vec<TopK> = (qb..qe).map(|_| TopK::new(k)).collect();
-        let qns: Vec<f32> = (qb..qe)
-            .map(|qi| {
-                let q = &queries[qi * dim..(qi + 1) * dim];
-                dot1(q, q).sqrt()
-            })
-            .collect();
-        for r in (0..full).step_by(4) {
-            let quad = [
-                &rows[r * dim..(r + 1) * dim],
-                &rows[(r + 1) * dim..(r + 2) * dim],
-                &rows[(r + 2) * dim..(r + 3) * dim],
-                &rows[(r + 3) * dim..(r + 4) * dim],
-            ];
-            for (qo, qi) in (qb..qe).enumerate() {
-                let q = &queries[qi * dim..(qi + 1) * dim];
-                let d = dot4(q, quad);
-                let exclude = excludes.get(qi).copied().unwrap_or(u32::MAX);
-                for j in 0..4 {
-                    let id = (r + j) as u32;
-                    if id != exclude {
-                        heaps[qo].offer(id, cosine(d[j], row_norms[r + j] * qns[qo]));
-                    }
-                }
-            }
-        }
-        for r in full..n {
-            let row = &rows[r * dim..(r + 1) * dim];
-            for (qo, qi) in (qb..qe).enumerate() {
-                let exclude = excludes.get(qi).copied().unwrap_or(u32::MAX);
-                if r as u32 == exclude {
-                    continue;
-                }
-                let q = &queries[qi * dim..(qi + 1) * dim];
-                heaps[qo].offer(r as u32, cosine(dot1(q, row), row_norms[r] * qns[qo]));
-            }
-        }
-        out.extend(heaps.into_iter().map(TopK::into_sorted));
-    }
-    out
+    let queries: Vec<&[f32]> = queries.chunks_exact(dim).collect();
+    let everyone: Vec<u32> = (0..nq as u32).collect();
+    let mut block = TopKBlock::new(&queries, excludes, dim, k);
+    block.score(rows, row_norms, dim, n, |i| i as u32, &everyone);
+    block.into_sorted()
 }
 
 /// Top-`k` of an explicit candidate list by cosine similarity to `query`
-/// — the gather variant the IVF and LSH probes rank with. Candidates are
-/// scored in list order (excluded ids skipped), four rows per
-/// micro-kernel pass, with results bitwise-identical to scoring each
-/// candidate individually.
+/// — the gather variant the IVF and LSH probes rank with: a one-query
+/// [`TopKBlock`] scored against `ids` (each id at most once), with
+/// results bitwise-identical to scoring each candidate individually.
 ///
 /// # Panics
 ///
@@ -175,120 +231,67 @@ pub fn cosine_top_k_gather(
     exclude: u32,
 ) -> Vec<Scored> {
     assert!(dim > 0, "cosine_top_k_gather with dim == 0");
-    assert_eq!(query.len(), dim, "query dimension mismatch");
-    assert_eq!(norms.len(), data.len() / dim, "norms length mismatch");
     if k == 0 {
         return Vec::new();
     }
-    submod_obs::counter!("kernels.gather_top_k.calls").incr();
-    submod_obs::counter!("kernels.gather_top_k.candidates").add(ids.len() as u64);
-    let dot1 = dot_fn();
-    let dot4 = dot4_fn();
-    let qn = dot1(query, query).sqrt();
-    let mut heap = TopK::new(k);
-    let mut pending = [0u32; 4];
-    let mut fill = 0usize;
-    for &id in ids {
-        if id == exclude {
-            continue;
-        }
-        pending[fill] = id;
-        fill += 1;
-        if fill == 4 {
-            let quad = [
-                &data[pending[0] as usize * dim..(pending[0] as usize + 1) * dim],
-                &data[pending[1] as usize * dim..(pending[1] as usize + 1) * dim],
-                &data[pending[2] as usize * dim..(pending[2] as usize + 1) * dim],
-                &data[pending[3] as usize * dim..(pending[3] as usize + 1) * dim],
-            ];
-            let d = dot4(query, quad);
-            for j in 0..4 {
-                heap.offer(pending[j], cosine(d[j], norms[pending[j] as usize] * qn));
-            }
-            fill = 0;
-        }
-    }
-    for &id in &pending[..fill] {
-        let i = id as usize;
-        let row = &data[i * dim..(i + 1) * dim];
-        heap.offer(id, cosine(dot1(query, row), norms[i] * qn));
-    }
-    heap.into_sorted()
+    let mut block =
+        TopKBlock::new(std::slice::from_ref(&query), std::slice::from_ref(&exclude), dim, k);
+    block.score_rows(data, norms, dim, ids, &[0]);
+    block.into_sorted().pop().unwrap_or_default()
 }
 
-/// Index and squared distance of the row nearest to `query` (first
-/// minimum wins ties) — the blocked centroid scan of the k-means
-/// assignment step.
+/// For each query, the index and squared distance of the nearest row
+/// (first minimum wins ties) — the tiled centroid scan of the k-means
+/// assignment step. `rows` is `n × dim` row-major with `dim` the common
+/// query length.
 ///
 /// # Panics
 ///
-/// Panics if `rows` is empty or not a multiple of `query.len()`, or if
-/// `query` is empty.
-pub fn l2_argmin(query: &[f32], rows: &[f32]) -> (u32, f32) {
-    let dim = query.len();
+/// Panics if `rows` is empty or not a multiple of `dim`, or a query's
+/// length is not `dim`.
+pub fn l2_argmin(queries: &[&[f32]], rows: &[f32], dim: usize) -> Vec<(u32, f32)> {
     assert!(dim > 0, "l2_argmin with dim == 0");
     assert!(!rows.is_empty(), "l2_argmin over no rows");
     assert_eq!(rows.len() % dim, 0, "rows not a multiple of dim");
-    let l21 = l2_fn();
-    let l24 = l2_4_fn();
-    let n = rows.len() / dim;
-    let full = n / 4 * 4;
-    let mut best = (0u32, f32::INFINITY);
-    for r in (0..full).step_by(4) {
-        let d = l24(
-            query,
-            [
-                &rows[r * dim..(r + 1) * dim],
-                &rows[(r + 1) * dim..(r + 2) * dim],
-                &rows[(r + 2) * dim..(r + 3) * dim],
-                &rows[(r + 3) * dim..(r + 4) * dim],
-            ],
-        );
-        for j in 0..4 {
-            if d[j] < best.1 {
-                best = ((r + j) as u32, d[j]);
+    let mut best = vec![(0u32, f32::INFINITY); queries.len()];
+    let (n, row_at) = (rows.len() / dim, |r| &rows[r * dim..(r + 1) * dim]);
+    for (queries, best) in queries.chunks(Q_BLOCK).zip(best.chunks_mut(Q_BLOCK)) {
+        for_each_tile(kernels().l2_tile, queries, n, row_at, |first, live, dists| {
+            // Tiles arrive in ascending row order, so strict `<` keeps
+            // the first minimum.
+            for (best, dists) in best.iter_mut().zip(dists) {
+                for j in 0..live {
+                    if dists[j] < best.1 {
+                        *best = ((first + j) as u32, dists[j]);
+                    }
+                }
             }
-        }
-    }
-    for r in full..n {
-        let d = l21(query, &rows[r * dim..(r + 1) * dim]);
-        if d < best.1 {
-            best = (r as u32, d);
-        }
+        });
     }
     best
 }
 
-/// Dot product of `query` against every row, four rows per micro-kernel
-/// pass — the hoisted-norm scoring primitive `nearest_centroids` ranks
-/// with. Each element is bitwise-identical to the single-row [`crate::dot`].
+/// Dot product of every query against every row, `queries.len() × n`
+/// row-major — the hoisted-norm scoring primitive `nearest_centroids`
+/// ranks with. Each element is bitwise-identical to the single-pair
+/// [`crate::dot`].
 ///
 /// # Panics
 ///
-/// Panics if `query` is empty or `rows` is not a multiple of its length.
-pub fn dot_scores(query: &[f32], rows: &[f32]) -> Vec<f32> {
-    let dim = query.len();
+/// Panics if `dim == 0`, `rows` is not a multiple of `dim`, or a query's
+/// length is not `dim`.
+pub fn dot_scores(queries: &[&[f32]], rows: &[f32], dim: usize) -> Vec<f32> {
     assert!(dim > 0, "dot_scores with dim == 0");
     assert_eq!(rows.len() % dim, 0, "rows not a multiple of dim");
-    let dot1 = dot_fn();
-    let dot4 = dot4_fn();
     let n = rows.len() / dim;
-    let full = n / 4 * 4;
-    let mut out = Vec::with_capacity(n);
-    for r in (0..full).step_by(4) {
-        let d = dot4(
-            query,
-            [
-                &rows[r * dim..(r + 1) * dim],
-                &rows[(r + 1) * dim..(r + 2) * dim],
-                &rows[(r + 2) * dim..(r + 3) * dim],
-                &rows[(r + 3) * dim..(r + 4) * dim],
-            ],
-        );
-        out.extend_from_slice(&d);
-    }
-    for r in full..n {
-        out.push(dot1(query, &rows[r * dim..(r + 1) * dim]));
+    let mut out = vec![0.0f32; queries.len() * n];
+    let row_at = |r| &rows[r * dim..(r + 1) * dim];
+    for (queries, out) in queries.chunks(Q_BLOCK).zip(out.chunks_mut(Q_BLOCK * n.max(1))) {
+        for_each_tile(kernels().dot_tile, queries, n, row_at, |first, live, dots| {
+            for (q, dots) in dots.iter().enumerate() {
+                out[q * n + first..][..live].copy_from_slice(&dots[..live]);
+            }
+        });
     }
     out
 }
@@ -296,6 +299,16 @@ pub fn dot_scores(query: &[f32], rows: &[f32]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scalar;
+
+    /// The scalar form [`cosines`] must match lane for lane.
+    fn cosine(dot: f32, denom: f32) -> f32 {
+        if denom <= f32::MIN_POSITIVE {
+            0.0
+        } else {
+            dot / denom
+        }
+    }
 
     fn matrix(n: usize, dim: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
         let mut s = seed;
@@ -381,21 +394,22 @@ mod tests {
     #[test]
     fn l2_argmin_first_minimum_wins() {
         let rows = [1.0f32, 1.0, 5.0, 5.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0];
-        let (idx, d) = l2_argmin(&[1.0, 1.0], &rows);
-        assert_eq!((idx, d), (0, 0.0));
-        let (idx, _) = l2_argmin(&[0.1, 0.1], &rows);
-        assert_eq!(idx, 3);
+        let nearest = l2_argmin(&[&[1.0, 1.0], &[0.1, 0.1]], &rows, 2);
+        assert_eq!(nearest[0], (0, 0.0));
+        assert_eq!(nearest[1].0, 3);
     }
 
     #[test]
     fn dot_scores_cover_remainders() {
         let dim = 5;
         let (rows, _) = matrix(9, dim, 2);
-        let query: Vec<f32> = (0..dim).map(|i| i as f32 - 2.0).collect();
-        let scores = dot_scores(&query, &rows);
-        assert_eq!(scores.len(), 9);
-        for (r, &s) in scores.iter().enumerate() {
-            assert_eq!(s.to_bits(), scalar::dot(&query, &rows[r * dim..(r + 1) * dim]).to_bits());
+        let (queries, _) = matrix(3, dim, 8);
+        let queries: Vec<&[f32]> = queries.chunks_exact(dim).collect();
+        let scores = dot_scores(&queries, &rows, dim);
+        assert_eq!(scores.len(), 3 * 9);
+        for (i, &s) in scores.iter().enumerate() {
+            let (q, r) = (queries[i / 9], &rows[i % 9 * dim..(i % 9 + 1) * dim]);
+            assert_eq!(s.to_bits(), scalar::dot(q, r).to_bits());
         }
     }
 }

@@ -16,11 +16,31 @@
 //! lane sums are combined left to right, and remainder elements are added
 //! sequentially. Multiplication and addition of `f32` are IEEE-exact, so
 //! the scalar and SIMD paths return **bitwise-identical** results for any
-//! input (including denormals, infinities, and misaligned slices), and the
-//! batch primitives visit rows in exactly the order their one-row
-//! counterparts do. The property tests in `tests/identity.rs` pin this,
-//! and the workspace test suite runs under both `SUBMOD_KERNELS=scalar`
-//! and the default dispatch in CI.
+//! input (including denormals, infinities, and misaligned slices). The
+//! property tests in `tests/identity.rs` pin this, and the workspace test
+//! suite runs under both `SUBMOD_KERNELS=scalar` and the default dispatch
+//! in CI.
+//!
+//! ## One tile micro-kernel per backend
+//!
+//! Every batch primitive ([`batch_top_k`], [`TopKBlock`], [`dot_scores`],
+//! [`l2_argmin`], [`cosine_top_k_gather`]) is tiled with one primitive per
+//! backend per operation: [`dot_tile`] / [`l2_tile`] score Q queries × 4
+//! rows per pass. On AVX2 the tile is a 2×4 register block — eight live
+//! accumulators, each row chunk loaded once for both queries — and its
+//! epilogue is a **transposed ordered reduction**: the four accumulators
+//! of a query are transposed in registers so that vector `l` holds lane
+//! `l` of all four, and the vectors are added in lane order
+//! `((((((l0+l1)+l2)+l3)+l4)+l5)+l6)+l7`. A transpose only moves values;
+//! the seven vertical adds are, element by element, exactly the seven
+//! scalar adds of the single-pair reduction in the same order, so each of
+//! the Q·4 results is bitwise the single-pair [`dot`] /
+//! [`l2_distance_squared`] — four reductions for the price of one, with no
+//! spill to memory. Scalar and NEON express the same tile signature
+//! through their single-pair kernels. Top-k selection is
+//! offer-order-independent ([`TopK`] keeps the k best under a strict
+//! total order on `(score, id)`), so a batch primitive may visit rows in
+//! whatever order tiles best and still return what a one-query scan does.
 //!
 //! ## Dispatch policy
 //!
@@ -53,7 +73,7 @@ mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-pub use batch::{batch_top_k, cosine_top_k_gather, dot_scores, l2_argmin};
+pub use batch::{batch_top_k, cosine_top_k_gather, dot_scores, l2_argmin, TopKBlock};
 pub use topk::TopK;
 
 use std::sync::OnceLock;
@@ -95,14 +115,10 @@ pub fn backend() -> Backend {
             Ok("scalar") => Backend::Scalar,
             _ => detect(),
         };
-        // Record which ISA this process dispatches to, once, so a metrics
-        // dump always says what the kernel tallies were measured on.
-        submod_obs::counter(match resolved {
-            Backend::Scalar => "kernels.backend.scalar",
-            Backend::Avx2 => "kernels.backend.avx2",
-            Backend::Neon => "kernels.backend.neon",
-        })
-        .incr();
+        // An identity fact, not a tally: every metrics export and trace
+        // header says which ISA the kernel numbers were measured on, and
+        // no `reset_metrics` between phases can wipe it.
+        submod_obs::set_info("kernels.backend", resolved.name());
         resolved
     })
 }
@@ -127,6 +143,41 @@ fn detect() -> Backend {
     Backend::Scalar
 }
 
+type PairFn = fn(&[f32], &[f32]) -> f32;
+type TileFn = fn(&[&[f32]], [&[f32]; 4], &mut [[f32; 4]]);
+
+/// One backend's micro-kernels: a single-pair and a Q×4-tile primitive
+/// per operation, nothing else.
+pub(crate) struct Kernels {
+    pub(crate) dot: PairFn,
+    pub(crate) l2: PairFn,
+    pub(crate) dot_tile: TileFn,
+    pub(crate) l2_tile: TileFn,
+}
+
+/// The resolved backend's micro-kernels.
+pub(crate) fn kernels() -> &'static Kernels {
+    static SCALAR: Kernels = Kernels {
+        dot: scalar::dot,
+        l2: scalar::l2,
+        dot_tile: scalar::dot_tile,
+        l2_tile: scalar::l2_tile,
+    };
+    #[cfg(target_arch = "x86_64")]
+    static AVX2: Kernels =
+        Kernels { dot: x86::dot, l2: x86::l2, dot_tile: x86::dot_tile, l2_tile: x86::l2_tile };
+    #[cfg(target_arch = "aarch64")]
+    static NEON: Kernels =
+        Kernels { dot: neon::dot, l2: neon::l2, dot_tile: neon::dot_tile, l2_tile: neon::l2_tile };
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => &AVX2,
+        #[cfg(target_arch = "aarch64")]
+        Backend::Neon => &NEON,
+        _ => &SCALAR,
+    }
+}
+
 /// Dot product of two equal-length vectors in the fixed 8-lane reduction
 /// order.
 ///
@@ -140,13 +191,7 @@ fn detect() -> Backend {
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot of mismatched lengths");
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => x86::dot(a, b),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::dot(a, b),
-        _ => scalar::dot(a, b),
-    }
+    (kernels().dot)(a, b)
 }
 
 /// Squared Euclidean distance between two equal-length vectors in the
@@ -158,13 +203,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub fn l2_distance_squared(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "distance of mismatched lengths");
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => x86::l2(a, b),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::l2(a, b),
-        _ => scalar::l2(a, b),
-    }
+    (kernels().l2)(a, b)
 }
 
 /// Euclidean norm (`sqrt(dot(a, a))`).
@@ -173,45 +212,29 @@ pub fn norm(a: &[f32]) -> f32 {
     dot(a, a).sqrt()
 }
 
-/// Four dot products of `query` against four rows at once — the
-/// register-blocked micro-kernel the batch drivers tile with. Each result
-/// is bitwise-identical to the corresponding single-row [`dot`].
+/// The tile micro-kernel every batch primitive is built from:
+/// `out[q][r] = dot(queries[q], rows[r])` for Q queries × 4 rows in one
+/// pass, each result bitwise-identical to the single-pair [`dot`] (see
+/// the crate docs for the transposed ordered reduction).
 ///
 /// # Panics
 ///
-/// Panics if any row length differs from `query.len()`.
+/// Panics if `out.len() != queries.len()` or any query or row differs in
+/// length from the others.
 #[inline]
-pub fn dot4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
-    for r in rows {
-        assert_eq!(query.len(), r.len(), "dot4 of mismatched lengths");
-    }
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => x86::dot4(query, rows),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::dot4(query, rows),
-        _ => scalar::dot4(query, rows),
-    }
+pub fn dot_tile(queries: &[&[f32]], rows: [&[f32]; 4], out: &mut [[f32; 4]]) {
+    (kernels().dot_tile)(queries, rows, out);
 }
 
-/// Four squared L2 distances of `query` against four rows at once; each
-/// result is bitwise-identical to the single-row [`l2_distance_squared`].
+/// The squared-L2 tile: `out[q][r] = l2_distance_squared(queries[q],
+/// rows[r])`, bitwise-identical to the single-pair kernel.
 ///
 /// # Panics
 ///
-/// Panics if any row length differs from `query.len()`.
+/// Same conditions as [`dot_tile`].
 #[inline]
-pub fn l2_4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
-    for r in rows {
-        assert_eq!(query.len(), r.len(), "l2_4 of mismatched lengths");
-    }
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => x86::l2_4(query, rows),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::l2_4(query, rows),
-        _ => scalar::l2_4(query, rows),
-    }
+pub fn l2_tile(queries: &[&[f32]], rows: [&[f32]; 4], out: &mut [[f32; 4]]) {
+    (kernels().l2_tile)(queries, rows, out);
 }
 
 #[cfg(test)]
@@ -234,17 +257,27 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernels_match_single_row() {
-        let q: Vec<f32> = (0..67).map(|i| (i as f32 * 0.7).sin()).collect();
-        let rows: Vec<Vec<f32>> =
-            (0..4).map(|r| (0..67).map(|i| ((i + r) as f32 * 0.3).cos()).collect()).collect();
-        let quad = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
-        let d4 = dot4(&q, quad);
-        let l4 = l2_4(&q, quad);
-        for j in 0..4 {
-            assert_eq!(d4[j].to_bits(), dot(&q, &rows[j]).to_bits());
-            assert_eq!(l4[j].to_bits(), l2_distance_squared(&q, &rows[j]).to_bits());
+    fn tiles_match_single_pairs() {
+        let vecs: Vec<Vec<f32>> =
+            (0..7).map(|r| (0..67).map(|i| ((i + r) as f32 * 0.3).cos()).collect()).collect();
+        let quad = [&vecs[0][..], &vecs[1][..], &vecs[2][..], &vecs[3][..]];
+        let queries = [&vecs[4][..], &vecs[5][..], &vecs[6][..]];
+        let (mut d, mut l) = ([[0.0f32; 4]; 3], [[0.0f32; 4]; 3]);
+        dot_tile(&queries, quad, &mut d);
+        l2_tile(&queries, quad, &mut l);
+        for q in 0..3 {
+            for r in 0..4 {
+                assert_eq!(d[q][r].to_bits(), dot(queries[q], quad[r]).to_bits());
+                assert_eq!(l[q][r].to_bits(), l2_distance_squared(queries[q], quad[r]).to_bits());
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatched")]
+    fn tile_rejects_mismatched_lengths() {
+        let (long, short) = ([0.0f32; 16], [0.0f32; 8]);
+        dot_tile(&[&long], [&short, &short, &short, &short], &mut [[0.0; 4]]);
     }
 
     #[test]

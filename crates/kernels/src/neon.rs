@@ -10,10 +10,14 @@
 //! 8-float array in lane order, and the same left-to-right reduction as
 //! the scalar backend finishes the sum. Results are bitwise-identical to
 //! [`crate::scalar`].
+//!
+//! The Q×4 tile is expressed through the single-pair kernels above
+//! ([`crate::scalar::tile_by_pairs`]): no aarch64 runner exists to
+//! execute a register-blocked NEON tile, so none is shipped.
 
 #![allow(unsafe_code)]
 
-use crate::scalar::{reduce_dot_tail, reduce_l2_tail, LANES};
+use crate::scalar::{dot_tail, l2_tail, sum_lanes, tile_by_pairs, LANES};
 use std::arch::aarch64::{
     float32x4_t, vaddq_f32, vdupq_n_f32, vld1q_f32, vmulq_f32, vst1q_f32, vsubq_f32,
 };
@@ -41,7 +45,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
             lo = vaddq_f32(lo, vmulq_f32(vld1q_f32(ap), vld1q_f32(bp)));
             hi = vaddq_f32(hi, vmulq_f32(vld1q_f32(ap.add(4)), vld1q_f32(bp.add(4))));
         }
-        reduce_dot_tail(spill(lo, hi), a, b, chunks * LANES)
+        dot_tail(sum_lanes(spill(lo, hi)), a, b, chunks * LANES)
     }
 }
 
@@ -59,62 +63,14 @@ pub fn l2(a: &[f32], b: &[f32]) -> f32 {
             lo = vaddq_f32(lo, vmulq_f32(dl, dl));
             hi = vaddq_f32(hi, vmulq_f32(dh, dh));
         }
-        reduce_l2_tail(spill(lo, hi), a, b, chunks * LANES)
+        l2_tail(sum_lanes(spill(lo, hi)), a, b, chunks * LANES)
     }
 }
 
-pub fn dot4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
-    let chunks = query.len() / LANES;
-    // SAFETY: NEON is mandatory on aarch64; loads stay in bounds
-    // (module docs).
-    unsafe {
-        let mut lo = [vdupq_n_f32(0.0); 4];
-        let mut hi = [vdupq_n_f32(0.0); 4];
-        for i in 0..chunks {
-            let off = i * LANES;
-            let qp = query.as_ptr().add(off);
-            let (ql, qh) = (vld1q_f32(qp), vld1q_f32(qp.add(4)));
-            for r in 0..4 {
-                let rp = rows[r].as_ptr().add(off);
-                lo[r] = vaddq_f32(lo[r], vmulq_f32(ql, vld1q_f32(rp)));
-                hi[r] = vaddq_f32(hi[r], vmulq_f32(qh, vld1q_f32(rp.add(4))));
-            }
-        }
-        let done = chunks * LANES;
-        [
-            reduce_dot_tail(spill(lo[0], hi[0]), query, rows[0], done),
-            reduce_dot_tail(spill(lo[1], hi[1]), query, rows[1], done),
-            reduce_dot_tail(spill(lo[2], hi[2]), query, rows[2], done),
-            reduce_dot_tail(spill(lo[3], hi[3]), query, rows[3], done),
-        ]
-    }
+pub fn dot_tile(queries: &[&[f32]], rows: [&[f32]; 4], out: &mut [[f32; 4]]) {
+    tile_by_pairs(dot, queries, rows, out);
 }
 
-pub fn l2_4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
-    let chunks = query.len() / LANES;
-    // SAFETY: NEON is mandatory on aarch64; loads stay in bounds
-    // (module docs).
-    unsafe {
-        let mut lo = [vdupq_n_f32(0.0); 4];
-        let mut hi = [vdupq_n_f32(0.0); 4];
-        for i in 0..chunks {
-            let off = i * LANES;
-            let qp = query.as_ptr().add(off);
-            let (ql, qh) = (vld1q_f32(qp), vld1q_f32(qp.add(4)));
-            for r in 0..4 {
-                let rp = rows[r].as_ptr().add(off);
-                let dl = vsubq_f32(ql, vld1q_f32(rp));
-                let dh = vsubq_f32(qh, vld1q_f32(rp.add(4)));
-                lo[r] = vaddq_f32(lo[r], vmulq_f32(dl, dl));
-                hi[r] = vaddq_f32(hi[r], vmulq_f32(dh, dh));
-            }
-        }
-        let done = chunks * LANES;
-        [
-            reduce_l2_tail(spill(lo[0], hi[0]), query, rows[0], done),
-            reduce_l2_tail(spill(lo[1], hi[1]), query, rows[1], done),
-            reduce_l2_tail(spill(lo[2], hi[2]), query, rows[2], done),
-            reduce_l2_tail(spill(lo[3], hi[3]), query, rows[3], done),
-        ]
-    }
+pub fn l2_tile(queries: &[&[f32]], rows: [&[f32]; 4], out: &mut [[f32; 4]]) {
+    tile_by_pairs(l2, queries, rows, out);
 }

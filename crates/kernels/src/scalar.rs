@@ -12,31 +12,33 @@
 /// quads, or eight scalar accumulators.
 pub(crate) const LANES: usize = 8;
 
-/// Combines eight lane partial sums (left to right) and appends the
-/// elementwise-product tail `a[done..] · b[done..]`.
+/// Appends the elementwise-product tail `a[done..] · b[done..]` to the
+/// combined lane sum, one element at a time.
 #[inline]
-pub(crate) fn reduce_dot_tail(lanes: [f32; LANES], a: &[f32], b: &[f32], done: usize) -> f32 {
-    let mut sum = lanes[0];
-    for &l in &lanes[1..] {
-        sum += l;
-    }
+pub(crate) fn dot_tail(mut sum: f32, a: &[f32], b: &[f32], done: usize) -> f32 {
     for i in done..a.len() {
         sum += a[i] * b[i];
     }
     sum
 }
 
-/// Combines eight lane partial sums (left to right) and appends the
-/// squared-difference tail.
+/// Appends the squared-difference tail to the combined lane sum.
 #[inline]
-pub(crate) fn reduce_l2_tail(lanes: [f32; LANES], a: &[f32], b: &[f32], done: usize) -> f32 {
-    let mut sum = lanes[0];
-    for &l in &lanes[1..] {
-        sum += l;
-    }
+pub(crate) fn l2_tail(mut sum: f32, a: &[f32], b: &[f32], done: usize) -> f32 {
     for i in done..a.len() {
         let d = a[i] - b[i];
         sum += d * d;
+    }
+    sum
+}
+
+/// Combines eight lane partial sums left to right — the one order every
+/// backend's reduction reproduces.
+#[inline]
+pub(crate) fn sum_lanes(lanes: [f32; LANES]) -> f32 {
+    let mut sum = lanes[0];
+    for &l in &lanes[1..] {
+        sum += l;
     }
     sum
 }
@@ -52,7 +54,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
             lanes[l] += a[off + l] * b[off + l];
         }
     }
-    reduce_dot_tail(lanes, a, b, chunks * LANES)
+    dot_tail(sum_lanes(lanes), a, b, chunks * LANES)
 }
 
 /// Reference squared L2 distance.
@@ -67,53 +69,36 @@ pub fn l2(a: &[f32], b: &[f32]) -> f32 {
             lanes[l] += d * d;
         }
     }
-    reduce_l2_tail(lanes, a, b, chunks * LANES)
+    l2_tail(sum_lanes(lanes), a, b, chunks * LANES)
 }
 
-/// Reference 4-row blocked dot product: four independent accumulator
-/// sets over one pass of `query`, each row reduced exactly like [`dot`].
+/// The tile signature expressed through a backend's single-pair kernel:
+/// `out[q][r] = pair(queries[q], rows[r])`. The scalar and NEON backends
+/// tile with this; only AVX2 has a register-blocked tile of its own.
 #[inline]
-pub fn dot4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
-    let chunks = query.len() / LANES;
-    let mut lanes = [[0.0f32; LANES]; 4];
-    for i in 0..chunks {
-        let off = i * LANES;
+pub(crate) fn tile_by_pairs(
+    pair: fn(&[f32], &[f32]) -> f32,
+    queries: &[&[f32]],
+    rows: [&[f32]; 4],
+    out: &mut [[f32; 4]],
+) {
+    assert_eq!(queries.len(), out.len(), "one output quad per query");
+    for (q, o) in queries.iter().zip(out) {
         for (r, row) in rows.iter().enumerate() {
-            for l in 0..LANES {
-                lanes[r][l] += query[off + l] * row[off + l];
-            }
+            assert_eq!(q.len(), row.len(), "tile of mismatched lengths");
+            o[r] = pair(q, row);
         }
     }
-    let done = chunks * LANES;
-    [
-        reduce_dot_tail(lanes[0], query, rows[0], done),
-        reduce_dot_tail(lanes[1], query, rows[1], done),
-        reduce_dot_tail(lanes[2], query, rows[2], done),
-        reduce_dot_tail(lanes[3], query, rows[3], done),
-    ]
 }
 
-/// Reference 4-row blocked squared L2 distance.
-#[inline]
-pub fn l2_4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
-    let chunks = query.len() / LANES;
-    let mut lanes = [[0.0f32; LANES]; 4];
-    for i in 0..chunks {
-        let off = i * LANES;
-        for (r, row) in rows.iter().enumerate() {
-            for l in 0..LANES {
-                let d = query[off + l] - row[off + l];
-                lanes[r][l] += d * d;
-            }
-        }
-    }
-    let done = chunks * LANES;
-    [
-        reduce_l2_tail(lanes[0], query, rows[0], done),
-        reduce_l2_tail(lanes[1], query, rows[1], done),
-        reduce_l2_tail(lanes[2], query, rows[2], done),
-        reduce_l2_tail(lanes[3], query, rows[3], done),
-    ]
+/// Reference dot tile: `out[q][r] = dot(queries[q], rows[r])`.
+pub fn dot_tile(queries: &[&[f32]], rows: [&[f32]; 4], out: &mut [[f32; 4]]) {
+    tile_by_pairs(dot, queries, rows, out);
+}
+
+/// Reference squared-L2 tile: `out[q][r] = l2(queries[q], rows[r])`.
+pub fn l2_tile(queries: &[&[f32]], rows: [&[f32]; 4], out: &mut [[f32; 4]]) {
+    tile_by_pairs(l2, queries, rows, out);
 }
 
 #[cfg(test)]
@@ -127,19 +112,5 @@ mod tests {
         assert_eq!(dot(&a, &b), 165.0);
         // Σ (a-b)² = 64+36+16+4+0+4+16+36+64 = 240
         assert_eq!(l2(&a, &b), 240.0);
-    }
-
-    #[test]
-    fn blocked_matches_single() {
-        let q: Vec<f32> = (0..23).map(|i| i as f32 * 0.5 - 3.0).collect();
-        let rows: Vec<Vec<f32>> =
-            (0..4).map(|r| (0..23).map(|i| (i * (r + 1)) as f32 * 0.25 - 1.0).collect()).collect();
-        let quad = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
-        let d = dot4(&q, quad);
-        let l = l2_4(&q, quad);
-        for j in 0..4 {
-            assert_eq!(d[j].to_bits(), dot(&q, &rows[j]).to_bits());
-            assert_eq!(l[j].to_bits(), l2(&q, &rows[j]).to_bits());
-        }
     }
 }

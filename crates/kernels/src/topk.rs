@@ -1,9 +1,12 @@
 //! A fixed-capacity top-k tracker shared by every search path.
 //!
-//! Moved here from `submod_knn::brute` so the single-query and batch
+//! Lives here (not in `submod_knn`) so the single-query and batch
 //! kernels select results with literally the same code: a min-heap by
 //! score with ties breaking toward the larger index, so smaller indices
-//! win the kept set and the final ordering is fully deterministic.
+//! win the kept set and the final ordering is fully deterministic. The
+//! order is a strict total one on `(score, id)`, so the kept set depends
+//! on the offers alone, never on the order they arrive in — which is what
+//! lets the batch kernels visit rows in whatever order tiles best.
 
 use crate::Scored;
 use std::cmp::Ordering;
@@ -15,12 +18,17 @@ pub struct TopK {
     k: usize,
     // (score, id): the *worst* kept entry sits at heap[0].
     heap: Vec<(f32, u32)>,
+    /// The score an offer must reach to possibly be kept: `-∞` while the
+    /// heap is filling, the worst kept score once it is full (`+∞` at
+    /// `k == 0`). Read by the inlined reject in [`Self::offer`].
+    floor: f32,
 }
 
 impl TopK {
     /// A tracker keeping the `k` best offers.
     pub fn new(k: usize) -> Self {
-        TopK { k, heap: Vec::with_capacity(k + 1) }
+        let floor = if k == 0 { f32::INFINITY } else { f32::NEG_INFINITY };
+        TopK { k, heap: Vec::with_capacity(k), floor }
     }
 
     /// `true` if `a` ranks strictly ahead of `b`: higher score, or equal
@@ -42,14 +50,33 @@ impl TopK {
         Self::better(b, a)
     }
 
+    /// The score below which [`Self::offer`] rejects outright.
+    #[inline]
+    pub(crate) fn floor(&self) -> f32 {
+        self.floor
+    }
+
     /// Offers one candidate; kept only if it beats the current worst.
+    ///
+    /// A score strictly below the worst kept one is rejected by a single
+    /// inlined comparison — in a k-NN scan that is nearly every offer —
+    /// and only ties and improvements reach the heap.
     ///
     /// # Panics
     ///
     /// Panics if `score` is NaN — the one input the pop-order contract
     /// cannot rank (cf. `AddressablePq`, which asserts the same at its
     /// boundary).
+    #[inline]
     pub fn offer(&mut self, id: u32, score: f32) {
+        // NaN compares false and falls through to the assertion.
+        if score < self.floor {
+            return;
+        }
+        self.insert(id, score);
+    }
+
+    fn insert(&mut self, id: u32, score: f32) {
         assert!(!score.is_nan(), "scores offered to TopK must not be NaN");
         if self.k == 0 {
             return;
@@ -84,6 +111,9 @@ impl TopK {
                 self.heap.swap(i, worst);
                 i = worst;
             }
+        }
+        if self.heap.len() == self.k {
+            self.floor = self.heap[0].0;
         }
     }
 

@@ -1,5 +1,4 @@
 use crate::{Embeddings, KnnError, NearestNeighbors, Neighbor};
-use std::sync::Arc;
 
 /// Exact brute-force nearest-neighbor search by cosine similarity.
 ///
@@ -24,7 +23,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Debug)]
 pub struct ExactKnn {
-    data: Arc<Embeddings>,
+    data: Embeddings,
 }
 
 impl ExactKnn {
@@ -37,7 +36,7 @@ impl ExactKnn {
         if data.is_empty() {
             return Err(KnnError::EmptyParameter { name: "embeddings" });
         }
-        Ok(ExactKnn { data: Arc::new(data) })
+        Ok(ExactKnn { data })
     }
 
     /// The indexed embeddings.
@@ -112,10 +111,11 @@ pub(crate) fn top_k_by_cosine(
         .unwrap_or_default()
 }
 
-/// Ranks an explicit candidate list by cosine similarity to `query`,
-/// keeping the top `k`. Shared by the IVF and LSH backends; the scan is
-/// blocked four candidates per micro-kernel pass with the query norm
-/// hoisted out of the loop.
+/// Ranks an explicit candidate list (each id at most once) by cosine
+/// similarity to `query`, keeping the top `k`. Shared by the IVF
+/// widening fallback and the LSH backend; the scan is tiled four
+/// candidates per micro-kernel pass with the query norm hoisted out of
+/// the loop.
 pub(crate) fn rank_candidates(
     data: &Embeddings,
     query: &[f32],

@@ -1,11 +1,13 @@
-use crate::{Embeddings, ExactKnn, IvfIndex, KnnError, LshIndex, NearestNeighbors};
-use submod_core::{GraphBuilder, SimilarityGraph};
+use crate::{Embeddings, ExactKnn, IvfIndex, KnnError, LshIndex, NearestNeighbors, Neighbor};
+use submod_core::SimilarityGraph;
 
-/// Queries per graph-build work item. Each block is one task on the
-/// `submod_exec` pool and one `search_batch_excluding` call, so the
-/// backend's batch kernel streams the row matrix once per block; 64
-/// queries keeps tens of stealable tasks even at the 2 k-point exact
-/// crossover while amortizing the per-task overhead.
+/// Queries per graph-build work item of the backends without a notion of
+/// locality (exact, LSH). Each block is one task on the `submod_exec`
+/// pool and one `search_batch_excluding` call, so the backend's batch
+/// kernel streams the row matrix once per block; 64 queries keeps tens
+/// of stealable tasks even at the 2 k-point exact crossover while
+/// amortizing the per-task overhead. The IVF build blocks by home cell
+/// instead ([`IvfIndex::home_cell_blocks`]).
 const QUERY_BLOCK: usize = 64;
 
 /// Which search backend builds the k-NN graph.
@@ -34,18 +36,20 @@ pub enum KnnBackend {
 /// backend. Profiled, not guessed: `cargo run --release -p submod-bench
 /// --bin knn-crossover` measures exact vs IVF (at `auto`'s own
 /// parameters, `nlist = √n`, `nprobe = 8`) build times over a geometric
-/// size ladder. On the reference runner IVF breaks even near 1 000
-/// points and is ≥ 1.7× faster from 2 000 up (2.5× at 8 000, 3× at
-/// 16 000, growing with the O(n²·d) brute-force gap), so the crossover
-/// sits at the last size where exact's reference-grade graph costs at
-/// most a few dozen milliseconds extra.
+/// size ladder. On the reference runner IVF breaks even between 1 000
+/// and 2 000 points, is 1.2–1.5× faster from 2 000 to 8 000 and ≥ 3×
+/// from 16 000 up (the O(n²·d) brute-force gap) — re-profiled after the
+/// tile-kernel build made both backends 1.6–2× faster, which left the
+/// break-even where it was (table in the README). The crossover sits at
+/// the last size where exact's reference-grade graph costs at most a few
+/// milliseconds extra.
 pub const AUTO_EXACT_MAX_POINTS: usize = 2_000;
 
 impl KnnBackend {
     /// The default backend for a dataset of size `n`: exact up to
     /// [`AUTO_EXACT_MAX_POINTS`] (reference-grade graph, affordable
-    /// build), IVF above (profiled ≥ 1.7× faster there, with the gap
-    /// widening quadratically).
+    /// build), IVF above (profiled faster there, with the gap widening
+    /// quadratically).
     pub fn auto(n: usize) -> Self {
         if n <= AUTO_EXACT_MAX_POINTS {
             KnnBackend::Exact
@@ -95,31 +99,44 @@ pub fn build_knn_graph(
     let _span = submod_obs::span("knn.build");
     submod_obs::counter!("knn.build.points").add(n as u64);
 
-    let neighbor_lists: Vec<Vec<(u32, f32)>> = match backend {
+    // Indexes share the caller's buffers (`Embeddings::clone` bumps two
+    // reference counts), so nothing below copies the matrix.
+    let neighbor_lists = match backend {
         KnnBackend::Exact => {
             let index = ExactKnn::build(embeddings.clone())?;
-            search_all(&index, embeddings, k)
+            search_all(&index, embeddings, k, id_order_blocks(n))
         }
         KnnBackend::Ivf { nlist, nprobe } => {
             let nlist = if *nlist == 0 { IvfIndex::default_nlist(n) } else { *nlist };
             let index = IvfIndex::build(embeddings.clone(), nlist.min(n), *nprobe, seed)?;
-            search_all(&index, embeddings, k)
+            search_all(&index, embeddings, k, index.home_cell_blocks())
         }
         KnnBackend::Lsh { tables, bits } => {
             let index = LshIndex::build(embeddings.clone(), *tables, *bits, seed)?;
-            search_all(&index, embeddings, k)
+            search_all(&index, embeddings, k, id_order_blocks(n))
         }
     };
 
-    let mut builder = GraphBuilder::new(n);
-    for (v, neighbors) in neighbor_lists.into_iter().enumerate() {
-        for (w, sim) in neighbors {
+    // The directed CSR straight from the per-node lists: rows are emitted
+    // in node order and each is sorted on its own (≤ k entries), so no
+    // global edge sort is needed. `from_csr_parts` validates what the
+    // edge-stream builder used to (ids in range and distinct per row, no
+    // self-loop, finite non-negative weights).
+    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
+    let mut neighbors: Vec<u32> = Vec::with_capacity(n * k);
+    let mut weights: Vec<f32> = Vec::with_capacity(n * k);
+    offsets.push(0);
+    for mut list in neighbor_lists {
+        list.sort_unstable_by_key(|&(w, _)| w);
+        for (w, sim) in list {
             if sim > 0.0 {
-                builder.add_directed(v as u64, u64::from(w), sim.min(1.0))?;
+                neighbors.push(w);
+                weights.push(sim.min(1.0));
             }
         }
+        offsets.push(neighbors.len() as u64);
     }
-    Ok(builder.build().symmetrized())
+    Ok(SimilarityGraph::from_csr_parts(offsets, neighbors, weights)?.symmetrized())
 }
 
 /// Emit-to-disk graph build: constructs the same symmetrized k-NN graph as
@@ -149,29 +166,38 @@ pub fn build_knn_graph_store(
     Ok(SimilarityGraph::open_store(path)?)
 }
 
-/// Searches every point's neighbors by issuing [`QUERY_BLOCK`]-sized
-/// query blocks across the `submod_exec` pool: parallel over blocks,
-/// results merged in block order (`parallel_map` preserves submission
-/// order), so the output is identical at any thread count.
+/// Every point once, in ascending [`QUERY_BLOCK`]-sized runs of ids.
+fn id_order_blocks(n: usize) -> Vec<Vec<u32>> {
+    let ids: Vec<u32> = (0..n as u32).collect();
+    ids.chunks(QUERY_BLOCK).map(<[u32]>::to_vec).collect()
+}
+
+/// Searches every point's neighbors, one `search_batch_excluding` call
+/// per block of point ids (`blocks` must hold every point exactly once):
+/// parallel over blocks on the `submod_exec` pool, each block's results
+/// scattered back to its points' slots, so the output is in id order and
+/// identical at any thread count.
 fn search_all<I: NearestNeighbors + Sync>(
     index: &I,
     embeddings: &Embeddings,
     k: usize,
-) -> Vec<Vec<(u32, f32)>> {
-    let n = embeddings.len();
-    let blocks: Vec<std::ops::Range<usize>> =
-        (0..n).step_by(QUERY_BLOCK).map(|s| s..(s + QUERY_BLOCK).min(n)).collect();
-    submod_exec::parallel_map(blocks, |block| {
+    blocks: Vec<Vec<u32>>,
+) -> Vec<Vec<Neighbor>> {
+    let searched = submod_exec::parallel_map(blocks, |block| {
         let _span = submod_obs::span_full("knn.search_block");
         submod_obs::counter!("knn.search.blocks").incr();
         submod_obs::counter!("knn.search.queries").add(block.len() as u64);
-        let queries: Vec<&[f32]> = block.clone().map(|v| embeddings.row(v)).collect();
-        let excludes: Vec<u32> = block.map(|v| v as u32).collect();
-        index.search_batch_excluding(&queries, k, &excludes)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+        let queries: Vec<&[f32]> = block.iter().map(|&v| embeddings.row(v as usize)).collect();
+        let hits = index.search_batch_excluding(&queries, k, &block);
+        (block, hits)
+    });
+    let mut lists: Vec<Vec<Neighbor>> = vec![Vec::new(); embeddings.len()];
+    for (block, hits) in searched {
+        for (v, hits) in block.into_iter().zip(hits) {
+            lists[v as usize] = hits;
+        }
+    }
+    lists
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
 use crate::KnnError;
+use std::sync::Arc;
 
 /// A dense row-major matrix of `n` embedding vectors of dimension `d`.
 ///
@@ -6,6 +7,10 @@ use crate::KnnError;
 /// CIFAR-100, 2048-d for ImageNet, §6); this type is their in-memory form.
 /// Row norms are precomputed once so cosine similarities cost one dot
 /// product.
+///
+/// The matrix and its norms are immutable shared buffers: `clone` is two
+/// reference-count bumps, so an index built from a clone reads the very
+/// bytes its caller holds — nothing is copied into a k-NN build.
 ///
 /// ```
 /// use submod_knn::Embeddings;
@@ -21,8 +26,8 @@ use crate::KnnError;
 #[derive(Clone, Debug, PartialEq)]
 pub struct Embeddings {
     dim: usize,
-    data: Vec<f32>,
-    norms: Vec<f32>,
+    data: Arc<[f32]>,
+    norms: Arc<[f32]>,
 }
 
 impl Embeddings {
@@ -45,7 +50,7 @@ impl Embeddings {
             }
         }
         let norms = data.chunks_exact(dim).map(crate::distance::norm).collect();
-        Ok(Embeddings { dim, data, norms })
+        Ok(Embeddings { dim, data: data.into(), norms })
     }
 
     /// Creates embeddings from row slices.
@@ -186,6 +191,15 @@ mod tests {
             Embeddings::from_flat(1, vec![f32::NAN]),
             Err(KnnError::NonFiniteValue { row: 0 })
         ));
+    }
+
+    #[test]
+    fn clones_share_the_buffers() {
+        let e = Embeddings::from_rows(2, &[&[3.0, 4.0], &[1.0, 0.0]]).unwrap();
+        let c = e.clone();
+        assert_eq!(c, e);
+        assert_eq!(c.as_flat().as_ptr(), e.as_flat().as_ptr());
+        assert_eq!(c.norms().as_ptr(), e.norms().as_ptr());
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl KMeansModel {
     ///
     /// Centroids are ranked by `‖c‖² − 2⟨c, q⟩` (equivalent to squared
     /// L2 distance up to the per-query constant `‖q‖²`): the dot
-    /// products come from the blocked batch kernel and the squared norms
+    /// products come from the tiled batch kernel and the squared norms
     /// were cached at model build, so nothing about a centroid is
     /// recomputed per query.
     ///
@@ -65,29 +65,80 @@ impl KMeansModel {
     ///
     /// Panics if `query` has the wrong dimension.
     pub fn nearest_centroids(&self, query: &[f32], p: usize) -> Vec<u32> {
-        assert_eq!(query.len(), self.centroids.dim(), "query dimension mismatch");
-        let dots = submod_kernels::dot_scores(query, self.centroids.as_flat());
-        assert!(dots.iter().all(|d| !d.is_nan()), "centroid scores must not be NaN");
-        let score = |c: usize| self.centroid_sq_norms[c] - 2.0 * dots[c];
-        if p <= 1 {
-            // Argmin with strict `<`: the first minimum (smallest index)
-            // wins, matching the stable sort below.
-            let mut best = (0usize, f32::INFINITY);
-            for c in 0..dots.len() {
-                let s = score(c);
-                if s < best.1 {
-                    best = (c, s);
-                }
-            }
-            return vec![best.0 as u32];
-        }
-        let mut scored: Vec<(f32, u32)> = (0..dots.len()).map(|c| (score(c), c as u32)).collect();
-        // Workspace convention (cf. dist::bounding): total order on the
-        // score with an explicit index tie-break, so equal distances rank
-        // deterministically by centroid id.
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        scored.into_iter().take(p).map(|(_, c)| c).collect()
+        self.nearest_centroids_batch(&[query], p).pop().expect("one ranking per query")
     }
+
+    /// [`Self::nearest_centroids`] for a block of queries: one tiled pass
+    /// of the block over the centroid matrix, then a partial selection of
+    /// each query's `p` best — only those are sorted, by the same
+    /// `(score, id)` total order a full sort would use.
+    pub(crate) fn nearest_centroids_batch(&self, queries: &[&[f32]], p: usize) -> Vec<Vec<u32>> {
+        let (k, dim) = (self.centroids.len(), self.centroids.dim());
+        assert!(queries.iter().all(|q| q.len() == dim), "query dimension mismatch");
+        let dots = submod_kernels::dot_scores(queries, self.centroids.as_flat(), dim);
+        assert!(dots.iter().all(|d| !d.is_nan()), "centroid scores must not be NaN");
+        dots.chunks_exact(k)
+            .map(|dots| {
+                let score = |c: usize| self.centroid_sq_norms[c] - 2.0 * dots[c];
+                if p <= 1 {
+                    // Argmin with strict `<`: the first minimum (smallest
+                    // index) wins.
+                    let mut best = (0usize, f32::INFINITY);
+                    for c in 0..k {
+                        let s = score(c);
+                        if s < best.1 {
+                            best = (c, s);
+                        }
+                    }
+                    return vec![best.0 as u32];
+                }
+                let mut scored: Vec<(f32, u32)> = (0..k).map(|c| (score(c), c as u32)).collect();
+                // Workspace convention (cf. dist::bounding): total order on
+                // the score with an explicit index tie-break, so equal
+                // distances rank deterministically by centroid id.
+                let by_score =
+                    |a: &(f32, u32), b: &(f32, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+                if p < k {
+                    scored.select_nth_unstable_by(p, by_score);
+                    scored.truncate(p);
+                }
+                scored.sort_unstable_by(by_score);
+                scored.into_iter().map(|(_, c)| c).collect()
+            })
+            .collect()
+    }
+}
+
+/// Points per pool task in the seeding and assignment steps: enough
+/// arithmetic to amortize a task even against a single center (seeding),
+/// while 30 000 points still make over a hundred stealable tasks.
+const POINT_BLOCK: usize = 256;
+
+/// k-means++ bookkeeping after choosing `center`: lowers each sampled
+/// point's squared distance to its nearest chosen center. Blocks of
+/// points update disjoint slices of `dist_sq` in parallel; every entry
+/// depends only on its own point, so the result is thread-count-free.
+fn shrink_to_center(data: &Embeddings, sample: &[usize], center: usize, dist_sq: &mut [f32]) {
+    let center = [data.row(center)];
+    submod_exec::scope(|s| {
+        for (ids, dist_sq) in sample.chunks(POINT_BLOCK).zip(dist_sq.chunks_mut(POINT_BLOCK)) {
+            s.spawn(move |_| {
+                // The tile wants one query against four rows; squared
+                // distance is symmetric bit for bit, so the center plays
+                // the query.
+                for (ids, dist_sq) in ids.chunks(4).zip(dist_sq.chunks_mut(4)) {
+                    let rows = std::array::from_fn(|j| data.row(ids[j.min(ids.len() - 1)]));
+                    let mut d = [[0.0f32; 4]];
+                    submod_kernels::l2_tile(&center, rows, &mut d);
+                    for (slot, &d) in dist_sq.iter_mut().zip(&d[0]) {
+                        if d < *slot {
+                            *slot = d;
+                        }
+                    }
+                }
+            });
+        }
+    });
 }
 
 /// Fits k-means with k-means++ seeding and Lloyd iterations.
@@ -142,10 +193,8 @@ pub fn kmeans(
     };
     let mut centers: Vec<usize> = Vec::with_capacity(k);
     centers.push(sample[rng.gen_range(0..sample.len())]);
-    let mut dist_sq: Vec<f32> = sample
-        .iter()
-        .map(|&i| crate::distance::l2_distance_squared(data.row(i), data.row(centers[0])))
-        .collect();
+    let mut dist_sq = vec![f32::INFINITY; sample.len()];
+    shrink_to_center(data, &sample, centers[0], &mut dist_sq);
     while centers.len() < k {
         let total: f64 = dist_sq.iter().map(|&d| f64::from(d)).sum();
         let next = if total <= f64::MIN_POSITIVE {
@@ -164,12 +213,7 @@ pub fn kmeans(
             chosen
         };
         centers.push(next);
-        for (pos, &i) in sample.iter().enumerate() {
-            let d = crate::distance::l2_distance_squared(data.row(i), data.row(next));
-            if d < dist_sq[pos] {
-                dist_sq[pos] = d;
-            }
-        }
+        shrink_to_center(data, &sample, next, &mut dist_sq);
     }
     let mut centroids: Vec<f32> = Vec::with_capacity(k * dim);
     for &c in &centers {
@@ -182,12 +226,18 @@ pub fn kmeans(
     let mut iterations_run = 0;
     for _ in 0..iterations {
         iterations_run += 1;
-        // Assignment step (parallel): each point scans the centroid
-        // matrix blockwise, four centroids per micro-kernel pass.
-        let new_assignments: Vec<(u32, f32)> = (0..n)
+        // Assignment step: blocks of points against the centroid matrix
+        // on the squared-L2 tile, one pool task per block.
+        let blocks: Vec<std::ops::Range<usize>> =
+            (0..n).step_by(POINT_BLOCK).map(|s| s..(s + POINT_BLOCK).min(n)).collect();
+        let new_assignments: Vec<(u32, f32)> = blocks
             .into_par_iter()
-            .map(|i| submod_kernels::l2_argmin(data.row(i), &centroids))
-            .collect();
+            .map(|block| {
+                let points: Vec<&[f32]> = block.map(|i| data.row(i)).collect();
+                submod_kernels::l2_argmin(&points, &centroids, dim)
+            })
+            .collect::<Vec<_>>()
+            .concat();
         assert!(
             new_assignments.iter().all(|&(_, d)| !d.is_nan()),
             "assignment distances must not be NaN"
@@ -197,33 +247,45 @@ pub fn kmeans(
             assignments[i] = c;
         }
 
-        // Update step.
-        let mut sums = vec![0.0f64; k * dim];
-        let mut counts = vec![0u64; k];
-        for (i, &(c, _)) in new_assignments.iter().enumerate() {
-            let row = data.row(i);
-            let base = c as usize * dim;
-            for (d, &x) in row.iter().enumerate() {
-                sums[base + d] += f64::from(x);
-            }
-            counts[c as usize] += 1;
+        // Update step, parallel over clusters: each cluster sums its own
+        // members in ascending point order — per coordinate the very
+        // additions, in the very order, of one sweep over all points — so
+        // the centroids carry the same bits at any thread count.
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); k];
+        for (i, &c) in assignments.iter().enumerate() {
+            members[c as usize].push(i as u32);
         }
-        for c in 0..k {
-            if counts[c] == 0 {
-                // Re-seed an empty cluster with the worst-fit point. Total
-                // order plus reversed index tie-break: among equally bad
-                // points the smallest index compares greatest, so it wins
-                // deterministically.
-                let worst = new_assignments
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1).then(b.0.cmp(&a.0)))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                centroids[c * dim..(c + 1) * dim].copy_from_slice(data.row(worst));
-            } else {
-                for d in 0..dim {
-                    centroids[c * dim + d] = (sums[c * dim + d] / counts[c] as f64) as f32;
+        let means: Vec<Option<Vec<f32>>> = members
+            .into_par_iter()
+            .map(|members| {
+                if members.is_empty() {
+                    return None;
+                }
+                let mut sums = vec![0.0f64; dim];
+                for &i in &members {
+                    for (sum, &x) in sums.iter_mut().zip(data.row(i as usize)) {
+                        *sum += f64::from(x);
+                    }
+                }
+                Some(sums.iter().map(|&sum| (sum / members.len() as f64) as f32).collect())
+            })
+            .collect();
+        for (c, mean) in means.into_iter().enumerate() {
+            let centroid = &mut centroids[c * dim..(c + 1) * dim];
+            match mean {
+                Some(mean) => centroid.copy_from_slice(&mean),
+                None => {
+                    // Re-seed an empty cluster with the worst-fit point.
+                    // Total order plus reversed index tie-break: among
+                    // equally bad points the smallest index compares
+                    // greatest, so it wins deterministically.
+                    let worst = new_assignments
+                        .iter()
+                        .enumerate()
+                        .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1).then(b.0.cmp(&a.0)))
+                        .map(|(i, _)| i)
+                        .unwrap_or(0);
+                    centroid.copy_from_slice(data.row(worst));
                 }
             }
         }
@@ -280,6 +342,36 @@ mod tests {
         let b = kmeans(&data, 2, 20, 99).unwrap();
         assert_eq!(a.assignments(), b.assignments());
         assert_eq!(a.centroids(), b.centroids());
+    }
+
+    #[test]
+    fn identical_at_any_thread_count() {
+        // Enough points for several seeding and assignment blocks, and
+        // more clusters than blobs so the update sees uneven members.
+        let data = blobs(400, &[(0.0, 0.0), (5.0, 5.0), (9.0, 0.0)], 8);
+        let fit = |threads| submod_exec::with_threads(threads, || kmeans(&data, 7, 25, 5).unwrap());
+        let reference = fit(1);
+        for threads in [2, 8] {
+            let model = fit(threads);
+            assert_eq!(model.centroids(), reference.centroids(), "{threads} threads");
+            assert_eq!(model.assignments(), reference.assignments(), "{threads} threads");
+            assert_eq!(model.inertia().to_bits(), reference.inertia().to_bits());
+            assert_eq!(model.iterations_run(), reference.iterations_run());
+        }
+    }
+
+    #[test]
+    fn ranks_a_block_like_single_queries() {
+        let data = blobs(40, &[(0.0, 0.0), (4.0, 4.0), (8.0, 0.0), (0.0, 8.0)], 6);
+        let model = kmeans(&data, 9, 20, 2).unwrap();
+        let queries: Vec<&[f32]> = (0..data.len()).step_by(7).map(|i| data.row(i)).collect();
+        for p in [1, 2, 5, 9, 30] {
+            let ranked = model.nearest_centroids_batch(&queries, p);
+            for (q, ranked) in queries.iter().zip(&ranked) {
+                assert_eq!(ranked, &model.nearest_centroids(q, p), "p = {p}");
+                assert_eq!(ranked.len(), p.clamp(1, 9));
+            }
+        }
     }
 
     #[test]

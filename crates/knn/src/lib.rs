@@ -19,8 +19,9 @@
 //! All distance arithmetic dispatches through `submod_kernels` (AVX2 /
 //! NEON / scalar, selected at runtime, `SUBMOD_KERNELS=scalar` to force
 //! the fallback); the graph build issues query *blocks* across the
-//! `submod_exec` pool and every backend's batched search is
-//! bitwise-identical to its one-query-at-a-time scan.
+//! `submod_exec` pool — for IVF, blocks of points that share a home
+//! cell, scored cell by cell as dense tiles — and every backend's
+//! batched search is bitwise-identical to its one-query-at-a-time scan.
 //!
 //! # Example
 //!
@@ -80,9 +81,10 @@ pub trait NearestNeighbors {
     /// Searches a whole block of queries at once, returning one result
     /// list per query in input order.
     ///
-    /// Backends with a batched kernel (the exact scan) override this to
-    /// stream the row matrix once per query block; the default simply
-    /// loops, so results are **always** identical to per-query
+    /// Backends with a batched kernel override this — the exact scan
+    /// streams the row matrix once per query block, IVF scores each
+    /// (query group × probed cell) as dense tiles; the default simply
+    /// loops. Results are **always** identical to per-query
     /// [`Self::search`] calls — batching is a throughput contract, never
     /// a semantic one.
     fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {

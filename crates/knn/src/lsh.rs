@@ -1,7 +1,6 @@
 use crate::{Embeddings, KnnError, NearestNeighbors, Neighbor};
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Random-hyperplane locality-sensitive hashing for cosine similarity.
 ///
@@ -26,7 +25,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Debug)]
 pub struct LshIndex {
-    data: Arc<Embeddings>,
+    data: Embeddings,
     /// `tables × bits` hyperplane normals, row-major.
     planes: Vec<f32>,
     tables: Vec<HashMap<u64, Vec<u32>>>,
@@ -59,7 +58,7 @@ impl LshIndex {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let planes: Vec<f32> =
             (0..tables * bits * dim).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
-        let mut built = LshIndex { data: Arc::new(data), planes, tables: Vec::new(), bits };
+        let mut built = LshIndex { data, planes, tables: Vec::new(), bits };
         let mut table_maps = vec![HashMap::new(); tables];
         for i in 0..built.data.len() {
             let row = built.data.row(i);

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use submod_knn::{
-    build_knn_graph, cosine_similarity, Embeddings, ExactKnn, KnnBackend, NearestNeighbors,
+    build_knn_graph, cosine_similarity, kmeans, Embeddings, ExactKnn, IvfIndex, KnnBackend,
+    NearestNeighbors, Neighbor,
 };
 
 fn arb_embeddings(max_n: usize, dim: usize) -> impl Strategy<Value = Embeddings> {
@@ -22,8 +23,91 @@ fn naive_top_k(data: &Embeddings, query: &[f32], k: usize, exclude: u32) -> Vec<
     scored.into_iter().take(k).map(|(_, i)| i).collect()
 }
 
+/// Ids and similarity bits of a result list — what "bit for bit" compares.
+fn bits(hits: &[Neighbor]) -> Vec<(u32, u32)> {
+    hits.iter().map(|&(id, sim)| (id, sim.to_bits())).collect()
+}
+
+/// The IVF batch contract on one block of indexed points: the
+/// cell-blocked `search_batch_excluding` (and `search_batch`) must return,
+/// per query, exactly what one `search_excluding` (`search`) call does —
+/// same ids, same order, same similarity bits.
+fn assert_ivf_batch_equals_loop(index: &IvfIndex, block: &[u32], k: usize) {
+    let data = index.embeddings();
+    let queries: Vec<&[f32]> = block.iter().map(|&v| data.row(v as usize)).collect();
+    let excluding = index.search_batch_excluding(&queries, k, block);
+    let plain = index.search_batch(&queries, k);
+    assert_eq!((excluding.len(), plain.len()), (block.len(), block.len()));
+    for (slot, (&v, q)) in block.iter().zip(&queries).enumerate() {
+        assert_eq!(
+            bits(&excluding[slot]),
+            bits(&index.search_excluding(q, k, v)),
+            "point {v} at block slot {slot}, excluding itself"
+        );
+        assert_eq!(bits(&plain[slot]), bits(&index.search(q, k)), "point {v} at block slot {slot}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The cell-blocked IVF batch path equals the one-query loop for
+    /// random blocks with duplicate queries, for the home-cell blocks the
+    /// graph build issues, with `nprobe` below, at and above `nlist`, and
+    /// with `k` from 1 to far more than the probed cells hold (which
+    /// sends queries through the widening fallback mid-batch).
+    #[test]
+    fn ivf_batch_equals_one_query_loop(
+        data in arb_embeddings(120, 5),
+        nlist in 1usize..10,
+        nprobe in 1usize..12,
+        k in 1usize..40,
+        picks in proptest::collection::vec(0usize..120, 1..50),
+        seed in 0u64..64,
+    ) {
+        let nlist = nlist.min(data.len());
+        let index = IvfIndex::build(data.clone(), nlist, nprobe, seed).unwrap();
+
+        // A random block: arbitrary order, repeated queries.
+        let random: Vec<u32> = picks.iter().map(|&p| (p % data.len()) as u32).collect();
+        assert_ivf_batch_equals_loop(&index, &random, k);
+
+        // The build's blocks: the index's quantizer is this very k-means
+        // (same data, cell count, iteration cap and seed), so grouping by
+        // its assignments reproduces the home cells.
+        let model = kmeans(&data, nlist, 25, seed).unwrap();
+        for cell in 0..nlist as u32 {
+            let home: Vec<u32> = (0..data.len() as u32)
+                .filter(|&v| model.assignments()[v as usize] == cell)
+                .collect();
+            assert_ivf_batch_equals_loop(&index, &home, k);
+        }
+    }
+
+    /// The graph build is the same graph, array for array, at 1, 2 and 8
+    /// pool threads, for every backend (the IVF build includes its
+    /// parallel k-means seeding, assignment and centroid update).
+    #[test]
+    fn build_is_identical_at_any_thread_count(
+        data in arb_embeddings(90, 6),
+        k in 1usize..8,
+        backend_pick in 0u8..3,
+        seed in 0u64..64,
+    ) {
+        let backend = match backend_pick {
+            0 => KnnBackend::Exact,
+            1 => KnnBackend::Ivf { nlist: 6.min(data.len()), nprobe: 2 },
+            _ => KnnBackend::Lsh { tables: 4, bits: 6 },
+        };
+        let build = |threads: usize| {
+            submod_exec::with_threads(threads, || build_knn_graph(&data, k, &backend, seed).unwrap())
+        };
+        let reference = build(1);
+        for threads in [2, 8] {
+            let graph = build(threads);
+            prop_assert_eq!(graph.csr_parts(), reference.csr_parts(), "{} threads", threads);
+        }
+    }
 
     /// The heap-based exact search returns exactly the naive reference.
     #[test]

@@ -296,6 +296,7 @@ struct Registry {
     counters: Mutex<BTreeMap<String, &'static Counter>>,
     gauges: Mutex<BTreeMap<String, &'static Gauge>>,
     histograms: Mutex<BTreeMap<String, &'static Histogram>>,
+    info: Mutex<BTreeMap<String, String>>,
 }
 
 fn registry() -> &'static Registry {
@@ -335,6 +336,16 @@ pub fn histogram(name: &str) -> &'static Histogram {
     let leaked: &'static Histogram = Box::leak(Box::new(Histogram::new()));
     map.insert(name.to_string(), leaked);
     leaked
+}
+
+/// Records an identity fact about this process — which kernel backend
+/// it dispatched to, say. Unlike a metric, an info entry is not a tally:
+/// [`reset_metrics`] leaves it alone, and every export carries it
+/// ([`MetricsSnapshot::info`], the `"info"` object of [`metrics_json`],
+/// `info` rows of [`metrics_csv`], `otherData` of [`chrome_trace_json`]),
+/// so whatever numbers a file holds, it says what they were measured on.
+pub fn set_info(name: &str, value: &str) {
+    registry().info.lock().expect("info registry").insert(name.to_string(), value.to_string());
 }
 
 /// Caches a [`Counter`] handle per call site: the registry mutex is taken
@@ -382,6 +393,8 @@ pub struct HistogramSnapshot {
 /// metric name.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
+    /// Identity facts set through [`set_info`]; survive [`reset_metrics`].
+    pub info: BTreeMap<String, String>,
     /// Counter totals by name.
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
@@ -424,11 +437,12 @@ pub fn snapshot() -> MetricsSnapshot {
             )
         })
         .collect();
-    MetricsSnapshot { counters, gauges, histograms }
+    let info = reg.info.lock().expect("info registry").clone();
+    MetricsSnapshot { info, counters, gauges, histograms }
 }
 
 /// Zeroes every registered metric (handles stay valid) without touching
-/// buffered spans — use between measured phases when the span stream
+/// [`set_info`] entries or buffered spans — use between measured phases when the span stream
 /// should keep accumulating toward one final trace export (the
 /// `experiments ltm` budget sweeps do exactly this).
 pub fn reset_metrics() {
@@ -631,12 +645,29 @@ fn escape_json(s: &str, out: &mut String) {
     }
 }
 
+/// Appends `"name":"value"` pairs, comma-separated, name-sorted.
+fn push_json_strings(entries: &BTreeMap<String, String>, out: &mut String) {
+    for (i, (name, value)) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        escape_json(name, out);
+        out.push_str("\":\"");
+        escape_json(value, out);
+        out.push('"');
+    }
+}
+
 /// Serializes spans as Chrome Trace Event Format JSON — loadable in
 /// `chrome://tracing` and <https://ui.perfetto.dev> ("X" complete
-/// events; parent ids ride in `args` for tooling).
+/// events; parent ids ride in `args` for tooling). The header's
+/// `otherData` object carries the process's [`set_info`] entries.
 pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"otherData\":{");
+    push_json_strings(&registry().info.lock().expect("info registry"), &mut out);
+    out.push_str("},\"traceEvents\":[");
     for (i, e) in events.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -666,7 +697,9 @@ pub fn write_chrome_trace(path: &std::path::Path) -> std::io::Result<Vec<SpanEve
 
 /// Serializes a metrics snapshot as flat JSON (name-sorted).
 pub fn metrics_json(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("{\"counters\":{");
+    let mut out = String::from("{\"info\":{");
+    push_json_strings(&snap.info, &mut out);
+    out.push_str("},\"counters\":{");
     for (i, (name, v)) in snap.counters.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -710,6 +743,9 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> String {
 /// histograms emit one `le_<bound>` row per bucket).
 pub fn metrics_csv(snap: &MetricsSnapshot) -> String {
     let mut out = String::from("kind,name,value\n");
+    for (name, v) in &snap.info {
+        out.push_str(&format!("info,{name},{v}\n"));
+    }
     for (name, v) in &snap.counters {
         out.push_str(&format!("counter,{name},{v}\n"));
     }
@@ -877,8 +913,11 @@ mod tests {
             SpanEvent { name: "a.b", id: 1, parent: 0, tid: 1, start_us: 10, dur_us: 5 },
             SpanEvent { name: "c\"d", id: 2, parent: 1, tid: 2, start_us: 11, dur_us: 1 },
         ];
+        set_info("test.trace.\"host\"", "a\\b");
         let json = chrome_trace_json(&events);
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
+        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"otherData\":{"));
+        assert!(json.contains("\"test.trace.\\\"host\\\"\":\"a\\\\b\""));
+        assert!(json.contains("},\"traceEvents\":[{"));
         assert!(json.contains("\"name\":\"a.b\""));
         assert!(json.contains("\\\"")); // quote escaped
         assert!(json.contains("\"ph\":\"X\""));
@@ -888,15 +927,20 @@ mod tests {
 
     #[test]
     fn metrics_exports_are_well_formed() {
+        set_info("test.export.i", "avx2");
         counter("test.export.c").add(3);
         gauge("test.export.g").set(7);
         histogram("test.export.h").record(2);
         let snap = snapshot();
+        assert_eq!(snap.info["test.export.i"], "avx2");
         let json = metrics_json(&snap);
+        assert!(json.starts_with("{\"info\":{"));
+        assert!(json.contains("\"test.export.i\":\"avx2\""));
         assert!(json.contains("\"test.export.c\":3"));
         assert!(json.contains("\"test.export.g\":7"));
         assert!(json.contains("\"test.export.h\""));
         let csv = metrics_csv(&snap);
+        assert!(csv.contains("info,test.export.i,avx2\n"));
         assert!(csv.contains("counter,test.export.c,3"));
         assert!(csv.contains("gauge,test.export.g,7"));
         assert!(csv.contains("histogram,test.export.h.le_4,1"));
