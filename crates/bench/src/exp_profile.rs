@@ -218,6 +218,10 @@ fn render_markdown(
         "greedy.phases_resident",
         "greedy.phases_batched",
         "greedy.partition_footprint_peak",
+        "greedy.batch_scans",
+        "greedy.overlay_rewrites",
+        "greedy.overlay_bytes_peak",
+        "greedy.scan_bytes_peak",
         "dataflow.records_shuffled",
         "dataflow.stages_fused",
         "dataflow.spill.bytes_written",

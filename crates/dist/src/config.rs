@@ -214,9 +214,11 @@ impl DistGreedyConfig {
     /// pass, every machine's queue inside its worker) whenever the largest
     /// partition fits the pipeline's per-worker budget; that choice is
     /// computed per round and is not configurable. Only when a partition
-    /// does not fit does `batch` matter: each engine pass then certifies
+    /// does not fit does `batch` matter: each engine scan then certifies
     /// up to `batch` winners against a threshold τ (invalidated pops fall
-    /// back to further passes), selecting the **identical** subset.
+    /// back to further scans), selecting the **identical** subset; the
+    /// winners reach the table through a worker-resident overlay that is
+    /// rewritten into it whenever it would outgrow the budget.
     /// The default is [`DistGreedyConfig::DEFAULT_WINNER_BATCH`]. `0`
     /// makes the fallback the one-pop-per-machine-per-pass lockstep
     /// `step()` loop — the test oracle the other two paths are pinned

@@ -20,10 +20,11 @@
 //!   fits one worker (computed per round from the pipeline's budget) the
 //!   phase is **partition-resident**: one `group_by_key`, then each
 //!   worker runs its machines' queues to completion and only the winner
-//!   rows reach the driver. Otherwise winners come from τ-certified
-//!   multi-winner passes, or — the test oracle — from the per-key argmax
-//!   aggregation (`PCollection::argmax_per_key`) one step at a time, the
-//!   previous winners riding to workers as a broadcast side-input.
+//!   rows reach the driver. Otherwise each τ-certified batch of winners
+//!   costs one engine scan of a table that stays materialized, the
+//!   winners riding to workers in a hashed [`Overlay`] that a rewrite
+//!   folds into the table once it outgrows the budget; the test oracle
+//!   applies the overlay per step and takes the per-key argmax.
 //!
 //! Both backends run the same arithmetic in the same order — priorities
 //! seed from the utility, every decrease is the single subtraction
@@ -36,7 +37,7 @@
 use crate::DistError;
 use std::sync::Arc;
 use submod_core::{AddressablePq, NodeId, NodeSet, PairwiseObjective, SimilarityGraph};
-use submod_dataflow::{PCollection, Pipeline};
+use submod_dataflow::{DataflowError, PCollection, Pipeline, SideInput};
 
 /// Deterministic machine assignment — the keyed transform both drivers
 /// share.
@@ -400,8 +401,9 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
 ///   worker, so the table is grouped by machine once and each worker runs
 ///   its machines' queues to completion — one shuffle and one parallel
 ///   map per round, the paper's §5 deployment;
-/// - **batched** (the τ-certified multi-winner passes of
-///   [`MachineGreedyBackend::phase_bulk`]): the over-budget fallback;
+/// - **batched** (the τ-certified multi-winner batches of
+///   [`MachineGreedyBackend::phase_bulk`], one engine scan each): the
+///   over-budget fallback;
 /// - **lockstep** ([`MachineGreedyBackend::step`], one pop per machine
 ///   per pass): the over-budget fallback when `winner_batch` is 0 — the
 ///   test oracle the other two are pinned against.
@@ -416,6 +418,8 @@ pub(crate) struct DataflowGreedyBackend<'a> {
     table: Option<PCollection<ScoredRow>>,
     /// Partition count of the current phase.
     machines: usize,
+    /// The current phase's keying, which routes discounts to machines.
+    keying: Option<MachineKeying>,
     broadcast_base: u64,
     /// Multi-winner batch size of the over-budget fallback; 0 makes the
     /// fallback the lockstep step loop.
@@ -431,28 +435,134 @@ const RESIDENT_BYTES_PER_ROW: u64 = 40;
 /// One scored-pool row: `(machine, (node, priority))`.
 type ScoredRow = (u64, (u64, f64));
 
-/// One winner shipped to workers by the batched update: the machine, the
-/// popped node, and the winner's adjacency sorted by neighbor id (so the
-/// discount lookup is a binary search, like the in-memory bucket walk).
-type ShippedWinner = (u64, u64, Vec<(u64, f32)>);
+/// A scored row as a scan ships it: `(machine, node, priority)`.
+type Candidate = (u64, u64, f64);
 
-/// Collects each winner's adjacency into the owned, sorted form the
-/// engine-side update closure binary-searches. Owning the rows is what
-/// makes the update `'static` (and hence fusable) — the graph itself
-/// never crosses into the closure.
-fn ship_winners(
-    graph: &SimilarityGraph,
-    winners: impl IntoIterator<Item = (u64, u64)>,
-) -> Vec<ShippedWinner> {
-    winners
-        .into_iter()
-        .map(|(machine, node)| {
-            let mut adj: Vec<(u64, f32)> =
-                graph.edges(NodeId::new(node)).map(|(x, s)| (x.raw(), s)).collect();
-            adj.sort_unstable_by_key(|&(x, _)| x);
-            (machine, node, adj)
-        })
-        .collect()
+/// A free [`Overlay`] slot (no graph has `u64::MAX` nodes).
+const EMPTY: u64 = u64::MAX;
+
+/// The [`Overlay`] event of a winner leaving its pool (similarities are
+/// never negative).
+const LEAVES: f32 = -1.0;
+
+/// The winners and discounts since the table's last rewrite, as every
+/// worker holds them: `(node, event)` slots under a fixed multiplicative
+/// hash with linear probing (no `RandomState`), an event being a discount
+/// weight or [`LEAVES`], plus the machines at quota. Slots never move, so
+/// a node's events lie along its probe run in pop order, and a row no
+/// winner touched costs one short probe.
+struct Overlay {
+    /// Slot keys, [`EMPTY`] when free; a power of two, at most half full.
+    nodes: Vec<u64>,
+    events: Vec<f32>,
+    len: usize,
+    /// Machines at quota, whose rows are all dead.
+    done: Vec<bool>,
+}
+
+impl Overlay {
+    fn new(machines: usize) -> Self {
+        Overlay { nodes: vec![EMPTY; 2], events: vec![0.0; 2], len: 0, done: vec![false; machines] }
+    }
+
+    /// Resident bytes once `more` events are added.
+    fn bytes_with(&self, more: usize) -> u64 {
+        let slots = self.nodes.len().max((2 * (self.len + more)).next_power_of_two());
+        (slots * (size_of::<u64>() + size_of::<f32>()) + self.done.len()) as u64
+    }
+
+    fn home(&self, node: u64) -> usize {
+        (node.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (self.nodes.len() - 1)
+    }
+
+    fn push(&mut self, node: u64, event: f32) {
+        if 2 * (self.len + 1) > self.nodes.len() {
+            // Re-insert from an empty slot on: no probe run crosses it, so
+            // every node's events keep their order.
+            let start = self.nodes.iter().position(|&n| n == EMPTY).expect("half empty");
+            let size = 2 * self.nodes.len();
+            let mut nodes = std::mem::replace(&mut self.nodes, vec![EMPTY; size]);
+            let mut events = std::mem::replace(&mut self.events, vec![0.0; size]);
+            nodes.rotate_left(start);
+            events.rotate_left(start);
+            self.len = 0;
+            for (node, event) in nodes.into_iter().zip(events).filter(|s| s.0 != EMPTY) {
+                self.push(node, event);
+            }
+        }
+        let mut slot = self.home(node);
+        while self.nodes[slot] != EMPTY {
+            slot = (slot + 1) & (self.nodes.len() - 1);
+        }
+        (self.nodes[slot], self.events[slot]) = (node, event);
+        self.len += 1;
+    }
+
+    /// A row's corrected priority, or `None` for a dead row: `p` minus
+    /// `ratio · w` for each of the node's discounts in pop order — the
+    /// subtractions, in order, of a rewrite after every batch.
+    #[inline]
+    fn correct(&self, machine: u64, node: u64, mut p: f64, ratio: f64) -> Option<f64> {
+        if self.done[machine as usize] {
+            return None;
+        }
+        let mut slot = self.home(node);
+        while self.nodes[slot] != EMPTY {
+            if self.nodes[slot] == node {
+                if self.events[slot] == LEAVES {
+                    return None;
+                }
+                p -= ratio * f64::from(self.events[slot]);
+            }
+            slot = (slot + 1) & (self.nodes.len() - 1);
+        }
+        Some(p)
+    }
+}
+
+/// One engine scan of `table` through `overlay`: the live rows per
+/// machine, and every shard's rows ≥ (IEEE) its running floor — the
+/// `batch`-th largest of the rows it kept so far, re-derived at `limit`.
+/// A floor never exceeds its shard's final `batch`-th largest, nor that
+/// the global τ, so the shards reject rows on one comparison, like
+/// `TopK::offer`, and still ship every live row ≥ τ.
+fn scan(
+    table: &PCollection<ScoredRow>,
+    overlay: &Overlay,
+    ratio: f64,
+    batch: usize,
+) -> Result<(Vec<u64>, Vec<Candidate>), DistError> {
+    let init = (vec![0u64; overlay.done.len()], Vec::new(), f64::NEG_INFINITY, 2 * batch);
+    let (live, top, _, _) = table.aggregate(
+        init,
+        |(mut live, mut top, mut floor, mut limit), (machine, (v, p))| {
+            if let Some(p) = overlay.correct(machine, v, p, ratio) {
+                live[machine as usize] += 1;
+                if p >= floor {
+                    top.push((machine, v, p));
+                }
+                if top.len() >= limit {
+                    floor = keep_top(&mut top, batch);
+                    limit = 2 * top.len().max(batch);
+                }
+            }
+            (live, top, floor, limit)
+        },
+        |(mut live, mut top, floor, limit), (more_live, more, _, _)| {
+            live.iter_mut().zip(more_live).for_each(|(a, b)| *a += b);
+            top.extend(more);
+            (live, top, floor, limit)
+        },
+    )?;
+    Ok((live, top))
+}
+
+/// Keeps the rows ≥ (IEEE) the `k`-th largest priority and returns it,
+/// taken in `f64::total_cmp` order like `kth_largest`, bit for bit.
+fn keep_top(rows: &mut Vec<Candidate>, k: usize) -> f64 {
+    let kth = rows.select_nth_unstable_by(k - 1, |a, b| b.2.total_cmp(&a.2)).1 .2;
+    rows.retain(|r| r.2 >= kth);
+    kth
 }
 
 impl<'a> DataflowGreedyBackend<'a> {
@@ -474,6 +584,7 @@ impl<'a> DataflowGreedyBackend<'a> {
             pool_len,
             table: None,
             machines: 1,
+            keying: None,
             broadcast_base,
             winner_batch: crate::DistGreedyConfig::DEFAULT_WINNER_BATCH,
         }
@@ -543,37 +654,47 @@ impl<'a> DataflowGreedyBackend<'a> {
         Ok(step_major(n, &sequences))
     }
 
-    /// Applies one group of certified winners to the engine-resident
-    /// table: every winner leaves its machine's pool, and each surviving
-    /// same-machine candidate receives the winners' discounts **in pop
-    /// order** — the same subtraction sequence, in the same order, as the
-    /// per-step updates, so intermediate priorities stay bit-identical.
-    fn apply_winners(
-        &self,
-        table: &PCollection<ScoredRow>,
-        shipped: Vec<ShippedWinner>,
-    ) -> Result<PCollection<ScoredRow>, DistError> {
-        // Meter what a real deployment would broadcast: the winner rows.
-        let _metered =
-            self.pipeline.broadcast(shipped.iter().map(|&(m, v, _)| (m, v)).collect::<Vec<_>>());
-        let shipped = std::sync::Arc::new(shipped);
-        let ratio = self.objective.ratio();
-        let table = table.flat_map(move |(machine, (v, p))| {
-            let mut p = p;
-            for &(m, winner, ref adj) in shipped.iter() {
-                if m != machine {
-                    continue;
-                }
-                if v == winner {
-                    return None; // popped: the winner leaves the pool
-                }
-                if let Ok(e) = adj.binary_search_by_key(&v, |&(x, _)| x) {
-                    p -= ratio * f64::from(adj[e].1);
+    /// Ships certified winners to the workers' overlay: each leaves its
+    /// machine's pool and each of its same-machine neighbours loses
+    /// `(β/α)·s(winner, ·)`, in pop order (`winners` lists each machine's
+    /// pops in order), metered as the broadcast a worker receives.
+    fn events(&self, winners: &[(u64, u64)]) -> SideInput<(u64, f32)> {
+        let keying = self.keying.as_ref().expect("winners shipped outside a phase");
+        let mut events = Vec::new();
+        for &(machine, winner) in winners {
+            events.push((winner, LEAVES));
+            for (x, s) in self.graph.edges(NodeId::new(winner)) {
+                if keying.machine_of(x.raw()) == machine {
+                    events.push((x.raw(), s));
                 }
             }
-            Some((machine, (v, p)))
+        }
+        self.pipeline.broadcast(events)
+    }
+
+    /// Adds shipped events and the machines now at quota to `overlay`,
+    /// charging its resident size to the worker peak.
+    fn record(&self, overlay: &mut Overlay, events: SideInput<(u64, f32)>, done: Vec<u64>) {
+        events.get().iter().for_each(|&(node, event)| overlay.push(node, event));
+        self.pipeline.broadcast(done).get().iter().for_each(|&m| overlay.done[m as usize] = true);
+        self.pipeline.observe_worker_bytes(overlay.bytes_with(0));
+        submod_obs::gauge!("greedy.overlay_bytes_peak").fetch_max(overlay.bytes_with(0));
+    }
+
+    /// Folds `overlay` into the table in one fused pass — dead rows drop
+    /// out, live rows take their discounts — and `materialize()`s it, which
+    /// also cuts the chain's ancestry.
+    fn rewrite(
+        &self,
+        table: &PCollection<ScoredRow>,
+        overlay: Overlay,
+    ) -> Result<PCollection<ScoredRow>, DistError> {
+        submod_obs::counter!("greedy.overlay_rewrites").incr();
+        let (overlay, ratio) = (Arc::new(overlay), self.objective.ratio());
+        let table = table.flat_map(move |(machine, (v, p))| {
+            overlay.correct(machine, v, p, ratio).map(|p| (machine, (v, p)))
         })?;
-        Ok(table)
+        Ok(table.materialize()?)
     }
 }
 
@@ -589,23 +710,19 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
         // anyway, and `objective` stays borrowed on the driver.
         let table = self
             .pool
-            .map_eager(move |v| (keying.machine_of(v), (v, objective.utility(NodeId::new(v)))))?;
+            .map_eager(|v| (keying.machine_of(v), (v, objective.utility(NodeId::new(v)))))?;
         self.table = Some(table);
+        self.keying = Some(keying);
         Ok(0)
     }
 
     fn step(&mut self, previous: &[(u64, u64)]) -> Result<StepWinners, DistError> {
         let mut table = self.table.clone().expect("step called outside a phase");
         if !previous.is_empty() {
-            // Ship the winners with their adjacency and apply the
-            // decrease wave shard-locally: the winner leaves its
-            // machine's pool, and every surviving same-machine candidate
-            // adjacent to it loses `(β/α)·s(winner, v)` — the same single
-            // subtraction, with the winner-side edge weight, as the queue
-            // update. The update fuses with the argmax scan below into
-            // one pass over the table.
-            table =
-                self.apply_winners(&table, ship_winners(self.graph, previous.iter().copied()))?;
+            // The decrease wave, through the batched path's overlay.
+            let mut overlay = Overlay::new(self.machines);
+            self.record(&mut overlay, self.events(previous), Vec::new());
+            table = self.rewrite(&table, overlay)?;
             self.table = Some(table.clone());
         }
         let mut winners: Vec<(u64, u64, f64)> = table
@@ -630,120 +747,91 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
             return Ok(None);
         }
         submod_obs::counter!("greedy.phases_batched").incr();
-        let ratio = self.objective.ratio();
-        // Per-machine pop sequences (machine id → winners in pop order),
-        // reassembled step-major at the end: machine `m`'s `t`-th pop *is*
-        // its step-`t` winner, exactly like the in-memory bulk path.
-        let mut sequences: std::collections::BTreeMap<u64, Vec<u64>> =
-            std::collections::BTreeMap::new();
-        let mut done: Vec<u64> = Vec::new(); // machines at quota, sorted
-        let mut driver_bytes = 0u64;
-        if quota > 0 {
-            loop {
-                let remaining = table.count()?;
-                if remaining == 0 {
-                    break;
-                }
-                // τ = the batch_k-th largest priority across all live
-                // machines: every row ≥ τ reaches the driver, everything
-                // below τ stays engine-resident and can only decrease.
-                let batch_k = (self.winner_batch as u64).min(remaining);
-                let tau = table.map(|(_, (_, p))| p)?.kth_largest(batch_k)?;
-                let mut candidates: Vec<(u64, u64, f64)> = table
-                    .filter(move |&(_, (_, p))| p >= tau)?
-                    .map(|(m, (v, p))| (m, v, p))?
-                    .collect()?;
-                driver_bytes += (candidates.len() * WINNER_ROW_BYTES) as u64;
-                // When the whole table came back, the replay is complete:
-                // no engine-side rows exist to invalidate a pop.
-                let complete = candidates.len() as u64 == remaining;
-                candidates.sort_unstable_by_key(|&(m, v, _)| (m, v));
-                // Driver replay, machine by machine: pop the best
-                // remaining candidate in the shared argmax order; a pop is
-                // certified while its corrected priority stays ≥ τ (every
-                // uncollected row started < τ and only decreases), and the
-                // first pop of a machine is always certified. Discounts
-                // apply sequentially in pop order — the same subtraction
-                // sequence the engine-side update then replays.
-                let mut batch_winners: Vec<(u64, u64)> = Vec::new();
-                let mut newly_done: Vec<u64> = Vec::new();
-                let mut slot = 0usize;
-                while slot < candidates.len() {
-                    let machine = candidates[slot].0;
-                    let end = candidates[slot..]
-                        .iter()
-                        .position(|&(m, _, _)| m != machine)
-                        .map_or(candidates.len(), |i| slot + i);
-                    let mut local: Vec<(u64, f64)> =
-                        candidates[slot..end].iter().map(|&(_, v, p)| (v, p)).collect();
-                    slot = end;
-                    let pops = sequences.entry(machine).or_default();
-                    while pops.len() < quota && !local.is_empty() {
-                        let mut best = 0usize;
-                        for i in 1..local.len() {
-                            if submod_dataflow::argmax_prefers(local[best], local[i]) {
-                                best = i;
-                            }
-                        }
-                        let (winner, priority) = local.swap_remove(best);
-                        if !complete && priority < tau {
-                            break; // invalidated: an engine-side row may now lead
-                        }
-                        pops.push(winner);
-                        batch_winners.push((machine, winner));
-                        for entry in &mut local {
-                            if let Some(s) =
-                                self.graph.edge_weight(NodeId::new(winner), NodeId::new(entry.0))
-                            {
-                                entry.1 -= ratio * f64::from(s);
-                            }
+        let (ratio, batch, budget) =
+            (self.objective.ratio(), self.winner_batch, self.pipeline.budget());
+        // Per-machine pop sequences, reassembled step-major at the end:
+        // machine `m`'s `t`-th pop *is* its step-`t` winner, exactly like
+        // the in-memory bulk path.
+        let mut sequences: Vec<Vec<u64>> = vec![Vec::new(); self.machines];
+        let mut overlay = Overlay::new(self.machines);
+        let (mut table_rows, mut driver_bytes) = (self.pool_len as u64, 0u64);
+        let mut live_rows = if quota > 0 { table_rows } else { 0 };
+        while live_rows > 0 {
+            // τ = the batch-th largest live priority: every row ≥ τ reaches
+            // the driver, everything below stays in the engine and can
+            // only decrease.
+            let (mut live, mut candidates) = scan(&table, &overlay, ratio, batch)?;
+            debug_assert_eq!(live.iter().sum::<u64>(), live_rows, "scan disagrees with replay");
+            submod_obs::counter!("greedy.batch_scans").incr();
+            let scan_bytes = (candidates.len() * WINNER_ROW_BYTES) as u64;
+            submod_obs::gauge!("greedy.scan_bytes_peak").fetch_max(scan_bytes);
+            driver_bytes += scan_bytes;
+            let tau = keep_top(&mut candidates, batch.min(live_rows as usize));
+            candidates.sort_unstable_by_key(|&(m, v, _)| (m, v));
+            // When every live row came back, the replay is complete: no
+            // engine-side row is left to invalidate a pop.
+            let complete = candidates.len() as u64 == live_rows;
+            // Driver replay, machine by machine: pop the best remaining
+            // candidate in the shared argmax order; a pop is certified
+            // while its corrected priority stays ≥ τ (every uncollected row
+            // started < τ and only decreases). Discounts apply in pop order
+            // — the subtraction sequence the overlay then replays.
+            let mut winners: Vec<(u64, u64)> = Vec::new();
+            let mut newly_done: Vec<u64> = Vec::new();
+            for group in candidates.chunk_by(|a, b| a.0 == b.0) {
+                let machine = group[0].0;
+                let mut local: Vec<(u64, f64)> = group.iter().map(|&(_, v, p)| (v, p)).collect();
+                let pops = &mut sequences[machine as usize];
+                while pops.len() < quota && !local.is_empty() {
+                    let mut best = 0usize;
+                    for i in 1..local.len() {
+                        if submod_dataflow::argmax_prefers(local[best], local[i]) {
+                            best = i;
                         }
                     }
-                    if pops.len() == quota {
-                        newly_done.push(machine);
+                    let (winner, priority) = local.swap_remove(best);
+                    if !complete && priority < tau {
+                        break; // invalidated: an engine-side row may now lead
                     }
-                }
-                if batch_winners.is_empty() {
-                    // Defensive fallback: certify one true argmax per
-                    // machine with a single per-key top-1 pass, so the
-                    // loop always advances.
-                    let mut rows: Vec<(u64, (u64, f64))> = table.argmax_per_key()?.collect()?;
-                    rows.sort_unstable_by_key(|&(m, _)| m);
-                    driver_bytes += (rows.len() * WINNER_ROW_BYTES) as u64;
-                    for (machine, (node, _)) in rows {
-                        let pops = sequences.entry(machine).or_default();
-                        if pops.len() < quota {
-                            pops.push(node);
-                            batch_winners.push((machine, node));
-                        }
-                        if pops.len() == quota {
-                            newly_done.push(machine);
+                    pops.push(winner);
+                    winners.push((machine, winner));
+                    live[machine as usize] -= 1;
+                    for entry in &mut local {
+                        if let Some(s) =
+                            self.graph.edge_weight(NodeId::new(winner), NodeId::new(entry.0))
+                        {
+                            entry.1 -= ratio * f64::from(s);
                         }
                     }
-                    if batch_winners.is_empty() {
-                        break; // every machine with rows is at quota
-                    }
                 }
-                // One engine pass applies the whole batch: winners leave,
-                // survivors take the discounts in pop order
-                // (`batch_winners` is built machine-ascending with pops in
-                // order, matching the replay's subtraction sequence).
-                table =
-                    self.apply_winners(&table, ship_winners(self.graph, batch_winners.clone()))?;
-                if !newly_done.is_empty() {
-                    // Drop rows of machines that hit quota so they stop
-                    // competing for τ. The machine list is broadcast-sized.
-                    done.extend(newly_done);
-                    done.sort_unstable();
-                    let gone = done.clone();
-                    table = table.filter(move |&(m, _)| gone.binary_search(&m).is_err())?;
+                if pops.len() == quota {
+                    newly_done.push(machine);
+                    live[machine as usize] = 0;
                 }
-                self.table = Some(table.clone());
             }
+            // Every candidate's machine is live (machines at quota are
+            // masked), and its first pop has priority ≥ τ with no discount
+            // applied yet, so it is certified: a batch always has winners.
+            if winners.is_empty() {
+                return Err(DistError::Dataflow(DataflowError::InvalidArgument {
+                    detail: format!("internal invariant: a batch at τ = {tau} certified no pop"),
+                }));
+            }
+            let scanned = std::mem::replace(&mut live_rows, live.iter().sum());
+            if live_rows == 0 {
+                break;
+            }
+            // The overlay rides to every worker, so it may not outgrow one;
+            // and a table of mostly dead rows is cheaper rewritten.
+            let events = self.events(&winners);
+            if budget.exceeded_by(overlay.bytes_with(events.len())) || table_rows > 2 * scanned {
+                let full = std::mem::replace(&mut overlay, Overlay::new(self.machines));
+                table = self.rewrite(&table, full)?;
+                table_rows = scanned;
+            }
+            self.record(&mut overlay, events, newly_done);
         }
-        // The batched driver pays for every collected candidate, not only
-        // for the winners.
-        let sequences: Vec<Vec<u64>> = sequences.into_values().collect();
+        // The batched driver pays for every row the scans shipped.
         Ok(Some(PhaseOutcome { driver_bytes, ..step_major(n, &sequences) }))
     }
 
@@ -774,6 +862,7 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use submod_core::GraphBuilder;
 
     fn instance(n: usize) -> (SimilarityGraph, PairwiseObjective) {
@@ -900,8 +989,16 @@ mod tests {
         Pipeline::builder().workers(3).memory_budget(budget).build().unwrap()
     }
 
+    /// The tests that run the batched path hold this lock, so a delta of
+    /// the process-wide `greedy.batch_scans` counter belongs to one run.
+    fn batched_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn batched_phase_matches_lockstep_exactly() {
+        let _lock = batched_lock();
         let (graph, objective) = instance(30);
         let ground = ground(30);
         let keying = || MachineKeying::Hash { seed: 7, machines: 4 };
@@ -919,6 +1016,140 @@ mod tests {
             assert_eq!(via_batch.selected, via_steps.selected, "batch {batch} quota {quota}");
             assert_eq!(via_batch.steps, via_steps.steps, "batch {batch} quota {quota}");
             assert_eq!(via_batch.peak_step_winners, via_steps.peak_step_winners);
+        }
+    }
+
+    /// Three machines of six nodes: four "top" nodes of utility 1 joined by
+    /// 0.9-weight edges and two "low" nodes of utility 0.05. With a batch of
+    /// one, τ is the tied top priority, every machine's first pop is
+    /// certified, and its discounts push every other top candidate below
+    /// τ — so each batch certifies exactly one pop per machine, and the
+    /// loop advances only because a first pop is always certified.
+    #[test]
+    fn a_first_pop_is_always_certified() {
+        let _lock = batched_lock();
+        let mut b = GraphBuilder::new(18);
+        for base in [0u64, 6, 12] {
+            for (i, j) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5)] {
+                b.add_undirected(base + i, base + j, 0.9).unwrap();
+            }
+        }
+        let graph = b.build();
+        let utilities = (0..18).map(|i| if i % 6 < 4 { 1.0 } else { 0.05 }).collect();
+        let objective = PairwiseObjective::from_alpha(0.85, utilities).unwrap();
+        let run = |batch: usize| {
+            let pipeline = starved_pipeline();
+            let mut df = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground(18))
+                .with_winner_batch(batch);
+            df.begin_phase(MachineKeying::Contiguous { chunk: 6 }, 3).unwrap();
+            run_phase(&mut df, 18, 4).unwrap()
+        };
+        let scans = submod_obs::counter("greedy.batch_scans").value();
+        let batched = run(1);
+        assert_eq!(submod_obs::counter("greedy.batch_scans").value() - scans, 4);
+        let lockstep = run(0);
+        assert_eq!(batched.selected, lockstep.selected);
+        assert_eq!((batched.steps, lockstep.steps), (4, 4));
+        let firsts: Vec<u64> = batched.selected.iter().map(|v| v.raw()).collect();
+        assert_eq!(firsts, [0, 6, 12, 1, 7, 13, 2, 8, 14, 3, 9, 15]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-scan selection — per-shard top-`batch` with ties, merged,
+        /// then `keep_top` — returns the same τ bits and the same candidate
+        /// set as `kth_largest(min(batch, rows))` and a `p >= τ` filter, on
+        /// the adversarial palette (the extremes, a denormal, ties), on
+        /// all-equal rows, and on signed zeros leading the order, over 1–24
+        /// shards, with and without spills.
+        #[test]
+        fn one_scan_selects_like_kth_largest_and_filter(
+            picks in proptest::collection::vec(0usize..12, 1..160),
+            shards in 1usize..25,
+            batch_pick in 0usize..4,
+            mode in 0usize..3,
+            spilled in any::<bool>(),
+        ) {
+            const PALETTE: [f64; 10] = [
+                -0.0, 0.0, f64::MIN_POSITIVE / 2.0, f64::MAX, f64::MIN, f64::INFINITY,
+                f64::NEG_INFINITY, 1.0, -1.0, 0.5,
+            ];
+            const ZEROS_FIRST: [f64; 6] =
+                [-0.0, 0.0, -0.0, -f64::MIN_POSITIVE / 2.0, -1.0, f64::NEG_INFINITY];
+            let rows: Vec<ScoredRow> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &pick)| {
+                    let p = match (mode, pick) {
+                        (1, _) => 0.25,
+                        (2, pick) => ZEROS_FIRST[pick % ZEROS_FIRST.len()],
+                        (_, pick) if pick < PALETTE.len() => PALETTE[pick],
+                        _ => i as f64 / 7.0,
+                    };
+                    (i as u64 % 3, (i as u64, p))
+                })
+                .collect();
+            let batch = [1, 2, 64, rows.len() + 1][batch_pick];
+            let budget = if spilled { 64 } else { u64::MAX };
+            let pipeline = Pipeline::builder()
+                .workers(3)
+                .memory_budget(submod_dataflow::MemoryBudget::bytes(budget))
+                .build()
+                .unwrap();
+            let chunk = rows.len().div_ceil(shards);
+            let table = pipeline
+                .from_shards(rows.chunks(chunk).map(<[_]>::to_vec).collect())
+                .map(|row| row)
+                .unwrap();
+
+            let k = batch.min(rows.len());
+            let tau = table.map(|(_, (_, p))| p).unwrap().kth_largest(k as u64).unwrap();
+            let mut expected: Vec<Candidate> = table
+                .filter(move |&(_, (_, p))| p >= tau)
+                .unwrap()
+                .collect()
+                .unwrap()
+                .into_iter()
+                .map(|(m, (v, p))| (m, v, p))
+                .collect();
+            expected.sort_unstable_by_key(|&(m, v, _)| (m, v));
+
+            let (live, mut candidates) = scan(&table, &Overlay::new(3), 1.0, batch).unwrap();
+            prop_assert_eq!(live.iter().sum::<u64>(), rows.len() as u64);
+            prop_assert_eq!(keep_top(&mut candidates, k).to_bits(), tau.to_bits());
+            candidates.sort_unstable_by_key(|&(m, v, _)| (m, v));
+            let bits = |rows: &[Candidate]| -> Vec<(u64, u64, u64)> {
+                rows.iter().map(|&(m, v, p)| (m, v, p.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&candidates), bits(&expected));
+        }
+
+        /// Every row the overlay corrects takes exactly its node's events in
+        /// push order — across the table's growth, with a few nodes' long
+        /// probe runs wrapping around its end — and a machine at quota
+        /// reads dead. An event of 0 is a removal.
+        #[test]
+        fn overlay_applies_each_nodes_events_in_order(
+            events in proptest::collection::vec((0u64..8, 0u32..20), 0..300),
+        ) {
+            let weight = |e: u32| if e == 0 { LEAVES } else { e as f32 / 7.3 };
+            let mut overlay = Overlay::new(2);
+            for &(node, event) in &events {
+                overlay.push(node, weight(event));
+            }
+            overlay.done[1] = true;
+            for node in 0..8u64 {
+                let mut expected = Some(1.5f64);
+                for &(_, event) in events.iter().filter(|&&(n, _)| n == node) {
+                    expected = expected
+                        .filter(|_| event != 0)
+                        .map(|p| p - 0.3 * f64::from(weight(event)));
+                }
+                let got = overlay.correct(0, node, 1.5, 0.3);
+                prop_assert_eq!(got.map(f64::to_bits), expected.map(f64::to_bits));
+                prop_assert_eq!(overlay.correct(1, node, 1.5, 0.3), None);
+            }
         }
     }
 

@@ -421,9 +421,9 @@ pub(crate) fn distributed_greedy_with_journal(
 /// same deterministic keyed transform. A round whose largest partition
 /// fits `pipeline`'s per-worker budget is grouped by machine once and
 /// every machine's priority-queue greedy runs inside its worker; a round
-/// that does not fit falls back to τ-batched engine passes
-/// ([`DistGreedyConfig::winner_batch`]). Either way the driver only
-/// collects winner rows.
+/// that does not fit falls back to one engine scan per τ-certified batch
+/// of winners ([`DistGreedyConfig::winner_batch`]). Either way the driver
+/// only collects winner rows and threshold candidates.
 ///
 /// The outcome is **identical** to [`distributed_greedy`] by
 /// construction: both drivers share the round loop, the keying, the

@@ -298,6 +298,59 @@ fn batched_winner_invalidation_falls_back_identically() {
     }
 }
 
+/// Between the two sides of the fit line: a budget below every round-1
+/// partition (48 rows × 40 B) that still holds many batches' worth of
+/// overlay events, so the batched fallback scans several times per
+/// rewrite — where the one-row budget above rewrites after every batch.
+/// Bit-identical to lockstep and to the in-memory driver at every thread
+/// count, with the rewrite count and the overlay's peak read back from
+/// the registry.
+#[test]
+fn overlay_spans_several_batches_between_rewrites() {
+    let _registry = registry_lock();
+    let (graph, objective) = clustered_instance(12, 8, 5);
+    let n = graph.num_nodes();
+    let config = DistGreedyConfig::new(2, 2).unwrap().seed(4);
+    let budget = RESIDENT_BYTES_PER_ROW * (n as u64 / 2) * 3 / 4;
+    let counters = || {
+        ["greedy.batch_scans", "greedy.overlay_rewrites"].map(|c| submod_obs::counter(c).value())
+    };
+    for &threads in &THREAD_COUNTS {
+        let mem = with_threads(threads, || {
+            distributed_greedy(&graph, &objective, &ground(n), n / 4, &config).expect("in-memory")
+        });
+        let run = |winner_batch| {
+            let pipeline = Pipeline::builder()
+                .workers(3)
+                .memory_budget(MemoryBudget::bytes(budget))
+                .build()
+                .expect("pipeline");
+            let config = config.clone().winner_batch(winner_batch);
+            with_threads(threads, || {
+                distributed_greedy_dataflow(
+                    &pipeline,
+                    &graph,
+                    &objective,
+                    &ground(n),
+                    n / 4,
+                    &config,
+                )
+                .expect("dataflow")
+            })
+        };
+        // Zero the overlay's peak gauge (a running maximum).
+        submod_obs::reset_metrics();
+        let batched = run(1);
+        let [scans, rewrites] = counters();
+        assert_eq!(phases_since([0; 3])[1], 1, "round 1 alone must take the batched path");
+        assert!(0 < rewrites && rewrites * 3 < scans, "{rewrites} rewrites over {scans} scans");
+        let overlay = submod_obs::gauge("greedy.overlay_bytes_peak").value();
+        assert!(0 < overlay && overlay <= budget, "overlay peak {overlay} over {budget}");
+        assert_eq!(fingerprint(&batched), fingerprint(&mem), "batched at {threads} threads");
+        assert_eq!(fingerprint(&run(LOCKSTEP)), fingerprint(&mem), "lockstep at {threads} threads");
+    }
+}
+
 /// GreeDi's map phase rides the same backend: in-memory against dataflow
 /// on both sides of the fit line (the starved side falls back to the
 /// default batched passes), one phase per run, at every thread count.

@@ -235,6 +235,62 @@ fn partition_resident_greedy_stays_inside_a_fitting_budget() {
     );
 }
 
+/// The batched fallback — the one path whose partitions exceed a worker —
+/// keeps both of its bounds:
+///
+/// - *Workers:* the winner overlay is rewritten into the table before it
+///   would outgrow the budget, so a worker's peak is the budget, or one
+///   batch's overlay when a single batch needs more: `B` winners each
+///   ship ≤ `1 + Δ` events (a removal plus one discount per neighbour, Δ
+///   the maximum degree) into a half-full table of 16 B slots, plus one
+///   byte per machine.
+/// - *Driver:* a scan ships, per table shard, fewer than `2B` rows of
+///   24 B (`(machine, node, priority)`), so it collects at most
+///   `shards × 2B × 24` bytes. Each table shard is a spill file or a
+///   worker's tail, so under budget `b` there are at most
+///   `workers + ⌈32·n / b⌉` of them (8 B pool ids and 24 B table rows).
+#[test]
+fn batched_greedy_overlay_and_scans_stay_bounded() {
+    let instance = instance();
+    let graph = &instance.graph;
+    let n = instance.len();
+    let k = n / 10;
+    let objective = instance.objective(0.9).unwrap();
+    let ground: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+    let (machines, workers, batch) = (4, 4, 8);
+    let config =
+        DistGreedyConfig::new(machines, 3).unwrap().seed(41).adaptive(true).winner_batch(batch);
+    let (reference, _) =
+        distributed_greedy_with_stats(graph, &objective, &ground, k, &config).unwrap();
+
+    // ~n/4 rows × 40 B per partition is over 2 KiB: no round fits.
+    let budget = 2048;
+    let pipeline = Pipeline::builder()
+        .workers(workers)
+        .memory_budget(MemoryBudget::bytes(budget))
+        .build()
+        .unwrap();
+    let batched_before = submod_obs::counter("greedy.phases_batched").value();
+    let (report, _) =
+        distributed_greedy_dataflow_with_stats(&pipeline, graph, &objective, &ground, k, &config)
+            .unwrap();
+    assert_eq!(report.selection.selected(), reference.selection.selected());
+    assert_eq!(report.rounds, reference.rounds);
+    assert!(submod_obs::counter("greedy.phases_batched").value() > batched_before);
+
+    let degree = (0..n).map(|v| graph.degree(NodeId::from_index(v))).max().unwrap();
+    let one_batch = 16 * (2 * batch * (1 + degree)).next_power_of_two() as u64 + machines as u64;
+    let peak = pipeline.metrics().peak_worker_bytes;
+    assert!(peak <= budget + one_batch, "worker peak {peak} over {budget} + {one_batch}");
+    let shards = workers as u64 + (32 * n as u64).div_ceil(budget);
+    let scan_bytes = submod_obs::gauge("greedy.scan_bytes_peak").value();
+    assert!(scan_bytes > 0, "the batched path must have scanned");
+    assert!(
+        scan_bytes <= shards * 2 * batch as u64 * 24,
+        "one scan shipped {scan_bytes} bytes from at most {shards} shards"
+    );
+}
+
 #[test]
 fn dataflow_scoring_matches_reference_under_memory_pressure() {
     let instance = instance();
