@@ -233,8 +233,8 @@ impl SimilarityGraph {
     /// (one counting pass, one fill in source order) has sorted rows too,
     /// and each output row is a two-way merge of a row with its transpose.
     /// The transpose is never whole: it is built for one stripe of target
-    /// nodes at a time (up to [`TRANSPOSE_STRIPES`] of them, each at least
-    /// [`MIN_STRIPE_EDGES`] in-edges), so on a large graph the scratch is
+    /// nodes at a time (up to `TRANSPOSE_STRIPES` of them, each at least
+    /// `MIN_STRIPE_EDGES` in-edges), so on a large graph the scratch is
     /// an eighth of the edge arrays rather than a second copy of them.
     pub fn symmetrized(&self) -> SimilarityGraph {
         self.symmetrized_in_stripes(MIN_STRIPE_EDGES)

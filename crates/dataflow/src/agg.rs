@@ -471,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_per_key_sums_match_reduce_per_key() {
+    fn aggregate_per_key_sums_match_a_sequential_fold() {
         let p = Pipeline::new(4).unwrap();
         let records: Vec<(u64, u64)> = (0..1000).map(|i| (i % 13, i)).collect();
         let mut combined = p
@@ -481,10 +481,11 @@ mod tests {
             .collect()
             .unwrap();
         combined.sort_unstable();
-        let mut reduced =
-            p.from_vec(records).reduce_per_key(|a, b| a + b).unwrap().collect().unwrap();
-        reduced.sort_unstable();
-        assert_eq!(combined, reduced);
+        let mut folded = BTreeMap::new();
+        for (k, v) in records {
+            *folded.entry(k).or_insert(0u64) += v;
+        }
+        assert_eq!(combined, folded.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

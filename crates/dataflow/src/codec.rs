@@ -497,56 +497,6 @@ impl<A: Record, B: Record> Record for Either2<A, B> {
     }
 }
 
-/// A value of one of three types, used by
-/// [`crate::PCollection::co_group_3`] — the paper's bounding pipeline joins
-/// the fanned-out neighbor graph, the partial solution, and the unassigned
-/// points in one shuffle (§5).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Either3<A, B, C> {
-    /// Value from the first collection.
-    First(A),
-    /// Value from the second collection.
-    Second(B),
-    /// Value from the third collection.
-    Third(C),
-}
-
-impl<A: Record, B: Record, C: Record> Record for Either3<A, B, C> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Either3::First(a) => {
-                buf.push(0);
-                a.encode(buf);
-            }
-            Either3::Second(b) => {
-                buf.push(1);
-                b.encode(buf);
-            }
-            Either3::Third(c) => {
-                buf.push(2);
-                c.encode(buf);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, DataflowError> {
-        match take(input, 1)?[0] {
-            0 => Ok(Either3::First(A::decode(input)?)),
-            1 => Ok(Either3::Second(B::decode(input)?)),
-            2 => Ok(Either3::Third(C::decode(input)?)),
-            other => Err(DataflowError::codec(format!("invalid either3 tag {other}"))),
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        1 + match self {
-            Either3::First(a) => a.approx_bytes(),
-            Either3::Second(b) => b.approx_bytes(),
-            Either3::Third(c) => c.approx_bytes(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -597,9 +547,6 @@ mod tests {
     fn eithers_roundtrip() {
         roundtrip(Either2::<u64, f32>::Left(7));
         roundtrip(Either2::<u64, f32>::Right(0.5));
-        roundtrip(Either3::<u64, f32, bool>::First(7));
-        roundtrip(Either3::<u64, f32, bool>::Second(0.5));
-        roundtrip(Either3::<u64, f32, bool>::Third(true));
     }
 
     #[test]
@@ -616,7 +563,6 @@ mod tests {
         assert!(bool::decode(&mut &buf[..]).is_err());
         assert!(Option::<u8>::decode(&mut &buf[..]).is_err());
         assert!(Either2::<u8, u8>::decode(&mut &buf[..]).is_err());
-        assert!(Either3::<u8, u8, u8>::decode(&mut &buf[..]).is_err());
     }
 
     #[test]

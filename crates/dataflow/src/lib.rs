@@ -10,22 +10,18 @@
 //! - [`PCollection`] — an immutable, sharded, possibly disk-resident
 //!   collection (Beam's `PCollection`).
 //! - Transforms: [`PCollection::map`], [`PCollection::flat_map`],
-//!   [`PCollection::filter`], [`PCollection::union`],
-//!   [`PCollection::group_by_key`], the two/three-way joins
-//!   [`PCollection::co_group_2`] / [`PCollection::co_group_3`], the
-//!   budget-aware keyed combiner [`PCollection::aggregate_per_key`], and
-//!   aggregations including the distributed
-//!   [`PCollection::kth_largest`] selection that powers the bounding
-//!   thresholds and the per-key top-1 selection
+//!   [`PCollection::filter`], [`PCollection::group_by_key`], the two-way
+//!   join [`PCollection::co_group_2`], the budget-aware keyed combiner
+//!   [`PCollection::aggregate_per_key`], and aggregations including the
+//!   distributed [`PCollection::kth_largest`] selection that powers the
+//!   bounding thresholds and the per-key top-1 selection
 //!   [`PCollection::argmax_per_key`] behind the engine-resident
 //!   distributed greedy.
 //! - [`SideInput`] / [`BroadcastSet`] — broadcast side-inputs for small
 //!   driver-side values (solution sets, status bitsets), metered by
-//!   [`PipelineMetrics::bytes_broadcast`], and the deterministic seeded
-//!   sampling operators [`PCollection::sample_bernoulli`] /
-//!   [`PCollection::sample_reservoir`] whose coins
-//!   ([`sample_coin`]) depend only on `(seed, key)` — never on sharding
-//!   or scheduling.
+//!   [`PipelineMetrics::bytes_broadcast`], and the deterministic sampling
+//!   coin [`sample_coin`], which depends only on `(seed, key)` — never on
+//!   sharding or scheduling.
 //! - [`MemoryBudget`] — a byte limit per simulated worker. Buffers that
 //!   would exceed it are spilled to disk; shuffles fall back to external
 //!   sort-merge. [`PipelineMetrics`] exposes spill counters so tests can
@@ -53,7 +49,8 @@
 //!     .build()?;
 //!
 //! let edges = pipeline.from_vec(vec![(1u64, 2u64), (1, 3), (2, 3)]);
-//! let degrees = edges.map(|(v, _)| (v, 1u64))?.reduce_per_key(|a, b| a + b)?;
+//! let degrees =
+//!     edges.map(|(v, _)| (v, 1u64))?.aggregate_per_key(0u64, |a, c| a + c, |a, b| a + b)?;
 //! let mut out = degrees.collect()?;
 //! out.sort_unstable();
 //! assert_eq!(out, vec![(1, 2), (2, 1)]);
@@ -67,7 +64,6 @@
 mod agg;
 mod codec;
 mod error;
-mod lz;
 mod memory;
 mod pcollection;
 mod pipeline;
@@ -77,10 +73,10 @@ mod side;
 mod spill;
 
 pub use agg::argmax_prefers;
-pub use codec::{ColKind, Column, Either2, Either3, FixedWidth, Record};
+pub use codec::{ColKind, Column, Either2, FixedWidth, Record};
 pub use error::DataflowError;
 pub use memory::{MemoryBudget, PipelineMetrics};
 pub use pcollection::PCollection;
-pub use pipeline::{set_fusion_default, set_spill_compression_default, Pipeline, PipelineBuilder};
+pub use pipeline::{set_fusion_default, Pipeline, PipelineBuilder};
 pub use sample::{mix_seed_key, sample_coin, splitmix64};
 pub use side::{BroadcastSet, SideInput};

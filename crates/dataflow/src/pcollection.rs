@@ -319,7 +319,7 @@ impl<T: Record> PCollection<T> {
     /// # Errors
     ///
     /// Returns an error if the collections belong to different pipelines.
-    pub fn union(&self, other: &PCollection<T>) -> Result<PCollection<T>, DataflowError> {
+    pub(crate) fn union(&self, other: &PCollection<T>) -> Result<PCollection<T>, DataflowError> {
         if !Arc::ptr_eq(&self.ctx, &other.ctx) {
             return Err(DataflowError::invalid(
                 "cannot union collections from different pipelines",
@@ -328,26 +328,6 @@ impl<T: Record> PCollection<T> {
         let mut segments = self.segments.clone();
         segments.extend(other.segments.iter().cloned());
         Ok(PCollection { ctx: self.ctx.clone(), segments })
-    }
-
-    /// Re-shards the collection into one shard per worker, balancing record
-    /// counts (useful after heavy filtering).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if reading or spilling fails.
-    pub fn rebalance(&self) -> Result<PCollection<T>, DataflowError> {
-        let all = self.collect()?;
-        let shard_count = self.ctx.workers.max(1);
-        let chunk = all.len().div_ceil(shard_count).max(1);
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut rest = all;
-        while !rest.is_empty() {
-            let tail = rest.split_off(chunk.min(rest.len()));
-            shards.push(Segment::Ready(Shard::InMemory(Arc::new(rest))));
-            rest = tail;
-        }
-        Ok(PCollection { ctx: self.ctx.clone(), segments: shards })
     }
 
     /// Defers `body` onto every segment's operator chain: each output
@@ -505,15 +485,6 @@ mod tests {
         assert_eq!(out[4999], 4999 * 3);
         // A second pass over spilled shards also works.
         assert_eq!(mapped.filter(|x| x % 2 == 0).unwrap().count().unwrap(), 2500);
-    }
-
-    #[test]
-    fn rebalance_evens_shards() {
-        let p = pipeline();
-        let pc = p.from_shards(vec![(0u64..97).collect(), vec![], vec![97, 98]]);
-        let balanced = pc.rebalance().unwrap();
-        assert_eq!(balanced.count().unwrap(), 99);
-        assert_eq!(balanced.num_shards(), 3);
     }
 
     #[test]

@@ -18,16 +18,12 @@ pub(crate) struct Ctx {
     /// Operator fusion: chained map/filter/flat_map defer into one pass
     /// per shard, executed at the next barrier.
     pub fusion: bool,
-    /// LZ-compress spill files (budget semantics are unaffected — the
-    /// logical byte count still drives spill decisions and metrics).
-    pub spill_compress: bool,
 }
 
-// Tri-state process-wide defaults: 0 = unset (fall back to the
+// Tri-state process-wide default: 0 = unset (fall back to the
 // environment), 1 = off, 2 = on. Mutating the environment from Rust is
-// unsound with concurrent readers, so CLI flags set these instead.
+// unsound with concurrent readers, so CLI flags set this instead.
 static FUSION_DEFAULT: AtomicU8 = AtomicU8::new(0);
-static SPILL_COMPRESS_DEFAULT: AtomicU8 = AtomicU8::new(0);
 
 /// Sets the process-wide operator-fusion default, overriding the
 /// `SUBMOD_FUSION` environment variable (per-pipeline
@@ -37,54 +33,20 @@ pub fn set_fusion_default(on: bool) {
     FUSION_DEFAULT.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// Sets the process-wide spill-compression default, overriding the
-/// `SUBMOD_SPILL_COMPRESS` environment variable (per-pipeline
-/// [`PipelineBuilder::spill_compression`] still wins).
-pub fn set_spill_compression_default(on: bool) {
-    SPILL_COMPRESS_DEFAULT.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-fn resolve_flag(
-    builder: Option<bool>,
-    global: &AtomicU8,
-    env_var: &str,
-    env_is_on: impl Fn(&str) -> bool,
-    default: bool,
-) -> bool {
+fn resolve_fusion(builder: Option<bool>) -> bool {
     if let Some(v) = builder {
         return v;
     }
-    match global.load(Ordering::Relaxed) {
+    match FUSION_DEFAULT.load(Ordering::Relaxed) {
         1 => return false,
         2 => return true,
         _ => {}
     }
-    match std::env::var(env_var) {
-        Ok(v) => env_is_on(&v.to_ascii_lowercase()),
-        Err(_) => default,
-    }
-}
-
-fn resolve_fusion(builder: Option<bool>) -> bool {
     // SUBMOD_FUSION=off|0|false disables; anything else (or unset) is on.
-    resolve_flag(
-        builder,
-        &FUSION_DEFAULT,
-        "SUBMOD_FUSION",
-        |v| !matches!(v, "off" | "0" | "false"),
-        true,
-    )
-}
-
-fn resolve_spill_compress(builder: Option<bool>) -> bool {
-    // SUBMOD_SPILL_COMPRESS=lz (or on|1|true) enables; default off.
-    resolve_flag(
-        builder,
-        &SPILL_COMPRESS_DEFAULT,
-        "SUBMOD_SPILL_COMPRESS",
-        |v| matches!(v, "lz" | "on" | "1" | "true"),
-        false,
-    )
+    match std::env::var("SUBMOD_FUSION") {
+        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"),
+        Err(_) => true,
+    }
 }
 
 /// A Beam-style dataflow pipeline with `w` simulated workers, each holding
@@ -116,12 +78,6 @@ impl Pipeline {
     /// Starts configuring a pipeline.
     pub fn builder() -> PipelineBuilder {
         PipelineBuilder::default()
-    }
-
-    /// Re-wraps shared pipeline state (for operators that need to emit a
-    /// fresh collection into an existing pipeline).
-    pub(crate) fn from_ctx(ctx: Arc<Ctx>) -> Self {
-        Pipeline { ctx }
     }
 
     /// The shared pipeline state.
@@ -166,11 +122,6 @@ impl Pipeline {
     /// Whether chained per-shard transforms fuse into single passes.
     pub fn fusion_enabled(&self) -> bool {
         self.ctx.fusion
-    }
-
-    /// Whether spill files are LZ-compressed on disk.
-    pub fn spill_compression_enabled(&self) -> bool {
-        self.ctx.spill_compress
     }
 
     /// Creates a collection from an in-memory vector, splitting it into one
@@ -234,7 +185,6 @@ pub struct PipelineBuilder {
     budget: Option<MemoryBudget>,
     spill_dir: Option<PathBuf>,
     fusion: Option<bool>,
-    spill_compression: Option<bool>,
 }
 
 impl PipelineBuilder {
@@ -265,14 +215,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Forces spill-file LZ compression on or off for this pipeline,
-    /// overriding the process default ([`set_spill_compression_default`] /
-    /// `SUBMOD_SPILL_COMPRESS`, which defaults to off).
-    pub fn spill_compression(mut self, on: bool) -> Self {
-        self.spill_compression = Some(on);
-        self
-    }
-
     /// Builds the pipeline.
     ///
     /// # Errors
@@ -295,7 +237,6 @@ impl PipelineBuilder {
                 metrics: MetricsInner::default(),
                 spill,
                 fusion: resolve_fusion(self.fusion),
-                spill_compress: resolve_spill_compress(self.spill_compression),
             }),
         })
     }
@@ -371,19 +312,18 @@ impl<'a, T: Record> ShardSink<'a, T> {
         if self.buffer.is_empty() {
             return Ok(());
         }
-        let compress = self.ctx.spill_compress;
         // Fixed-width record types spill as raw column bytes; everything
         // else goes through per-record codec frames.
         let file = if let Some(kinds) = T::column_kinds() {
-            spill_columns(self.ctx.spill.fresh_path(), compress, &self.buffer, &kinds)?
+            spill_columns(self.ctx.spill.fresh_path(), &self.buffer, &kinds)?
         } else {
-            let mut writer = SpillWriter::create(self.ctx.spill.fresh_path(), compress)?;
+            let mut writer = SpillWriter::create(self.ctx.spill.fresh_path())?;
             for record in &self.buffer {
                 writer.write(record)?;
             }
             writer.finish()?
         };
-        self.ctx.metrics.record_spill(file.bytes, file.disk_bytes);
+        self.ctx.metrics.record_spill(file.bytes);
         self.shards.push(Shard::Spilled(file));
         self.buffer.clear();
         self.buffer_bytes = 0;

@@ -1,16 +1,13 @@
-//! Deterministic, seeded sampling operators.
+//! Deterministic, seeded sampling coins.
 //!
 //! The approximate bounding algorithm (paper §4.3, Theorem 4.6) estimates
 //! its thresholds from a `p`-fraction sample of the bound table. For the
 //! in-memory and dataflow drivers to agree bit for bit, sample membership
-//! cannot depend on sharding, scheduling, or iteration order — so every
-//! operator here derives its randomness from a **per-record coin**: a
-//! splitmix64 hash of `(seed, key(record))` mapped to `[0, 1)`. Two runs
-//! with the same seed and keys produce the same sample on any number of
-//! shards or threads, which is the property the determinism suites pin.
-
-use crate::codec::Record;
-use crate::{DataflowError, PCollection};
+//! cannot depend on sharding, scheduling, or iteration order — so the
+//! sample is a `filter` on a **per-record coin**: a splitmix64 hash of
+//! `(seed, key(record))` mapped to `[0, 1)`. Two runs with the same seed
+//! and keys produce the same sample on any number of shards or threads,
+//! which is the property the determinism suites pin.
 
 /// splitmix64 finalizer: well-dispersed, order-independent, and stable
 /// across platforms. The canonical mixer for every deterministic coin in
@@ -34,94 +31,9 @@ pub fn sample_coin(seed: u64, key: u64) -> f64 {
     (mix_seed_key(seed, key) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-impl<T: Record> PCollection<T> {
-    /// Keeps each record independently with probability
-    /// `probability(record)`, decided by the deterministic coin
-    /// [`sample_coin`]`(seed, key(record))`.
-    ///
-    /// Because the coin depends only on the seed and the record's key —
-    /// never on sharding or visit order — the sample is identical at any
-    /// shard or thread count. Records sharing a key share a fate, so keys
-    /// should be unique for an independent Bernoulli sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if reading or spilling a shard fails.
-    pub fn sample_bernoulli<K, P>(
-        &self,
-        seed: u64,
-        key: K,
-        probability: P,
-    ) -> Result<PCollection<T>, DataflowError>
-    where
-        K: Fn(&T) -> u64 + Send + Sync + 'static,
-        P: Fn(&T) -> f64 + Send + Sync + 'static,
-    {
-        self.filter(move |t| sample_coin(seed, key(t)) < probability(t))
-    }
-
-    /// Draws a uniform sample of at most `capacity` records without
-    /// replacement: every record gets the deterministic priority
-    /// [`mix_seed_key`]`(seed, key(record))` and the `capacity` smallest
-    /// priorities win — a distributed reservoir whose outcome is
-    /// independent of sharding and thread count (ties break by key, so
-    /// keys should be unique).
-    ///
-    /// Worker memory stays O(`capacity`): each shard keeps a bounded
-    /// candidate buffer and the buffers merge pairwise. The winners are
-    /// returned sorted by `(priority, key)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if reading or spilling a shard fails.
-    pub fn sample_reservoir<K>(
-        &self,
-        seed: u64,
-        key: K,
-        capacity: usize,
-    ) -> Result<PCollection<T>, DataflowError>
-    where
-        K: Fn(&T) -> u64 + Send + Sync,
-    {
-        if capacity == 0 {
-            return Ok(self.ctx_pipeline().from_vec(Vec::new()));
-        }
-        let winners = self.aggregate(
-            Vec::new(),
-            |mut acc: Vec<(u64, u64, T)>, t| {
-                let k = key(&t);
-                acc.push((mix_seed_key(seed, k), k, t));
-                if acc.len() > capacity * 2 {
-                    trim(&mut acc, capacity);
-                }
-                acc
-            },
-            |mut a, b| {
-                a.extend(b);
-                trim(&mut a, capacity);
-                a
-            },
-        )?;
-        let mut winners = winners;
-        trim(&mut winners, capacity);
-        Ok(self.ctx_pipeline().from_vec(winners.into_iter().map(|(_, _, t)| t).collect()))
-    }
-
-    fn ctx_pipeline(&self) -> crate::Pipeline {
-        crate::Pipeline::from_ctx(self.ctx().clone())
-    }
-}
-
-/// Keeps the `capacity` smallest `(priority, key)` entries, in order.
-fn trim<T>(acc: &mut Vec<(u64, u64, T)>, capacity: usize) {
-    acc.sort_by_key(|e| (e.0, e.1));
-    acc.truncate(capacity);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Pipeline;
 
     #[test]
     fn coin_is_deterministic_and_uniform_ish() {
@@ -131,79 +43,5 @@ mod tests {
         assert!(coins.iter().all(|c| (0.0..1.0).contains(c)));
         let mean = coins.iter().sum::<f64>() / coins.len() as f64;
         assert!((mean - 0.5).abs() < 0.02, "coin mean {mean} far from 0.5");
-    }
-
-    #[test]
-    fn bernoulli_sample_is_shard_layout_invariant() {
-        let p2 = Pipeline::new(2).unwrap();
-        let p7 = Pipeline::new(7).unwrap();
-        let data: Vec<u64> = (0..5000).collect();
-        let mut a = p2
-            .from_vec(data.clone())
-            .sample_bernoulli(3, |&x| x, |_| 0.3)
-            .unwrap()
-            .collect()
-            .unwrap();
-        let mut b =
-            p7.from_vec(data).sample_bernoulli(3, |&x| x, |_| 0.3).unwrap().collect().unwrap();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "sample must not depend on sharding");
-        let frac = a.len() as f64 / 5000.0;
-        assert!((frac - 0.3).abs() < 0.05, "sample fraction {frac} far from p = 0.3");
-    }
-
-    #[test]
-    fn bernoulli_edge_probabilities() {
-        let p = Pipeline::new(3).unwrap();
-        let pc = p.from_vec((0u64..100).collect());
-        assert_eq!(pc.sample_bernoulli(1, |&x| x, |_| 0.0).unwrap().count().unwrap(), 0);
-        assert_eq!(pc.sample_bernoulli(1, |&x| x, |_| 1.0).unwrap().count().unwrap(), 100);
-    }
-
-    #[test]
-    fn reservoir_is_exact_size_and_layout_invariant() {
-        let data: Vec<u64> = (0..2000).collect();
-        let mut drawn = Vec::new();
-        for workers in [1usize, 3, 8] {
-            let p = Pipeline::new(workers).unwrap();
-            let sample = p
-                .from_vec(data.clone())
-                .sample_reservoir(9, |&x| x, 50)
-                .unwrap()
-                .collect()
-                .unwrap();
-            assert_eq!(sample.len(), 50);
-            drawn.push(sample);
-        }
-        assert_eq!(drawn[0], drawn[1]);
-        assert_eq!(drawn[0], drawn[2]);
-    }
-
-    #[test]
-    fn reservoir_smaller_input_returns_everything() {
-        let p = Pipeline::new(2).unwrap();
-        let mut out = p
-            .from_vec(vec![5u64, 1, 9])
-            .sample_reservoir(0, |&x| x, 10)
-            .unwrap()
-            .collect()
-            .unwrap();
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 5, 9]);
-        assert_eq!(
-            p.from_vec(vec![5u64]).sample_reservoir(0, |&x| x, 0).unwrap().count().unwrap(),
-            0
-        );
-    }
-
-    #[test]
-    fn different_seeds_draw_different_reservoirs() {
-        let p = Pipeline::new(4).unwrap();
-        let data: Vec<u64> = (0..1000).collect();
-        let a =
-            p.from_vec(data.clone()).sample_reservoir(1, |&x| x, 20).unwrap().collect().unwrap();
-        let b = p.from_vec(data).sample_reservoir(2, |&x| x, 20).unwrap().collect().unwrap();
-        assert_ne!(a, b, "seeds 1 and 2 drew the same 20-of-1000 sample");
     }
 }

@@ -12,7 +12,7 @@
 //! grouping, so the shuffle output — including the order of values
 //! inside each group — is bitwise-identical at any thread count.
 
-use crate::codec::{Either2, Either3, Record};
+use crate::codec::{Either2, Record};
 use crate::pipeline::{Shard, ShardSink};
 use crate::spill::{SpillFile, SpillReader, SpillWriter};
 use crate::{DataflowError, PCollection};
@@ -115,13 +115,12 @@ where
                     buffers[b].push((k, v));
                     shuffled += 1;
                     if buffer_bytes[b] > bucket_limit {
-                        let mut writer =
-                            SpillWriter::create(ctx.spill.fresh_path(), ctx.spill_compress)?;
+                        let mut writer = SpillWriter::create(ctx.spill.fresh_path())?;
                         for record in &buffers[b] {
                             writer.write(record)?;
                         }
                         let file = writer.finish()?;
-                        ctx.metrics.record_spill(file.bytes, file.disk_bytes);
+                        ctx.metrics.record_spill(file.bytes);
                         let run = Run { bytes: file.bytes, data: RunData::Disk(file) };
                         bucket_runs[b]
                             .lock()
@@ -174,23 +173,6 @@ where
         Ok(PCollection::from_parts(ctx, grouped_shards.into_iter().flatten().collect()))
     }
 
-    /// Groups by key and reduces each group with `combine` — the engine's
-    /// `Combine.perKey`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if spill I/O fails.
-    pub fn reduce_per_key<F>(&self, combine: F) -> Result<PCollection<(K, V)>, DataflowError>
-    where
-        F: Fn(V, V) -> V + Send + Sync,
-    {
-        self.group_by_key()?.map_eager(move |(k, values)| {
-            let mut iter = values.into_iter();
-            let first = iter.next().expect("groups are never empty");
-            (k, iter.fold(first, &combine))
-        })
-    }
-
     /// Co-groups with `other` by key: for every key appearing in either
     /// collection, yields the values from both sides.
     ///
@@ -218,43 +200,6 @@ where
                 }
             }
             (k, (vs, ws))
-        })
-    }
-
-    /// Three-way co-group — the exact join shape the paper's distributed
-    /// bounding uses (§5: *"we perform a distributed three-way join of the
-    /// PCollections of the fanned neighbor graph, the current solution, and
-    /// the currently unassigned points"*).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the collections belong to different pipelines or
-    /// spill I/O fails.
-    #[allow(clippy::type_complexity)] // the co-group result type *is* the API
-    pub fn co_group_3<W, X>(
-        &self,
-        second: &PCollection<(K, W)>,
-        third: &PCollection<(K, X)>,
-    ) -> Result<PCollection<(K, (Vec<V>, Vec<W>, Vec<X>))>, DataflowError>
-    where
-        W: Record,
-        X: Record,
-    {
-        let first = self.map(|(k, v)| (k, Either3::<V, W, X>::First(v)))?;
-        let sec = second.map(|(k, w)| (k, Either3::<V, W, X>::Second(w)))?;
-        let thr = third.map(|(k, x)| (k, Either3::<V, W, X>::Third(x)))?;
-        first.union(&sec)?.union(&thr)?.group_by_key()?.map(|(k, tagged)| {
-            let mut vs = Vec::new();
-            let mut ws = Vec::new();
-            let mut xs = Vec::new();
-            for t in tagged {
-                match t {
-                    Either3::First(v) => vs.push(v),
-                    Either3::Second(w) => ws.push(w),
-                    Either3::Third(x) => xs.push(x),
-                }
-            }
-            (k, (vs, ws, xs))
         })
     }
 }
@@ -294,12 +239,12 @@ where
     for run in runs {
         let mut records = run.into_records()?;
         records.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut writer = SpillWriter::create(ctx.spill.fresh_path(), ctx.spill_compress)?;
+        let mut writer = SpillWriter::create(ctx.spill.fresh_path())?;
         for record in &records {
             writer.write(record)?;
         }
         let file = writer.finish()?;
-        ctx.metrics.record_spill(file.bytes, file.disk_bytes);
+        ctx.metrics.record_spill(file.bytes);
         sorted_files.push(file);
     }
 
@@ -443,16 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_per_key_sums() {
-        let p = Pipeline::new(4).unwrap();
-        let records: Vec<(u64, u64)> = (0..100).map(|i| (i % 5, 1u64)).collect();
-        let reduced = p.from_vec(records).reduce_per_key(|a, b| a + b).unwrap();
-        let mut out = reduced.collect().unwrap();
-        out.sort_unstable();
-        assert_eq!(out, vec![(0, 20), (1, 20), (2, 20), (3, 20), (4, 20)]);
-    }
-
-    #[test]
     fn co_group_2_pairs_both_sides() {
         let p = Pipeline::new(2).unwrap();
         let left = p.from_vec(vec![(1u64, 10u64), (1, 11), (2, 20)]);
@@ -467,22 +402,6 @@ mod tests {
         assert_eq!((*k2, v2.len(), w2.len()), (2, 1, 0));
         let (k3, (v3, w3)) = &out[2];
         assert_eq!((*k3, v3.len(), w3.len()), (3, 0, 1));
-    }
-
-    #[test]
-    fn co_group_3_merges_three_sides() {
-        let p = Pipeline::new(2).unwrap();
-        let a = p.from_vec(vec![(1u64, 1u8), (2, 2)]);
-        let b = p.from_vec(vec![(2u64, 0.5f64)]);
-        let c = p.from_vec(vec![(1u64, true), (1, false), (3, true)]);
-        let joined = a.co_group_3(&b, &c).unwrap();
-        let mut out = joined.collect().unwrap();
-        out.sort_by_key(|(k, _)| *k);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].1 .0, vec![1u8]);
-        assert_eq!(out[0].1 .2.len(), 2);
-        assert_eq!(out[1].1 .1, vec![0.5]);
-        assert_eq!(out[2].1 .2, vec![true]);
     }
 
     #[test]

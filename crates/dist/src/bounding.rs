@@ -204,8 +204,7 @@ impl State {
 
 /// splitmix64 over (seed, salt, node): the deterministic sampling coin in
 /// `[0, 1)`. Order-independent, so the dataflow driver reproduces it.
-/// Delegates to the engine's canonical coin so the dataflow `sample`
-/// operators and the bounding sample flip identical bits.
+/// Delegates to the engine's canonical coin.
 fn sample_coin(seed: u64, salt: u64, node: u64) -> f64 {
     submod_dataflow::sample_coin(seed ^ salt.rotate_left(17), node)
 }

@@ -25,65 +25,59 @@ use std::time::Instant;
 /// traffic stays negligible.
 const CHUNKS_PER_WORKER: usize = 4;
 
+static STEALS: AtomicU64 = AtomicU64::new(0);
+
 /// Cumulative count of successful steals across all regions in this
 /// process (a task taken from *another* worker's deque, not from the
 /// global injector). Exposed for the pool's own tests and for ad-hoc
 /// diagnostics; never used for control flow.
-static STEALS: AtomicU64 = AtomicU64::new(0);
-
-/// See [`STEALS`].
 pub fn steal_count() -> u64 {
     STEALS.load(Ordering::Relaxed)
 }
 
+static PARKS: AtomicU64 = AtomicU64::new(0);
+
 /// Cumulative count of condvar parks across all regions: a worker found
 /// no runnable task and went to sleep on the region's condition variable
 /// (instead of spinning or sleep-polling). Exposed for the pool's tests.
-static PARKS: AtomicU64 = AtomicU64::new(0);
-
-/// See [`PARKS`].
 pub fn park_count() -> u64 {
     PARKS.load(Ordering::Relaxed)
 }
+
+static IDLE_POLLS: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative count of empty idle polls (a worker scanned every queue and
 /// found nothing). With condvar parking this stays bounded by
 /// O(workers) per region — the pool's no-busy-wait regression tests
 /// assert it does not grow with how *long* workers sit idle.
-static IDLE_POLLS: AtomicU64 = AtomicU64::new(0);
-
-/// See [`IDLE_POLLS`].
 pub fn idle_poll_count() -> u64 {
     IDLE_POLLS.load(Ordering::Relaxed)
 }
 
-/// Cumulative count of non-inline region entries (a [`scope`] that
-/// dispatched helpers from the persistent worker set).
 static REGION_ENTRIES: AtomicU64 = AtomicU64::new(0);
 
-/// See [`REGION_ENTRIES`].
+/// Cumulative count of non-inline region entries (a [`scope`] that
+/// dispatched helpers from the persistent worker set).
 pub fn region_entry_count() -> u64 {
     REGION_ENTRIES.load(Ordering::Relaxed)
 }
+
+static REGION_SPAWNS: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative count of OS threads spawned *at region entry* because the
 /// persistent worker set had fewer idle workers than the region wanted.
 /// At steady state this stops growing — the regression tests assert
 /// that repeated region entries add zero.
-static REGION_SPAWNS: AtomicU64 = AtomicU64::new(0);
-
-/// See [`REGION_SPAWNS`].
 pub fn region_entry_spawn_count() -> u64 {
     REGION_SPAWNS.load(Ordering::Relaxed)
 }
+
+static REGION_ENTRY_NANOS: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative nanoseconds spent *entering* regions (publishing to the
 /// worker set, spawning any missing workers, waking parked ones) —
 /// the latency the persistent set exists to shrink. Task execution time
 /// is not included.
-static REGION_ENTRY_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// See [`REGION_ENTRY_NANOS`].
 pub fn region_entry_nanos() -> u64 {
     REGION_ENTRY_NANOS.load(Ordering::Relaxed)
 }

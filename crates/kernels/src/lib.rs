@@ -2,15 +2,16 @@
 //!
 //! The arithmetic floor of the workspace: every distance evaluation in the
 //! k-NN graph build, IVF probe ranking, and k-means now funnels through
-//! this crate. It provides explicit `std::arch` SIMD (AVX2 on `x86_64`,
-//! NEON on `aarch64`) with a safe scalar fallback, selected **once per
-//! process** by runtime feature detection, plus register-blocked batch
+//! this crate. It provides explicit `std::arch` AVX2 SIMD on `x86_64`
+//! with a safe scalar fallback (which every other target, `aarch64`
+//! included, runs), selected **once per process** by runtime feature
+//! detection, plus register-blocked batch
 //! primitives that stream the row matrix once per *query block* instead of
 //! once per query.
 //!
 //! ## Determinism contract
 //!
-//! Every kernel — scalar, AVX2, and NEON — accumulates in the **same fixed
+//! Every kernel — scalar and AVX2 — accumulates in the **same fixed
 //! 8-lane reduction order** and never uses FMA: lane `l` accumulates
 //! elements `l, l+8, l+16, …` with a plain multiply-then-add, the eight
 //! lane sums are combined left to right, and remainder elements are added
@@ -36,8 +37,8 @@
 //! scalar adds of the single-pair reduction in the same order, so each of
 //! the Q·4 results is bitwise the single-pair [`dot`] /
 //! [`l2_distance_squared`] — four reductions for the price of one, with no
-//! spill to memory. Scalar and NEON express the same tile signature
-//! through their single-pair kernels. Top-k selection is
+//! spill to memory. Scalar expresses the same tile signature through its
+//! single-pair kernels. Top-k selection is
 //! offer-order-independent ([`TopK`] keeps the k best under a strict
 //! total order on `(score, id)`), so a batch primitive may visit rows in
 //! whatever order tiles best and still return what a one-query scan does.
@@ -49,8 +50,7 @@
 //!
 //! - `scalar` — force the portable fallback;
 //! - `auto`, unset, or any other value — detect at runtime: AVX2 when the
-//!   CPU reports it, NEON on `aarch64` (mandatory there), scalar
-//!   otherwise.
+//!   CPU reports it, scalar otherwise (and on every non-`x86_64` target).
 //!
 //! [`backend`] reports the resolved choice; [`Backend::name`] is what the
 //! README and bench output print.
@@ -68,8 +68,6 @@ mod batch;
 pub mod scalar;
 mod topk;
 
-#[cfg(target_arch = "aarch64")]
-mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
@@ -90,17 +88,14 @@ pub enum Backend {
     Scalar,
     /// 256-bit AVX2 vectors (x86_64, runtime-detected).
     Avx2,
-    /// 128-bit NEON vectors ×2 (aarch64, architecturally guaranteed).
-    Neon,
 }
 
 impl Backend {
-    /// Human-readable backend name (`"scalar"`, `"avx2"`, `"neon"`).
+    /// Human-readable backend name (`"scalar"`, `"avx2"`).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
         }
     }
 }
@@ -132,13 +127,7 @@ fn detect() -> Backend {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-fn detect() -> Backend {
-    // NEON is a mandatory part of AArch64.
-    Backend::Neon
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 fn detect() -> Backend {
     Backend::Scalar
 }
@@ -166,14 +155,9 @@ pub(crate) fn kernels() -> &'static Kernels {
     #[cfg(target_arch = "x86_64")]
     static AVX2: Kernels =
         Kernels { dot: x86::dot, l2: x86::l2, dot_tile: x86::dot_tile, l2_tile: x86::l2_tile };
-    #[cfg(target_arch = "aarch64")]
-    static NEON: Kernels =
-        Kernels { dot: neon::dot, l2: neon::l2, dot_tile: neon::dot_tile, l2_tile: neon::l2_tile };
     match backend() {
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => &AVX2,
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => &NEON,
         _ => &SCALAR,
     }
 }
@@ -245,7 +229,7 @@ mod tests {
     fn dispatch_resolves_once_and_names() {
         let b = backend();
         assert_eq!(b, backend());
-        assert!(["scalar", "avx2", "neon"].contains(&b.name()));
+        assert!(["scalar", "avx2"].contains(&b.name()));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! separate IEEE operations so vector and scalar hardware round
 //! identically.
 
-/// Width of the fixed reduction: one 256-bit AVX2 register, two NEON
-/// quads, or eight scalar accumulators.
+/// Width of the fixed reduction: one 256-bit AVX2 register or eight
+/// scalar accumulators.
 pub(crate) const LANES: usize = 8;
 
 /// Appends the elementwise-product tail `a[done..] · b[done..]` to the
@@ -73,8 +73,8 @@ pub fn l2(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// The tile signature expressed through a backend's single-pair kernel:
-/// `out[q][r] = pair(queries[q], rows[r])`. The scalar and NEON backends
-/// tile with this; only AVX2 has a register-blocked tile of its own.
+/// `out[q][r] = pair(queries[q], rows[r])`. The scalar backend tiles with
+/// this; AVX2 has a register-blocked tile of its own.
 #[inline]
 pub(crate) fn tile_by_pairs(
     pair: fn(&[f32], &[f32]) -> f32,

@@ -118,7 +118,7 @@ impl TopK {
     }
 
     /// Drains into `(id, score)` pairs sorted by descending score, ties
-    /// toward the smaller index — the same order [`Self::better`] ranks
+    /// toward the smaller index — the same order `better` ranks
     /// by, so the heap and the final sort can never disagree.
     pub fn into_sorted(self) -> Vec<Scored> {
         let mut entries = self.heap;

@@ -1,6 +1,6 @@
 //! The determinism contract, property-tested: whatever backend the
-//! process dispatched to (AVX2 here on x86_64 CI, NEON on aarch64,
-//! scalar under `SUBMOD_KERNELS=scalar`), every kernel must return
+//! process dispatched to (AVX2 here on x86_64 CI, scalar on other targets
+//! and under `SUBMOD_KERNELS=scalar`), every kernel must return
 //! **bitwise-identical** `f32`s to the scalar reference — across lengths
 //! 0–257, misaligned slice starts, and denormal/extreme magnitudes. The
 //! tile micro-kernel is held to the single-pair scalar reference for

@@ -1,6 +1,6 @@
 //! Vector distance kernels — thin façade over [`submod_kernels`].
 //!
-//! The arithmetic lives in the kernels crate: explicit AVX2/NEON SIMD
+//! The arithmetic lives in the kernels crate: explicit AVX2 SIMD
 //! with runtime dispatch and a scalar fallback in the same fixed 8-lane
 //! reduction order, so every path returns bitwise-identical `f32`s (see
 //! the `submod_kernels` crate docs for the determinism contract). These

@@ -28,7 +28,7 @@ const MAX_HOME_BLOCK: usize = 256;
 /// kernel's, so the batch returns exactly what a loop of
 /// [`NearestNeighbors::search_excluding`] calls would: same ids, same
 /// order, same similarity bits. Blocks whose queries share a home cell
-/// (what the graph build issues, see [`Self::home_cell_blocks`]) also
+/// (what the graph build issues, see `home_cell_blocks`) also
 /// share most probed cells, which is what makes the groups large and the
 /// work cache-resident.
 ///

@@ -17,7 +17,7 @@
 //!   once.
 //!
 //! All distance arithmetic dispatches through `submod_kernels` (AVX2 /
-//! NEON / scalar, selected at runtime, `SUBMOD_KERNELS=scalar` to force
+//! scalar, selected at runtime, `SUBMOD_KERNELS=scalar` to force
 //! the fallback); the graph build issues query *blocks* across the
 //! `submod_exec` pool — for IVF, blocks of points that share a home
 //! cell, scored cell by cell as dense tiles — and every backend's

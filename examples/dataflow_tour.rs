@@ -10,6 +10,7 @@
 //! ```
 
 use submod_select::prelude::*;
+use submod_select::submod_dataflow::sample_coin;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A pipeline of 4 simulated workers with a deliberately small 256 KiB
@@ -21,19 +22,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let edges = pipeline.generate(200_000, |i| (i % 5_000, (i * 7 + 1) % 5_000))?;
     println!("source: {} edge records across {} shards", edges.count()?, edges.num_shards());
 
-    // Transform chain: filter self-loops, compute degrees per node.
-    let degrees =
-        edges.filter(|(a, b)| a != b)?.map(|(a, _)| (a, 1u64))?.reduce_per_key(|x, y| x + y)?;
+    // Transform chain: filter self-loops, then count degrees per node with
+    // the keyed combiner (map-side partial sums collapse duplicated keys
+    // before the shuffle).
+    let ones = edges.filter(|(a, b)| a != b)?.map(|(a, _)| (a, 1u64))?;
+    let degrees = ones.aggregate_per_key(0u64, |a, c| a + c, |a, b| a + b)?;
     let max_degree = degrees.aggregate(0u64, |acc, (_, d)| acc.max(d), |a, b| a.max(b))?;
     println!("distinct nodes: {}, max degree: {max_degree}", degrees.count()?);
 
-    // A three-way co-group, the §5 bounding join shape: edges × a
-    // "solution" set × per-node utilities.
+    // A two-way co-group, the join `score_dataflow` runs: degrees × a
+    // "solution" set.
     let solution = pipeline.from_vec((0u64..500).map(|v| (v * 10, ())).collect::<Vec<_>>());
-    let utilities = pipeline.generate(5_000, |v| (v, v as f64 / 5_000.0))?;
-    let joined = degrees.co_group_3(&solution, &utilities)?;
+    let joined = degrees.co_group_2(&solution)?;
     let in_solution =
-        joined.filter(|(_, (deg, sol, _))| !deg.is_empty() && !sol.is_empty())?.count()?;
+        joined.filter(|(_, (deg, sol))| !deg.is_empty() && !sol.is_empty())?.count()?;
     println!("nodes with degree info that are in the solution: {in_solution}");
 
     // Broadcast side-input: the same membership question answered without
@@ -42,22 +44,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let via_broadcast = degrees.filter(move |(v, _)| members.contains(*v))?.count()?;
     println!("same count via a broadcast side-input join: {via_broadcast}");
 
-    // Keyed combiner: degree histogram with map-side partial aggregation
-    // (duplicated keys collapse before the shuffle).
+    // The same combiner keyed by degree: a degree histogram.
     let histogram =
         degrees.map(|(_, d)| (d, 1u64))?.aggregate_per_key(0u64, |a, c| a + c, |a, b| a + b)?;
     println!("distinct degree values: {}", histogram.count()?);
 
-    // Deterministic seeded sampling: identical at any shard/thread count.
-    let bernoulli = degrees.sample_bernoulli(42, |(v, _)| *v, |_| 0.01)?;
-    let reservoir = degrees.sample_reservoir(42, |(v, _)| *v, 25)?;
-    println!(
-        "samples: Bernoulli(p = 1 %) drew {}, reservoir drew {}",
-        bernoulli.count()?,
-        reservoir.count()?
-    );
+    // Deterministic seeded sampling, as bounding draws its threshold
+    // sample: a filter on a coin of (seed, node), so the sample is
+    // identical at any shard or thread count.
+    let sample = degrees.filter(|&(v, _)| sample_coin(42, v) < 0.01)?;
+    println!("sample at p = 1 % drew {} nodes", sample.count()?);
 
     // Distributed order statistics without materializing the data.
+    let utilities = pipeline.generate(5_000, |v| (v, v as f64 / 5_000.0))?;
     let utility_values = utilities.map(|(_, u)| u)?;
     let median = utility_values.kth_largest(2_500)?;
     let p99 = utility_values.kth_largest(50)?;
