@@ -24,14 +24,27 @@ use submod_obs::{MetricsSnapshot, SpanEvent, TraceMode};
 /// Per-span-name rollup: occurrence count, total and max inclusive µs.
 type Rollup = BTreeMap<&'static str, (u64, u64, u64)>;
 
+/// The work counters of the selection loops, printed per phase.
+const WORK_COUNTERS: [&str; 4] =
+    ["bounding.dirty_nodes", "bounding.edges_walked", "greedy.edges_walked", "greedy.edges_local"];
+
 /// Runs one named phase, folding the process RSS into the registry
-/// afterwards and recording the phase's wall clock.
+/// afterwards and recording the phase's wall clock. Prints the phase's
+/// share of every non-zero [`WORK_COUNTERS`] entry.
 fn run_phase(phases: &mut Vec<(&'static str, f64)>, name: &'static str, f: impl FnOnce()) {
+    let work = || WORK_COUNTERS.map(|c| submod_obs::counter(c).value());
+    let before = work();
     let start = Instant::now();
     f();
     submod_obs::sample_rss();
     let secs = start.elapsed().as_secs_f64();
-    println!("  {name}: {secs:.2} s");
+    let done: Vec<String> = WORK_COUNTERS
+        .iter()
+        .zip(work().iter().zip(before))
+        .filter(|(_, (after, before))| *after > before)
+        .map(|(c, (after, before))| format!("{c} {}", after - before))
+        .collect();
+    println!("  {name}: {secs:.2} s  {}", done.join(", "));
     phases.push((name, secs));
 }
 
@@ -212,9 +225,13 @@ fn render_markdown(
         "kernels.batch_top_k.row_scans",
         "bounding.passes",
         "bounding.peak_pass_bytes",
+        WORK_COUNTERS[0],
+        WORK_COUNTERS[1],
         "greedy.rounds",
         "greedy.steps",
         "greedy.winners_collected",
+        WORK_COUNTERS[2],
+        WORK_COUNTERS[3],
         "greedy.phases_resident",
         "greedy.phases_batched",
         "greedy.partition_footprint_peak",

@@ -176,6 +176,18 @@ where
     }
 }
 
+/// Adds one pass's derive work to the bounding counters: `nodes` whose
+/// bounds were re-derived by walking `edges` adjacency entries.
+fn count_derived(nodes: usize, edges: u64) {
+    submod_obs::counter!("bounding.dirty_nodes").add(nodes as u64);
+    submod_obs::counter!("bounding.edges_walked").add(edges);
+}
+
+/// Adjacency entries of `nodes`: what deriving all of them walks.
+fn degree_sum(graph: &SimilarityGraph, nodes: &[NodeId]) -> u64 {
+    nodes.iter().map(|&v| graph.degree(v) as u64).sum()
+}
+
 /// Mutable bounding state shared by both drivers.
 struct State {
     included: NodeSet,
@@ -389,6 +401,7 @@ impl PassBackend for InMemoryBackend<'_> {
                 )
             })
             .collect();
+        count_derived(undecided.len(), degree_sum(self.graph, undecided));
         let mut sample: Vec<f64> = derived
             .iter()
             .filter(|d| {
@@ -487,6 +500,8 @@ impl PassBackend for DataflowBackend<'_> {
         spec: PassSpec,
     ) -> Result<PassResult, DistError> {
         let table = self.derived_table(state, undecided, spec)?;
+        // The engine derives every undecided node each pass.
+        count_derived(undecided.len(), degree_sum(self.graph, undecided));
         let unpack = |(node, umin, umax, uexp, _u): &(u64, f64, f64, f64, f64)| Derived {
             node: *node,
             umin: *umin,

@@ -229,10 +229,12 @@ fn run_machine(
     quota: usize,
 ) -> Vec<u64> {
     let mut sequence = Vec::with_capacity(quota.min(bucket.len()));
+    let mut walked = 0u64;
     for _ in 0..quota {
         let Some((local, _priority)) = queue.pop_max() else { break };
         let winner = bucket[local as usize];
         sequence.push(winner);
+        walked += graph.degree(NodeId::new(winner)) as u64;
         for (x, s) in graph.edges(NodeId::new(winner)) {
             if let Ok(l) = bucket.binary_search(&x.raw()) {
                 if queue.contains(l as u32) {
@@ -241,7 +243,17 @@ fn run_machine(
             }
         }
     }
+    // Every walked edge reaches the bucket search.
+    count_edges(walked, walked);
     sequence
+}
+
+/// Adds one machine's (or one trim's) decrease walk to the greedy edge
+/// counters: `walked` adjacency entries of winners, of which `local`
+/// reached a lookup of the queue's members.
+pub(crate) fn count_edges(walked: u64, local: u64) {
+    submod_obs::counter!("greedy.edges_walked").add(walked);
+    submod_obs::counter!("greedy.edges_local").add(local);
 }
 
 /// Reassembles per-machine pop sequences (ascending by machine) into the
@@ -330,9 +342,11 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
         // walks its adjacency; every still-enqueued same-bucket neighbor
         // loses `(β/α)·s`. Machines are disjoint, so waves never interact.
         let ratio = self.objective.ratio();
+        let mut walked = 0u64;
         for &(machine, winner) in previous {
             let bucket = &self.buckets[machine as usize];
             let queue = &mut self.queues[machine as usize];
+            walked += self.graph.degree(NodeId::new(winner)) as u64;
             for (x, s) in self.graph.edges(NodeId::new(winner)) {
                 if let Ok(local) = bucket.binary_search(&x.raw()) {
                     if queue.contains(local as u32) {
@@ -341,6 +355,7 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
                 }
             }
         }
+        count_edges(walked, walked);
         let mut winners = Vec::new();
         for (machine, queue) in self.queues.iter_mut().enumerate() {
             if let Some((local, priority)) = queue.pop_max() {

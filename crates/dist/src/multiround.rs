@@ -172,6 +172,10 @@ pub(crate) fn machine_select(
     if quota == 0 {
         return Ok(Vec::new());
     }
+    // The subgraph build walks every pool node's adjacency through a
+    // membership lookup.
+    let walked = partition.iter().map(|&v| graph.degree(v) as u64).sum();
+    crate::engine::count_edges(walked, walked);
     let local_graph = graph.induced_subgraph(partition);
     let local_utilities: Vec<f32> =
         partition.iter().map(|&v| objective.utility(v) as f32).collect();

@@ -2,8 +2,10 @@
 //!
 //! Prints a one-shot timing of the 10 k × 64-d exact graph build plus
 //! FNV hashes of deterministic end-to-end outputs (centralized greedy,
-//! bounding + multi-round pipeline, k-means assignments) on exact and
-//! IVF graphs. Run it **before** touching a kernel or scheduler, save
+//! bounding + multi-round pipeline, k-means assignments; then a
+//! half-size multi-round greedy whose final pool is trimmed, and GreeDi
+//! with both partition styles) on exact and IVF graphs — two lines per
+//! graph. Run it **before** touching a kernel or scheduler, save
 //! the lines, run it after at several thread counts and under
 //! `SUBMOD_KERNELS=scalar` — every hash must be unchanged. PR 4 used
 //! exactly this to prove the SIMD rewrite left selections
@@ -16,9 +18,10 @@
 //! ```
 
 use std::time::Instant;
-use submod_core::{greedy_select, PairwiseObjective};
+use submod_core::{greedy_select, NodeId, PairwiseObjective};
 use submod_dist::{
-    select_subset, BoundingConfig, DistGreedyConfig, PipelineConfig, SamplingStrategy,
+    distributed_greedy, greedi, select_subset, BoundingConfig, DistGreedyConfig, PartitionStyle,
+    PipelineConfig, SamplingStrategy,
 };
 use submod_knn::{build_knn_graph, kmeans, Embeddings, KnnBackend};
 
@@ -81,20 +84,42 @@ fn main() {
         let objective = PairwiseObjective::new(0.9, 0.1, utilities).unwrap();
         let k = n / 10;
         let central = greedy_select(&graph, &objective, k).unwrap();
-        let sel_hash =
-            fnv(central.selected().iter().flat_map(|id| format!("{id:?},").into_bytes()));
+        let sel_hash = hash_ids(central.selected());
         let config = PipelineConfig::with_bounding(
             BoundingConfig::approximate(0.3, SamplingStrategy::Uniform, 1).unwrap(),
             DistGreedyConfig::new(4, 4).unwrap().adaptive(true),
         );
         let outcome = select_subset(&graph, &objective, k, &config).unwrap();
-        let dist_hash =
-            fnv(outcome.selection.selected().iter().flat_map(|id| format!("{id:?},").into_bytes()));
+        let dist_hash = hash_ids(outcome.selection.selected());
         // k-means assignments hash (IVF quantizer determinism).
         let km = kmeans(&data, 32, 25, 3).unwrap();
         let km_hash = fnv(km.assignments().iter().flat_map(|a| a.to_le_bytes()));
         println!(
             "threads {threads} {tag} central {sel_hash:016x} dist {dist_hash:016x} kmeans {km_hash:016x}"
         );
+
+        // The driver-side trim and merge: a half-size budget whose last
+        // adaptive round leaves more than k points, then GreeDi's merge in
+        // both partition styles. α = 0.5 weighs diversity enough that the
+        // merge does not just reproduce the centralized picks.
+        let objective = PairwiseObjective::from_alpha(0.5, objective.utilities().to_vec()).unwrap();
+        let half = n / 2;
+        let ground: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+        let config = DistGreedyConfig::new(9, 2).unwrap().adaptive(true).seed(5);
+        let report = distributed_greedy(&graph, &objective, &ground, half, &config).unwrap();
+        let last = report.rounds.last().expect("at least one round");
+        assert!(last.output_size > half, "the last pool must need a trim");
+        let trim_hash = hash_ids(report.selection.selected());
+        let [arbitrary, random] =
+            [PartitionStyle::Arbitrary, PartitionStyle::Random].map(|style| {
+                hash_ids(greedi(&graph, &objective, k, 3, style, 5).unwrap().selection.selected())
+            });
+        println!(
+            "threads {threads} {tag} trim {trim_hash:016x} greedi {arbitrary:016x} {random:016x}"
+        );
     }
+}
+
+fn hash_ids(ids: &[NodeId]) -> u64 {
+    fnv(ids.iter().flat_map(|id| format!("{id:?},").into_bytes()))
 }
