@@ -2,7 +2,7 @@ use crate::store::{self, GraphError};
 use crate::{CoreError, NodeId};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A compact CSR (compressed sparse row) similarity graph.
 ///
@@ -49,6 +49,9 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct SimilarityGraph {
     backing: Backing,
+    /// [`Self::is_structurally_symmetric`]: set by the constructions that
+    /// guarantee it, otherwise checked on first use and kept.
+    structurally_symmetric: OnceLock<bool>,
 }
 
 /// Where the CSR arrays live. Cloning a mapped graph clones an [`Arc`], so
@@ -78,13 +81,18 @@ impl SimilarityGraph {
             num_nodes as u64 <= u64::from(u32::MAX),
             "num_nodes {num_nodes} exceeds the u32 neighbor id space"
         );
-        SimilarityGraph {
-            backing: Backing::Owned {
-                offsets: vec![0; num_nodes + 1],
-                neighbors: Vec::new(),
-                weights: Vec::new(),
-            },
-        }
+        let graph = SimilarityGraph::from_backing(Backing::Owned {
+            offsets: vec![0; num_nodes + 1],
+            neighbors: Vec::new(),
+            weights: Vec::new(),
+        });
+        let _ = graph.structurally_symmetric.set(true);
+        graph
+    }
+
+    /// A graph over `backing` whose symmetry is not known yet.
+    fn from_backing(backing: Backing) -> Self {
+        SimilarityGraph { backing, structurally_symmetric: OnceLock::new() }
     }
 
     /// The raw CSR triple `(offsets, neighbors, weights)`, whichever
@@ -222,6 +230,33 @@ impl SimilarityGraph {
         true
     }
 
+    /// Returns `true` if every edge `(v, w)` has a reverse edge `(w, v)`,
+    /// whatever the two weights — so a node's in-neighbours are among its
+    /// neighbours. [`Self::symmetrized`], [`Self::empty`] and builders fed
+    /// only [`GraphBuilder::add_undirected`] guarantee it; any other graph
+    /// is checked once, in O(edges), on the first call.
+    pub fn is_structurally_symmetric(&self) -> bool {
+        *self.structurally_symmetric.get_or_init(|| {
+            // Rows are sorted and sources are scanned in id order, so the
+            // reverses of the edges into row `w` from below arrive in row
+            // `w`'s own order: `matched[w]` walks them, and by the time
+            // `v` is scanned every entry of its row below `v` must have
+            // been matched.
+            let mut matched = vec![0usize; self.num_nodes()];
+            (0..self.num_nodes()).all(|v| {
+                let row = self.neighbors(NodeId::from_index(v));
+                let below = row.partition_point(|&w| (w as usize) < v);
+                matched[v] == below
+                    && row[below..].iter().all(|&w| {
+                        let w = w as usize;
+                        let reverse = self.neighbors(NodeId::from_index(w)).get(matched[w]);
+                        matched[w] += 1;
+                        reverse == Some(&(v as u32))
+                    })
+            })
+        })
+    }
+
     /// Returns the symmetric closure: the union of both edge directions,
     /// keeping the larger weight when both directions exist with different
     /// weights.
@@ -319,7 +354,7 @@ impl SimilarityGraph {
             }
             None => out_offsets.push(out_neighbors.len() as u64),
         });
-        Self::from_built_parts(out_offsets, out_neighbors, out_weights)
+        Self::from_built_parts(out_offsets, out_neighbors, out_weights, true)
     }
 
     /// Exposes the raw CSR arrays `(offsets, neighbors, weights)` for
@@ -348,7 +383,7 @@ impl SimilarityGraph {
             return Err(GraphError::NonMonotoneOffsets { node: 0 });
         }
         store::validate_csr(&offsets, &neighbors, &weights)?;
-        Ok(SimilarityGraph { backing: Backing::Owned { offsets, neighbors, weights } })
+        Ok(SimilarityGraph::from_backing(Backing::Owned { offsets, neighbors, weights }))
     }
 
     /// Logical size of the CSR arrays in bytes, independent of backing.
@@ -417,7 +452,7 @@ impl SimilarityGraph {
     /// rows, and NaN/infinite/negative weights. Never panics on bad input.
     pub fn open_store(path: &Path) -> Result<Self, GraphError> {
         let (mapped, _utilities) = store::open_store(path)?;
-        Ok(SimilarityGraph { backing: Backing::Mapped(Arc::new(mapped)) })
+        Ok(SimilarityGraph::from_backing(Backing::Mapped(Arc::new(mapped))))
     }
 
     /// Opens a store file written with utilities, returning both.
@@ -429,7 +464,7 @@ impl SimilarityGraph {
     pub fn open_store_with_utilities(path: &Path) -> Result<(Self, Vec<f32>), GraphError> {
         let (mapped, utilities) = store::open_store(path)?;
         let utilities = utilities.ok_or(GraphError::MissingUtilities)?;
-        Ok((SimilarityGraph { backing: Backing::Mapped(Arc::new(mapped)) }, utilities))
+        Ok((SimilarityGraph::from_backing(Backing::Mapped(Arc::new(mapped))), utilities))
     }
 
     /// Bytes of the backing store file for a mapped graph (header included),
@@ -475,12 +510,13 @@ impl SimilarityGraph {
             }
             offsets.push(neighbors.len() as u64);
         }
-        SimilarityGraph { backing: Backing::Owned { offsets, neighbors, weights } }
+        SimilarityGraph::from_backing(Backing::Owned { offsets, neighbors, weights })
     }
 
     fn from_directed_edges_internal(
         num_nodes: usize,
         mut edges: Vec<(NodeId, NodeId, f32)>,
+        structurally_symmetric: bool,
     ) -> SimilarityGraph {
         assert!(
             num_nodes as u64 <= u64::from(u32::MAX),
@@ -503,20 +539,26 @@ impl SimilarityGraph {
             neighbors.push(w.raw() as u32);
             weights.push(s);
         }
-        Self::from_built_parts(offsets, neighbors, weights)
+        Self::from_built_parts(offsets, neighbors, weights, structurally_symmetric)
     }
 
-    /// Wraps freshly built (valid by construction) CSR arrays.
-    fn from_built_parts(offsets: Vec<u64>, neighbors: Vec<u32>, weights: Vec<f32>) -> Self {
-        let graph = SimilarityGraph { backing: Backing::Owned { offsets, neighbors, weights } };
-        if store::force_mmap() {
-            // SUBMOD_GRAPH_STORE=mmap: route every built graph through a
-            // temporary on-disk store so the whole suite exercises the
-            // mapped backing.
-            store::reopen_via_temp_store(graph)
-        } else {
-            graph
+    /// Wraps freshly built (valid by construction) CSR arrays, recording
+    /// whether the construction guarantees reverse edges.
+    fn from_built_parts(
+        offsets: Vec<u64>,
+        neighbors: Vec<u32>,
+        weights: Vec<f32>,
+        structurally_symmetric: bool,
+    ) -> Self {
+        let graph = SimilarityGraph::from_backing(Backing::Owned { offsets, neighbors, weights });
+        // SUBMOD_GRAPH_STORE=mmap: route every built graph through a
+        // temporary on-disk store so the whole suite exercises the mapped
+        // backing.
+        let graph = if store::force_mmap() { store::reopen_via_temp_store(graph) } else { graph };
+        if structurally_symmetric {
+            let _ = graph.structurally_symmetric.set(true);
         }
+        graph
     }
 }
 
@@ -575,6 +617,8 @@ fn merge_rows(a: (&[u32], &[f32]), b: (&[u32], &[f32]), mut emit: impl FnMut(u32
 pub struct GraphBuilder {
     num_nodes: usize,
     edges: Vec<(NodeId, NodeId, f32)>,
+    /// Whether an edge came in through [`Self::add_directed`].
+    directed: bool,
 }
 
 impl GraphBuilder {
@@ -588,7 +632,7 @@ impl GraphBuilder {
             num_nodes as u64 <= u64::from(u32::MAX),
             "num_nodes {num_nodes} exceeds the u32 neighbor id space"
         );
-        GraphBuilder { num_nodes, edges: Vec::new() }
+        GraphBuilder { num_nodes, edges: Vec::new(), directed: false }
     }
 
     /// Number of nodes the built graph will have.
@@ -625,6 +669,7 @@ impl GraphBuilder {
     pub fn add_directed(&mut self, v: u64, w: u64, weight: f32) -> Result<&mut Self, CoreError> {
         self.validate(v, w, weight)?;
         self.edges.push((NodeId::new(v), NodeId::new(w), weight));
+        self.directed = true;
         Ok(self)
     }
 
@@ -645,6 +690,7 @@ impl GraphBuilder {
         SimilarityGraph::from_directed_edges_internal(
             self.num_nodes,
             std::mem::take(&mut self.edges),
+            !std::mem::take(&mut self.directed),
         )
     }
 }
@@ -710,6 +756,53 @@ mod tests {
         let asym = b.build();
         assert!(!asym.is_symmetric());
         assert!(asym.symmetrized().is_symmetric());
+    }
+
+    #[test]
+    fn structural_symmetry_matches_a_reverse_edge_search() {
+        let reverse_edges = |g: &SimilarityGraph| {
+            (0..g.num_nodes()).all(|v| {
+                g.edges(NodeId::from_index(v))
+                    .all(|(w, _)| g.edge_weight(w, NodeId::from_index(v)).is_some())
+            })
+        };
+        let unknown = |g: &SimilarityGraph| {
+            let (o, n, w) = g.csr_parts();
+            SimilarityGraph::from_csr_parts(o.to_vec(), n.to_vec(), w.to_vec()).unwrap()
+        };
+        let mut graphs = vec![diamond(), SimilarityGraph::empty(4)];
+        // Reciprocal edges with different weights; a lone directed edge
+        // into a row whose other entries all match; a directed edge from
+        // the highest id down.
+        for edges in [
+            &[(0, 1, 0.5), (1, 0, 0.7)][..],
+            &[(0, 2, 0.1), (2, 0, 0.1), (1, 2, 0.3)],
+            &[(1, 3, 0.2), (3, 1, 0.2), (3, 0, 0.4)],
+        ] {
+            let mut b = GraphBuilder::new(4);
+            for &(v, w, s) in edges {
+                b.add_directed(v, w, s).unwrap();
+            }
+            graphs.push(b.build());
+        }
+        let mut s = 11u64;
+        let mut b = GraphBuilder::new(40);
+        for _ in 0..200 {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (v, w) = ((s >> 33) % 40, (s >> 13) % 40);
+            if v != w {
+                b.add_directed(v, w, 0.5).unwrap();
+            }
+        }
+        let seeded = b.build();
+        graphs.push(seeded.symmetrized());
+        graphs.push(seeded);
+        for (i, g) in graphs.iter().enumerate() {
+            let expected = reverse_edges(g);
+            assert_eq!(g.is_structurally_symmetric(), expected, "graph {i}");
+            assert_eq!(unknown(g).is_structurally_symmetric(), expected, "graph {i}, checked");
+        }
+        assert_eq!(graphs.iter().map(reverse_edges).filter(|&r| r).count(), 4);
     }
 
     #[test]

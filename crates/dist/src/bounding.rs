@@ -37,6 +37,14 @@
 //! the claim. Both drivers share the same decision code and the same
 //! coins, so their outcomes are **identical** — the larger-than-memory
 //! suite asserts equality under crushing budgets.
+//!
+//! [`bound_in_memory`] keeps every node's two penalty sums across passes
+//! and re-derives only the *dirty* undecided nodes — those with a
+//! neighbour whose status changed since the sums were taken — each whole
+//! and in adjacency order, so every bound matches a full re-derivation
+//! bit for bit. `U_exp` is rebuilt from the cached sums every pass, since
+//! `q` moves. The first pass (also the first after a journal resume)
+//! derives everything.
 
 use crate::config::BoundingMode;
 use crate::{BoundingConfig, DistError, SamplingStrategy};
@@ -81,23 +89,28 @@ impl BoundingOutcome {
 ///
 /// The *driver* is the process orchestrating the passes. Its persistent
 /// state (`peak_state_bytes`) is the included/excluded bitsets plus the
-/// undecided list: `O(k + undecided)`. What distinguishes the drivers is
-/// `peak_pass_bytes`, the largest *per-pass* materialization: the
-/// in-memory driver builds the full bound table (`O(undecided)` per
-/// pass), while the engine-resident dataflow driver only ever collects
-/// the candidate lists (`O(candidates)`).
+/// undecided list: `O(k + undecided)` on the dataflow driver. The
+/// in-memory driver also keeps every node's penalty pair (16 B per node)
+/// and the two status bitsets it derived them against, so its state is
+/// `O(n)`. What distinguishes the drivers per pass is `peak_pass_bytes`,
+/// the largest *per-pass* materialization: the in-memory driver builds
+/// the full bound table (`O(undecided)` per pass), while the
+/// engine-resident dataflow driver only ever collects the candidate lists
+/// (`O(candidates)`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BoundingStats {
     /// Grow + shrink passes executed.
     pub passes: usize,
     /// Peak bytes of per-pass driver-side materializations (bound tables,
-    /// samples, and candidate lists for the in-memory driver; candidate
-    /// lists alone for the dataflow driver).
+    /// samples, candidate lists, and the dirty list with the two bitsets
+    /// that found it for the in-memory driver; candidate lists alone for
+    /// the dataflow driver).
     pub peak_pass_bytes: u64,
     /// Largest candidate list any single pass handed the decision code.
     pub peak_candidates: usize,
     /// Peak bytes of persistent driver state: the included/excluded
-    /// bitsets plus the undecided id list.
+    /// bitsets plus the undecided id list, and for the in-memory driver
+    /// the penalty cache and its two status snapshots.
     pub peak_state_bytes: u64,
 }
 
@@ -140,18 +153,17 @@ struct Derived {
 /// expectation being wrong (Theorem 4.6 prices the residual risk).
 const SAFETY_POOL_FACTOR: usize = 3;
 
-/// Derives the §4 bounds of one undecided point from the status sets.
-/// **The** shared kernel: both drivers run exactly this arithmetic —
-/// neighbor contributions accumulate in adjacency order on both sides —
-/// so every `f64` matches bit for bit.
-fn derive_node<FInc, FExc>(
+/// The two neighbour sums behind the §4 bounds of one undecided point:
+/// `(min_penalty, max_penalty)`, the similarity to every non-excluded
+/// neighbour and to every included one. **The** shared kernel: both
+/// drivers accumulate in adjacency order, so every `f64` matches bit for
+/// bit — and a node whose neighbours kept their status keeps its sums.
+fn penalties<FInc, FExc>(
     graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
     node: u64,
-    q: f64,
     included: FInc,
     not_excluded: FExc,
-) -> Derived
+) -> (f64, f64)
 where
     FInc: Fn(u64) -> bool,
     FExc: Fn(u64) -> bool,
@@ -166,6 +178,17 @@ where
             max_penalty += f64::from(s);
         }
     }
+    (min_penalty, max_penalty)
+}
+
+/// The §4 bounds of one point from its [`penalties`] and this pass's
+/// completion ratio `q` — the same expressions on both drivers.
+fn bounds(
+    objective: &PairwiseObjective,
+    node: u64,
+    q: f64,
+    (min_penalty, max_penalty): (f64, f64),
+) -> Derived {
     let ratio = objective.ratio();
     let u = objective.utility(NodeId::new(node));
     Derived {
@@ -176,8 +199,8 @@ where
     }
 }
 
-/// Adds one pass's derive work to the bounding counters: `nodes` whose
-/// bounds were re-derived by walking `edges` adjacency entries.
+/// Adds one pass's work to the bounding counters: `nodes` re-derived, and
+/// `edges` adjacency entries walked to find and re-derive them.
 fn count_derived(nodes: usize, edges: u64) {
     submod_obs::counter!("bounding.dirty_nodes").add(nodes as u64);
     submod_obs::counter!("bounding.edges_walked").add(edges);
@@ -268,8 +291,9 @@ fn kth_largest_in_memory(values: &mut [f64], index: usize) -> Option<f64> {
         return None;
     }
     let index = index.min(values.len());
-    values.sort_by(|a, b| b.total_cmp(a));
-    Some(values[index - 1])
+    // `total_cmp` is a total order, so the element selected at `index - 1`
+    // is the one a full descending sort puts there, bit for bit.
+    Some(*values.select_nth_unstable_by(index - 1, |a, b| b.total_cmp(a)).1)
 }
 
 /// One grow or shrink pass, parameterized over everything that differs
@@ -369,16 +393,103 @@ trait PassBackend {
         undecided: &[NodeId],
         spec: PassSpec,
     ) -> Result<PassResult, DistError>;
+
+    /// Driver bytes the backend keeps from one pass to the next.
+    fn state_bytes(&self) -> u64 {
+        0
+    }
 }
 
 /// The in-memory reference: materializes the full bound table on the
 /// driver every pass (`O(undecided)` driver bytes — the baseline the
-/// engine-resident driver is measured against).
+/// engine-resident driver is measured against), from penalty sums it
+/// keeps across passes and re-derives only where a neighbour's status
+/// changed.
 struct InMemoryBackend<'a> {
     graph: &'a SimilarityGraph,
     objective: &'a PairwiseObjective,
     mode: BoundingMode,
     mean_utility: f64,
+    /// Every node's [`penalties`] as last derived (16 B per node), valid
+    /// for every undecided node once the first pass has filled it. Empty
+    /// until then — also after a journal resume, since it is not
+    /// journaled.
+    penalties: Vec<(f64, f64)>,
+    /// The included and excluded words the penalties were derived
+    /// against.
+    derived_against: (Vec<u64>, Vec<u64>),
+}
+
+/// Dirty nodes one derive task takes; a pass with no more than this
+/// derives inline and enters no parallel region.
+const DERIVE_CHUNK: usize = 4096;
+
+impl<'a> InMemoryBackend<'a> {
+    fn new(
+        graph: &'a SimilarityGraph,
+        objective: &'a PairwiseObjective,
+        mode: BoundingMode,
+    ) -> Self {
+        InMemoryBackend {
+            graph,
+            objective,
+            mode,
+            mean_utility: mean_utility(objective, graph.num_nodes()),
+            penalties: Vec::new(),
+            derived_against: (Vec::new(), Vec::new()),
+        }
+    }
+
+    /// The undecided nodes whose cached penalties are stale, ascending,
+    /// and the adjacency entries walked to find them: every node on the
+    /// first pass, otherwise those with a neighbour whose status changed
+    /// since the cache was derived. The changed nodes' neighbours are
+    /// marked when they are fewer than the undecided nodes and every
+    /// in-neighbour is also a neighbour; otherwise each undecided node
+    /// scans its own neighbours.
+    fn dirty(&self, state: &State, undecided: &[NodeId]) -> (Vec<NodeId>, u64) {
+        if self.penalties.is_empty() {
+            return (undecided.to_vec(), 0);
+        }
+        let (included, excluded) = (state.included.words(), state.excluded.words());
+        let changed: Vec<u64> = (0..included.len())
+            .map(|i| {
+                (included[i] ^ self.derived_against.0[i])
+                    | (excluded[i] ^ self.derived_against.1[i])
+            })
+            .collect();
+        let changed_len: usize = changed.iter().map(|w| w.count_ones() as usize).sum();
+        let bit = |words: &[u64], v: usize| words[v / 64] >> (v % 64) & 1 == 1;
+        let mut walked = 0u64;
+        if changed_len < undecided.len() && self.graph.is_structurally_symmetric() {
+            let mut marked = vec![0u64; changed.len()];
+            for (i, &word) in changed.iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    let c = NodeId::from_index(i * 64 + rest.trailing_zeros() as usize);
+                    rest &= rest - 1;
+                    let neighbors = self.graph.neighbors(c);
+                    walked += neighbors.len() as u64;
+                    for &w in neighbors {
+                        marked[w as usize / 64] |= 1 << (w % 64);
+                    }
+                }
+            }
+            let dirty = undecided.iter().copied().filter(|v| bit(&marked, v.index())).collect();
+            return (dirty, walked);
+        }
+        let dirty = undecided
+            .iter()
+            .copied()
+            .filter(|&v| {
+                let neighbors = self.graph.neighbors(v);
+                let seen = neighbors.iter().position(|&w| bit(&changed, w as usize));
+                walked += seen.map_or(neighbors.len(), |i| i + 1) as u64;
+                seen.is_some()
+            })
+            .collect();
+        (dirty, walked)
+    }
 }
 
 impl PassBackend for InMemoryBackend<'_> {
@@ -388,20 +499,43 @@ impl PassBackend for InMemoryBackend<'_> {
         undecided: &[NodeId],
         spec: PassSpec,
     ) -> Result<PassResult, DistError> {
+        let (dirty, found_walked) = self.dirty(state, undecided);
+        count_derived(dirty.len(), found_walked + degree_sum(self.graph, &dirty));
+        let graph = self.graph;
+        let derive = |chunk: &[NodeId]| -> Vec<(f64, f64)> {
+            chunk
+                .iter()
+                .map(|&v| {
+                    penalties(
+                        graph,
+                        v.raw(),
+                        |w| state.included.contains(NodeId::new(w)),
+                        |w| !state.excluded.contains(NodeId::new(w)),
+                    )
+                })
+                .collect()
+        };
+        let fresh = if dirty.len() <= DERIVE_CHUNK {
+            derive(&dirty)
+        } else {
+            submod_exec::parallel_map(dirty.chunks(DERIVE_CHUNK).collect(), derive).concat()
+        };
+        self.penalties.resize(graph.num_nodes(), (0.0, 0.0));
+        for (&v, pair) in dirty.iter().zip(fresh) {
+            self.penalties[v.index()] = pair;
+        }
+        for (snapshot, set) in [
+            (&mut self.derived_against.0, &state.included),
+            (&mut self.derived_against.1, &state.excluded),
+        ] {
+            snapshot.clear();
+            snapshot.extend_from_slice(set.words());
+        }
+
         let derived: Vec<Derived> = undecided
             .iter()
-            .map(|&v| {
-                derive_node(
-                    self.graph,
-                    self.objective,
-                    v.raw(),
-                    spec.q,
-                    |w| state.included.contains(NodeId::new(w)),
-                    |w| !state.excluded.contains(NodeId::new(w)),
-                )
-            })
+            .map(|&v| bounds(self.objective, v.raw(), spec.q, self.penalties[v.index()]))
             .collect();
-        count_derived(undecided.len(), degree_sum(self.graph, undecided));
         let mut sample: Vec<f64> = derived
             .iter()
             .filter(|d| {
@@ -425,10 +559,20 @@ impl PassBackend for InMemoryBackend<'_> {
                 .collect(),
             None => Vec::new(),
         };
+        // The table, the sample and the candidates, plus the dirty list
+        // and the two word masks (changed, marked) that found it.
         let driver_bytes = (derived.len() * size_of::<Derived>()
             + sample.len() * size_of::<f64>()
-            + candidates.len() * size_of::<(u64, f64)>()) as u64;
+            + candidates.len() * size_of::<(u64, f64)>()
+            + dirty.len() * size_of::<NodeId>()
+            + 2 * size_of_val(state.included.words())) as u64;
         Ok(PassResult { candidates, driver_bytes })
+    }
+
+    fn state_bytes(&self) -> u64 {
+        (size_of_val(self.penalties.as_slice())
+            + size_of_val(self.derived_against.0.as_slice())
+            + size_of_val(self.derived_against.1.as_slice())) as u64
     }
 }
 
@@ -475,17 +619,11 @@ impl DataflowBackend<'_> {
         let objective = self.objective;
         let source =
             self.pipeline.generate(undecided.len() as u64, move |i| undecided[i as usize].raw())?;
-        // Eager: `derive_node` borrows the graph and objective, and the
+        // Eager: the kernels borrow the graph and objective, and the
         // table is the pass's materialization point anyway.
         let table = source.map_eager(move |v| {
-            let d = derive_node(
-                graph,
-                objective,
-                v,
-                spec.q,
-                |w| included.contains(w),
-                |w| !excluded.contains(w),
-            );
+            let sums = penalties(graph, v, |w| included.contains(w), |w| !excluded.contains(w));
+            let d = bounds(objective, v, spec.q, sums);
             (d.node, d.umin, d.umax, d.uexp, objective.utility(NodeId::new(d.node)))
         })?;
         Ok(table)
@@ -610,12 +748,7 @@ pub(crate) fn bound_in_memory_with_journal(
     journal: Option<&mut crate::journal::RunJournal>,
 ) -> Result<(BoundingOutcome, BoundingStats), DistError> {
     validate(graph, objective, k)?;
-    let mut backend = InMemoryBackend {
-        graph,
-        objective,
-        mode: config.mode,
-        mean_utility: mean_utility(objective, graph.num_nodes()),
-    };
+    let mut backend = InMemoryBackend::new(graph, objective, config.mode);
     run_bounding(graph, k, config, &mut backend, journal)
 }
 
@@ -795,7 +928,7 @@ fn run_bounding(
         stats.observe_pass(
             result.driver_bytes,
             result.candidates.len(),
-            state.state_bytes(undecided.len()),
+            state.state_bytes(undecided.len()) + backend.state_bytes(),
         );
         for node in decide_grow(result.candidates, k_rem) {
             state.included.insert(NodeId::new(node));
@@ -831,7 +964,7 @@ fn run_bounding(
         stats.observe_pass(
             result.driver_bytes,
             result.candidates.len(),
-            state.state_bytes(undecided.len()),
+            state.state_bytes(undecided.len()) + backend.state_bytes(),
         );
         let max_excludable = undecided.len().saturating_sub(k_rem);
         for node in decide_shrink(result.candidates, max_excludable) {
@@ -1021,5 +1154,97 @@ mod tests {
         let outcome = bound_in_memory(&graph, &objective, 0, &BoundingConfig::exact()).unwrap();
         assert!(outcome.is_complete());
         assert!(outcome.included.is_empty());
+    }
+
+    /// A seeded graph over `n` nodes, with reverse edges or without.
+    fn seeded_instance(
+        n: usize,
+        directed: bool,
+        seed: u64,
+    ) -> (SimilarityGraph, PairwiseObjective) {
+        let mut b = GraphBuilder::new(n);
+        let mut s = seed;
+        for _ in 0..4 * n {
+            s = crate::mix::mix_seed_node(s, 1);
+            let (v, w) = ((s >> 8) % n as u64, (s >> 40) % n as u64);
+            let weight = (s % 7) as f32 / 8.0;
+            if v != w {
+                let _ = if directed {
+                    b.add_directed(v, w, weight)
+                } else {
+                    b.add_undirected(v, w, weight)
+                };
+            }
+        }
+        let utilities =
+            (0..n as u64).map(|i| (crate::mix::mix_seed_node(seed, i) % 5) as f32 / 4.0);
+        (b.build(), PairwiseObjective::from_alpha(0.8, utilities.collect()).unwrap())
+    }
+
+    /// The dirty set is exactly the undecided nodes with a neighbour whose
+    /// status changed since the last pass — whether the changed nodes mark
+    /// their neighbours (few changes, reverse edges present) or every
+    /// undecided node scans its own (many changes, or a directed graph).
+    #[test]
+    fn dirty_nodes_are_those_with_a_changed_neighbour() {
+        for directed in [false, true] {
+            let (graph, objective) = seeded_instance(90, directed, 3);
+            assert_eq!(graph.is_structurally_symmetric(), !directed);
+            let n = graph.num_nodes();
+            let mut backend = InMemoryBackend::new(&graph, &objective, BoundingMode::Exact);
+            let mut state = State { included: NodeSet::new(n), excluded: NodeSet::new(n), k: 40 };
+            let spec =
+                PassSpec { pass: 1, phase: 0, k_effective: 5, q: 0.5, exact: true, grow: true };
+            let mut s = 17u64;
+            for decisions in [80usize, 1, 3, 0, 12, 2] {
+                let undecided = state.undecided(n);
+                backend.run_pass(&state, &undecided, spec).unwrap();
+                let before = (state.included.clone(), state.excluded.clone());
+                for i in 0..decisions {
+                    s = crate::mix::mix_seed_node(s, 2);
+                    let v = undecided[s as usize % undecided.len()];
+                    if i % 2 == 0 {
+                        state.included.insert(v)
+                    } else {
+                        state.excluded.insert(v)
+                    };
+                }
+                let changed = |w: u32| {
+                    let w = NodeId::new(w.into());
+                    state.included.contains(w) != before.0.contains(w)
+                        || state.excluded.contains(w) != before.1.contains(w)
+                };
+                let undecided = state.undecided(n);
+                let expected: Vec<NodeId> = undecided
+                    .iter()
+                    .copied()
+                    .filter(|&v| graph.neighbors(v).iter().any(|&w| changed(w)))
+                    .collect();
+                assert_eq!(backend.dirty(&state, &undecided).0, expected, "{directed} {decisions}");
+            }
+        }
+    }
+
+    /// The cached in-memory passes decide exactly what the dataflow
+    /// driver, which re-derives every node every pass, decides — on graphs
+    /// with and without reverse edges.
+    #[test]
+    fn cached_bounds_match_full_rederivation() {
+        let pipeline = Pipeline::new(3).unwrap();
+        for (directed, seed) in [(false, 1u64), (false, 2), (true, 3), (true, 4)] {
+            let (graph, objective) = seeded_instance(120, directed, seed);
+            for config in [
+                BoundingConfig::exact(),
+                BoundingConfig::approximate(0.5, SamplingStrategy::Uniform, seed).unwrap(),
+            ] {
+                let (mem, mem_stats) =
+                    bound_in_memory_with_stats(&graph, &objective, 20, &config).unwrap();
+                let (df, df_stats) =
+                    bound_dataflow_with_stats(&pipeline, &graph, &objective, 20, &config).unwrap();
+                assert_eq!(mem, df, "{directed} {seed}");
+                assert_eq!(mem_stats.passes, df_stats.passes);
+                assert_eq!(mem_stats.peak_candidates, df_stats.peak_candidates);
+            }
+        }
     }
 }

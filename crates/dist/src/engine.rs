@@ -115,7 +115,9 @@ pub(crate) trait MachineGreedyBackend {
     /// Applies the previous step's winners — each winner leaves its
     /// machine's pool, and its still-unselected same-machine neighbors
     /// lose `(β/α)·s` priority (Algorithm 2's decrease) — then returns
-    /// the next per-machine argmax winners.
+    /// the next per-machine argmax winners. A backend may apply a
+    /// winner's decrease right after popping it instead; `previous` is
+    /// always the last step's winners, so the outcome is the same.
     fn step(&mut self, previous: &[(u64, u64)]) -> Result<StepWinners, DistError>;
 
     /// Optional fast path: run the whole phase (up to `quota` steps) in
@@ -213,47 +215,102 @@ fn canonical_pool(ground: &[NodeId]) -> Vec<u64> {
 /// from a lockstep step or `(machine, (t, node))` from a resident pass.
 const WINNER_ROW_BYTES: usize = size_of::<(u64, u64, f64)>();
 
+/// How [`run_machine`] finds a neighbour's queue index.
+#[derive(Clone, Copy)]
+enum Locals<'a> {
+    /// One machine of a keyed phase: a neighbour the keying puts on
+    /// another machine is rejected by the mixer alone, touching no memory,
+    /// and only the rest search the ascending bucket.
+    Partition { keying: &'a MachineKeying, machine: u64 },
+    /// A dense node → queue index table, [`NOT_QUEUED`] for nodes outside
+    /// the queue: the single-bucket trim, where the keying rejects nothing.
+    Dense(&'a [u32]),
+}
+
+/// A [`Locals::Dense`] entry for a node outside the queue.
+const NOT_QUEUED: u32 = u32::MAX;
+
 /// Runs one machine to completion: up to `quota` pops off `queue`, each
-/// winner walking its adjacency so every still-enqueued same-bucket
-/// neighbor loses `(β/α)·s` (Algorithm 2's decrease). `bucket` is
-/// ascending by node id and maps the queue's local indices back to nodes;
-/// a neighbor on another machine falls out at the `binary_search`.
-/// Returns the winners in pop order — the `t`-th entry *is* the machine's
-/// step-`t` winner in the lockstep.
-#[inline]
+/// winner walking its adjacency so every still-enqueued neighbor in the
+/// queue loses `(β/α)·s` (Algorithm 2's decrease). `bucket` is ascending
+/// by node id and maps the queue's local indices back to nodes; `locals`
+/// maps them forward. Returns the winners in pop order — the `t`-th entry
+/// *is* the machine's step-`t` winner in the lockstep.
+///
+/// This is the only pop/decrease loop of the distributed drivers: the
+/// in-memory and resident phases, the in-memory lockstep step, the final
+/// trim and GreeDi's merge all run it.
 fn run_machine(
     bucket: &[u64],
     queue: &mut AddressablePq,
+    locals: Locals<'_>,
     graph: &SimilarityGraph,
     ratio: f64,
     quota: usize,
 ) -> Vec<u64> {
     let mut sequence = Vec::with_capacity(quota.min(bucket.len()));
-    let mut walked = 0u64;
+    let (mut walked, mut looked_up) = (0u64, 0u64);
     for _ in 0..quota {
         let Some((local, _priority)) = queue.pop_max() else { break };
         let winner = bucket[local as usize];
         sequence.push(winner);
-        walked += graph.degree(NodeId::new(winner)) as u64;
         for (x, s) in graph.edges(NodeId::new(winner)) {
-            if let Ok(l) = bucket.binary_search(&x.raw()) {
-                if queue.contains(l as u32) {
-                    queue.decrease_by(l as u32, ratio * f64::from(s));
+            walked += 1;
+            let x = x.raw();
+            let l = match locals {
+                Locals::Partition { keying, machine } => {
+                    if keying.machine_of(x) != machine {
+                        continue;
+                    }
+                    looked_up += 1;
+                    bucket.binary_search(&x).map_or(NOT_QUEUED, |l| l as u32)
                 }
+                Locals::Dense(slots) => {
+                    looked_up += 1;
+                    slots[x as usize]
+                }
+            };
+            // `contains` is false for `NOT_QUEUED` and for popped nodes.
+            if queue.contains(l) {
+                queue.decrease_by(l, ratio * f64::from(s));
             }
         }
     }
-    // Every walked edge reaches the bucket search.
-    count_edges(walked, walked);
+    submod_obs::counter!("greedy.edges_walked").add(walked);
+    submod_obs::counter!("greedy.edges_local").add(looked_up);
     sequence
 }
 
-/// Adds one machine's (or one trim's) decrease walk to the greedy edge
-/// counters: `walked` adjacency entries of winners, of which `local`
-/// reached a lookup of the queue's members.
-pub(crate) fn count_edges(walked: u64, local: u64) {
-    submod_obs::counter!("greedy.edges_walked").add(walked);
-    submod_obs::counter!("greedy.edges_local").add(local);
+/// Greedy over a single pool on the driver — the final trim of a
+/// multi-round run and GreeDi's merge: `pool` sorted ascending, priorities
+/// seeded from the utilities, then [`run_machine`] for `quota` pops over
+/// the whole graph's edges between pool members. Pops with negative
+/// priority count like any other, as in `greedy_select`; so do ties,
+/// which break toward the smaller id. `pool` holds distinct ids. Returns
+/// the winners in pop order. Its bytes (a 4 B-per-graph-node index plus
+/// 24 B per pool node) are outside `GreedyStats` and `MergeStats`, whose
+/// docs say why.
+pub(crate) fn machine_select(
+    graph: &SimilarityGraph,
+    objective: &PairwiseObjective,
+    pool: &mut [NodeId],
+    quota: usize,
+) -> Vec<NodeId> {
+    pool.sort_unstable();
+    if quota == 0 || pool.is_empty() {
+        return Vec::new();
+    }
+    let bucket: Vec<u64> = pool.iter().map(|v| v.raw()).collect();
+    let mut slots = vec![NOT_QUEUED; graph.num_nodes()];
+    for (l, &v) in bucket.iter().enumerate() {
+        slots[v as usize] = l as u32;
+    }
+    let mut queue =
+        AddressablePq::with_priorities(pool.iter().map(|&v| objective.utility(v)).collect());
+    run_machine(&bucket, &mut queue, Locals::Dense(&slots), graph, objective.ratio(), quota)
+        .into_iter()
+        .map(NodeId::new)
+        .collect()
 }
 
 /// Reassembles per-machine pop sequences (ascending by machine) into the
@@ -292,6 +349,9 @@ pub(crate) struct InMemoryGreedyBackend<'a> {
     graph: &'a SimilarityGraph,
     objective: &'a PairwiseObjective,
     pool: Vec<u64>,
+    /// The current phase's keying, which [`run_machine`] rejects
+    /// other machines' neighbours with.
+    keying: Option<MachineKeying>,
     buckets: Vec<Vec<u64>>,
     queues: Vec<AddressablePq>,
 }
@@ -306,6 +366,7 @@ impl<'a> InMemoryGreedyBackend<'a> {
             graph,
             objective,
             pool: canonical_pool(ground),
+            keying: None,
             buckets: Vec::new(),
             queues: Vec::new(),
         }
@@ -332,35 +393,24 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
             })
             .collect();
         self.buckets = buckets;
+        self.keying = Some(keying);
         // Buckets (8 B/node) plus queue state (8 B priority + two 4 B
         // heap slots per node) — the O(pool) driver materialization.
         Ok((self.pool.len() * (size_of::<u64>() + size_of::<f64>() + 2 * size_of::<u32>())) as u64)
     }
 
-    fn step(&mut self, previous: &[(u64, u64)]) -> Result<StepWinners, DistError> {
-        // Algorithm 2's decrease wave: the previous winner of machine `m`
-        // walks its adjacency; every still-enqueued same-bucket neighbor
-        // loses `(β/α)·s`. Machines are disjoint, so waves never interact.
-        let ratio = self.objective.ratio();
-        let mut walked = 0u64;
-        for &(machine, winner) in previous {
-            let bucket = &self.buckets[machine as usize];
-            let queue = &mut self.queues[machine as usize];
-            walked += self.graph.degree(NodeId::new(winner)) as u64;
-            for (x, s) in self.graph.edges(NodeId::new(winner)) {
-                if let Ok(local) = bucket.binary_search(&x.raw()) {
-                    if queue.contains(local as u32) {
-                        queue.decrease_by(local as u32, ratio * f64::from(s));
-                    }
-                }
-            }
-        }
-        count_edges(walked, walked);
+    fn step(&mut self, _previous: &[(u64, u64)]) -> Result<StepWinners, DistError> {
+        // Each machine pops once, and `run_machine` applies the winner's
+        // decrease wave right after its pop — so the previous step's
+        // winners are already applied. Machines are disjoint, so waves
+        // never interact.
+        let keying = self.keying.as_ref().expect("step called outside a phase");
         let mut winners = Vec::new();
-        for (machine, queue) in self.queues.iter_mut().enumerate() {
-            if let Some((local, priority)) = queue.pop_max() {
-                winners.push((machine as u64, self.buckets[machine][local as usize], priority));
-            }
+        for (machine, (bucket, queue)) in self.buckets.iter().zip(&mut self.queues).enumerate() {
+            let Some((_, priority)) = queue.peek() else { continue };
+            let locals = Locals::Partition { keying, machine: machine as u64 };
+            let popped = run_machine(bucket, queue, locals, self.graph, self.objective.ratio(), 1);
+            winners.push((machine as u64, popped[0], priority));
         }
         let driver_bytes = (winners.len() * WINNER_ROW_BYTES) as u64;
         Ok(StepWinners { winners, driver_bytes })
@@ -374,12 +424,12 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
         // coarse-grained `parallel_map` region per phase — the PR 2
         // concurrency shape — and the step-major outcome is reassembled
         // exactly (machine `m`'s `t`-th pop *is* its step-`t` winner).
-        let ratio = self.objective.ratio();
-        let graph = self.graph;
-        let machines: Vec<(&Vec<u64>, &mut AddressablePq)> =
-            self.buckets.iter().zip(self.queues.iter_mut()).collect();
-        let sequences = submod_exec::parallel_map(machines, |(bucket, queue)| {
-            run_machine(bucket, queue, graph, ratio, quota)
+        let (graph, ratio) = (self.graph, self.objective.ratio());
+        let keying = self.keying.as_ref().expect("phase_bulk called outside a phase");
+        let machines: Vec<(u64, (&Vec<u64>, &mut AddressablePq))> =
+            (0u64..).zip(self.buckets.iter().zip(self.queues.iter_mut())).collect();
+        let sequences = submod_exec::parallel_map(machines, |(machine, (bucket, queue))| {
+            run_machine(bucket, queue, Locals::Partition { keying, machine }, graph, ratio, quota)
         });
         Ok(Some(step_major(n, &sequences)))
     }
@@ -646,6 +696,7 @@ impl<'a> DataflowGreedyBackend<'a> {
     ) -> Result<PhaseOutcome, DistError> {
         let _span = submod_obs::span("greedy.resident_pass");
         let (pipeline, graph, ratio) = (self.pipeline, self.graph, self.objective.ratio());
+        let keying = self.keying.as_ref().expect("phase_resident called outside a phase");
         let mut rows: Vec<(u64, (u64, u64))> = table
             .group_by_key()?
             .flat_map_eager(|(machine, mut group)| {
@@ -655,7 +706,8 @@ impl<'a> DataflowGreedyBackend<'a> {
                 group.sort_unstable_by_key(|&(node, _)| node);
                 let (bucket, priorities): (Vec<u64>, Vec<f64>) = group.into_iter().unzip();
                 let mut queue = AddressablePq::with_priorities(priorities);
-                run_machine(&bucket, &mut queue, graph, ratio, quota)
+                let locals = Locals::Partition { keying, machine };
+                run_machine(&bucket, &mut queue, locals, graph, ratio, quota)
                     .into_iter()
                     .enumerate()
                     .map(move |(t, node)| (machine, (t as u64, node)))
@@ -1180,5 +1232,115 @@ mod tests {
         assert_eq!(outcome.steps, 3);
         assert_eq!(outcome.selected.len(), 9);
         assert_eq!(outcome.members.len(), 9);
+    }
+
+    /// The trim as it was before it shared [`run_machine`]: the centralized
+    /// greedy over the pool's induced subgraph with the pool's utilities.
+    fn induced_subgraph_select(
+        graph: &SimilarityGraph,
+        objective: &PairwiseObjective,
+        pool: &mut [NodeId],
+        quota: usize,
+    ) -> Vec<NodeId> {
+        pool.sort_unstable();
+        let quota = quota.min(pool.len());
+        if quota == 0 {
+            return Vec::new();
+        }
+        let local_graph = graph.induced_subgraph(pool);
+        let utilities = pool.iter().map(|&v| objective.utility(v) as f32).collect();
+        let local = PairwiseObjective::new(objective.alpha(), objective.beta(), utilities).unwrap();
+        let picks = submod_core::greedy_select(&local_graph, &local, quota).unwrap();
+        picks.selected().iter().map(|&l| pool[l.index()]).collect()
+    }
+
+    /// `graph` reopened from a store file, as a mapped graph.
+    fn mapped(graph: &SimilarityGraph) -> SimilarityGraph {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "submod-trim-{}-{}.csr",
+            std::process::id(),
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        graph.write_store(&path).unwrap();
+        let mapped = SimilarityGraph::open_store(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(mapped.is_mapped());
+        mapped
+    }
+
+    /// A pool whose members all neighbour each other heavily: with the
+    /// whole pool as quota, the later pops have negative priority and are
+    /// still taken, in the reference's order.
+    #[test]
+    fn a_full_quota_trim_pops_negative_priorities() {
+        let mut b = GraphBuilder::new(8);
+        for v in 0..6u64 {
+            for w in v + 1..6 {
+                b.add_undirected(v, w, 0.9).unwrap();
+            }
+        }
+        b.add_undirected(5, 7, 0.3).unwrap();
+        let graph = b.build();
+        let utilities = vec![0.5, 0.4, 0.5, 0.1, 0.3, 0.2, 0.9, 0.6];
+        let objective = PairwiseObjective::from_alpha(0.3, utilities).unwrap();
+        let pool = [4u64, 0, 2, 5, 1, 3].map(NodeId::new);
+        let picks = machine_select(&graph, &objective, &mut pool.clone(), pool.len());
+        assert_eq!(picks, induced_subgraph_select(&graph, &objective, &mut pool.clone(), 6));
+        let ids: Vec<u64> = picks.iter().map(|v| v.raw()).collect();
+        assert_eq!(ids, [0, 2, 1, 4, 5, 3]);
+        let last_priority = 0.1 - objective.ratio() * 0.9 * 5.0;
+        assert!(last_priority < 0.0, "the last pop must have negative priority");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The trim picks what the centralized greedy over the pool's
+        /// induced subgraph picks, in the same order: on unsorted pools,
+        /// with tied utilities and weights, with diversity strong enough
+        /// that a full quota pops negative priorities, at pool sizes 0, 1
+        /// and more, at quotas 0, 1, |pool| − 1 and |pool|, on owned and
+        /// mapped graphs.
+        #[test]
+        fn trim_picks_like_greedy_over_the_induced_subgraph(
+            n in 1usize..40,
+            edges in proptest::collection::vec((0u64..40, 0u64..40, 0usize..4), 0..160),
+            utility_picks in proptest::collection::vec(0usize..5, 40),
+            members in proptest::collection::vec(any::<bool>(), 40),
+            shuffle in any::<u64>(),
+            size_pick in 0usize..4,
+            quota_pick in 0usize..4,
+            alpha_pick in 0usize..3,
+            mmap in any::<bool>(),
+        ) {
+            const WEIGHTS: [f32; 4] = [0.0, 0.25, 0.5, 1.0];
+            const UTILITIES: [f32; 5] = [0.0, 0.1, 0.5, 0.5, 1.0];
+            let mut b = GraphBuilder::new(n);
+            for &(v, w, weight) in &edges {
+                let (v, w) = (v % n as u64, w % n as u64);
+                if v != w {
+                    b.add_undirected(v, w, WEIGHTS[weight]).unwrap();
+                }
+            }
+            let graph = if mmap { mapped(&b.build()) } else { b.build() };
+            let utilities = (0..n).map(|i| UTILITIES[utility_picks[i]]).collect();
+            let alpha = [0.2, 0.5, 0.9][alpha_pick];
+            let objective = PairwiseObjective::from_alpha(alpha, utilities).unwrap();
+
+            let mut pool: Vec<NodeId> =
+                (0..n).filter(|&i| members[i]).map(NodeId::from_index).collect();
+            pool.truncate([0, 1, n, n][size_pick]);
+            let mut state = shuffle;
+            for i in (1..pool.len()).rev() {
+                state = crate::mix::mix_seed_node(state, i as u64);
+                pool.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            let quota = [0, 1, pool.len().saturating_sub(1), pool.len()][quota_pick];
+
+            let expected = induced_subgraph_select(&graph, &objective, &mut pool.clone(), quota);
+            let picks = machine_select(&graph, &objective, &mut pool, quota);
+            prop_assert_eq!(picks, expected);
+        }
     }
 }

@@ -18,9 +18,9 @@
 //! memory story the paper argues against.
 
 use crate::engine::{
-    run_phase, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend, MachineKeying,
+    machine_select, run_phase, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend,
+    MachineKeying,
 };
-use crate::multiround::machine_select;
 use crate::{DistError, PartitionStyle};
 use submod_core::{NodeId, PairwiseObjective, Selection, SimilarityGraph};
 use submod_dataflow::Pipeline;
@@ -32,7 +32,9 @@ pub struct MergeStats {
     pub union_size: usize,
     /// Estimated merge-machine bytes, using the paper's §3 arithmetic:
     /// 16 B of priority-queue state plus ten 16 B neighbor entries per
-    /// point.
+    /// point. It prices the paper's merge machine, which holds the union
+    /// alone; the dense node index (4 B per graph node) this driver runs
+    /// the merge over is not part of that model and is not counted.
     pub merge_memory_bytes: u64,
 }
 
@@ -138,7 +140,7 @@ fn run_greedi(
     // Merge phase: one machine holds the whole union and re-runs greedy.
     let union_size = union.len();
     let mut merge_pool = union;
-    let chosen = machine_select(graph, objective, &mut merge_pool, k)?;
+    let chosen = machine_select(graph, objective, &mut merge_pool, k);
     let value = objective.evaluate(graph, &chosen);
 
     Ok(GreediReport {

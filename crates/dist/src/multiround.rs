@@ -32,11 +32,12 @@
 //! [`DeltaSchedule`]: crate::DeltaSchedule
 
 use crate::engine::{
-    run_phase, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend, MachineKeying,
+    machine_select, run_phase, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend,
+    MachineKeying,
 };
 use crate::{DistError, DistGreedyConfig};
 use std::sync::Arc;
-use submod_core::{greedy_select, NodeId, NodeSet, PairwiseObjective, Selection, SimilarityGraph};
+use submod_core::{NodeId, NodeSet, PairwiseObjective, Selection, SimilarityGraph};
 use submod_dataflow::Pipeline;
 use submod_journal::Record;
 
@@ -75,6 +76,11 @@ pub struct DistGreedyReport {
 /// rows (`O(machines)` per step, `O(candidates)` per round — `candidates`
 /// being the round's selected points). Persistent driver state is the
 /// round's winner set and order: `O(round output)`.
+///
+/// The final trim of an oversized last pool is not a round and is not
+/// charged here: on both drivers it runs on the driver after the rounds,
+/// holding a dense node index (4 B per graph node) plus the pool and its
+/// queue (24 B per pool node) while it runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GreedyStats {
     /// Rounds executed.
@@ -155,36 +161,6 @@ fn validate(
     Ok(())
 }
 
-/// Runs the local greedy of one machine: the induced subgraph of
-/// `partition` (sorted ascending so tie-breaking matches the centralized
-/// reference), local utilities, budget `quota`. Retained as the
-/// driver-side merge/trim kernel (GreeDi's merge machine, the finalize
-/// trim) — per-round machine selection now runs through the shared
-/// backend instead.
-pub(crate) fn machine_select(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    partition: &mut [NodeId],
-    quota: usize,
-) -> Result<Vec<NodeId>, DistError> {
-    partition.sort_unstable();
-    let quota = quota.min(partition.len());
-    if quota == 0 {
-        return Ok(Vec::new());
-    }
-    // The subgraph build walks every pool node's adjacency through a
-    // membership lookup.
-    let walked = partition.iter().map(|&v| graph.degree(v) as u64).sum();
-    crate::engine::count_edges(walked, walked);
-    let local_graph = graph.induced_subgraph(partition);
-    let local_utilities: Vec<f32> =
-        partition.iter().map(|&v| objective.utility(v) as f32).collect();
-    let local_objective =
-        PairwiseObjective::new(objective.alpha(), objective.beta(), local_utilities)?;
-    let local = greedy_select(&local_graph, &local_objective, quota)?;
-    Ok(local.selected().iter().map(|&l| partition[l.index()]).collect())
-}
-
 /// How many partitions round `t` uses for a pool of `pool_len` points.
 fn round_partitions(config: &DistGreedyConfig, pool_len: usize, capacity: usize) -> usize {
     if pool_len == 0 {
@@ -230,7 +206,7 @@ fn finalize(
     k: usize,
 ) -> Result<Selection, DistError> {
     if pool.len() > k {
-        pool = machine_select(graph, objective, &mut pool, k)?;
+        pool = machine_select(graph, objective, &mut pool, k);
     }
     // Degenerate partitions may have under-filled the budget.
     fill_by_utility(graph, objective, &mut pool, ground, k);
@@ -487,7 +463,7 @@ pub(crate) fn distributed_greedy_dataflow_with_journal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use submod_core::GraphBuilder;
+    use submod_core::{greedy_select, GraphBuilder};
 
     fn ring_instance(n: usize) -> (SimilarityGraph, PairwiseObjective) {
         let mut b = GraphBuilder::new(n);
