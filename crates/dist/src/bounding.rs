@@ -415,9 +415,9 @@ struct InMemoryBackend<'a> {
     /// until then — also after a journal resume, since it is not
     /// journaled.
     penalties: Vec<(f64, f64)>,
-    /// The included and excluded words the penalties were derived
+    /// The included and excluded sets the penalties were derived
     /// against.
-    derived_against: (Vec<u64>, Vec<u64>),
+    derived_against: (NodeSet, NodeSet),
 }
 
 /// Dirty nodes one derive task takes; a pass with no more than this
@@ -436,59 +436,44 @@ impl<'a> InMemoryBackend<'a> {
             mode,
             mean_utility: mean_utility(objective, graph.num_nodes()),
             penalties: Vec::new(),
-            derived_against: (Vec::new(), Vec::new()),
+            derived_against: (NodeSet::new(0), NodeSet::new(0)),
         }
     }
 
-    /// The undecided nodes whose cached penalties are stale, ascending,
-    /// and the adjacency entries walked to find them: every node on the
-    /// first pass, otherwise those with a neighbour whose status changed
-    /// since the cache was derived. The changed nodes' neighbours are
-    /// marked when they are fewer than the undecided nodes and every
-    /// in-neighbour is also a neighbour; otherwise each undecided node
-    /// scans its own neighbours.
+    /// The undecided nodes to re-derive, ascending, and the adjacency
+    /// entries walked to find them: the neighbours of every node whose
+    /// status changed since the cache was derived. The changed nodes mark
+    /// them, which finds every stale node when each in-neighbour is also a
+    /// neighbour. On the first pass, on a graph without every reverse
+    /// edge, or once the changed nodes outnumber the undecided ones (so
+    /// re-deriving all of these walks no more), it is every undecided node.
     fn dirty(&self, state: &State, undecided: &[NodeId]) -> (Vec<NodeId>, u64) {
-        if self.penalties.is_empty() {
-            return (undecided.to_vec(), 0);
-        }
         let (included, excluded) = (state.included.words(), state.excluded.words());
-        let changed: Vec<u64> = (0..included.len())
-            .map(|i| {
-                (included[i] ^ self.derived_against.0[i])
-                    | (excluded[i] ^ self.derived_against.1[i])
-            })
+        let (was_included, was_excluded) =
+            (self.derived_against.0.words(), self.derived_against.1.words());
+        let changed: Vec<u64> = (0..was_included.len())
+            .map(|i| (included[i] ^ was_included[i]) | (excluded[i] ^ was_excluded[i]))
             .collect();
         let changed_len: usize = changed.iter().map(|w| w.count_ones() as usize).sum();
-        let bit = |words: &[u64], v: usize| words[v / 64] >> (v % 64) & 1 == 1;
-        let mut walked = 0u64;
-        if changed_len < undecided.len() && self.graph.is_structurally_symmetric() {
-            let mut marked = vec![0u64; changed.len()];
-            for (i, &word) in changed.iter().enumerate() {
-                let mut rest = word;
-                while rest != 0 {
-                    let c = NodeId::from_index(i * 64 + rest.trailing_zeros() as usize);
-                    rest &= rest - 1;
-                    let neighbors = self.graph.neighbors(c);
-                    walked += neighbors.len() as u64;
-                    for &w in neighbors {
-                        marked[w as usize / 64] |= 1 << (w % 64);
-                    }
-                }
-            }
-            let dirty = undecided.iter().copied().filter(|v| bit(&marked, v.index())).collect();
-            return (dirty, walked);
+        if self.penalties.is_empty()
+            || changed_len >= undecided.len()
+            || !self.graph.is_structurally_symmetric()
+        {
+            return (undecided.to_vec(), 0);
         }
-        let dirty = undecided
-            .iter()
-            .copied()
-            .filter(|&v| {
-                let neighbors = self.graph.neighbors(v);
-                let seen = neighbors.iter().position(|&w| bit(&changed, w as usize));
-                walked += seen.map_or(neighbors.len(), |i| i + 1) as u64;
-                seen.is_some()
-            })
-            .collect();
-        (dirty, walked)
+        let mut marked = NodeSet::new(self.graph.num_nodes());
+        let mut walked = 0u64;
+        for (i, &word) in changed.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let c = NodeId::from_index(i * 64 + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+                let neighbors = self.graph.neighbors(c);
+                walked += neighbors.len() as u64;
+                neighbors.iter().for_each(|&w| _ = marked.insert(NodeId::new(w.into())));
+            }
+        }
+        (undecided.iter().copied().filter(|&v| marked.contains(v)).collect(), walked)
     }
 }
 
@@ -524,13 +509,7 @@ impl PassBackend for InMemoryBackend<'_> {
         for (&v, pair) in dirty.iter().zip(fresh) {
             self.penalties[v.index()] = pair;
         }
-        for (snapshot, set) in [
-            (&mut self.derived_against.0, &state.included),
-            (&mut self.derived_against.1, &state.excluded),
-        ] {
-            snapshot.clear();
-            snapshot.extend_from_slice(set.words());
-        }
+        self.derived_against = (state.included.clone(), state.excluded.clone());
 
         let derived: Vec<Derived> = undecided
             .iter()
@@ -560,7 +539,7 @@ impl PassBackend for InMemoryBackend<'_> {
             None => Vec::new(),
         };
         // The table, the sample and the candidates, plus the dirty list
-        // and the two word masks (changed, marked) that found it.
+        // and the two bitsets (changed, marked) that found it.
         let driver_bytes = (derived.len() * size_of::<Derived>()
             + sample.len() * size_of::<f64>()
             + candidates.len() * size_of::<(u64, f64)>()
@@ -571,8 +550,8 @@ impl PassBackend for InMemoryBackend<'_> {
 
     fn state_bytes(&self) -> u64 {
         (size_of_val(self.penalties.as_slice())
-            + size_of_val(self.derived_against.0.as_slice())
-            + size_of_val(self.derived_against.1.as_slice())) as u64
+            + size_of_val(self.derived_against.0.words())
+            + size_of_val(self.derived_against.1.words())) as u64
     }
 }
 
@@ -1156,7 +1135,8 @@ mod tests {
         assert!(outcome.included.is_empty());
     }
 
-    /// A seeded graph over `n` nodes, with reverse edges or without.
+    /// A seeded graph over `n` nodes: undirected, or with every edge from
+    /// the lower id to the higher, so no in-neighbour is a neighbour.
     fn seeded_instance(
         n: usize,
         directed: bool,
@@ -1170,7 +1150,7 @@ mod tests {
             let weight = (s % 7) as f32 / 8.0;
             if v != w {
                 let _ = if directed {
-                    b.add_directed(v, w, weight)
+                    b.add_directed(v.min(w), v.max(w), weight)
                 } else {
                     b.add_undirected(v, w, weight)
                 };
@@ -1181,10 +1161,10 @@ mod tests {
         (b.build(), PairwiseObjective::from_alpha(0.8, utilities.collect()).unwrap())
     }
 
-    /// The dirty set is exactly the undecided nodes with a neighbour whose
-    /// status changed since the last pass — whether the changed nodes mark
-    /// their neighbours (few changes, reverse edges present) or every
-    /// undecided node scans its own (many changes, or a directed graph).
+    /// Every undecided node with a neighbour whose status changed since
+    /// the last pass is dirty. When the changed nodes mark their
+    /// neighbours (few changes, every reverse edge present) those are the
+    /// only dirty nodes; otherwise every undecided node is.
     #[test]
     fn dirty_nodes_are_those_with_a_changed_neighbour() {
         for directed in [false, true] {
@@ -1203,23 +1183,28 @@ mod tests {
                 for i in 0..decisions {
                     s = crate::mix::mix_seed_node(s, 2);
                     let v = undecided[s as usize % undecided.len()];
+                    if state.included.contains(v) || state.excluded.contains(v) {
+                        continue;
+                    }
                     if i % 2 == 0 {
                         state.included.insert(v)
                     } else {
                         state.excluded.insert(v)
                     };
                 }
-                let changed = |w: u32| {
-                    let w = NodeId::new(w.into());
+                let changed = |w: &u32| {
+                    let w = NodeId::new((*w).into());
                     state.included.contains(w) != before.0.contains(w)
                         || state.excluded.contains(w) != before.1.contains(w)
                 };
                 let undecided = state.undecided(n);
-                let expected: Vec<NodeId> = undecided
-                    .iter()
-                    .copied()
-                    .filter(|&v| graph.neighbors(v).iter().any(|&w| changed(w)))
-                    .collect();
+                let changed_count = n - undecided.len() - before.0.len() - before.1.len();
+                let expected: Vec<NodeId> = if directed || changed_count >= undecided.len() {
+                    undecided.clone()
+                } else {
+                    let stale = |v: &NodeId| graph.neighbors(*v).iter().any(changed);
+                    undecided.iter().copied().filter(stale).collect()
+                };
                 assert_eq!(backend.dirty(&state, &undecided).0, expected, "{directed} {decisions}");
             }
         }
