@@ -49,9 +49,9 @@ use std::sync::{Arc, OnceLock};
 #[derive(Clone, Debug)]
 pub struct SimilarityGraph {
     backing: Backing,
-    /// [`Self::is_structurally_symmetric`]: set by the constructions that
-    /// guarantee it, otherwise checked on first use and kept.
-    structurally_symmetric: OnceLock<bool>,
+    /// [`Self::is_symmetric`]: set by the constructions that guarantee
+    /// it, otherwise checked on first use and kept.
+    symmetric: OnceLock<bool>,
 }
 
 /// Where the CSR arrays live. Cloning a mapped graph clones an [`Arc`], so
@@ -86,13 +86,13 @@ impl SimilarityGraph {
             neighbors: Vec::new(),
             weights: Vec::new(),
         });
-        let _ = graph.structurally_symmetric.set(true);
+        let _ = graph.symmetric.set(true);
         graph
     }
 
     /// A graph over `backing` whose symmetry is not known yet.
     fn from_backing(backing: Backing) -> Self {
-        SimilarityGraph { backing, structurally_symmetric: OnceLock::new() }
+        SimilarityGraph { backing, symmetric: OnceLock::new() }
     }
 
     /// The raw CSR triple `(offsets, neighbors, weights)`, whichever
@@ -217,42 +217,16 @@ impl SimilarityGraph {
 
     /// Returns `true` if every edge `(v, w)` has a matching `(w, v)` with the
     /// same weight.
+    ///
+    /// [`Self::symmetrized`], [`Self::empty`] and builders fed only
+    /// [`GraphBuilder::add_undirected`] are symmetric by construction and
+    /// answer at once; any other graph is checked on the first call and
+    /// remembers the answer.
     pub fn is_symmetric(&self) -> bool {
-        for i in 0..self.num_nodes() {
-            let v = NodeId::from_index(i);
-            for (w, s) in self.edges(v) {
-                match self.edge_weight(w, v) {
-                    Some(back) if back == s => {}
-                    _ => return false,
-                }
-            }
-        }
-        true
-    }
-
-    /// Returns `true` if every edge `(v, w)` has a reverse edge `(w, v)`,
-    /// whatever the two weights — so a node's in-neighbours are among its
-    /// neighbours. [`Self::symmetrized`], [`Self::empty`] and builders fed
-    /// only [`GraphBuilder::add_undirected`] guarantee it; any other graph
-    /// is checked once, in O(edges), on the first call.
-    pub fn is_structurally_symmetric(&self) -> bool {
-        *self.structurally_symmetric.get_or_init(|| {
-            // Rows are sorted and sources are scanned in id order, so the
-            // reverses of the edges into row `w` from below arrive in row
-            // `w`'s own order: `matched[w]` walks them, and by the time
-            // `v` is scanned every entry of its row below `v` must have
-            // been matched.
-            let mut matched = vec![0usize; self.num_nodes()];
-            (0..self.num_nodes()).all(|v| {
-                let row = self.neighbors(NodeId::from_index(v));
-                let below = row.partition_point(|&w| (w as usize) < v);
-                matched[v] == below
-                    && row[below..].iter().all(|&w| {
-                        let w = w as usize;
-                        let reverse = self.neighbors(NodeId::from_index(w)).get(matched[w]);
-                        matched[w] += 1;
-                        reverse == Some(&(v as u32))
-                    })
+        *self.symmetric.get_or_init(|| {
+            (0..self.num_nodes()).all(|i| {
+                let v = NodeId::from_index(i);
+                self.edges(v).all(|(w, s)| self.edge_weight(w, v) == Some(s))
             })
         })
     }
@@ -516,7 +490,7 @@ impl SimilarityGraph {
     fn from_directed_edges_internal(
         num_nodes: usize,
         mut edges: Vec<(NodeId, NodeId, f32)>,
-        structurally_symmetric: bool,
+        symmetric: bool,
     ) -> SimilarityGraph {
         assert!(
             num_nodes as u64 <= u64::from(u32::MAX),
@@ -539,24 +513,24 @@ impl SimilarityGraph {
             neighbors.push(w.raw() as u32);
             weights.push(s);
         }
-        Self::from_built_parts(offsets, neighbors, weights, structurally_symmetric)
+        Self::from_built_parts(offsets, neighbors, weights, symmetric)
     }
 
     /// Wraps freshly built (valid by construction) CSR arrays, recording
-    /// whether the construction guarantees reverse edges.
+    /// whether the construction guarantees symmetry.
     fn from_built_parts(
         offsets: Vec<u64>,
         neighbors: Vec<u32>,
         weights: Vec<f32>,
-        structurally_symmetric: bool,
+        symmetric: bool,
     ) -> Self {
         let graph = SimilarityGraph::from_backing(Backing::Owned { offsets, neighbors, weights });
         // SUBMOD_GRAPH_STORE=mmap: route every built graph through a
         // temporary on-disk store so the whole suite exercises the mapped
         // backing.
         let graph = if store::force_mmap() { store::reopen_via_temp_store(graph) } else { graph };
-        if structurally_symmetric {
-            let _ = graph.structurally_symmetric.set(true);
+        if symmetric {
+            let _ = graph.symmetric.set(true);
         }
         graph
     }
@@ -758,51 +732,34 @@ mod tests {
         assert!(asym.symmetrized().is_symmetric());
     }
 
+    /// The graphs that are symmetric by construction skip the check; a
+    /// copy that has to run it agrees.
     #[test]
-    fn structural_symmetry_matches_a_reverse_edge_search() {
-        let reverse_edges = |g: &SimilarityGraph| {
-            (0..g.num_nodes()).all(|v| {
-                g.edges(NodeId::from_index(v))
-                    .all(|(w, _)| g.edge_weight(w, NodeId::from_index(v)).is_some())
-            })
-        };
-        let unknown = |g: &SimilarityGraph| {
+    fn symmetry_known_by_construction_passes_the_check() {
+        let checked = |g: &SimilarityGraph| {
             let (o, n, w) = g.csr_parts();
             SimilarityGraph::from_csr_parts(o.to_vec(), n.to_vec(), w.to_vec()).unwrap()
         };
-        let mut graphs = vec![diamond(), SimilarityGraph::empty(4)];
-        // Reciprocal edges with different weights; a lone directed edge
-        // into a row whose other entries all match; a directed edge from
-        // the highest id down.
-        for edges in [
-            &[(0, 1, 0.5), (1, 0, 0.7)][..],
-            &[(0, 2, 0.1), (2, 0, 0.1), (1, 2, 0.3)],
-            &[(1, 3, 0.2), (3, 1, 0.2), (3, 0, 0.4)],
-        ] {
-            let mut b = GraphBuilder::new(4);
-            for &(v, w, s) in edges {
-                b.add_directed(v, w, s).unwrap();
-            }
-            graphs.push(b.build());
-        }
+        // Undirected edges added twice with different weights, in both
+        // orientations; directed edges with conflicting reverse weights.
+        let mut undirected = GraphBuilder::new(5);
+        let mut directed = GraphBuilder::new(5);
         let mut s = 11u64;
-        let mut b = GraphBuilder::new(40);
-        for _ in 0..200 {
+        for _ in 0..40 {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let (v, w) = ((s >> 33) % 40, (s >> 13) % 40);
+            let (v, w, weight) = ((s >> 33) % 5, (s >> 13) % 5, ((s >> 50) % 8) as f32 / 8.0);
             if v != w {
-                b.add_directed(v, w, 0.5).unwrap();
+                undirected.add_undirected(v, w, weight).unwrap();
+                directed.add_directed(v, w, weight).unwrap();
             }
         }
-        let seeded = b.build();
-        graphs.push(seeded.symmetrized());
-        graphs.push(seeded);
-        for (i, g) in graphs.iter().enumerate() {
-            let expected = reverse_edges(g);
-            assert_eq!(g.is_structurally_symmetric(), expected, "graph {i}");
-            assert_eq!(unknown(g).is_structurally_symmetric(), expected, "graph {i}, checked");
+        let directed = directed.build();
+        assert!(!checked(&directed).is_symmetric());
+        for g in [undirected.build(), directed.symmetrized(), SimilarityGraph::empty(3), diamond()]
+        {
+            assert!(g.is_symmetric());
+            assert!(checked(&g).is_symmetric());
         }
-        assert_eq!(graphs.iter().map(reverse_edges).filter(|&r| r).count(), 4);
     }
 
     #[test]

@@ -443,10 +443,11 @@ impl<'a> InMemoryBackend<'a> {
     /// The undecided nodes to re-derive, ascending, and the adjacency
     /// entries walked to find them: the neighbours of every node whose
     /// status changed since the cache was derived. The changed nodes mark
-    /// them, which finds every stale node when each in-neighbour is also a
-    /// neighbour. On the first pass, on a graph without every reverse
-    /// edge, or once the changed nodes outnumber the undecided ones (so
-    /// re-deriving all of these walks no more), it is every undecided node.
+    /// them, which finds every stale node when the graph is symmetric (a
+    /// node's in-neighbours are its neighbours). On the first pass, on an
+    /// asymmetric graph, or once the changed nodes outnumber the undecided
+    /// ones (so re-deriving all of these walks no more), it is every
+    /// undecided node.
     fn dirty(&self, state: &State, undecided: &[NodeId]) -> (Vec<NodeId>, u64) {
         let (included, excluded) = (state.included.words(), state.excluded.words());
         let (was_included, was_excluded) =
@@ -455,9 +456,7 @@ impl<'a> InMemoryBackend<'a> {
             .map(|i| (included[i] ^ was_included[i]) | (excluded[i] ^ was_excluded[i]))
             .collect();
         let changed_len: usize = changed.iter().map(|w| w.count_ones() as usize).sum();
-        if self.penalties.is_empty()
-            || changed_len >= undecided.len()
-            || !self.graph.is_structurally_symmetric()
+        if self.penalties.is_empty() || changed_len >= undecided.len() || !self.graph.is_symmetric()
         {
             return (undecided.to_vec(), 0);
         }
@@ -1136,7 +1135,9 @@ mod tests {
     }
 
     /// A seeded graph over `n` nodes: undirected, or with every edge from
-    /// the lower id to the higher, so no in-neighbour is a neighbour.
+    /// the lower id to the higher, so no in-neighbour is a neighbour and
+    /// marking through a changed node's own edges would miss every stale
+    /// node.
     fn seeded_instance(
         n: usize,
         directed: bool,
@@ -1163,13 +1164,13 @@ mod tests {
 
     /// Every undecided node with a neighbour whose status changed since
     /// the last pass is dirty. When the changed nodes mark their
-    /// neighbours (few changes, every reverse edge present) those are the
+    /// neighbours (few changes, a symmetric graph) those are the
     /// only dirty nodes; otherwise every undecided node is.
     #[test]
     fn dirty_nodes_are_those_with_a_changed_neighbour() {
         for directed in [false, true] {
             let (graph, objective) = seeded_instance(90, directed, 3);
-            assert_eq!(graph.is_structurally_symmetric(), !directed);
+            assert_eq!(graph.is_symmetric(), !directed);
             let n = graph.num_nodes();
             let mut backend = InMemoryBackend::new(&graph, &objective, BoundingMode::Exact);
             let mut state = State { included: NodeSet::new(n), excluded: NodeSet::new(n), k: 40 };
@@ -1212,7 +1213,7 @@ mod tests {
 
     /// The cached in-memory passes decide exactly what the dataflow
     /// driver, which re-derives every node every pass, decides — on graphs
-    /// with and without reverse edges.
+    /// symmetric and not.
     #[test]
     fn cached_bounds_match_full_rederivation() {
         let pipeline = Pipeline::new(3).unwrap();
