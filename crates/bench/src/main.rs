@@ -44,11 +44,6 @@
 //!                zero driver heap, selections are bitwise-identical,
 //!                and `ltm` reports graph bytes vs the measured peak
 //!                RSS growth of the selection phase
-//!   --fusion on|off
-//!                dataflow operator fusion (default on, same as
-//!                SUBMOD_FUSION). `off` runs every deferrable stage
-//!                eagerly — results are bitwise-identical, only the
-//!                per-stage materialization cost changes
 //!   --journal DIR
 //!                run the journaled selections of `ltm` and `table4`
 //!                with a write-ahead journal per selection under DIR:
@@ -124,14 +119,6 @@ fn main() {
                     Some("mem") => GraphStoreMode::Mem,
                     Some("mmap") => GraphStoreMode::Mmap,
                     _ => die("--graph-store expects `mem` or `mmap`"),
-                };
-            }
-            "--fusion" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("on") => submod_dataflow::set_fusion_default(true),
-                    Some("off") => submod_dataflow::set_fusion_default(false),
-                    _ => die("--fusion expects `on` or `off`"),
                 };
             }
             "--journal" => {
@@ -237,7 +224,7 @@ fn print_usage() {
     println!(
         "usage: experiments <fig1|fig2|fig3|fig4|fig5|fig13|fig15|fig16|delta|table2|table3|table4|sec63|baselines|theory|ltm|profile|all> \
          [--scale F] [--out DIR] [--quick] [--threads N] [--report-memory] \
-         [--graph-store mem|mmap] [--fusion on|off] [--journal DIR] [--resume]"
+         [--graph-store mem|mmap] [--journal DIR] [--resume]"
     );
 }
 

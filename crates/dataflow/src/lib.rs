@@ -77,6 +77,6 @@ pub use codec::{ColKind, Column, Either2, FixedWidth, Record};
 pub use error::DataflowError;
 pub use memory::{MemoryBudget, PipelineMetrics};
 pub use pcollection::PCollection;
-pub use pipeline::{set_fusion_default, Pipeline, PipelineBuilder};
+pub use pipeline::{Pipeline, PipelineBuilder};
 pub use sample::{mix_seed_key, sample_coin, splitmix64};
 pub use side::{BroadcastSet, SideInput};

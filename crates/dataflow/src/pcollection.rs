@@ -9,63 +9,101 @@ use std::sync::{Arc, Mutex};
 /// The emit callback a fused pass pushes records into.
 type Emit<'a, T> = &'a mut dyn FnMut(T) -> Result<(), DataflowError>;
 
-/// Executes one deferred per-shard pass: streams the source shard through
+/// Executes one deferred per-shard pass: streams the source shards through
 /// the composed operator chain into `emit`, returning how many records
 /// entered the chain.
-type RunFn<T> = Box<dyn Fn(Emit<'_, T>) -> Result<u64, DataflowError> + Send + Sync>;
+type RunFn<T> = Arc<dyn Fn(Emit<'_, T>) -> Result<u64, DataflowError> + Send + Sync>;
+
+/// What a [`FusedUnit`] holds: its pending chain until the first barrier,
+/// the shards that chain produced after it.
+#[derive(Clone)]
+enum UnitState<T: Record> {
+    Pending(RunFn<T>),
+    Executed(Vec<Shard<T>>),
+}
 
 /// A deferred per-shard operator chain: the composition of every
 /// `map`/`filter`/`flat_map` applied since the last materialized shard,
 /// executed as **one pass** when the collection hits a barrier
-/// (collect/count/aggregate/shuffle). The result is cached so chains that
-/// build on an already-executed collection (the greedy engine re-derives
-/// its pool table every step) never re-run upstream stages.
+/// (collect/count/aggregate/shuffle). Executing swaps the chain for its
+/// output shards, which drops the chain's closures and, with them, every
+/// upstream unit they held: a loop that keeps deriving a table from the
+/// last executed one holds one table, not its history.
 pub(crate) struct FusedUnit<T: Record> {
     ctx: Arc<Ctx>,
-    run: RunFn<T>,
-    /// Number of chained operators, recorded in the
-    /// `dataflow.fused_stage_ops` histogram at execution.
+    /// Number of chained operators since the last executed input,
+    /// recorded in the `dataflow.fused_stage_ops` histogram at execution.
     ops: u32,
-    cache: Mutex<Option<Vec<Shard<T>>>>,
+    state: Mutex<UnitState<T>>,
 }
 
 impl<T: Record> FusedUnit<T> {
-    /// Streams the unit's records into `emit` without materializing them
-    /// (used when a further operator fuses on top). Reads the cache when
-    /// the unit already executed; otherwise runs the chain directly —
-    /// no metrics or spans, those belong to [`FusedUnit::execute`].
-    fn stream(&self, emit: Emit<'_, T>) -> Result<u64, DataflowError> {
-        let cached = self.cache.lock().expect("fused cache").clone();
-        if let Some(shards) = cached {
-            let mut entered = 0u64;
-            for shard in &shards {
-                shard.for_each(|record| {
-                    entered += 1;
-                    emit(record)
-                })?;
-            }
-            return Ok(entered);
+    /// A one-operator unit that streams `shards` through `body`.
+    fn over_shards<S, B>(ctx: Arc<Ctx>, shards: Vec<Shard<S>>, body: Arc<B>) -> Self
+    where
+        S: Record,
+        B: Fn(S, Emit<'_, T>) -> Result<(), DataflowError> + Send + Sync + 'static,
+    {
+        FusedUnit {
+            ctx,
+            ops: 1,
+            state: Mutex::new(UnitState::Pending(Arc::new(move |emit| {
+                stream_shards(&shards, |record| body(record, &mut *emit))
+            }))),
         }
-        (self.run)(emit)
+    }
+
+    /// The unit's current state; shards and chain are shared, not copied,
+    /// and the lock is not held while the caller uses them.
+    fn state(&self) -> UnitState<T> {
+        self.state.lock().expect("fused unit").clone()
+    }
+
+    /// Streams the unit's records into `emit` without materializing them
+    /// (used when a further operator fuses on top of a pending unit).
+    /// Runs the chain directly — no metrics or spans, those belong to
+    /// [`FusedUnit::execute`].
+    fn stream(&self, emit: Emit<'_, T>) -> Result<u64, DataflowError> {
+        match self.state() {
+            UnitState::Pending(run) => run(emit),
+            UnitState::Executed(shards) => stream_shards(&shards, emit),
+        }
     }
 
     /// Executes the chain into budget-checked shards (spilling like any
-    /// transform output), caching the result. One obs span + one
-    /// `stages_fused` tick per actual execution.
+    /// transform output) and keeps the shards in place of the chain. One
+    /// obs span + one `stages_fused` tick per actual execution.
     fn execute(&self) -> Result<Vec<Shard<T>>, DataflowError> {
-        let mut cache = self.cache.lock().expect("fused cache");
-        if let Some(shards) = cache.as_ref() {
-            return Ok(shards.clone());
-        }
+        let mut state = self.state.lock().expect("fused unit");
+        let run = match &*state {
+            UnitState::Pending(run) => Arc::clone(run),
+            UnitState::Executed(shards) => return Ok(shards.clone()),
+        };
         let _span = submod_obs::span_full("dataflow.fused_stage");
         let mut sink = ShardSink::new(&self.ctx);
-        let entered = (self.run)(&mut |record| sink.push(record))?;
+        let entered = run(&mut |record| sink.push(record))?;
         let shards = sink.finish()?;
         self.ctx.metrics.record_processed(entered);
         self.ctx.metrics.record_fused_stage(u64::from(self.ops));
-        *cache = Some(shards.clone());
+        *state = UnitState::Executed(shards.clone());
         Ok(shards)
     }
+}
+
+/// Streams every record of `shards` through `f`, returning how many
+/// entered.
+fn stream_shards<T: Record>(
+    shards: &[Shard<T>],
+    mut f: impl FnMut(T) -> Result<(), DataflowError>,
+) -> Result<u64, DataflowError> {
+    let mut entered = 0u64;
+    for shard in shards {
+        shard.for_each(|record| {
+            entered += 1;
+            f(record)
+        })?;
+    }
+    Ok(entered)
 }
 
 impl<T: Record> std::fmt::Debug for FusedUnit<T> {
@@ -74,8 +112,8 @@ impl<T: Record> std::fmt::Debug for FusedUnit<T> {
     }
 }
 
-/// One slice of a collection: a materialized shard or a pending fused
-/// chain over one.
+/// One slice of a collection: a materialized shard or a fused chain over
+/// one, pending or executed.
 #[derive(Clone, Debug)]
 pub(crate) enum Segment<T: Record> {
     Ready(Shard<T>),
@@ -87,13 +125,12 @@ pub(crate) enum Segment<T: Record> {
 /// *"A PCollection represents an immutable, conceptually infinitely-sized
 /// set of elements. The set does not need to fit into DRAM."*).
 ///
-/// Collections are cheap to clone (shards are shared). With fusion on
-/// (the default; see `SUBMOD_FUSION` and
-/// [`crate::PipelineBuilder::fusion`]), chained per-shard transforms
-/// defer into a single pass per shard executed at the next barrier, so
-/// records cross the codec/spill boundary once per *stage* instead of
-/// once per *operator*. Any worker whose output buffer would exceed the
-/// pipeline's [`crate::MemoryBudget`] spills it to disk.
+/// Collections are cheap to clone (shards are shared). Chained per-shard
+/// transforms defer into a single pass per shard executed at the next
+/// barrier, so records cross the codec/spill boundary once per *stage*
+/// instead of once per *operator*; an executed stage keeps its output
+/// shards and releases its input. Any worker whose output buffer would
+/// exceed the pipeline's [`crate::MemoryBudget`] spills it to disk.
 ///
 /// ```
 /// use submod_dataflow::Pipeline;
@@ -128,9 +165,9 @@ impl<T: Record> PCollection<T> {
         self.segments.len()
     }
 
-    /// Materialized shards, executing (and caching) any pending fused
-    /// chains — the barrier primitive every consuming operation goes
-    /// through. Fused segments execute in parallel.
+    /// Materialized shards, executing any pending fused chains (each unit
+    /// keeps its output) — the barrier primitive every consuming operation
+    /// goes through. Fused segments execute in parallel.
     pub(crate) fn ready_shards(&self) -> Result<Vec<Shard<T>>, DataflowError> {
         if self.segments.iter().all(|s| matches!(s, Segment::Ready(_))) {
             return Ok(self
@@ -154,8 +191,9 @@ impl<T: Record> PCollection<T> {
     }
 
     /// Forces any pending fused chains to execute, returning a collection
-    /// of materialized shards. A no-op (cheap shard clones) when nothing
-    /// is pending.
+    /// of materialized shards — an explicit barrier: when it returns,
+    /// every output shard exists in memory or as a spill file. A no-op
+    /// (cheap shard clones) when nothing is pending.
     ///
     /// # Errors
     ///
@@ -197,10 +235,10 @@ impl<T: Record> PCollection<T> {
         Ok(out)
     }
 
-    /// Applies `f` to every record, producing a new collection. With
-    /// fusion on, the work defers into the shard's operator chain; the
-    /// closure must therefore own its captures (`'static`) — use
-    /// [`PCollection::map_eager`] for borrow-capturing closures.
+    /// Applies `f` to every record, producing a new collection. The work
+    /// defers into the shard's operator chain; the closure must therefore
+    /// own its captures (`'static`) — use [`PCollection::map_eager`] for
+    /// borrow-capturing closures.
     ///
     /// # Errors
     ///
@@ -210,9 +248,6 @@ impl<T: Record> PCollection<T> {
         U: Record,
         F: Fn(T) -> U + Send + Sync + 'static,
     {
-        if !self.ctx.fusion {
-            return self.map_eager(f);
-        }
         Ok(self.compose(move |record, emit: Emit<'_, U>| emit(f(record))))
     }
 
@@ -241,15 +276,6 @@ impl<T: Record> PCollection<T> {
     where
         F: Fn(&T) -> bool + Send + Sync + 'static,
     {
-        if !self.ctx.fusion {
-            return self.transform_shards("filter", |record, sink| {
-                if predicate(&record) {
-                    sink.push(record)
-                } else {
-                    Ok(())
-                }
-            });
-        }
         Ok(self.compose(
             move |record, emit: Emit<'_, T>| {
                 if predicate(&record) {
@@ -274,14 +300,6 @@ impl<T: Record> PCollection<T> {
         I: IntoIterator<Item = U>,
         F: Fn(T) -> I + Send + Sync + 'static,
     {
-        if !self.ctx.fusion {
-            return self.transform_shards("flat_map", |record, sink| {
-                for out in f(record) {
-                    sink.push(out)?;
-                }
-                Ok(())
-            });
-        }
         Ok(self.compose(move |record, emit: Emit<'_, U>| {
             for out in f(record) {
                 emit(out)?;
@@ -332,13 +350,16 @@ impl<T: Record> PCollection<T> {
 
     /// Defers `body` onto every segment's operator chain: each output
     /// segment is a [`FusedUnit`] that will stream its source through the
-    /// composed chain in one pass at the next barrier.
+    /// composed chain in one pass at the next barrier. A unit that already
+    /// executed is a source like a ready shard: the new chain starts over
+    /// its shards and holds no edge to the unit itself.
     fn compose<U, B>(&self, body: B) -> PCollection<U>
     where
         U: Record,
         B: Fn(T, Emit<'_, U>) -> Result<(), DataflowError> + Send + Sync + 'static,
     {
         let body = Arc::new(body);
+        let ctx = &self.ctx;
         let segments = self
             .segments
             .iter()
@@ -346,32 +367,23 @@ impl<T: Record> PCollection<T> {
                 let body = Arc::clone(&body);
                 let unit = match segment {
                     Segment::Ready(shard) => {
-                        let shard = shard.clone();
-                        FusedUnit {
-                            ctx: self.ctx.clone(),
-                            ops: 1,
-                            cache: Mutex::new(None),
-                            run: Box::new(move |emit| {
-                                let mut entered = 0u64;
-                                shard.for_each(|record| {
-                                    entered += 1;
-                                    body(record, &mut *emit)
-                                })?;
-                                Ok(entered)
-                            }),
-                        }
+                        FusedUnit::over_shards(ctx.clone(), vec![shard.clone()], body)
                     }
-                    Segment::Fused(prev) => {
-                        let prev = Arc::clone(prev);
-                        FusedUnit {
-                            ctx: self.ctx.clone(),
-                            ops: prev.ops.saturating_add(1),
-                            cache: Mutex::new(None),
-                            run: Box::new(move |emit| {
-                                prev.stream(&mut |record| body(record, &mut *emit))
-                            }),
+                    Segment::Fused(prev) => match prev.state() {
+                        UnitState::Executed(shards) => {
+                            FusedUnit::over_shards(ctx.clone(), shards, body)
                         }
-                    }
+                        UnitState::Pending(_) => {
+                            let prev = Arc::clone(prev);
+                            FusedUnit {
+                                ctx: ctx.clone(),
+                                ops: prev.ops.saturating_add(1),
+                                state: Mutex::new(UnitState::Pending(Arc::new(move |emit| {
+                                    prev.stream(&mut |record| body(record, &mut *emit))
+                                }))),
+                            }
+                        }
+                    },
                 };
                 Segment::Fused(Arc::new(unit))
             })
@@ -392,11 +404,8 @@ impl<T: Record> PCollection<T> {
         U: Record,
         F: Fn(T, &mut ShardSink<'_, U>) -> Result<(), DataflowError> + Send + Sync,
     {
-        let _span = submod_obs::span_full(match op {
-            "map" => "dataflow.map",
-            "filter" => "dataflow.filter",
-            _ => "dataflow.flat_map",
-        });
+        let _span =
+            submod_obs::span_full(if op == "map" { "dataflow.map" } else { "dataflow.flat_map" });
         let op_records = submod_obs::counter(&format!("dataflow.op.{op}.records"));
         let ctx = &self.ctx;
         let shards = self.ready_shards()?;
@@ -421,6 +430,8 @@ impl<T: Record> PCollection<T> {
 #[cfg(test)]
 mod tests {
     use crate::{MemoryBudget, Pipeline};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn pipeline() -> Pipeline {
         Pipeline::new(3).unwrap()
@@ -489,16 +500,16 @@ mod tests {
 
     #[test]
     fn records_processed_metric_accumulates_eagerly() {
-        let p = Pipeline::builder().workers(3).fusion(false).build().unwrap();
+        let p = Pipeline::new(3).unwrap();
         let pc = p.from_vec((0u64..50).collect());
-        pc.map(|x| x).unwrap();
-        pc.filter(|_| true).unwrap();
+        pc.map_eager(|x| x).unwrap();
+        pc.flat_map_eager(Some).unwrap();
         assert_eq!(p.metrics().records_processed, 100);
     }
 
     #[test]
     fn fused_chain_runs_once_per_shard_at_the_barrier() {
-        let p = Pipeline::builder().workers(3).fusion(true).build().unwrap();
+        let p = Pipeline::new(3).unwrap();
         let pc = p.from_vec((0u64..100).collect());
         let chained = pc.map(|x| x + 1).unwrap().filter(|x| x % 2 == 0).unwrap().map(|x| x * 10);
         let chained = chained.unwrap();
@@ -516,35 +527,89 @@ mod tests {
     }
 
     #[test]
-    fn fused_results_are_cached_across_barriers() {
-        let p = Pipeline::builder().workers(2).fusion(true).build().unwrap();
+    fn fused_results_are_kept_across_barriers() {
+        let p = Pipeline::new(2).unwrap();
         let pc = p.from_vec((0u64..40).collect());
         let mapped = pc.map(|x| x + 1).unwrap();
         assert_eq!(mapped.count().unwrap(), 40);
         let stages_after_first = p.metrics().stages_fused;
-        // Re-consuming the same collection reads the cache.
+        // Re-consuming the same collection reads the executed shards.
         assert_eq!(mapped.count().unwrap(), 40);
         assert_eq!(mapped.collect().unwrap().len(), 40);
         assert_eq!(p.metrics().stages_fused, stages_after_first);
-        // Chaining on top of the cached result streams from the cache.
+        // A chain on top of the executed collection starts over its shards.
         assert_eq!(mapped.map(|x| x * 2).unwrap().count().unwrap(), 40);
         assert_eq!(p.metrics().stages_fused, stages_after_first + 2);
     }
 
     #[test]
-    fn fusion_on_and_off_agree() {
-        let build = |fusion: bool| {
-            let p = Pipeline::builder().workers(3).fusion(fusion).build().unwrap();
-            let pc = p.from_vec((0u64..500).collect());
-            pc.map(|x| x * 7)
-                .unwrap()
-                .filter(|x| x % 3 != 0)
-                .unwrap()
-                .flat_map(|x| vec![x, x + 1])
-                .unwrap()
-                .collect()
-                .unwrap()
-        };
-        assert_eq!(build(true), build(false));
+    fn deferred_and_eager_chains_agree() {
+        let p = Pipeline::new(3).unwrap();
+        let pc = p.from_vec((0u64..500).collect());
+        let deferred = pc
+            .map(|x| x * 7)
+            .unwrap()
+            .filter(|x| x % 3 != 0)
+            .unwrap()
+            .flat_map(|x| vec![x, x + 1])
+            .unwrap()
+            .collect()
+            .unwrap();
+        let eager = pc
+            .map_eager(|x| x * 7)
+            .unwrap()
+            .flat_map_eager(|x| (x % 3 != 0).then_some(x))
+            .unwrap()
+            .flat_map_eager(|x| vec![x, x + 1])
+            .unwrap()
+            .collect()
+            .unwrap();
+        let reference: Vec<u64> =
+            (0u64..500).map(|x| x * 7).filter(|x| x % 3 != 0).flat_map(|x| [x, x + 1]).collect();
+        assert_eq!(deferred, eager);
+        assert_eq!(deferred, reference);
+    }
+
+    /// A token owned by one stage's closure; counts how many are alive.
+    struct Token(Arc<AtomicUsize>);
+
+    impl Token {
+        fn new(alive: &Arc<AtomicUsize>) -> Self {
+            alive.fetch_add(1, Ordering::Relaxed);
+            Token(Arc::clone(alive))
+        }
+    }
+
+    impl Drop for Token {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn reassigning_loop_releases_every_executed_stage() {
+        const STEPS: u64 = 10_000;
+        let alive = Arc::new(AtomicUsize::new(0));
+        let p = Pipeline::new(2).unwrap();
+        let mut table = p.from_vec((0u64..1000).collect());
+        for _ in 0..STEPS {
+            let token = Token::new(&alive);
+            table = table
+                .map(move |x| {
+                    std::hint::black_box(&token);
+                    x + 1
+                })
+                .unwrap();
+            assert_eq!(table.count().unwrap(), 1000);
+        }
+        assert!(
+            alive.load(Ordering::Relaxed) <= 2,
+            "{} of {STEPS} stage closures still alive",
+            alive.load(Ordering::Relaxed)
+        );
+        assert_eq!(table.collect().unwrap().iter().max(), Some(&(999 + STEPS)));
+        // Dropping the table must not walk a chain as deep as the loop.
+        drop(table);
+        assert_eq!(alive.load(Ordering::Relaxed), 0);
     }
 }

@@ -5,7 +5,6 @@ use crate::memory::{MemoryBudget, MetricsInner, PipelineMetrics};
 use crate::spill::{spill_columns, SpillFile, SpillReader, SpillStore, SpillWriter};
 use crate::{DataflowError, PCollection};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Internal pipeline state shared by every [`PCollection`] derived from it.
@@ -15,38 +14,6 @@ pub(crate) struct Ctx {
     pub budget: MemoryBudget,
     pub metrics: MetricsInner,
     pub spill: SpillStore,
-    /// Operator fusion: chained map/filter/flat_map defer into one pass
-    /// per shard, executed at the next barrier.
-    pub fusion: bool,
-}
-
-// Tri-state process-wide default: 0 = unset (fall back to the
-// environment), 1 = off, 2 = on. Mutating the environment from Rust is
-// unsound with concurrent readers, so CLI flags set this instead.
-static FUSION_DEFAULT: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide operator-fusion default, overriding the
-/// `SUBMOD_FUSION` environment variable (per-pipeline
-/// [`PipelineBuilder::fusion`] still wins). Lets CLI `--fusion off|on`
-/// flags A/B the optimization without env plumbing.
-pub fn set_fusion_default(on: bool) {
-    FUSION_DEFAULT.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-fn resolve_fusion(builder: Option<bool>) -> bool {
-    if let Some(v) = builder {
-        return v;
-    }
-    match FUSION_DEFAULT.load(Ordering::Relaxed) {
-        1 => return false,
-        2 => return true,
-        _ => {}
-    }
-    // SUBMOD_FUSION=off|0|false disables; anything else (or unset) is on.
-    match std::env::var("SUBMOD_FUSION") {
-        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-        Err(_) => true,
-    }
 }
 
 /// A Beam-style dataflow pipeline with `w` simulated workers, each holding
@@ -119,11 +86,6 @@ impl Pipeline {
         self.ctx.metrics.observe_worker_bytes(bytes);
     }
 
-    /// Whether chained per-shard transforms fuse into single passes.
-    pub fn fusion_enabled(&self) -> bool {
-        self.ctx.fusion
-    }
-
     /// Creates a collection from an in-memory vector, splitting it into one
     /// shard per worker.
     pub fn from_vec<T: Record>(&self, data: Vec<T>) -> PCollection<T> {
@@ -184,7 +146,6 @@ pub struct PipelineBuilder {
     workers: Option<usize>,
     budget: Option<MemoryBudget>,
     spill_dir: Option<PathBuf>,
-    fusion: Option<bool>,
 }
 
 impl PipelineBuilder {
@@ -204,14 +165,6 @@ impl PipelineBuilder {
     /// system temporary directory).
     pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Forces operator fusion on or off for this pipeline, overriding the
-    /// process default ([`set_fusion_default`] / `SUBMOD_FUSION`, which
-    /// defaults to on).
-    pub fn fusion(mut self, on: bool) -> Self {
-        self.fusion = Some(on);
         self
     }
 
@@ -236,7 +189,6 @@ impl PipelineBuilder {
                 budget: self.budget.unwrap_or_default(),
                 metrics: MetricsInner::default(),
                 spill,
-                fusion: resolve_fusion(self.fusion),
             }),
         })
     }

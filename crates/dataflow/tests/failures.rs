@@ -6,10 +6,10 @@ use submod_dataflow::{DataflowError, MemoryBudget, Pipeline};
 
 /// Creates a pipeline whose spill files live in a directory we control.
 ///
-/// Fusion is disabled so transforms materialize (and spill) eagerly —
-/// these tests inject corruption between a transform and its read-back,
-/// which requires the spill files to exist up front. The fused read path
-/// is covered by `fused_chain_surfaces_spill_errors` below.
+/// Most tests inject corruption between a transform and its read-back,
+/// which requires the spill files to exist up front, so they put a
+/// `materialize()` barrier after the transform. The deferred read path is
+/// covered by `fused_chain_surfaces_spill_errors` below.
 fn pipeline_with_spill_dir(tag: &str) -> (Pipeline, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("submod-failure-{}-{tag}", std::process::id()));
     fs::create_dir_all(&dir).unwrap();
@@ -17,7 +17,6 @@ fn pipeline_with_spill_dir(tag: &str) -> (Pipeline, std::path::PathBuf) {
         .workers(2)
         .memory_budget(MemoryBudget::bytes(256))
         .spill_dir(&dir)
-        .fusion(false)
         .build()
         .unwrap();
     (pipeline, dir)
@@ -39,7 +38,7 @@ fn spill_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
 #[test]
 fn truncated_spill_file_is_reported() {
     let (pipeline, dir) = pipeline_with_spill_dir("truncate");
-    let pc = pipeline.from_vec((0u64..2000).collect()).map(|x| x).unwrap();
+    let pc = pipeline.from_vec((0u64..2000).collect()).map(|x| x).unwrap().materialize().unwrap();
     let files = spill_files(&dir);
     assert!(!files.is_empty(), "tiny budget must have spilled");
     // Chop every spill file in half: reads must fail, not fabricate data.
@@ -58,6 +57,8 @@ fn garbage_spill_content_is_reported() {
     let pc = pipeline
         .from_vec((0u64..2000).map(|i| (i, format!("value-{i}"))).collect::<Vec<_>>())
         .map(|x| x)
+        .unwrap()
+        .materialize()
         .unwrap();
     let files = spill_files(&dir);
     assert!(!files.is_empty());
@@ -75,7 +76,8 @@ fn garbage_spill_content_is_reported() {
 #[test]
 fn deleted_spill_file_is_reported() {
     let (pipeline, dir) = pipeline_with_spill_dir("delete");
-    let pc = pipeline.from_vec((0u64..2000).collect()).map(|x| x + 1).unwrap();
+    let pc =
+        pipeline.from_vec((0u64..2000).collect()).map(|x| x + 1).unwrap().materialize().unwrap();
     for f in spill_files(&dir) {
         fs::remove_file(f).unwrap();
     }
@@ -87,13 +89,14 @@ fn deleted_spill_file_is_reported() {
 #[test]
 fn errors_propagate_through_downstream_transforms() {
     let (pipeline, dir) = pipeline_with_spill_dir("downstream");
-    let pc = pipeline.from_vec((0u64..2000).collect()).map(|x| x).unwrap();
+    let pc = pipeline.from_vec((0u64..2000).collect()).map(|x| x).unwrap().materialize().unwrap();
     for f in spill_files(&dir) {
         fs::remove_file(f).unwrap();
     }
-    // A transform over the broken collection fails too (not just collect).
-    assert!(pc.filter(|_| true).is_err());
-    assert!(pc.map(|x| x).is_err());
+    // A transform over the broken collection defers, so it reads nothing;
+    // the barrier downstream of it fails (not just a collect of `pc`).
+    assert!(pc.filter(|_| true).unwrap().count().is_err());
+    assert!(pc.map(|x| x).unwrap().collect().is_err());
     let grouped = pc.map(|x| (x % 10, x)).and_then(|kv| kv.group_by_key());
     assert!(grouped.is_err());
     let _ = fs::remove_dir_all(&dir);
@@ -101,18 +104,10 @@ fn errors_propagate_through_downstream_transforms() {
 
 #[test]
 fn fused_chain_surfaces_spill_errors() {
-    // With fusion on, a deferred chain streams source shards at the
-    // barrier — corruption of a spilled *source* must still surface as an
-    // error from the barrier, not from the (deferred) transform calls.
-    let dir = std::env::temp_dir().join(format!("submod-failure-{}-fused", std::process::id()));
-    fs::create_dir_all(&dir).unwrap();
-    let pipeline = Pipeline::builder()
-        .workers(2)
-        .memory_budget(MemoryBudget::bytes(256))
-        .spill_dir(&dir)
-        .fusion(true)
-        .build()
-        .unwrap();
+    // A deferred chain streams source shards at the barrier — corruption
+    // of a spilled *source* must still surface as an error from the
+    // barrier, not from the (deferred) transform calls.
+    let (pipeline, dir) = pipeline_with_spill_dir("fused");
     let source = pipeline.generate(2000u64, |i| i).unwrap();
     let files = spill_files(&dir);
     assert!(!files.is_empty(), "tiny budget must have spilled the source");
@@ -133,7 +128,8 @@ fn unaffected_pipelines_keep_working() {
     // Sanity: corruption of one pipeline's spill dir must not leak into an
     // independent pipeline.
     let (broken, dir) = pipeline_with_spill_dir("isolated");
-    let broken_pc = broken.from_vec((0u64..2000).collect()).map(|x| x).unwrap();
+    let broken_pc =
+        broken.from_vec((0u64..2000).collect()).map(|x| x).unwrap().materialize().unwrap();
     for f in spill_files(&dir) {
         fs::remove_file(f).unwrap();
     }

@@ -3,23 +3,72 @@
 //! memory pressure.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use submod_dataflow::{Either2, MemoryBudget, PCollection, Pipeline, Record};
 
-/// Applies a random operator chain (maps, filters, flat_maps — all
-/// deferrable) to a collection; the same chain must produce bitwise
-/// identical results whether the stages fuse or run eagerly.
+// The operators of a random chain (`op % 4` picks one; `salt` is the
+// operator's position), shared by the deferred, eager and `Vec` versions.
+fn scramble(x: u64, salt: u64) -> u64 {
+    x.wrapping_mul(0x9E37_79B9).rotate_left(7) ^ salt
+}
+fn keep(x: u64, salt: u64) -> bool {
+    x % 3 != salt % 3
+}
+fn fan_out(x: u64) -> Vec<u64> {
+    if x.is_multiple_of(5) {
+        vec![x, x ^ 0xABCD]
+    } else {
+        vec![x]
+    }
+}
+fn flip(x: u64, salt: u64) -> u64 {
+    x ^ (0x5A5A + salt)
+}
+
+/// Applies a random chain of deferred operators (`map`, `filter`,
+/// `flat_map`), which fuse into one pass per shard.
 fn apply_chain(source: &PCollection<u64>, ops: &[u32]) -> PCollection<u64> {
     let mut current = source.clone();
     for (i, &op) in ops.iter().enumerate() {
         let salt = i as u64;
         current = match op % 4 {
-            0 => current.map(move |x| x.wrapping_mul(0x9E37_79B9).rotate_left(7) ^ salt).unwrap(),
-            1 => current.filter(move |&x| x % 3 != salt % 3).unwrap(),
-            2 => current
-                .flat_map(move |x| if x % 5 == 0 { vec![x, x ^ 0xABCD] } else { vec![x] })
-                .unwrap(),
-            _ => current.map(move |x| x ^ (0x5A5A + salt)).unwrap(),
+            0 => current.map(move |x| scramble(x, salt)),
+            1 => current.filter(move |&x| keep(x, salt)),
+            2 => current.flat_map(fan_out),
+            _ => current.map(move |x| flip(x, salt)),
+        }
+        .unwrap();
+    }
+    current
+}
+
+/// The same chain, one eager pass per operator; a filter is a
+/// `flat_map_eager` that returns an `Option`.
+fn apply_chain_eager(source: &PCollection<u64>, ops: &[u32]) -> PCollection<u64> {
+    let mut current = source.clone();
+    for (i, &op) in ops.iter().enumerate() {
+        let salt = i as u64;
+        current = match op % 4 {
+            0 => current.map_eager(|x| scramble(x, salt)),
+            1 => current.flat_map_eager(|x| keep(x, salt).then_some(x)),
+            2 => current.flat_map_eager(fan_out),
+            _ => current.map_eager(|x| flip(x, salt)),
+        }
+        .unwrap();
+    }
+    current
+}
+
+/// The same chain as a plain iterator chain over the input.
+fn apply_chain_vec(data: &[u64], ops: &[u32]) -> Vec<u64> {
+    let mut current = data.to_vec();
+    for (i, &op) in ops.iter().enumerate() {
+        let salt = i as u64;
+        current = match op % 4 {
+            0 => current.into_iter().map(|x| scramble(x, salt)).collect(),
+            1 => current.into_iter().filter(|&x| keep(x, salt)).collect(),
+            2 => current.into_iter().flat_map(fan_out).collect(),
+            _ => current.into_iter().map(|x| flip(x, salt)).collect(),
         };
     }
     current
@@ -348,58 +397,60 @@ proptest! {
         }
     }
 
-    /// Operator fusion is invisible: any random deferrable chain yields
-    /// bitwise identical collections with fusion on and off, under any
-    /// worker count and with or without a spilling budget.
+    /// Operator fusion is invisible: any random deferred chain yields the
+    /// same records, bit for bit and in order, as the chain run one eager
+    /// pass per operator and as a plain iterator chain, under any worker
+    /// count and with or without a spilling budget.
     #[test]
-    fn fusion_on_and_off_agree_on_random_chains(
+    fn fused_chains_match_eager_and_vec_references(
         data in proptest::collection::vec(any::<u64>(), 0..300),
         ops in proptest::collection::vec(0u32..4, 1..8),
         workers in 1usize..6,
         tiny_budget in any::<bool>(),
     ) {
-        let build = |fusion: bool| {
-            let mut b = Pipeline::builder().workers(workers).fusion(fusion);
-            if tiny_budget {
-                b = b.memory_budget(MemoryBudget::bytes(256));
-            }
-            b.build().unwrap()
-        };
-        let fused_pipeline = build(true);
-        let eager_pipeline = build(false);
-        let fused = apply_chain(&fused_pipeline.from_vec(data.clone()), &ops);
-        let eager = apply_chain(&eager_pipeline.from_vec(data.clone()), &ops);
-        prop_assert_eq!(fused.collect().unwrap(), eager.collect().unwrap());
-        if !data.is_empty() {
-            prop_assert!(fused_pipeline.metrics().stages_fused > 0, "chain did not fuse");
+        let mut builder = Pipeline::builder().workers(workers);
+        if tiny_budget {
+            builder = builder.memory_budget(MemoryBudget::bytes(256));
         }
-        prop_assert_eq!(eager_pipeline.metrics().stages_fused, 0u64);
+        let pipeline = builder.build().unwrap();
+        let source = pipeline.from_vec(data.clone());
+        let fused = apply_chain(&source, &ops).collect().unwrap();
+        if !data.is_empty() {
+            prop_assert!(pipeline.metrics().stages_fused > 0, "chain did not fuse");
+        }
+        prop_assert_eq!(&fused, &apply_chain_eager(&source, &ops).collect().unwrap());
+        prop_assert_eq!(&fused, &apply_chain_vec(&data, &ops));
     }
 
     /// Fused chains feed shuffles with the exact same contents the eager
-    /// path produces: group_by_key downstream of a random chain matches
-    /// group for group, value order included.
+    /// chain produces: group_by_key downstream of a random chain matches
+    /// group for group, value order included, and holds the values the
+    /// iterator chain puts under each key.
     #[test]
-    fn fusion_preserves_shuffle_contents(
+    fn fused_chains_preserve_shuffle_contents(
         data in proptest::collection::vec(any::<u64>(), 0..250),
         ops in proptest::collection::vec(0u32..4, 1..6),
         workers in 1usize..5,
     ) {
-        let mut grouped_runs = Vec::new();
-        for fusion in [true, false] {
-            let pipeline = Pipeline::builder().workers(workers).fusion(fusion).build().unwrap();
-            let chained = apply_chain(&pipeline.from_vec(data.clone()), &ops);
-            let mut groups = chained
-                .map(|x| (x % 8, x))
-                .unwrap()
-                .group_by_key()
-                .unwrap()
-                .collect()
-                .unwrap();
+        let pipeline = Pipeline::new(workers).unwrap();
+        let source = pipeline.from_vec(data.clone());
+        let grouped = |chained: PCollection<u64>| {
+            let mut groups =
+                chained.map(|x| (x % 8, x)).unwrap().group_by_key().unwrap().collect().unwrap();
             groups.sort_by_key(|&(k, _)| k);
-            grouped_runs.push(groups);
+            groups
+        };
+        let fused = grouped(apply_chain(&source, &ops));
+        prop_assert_eq!(&fused, &grouped(apply_chain_eager(&source, &ops)));
+        let mut reference: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for x in apply_chain_vec(&data, &ops) {
+            reference.entry(x % 8).or_default().push(x);
         }
-        prop_assert_eq!(&grouped_runs[0], &grouped_runs[1]);
+        let mut fused: BTreeMap<u64, Vec<u64>> = fused.into_iter().collect();
+        for values in fused.values_mut().chain(reference.values_mut()) {
+            values.sort_unstable();
+        }
+        prop_assert_eq!(fused, reference);
     }
 
     /// co_group_2 is a full outer join: every key from either side appears

@@ -28,16 +28,19 @@ fn reported_spill_bytes_are_the_bytes_on_disk() {
         .workers(2)
         .memory_budget(MemoryBudget::bytes(256))
         .spill_dir(&dir)
-        .fusion(false)
         .build()
         .unwrap();
     // Variable-width records spill as length-prefixed frames, fixed-width
-    // ones as raw columns.
+    // ones as raw columns. The barriers make both spill before the files
+    // are measured.
     let framed = pipeline
         .from_vec((0u64..500).map(|i| (i, format!("value-{i}"))).collect::<Vec<_>>())
         .map(|x| x)
+        .unwrap()
+        .materialize()
         .unwrap();
-    let columnar = pipeline.from_vec((0u64..500).collect()).map(|x| x * 2).unwrap();
+    let columnar =
+        pipeline.from_vec((0u64..500).collect()).map(|x| x * 2).unwrap().materialize().unwrap();
 
     let on_disk: u64 = spill_files(&dir).iter().map(|f| fs::metadata(f).unwrap().len()).sum();
     let metrics = pipeline.metrics();

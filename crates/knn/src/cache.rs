@@ -16,6 +16,7 @@
 use crate::KnnError;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use submod_core::SimilarityGraph;
 
 /// Returns the default cache directory (`target/graph-cache` under the
@@ -81,7 +82,15 @@ where
     }
     submod_obs::counter!("knn.cache.misses").incr();
     let (graph, utilities) = build()?;
-    save_graph(path, &graph, &utilities)?;
+    // Concurrent misses on one key (parallel tests) may have the file
+    // mapped already; rewriting it in place would truncate their mapping
+    // (SIGBUS), so each writes a private file and renames it into place.
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let n = WRITES.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp-{}-{n}", std::process::id()));
+    save_graph(&tmp, &graph, &utilities)?;
+    fs::rename(&tmp, path)
+        .map_err(|e| KnnError::Io { context: "renaming a graph cache file", source: e.into() })?;
     load_graph(path)
 }
 
@@ -165,6 +174,29 @@ mod tests {
         assert_eq!(builds, 1, "second call must hit the cache");
         assert_eq!(g1, g2);
         assert!(g1.is_mapped() && g2.is_mapped(), "both paths must return the mapped graph");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_rebuild_leaves_mapped_copies_intact() {
+        let path = temp_path("rebuild.bin");
+        let _ = fs::remove_file(&path);
+        let (graph, utilities) = sample_graph();
+        let mut b = GraphBuilder::new(4);
+        b.add_undirected(0, 1, 0.9).unwrap();
+        b.add_undirected(2, 3, 0.8).unwrap();
+        b.add_undirected(0, 3, 0.7).unwrap();
+        let other = b.build();
+        let mut first = None;
+        load_or_build(&path, || {
+            // A concurrent miss on the same key finishes first and maps
+            // its file before this one writes.
+            first = Some(load_or_build(&path, || Ok((graph.clone(), utilities.clone()))).unwrap());
+            Ok((other.clone(), utilities.clone()))
+        })
+        .unwrap();
+        assert_eq!(first.unwrap().0, graph, "the mapped copy must keep its bytes");
+        assert_eq!(load_graph(&path).unwrap().0, other);
         let _ = fs::remove_file(&path);
     }
 
