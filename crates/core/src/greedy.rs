@@ -225,7 +225,8 @@ pub fn naive_greedy_select(
 ///
 /// The paper (§3) notes this variant can be *slower* for pairwise
 /// objectives because deferred updates make later recomputations touch the
-/// whole current subset — the Criterion benches quantify that claim.
+/// whole current subset. It is kept as a §3 baseline and a test oracle;
+/// no selection path runs it.
 ///
 /// # Errors
 ///

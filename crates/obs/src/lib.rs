@@ -14,8 +14,8 @@
 //! | `full`         | recorded | recorded      | recorded         |
 //!
 //! The gate is a *branch on a static*: one relaxed atomic load and a
-//! compare, so the `off` path costs near-zero (the `obs_overhead`
-//! benchmark and CI's `bench-diff --trace-overhead` gate assert it).
+//! compare, so the `off` path costs near-zero (the repo benchmark's
+//! `obs.trace_overhead_frac` measures it).
 //! The metrics registry itself is always live — it is the single source
 //! of truth behind `BoundingStats`/`GreedyStats` mirrors and
 //! `experiments ltm --report-memory`, which must work without any env
@@ -804,6 +804,7 @@ pub fn mark_rss_baseline() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
 
     #[test]
     fn mode_parsing() {
@@ -860,8 +861,14 @@ mod tests {
         assert_eq!(names, ["test.snap.a", "test.snap.b"]);
     }
 
+    /// Serializes the tests that set the global trace mode or drain the
+    /// global span buffers; run in parallel, one would switch tracing off
+    /// or take the other's spans mid-assertion.
+    static TRACE_STATE: Mutex<()> = Mutex::new(());
+
     #[test]
     fn spans_record_and_nest_when_enabled() {
+        let _serial = TRACE_STATE.lock().unwrap_or_else(PoisonError::into_inner);
         set_mode(TraceMode::Spans);
         let _ = take_spans();
         {
@@ -890,6 +897,7 @@ mod tests {
 
     #[test]
     fn with_parent_propagates_and_restores() {
+        let _serial = TRACE_STATE.lock().unwrap_or_else(PoisonError::into_inner);
         set_mode(TraceMode::Spans);
         let _ = take_spans();
         let parent_id;
