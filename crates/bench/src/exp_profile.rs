@@ -24,7 +24,9 @@ use submod_obs::{MetricsSnapshot, SpanEvent, TraceMode};
 /// Per-span-name rollup: occurrence count, total and max inclusive µs.
 type Rollup = BTreeMap<&'static str, (u64, u64, u64)>;
 
-/// The work counters of the selection loops, printed per phase.
+/// The work counters of the selection loops, printed per phase. The
+/// greedy pair counts the global adjacency entries read while building
+/// the per-machine local shards, and the entries those shards keep.
 const WORK_COUNTERS: [&str; 4] =
     ["bounding.dirty_nodes", "bounding.edges_walked", "greedy.edges_walked", "greedy.edges_local"];
 

@@ -13,13 +13,13 @@
 //!
 //! Everything backend-specific hides behind [`MachineGreedyBackend`]:
 //!
-//! - [`InMemoryGreedyBackend`] keys the pool into per-machine
-//!   [`AddressablePq`]s on the driver — the `O(pool)`-per-phase baseline.
+//! - [`InMemoryGreedyBackend`] keys the pool into per-machine local
+//!   shards and [`AddressablePq`]s on the driver — the `O(pool)` baseline.
 //! - [`DataflowGreedyBackend`] keeps the scored pool inside the engine as
 //!   a `(machine, (node, priority))` collection. When every partition
 //!   fits one worker (computed per round from the pipeline's budget) the
 //!   phase is **partition-resident**: one `group_by_key`, then each
-//!   worker runs its machines' queues to completion and only the winner
+//!   worker pops its machines' shards to completion and only the winner
 //!   rows reach the driver. Otherwise each τ-certified batch of winners
 //!   costs one engine scan of a table that stays materialized, the
 //!   winners riding to workers in a hashed [`Overlay`] that a rewrite
@@ -201,9 +201,9 @@ pub(crate) fn run_phase(
     Ok(outcome)
 }
 
-/// Sorted, deduplicated raw ids — the canonical pool representation both
-/// backends start from, so their candidate sets match element for
-/// element.
+/// Sorted, deduplicated raw ids — the dataflow backend's pool, element
+/// for element the members of the in-memory backend's pool bitset, in
+/// the same order.
 fn canonical_pool(ground: &[NodeId]) -> Vec<u64> {
     let mut pool: Vec<u64> = ground.iter().map(|v| v.raw()).collect();
     pool.sort_unstable();
@@ -215,81 +215,130 @@ fn canonical_pool(ground: &[NodeId]) -> Vec<u64> {
 /// from a lockstep step or `(machine, (t, node))` from a resident pass.
 const WINNER_ROW_BYTES: usize = size_of::<(u64, u64, f64)>();
 
-/// How [`run_machine`] finds a neighbour's queue index.
-#[derive(Clone, Copy)]
-enum Locals<'a> {
-    /// One machine of a keyed phase: a neighbour the keying puts on
-    /// another machine is rejected by the mixer alone, touching no memory,
-    /// and only the rest search the ascending bucket.
-    Partition { keying: &'a MachineKeying, machine: u64 },
-    /// A dense node → queue index table, [`NOT_QUEUED`] for nodes outside
-    /// the queue: the single-bucket trim, where the keying rejects nothing.
-    Dense(&'a [u32]),
+/// One machine's domestic adjacency as a local CSR over its ascending
+/// bucket `nodes`: row `l` keeps, in order, the `(local target, weight)`
+/// edges of `nodes[l]` that stay in the bucket — so a winner's row makes
+/// the decreases of its global row, bit for bit, minus other machines'.
+struct LocalShard {
+    nodes: Vec<u64>,
+    offsets: Vec<u64>,
+    edges: Vec<(u32, f32)>,
 }
 
-/// A [`Locals::Dense`] entry for a node outside the queue.
-const NOT_QUEUED: u32 = u32::MAX;
+impl LocalShard {
+    /// The shards of disjoint ascending `buckets`, `local(b, nodes, x)`
+    /// giving neighbour `x`'s index in bucket `b` if it has one, for every
+    /// `x` that `marks(b, x)` admits. A first pass marks, one bit per entry
+    /// walked; the arrays are then sized on the calling thread (a pool
+    /// worker's malloc arena keeps its pages after a phase: 1 MiB more RSS
+    /// on `graph-mem`); a second pass visits only the marks. Both passes
+    /// run in parallel.
+    fn build<M, F>(graph: &SimilarityGraph, buckets: Vec<Vec<u64>>, marks: M, local: F) -> Vec<Self>
+    where
+        M: Fn(usize, u64) -> bool + Sync,
+        F: Fn(usize, &[u64], u64) -> Option<u32> + Sync,
+    {
+        let (csr, neighbors, weights) = graph.csr_parts();
+        let row = |v: u64| csr[v as usize] as usize..csr[v as usize + 1] as usize;
+        let marked =
+            submod_exec::parallel_map(buckets.iter().enumerate().collect(), |(b, nodes)| {
+                let walked: usize = nodes.iter().map(|&v| row(v).len()).sum();
+                let mut kept = vec![0u64; walked.div_ceil(64)];
+                for (i, &x) in nodes.iter().flat_map(|&v| &neighbors[row(v)]).enumerate() {
+                    kept[i / 64] |= u64::from(marks(b, x.into())) << (i % 64);
+                }
+                submod_obs::counter!("greedy.edges_walked").add(walked as u64);
+                kept
+            });
+        let sized = |(nodes, kept): (Vec<u64>, Vec<u64>)| {
+            let entries = kept.iter().map(|w| w.count_ones() as usize).sum();
+            let offsets = Vec::with_capacity(nodes.len() + 1);
+            (LocalShard { nodes, offsets, edges: Vec::with_capacity(entries) }, kept)
+        };
+        let mut shards: Vec<_> = buckets.into_iter().zip(marked).map(sized).collect();
+        submod_exec::parallel_map(shards.iter_mut().enumerate().collect(), |(b, (shard, kept))| {
+            let (LocalShard { nodes, offsets, edges }, mut end) = (shard, 0);
+            offsets.push(0);
+            for &v in nodes.iter() {
+                let (row, first, mut j) = (row(v), end, end);
+                end += row.len();
+                while j < end {
+                    let word = kept[j / 64] >> (j % 64);
+                    j += if word == 0 { 64 - j % 64 } else { word.trailing_zeros() as usize };
+                    if word != 0 && j < end {
+                        let e = row.start + j - first;
+                        if let Some(l) = local(b, nodes, neighbors[e].into()) {
+                            edges.push((l, weights[e]));
+                        }
+                        j += 1;
+                    }
+                }
+                offsets.push(edges.len() as u64);
+            }
+            submod_obs::counter!("greedy.edges_local").add(edges.len() as u64);
+        });
+        shards.into_iter().map(|(shard, _)| shard).collect()
+    }
 
-/// Runs one machine to completion: up to `quota` pops off `queue`, each
-/// winner walking its adjacency so every still-enqueued neighbor in the
-/// queue loses `(β/α)·s` (Algorithm 2's decrease). `bucket` is ascending
-/// by node id and maps the queue's local indices back to nodes; `locals`
-/// maps them forward. Returns the winners in pop order — the `t`-th entry
-/// *is* the machine's step-`t` winner in the lockstep.
+    /// The shard of machine `m`'s ascending bucket under `keying`, as a
+    /// worker builds it: the first pass marks the neighbours the keying puts
+    /// on `m` (an upper bound on the entries unless the pool is the whole
+    /// graph), and only those search the bucket.
+    fn partition(graph: &SimilarityGraph, nodes: Vec<u64>, keying: &MachineKeying, m: u64) -> Self {
+        let local = |_, nodes: &[u64], x| nodes.binary_search(&x).ok().map(|l| l as u32);
+        Self::build(graph, vec![nodes], |_, x| keying.machine_of(x) == m, local).remove(0)
+    }
+
+    /// The shards of disjoint ascending `buckets`, through a dense node →
+    /// position table over the buckets laid end to end (4 B per graph node,
+    /// dropped on return): a neighbour is in a bucket iff its position is.
+    fn indexed(graph: &SimilarityGraph, buckets: Vec<Vec<u64>>) -> Vec<Self> {
+        let (mut slots, mut starts) = (vec![u32::MAX; graph.num_nodes()], vec![0]);
+        for bucket in &buckets {
+            let start = *starts.last().expect("starts at 0");
+            (start..).zip(bucket).for_each(|(l, &v)| slots[v as usize] = l);
+            starts.push(start + bucket.len() as u32);
+        }
+        let position = |b: usize, x: u64| slots[x as usize].wrapping_sub(starts[b]);
+        let marks = |b, x| position(b, x) < starts[b + 1] - starts[b];
+        Self::build(graph, buckets, marks, |b, _, x| Some(position(b, x)))
+    }
+}
+
+/// Runs one machine to completion: up to `quota` pops off `pq`, each
+/// winner walking its `shard` row so every still-enqueued neighbour loses
+/// `(β/α)·s` (Algorithm 2's decrease). Returns the winners in pop order —
+/// the `t`-th entry *is* the machine's step-`t` winner in the lockstep.
 ///
 /// This is the only pop/decrease loop of the distributed drivers: the
 /// in-memory and resident phases, the in-memory lockstep step, the final
 /// trim and GreeDi's merge all run it.
-fn run_machine(
-    bucket: &[u64],
-    queue: &mut AddressablePq,
-    locals: Locals<'_>,
-    graph: &SimilarityGraph,
-    ratio: f64,
-    quota: usize,
-) -> Vec<u64> {
-    let mut sequence = Vec::with_capacity(quota.min(bucket.len()));
-    let (mut walked, mut looked_up) = (0u64, 0u64);
+fn run_machine(shard: &LocalShard, pq: &mut AddressablePq, ratio: f64, quota: usize) -> Vec<u64> {
+    let mut sequence = Vec::with_capacity(quota.min(shard.nodes.len()));
     for _ in 0..quota {
-        let Some((local, _priority)) = queue.pop_max() else { break };
-        let winner = bucket[local as usize];
-        sequence.push(winner);
-        for (x, s) in graph.edges(NodeId::new(winner)) {
-            walked += 1;
-            let x = x.raw();
-            let l = match locals {
-                Locals::Partition { keying, machine } => {
-                    if keying.machine_of(x) != machine {
-                        continue;
-                    }
-                    looked_up += 1;
-                    bucket.binary_search(&x).map_or(NOT_QUEUED, |l| l as u32)
-                }
-                Locals::Dense(slots) => {
-                    looked_up += 1;
-                    slots[x as usize]
-                }
-            };
-            // `contains` is false for `NOT_QUEUED` and for popped nodes.
-            if queue.contains(l) {
-                queue.decrease_by(l, ratio * f64::from(s));
+        let Some((local, _priority)) = pq.pop_max() else { break };
+        sequence.push(shard.nodes[local as usize]);
+        let row =
+            shard.offsets[local as usize] as usize..shard.offsets[local as usize + 1] as usize;
+        for &(l, s) in &shard.edges[row] {
+            // `contains` is false for popped nodes.
+            if pq.contains(l) {
+                pq.decrease_by(l, ratio * f64::from(s));
             }
         }
     }
-    submod_obs::counter!("greedy.edges_walked").add(walked);
-    submod_obs::counter!("greedy.edges_local").add(looked_up);
     sequence
 }
 
 /// Greedy over a single pool on the driver — the final trim of a
 /// multi-round run and GreeDi's merge: `pool` sorted ascending, priorities
 /// seeded from the utilities, then [`run_machine`] for `quota` pops over
-/// the whole graph's edges between pool members. Pops with negative
-/// priority count like any other, as in `greedy_select`; so do ties,
-/// which break toward the smaller id. `pool` holds distinct ids. Returns
-/// the winners in pop order. Its bytes (a 4 B-per-graph-node index plus
-/// 24 B per pool node) are outside `GreedyStats` and `MergeStats`, whose
-/// docs say why.
+/// the pool's shard. Pops with negative priority count like any other, as
+/// in `greedy_select`; so do ties, which break toward the smaller id.
+/// `pool` holds distinct ids. Returns the winners in pop order. Its bytes
+/// (a 4 B-per-graph-node index, dropped before the first pop, then the
+/// shard plus 24 B per pool node) are outside `GreedyStats` and
+/// `MergeStats`, whose docs say why.
 pub(crate) fn machine_select(
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
@@ -300,17 +349,10 @@ pub(crate) fn machine_select(
     if quota == 0 || pool.is_empty() {
         return Vec::new();
     }
-    let bucket: Vec<u64> = pool.iter().map(|v| v.raw()).collect();
-    let mut slots = vec![NOT_QUEUED; graph.num_nodes()];
-    for (l, &v) in bucket.iter().enumerate() {
-        slots[v as usize] = l as u32;
-    }
+    let shard = LocalShard::indexed(graph, vec![pool.iter().map(|v| v.raw()).collect()]).remove(0);
     let mut queue =
         AddressablePq::with_priorities(pool.iter().map(|&v| objective.utility(v)).collect());
-    run_machine(&bucket, &mut queue, Locals::Dense(&slots), graph, objective.ratio(), quota)
-        .into_iter()
-        .map(NodeId::new)
-        .collect()
+    run_machine(&shard, &mut queue, objective.ratio(), quota).into_iter().map(NodeId::new).collect()
 }
 
 /// Reassembles per-machine pop sequences (ascending by machine) into the
@@ -348,11 +390,11 @@ fn step_major(n: usize, sequences: &[Vec<u64>]) -> PhaseOutcome {
 pub(crate) struct InMemoryGreedyBackend<'a> {
     graph: &'a SimilarityGraph,
     objective: &'a PairwiseObjective,
-    pool: Vec<u64>,
-    /// The current phase's keying, which [`run_machine`] rejects
-    /// other machines' neighbours with.
-    keying: Option<MachineKeying>,
-    buckets: Vec<Vec<u64>>,
+    /// The pool as a bitset: the buckets and shards a phase builds from
+    /// it are the `O(pool)` part.
+    pool: NodeSet,
+    /// The current phase's per-machine shards, shared by every pop.
+    shards: Vec<LocalShard>,
     queues: Vec<AddressablePq>,
 }
 
@@ -365,9 +407,8 @@ impl<'a> InMemoryGreedyBackend<'a> {
         InMemoryGreedyBackend {
             graph,
             objective,
-            pool: canonical_pool(ground),
-            keying: None,
-            buckets: Vec::new(),
+            pool: NodeSet::from_members(graph.num_nodes(), ground.iter().copied()),
+            shards: Vec::new(),
             queues: Vec::new(),
         }
     }
@@ -380,10 +421,10 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
 
     fn begin_phase(&mut self, keying: MachineKeying, machines: usize) -> Result<u64, DistError> {
         let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); machines];
-        for &v in &self.pool {
+        for v in self.pool.iter().map(NodeId::raw) {
             buckets[keying.machine_of(v) as usize].push(v);
         }
-        let objective = self.objective;
+        let (graph, objective) = (self.graph, self.objective);
         self.queues = buckets
             .iter()
             .map(|bucket| {
@@ -392,8 +433,7 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
                 )
             })
             .collect();
-        self.buckets = buckets;
-        self.keying = Some(keying);
+        self.shards = LocalShard::indexed(graph, buckets);
         // Buckets (8 B/node) plus queue state (8 B priority + two 4 B
         // heap slots per node) — the O(pool) driver materialization.
         Ok((self.pool.len() * (size_of::<u64>() + size_of::<f64>() + 2 * size_of::<u32>())) as u64)
@@ -404,12 +444,11 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
         // decrease wave right after its pop — so the previous step's
         // winners are already applied. Machines are disjoint, so waves
         // never interact.
-        let keying = self.keying.as_ref().expect("step called outside a phase");
+        let ratio = self.objective.ratio();
         let mut winners = Vec::new();
-        for (machine, (bucket, queue)) in self.buckets.iter().zip(&mut self.queues).enumerate() {
+        for (machine, (shard, queue)) in self.shards.iter().zip(&mut self.queues).enumerate() {
             let Some((_, priority)) = queue.peek() else { continue };
-            let locals = Locals::Partition { keying, machine: machine as u64 };
-            let popped = run_machine(bucket, queue, locals, self.graph, self.objective.ratio(), 1);
+            let popped = run_machine(shard, queue, ratio, 1);
             winners.push((machine as u64, popped[0], priority));
         }
         let driver_bytes = (winners.len() * WINNER_ROW_BYTES) as u64;
@@ -424,29 +463,27 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
         // coarse-grained `parallel_map` region per phase — the PR 2
         // concurrency shape — and the step-major outcome is reassembled
         // exactly (machine `m`'s `t`-th pop *is* its step-`t` winner).
-        let (graph, ratio) = (self.graph, self.objective.ratio());
-        let keying = self.keying.as_ref().expect("phase_bulk called outside a phase");
-        let machines: Vec<(u64, (&Vec<u64>, &mut AddressablePq))> =
-            (0u64..).zip(self.buckets.iter().zip(self.queues.iter_mut())).collect();
-        let sequences = submod_exec::parallel_map(machines, |(machine, (bucket, queue))| {
-            run_machine(bucket, queue, Locals::Partition { keying, machine }, graph, ratio, quota)
+        let ratio = self.objective.ratio();
+        let machines: Vec<(&LocalShard, &mut AddressablePq)> =
+            self.shards.iter().zip(self.queues.iter_mut()).collect();
+        let sequences = submod_exec::parallel_map(machines, |(shard, queue)| {
+            run_machine(shard, queue, ratio, quota)
         });
         Ok(Some(step_major(n, &sequences)))
     }
 
     fn end_phase(&mut self, survivors: &NodeSet) -> Result<(), DistError> {
-        self.pool.retain(|&v| survivors.contains(NodeId::new(v)));
-        self.buckets.clear();
+        let kept = self.pool.iter().filter(|&v| survivors.contains(v));
+        self.pool = NodeSet::from_members(self.pool.capacity(), kept);
+        self.shards.clear();
         self.queues.clear();
         Ok(())
     }
 
     fn restore_pool(&mut self, pool: &[u64]) -> Result<(), DistError> {
-        let mut ids = pool.to_vec();
-        ids.sort_unstable();
-        ids.dedup();
-        self.pool = ids;
-        self.buckets.clear();
+        self.pool =
+            NodeSet::from_members(self.graph.num_nodes(), pool.iter().map(|&v| NodeId::new(v)));
+        self.shards.clear();
         self.queues.clear();
         Ok(())
     }
@@ -492,10 +529,13 @@ pub(crate) struct DataflowGreedyBackend<'a> {
 }
 
 /// Bytes one partition row costs the worker that runs its machine
-/// resident, at the moment the queue is built: the grouped
-/// `(node, priority)` row (16 B), the bucket's node id (8 B), and the
-/// queue's priority plus heap and position slots (8 + 4 + 4 B).
-const RESIDENT_BYTES_PER_ROW: u64 = 40;
+/// resident, besides its shard entries: the grouped `(node, priority)` row
+/// (16 B), the bucket's node id (8 B), the queue's priority plus heap and
+/// position slots (8 + 4 + 4 B), and the shard's row offset (8 B).
+const RESIDENT_BYTES_PER_ROW: u64 = 48;
+
+/// Bytes of one shard entry: a `u32` local target and an `f32` weight.
+const SHARD_BYTES_PER_ENTRY: u64 = 8;
 
 /// One scored-pool row: `(machine, (node, priority))`.
 type ScoredRow = (u64, (u64, f64));
@@ -663,21 +703,27 @@ impl<'a> DataflowGreedyBackend<'a> {
     }
 
     /// Whether the largest partition of this phase, run resident, fits
-    /// one worker: `rows × RESIDENT_BYTES_PER_ROW` against the pipeline's
-    /// per-worker budget. The largest partition holds at least the mean
-    /// (pigeonhole), so an unlimited budget, or a mean that is already
-    /// over, decides without looking; otherwise one `aggregate_per_key`
-    /// pass counts the partitions exactly.
+    /// one worker: `rows × RESIDENT_BYTES_PER_ROW` plus
+    /// `SHARD_BYTES_PER_ENTRY` per same-machine neighbour (exact when the
+    /// pool is the whole graph, an upper bound otherwise) against the
+    /// pipeline's per-worker budget. The largest partition holds at least
+    /// the mean (pigeonhole), so an unlimited budget, or a mean that is
+    /// already over, decides without looking; otherwise one
+    /// `aggregate_per_key` pass sums the partitions exactly.
     fn partitions_fit(&self, table: &PCollection<ScoredRow>) -> Result<bool, DistError> {
         let budget = self.pipeline.budget();
         let mean_rows = (self.pool_len as u64).div_ceil(self.machines as u64);
         let mut footprint = mean_rows * RESIDENT_BYTES_PER_ROW;
         if !budget.is_unlimited() && !budget.exceeded_by(footprint) {
-            let largest_rows = table
-                .map(|(machine, _)| (machine, 1u64))?
-                .aggregate_per_key(0u64, |rows, one| rows + one, |a, b| a + b)?
-                .aggregate(0u64, |largest, (_, rows)| largest.max(rows), u64::max)?;
-            footprint = largest_rows * RESIDENT_BYTES_PER_ROW;
+            let (graph, keying) = (self.graph, self.keying.as_ref().expect("outside a phase"));
+            footprint = table
+                .map_eager(|(machine, (v, _))| {
+                    let same = |&&x: &&u32| keying.machine_of(x.into()) == machine;
+                    let entries = graph.neighbors(NodeId::new(v)).iter().filter(same).count();
+                    (machine, RESIDENT_BYTES_PER_ROW + SHARD_BYTES_PER_ENTRY * entries as u64)
+                })?
+                .aggregate_per_key(0u64, |bytes, row| bytes + row, |a, b| a + b)?
+                .aggregate(0u64, |largest, (_, bytes)| largest.max(bytes), u64::max)?;
         }
         submod_obs::gauge!("greedy.partition_footprint_peak").fetch_max(footprint);
         Ok(!budget.exceeded_by(footprint))
@@ -685,9 +731,10 @@ impl<'a> DataflowGreedyBackend<'a> {
 
     /// The partition-resident pass: groups the table by machine and runs
     /// every machine's queue to completion inside its worker — the same
-    /// [`run_machine`] loop as the in-memory driver, over the shared
-    /// (owned or mapped) graph. Workers emit `(machine, (t, node))` for
-    /// the machine's `t`-th pop; the driver collects only those rows.
+    /// [`run_machine`] loop as the in-memory driver, over a shard the
+    /// worker builds from the shared (owned or mapped) graph. Workers emit
+    /// `(machine, (t, node))` for the machine's `t`-th pop; the driver
+    /// collects only those rows.
     fn phase_resident(
         &self,
         table: &PCollection<ScoredRow>,
@@ -700,14 +747,17 @@ impl<'a> DataflowGreedyBackend<'a> {
         let mut rows: Vec<(u64, (u64, u64))> = table
             .group_by_key()?
             .flat_map_eager(|(machine, mut group)| {
-                pipeline.observe_worker_bytes(group.len() as u64 * RESIDENT_BYTES_PER_ROW);
                 // Ascending by node id, so the queue's smaller-local-index
                 // tie-break is the in-memory bucket's.
                 group.sort_unstable_by_key(|&(node, _)| node);
                 let (bucket, priorities): (Vec<u64>, Vec<f64>) = group.into_iter().unzip();
+                let shard = LocalShard::partition(graph, bucket, keying, machine);
+                let (rows, entries) = (shard.nodes.len() as u64, shard.edges.len() as u64);
+                pipeline.observe_worker_bytes(
+                    rows * RESIDENT_BYTES_PER_ROW + entries * SHARD_BYTES_PER_ENTRY,
+                );
                 let mut queue = AddressablePq::with_priorities(priorities);
-                let locals = Locals::Partition { keying, machine };
-                run_machine(&bucket, &mut queue, locals, graph, ratio, quota)
+                run_machine(&shard, &mut queue, ratio, quota)
                     .into_iter()
                     .enumerate()
                     .map(move |(t, node)| (machine, (t as u64, node)))
@@ -1341,6 +1391,71 @@ mod tests {
             let expected = induced_subgraph_select(&graph, &objective, &mut pool.clone(), quota);
             let picks = machine_select(&graph, &objective, &mut pool, quota);
             prop_assert_eq!(picks, expected);
+        }
+
+        /// Every shard row is its node's global row filtered to the node's
+        /// bucket, in adjacency order, with the same weight bits — for the
+        /// in-memory build (every bucket through one dense table), a
+        /// worker's build (one bucket under the keying) and the trim's
+        /// single bucket; on owned and mapped graphs with directed edges,
+        /// under all three keyings, over pools thinned by earlier rounds.
+        #[test]
+        fn shard_rows_are_global_rows_filtered_to_the_bucket(
+            n in 1usize..48,
+            edges in proptest::collection::vec((0u64..48, 0u64..48, 0usize..4, any::<bool>()), 0..200),
+            in_pool in proptest::collection::vec(any::<bool>(), 48),
+            forced in proptest::collection::vec(any::<bool>(), 48),
+            keying_pick in 0usize..3,
+            machines in 1u64..5,
+            seed in any::<u64>(),
+            mmap in any::<bool>(),
+        ) {
+            const WEIGHTS: [f32; 4] = [0.0, 0.1, 1.0 / 3.0, 1.0];
+            let mut b = GraphBuilder::new(n);
+            for &(v, w, weight, directed) in &edges {
+                let (v, w) = (v % n as u64, w % n as u64);
+                if v != w && directed {
+                    b.add_directed(v, w, WEIGHTS[weight]).unwrap();
+                } else if v != w {
+                    b.add_undirected(v, w, WEIGHTS[weight]).unwrap();
+                }
+            }
+            let graph = if mmap { mapped(&b.build()) } else { b.build() };
+            let keying = match keying_pick {
+                0 => MachineKeying::Hash { seed, machines },
+                1 => {
+                    let forced = (0..n).filter(|&i| forced[i]).map(NodeId::from_index);
+                    let forced = Arc::new(NodeSet::from_members(n, forced));
+                    MachineKeying::HashForced { seed, machines, forced }
+                }
+                _ => MachineKeying::Contiguous { chunk: (n as u64).div_ceil(machines) },
+            };
+            let pool: Vec<u64> = (0..n as u64).filter(|&v| in_pool[v as usize]).collect();
+            let mut buckets = vec![Vec::new(); machines as usize];
+            for &v in &pool {
+                buckets[keying.machine_of(v) as usize].push(v);
+            }
+            let expected = |bucket: &[u64]| -> Vec<Vec<(u32, u32)>> {
+                let local = |x: NodeId| bucket.binary_search(&x.raw()).ok().map(|l| l as u32);
+                let row = |v: u64| graph.edges(NodeId::new(v));
+                let kept = |v| row(v).filter_map(|(x, s)| Some((local(x)?, s.to_bits()))).collect();
+                bucket.iter().map(|&v| kept(v)).collect()
+            };
+            let rows = |shard: &LocalShard| -> Vec<Vec<(u32, u32)>> {
+                let row = |l: usize| shard.offsets[l] as usize..shard.offsets[l + 1] as usize;
+                let bits = |l| shard.edges[row(l)].iter().map(|&(t, s)| (t, s.to_bits())).collect();
+                (0..shard.nodes.len()).map(bits).collect()
+            };
+
+            let shards = LocalShard::indexed(&graph, buckets.clone());
+            for (m, (shard, bucket)) in shards.iter().zip(&buckets).enumerate() {
+                prop_assert_eq!(&shard.nodes, bucket);
+                prop_assert_eq!(rows(shard), expected(bucket));
+                let worker = LocalShard::partition(&graph, bucket.clone(), &keying, m as u64);
+                prop_assert_eq!(rows(&worker), expected(bucket));
+            }
+            let trim = LocalShard::indexed(&graph, vec![pool.clone()]).remove(0);
+            prop_assert_eq!(rows(&trim), expected(&pool));
         }
     }
 }

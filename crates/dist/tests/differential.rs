@@ -26,9 +26,14 @@ use submod_exec::with_threads;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// Worker bytes one resident partition row costs (README, "The driver
-/// memory model"); a budget one byte lower fits no partition at all.
-const RESIDENT_BYTES_PER_ROW: u64 = 40;
+/// Worker bytes one resident partition row costs before its shard
+/// entries (README, "The driver memory model"): 40 B of row, bucket and
+/// queue plus the shard's 8 B row offset. A budget one byte lower fits no
+/// partition at all.
+const RESIDENT_BYTES_PER_ROW: u64 = 48;
+
+/// Worker bytes of one shard entry (a 4 B local target and a 4 B weight).
+const SHARD_BYTES_PER_ENTRY: u64 = 8;
 
 /// `winner_batch` of the lockstep oracle; any other width is the
 /// τ-batched fallback.
@@ -299,9 +304,10 @@ fn batched_winner_invalidation_falls_back_identically() {
 }
 
 /// Between the two sides of the fit line: a budget below every round-1
-/// partition (48 rows × 40 B) that still holds many batches' worth of
-/// overlay events, so the batched fallback scans several times per
-/// rewrite — where the one-row budget above rewrites after every batch.
+/// partition (the rows alone of a mean one, 48 × 48 B, before its shard
+/// entries) that still holds many batches' worth of overlay events, so
+/// the batched fallback scans several times per rewrite — where the
+/// one-row budget above rewrites after every batch.
 /// Bit-identical to lockstep and to the in-memory driver at every thread
 /// count, with the rewrite count and the overlay's peak read back from
 /// the registry.
@@ -311,7 +317,7 @@ fn overlay_spans_several_batches_between_rewrites() {
     let (graph, objective) = clustered_instance(12, 8, 5);
     let n = graph.num_nodes();
     let config = DistGreedyConfig::new(2, 2).unwrap().seed(4);
-    let budget = RESIDENT_BYTES_PER_ROW * (n as u64 / 2) * 3 / 4;
+    let budget = RESIDENT_BYTES_PER_ROW * (n as u64 / 2);
     let counters = || {
         ["greedy.batch_scans", "greedy.overlay_rewrites"].map(|c| submod_obs::counter(c).value())
     };
@@ -435,9 +441,17 @@ fn fit_predicate_flips_at_the_largest_partition_footprint() {
     submod_obs::reset_metrics();
     assert_eq!(run(1 << 20), [1, 0, 0]);
     let footprint = submod_obs::gauge("greedy.partition_footprint_peak").value();
-    assert_eq!(footprint % RESIDENT_BYTES_PER_ROW, 0);
+    // Rows and shard entries are charged in whole 8 B words, and the
+    // rows of a mean partition plus the entries of a mean shard (a hash
+    // keying keeps about one directed edge in `machines`, split over
+    // `machines` shards) fall short of the gauge: only the exact
+    // per-machine sum can have produced it.
+    assert_eq!(footprint % SHARD_BYTES_PER_ENTRY, 0);
+    let mean_entries = graph.num_directed_edges().div_ceil(machines * machines) as u64;
     assert!(
-        footprint > (n.div_ceil(machines) as u64) * RESIDENT_BYTES_PER_ROW,
+        footprint
+            > (n.div_ceil(machines) as u64) * RESIDENT_BYTES_PER_ROW
+                + mean_entries * SHARD_BYTES_PER_ENTRY,
         "the partition must be uneven for the exact count to matter"
     );
     assert_eq!(run(footprint + 1), [1, 0, 0]);

@@ -317,16 +317,16 @@ fn journal_counters_are_mirrored_into_obs() {
     let _ = fs::remove_file(&journal);
 }
 
-/// The same guarantee for the partition-resident pass: a 1000-byte
-/// budget fits every partition of this run (≈ 20 rows × 40 B) and the
-/// scored table's shards, so the first spills of the run are the runs of
-/// the resident pass's own `group_by_key` — and a fault there, typed
-/// error or panic, still leaves the spill directory empty.
+/// The same guarantee for the partition-resident pass: a 900-byte budget
+/// fits every partition of this run (≈ 10 rows × 48 B plus its shard
+/// entries) and the scored table's shards, so the first spills of the run
+/// are the runs of the resident pass's own `group_by_key` — and a fault
+/// there, typed error or panic, still leaves the spill directory empty.
 #[test]
 fn faults_inside_the_resident_pass_leak_no_spill_files() {
     let (graph, objective) = instance(60, 21);
     let g = ground(60);
-    let config = DistGreedyConfig::new(3, 2).expect("config").seed(4);
+    let config = DistGreedyConfig::new(6, 2).expect("config").seed(4);
     // `[resident, batched, lockstep]` phases run since `before`.
     let phases_since = |before: [u64; 3]| -> [u64; 3] {
         let names = ["greedy.phases_resident", "greedy.phases_batched", "greedy.phases_lockstep"];
@@ -336,7 +336,7 @@ fn faults_inside_the_resident_pass_leak_no_spill_files() {
         fs::create_dir_all(base).expect("create base dir");
         Pipeline::builder()
             .workers(2)
-            .memory_budget(MemoryBudget::bytes(1000))
+            .memory_budget(MemoryBudget::bytes(900))
             .spill_dir(base)
             .build()
             .expect("pipeline")
