@@ -4,8 +4,9 @@
 //! FNV hashes of deterministic end-to-end outputs (centralized greedy,
 //! bounding + multi-round pipeline, k-means assignments; then a
 //! half-size multi-round greedy whose final pool is trimmed, and GreeDi
-//! with both partition styles) on exact and IVF graphs — two lines per
-//! graph. Run it **before** touching a kernel or scheduler, save
+//! with both partition styles; then that half-size greedy on the dataflow
+//! driver, partition-resident and over budget, with its `GreedyStats`) on
+//! exact and IVF graphs — three lines per graph. Run it **before** touching a kernel or scheduler, save
 //! the lines, run it after at several thread counts and under
 //! `SUBMOD_KERNELS=scalar` — every hash must be unchanged. PR 4 used
 //! exactly this to prove the SIMD rewrite left selections
@@ -19,9 +20,10 @@
 
 use std::time::Instant;
 use submod_core::{greedy_select, NodeId, PairwiseObjective};
+use submod_dataflow::{MemoryBudget, Pipeline};
 use submod_dist::{
-    distributed_greedy, greedi, select_subset, BoundingConfig, DistGreedyConfig, PartitionStyle,
-    PipelineConfig, SamplingStrategy,
+    distributed_greedy, distributed_greedy_dataflow_with_stats, greedi, select_subset,
+    BoundingConfig, DistGreedyConfig, PartitionStyle, PipelineConfig, SamplingStrategy,
 };
 use submod_knn::{build_knn_graph, kmeans, Embeddings, KnnBackend};
 
@@ -117,6 +119,29 @@ fn main() {
         println!(
             "threads {threads} {tag} trim {trim_hash:016x} greedi {arbitrary:016x} {random:016x}"
         );
+
+        // The same greedy on the dataflow driver: an unlimited budget runs
+        // every phase partition-resident, a budget below one partition row
+        // (48 B) the batched fallback at the default width.
+        let [resident, batched] = [
+            Pipeline::new(4).unwrap(),
+            Pipeline::builder().workers(4).memory_budget(MemoryBudget::bytes(47)).build().unwrap(),
+        ]
+        .map(|pipeline| {
+            let (report, stats) = distributed_greedy_dataflow_with_stats(
+                &pipeline, &graph, &objective, &ground, half, &config,
+            )
+            .unwrap();
+            format!(
+                "{:016x} {} {} {} {}",
+                hash_ids(report.selection.selected()),
+                stats.steps,
+                stats.peak_step_winners,
+                stats.winners_collected,
+                stats.peak_round_bytes
+            )
+        });
+        println!("threads {threads} {tag} df-resident {resident} df-batched {batched}");
     }
 }
 
