@@ -267,9 +267,10 @@ where
 /// `incumbent` under the engine's argmax order: larger score first,
 /// smaller id on score ties.
 ///
-/// This is the one comparator behind [`PCollection::argmax_per_key`];
-/// driver-side reference implementations (e.g. the in-memory distributed
-/// greedy) use it verbatim so both sides resolve every tie identically.
+/// This is the one comparator of the distributed greedy: the batched
+/// dataflow replay picks each machine's next pop with it, and its order is
+/// the pop order of `submod_core`'s addressable queue that the in-memory
+/// and resident phases run, so every path resolves every tie identically.
 /// Scores compare with plain `>` / `==` — exactly the priority order of
 /// `submod_core`'s addressable queue — so `-0.0` and `+0.0` tie and fall
 /// through to the id. Scores must be NaN-free: a NaN never beats and is
@@ -277,53 +278,6 @@ where
 #[inline]
 pub fn argmax_prefers(incumbent: (u64, f64), challenger: (u64, f64)) -> bool {
     challenger.1 > incumbent.1 || (challenger.1 == incumbent.1 && challenger.0 < incumbent.0)
-}
-
-impl<K> PCollection<(K, (u64, f64))>
-where
-    K: Record + Ord + Hash + Eq,
-{
-    /// Per-key top-1 selection: for every key, the `(id, score)` record
-    /// with the largest score, ties broken toward the smallest id (see
-    /// [`argmax_prefers`]) — the engine's `Max.perKey`.
-    ///
-    /// Runs on the budget-aware keyed combiner, so each worker holds one
-    /// `(key, best)` entry per live key and the result is independent of
-    /// sharding, thread count, and combiner flushes. The distributed
-    /// greedy drivers use this to pick each machine's best marginal-gain
-    /// candidate without the driver ever seeing the scored pool.
-    ///
-    /// Scores must be NaN-free; a NaN score makes its key's winner
-    /// depend on scheduling (NaN never compares greater).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if spill I/O fails.
-    #[allow(clippy::type_complexity)]
-    pub fn argmax_per_key(&self) -> Result<PCollection<(K, (u64, f64))>, DataflowError> {
-        // Accumulator: (seen, id, score); `seen = 0` is the empty state,
-        // so no sentinel id/score can ever shadow a real record.
-        self.aggregate_per_key(
-            (0u8, 0u64, 0.0f64),
-            |acc, (id, score)| {
-                if acc.0 == 0 || argmax_prefers((acc.1, acc.2), (id, score)) {
-                    (1, id, score)
-                } else {
-                    acc
-                }
-            },
-            |a, b| {
-                if a.0 == 0 {
-                    b
-                } else if b.0 == 0 || !argmax_prefers((a.1, a.2), (b.1, b.2)) {
-                    a
-                } else {
-                    b
-                }
-            },
-        )?
-        .map(|(k, (_, id, score))| (k, (id, score)))
-    }
 }
 
 /// In-memory twin of the aggregate-based `kth_largest` bisection: one
@@ -530,53 +484,6 @@ mod tests {
             .unwrap();
         out.sort_by_key(|(k, _)| *k);
         assert_eq!(out, vec![(1, vec![10, 20, 30]), (2, vec![5, 6])]);
-    }
-
-    #[test]
-    fn argmax_per_key_picks_largest_score_smallest_id() {
-        let p = Pipeline::new(3).unwrap();
-        let records: Vec<(u64, (u64, f64))> = vec![
-            (0, (5, 1.0)),
-            (0, (3, 2.0)),
-            (0, (9, 2.0)), // loses the tie to id 3
-            (1, (7, -1.0)),
-            (1, (2, -1.0)), // wins the tie
-        ];
-        let mut out = p.from_vec(records).argmax_per_key().unwrap().collect().unwrap();
-        out.sort_by_key(|&(k, _)| k);
-        assert_eq!(out, vec![(0, (3, 2.0)), (1, (2, -1.0))]);
-    }
-
-    #[test]
-    fn argmax_per_key_signed_zero_ties_break_on_id() {
-        // `-0.0 == 0.0` under the argmax order (matching the addressable
-        // priority queue), so the smaller id wins and keeps its own bits.
-        let p = Pipeline::new(2).unwrap();
-        let records: Vec<(u64, (u64, f64))> = vec![(0, (4, 0.0)), (0, (1, -0.0))];
-        let out = p.from_vec(records).argmax_per_key().unwrap().collect().unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, 0);
-        assert_eq!(out[0].1 .0, 1);
-        assert_eq!(out[0].1 .1.to_bits(), (-0.0f64).to_bits());
-    }
-
-    #[test]
-    fn argmax_per_key_under_tiny_budget_flushes() {
-        let p =
-            Pipeline::builder().workers(3).memory_budget(MemoryBudget::bytes(128)).build().unwrap();
-        let records: Vec<(u64, (u64, f64))> =
-            (0..5000).map(|i| (i % 40, (i, ((i * 31) % 997) as f64))).collect();
-        let mut out = p.from_vec(records.clone()).argmax_per_key().unwrap().collect().unwrap();
-        out.sort_by_key(|&(k, _)| k);
-        let mut expected: std::collections::BTreeMap<u64, (u64, f64)> = Default::default();
-        for (k, (id, score)) in records {
-            let best = expected.entry(k).or_insert((id, score));
-            if argmax_prefers(*best, (id, score)) {
-                *best = (id, score);
-            }
-        }
-        assert_eq!(out, expected.into_iter().collect::<Vec<_>>());
-        assert!(p.metrics().combiner_flushes > 0, "tiny budget must flush the combiner");
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //!   join [`PCollection::co_group_2`], the budget-aware keyed combiner
 //!   [`PCollection::aggregate_per_key`], and aggregations including the
 //!   distributed [`PCollection::kth_largest`] selection that powers the
-//!   bounding thresholds and the per-key top-1 selection
-//!   [`PCollection::argmax_per_key`] behind the engine-resident
-//!   distributed greedy.
+//!   bounding thresholds, and [`argmax_prefers`], the one tie order of the
+//!   engine-resident distributed greedy.
 //! - [`SideInput`] / [`BroadcastSet`] — broadcast side-inputs for small
 //!   driver-side values (solution sets, status bitsets), metered by
 //!   [`PipelineMetrics::bytes_broadcast`], and the deterministic sampling

@@ -237,121 +237,6 @@ proptest! {
         }
     }
 
-    /// argmax_per_key equals the fold reference (same comparator) for
-    /// arbitrary data, any worker count, with and without a crushing
-    /// budget.
-    #[test]
-    fn argmax_per_key_matches_reference(
-        data in proptest::collection::vec((0u64..12, 0u64..60, -1e6f64..1e6), 1..300),
-        workers in 1usize..6,
-        tiny_budget in any::<bool>(),
-    ) {
-        let records: Vec<(u64, (u64, f64))> =
-            data.into_iter().map(|(k, id, score)| (k, (id, score))).collect();
-        let mut builder = Pipeline::builder().workers(workers);
-        if tiny_budget {
-            builder = builder.memory_budget(MemoryBudget::bytes(128));
-        }
-        let pipeline = builder.build().unwrap();
-        let mut ours = pipeline.from_vec(records.clone()).argmax_per_key().unwrap()
-            .collect().unwrap();
-        ours.sort_by_key(|&(k, _)| k);
-        let mut reference: HashMap<u64, (u64, f64)> = HashMap::new();
-        for (k, best) in records {
-            match reference.entry(k) {
-                std::collections::hash_map::Entry::Vacant(e) => { e.insert(best); }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if submod_dataflow::argmax_prefers(*e.get(), best) {
-                        e.insert(best);
-                    }
-                }
-            }
-        }
-        let mut expected: Vec<(u64, (u64, f64))> = reference.into_iter().collect();
-        expected.sort_by_key(|&(k, _)| k);
-        prop_assert_eq!(&ours, &expected);
-        for ((_, (id_a, score_a)), (_, (id_b, score_b))) in ours.iter().zip(&expected) {
-            prop_assert_eq!(id_a, id_b);
-            prop_assert_eq!(score_a.to_bits(), score_b.to_bits());
-        }
-    }
-
-    /// Adversarial argmax ties: scores drawn from a tiny pool so
-    /// duplication saturates every key; the winner must always be the
-    /// smallest id of the top score class, under any sharding, budget,
-    /// and flush pattern.
-    #[test]
-    fn argmax_per_key_heavy_ties_pick_smallest_id(
-        picks in proptest::collection::vec((0u64..6, 0u64..40, 0usize..3), 1..200),
-        pool in proptest::collection::vec(-1e3f64..1e3, 3..4),
-        workers in 1usize..6,
-        tiny_budget in any::<bool>(),
-    ) {
-        let records: Vec<(u64, (u64, f64))> =
-            picks.iter().map(|&(k, id, i)| (k, (id, pool[i]))).collect();
-        let mut builder = Pipeline::builder().workers(workers);
-        if tiny_budget {
-            builder = builder.memory_budget(MemoryBudget::bytes(96));
-        }
-        let pipeline = builder.build().unwrap();
-        let out = pipeline.from_vec(records.clone()).argmax_per_key().unwrap()
-            .collect().unwrap();
-        for (key, (id, score)) in out {
-            let of_key: Vec<(u64, f64)> =
-                records.iter().filter(|&&(k, _)| k == key).map(|&(_, v)| v).collect();
-            let top = of_key.iter().map(|&(_, s)| s).fold(f64::NEG_INFINITY, f64::max);
-            prop_assert_eq!(score, top, "key {} winner not the top score", key);
-            let min_id = of_key.iter().filter(|&&(_, s)| s == top).map(|&(i, _)| i)
-                .min().expect("top class non-empty");
-            prop_assert_eq!(id, min_id, "key {} tie not broken to the smallest id", key);
-        }
-    }
-
-    /// All-equal scores: every key's winner is its smallest id, with the
-    /// score bits preserved exactly.
-    #[test]
-    fn argmax_per_key_all_equal_scores(
-        score in -1e9f64..1e9,
-        ids in proptest::collection::vec(0u64..1000, 1..60),
-        workers in 1usize..6,
-    ) {
-        let records: Vec<(u64, (u64, f64))> = ids.iter().map(|&id| (0u64, (id, score))).collect();
-        let pipeline = Pipeline::new(workers).unwrap();
-        let out = pipeline.from_vec(records).argmax_per_key().unwrap().collect().unwrap();
-        prop_assert_eq!(out.len(), 1);
-        prop_assert_eq!(out[0].1.0, ids.iter().copied().min().unwrap());
-        prop_assert_eq!(out[0].1.1.to_bits(), score.to_bits());
-    }
-
-    /// NaN-free extremes (±0.0, subnormals, MAX/MIN): the winner and its
-    /// score come back bit for bit under any sharding and a spilling
-    /// budget.
-    #[test]
-    fn argmax_per_key_extreme_values(workers in 1usize..6, tiny_budget in any::<bool>()) {
-        let scores = [
-            -0.0f64, 0.0, f64::MIN_POSITIVE / 2.0, f64::MAX, f64::MIN, 1.0, -1.0,
-            f64::INFINITY, f64::NEG_INFINITY,
-        ];
-        let records: Vec<(u64, (u64, f64))> = scores
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &s)| [(0u64, (i as u64, s)), (1u64, (100 + i as u64, -s))])
-            .collect();
-        let mut builder = Pipeline::builder().workers(workers);
-        if tiny_budget {
-            builder = builder.memory_budget(MemoryBudget::bytes(64));
-        }
-        let pipeline = builder.build().unwrap();
-        let mut out = pipeline.from_vec(records).argmax_per_key().unwrap().collect().unwrap();
-        out.sort_by_key(|&(k, _)| k);
-        // Key 0: MAX loses only to +inf (index 7); key 1: -MIN = MAX at
-        // offset 100 + 4 loses only to -(-inf) = +inf at 100 + 8.
-        prop_assert_eq!(out[0].1.0, 7);
-        prop_assert_eq!(out[0].1.1.to_bits(), f64::INFINITY.to_bits());
-        prop_assert_eq!(out[1].1.0, 108);
-        prop_assert_eq!(out[1].1.1.to_bits(), f64::INFINITY.to_bits());
-    }
-
     /// aggregate_per_key(sum) equals the HashMap reference under any
     /// sharding and budget.
     #[test]

@@ -219,13 +219,11 @@ impl DistGreedyConfig {
     /// back to further scans), selecting the **identical** subset; the
     /// winners reach the table through a worker-resident overlay that is
     /// rewritten into it whenever it would outgrow the budget.
-    /// The default is [`DistGreedyConfig::DEFAULT_WINNER_BATCH`]. `0`
-    /// makes the fallback the one-pop-per-machine-per-pass lockstep
-    /// `step()` loop — the test oracle the other two paths are pinned
-    /// against, not a deployment. The in-memory driver ignores the
-    /// setting — its bulk path already runs machines to completion.
+    /// The default is [`DistGreedyConfig::DEFAULT_WINNER_BATCH`]; the
+    /// smallest width is 1, and `0` is taken as 1. The in-memory driver
+    /// ignores the setting — it already runs machines to completion.
     pub fn winner_batch(mut self, batch: usize) -> Self {
-        self.winner_batch = batch;
+        self.winner_batch = batch.max(1);
         self
     }
 

@@ -4,14 +4,16 @@
 //! Partition assignment is a deterministic keyed transform
 //! ([`MachineKeying`]): the machine of a node depends only on the keying
 //! parameters and the node id, never on sharding, scheduling, or a
-//! driver-side permutation. Per-machine selection then advances in
-//! **synchronized Algorithm-2 steps**: each step every machine pops its
-//! best remaining candidate, and between steps the previous winners'
-//! still-unselected same-machine neighbors lose `(β/α)·s(winner, ·)`
-//! priority — exactly the priority-queue greedy of `submod_core`, run one
-//! pop per machine per step.
+//! driver-side permutation. Every machine then runs the centralized
+//! priority-queue greedy of `submod_core` on its own partition, with no
+//! coordination inside a phase: each pop's still-unselected same-machine
+//! neighbours lose `(β/α)·s(winner, ·)` priority (Algorithm 2's decrease).
+//! The phase's outcome lists the pops **step-major** — step `t` holds the
+//! `t`-th pop of every machine that had one, ascending by machine — which
+//! is an accounting order only, since machines never interact.
 //!
-//! Everything backend-specific hides behind [`MachineGreedyBackend`]:
+//! Everything backend-specific hides behind [`MachineGreedyBackend`],
+//! whose [`MachineGreedyBackend::phase`] runs a whole phase in one call:
 //!
 //! - [`InMemoryGreedyBackend`] keys the pool into per-machine local
 //!   shards and [`AddressablePq`]s on the driver — the `O(pool)` baseline.
@@ -20,11 +22,11 @@
 //!   fits one worker (computed per round from the pipeline's budget) the
 //!   phase is **partition-resident**: one `group_by_key`, then each
 //!   worker pops its machines' shards to completion and only the winner
-//!   rows reach the driver. Otherwise each τ-certified batch of winners
-//!   costs one engine scan of a table that stays materialized, the
-//!   winners riding to workers in a hashed [`Overlay`] that a rewrite
-//!   folds into the table once it outgrows the budget; the test oracle
-//!   applies the overlay per step and takes the per-key argmax.
+//!   rows reach the driver. Otherwise the phase is **batched**: each
+//!   τ-certified batch of winners costs one engine scan of a table that
+//!   stays materialized, the winners riding to workers in a hashed
+//!   [`Overlay`] that a rewrite folds into the table once it outgrows the
+//!   budget.
 //!
 //! Both backends run the same arithmetic in the same order — priorities
 //! seed from the utility, every decrease is the single subtraction
@@ -88,16 +90,6 @@ impl MachineKeying {
     }
 }
 
-/// What a backend hands the driver after one synchronized step: at most
-/// one `(machine, node, priority)` winner per machine, ascending by
-/// machine, plus the driver bytes materialized to produce them.
-pub(crate) struct StepWinners {
-    /// The per-machine argmax rows, ascending by machine.
-    pub winners: Vec<(u64, u64, f64)>,
-    /// Driver-side bytes this step collected.
-    pub driver_bytes: u64,
-}
-
 /// A per-machine greedy execution backend: everything that differs
 /// between the in-memory reference and the dataflow engine. The round
 /// loop, Δ-schedule bookkeeping, and winner accounting downstream are
@@ -106,32 +98,20 @@ pub(crate) trait MachineGreedyBackend {
     /// Nodes currently in the pool.
     fn pool_len(&self) -> usize;
 
-    /// Keys the current pool into `machines` partitions and seeds every
-    /// candidate's priority with its utility. Returns the driver bytes
-    /// the keying materialized (the in-memory baseline pays `O(pool)`
-    /// here; the engine-resident backend pays nothing).
-    fn begin_phase(&mut self, keying: MachineKeying, machines: usize) -> Result<u64, DistError>;
-
-    /// Applies the previous step's winners — each winner leaves its
-    /// machine's pool, and its still-unselected same-machine neighbors
-    /// lose `(β/α)·s` priority (Algorithm 2's decrease) — then returns
-    /// the next per-machine argmax winners. A backend may apply a
-    /// winner's decrease right after popping it instead; `previous` is
-    /// always the last step's winners, so the outcome is the same.
-    fn step(&mut self, previous: &[(u64, u64)]) -> Result<StepWinners, DistError>;
-
-    /// Optional fast path: run the whole phase (up to `quota` steps) in
-    /// one shot and return the outcome, or `None` to have [`run_phase`]
-    /// drive the step loop. An implementation must produce the *exact*
-    /// outcome of the step loop — machines are independent within a
-    /// phase, so free-running them and reassembling the step-major order
-    /// is equivalent to the lockstep.
-    fn phase_bulk(&mut self, _n: usize, _quota: usize) -> Result<Option<PhaseOutcome>, DistError> {
-        Ok(None)
-    }
-
-    /// Ends the phase, restricting the pool to `survivors`.
-    fn end_phase(&mut self, survivors: &NodeSet) -> Result<(), DistError>;
+    /// Runs one phase over a graph of `n` nodes: keys the pool into
+    /// `machines` partitions, seeds every candidate's priority with its
+    /// utility, runs every machine to `quota` pops (or until its partition
+    /// is empty), and keeps only the winners in the pool. The outcome's
+    /// `driver_bytes` include what the keying materialized on the driver
+    /// (the in-memory baseline pays `O(pool)` there; the engine-resident
+    /// backend pays nothing).
+    fn phase(
+        &mut self,
+        keying: MachineKeying,
+        machines: usize,
+        n: usize,
+        quota: usize,
+    ) -> Result<PhaseOutcome, DistError>;
 
     /// Replaces the pool wholesale — the journal-resume entry point. The
     /// ids arrive in the journal's pop order; the backend canonicalizes
@@ -160,47 +140,6 @@ pub(crate) struct PhaseOutcome {
     pub driver_bytes: u64,
 }
 
-/// Runs up to `quota` synchronized steps against `backend`. Every
-/// machine with a surviving candidate contributes one winner per step,
-/// so machine `m` ends the phase with `min(quota, |pool_m|)` selections —
-/// the same count as a driver-side local greedy, in synchronized order.
-pub(crate) fn run_phase(
-    backend: &mut dyn MachineGreedyBackend,
-    n: usize,
-    quota: usize,
-) -> Result<PhaseOutcome, DistError> {
-    if let Some(outcome) = backend.phase_bulk(n, quota)? {
-        return Ok(outcome);
-    }
-    let mut outcome = PhaseOutcome {
-        selected: Vec::new(),
-        members: NodeSet::new(n),
-        steps: 0,
-        peak_step_winners: 0,
-        driver_bytes: 0,
-    };
-    let mut previous: Vec<(u64, u64)> = Vec::new();
-    for _ in 0..quota {
-        let step = backend.step(&previous)?;
-        if step.winners.is_empty() {
-            break;
-        }
-        outcome.steps += 1;
-        outcome.peak_step_winners = outcome.peak_step_winners.max(step.winners.len());
-        outcome.driver_bytes += step.driver_bytes;
-        previous = step
-            .winners
-            .iter()
-            .map(|&(machine, node, _)| {
-                outcome.selected.push(NodeId::new(node));
-                outcome.members.insert(NodeId::new(node));
-                (machine, node)
-            })
-            .collect();
-    }
-    Ok(outcome)
-}
-
 /// Sorted, deduplicated raw ids — the dataflow backend's pool, element
 /// for element the members of the in-memory backend's pool bitset, in
 /// the same order.
@@ -211,8 +150,8 @@ fn canonical_pool(ground: &[NodeId]) -> Vec<u64> {
     pool
 }
 
-/// Driver bytes of one collected winner row, `(machine, node, priority)`
-/// from a lockstep step or `(machine, (t, node))` from a resident pass.
+/// Driver bytes of one collected row: a winner `(machine, (t, node))`
+/// or a scanned candidate `(machine, node, priority)`.
 const WINNER_ROW_BYTES: usize = size_of::<(u64, u64, f64)>();
 
 /// One machine's domestic adjacency as a local CSR over its ascending
@@ -308,11 +247,11 @@ impl LocalShard {
 /// Runs one machine to completion: up to `quota` pops off `pq`, each
 /// winner walking its `shard` row so every still-enqueued neighbour loses
 /// `(β/α)·s` (Algorithm 2's decrease). Returns the winners in pop order —
-/// the `t`-th entry *is* the machine's step-`t` winner in the lockstep.
+/// the `t`-th entry is the machine's step-`t` winner.
 ///
 /// This is the only pop/decrease loop of the distributed drivers: the
-/// in-memory and resident phases, the in-memory lockstep step, the final
-/// trim and GreeDi's merge all run it.
+/// in-memory and resident phases, the final trim and GreeDi's merge all
+/// run it.
 fn run_machine(shard: &LocalShard, pq: &mut AddressablePq, ratio: f64, quota: usize) -> Vec<u64> {
     let mut sequence = Vec::with_capacity(quota.min(shard.nodes.len()));
     for _ in 0..quota {
@@ -355,9 +294,10 @@ pub(crate) fn machine_select(
     run_machine(&shard, &mut queue, objective.ratio(), quota).into_iter().map(NodeId::new).collect()
 }
 
-/// Reassembles per-machine pop sequences (ascending by machine) into the
-/// lockstep's outcome: step `t` collects the `t`-th pop of every machine
-/// that still had one, and the driver is charged one winner row per pop.
+/// Reassembles per-machine pop sequences (ascending by machine) into a
+/// phase's step-major outcome: step `t` collects the `t`-th pop of every
+/// machine that still had one, and the driver is charged one winner row
+/// per pop.
 fn step_major(n: usize, sequences: &[Vec<u64>]) -> PhaseOutcome {
     let mut outcome = PhaseOutcome {
         selected: Vec::new(),
@@ -386,16 +326,13 @@ fn step_major(n: usize, sequences: &[Vec<u64>]) -> PhaseOutcome {
 /// on the driver (`O(pool)` per phase — the baseline the engine-resident
 /// driver is measured against). Buckets are ascending by id, so the
 /// queue's smaller-local-index tie-break is the smaller-node-id
-/// tie-break of the engine argmax.
+/// tie-break of [`submod_dataflow::argmax_prefers`].
 pub(crate) struct InMemoryGreedyBackend<'a> {
     graph: &'a SimilarityGraph,
     objective: &'a PairwiseObjective,
     /// The pool as a bitset: the buckets and shards a phase builds from
     /// it are the `O(pool)` part.
     pool: NodeSet,
-    /// The current phase's per-machine shards, shared by every pop.
-    shards: Vec<LocalShard>,
-    queues: Vec<AddressablePq>,
 }
 
 impl<'a> InMemoryGreedyBackend<'a> {
@@ -408,8 +345,6 @@ impl<'a> InMemoryGreedyBackend<'a> {
             graph,
             objective,
             pool: NodeSet::from_members(graph.num_nodes(), ground.iter().copied()),
-            shards: Vec::new(),
-            queues: Vec::new(),
         }
     }
 }
@@ -419,13 +354,19 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
         self.pool.len()
     }
 
-    fn begin_phase(&mut self, keying: MachineKeying, machines: usize) -> Result<u64, DistError> {
+    fn phase(
+        &mut self,
+        keying: MachineKeying,
+        machines: usize,
+        n: usize,
+        quota: usize,
+    ) -> Result<PhaseOutcome, DistError> {
         let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); machines];
         for v in self.pool.iter().map(NodeId::raw) {
             buckets[keying.machine_of(v) as usize].push(v);
         }
         let (graph, objective) = (self.graph, self.objective);
-        self.queues = buckets
+        let queues: Vec<AddressablePq> = buckets
             .iter()
             .map(|bucket| {
                 AddressablePq::with_priorities(
@@ -433,58 +374,27 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
                 )
             })
             .collect();
-        self.shards = LocalShard::indexed(graph, buckets);
+        let shards = LocalShard::indexed(graph, buckets);
         // Buckets (8 B/node) plus queue state (8 B priority + two 4 B
         // heap slots per node) — the O(pool) driver materialization.
-        Ok((self.pool.len() * (size_of::<u64>() + size_of::<f64>() + 2 * size_of::<u32>())) as u64)
-    }
-
-    fn step(&mut self, _previous: &[(u64, u64)]) -> Result<StepWinners, DistError> {
-        // Each machine pops once, and `run_machine` applies the winner's
-        // decrease wave right after its pop — so the previous step's
-        // winners are already applied. Machines are disjoint, so waves
-        // never interact.
-        let ratio = self.objective.ratio();
-        let mut winners = Vec::new();
-        for (machine, (shard, queue)) in self.shards.iter().zip(&mut self.queues).enumerate() {
-            let Some((_, priority)) = queue.peek() else { continue };
-            let popped = run_machine(shard, queue, ratio, 1);
-            winners.push((machine as u64, popped[0], priority));
-        }
-        let driver_bytes = (winners.len() * WINNER_ROW_BYTES) as u64;
-        Ok(StepWinners { winners, driver_bytes })
-    }
-
-    fn phase_bulk(&mut self, n: usize, quota: usize) -> Result<Option<PhaseOutcome>, DistError> {
+        let keyed = self.pool.len() * (size_of::<u64>() + size_of::<f64>() + 2 * size_of::<u32>());
         // Machines never interact within a phase (disjoint buckets and
-        // queues, decreases never cross a machine), so the lockstep of
-        // [`run_phase`] is only an *accounting* order: each machine can
-        // run its whole pop/decrease sequence independently. One
-        // coarse-grained `parallel_map` region per phase — the PR 2
-        // concurrency shape — and the step-major outcome is reassembled
-        // exactly (machine `m`'s `t`-th pop *is* its step-`t` winner).
-        let ratio = self.objective.ratio();
-        let machines: Vec<(&LocalShard, &mut AddressablePq)> =
-            self.shards.iter().zip(self.queues.iter_mut()).collect();
-        let sequences = submod_exec::parallel_map(machines, |(shard, queue)| {
-            run_machine(shard, queue, ratio, quota)
-        });
-        Ok(Some(step_major(n, &sequences)))
-    }
-
-    fn end_phase(&mut self, survivors: &NodeSet) -> Result<(), DistError> {
-        let kept = self.pool.iter().filter(|&v| survivors.contains(v));
-        self.pool = NodeSet::from_members(self.pool.capacity(), kept);
-        self.shards.clear();
-        self.queues.clear();
-        Ok(())
+        // queues, decreases never cross a machine), so each runs its whole
+        // pop/decrease sequence independently: one coarse-grained
+        // `parallel_map` region per phase.
+        let ratio = objective.ratio();
+        let sequences =
+            submod_exec::parallel_map(shards.iter().zip(queues).collect(), |(shard, mut queue)| {
+                run_machine(shard, &mut queue, ratio, quota)
+            });
+        let outcome = step_major(n, &sequences);
+        self.pool = outcome.members.clone();
+        Ok(PhaseOutcome { driver_bytes: keyed as u64 + outcome.driver_bytes, ..outcome })
     }
 
     fn restore_pool(&mut self, pool: &[u64]) -> Result<(), DistError> {
         self.pool =
             NodeSet::from_members(self.graph.num_nodes(), pool.iter().map(|&v| NodeId::new(v)));
-        self.shards.clear();
-        self.queues.clear();
         Ok(())
     }
 
@@ -496,19 +406,17 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
 /// The engine-resident driver: the scored pool is born, lives, and dies
 /// inside the dataflow engine as a `(machine, (node, priority))`
 /// collection, and the driver collects **only winner rows** — never
-/// `O(partition)`. A phase runs one of three ways, chosen per round by
+/// `O(partition)`. A phase runs one of two ways, chosen per round by
 /// [`Self::partitions_fit`], never by a setting:
 ///
 /// - **resident** ([`Self::phase_resident`]): every partition fits one
 ///   worker, so the table is grouped by machine once and each worker runs
 ///   its machines' queues to completion — one shuffle and one parallel
 ///   map per round, the paper's §5 deployment;
-/// - **batched** (the τ-certified multi-winner batches of
-///   [`MachineGreedyBackend::phase_bulk`], one engine scan each): the
-///   over-budget fallback;
-/// - **lockstep** ([`MachineGreedyBackend::step`], one pop per machine
-///   per pass): the over-budget fallback when `winner_batch` is 0 — the
-///   test oracle the other two are pinned against.
+/// - **batched** ([`Self::phase_batched`]): the over-budget fallback, one
+///   engine scan per τ-certified batch of up to `winner_batch` winners.
+///
+/// Both select exactly what the in-memory backend selects.
 pub(crate) struct DataflowGreedyBackend<'a> {
     pipeline: &'a Pipeline,
     graph: &'a SimilarityGraph,
@@ -517,14 +425,8 @@ pub(crate) struct DataflowGreedyBackend<'a> {
     /// Driver-side pool length (maintained across phases so the round
     /// loop never counts the engine-resident collection).
     pool_len: usize,
-    table: Option<PCollection<ScoredRow>>,
-    /// Partition count of the current phase.
-    machines: usize,
-    /// The current phase's keying, which routes discounts to machines.
-    keying: Option<MachineKeying>,
     broadcast_base: u64,
-    /// Multi-winner batch size of the over-budget fallback; 0 makes the
-    /// fallback the lockstep step loop.
+    /// Winners a batched scan certifies at most (at least 1).
     winner_batch: usize,
 }
 
@@ -676,6 +578,7 @@ impl<'a> DataflowGreedyBackend<'a> {
         graph: &'a SimilarityGraph,
         objective: &'a PairwiseObjective,
         ground: &[NodeId],
+        winner_batch: usize,
     ) -> Self {
         let ids = canonical_pool(ground);
         let pool_len = ids.len();
@@ -687,19 +590,9 @@ impl<'a> DataflowGreedyBackend<'a> {
             objective,
             pool,
             pool_len,
-            table: None,
-            machines: 1,
-            keying: None,
             broadcast_base,
-            winner_batch: crate::DistGreedyConfig::DEFAULT_WINNER_BATCH,
+            winner_batch,
         }
-    }
-
-    /// Sets the over-budget fallback: up to `batch` certified winners per
-    /// engine pass, or with 0 the one-pop-per-step lockstep.
-    pub(crate) fn with_winner_batch(mut self, batch: usize) -> Self {
-        self.winner_batch = batch;
-        self
     }
 
     /// Whether the largest partition of this phase, run resident, fits
@@ -710,12 +603,17 @@ impl<'a> DataflowGreedyBackend<'a> {
     /// the mean (pigeonhole), so an unlimited budget, or a mean that is
     /// already over, decides without looking; otherwise one
     /// `aggregate_per_key` pass sums the partitions exactly.
-    fn partitions_fit(&self, table: &PCollection<ScoredRow>) -> Result<bool, DistError> {
+    fn partitions_fit(
+        &self,
+        table: &PCollection<ScoredRow>,
+        keying: &MachineKeying,
+        machines: usize,
+    ) -> Result<bool, DistError> {
         let budget = self.pipeline.budget();
-        let mean_rows = (self.pool_len as u64).div_ceil(self.machines as u64);
+        let mean_rows = (self.pool_len as u64).div_ceil(machines as u64);
         let mut footprint = mean_rows * RESIDENT_BYTES_PER_ROW;
         if !budget.is_unlimited() && !budget.exceeded_by(footprint) {
-            let (graph, keying) = (self.graph, self.keying.as_ref().expect("outside a phase"));
+            let graph = self.graph;
             footprint = table
                 .map_eager(|(machine, (v, _))| {
                     let same = |&&x: &&u32| keying.machine_of(x.into()) == machine;
@@ -738,12 +636,12 @@ impl<'a> DataflowGreedyBackend<'a> {
     fn phase_resident(
         &self,
         table: &PCollection<ScoredRow>,
+        keying: &MachineKeying,
         n: usize,
         quota: usize,
     ) -> Result<PhaseOutcome, DistError> {
         let _span = submod_obs::span("greedy.resident_pass");
         let (pipeline, graph, ratio) = (self.pipeline, self.graph, self.objective.ratio());
-        let keying = self.keying.as_ref().expect("phase_resident called outside a phase");
         let mut rows: Vec<(u64, (u64, u64))> = table
             .group_by_key()?
             .flat_map_eager(|(machine, mut group)| {
@@ -775,8 +673,7 @@ impl<'a> DataflowGreedyBackend<'a> {
     /// machine's pool and each of its same-machine neighbours loses
     /// `(β/α)·s(winner, ·)`, in pop order (`winners` lists each machine's
     /// pops in order), metered as the broadcast a worker receives.
-    fn events(&self, winners: &[(u64, u64)]) -> SideInput<(u64, f32)> {
-        let keying = self.keying.as_ref().expect("winners shipped outside a phase");
+    fn events(&self, keying: &MachineKeying, winners: &[(u64, u64)]) -> SideInput<(u64, f32)> {
         let mut events = Vec::new();
         for &(machine, winner) in winners {
             events.push((winner, LEAVES));
@@ -813,64 +710,26 @@ impl<'a> DataflowGreedyBackend<'a> {
         })?;
         Ok(table.materialize()?)
     }
-}
 
-impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
-    fn pool_len(&self) -> usize {
-        self.pool_len
-    }
-
-    fn begin_phase(&mut self, keying: MachineKeying, machines: usize) -> Result<u64, DistError> {
-        let objective = self.objective;
-        self.machines = machines;
-        // Eager map: the phase-persistent table is materialized up front
-        // anyway, and `objective` stays borrowed on the driver.
-        let table = self
-            .pool
-            .map_eager(|v| (keying.machine_of(v), (v, objective.utility(NodeId::new(v)))))?;
-        self.table = Some(table);
-        self.keying = Some(keying);
-        Ok(0)
-    }
-
-    fn step(&mut self, previous: &[(u64, u64)]) -> Result<StepWinners, DistError> {
-        let mut table = self.table.clone().expect("step called outside a phase");
-        if !previous.is_empty() {
-            // The decrease wave, through the batched path's overlay.
-            let mut overlay = Overlay::new(self.machines);
-            self.record(&mut overlay, self.events(previous), Vec::new());
-            table = self.rewrite(&table, overlay)?;
-            self.table = Some(table.clone());
-        }
-        let mut winners: Vec<(u64, u64, f64)> = table
-            .argmax_per_key()?
-            .collect()?
-            .into_iter()
-            .map(|(machine, (node, priority))| (machine, node, priority))
-            .collect();
-        winners.sort_unstable_by_key(|&(machine, _, _)| machine);
-        let driver_bytes = (winners.len() * WINNER_ROW_BYTES) as u64;
-        Ok(StepWinners { winners, driver_bytes })
-    }
-
-    fn phase_bulk(&mut self, n: usize, quota: usize) -> Result<Option<PhaseOutcome>, DistError> {
-        let mut table = self.table.clone().expect("phase_bulk called outside a phase");
-        if self.partitions_fit(&table)? {
-            submod_obs::counter!("greedy.phases_resident").incr();
-            return self.phase_resident(&table, n, quota).map(Some);
-        }
-        if self.winner_batch == 0 {
-            submod_obs::counter!("greedy.phases_lockstep").incr();
-            return Ok(None);
-        }
-        submod_obs::counter!("greedy.phases_batched").incr();
+    /// The batched pass: each engine [`scan`] ships every live row ≥ τ,
+    /// the batch-th largest live priority, and the driver replays each
+    /// machine's pops in the shared argmax order while they stay ≥ τ.
+    /// The certified winners reach the table through the [`Overlay`].
+    fn phase_batched(
+        &self,
+        mut table: PCollection<ScoredRow>,
+        keying: &MachineKeying,
+        machines: usize,
+        n: usize,
+        quota: usize,
+    ) -> Result<PhaseOutcome, DistError> {
         let (ratio, batch, budget) =
             (self.objective.ratio(), self.winner_batch, self.pipeline.budget());
         // Per-machine pop sequences, reassembled step-major at the end:
-        // machine `m`'s `t`-th pop *is* its step-`t` winner, exactly like
-        // the in-memory bulk path.
-        let mut sequences: Vec<Vec<u64>> = vec![Vec::new(); self.machines];
-        let mut overlay = Overlay::new(self.machines);
+        // machine `m`'s `t`-th pop is its step-`t` winner, exactly like
+        // the in-memory phase.
+        let mut sequences: Vec<Vec<u64>> = vec![Vec::new(); machines];
+        let mut overlay = Overlay::new(machines);
         let (mut table_rows, mut driver_bytes) = (self.pool_len as u64, 0u64);
         let mut live_rows = if quota > 0 { table_rows } else { 0 };
         while live_rows > 0 {
@@ -940,25 +799,49 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
             }
             // The overlay rides to every worker, so it may not outgrow one;
             // and a table of mostly dead rows is cheaper rewritten.
-            let events = self.events(&winners);
+            let events = self.events(keying, &winners);
             if budget.exceeded_by(overlay.bytes_with(events.len())) || table_rows > 2 * scanned {
-                let full = std::mem::replace(&mut overlay, Overlay::new(self.machines));
+                let full = std::mem::replace(&mut overlay, Overlay::new(machines));
                 table = self.rewrite(&table, full)?;
                 table_rows = scanned;
             }
             self.record(&mut overlay, events, newly_done);
         }
         // The batched driver pays for every row the scans shipped.
-        Ok(Some(PhaseOutcome { driver_bytes, ..step_major(n, &sequences) }))
+        Ok(PhaseOutcome { driver_bytes, ..step_major(n, &sequences) })
+    }
+}
+
+impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
+    fn pool_len(&self) -> usize {
+        self.pool_len
     }
 
-    fn end_phase(&mut self, survivors: &NodeSet) -> Result<(), DistError> {
+    fn phase(
+        &mut self,
+        keying: MachineKeying,
+        machines: usize,
+        n: usize,
+        quota: usize,
+    ) -> Result<PhaseOutcome, DistError> {
+        let objective = self.objective;
+        // Eager map: the phase's table is materialized up front anyway,
+        // and `objective` stays borrowed on the driver.
+        let table = self
+            .pool
+            .map_eager(|v| (keying.machine_of(v), (v, objective.utility(NodeId::new(v)))))?;
+        let outcome = if self.partitions_fit(&table, &keying, machines)? {
+            submod_obs::counter!("greedy.phases_resident").incr();
+            self.phase_resident(&table, &keying, n, quota)?
+        } else {
+            submod_obs::counter!("greedy.phases_batched").incr();
+            self.phase_batched(table, &keying, machines, n, quota)?
+        };
         let keep =
-            self.pipeline.broadcast_words(survivors.words().to_vec(), self.graph.num_nodes());
+            self.pipeline.broadcast_words(outcome.members.words().to_vec(), self.graph.num_nodes());
         self.pool = self.pool.filter(move |&v| keep.contains(v))?;
         self.pool_len = self.pool.count()? as usize;
-        self.table = None;
-        Ok(())
+        Ok(outcome)
     }
 
     fn restore_pool(&mut self, pool: &[u64]) -> Result<(), DistError> {
@@ -967,7 +850,6 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
         ids.dedup();
         self.pool_len = ids.len();
         self.pool = self.pipeline.from_vec(ids);
-        self.table = None;
         Ok(())
     }
 
@@ -1017,86 +899,13 @@ mod tests {
         assert_eq!(keyings[2].machine_of(5), 1);
     }
 
-    #[test]
-    fn backends_agree_step_for_step() {
-        let (graph, objective) = instance(24);
-        let ground = ground(24);
-        let pipeline = Pipeline::new(3).unwrap();
-        let mut mem = InMemoryGreedyBackend::new(&graph, &objective, &ground);
-        let mut df = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground);
-        for backend in [&mut mem as &mut dyn MachineGreedyBackend, &mut df] {
-            backend.begin_phase(MachineKeying::Hash { seed: 11, machines: 3 }, 3).unwrap();
-        }
-        let mut prev_mem: Vec<(u64, u64)> = Vec::new();
-        let mut prev_df: Vec<(u64, u64)> = Vec::new();
-        for step in 0..8 {
-            let a = mem.step(&prev_mem).unwrap();
-            let b = df.step(&prev_df).unwrap();
-            assert_eq!(a.winners.len(), b.winners.len(), "step {step}");
-            for (x, y) in a.winners.iter().zip(&b.winners) {
-                assert_eq!(x.0, y.0, "machine at step {step}");
-                assert_eq!(x.1, y.1, "node at step {step}");
-                assert_eq!(x.2.to_bits(), y.2.to_bits(), "priority bits at step {step}");
-            }
-            prev_mem = a.winners.iter().map(|&(m, v, _)| (m, v)).collect();
-            prev_df = prev_mem.clone();
-        }
-    }
-
-    #[test]
-    fn bulk_phase_equals_step_loop_and_dataflow() {
-        let (graph, objective) = instance(30);
-        let ground = ground(30);
-        let keying = || MachineKeying::Hash { seed: 7, machines: 4 };
-        for quota in [0usize, 1, 3, 8, 50] {
-            // In-memory via the bulk fast path (what run_phase dispatches).
-            let mut bulk = InMemoryGreedyBackend::new(&graph, &objective, &ground);
-            bulk.begin_phase(keying(), 4).unwrap();
-            let via_bulk = run_phase(&mut bulk, 30, quota).unwrap();
-            // In-memory forced through the generic step loop.
-            let mut stepped = InMemoryGreedyBackend::new(&graph, &objective, &ground);
-            stepped.begin_phase(keying(), 4).unwrap();
-            let mut via_steps = PhaseOutcome {
-                selected: Vec::new(),
-                members: NodeSet::new(30),
-                steps: 0,
-                peak_step_winners: 0,
-                driver_bytes: 0,
-            };
-            let mut previous: Vec<(u64, u64)> = Vec::new();
-            for _ in 0..quota {
-                let step = stepped.step(&previous).unwrap();
-                if step.winners.is_empty() {
-                    break;
-                }
-                via_steps.steps += 1;
-                via_steps.peak_step_winners = via_steps.peak_step_winners.max(step.winners.len());
-                via_steps.driver_bytes += step.driver_bytes;
-                previous = step
-                    .winners
-                    .iter()
-                    .map(|&(m, v, _)| {
-                        via_steps.selected.push(NodeId::new(v));
-                        via_steps.members.insert(NodeId::new(v));
-                        (m, v)
-                    })
-                    .collect();
-            }
-            assert_eq!(via_bulk.selected, via_steps.selected, "quota {quota}");
-            assert_eq!(via_bulk.steps, via_steps.steps, "quota {quota}");
-            assert_eq!(via_bulk.peak_step_winners, via_steps.peak_step_winners);
-            assert_eq!(via_bulk.driver_bytes, via_steps.driver_bytes);
-            // And the dataflow backend's resident pass (what an unlimited
-            // budget computes) agrees too, accounting included.
-            let pipeline = Pipeline::new(3).unwrap();
-            let mut df = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground);
-            df.begin_phase(keying(), 4).unwrap();
-            let via_df = run_phase(&mut df, 30, quota).unwrap();
-            assert_eq!(via_bulk.selected, via_df.selected, "quota {quota}");
-            assert_eq!(via_bulk.steps, via_df.steps);
-            assert_eq!(via_bulk.peak_step_winners, via_df.peak_step_winners);
-            assert_eq!(via_bulk.driver_bytes, via_df.driver_bytes);
-        }
+    /// `backend`'s phase over the 30-node instance under a fixed 4-machine
+    /// hash keying; the phase leaves only its winners in the pool.
+    fn hashed_phase(backend: &mut dyn MachineGreedyBackend, quota: usize) -> PhaseOutcome {
+        let keying = MachineKeying::Hash { seed: 7, machines: 4 };
+        let outcome = backend.phase(keying, 4, 30, quota).unwrap();
+        assert_eq!(backend.pool_len(), outcome.selected.len(), "pool after quota {quota}");
+        outcome
     }
 
     /// A pipeline whose budget is below a one-row partition, so every
@@ -1113,26 +922,41 @@ mod tests {
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// The in-memory, resident and batched phases pop the same winners in
+    /// the same step-major order. The resident pass collects exactly the
+    /// in-memory phase's winner rows; the in-memory phase also pays 24 B
+    /// per pool node for its keyed buckets and queues.
     #[test]
-    fn batched_phase_matches_lockstep_exactly() {
+    fn phases_agree_across_backends() {
         let _lock = batched_lock();
         let (graph, objective) = instance(30);
         let ground = ground(30);
-        let keying = || MachineKeying::Hash { seed: 7, machines: 4 };
-        for (batch, quota) in [(1usize, 3usize), (2, 8), (3, 0), (8, 8), (64, 50)] {
-            let pipeline = starved_pipeline();
-            let mut lock = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground)
-                .with_winner_batch(0);
-            lock.begin_phase(keying(), 4).unwrap();
-            let via_steps = run_phase(&mut lock, 30, quota).unwrap();
-            let pipeline = starved_pipeline();
-            let mut batched = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground)
-                .with_winner_batch(batch);
-            batched.begin_phase(keying(), 4).unwrap();
-            let via_batch = run_phase(&mut batched, 30, quota).unwrap();
-            assert_eq!(via_batch.selected, via_steps.selected, "batch {batch} quota {quota}");
-            assert_eq!(via_batch.steps, via_steps.steps, "batch {batch} quota {quota}");
-            assert_eq!(via_batch.peak_step_winners, via_steps.peak_step_winners);
+        let batch = crate::DistGreedyConfig::DEFAULT_WINNER_BATCH;
+        for quota in [0usize, 1, 3, 8, 50] {
+            let mem =
+                hashed_phase(&mut InMemoryGreedyBackend::new(&graph, &objective, &ground), quota);
+            let pipeline = Pipeline::new(3).unwrap();
+            let resident = hashed_phase(
+                &mut DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground, batch),
+                quota,
+            );
+            let winner_rows = (mem.selected.len() * WINNER_ROW_BYTES) as u64;
+            assert_eq!(mem.driver_bytes, 30 * 24 + winner_rows, "quota {quota}");
+            assert_eq!(resident.driver_bytes, winner_rows, "quota {quota}");
+            for width in [1usize, 2, 3, 8, 64] {
+                let pipeline = starved_pipeline();
+                let batched = hashed_phase(
+                    &mut DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground, width),
+                    quota,
+                );
+                for (path, outcome) in [("resident", &resident), ("batched", &batched)] {
+                    let at = format!("{path}, width {width}, quota {quota}");
+                    assert_eq!(outcome.selected, mem.selected, "{at}");
+                    assert_eq!(outcome.members, mem.members, "{at}");
+                    assert_eq!(outcome.steps, mem.steps, "{at}");
+                    assert_eq!(outcome.peak_step_winners, mem.peak_step_winners, "{at}");
+                }
+            }
         }
     }
 
@@ -1154,19 +978,16 @@ mod tests {
         let graph = b.build();
         let utilities = (0..18).map(|i| if i % 6 < 4 { 1.0 } else { 0.05 }).collect();
         let objective = PairwiseObjective::from_alpha(0.85, utilities).unwrap();
-        let run = |batch: usize| {
-            let pipeline = starved_pipeline();
-            let mut df = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground(18))
-                .with_winner_batch(batch);
-            df.begin_phase(MachineKeying::Contiguous { chunk: 6 }, 3).unwrap();
-            run_phase(&mut df, 18, 4).unwrap()
-        };
+        let keying = || MachineKeying::Contiguous { chunk: 6 };
+        let pipeline = starved_pipeline();
+        let mut df = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground(18), 1);
         let scans = submod_obs::counter("greedy.batch_scans").value();
-        let batched = run(1);
+        let batched = df.phase(keying(), 3, 18, 4).unwrap();
         assert_eq!(submod_obs::counter("greedy.batch_scans").value() - scans, 4);
-        let lockstep = run(0);
-        assert_eq!(batched.selected, lockstep.selected);
-        assert_eq!((batched.steps, lockstep.steps), (4, 4));
+        let mut mem = InMemoryGreedyBackend::new(&graph, &objective, &ground(18));
+        let reference = mem.phase(keying(), 3, 18, 4).unwrap();
+        assert_eq!(batched.selected, reference.selected);
+        assert_eq!((batched.steps, reference.steps), (4, 4));
         let firsts: Vec<u64> = batched.selected.iter().map(|v| v.raw()).collect();
         assert_eq!(firsts, [0, 6, 12, 1, 7, 13, 2, 8, 14, 3, 9, 15]);
     }
@@ -1275,8 +1096,7 @@ mod tests {
         let (graph, objective) = instance(9);
         let ground = ground(9);
         let mut mem = InMemoryGreedyBackend::new(&graph, &objective, &ground);
-        mem.begin_phase(MachineKeying::Contiguous { chunk: 3 }, 3).unwrap();
-        let outcome = run_phase(&mut mem, 9, 100).unwrap();
+        let outcome = mem.phase(MachineKeying::Contiguous { chunk: 3 }, 3, 9, 100).unwrap();
         // Quota far above the bucket size: every machine empties after 3
         // steps and the phase stops.
         assert_eq!(outcome.steps, 3);

@@ -8,8 +8,8 @@
 //! The **map phase** runs through the same shared backend as the
 //! multi-round algorithm (`MachineGreedyBackend`): partitions are a
 //! deterministic keyed transform (contiguous chunks for the original
-//! "arbitrary" analysis, a seeded hash for RandGreeDi), per-machine
-//! selection advances in synchronized Algorithm-2 steps, and on the
+//! "arbitrary" analysis, a seeded hash for RandGreeDi), every machine
+//! runs Algorithm 2 on its partition in one backend phase, and on the
 //! dataflow driver ([`greedi_dataflow`]) the scored pool stays inside
 //! the engine — partition-resident when a partition fits a worker,
 //! τ-batched passes when not — with only winner rows collected.
@@ -18,7 +18,7 @@
 //! memory story the paper argues against.
 
 use crate::engine::{
-    machine_select, run_phase, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend,
+    machine_select, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend,
     MachineKeying,
 };
 use crate::{DistError, PartitionStyle};
@@ -113,9 +113,10 @@ fn run_greedi(
             selected.iter().map(|&v| NodeId::new(v)).collect()
         } else {
             // Map phase: every machine solves its partition for the full
-            // budget `k`, one synchronized argmax step at a time.
-            backend.begin_phase(keying_for(style, n, machines, seed), machines)?;
-            let outcome = run_phase(backend, n, k)?;
+            // budget `k` in one backend phase. The phase also narrows the
+            // backend's pool to the winners; nothing reads it afterwards.
+            let keying = keying_for(style, n, machines, seed);
+            let outcome = backend.phase(keying, machines, n, k)?;
             if let Some(j) = journal.as_mut() {
                 j.append_sync(&submod_journal::Record::GreedyRound {
                     round: 1,
@@ -229,7 +230,8 @@ pub(crate) fn greedi_dataflow_with_journal(
 ) -> Result<GreediReport, DistError> {
     validate(graph, objective, k, machines)?;
     let ground: Vec<NodeId> = (0..graph.num_nodes()).map(NodeId::from_index).collect();
-    let mut backend = DataflowGreedyBackend::new(pipeline, graph, objective, &ground);
+    let batch = crate::DistGreedyConfig::DEFAULT_WINNER_BATCH;
+    let mut backend = DataflowGreedyBackend::new(pipeline, graph, objective, &ground, batch);
     run_greedi(graph, objective, k, machines, style, seed, &mut backend, journal)
 }
 

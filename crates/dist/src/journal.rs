@@ -207,8 +207,8 @@ fn put(bytes: &mut Vec<u8>, v: u64) {
 }
 
 /// Everything about a greedy configuration that determines the selected
-/// subset. The winner-batch width is deliberately absent: resident,
-/// batched and lockstep dataflow phases certify identical pops.
+/// subset. The winner-batch width is deliberately absent: resident and
+/// batched dataflow phases at any width certify identical pops.
 fn encode_greedy_config(bytes: &mut Vec<u8>, config: &DistGreedyConfig) {
     put(bytes, config.machines as u64);
     put(bytes, config.rounds as u64);

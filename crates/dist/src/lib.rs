@@ -15,8 +15,8 @@
 //!   multi-round partitioned greedy (§4.4) with [`DeltaSchedule`] pool
 //!   targets and optional adaptive partitioning. Both drivers share one
 //!   backend-parameterized round loop (partition assignment is a
-//!   deterministic keyed transform, per-machine argmax runs as
-//!   synchronized Algorithm-2 steps), so their selections are
+//!   deterministic keyed transform, each backend runs a round's
+//!   per-machine Algorithm 2 in one phase call), so their selections are
 //!   bitwise-identical; the dataflow driver keeps the scored pool
 //!   engine-resident — grouped by machine and run inside the workers
 //!   when a partition fits the per-worker budget, τ-batched passes

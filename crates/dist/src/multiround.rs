@@ -5,9 +5,9 @@
 //! a deterministic hash ([`crate::engine::MachineKeying`]); every machine
 //! then runs the centralized priority-queue greedy over its partition
 //! (cross-partition edges are ignored — the information loss the
-//! multi-round structure exists to repair) in **synchronized steps**: one
-//! pop per machine per step, with the previous winners' neighbors
-//! receiving Algorithm 2's priority decrease between steps. The union of
+//! multi-round structure exists to repair), each pop's neighbours
+//! receiving Algorithm 2's priority decrease; the winners are accounted
+//! step-major, one pop per machine per step. The union of
 //! the machine selections is the next round's pool, so the pool shrinks
 //! from `n` toward `k` along the [`DeltaSchedule`], and a machine holds
 //! one round-1 partition — `n/m` points in expectation (the hash keying
@@ -32,7 +32,7 @@
 //! [`DeltaSchedule`]: crate::DeltaSchedule
 
 use crate::engine::{
-    machine_select, run_phase, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend,
+    machine_select, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend,
     MachineKeying,
 };
 use crate::{DistError, DistGreedyConfig};
@@ -85,7 +85,8 @@ pub struct DistGreedyReport {
 pub struct GreedyStats {
     /// Rounds executed.
     pub rounds: usize,
-    /// Synchronized argmax steps executed across all rounds.
+    /// Steps executed across all rounds, step `t` of a round being the
+    /// `t`-th pop of every machine that had one.
     pub steps: usize,
     /// Peak bytes of per-round driver-side materializations (keyed pool
     /// and queues for the in-memory driver; collected winner rows alone
@@ -214,8 +215,8 @@ fn finalize(
     Ok(Selection::new(pool, Vec::new(), value))
 }
 
-/// The shared round driver. The backend produces per-step winner rows;
-/// everything downstream — the Δ-schedule targets, partition counts,
+/// The shared round driver. The backend runs each round's phase in one
+/// call; everything around it — the Δ-schedule targets, partition counts,
 /// keying, winner accounting, and the final trim — is common code, which
 /// is what guarantees in-memory/dataflow equality.
 ///
@@ -297,15 +298,13 @@ fn run_multiround(
             _ => MachineKeying::Hash { seed, machines: partitions as u64 },
         };
         let round_span = submod_obs::span("greedy.round");
-        let phase_bytes = backend.begin_phase(keying, partitions)?;
-        let outcome = run_phase(backend, n, quota)?;
-        backend.end_phase(&outcome.members)?;
+        let outcome = backend.phase(keying, partitions, n, quota)?;
         drop(round_span);
         let state_bytes = (size_of_val(outcome.members.words())
             + outcome.selected.len() * size_of::<u64>()
             + (rounds.len() + 1) * size_of::<RoundStats>()) as u64;
         stats.observe_round(
-            phase_bytes + outcome.driver_bytes,
+            outcome.driver_bytes,
             outcome.steps,
             outcome.peak_step_winners,
             outcome.selected.len(),
@@ -455,8 +454,8 @@ pub(crate) fn distributed_greedy_dataflow_with_journal(
     journal: Option<&mut crate::journal::RunJournal>,
 ) -> Result<(DistGreedyReport, GreedyStats), DistError> {
     validate(graph, objective, ground, k)?;
-    let mut backend = DataflowGreedyBackend::new(pipeline, graph, objective, ground)
-        .with_winner_batch(config.winner_batch);
+    let mut backend =
+        DataflowGreedyBackend::new(pipeline, graph, objective, ground, config.winner_batch);
     run_multiround(graph, objective, ground, k, config, &mut backend, journal)
 }
 
@@ -617,5 +616,35 @@ mod tests {
         );
         assert!(df_stats.bytes_broadcast > 0, "winners and survivors must broadcast");
         assert_eq!(mem_stats.bytes_broadcast, 0);
+    }
+
+    /// `winner_batch(0)` is width 1: on a pipeline too small for any
+    /// partition, both run the batched fallback to the same selection and
+    /// the same `GreedyStats`.
+    #[test]
+    fn a_zero_winner_batch_is_a_batch_of_one() {
+        let (graph, objective) = ring_instance(60);
+        let run = |batch| {
+            let pipeline = Pipeline::builder()
+                .workers(3)
+                .memory_budget(submod_dataflow::MemoryBudget::bytes(47))
+                .build()
+                .unwrap();
+            let config = DistGreedyConfig::new(4, 3).unwrap().seed(5).winner_batch(batch);
+            assert_eq!(config.winner_batch, 1);
+            let batched = submod_obs::counter("greedy.phases_batched").value();
+            let (report, stats) = distributed_greedy_dataflow_with_stats(
+                &pipeline,
+                &graph,
+                &objective,
+                &ground(60),
+                12,
+                &config,
+            )
+            .unwrap();
+            assert!(submod_obs::counter("greedy.phases_batched").value() > batched);
+            (report.selection.selected().to_vec(), stats)
+        };
+        assert_eq!(run(0), run(1));
     }
 }

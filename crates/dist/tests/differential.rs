@@ -35,18 +35,14 @@ const RESIDENT_BYTES_PER_ROW: u64 = 48;
 /// Worker bytes of one shard entry (a 4 B local target and a 4 B weight).
 const SHARD_BYTES_PER_ENTRY: u64 = 8;
 
-/// `winner_batch` of the lockstep oracle; any other width is the
-/// τ-batched fallback.
-const LOCKSTEP: usize = 0;
-
 /// The fallback width `DistGreedyConfig::new` starts with.
 const DEFAULT_BATCH: usize = DistGreedyConfig::DEFAULT_WINNER_BATCH;
 
 /// Phases the dataflow driver ran since `before`, as
-/// `[resident, batched, lockstep]`, from the process-wide registry
-/// (`phases_since([0; 3])` is the running total).
-fn phases_since(before: [u64; 3]) -> [u64; 3] {
-    let names = ["greedy.phases_resident", "greedy.phases_batched", "greedy.phases_lockstep"];
+/// `[resident, batched]`, from the process-wide registry
+/// (`phases_since([0; 2])` is the running total).
+fn phases_since(before: [u64; 2]) -> [u64; 2] {
+    let names = ["greedy.phases_resident", "greedy.phases_batched"];
     std::array::from_fn(|i| submod_obs::counter(names[i]).value() - before[i])
 }
 
@@ -70,23 +66,14 @@ fn pipeline(workers: usize, starved: bool) -> Pipeline {
 }
 
 /// Asserts the phases one dataflow run added to the counters: resident
-/// for every phase on the unlimited side; on the starved side the
-/// fallback `winner_batch` selects for every phase with a non-empty pool
-/// (an empty pool fits any budget).
-fn assert_phases(before: [u64; 3], starved: bool, winner_batch: usize, pool_sizes: &[usize]) {
+/// for every phase on the unlimited side; on the starved side batched for
+/// every phase with a non-empty pool (an empty pool fits any budget).
+fn assert_phases(before: [u64; 2], starved: bool, pool_sizes: &[usize]) {
     let total = pool_sizes.len() as u64;
     let fell_back =
         if starved { pool_sizes.iter().filter(|&&len| len > 0).count() as u64 } else { 0 };
-    let expected = if winner_batch == LOCKSTEP {
-        [total - fell_back, 0, fell_back]
-    } else {
-        [total - fell_back, fell_back, 0]
-    };
-    assert_eq!(
-        phases_since(before),
-        expected,
-        "[resident, batched, lockstep] phases (starved: {starved})"
-    );
+    let expected = [total - fell_back, fell_back];
+    assert_eq!(phases_since(before), expected, "[resident, batched] phases (starved: {starved})");
 }
 
 /// A clustered instance: `clusters` tight groups with strong
@@ -200,7 +187,7 @@ fn assert_drivers_identical(
             distributed_greedy(graph, objective, ground, k, &config).expect("in-memory")
         });
         for starved in [false, true] {
-            let before = phases_since([0; 3]);
+            let before = phases_since([0; 2]);
             let pipeline = pipeline(workers, starved);
             let df = with_threads(threads, || {
                 distributed_greedy_dataflow(&pipeline, graph, objective, ground, k, &config)
@@ -215,7 +202,7 @@ fn assert_drivers_identical(
                 config.rounds()
             );
             let pool_sizes: Vec<usize> = df.rounds.iter().map(|r| r.input_size).collect();
-            assert_phases(before, starved, winner_batch, &pool_sizes);
+            assert_phases(before, starved, &pool_sizes);
             if starved {
                 assert!(pipeline.metrics().bytes_spilled > 0, "the budget must force spills");
             }
@@ -267,19 +254,14 @@ fn adversarial_partitions_are_identical() {
 }
 
 #[test]
-fn batched_winner_passes_are_identical_to_lockstep() {
-    // The multi-winner engine passes (ISSUE 8) must select the identical
-    // subset as the one-pop-per-step lockstep and the in-memory driver,
-    // at every batch size and thread count.
+fn batched_winner_passes_are_identical_to_in_memory() {
+    // The multi-winner engine passes must select the identical subset as
+    // the in-memory driver, at every batch size and thread count.
     let (graph, objective) = clustered_instance(4, 8, 33);
     let n = graph.num_nodes();
     let config = DistGreedyConfig::new(3, 2).unwrap().seed(19).adaptive(true);
-    let run = |winner_batch| {
-        assert_drivers_identical(&graph, &objective, &ground(n), n / 4, &config, 3, winner_batch)
-    };
-    let lockstep = run(LOCKSTEP);
     for batch in [1usize, 2, 3, 8, 64] {
-        assert_eq!(run(batch), lockstep, "winner_batch {batch}");
+        assert_drivers_identical(&graph, &objective, &ground(n), n / 4, &config, 3, batch);
     }
 }
 
@@ -294,12 +276,8 @@ fn batched_winner_invalidation_falls_back_identically() {
     let (graph, objective) = degenerate_instance(5, 6);
     let n = graph.num_nodes();
     let config = DistGreedyConfig::new(2, 2).unwrap().seed(7);
-    let run = |winner_batch| {
-        assert_drivers_identical(&graph, &objective, &ground(n), n / 2, &config, 3, winner_batch)
-    };
-    let lockstep = run(LOCKSTEP);
     for batch in [1usize, 2, 4, 16] {
-        assert_eq!(run(batch), lockstep, "winner_batch {batch}");
+        assert_drivers_identical(&graph, &objective, &ground(n), n / 2, &config, 3, batch);
     }
 }
 
@@ -308,8 +286,7 @@ fn batched_winner_invalidation_falls_back_identically() {
 /// entries) that still holds many batches' worth of overlay events, so
 /// the batched fallback scans several times per rewrite — where the
 /// one-row budget above rewrites after every batch.
-/// Bit-identical to lockstep and to the in-memory driver at every thread
-/// count, with the rewrite count and the overlay's peak read back from
+/// Bit-identical to the in-memory driver at every thread count, with the rewrite count and the overlay's peak read back from
 /// the registry.
 #[test]
 fn overlay_spans_several_batches_between_rewrites() {
@@ -325,35 +302,24 @@ fn overlay_spans_several_batches_between_rewrites() {
         let mem = with_threads(threads, || {
             distributed_greedy(&graph, &objective, &ground(n), n / 4, &config).expect("in-memory")
         });
-        let run = |winner_batch| {
-            let pipeline = Pipeline::builder()
-                .workers(3)
-                .memory_budget(MemoryBudget::bytes(budget))
-                .build()
-                .expect("pipeline");
-            let config = config.clone().winner_batch(winner_batch);
-            with_threads(threads, || {
-                distributed_greedy_dataflow(
-                    &pipeline,
-                    &graph,
-                    &objective,
-                    &ground(n),
-                    n / 4,
-                    &config,
-                )
-                .expect("dataflow")
-            })
-        };
+        let pipeline = Pipeline::builder()
+            .workers(3)
+            .memory_budget(MemoryBudget::bytes(budget))
+            .build()
+            .expect("pipeline");
+        let config = config.clone().winner_batch(1);
         // Zero the overlay's peak gauge (a running maximum).
         submod_obs::reset_metrics();
-        let batched = run(1);
+        let batched = with_threads(threads, || {
+            distributed_greedy_dataflow(&pipeline, &graph, &objective, &ground(n), n / 4, &config)
+                .expect("dataflow")
+        });
         let [scans, rewrites] = counters();
-        assert_eq!(phases_since([0; 3])[1], 1, "round 1 alone must take the batched path");
+        assert_eq!(phases_since([0; 2])[1], 1, "round 1 alone must take the batched path");
         assert!(0 < rewrites && rewrites * 3 < scans, "{rewrites} rewrites over {scans} scans");
         let overlay = submod_obs::gauge("greedy.overlay_bytes_peak").value();
         assert!(0 < overlay && overlay <= budget, "overlay peak {overlay} over {budget}");
         assert_eq!(fingerprint(&batched), fingerprint(&mem), "batched at {threads} threads");
-        assert_eq!(fingerprint(&run(LOCKSTEP)), fingerprint(&mem), "lockstep at {threads} threads");
     }
 }
 
@@ -382,14 +348,14 @@ fn assert_greedi_identical(
             greedi(graph, objective, k, machines, style, seed).expect("in-memory")
         });
         for starved in [false, true] {
-            let before = phases_since([0; 3]);
+            let before = phases_since([0; 2]);
             let pipeline = pipeline(3, starved);
             let df = with_threads(threads, || {
                 greedi_dataflow(&pipeline, graph, objective, k, machines, style, seed)
                     .expect("dataflow")
             });
             assert_eq!(fp(&mem), fp(&df), "{style:?} diverged at {threads} threads");
-            assert_phases(before, starved, DEFAULT_BATCH, &[graph.num_nodes()]);
+            assert_phases(before, starved, &[graph.num_nodes()]);
         }
         outcomes.push(fp(&mem));
     }
@@ -420,7 +386,7 @@ fn fit_predicate_flips_at_the_largest_partition_footprint() {
     let config = DistGreedyConfig::new(machines, 1).unwrap().seed(11);
     let mem = distributed_greedy(&graph, &objective, &ground(n), 10, &config).unwrap();
     let run = |budget: u64| {
-        let before = phases_since([0; 3]);
+        let before = phases_since([0; 2]);
         let pipeline =
             Pipeline::builder().workers(3).memory_budget(MemoryBudget::bytes(budget)).build();
         let df = distributed_greedy_dataflow(
@@ -439,7 +405,7 @@ fn fit_predicate_flips_at_the_largest_partition_footprint() {
     // The gauge is a running maximum: zero it, then let a roomy finite
     // budget count the partitions.
     submod_obs::reset_metrics();
-    assert_eq!(run(1 << 20), [1, 0, 0]);
+    assert_eq!(run(1 << 20), [1, 0]);
     let footprint = submod_obs::gauge("greedy.partition_footprint_peak").value();
     // Rows and shard entries are charged in whole 8 B words, and the
     // rows of a mean partition plus the entries of a mean shard (a hash
@@ -454,9 +420,9 @@ fn fit_predicate_flips_at_the_largest_partition_footprint() {
                 + mean_entries * SHARD_BYTES_PER_ENTRY,
         "the partition must be uneven for the exact count to matter"
     );
-    assert_eq!(run(footprint + 1), [1, 0, 0]);
-    assert_eq!(run(footprint), [1, 0, 0]);
-    assert_eq!(run(footprint - 1), [0, 1, 0]);
+    assert_eq!(run(footprint + 1), [1, 0]);
+    assert_eq!(run(footprint), [1, 0]);
+    assert_eq!(run(footprint - 1), [0, 1]);
 }
 
 proptest! {
@@ -501,8 +467,8 @@ proptest! {
     }
 
     /// Batched-winner passes under random shapes, batch sizes, and
-    /// configurations: bit-exact against the lockstep dataflow driver and
-    /// the in-memory driver at every thread count.
+    /// configurations: bit-exact against the in-memory driver at every
+    /// thread count.
     #[test]
     fn batched_instances_are_identical(
         clusters in 2usize..5,
@@ -516,10 +482,7 @@ proptest! {
         let n = graph.num_nodes();
         let k = (n / 4).max(1);
         let config = DistGreedyConfig::new(machines, rounds).expect("config").seed(seed);
-        let run = |winner_batch| {
-            assert_drivers_identical(&graph, &objective, &ground(n), k, &config, 3, winner_batch)
-        };
-        prop_assert_eq!(run(batch), run(LOCKSTEP));
+        assert_drivers_identical(&graph, &objective, &ground(n), k, &config, 3, batch);
     }
 
     /// GreeDi under random shapes and both partition styles.

@@ -327,9 +327,9 @@ fn faults_inside_the_resident_pass_leak_no_spill_files() {
     let (graph, objective) = instance(60, 21);
     let g = ground(60);
     let config = DistGreedyConfig::new(6, 2).expect("config").seed(4);
-    // `[resident, batched, lockstep]` phases run since `before`.
-    let phases_since = |before: [u64; 3]| -> [u64; 3] {
-        let names = ["greedy.phases_resident", "greedy.phases_batched", "greedy.phases_lockstep"];
+    // `[resident, batched]` phases run since `before`.
+    let phases_since = |before: [u64; 2]| -> [u64; 2] {
+        let names = ["greedy.phases_resident", "greedy.phases_batched"];
         std::array::from_fn(|i| submod_obs::counter(names[i]).value() - before[i])
     };
     let build = |base: &PathBuf| {
@@ -351,10 +351,10 @@ fn faults_inside_the_resident_pass_leak_no_spill_files() {
     let base = temp_path("resident-raii-clean");
     {
         let _guard = faults::override_plan(FaultPlan::off());
-        let before = phases_since([0; 3]);
+        let before = phases_since([0; 2]);
         let pipeline = build(&base);
         distributed_greedy_dataflow(&pipeline, &graph, &objective, &g, 10, &config).expect("run");
-        assert_eq!(phases_since(before), [2, 0, 0]);
+        assert_eq!(phases_since(before), [2, 0]);
         assert!(pipeline.metrics().spill_files > 0, "the resident pass must spill");
     }
     assert_empty(&base, "clean run");
@@ -365,15 +365,11 @@ fn faults_inside_the_resident_pass_leak_no_spill_files() {
     {
         let _guard =
             faults::override_plan(FaultPlan { mode: FaultMode::PermanentIo, seed: 5, rate: 1.0 });
-        let before = phases_since([0; 3]);
+        let before = phases_since([0; 2]);
         let pipeline = build(&base);
         let result = distributed_greedy_dataflow(&pipeline, &graph, &objective, &g, 10, &config);
         assert!(result.is_err(), "the poisoned spill must fail the run");
-        assert_eq!(
-            phases_since(before),
-            [1, 0, 0],
-            "the run must die inside its first resident pass"
-        );
+        assert_eq!(phases_since(before), [1, 0], "the run must die inside its first resident pass");
     }
     assert_empty(&base, "error path");
 
@@ -386,7 +382,7 @@ fn faults_inside_the_resident_pass_leak_no_spill_files() {
         {
             let _guard =
                 faults::override_plan(FaultPlan { mode: FaultMode::Panic, seed, rate: 0.1 });
-            let before = phases_since([0; 3]);
+            let before = phases_since([0; 2]);
             let pipeline = build(&base);
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 distributed_greedy_dataflow(&pipeline, &graph, &objective, &g, 10, &config)

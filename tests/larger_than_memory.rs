@@ -93,12 +93,14 @@ fn engine_resident_bounding_driver_memory_is_candidates_only() {
 
 /// The ISSUE 5 acceptance claim: the engine-resident multi-round greedy
 /// driver never materializes a machine partition. Per-round driver
-/// allocations are O(machines + candidates) — exactly the collected
-/// per-step winner rows, 24 bytes each — while the in-memory driver keys
-/// the whole pool into per-machine queues (O(pool) per round). Verified
+/// allocations are O(machines + candidates) — on the partition-resident
+/// path exactly the collected per-step winner rows, 24 bytes each — while
+/// the in-memory driver keys the whole pool into per-machine queues
+/// (O(pool) per round). Under a 2 KiB budget no partition fits a worker,
+/// and each scan of the batched fallback ships at most `shards × 2B × 24`
+/// bytes (see `batched_greedy_overlay_and_scans_stay_bounded`). Verified
 /// with `GreedyStats` at 1, 2, and 8 pool threads, with bitwise-identical
-/// selections throughout, including a tight-budget run that under the
-/// pre-engine-resident driver would have materialized full partitions.
+/// selections throughout.
 #[test]
 fn engine_resident_greedy_driver_memory_is_winners_only() {
     let instance = instance();
@@ -106,51 +108,52 @@ fn engine_resident_greedy_driver_memory_is_winners_only() {
     let k = n / 10;
     let objective = instance.objective(0.9).unwrap();
     let ground: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
-    let machines = 4;
-    // `winner_batch(0)`: no partition fits the 2 KiB budget below, and the
-    // winners-only accounting is the lockstep fallback's (the batched
-    // fallback also pays for the candidates it collects and discards).
+    let (machines, workers, batch) = (4, 4, 8);
     let config =
-        DistGreedyConfig::new(machines, 3).unwrap().seed(41).adaptive(true).winner_batch(0);
+        DistGreedyConfig::new(machines, 3).unwrap().seed(41).adaptive(true).winner_batch(batch);
 
     let (reference, mem_stats) =
         distributed_greedy_with_stats(&instance.graph, &objective, &ground, k, &config).unwrap();
 
     let mut fingerprints = Vec::new();
     for threads in [1usize, 2, 8] {
-        let (report, stats) = submod_exec::with_threads(threads, || {
-            // 2 KiB per worker: far below a single keyed partition
-            // (~n/machines × 24 B), so a driver that shipped partitions
-            // around would have to hold what the budget forbids.
-            let pipeline = Pipeline::builder()
-                .workers(4)
-                .memory_budget(MemoryBudget::bytes(2048))
-                .build()
-                .unwrap();
-            distributed_greedy_dataflow_with_stats(
-                &pipeline,
-                &instance.graph,
-                &objective,
-                &ground,
-                k,
-                &config,
-            )
-            .unwrap()
-        });
-        assert_eq!(
-            report.selection.selected(),
-            reference.selection.selected(),
-            "dataflow selection diverged at {threads} threads"
-        );
-        assert_eq!(
-            report.selection.objective_value().to_bits(),
-            reference.selection.objective_value().to_bits()
-        );
-        assert_eq!(report.rounds, reference.rounds);
+        // Unlimited: every round runs partition-resident. 2 KiB per
+        // worker: far below a single keyed partition (~n/machines × 24 B),
+        // so a driver that shipped partitions around would have to hold
+        // what the budget forbids.
+        let [(report, stats), (batched, batched_stats)] =
+            [MemoryBudget::unlimited(), MemoryBudget::bytes(2048)].map(|budget| {
+                let pipeline =
+                    Pipeline::builder().workers(workers).memory_budget(budget).build().unwrap();
+                submod_exec::with_threads(threads, || {
+                    distributed_greedy_dataflow_with_stats(
+                        &pipeline,
+                        &instance.graph,
+                        &objective,
+                        &ground,
+                        k,
+                        &config,
+                    )
+                    .unwrap()
+                })
+            });
+        for report in [&report, &batched] {
+            assert_eq!(
+                report.selection.selected(),
+                reference.selection.selected(),
+                "dataflow selection diverged at {threads} threads"
+            );
+            assert_eq!(
+                report.selection.objective_value().to_bits(),
+                reference.selection.objective_value().to_bits()
+            );
+            assert_eq!(report.rounds, reference.rounds);
+        }
 
-        // Per-round driver traffic is exactly the collected winner rows:
-        // 24 bytes per selected candidate, at most `machines` rows per
-        // step — O(machines + candidates), never O(partition).
+        // Per-round driver traffic of the resident path is exactly the
+        // collected winner rows: 24 bytes per selected candidate, at most
+        // `machines` rows per step — O(machines + candidates), never
+        // O(partition).
         let max_round_output = report.rounds.iter().map(|r| r.output_size).max().unwrap();
         assert_eq!(stats.peak_round_bytes, 24 * max_round_output as u64);
         assert!(stats.peak_step_winners <= machines);
@@ -171,8 +174,21 @@ fn engine_resident_greedy_driver_memory_is_winners_only() {
             "driver state {} exceeded the O(candidates) bound {state_bound}",
             stats.peak_state_bytes
         );
-        assert!(stats.bytes_broadcast > 0, "winners and survivors must ride as side-inputs");
-        fingerprints.push((report.rounds.clone(), stats));
+        assert!(stats.bytes_broadcast > 0, "survivors must ride as side-inputs");
+
+        // The batched path pays for what its scans ship, each scan at most
+        // `shards × 2B × 24` bytes; the winner accounting is the same.
+        let shards = workers as u64 + (32 * n as u64).div_ceil(2048);
+        let scan_bytes = submod_obs::gauge("greedy.scan_bytes_peak").value();
+        assert!(scan_bytes > 0, "the 2 KiB budget must take the batched path");
+        assert!(
+            scan_bytes <= shards * 2 * batch as u64 * 24,
+            "one scan shipped {scan_bytes} bytes from at most {shards} shards"
+        );
+        assert_eq!(batched_stats.steps, stats.steps);
+        assert_eq!(batched_stats.peak_step_winners, stats.peak_step_winners);
+        assert_eq!(batched_stats.winners_collected, stats.winners_collected);
+        fingerprints.push((report.rounds.clone(), stats, batched_stats));
     }
     assert_eq!(fingerprints[0], fingerprints[1]);
     assert_eq!(fingerprints[0], fingerprints[2]);
