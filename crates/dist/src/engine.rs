@@ -136,7 +136,8 @@ pub(crate) struct PhaseOutcome {
     pub steps: usize,
     /// Largest single-step winner collection.
     pub peak_step_winners: usize,
-    /// Driver bytes collected across the phase's steps.
+    /// Driver bytes the phase materialized: the keyed pool, if the
+    /// backend keys on the driver, plus every collected row.
     pub driver_bytes: u64,
 }
 
