@@ -1,153 +1,23 @@
-//! Compact binary codec for records crossing worker or memory boundaries.
+//! The record codec: the one byte form of every value the engine moves
+//! off the heap.
 //!
 //! Everything stored in a [`crate::PCollection`] implements [`Record`]: a
-//! fixed little-endian encoding with length-prefixed variable-size parts.
-//! The engine uses it for spill files and shuffle buffers; keeping it a
-//! first-party trait (rather than a serde dependency) keeps the hot path
-//! allocation-free for primitive tuples and makes sizes predictable for the
-//! memory accountant.
+//! little-endian encoding in which scalars take their natural width and
+//! variable-size parts (`String`, `Vec`) carry a `u64` length. Spill files
+//! hold these encodings back to back, so a fixed-width row such as
+//! `(u64, (u64, f64))` costs exactly its 24 payload bytes on disk, and the
+//! shuffle hashes a key's encoding to pick its bucket. Keeping the codec
+//! a first-party trait (rather than a serde dependency) keeps encoding
+//! allocation-free for primitive tuples and keeps sizes predictable for
+//! the memory accountant.
 
 use crate::DataflowError;
-
-/// The element type of one column in a fixed-width columnar shard.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ColKind {
-    /// 32-bit unsigned integers.
-    U32,
-    /// 64-bit unsigned integers.
-    U64,
-    /// 32-bit floats (bit patterns preserved exactly).
-    F32,
-    /// 64-bit floats (bit patterns preserved exactly).
-    F64,
-}
-
-impl ColKind {
-    /// Bytes per element in the raw column encoding.
-    pub fn width(self) -> usize {
-        match self {
-            ColKind::U32 | ColKind::F32 => 4,
-            ColKind::U64 | ColKind::F64 => 8,
-        }
-    }
-}
-
-/// One plain column of a fixed-width shard: a dense vector of a single
-/// scalar kind. Spills of fixed-width records write these as raw
-/// little-endian bytes — no per-record codec frames — and scans (e.g. the
-/// distributed `kth_largest`) read them back as contiguous slices.
-#[derive(Clone, Debug)]
-pub enum Column {
-    /// 32-bit unsigned integers.
-    U32(Vec<u32>),
-    /// 64-bit unsigned integers.
-    U64(Vec<u64>),
-    /// 32-bit floats.
-    F32(Vec<f32>),
-    /// 64-bit floats.
-    F64(Vec<f64>),
-}
-
-impl Column {
-    /// An empty column of the given kind.
-    pub fn new(kind: ColKind) -> Self {
-        match kind {
-            ColKind::U32 => Column::U32(Vec::new()),
-            ColKind::U64 => Column::U64(Vec::new()),
-            ColKind::F32 => Column::F32(Vec::new()),
-            ColKind::F64 => Column::F64(Vec::new()),
-        }
-    }
-
-    /// Number of elements in the column.
-    pub fn len(&self) -> usize {
-        match self {
-            Column::U32(v) => v.len(),
-            Column::U64(v) => v.len(),
-            Column::F32(v) => v.len(),
-            Column::F64(v) => v.len(),
-        }
-    }
-
-    /// Returns `true` when the column holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all elements, keeping the allocation.
-    pub fn clear(&mut self) {
-        match self {
-            Column::U32(v) => v.clear(),
-            Column::U64(v) => v.clear(),
-            Column::F32(v) => v.clear(),
-            Column::F64(v) => v.clear(),
-        }
-    }
-
-    /// Appends the raw little-endian bytes of every element to `out`.
-    pub fn write_le(&self, out: &mut Vec<u8>) {
-        match self {
-            Column::U32(v) => v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-            Column::U64(v) => v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-            Column::F32(v) => v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-            Column::F64(v) => v.iter().for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-        }
-    }
-
-    /// Reconstructs a column of `kind` from `rows` raw little-endian
-    /// elements at the front of `input`, advancing the slice.
-    ///
-    /// # Errors
-    ///
-    /// Returns a codec error if `input` holds fewer than
-    /// `rows * kind.width()` bytes.
-    pub fn read_le(kind: ColKind, rows: usize, input: &mut &[u8]) -> Result<Self, DataflowError> {
-        let bytes = take(input, rows * kind.width())?;
-        Ok(match kind {
-            ColKind::U32 => Column::U32(
-                bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect(),
-            ),
-            ColKind::U64 => Column::U64(
-                bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect(),
-            ),
-            ColKind::F32 => Column::F32(
-                bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect(),
-            ),
-            ColKind::F64 => Column::F64(
-                bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect(),
-            ),
-        })
-    }
-
-    /// The underlying `f64` slice, when this is an `F64` column.
-    pub fn as_f64(&self) -> Option<&[f64]> {
-        match self {
-            Column::F64(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Marker for [`Record`] types stored as fixed-width columns: every value
-/// is a fixed arrangement of `u32`/`u64`/`f32`/`f64` scalars (described by
-/// [`Record::column_kinds`]), so shards of them can spill as raw column
-/// bytes instead of per-record codec frames and barriers can scan the
-/// columns contiguously. Implemented for the scalar primitives and for
-/// tuples whose components are all fixed-width — which covers the hot
-/// collections of the selection pipelines: the scored greedy pool
-/// `(machine, (node, priority))` and the bounding candidate rows.
-pub trait FixedWidth: Record {}
-
-impl FixedWidth for u32 {}
-impl FixedWidth for u64 {}
-impl FixedWidth for f32 {}
-impl FixedWidth for f64 {}
 
 /// A value that can be stored in a [`crate::PCollection`].
 ///
 /// Implementations must round-trip: `decode(encode(x)) == x`. The provided
 /// implementations cover primitives, `String`, `Option`, `Vec`, and tuples
-/// up to arity 4 — enough to express the paper's bounding and scoring
+/// up to arity 5 — enough to express the paper's bounding and scoring
 /// pipelines (§5), which shuffle `(node, neighbor, similarity, flag)`
 /// tuples.
 ///
@@ -178,46 +48,24 @@ pub trait Record: Send + Sync + Clone + 'static {
     fn approx_bytes(&self) -> usize {
         size_of::<Self>()
     }
+}
 
-    /// The [`FixedWidth`] opt-in: the column layout of this type, or
-    /// `None` (the default) when values are not a fixed arrangement of
-    /// scalars. Types returning `Some` must also implement
-    /// [`Record::append_columns`] / [`Record::from_columns`] such that
-    /// `from_columns(cols, i)` reproduces the `i`-th appended value
-    /// bit for bit.
-    fn column_kinds() -> Option<Vec<ColKind>> {
-        None
-    }
-
-    /// Appends this value's scalars to `cols` (one entry per
-    /// [`Record::column_kinds`] kind). Only called for fixed-width types.
-    fn append_columns(&self, _cols: &mut [Column]) {
-        unreachable!("append_columns on a record without column_kinds")
-    }
-
-    /// Reads the `idx`-th value back out of `cols`. Only called for
-    /// fixed-width types.
-    fn from_columns(_cols: &[Column], _idx: usize) -> Self {
-        unreachable!("from_columns on a record without column_kinds")
-    }
-
-    /// `column_kinds().len()` without the allocation (0 when not
-    /// fixed-width) — the per-record column walk uses this.
-    fn column_count() -> usize {
-        0
+#[inline]
+fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], DataflowError> {
+    match input.split_at_checked(n) {
+        Some((head, rest)) => {
+            *input = rest;
+            Ok(head)
+        }
+        None => Err(short_input(n, input.len())),
     }
 }
 
-fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], DataflowError> {
-    if input.len() < n {
-        return Err(DataflowError::codec(format!(
-            "needed {n} bytes, only {} available",
-            input.len()
-        )));
-    }
-    let (head, rest) = input.split_at(n);
-    *input = rest;
-    Ok(head)
+/// Out of line, so the fast path of every fixed-width decode stays small
+/// enough to inline.
+#[cold]
+fn short_input(needed: usize, available: usize) -> DataflowError {
+    DataflowError::codec(format!("needed {needed} bytes, only {available} available"))
 }
 
 macro_rules! impl_record_le {
@@ -237,52 +85,7 @@ macro_rules! impl_record_le {
     )*};
 }
 
-impl_record_le!(u8, u16, i8, i16, i32, i64);
-
-/// Little-endian scalar records that are also single-column fixed-width
-/// values (`$kind` names both the [`ColKind`] and [`Column`] variant).
-macro_rules! impl_record_le_fixed {
-    ($(($ty:ty, $kind:ident)),*) => {$(
-        impl Record for $ty {
-            #[inline]
-            fn encode(&self, buf: &mut Vec<u8>) {
-                buf.extend_from_slice(&self.to_le_bytes());
-            }
-
-            #[inline]
-            fn decode(input: &mut &[u8]) -> Result<Self, DataflowError> {
-                let bytes = take(input, size_of::<$ty>())?;
-                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("exact length")))
-            }
-
-            fn column_kinds() -> Option<Vec<ColKind>> {
-                Some(vec![ColKind::$kind])
-            }
-
-            #[inline]
-            fn append_columns(&self, cols: &mut [Column]) {
-                match &mut cols[0] {
-                    Column::$kind(v) => v.push(*self),
-                    _ => unreachable!("column kind mismatch"),
-                }
-            }
-
-            #[inline]
-            fn from_columns(cols: &[Column], idx: usize) -> Self {
-                match &cols[0] {
-                    Column::$kind(v) => v[idx],
-                    _ => unreachable!("column kind mismatch"),
-                }
-            }
-
-            fn column_count() -> usize {
-                1
-            }
-        }
-    )*};
-}
-
-impl_record_le_fixed!((u32, U32), (u64, U64), (f32, F32), (f64, F64));
+impl_record_le!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
 
 impl Record for bool {
     #[inline]
@@ -396,10 +199,12 @@ impl<T: Record> Record for Vec<T> {
 macro_rules! impl_record_tuple {
     ($(($($name:ident : $idx:tt),+)),+) => {$(
         impl<$($name: Record),+> Record for ($($name,)+) {
+            #[inline]
             fn encode(&self, buf: &mut Vec<u8>) {
                 $(self.$idx.encode(buf);)+
             }
 
+            #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, DataflowError> {
                 Ok(($($name::decode(input)?,)+))
             }
@@ -407,45 +212,7 @@ macro_rules! impl_record_tuple {
             fn approx_bytes(&self) -> usize {
                 0 $(+ self.$idx.approx_bytes())+
             }
-
-            fn column_kinds() -> Option<Vec<ColKind>> {
-                let mut kinds = Vec::new();
-                $(kinds.extend($name::column_kinds()?);)+
-                Some(kinds)
-            }
-
-            #[inline]
-            fn append_columns(&self, cols: &mut [Column]) {
-                let mut offset = 0usize;
-                $(
-                    let width = $name::column_count();
-                    self.$idx.append_columns(&mut cols[offset..offset + width]);
-                    offset += width;
-                )+
-                let _ = offset;
-            }
-
-            #[inline]
-            fn from_columns(cols: &[Column], idx: usize) -> Self {
-                let mut offset = 0usize;
-                let value = ($(
-                    {
-                        let width = $name::column_count();
-                        let component = $name::from_columns(&cols[offset..offset + width], idx);
-                        offset += width;
-                        component
-                    },
-                )+);
-                let _ = offset;
-                value
-            }
-
-            fn column_count() -> usize {
-                0 $(+ $name::column_count())+
-            }
         }
-
-        impl<$($name: FixedWidth),+> FixedWidth for ($($name,)+) {}
     )+};
 }
 
@@ -579,65 +346,6 @@ mod tests {
         let big = vec![1u64; 100];
         assert!(big.approx_bytes() > small.approx_bytes());
         assert!(String::from("longer string").approx_bytes() > String::from("s").approx_bytes());
-    }
-
-    #[test]
-    fn fixed_width_columns_roundtrip() {
-        type Row = (u64, (u32, f64));
-        let kinds = <Row as Record>::column_kinds().unwrap();
-        assert_eq!(kinds, vec![ColKind::U64, ColKind::U32, ColKind::F64]);
-        assert_eq!(<Row as Record>::column_count(), 3);
-        let rows: Vec<Row> =
-            (0..10u64).map(|i| (i, (i as u32 * 2, i as f64 * 0.5 - 1.0))).collect();
-        let mut cols: Vec<Column> = kinds.iter().map(|&k| Column::new(k)).collect();
-        for r in &rows {
-            r.append_columns(&mut cols);
-        }
-        let mut bytes = Vec::new();
-        for c in &cols {
-            c.write_le(&mut bytes);
-        }
-        assert_eq!(bytes.len(), rows.len() * (8 + 4 + 8));
-        let mut slice = bytes.as_slice();
-        let back: Vec<Column> =
-            kinds.iter().map(|&k| Column::read_le(k, rows.len(), &mut slice).unwrap()).collect();
-        assert!(slice.is_empty());
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(Row::from_columns(&back, i), *r);
-        }
-    }
-
-    #[test]
-    fn variable_width_types_are_not_columnar() {
-        assert!(String::column_kinds().is_none());
-        assert!(<(u64, String)>::column_kinds().is_none());
-        assert!(Vec::<u64>::column_kinds().is_none());
-        assert!(u8::column_kinds().is_none());
-        assert!(bool::column_kinds().is_none());
-    }
-
-    #[test]
-    fn float_columns_preserve_bits() {
-        let vals = [0.0f64, -0.0, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE];
-        let mut cols = vec![Column::new(ColKind::F64)];
-        for v in &vals {
-            v.append_columns(&mut cols);
-        }
-        let mut bytes = Vec::new();
-        cols[0].write_le(&mut bytes);
-        let mut slice = bytes.as_slice();
-        let back = Column::read_le(ColKind::F64, vals.len(), &mut slice).unwrap();
-        assert!(slice.is_empty());
-        for (i, v) in vals.iter().enumerate() {
-            assert_eq!(f64::from_columns(std::slice::from_ref(&back), i).to_bits(), v.to_bits());
-        }
-    }
-
-    #[test]
-    fn truncated_column_bytes_are_an_error() {
-        let bytes = [0u8; 7];
-        assert!(Column::read_le(ColKind::F64, 1, &mut &bytes[..]).is_err());
-        assert!(Column::read_le(ColKind::U32, 2, &mut &bytes[..]).is_err());
     }
 
     #[test]

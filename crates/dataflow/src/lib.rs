@@ -72,7 +72,7 @@ mod side;
 mod spill;
 
 pub use agg::argmax_prefers;
-pub use codec::{ColKind, Column, Either2, FixedWidth, Record};
+pub use codec::{Either2, Record};
 pub use error::DataflowError;
 pub use memory::{MemoryBudget, PipelineMetrics};
 pub use pcollection::PCollection;

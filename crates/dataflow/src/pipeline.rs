@@ -2,7 +2,7 @@
 
 use crate::codec::Record;
 use crate::memory::{MemoryBudget, MetricsInner, PipelineMetrics};
-use crate::spill::{spill_columns, SpillFile, SpillReader, SpillStore, SpillWriter};
+use crate::spill::{write_spill, SpillFile, SpillReader, SpillStore};
 use crate::{DataflowError, PCollection};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -14,6 +14,16 @@ pub(crate) struct Ctx {
     pub budget: MemoryBudget,
     pub metrics: MetricsInner,
     pub spill: SpillStore,
+}
+
+impl Ctx {
+    /// Writes `records` to a fresh spill file and records the spill in the
+    /// pipeline's metrics.
+    pub fn spill_records<T: Record>(&self, records: &[T]) -> Result<SpillFile, DataflowError> {
+        let file = write_spill(self.spill.fresh_path(), records)?;
+        self.metrics.record_spill(file.bytes);
+        Ok(file)
+    }
 }
 
 /// A Beam-style dataflow pipeline with `w` simulated workers, each holding
@@ -259,23 +269,14 @@ impl<'a, T: Record> ShardSink<'a, T> {
         Ok(())
     }
 
+    // Kept out of `push`, which runs per record and rarely spills.
+    #[cold]
     fn spill(&mut self) -> Result<(), DataflowError> {
         self.ctx.metrics.observe_worker_bytes(self.buffer_bytes);
         if self.buffer.is_empty() {
             return Ok(());
         }
-        // Fixed-width record types spill as raw column bytes; everything
-        // else goes through per-record codec frames.
-        let file = if let Some(kinds) = T::column_kinds() {
-            spill_columns(self.ctx.spill.fresh_path(), &self.buffer, &kinds)?
-        } else {
-            let mut writer = SpillWriter::create(self.ctx.spill.fresh_path())?;
-            for record in &self.buffer {
-                writer.write(record)?;
-            }
-            writer.finish()?
-        };
-        self.ctx.metrics.record_spill(file.bytes);
+        let file = self.ctx.spill_records(&self.buffer)?;
         self.shards.push(Shard::Spilled(file));
         self.buffer.clear();
         self.buffer_bytes = 0;

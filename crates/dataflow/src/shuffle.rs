@@ -14,7 +14,7 @@
 
 use crate::codec::{Either2, Record};
 use crate::pipeline::{Shard, ShardSink};
-use crate::spill::{SpillFile, SpillReader, SpillWriter};
+use crate::spill::{SpillFile, SpillReader};
 use crate::{DataflowError, PCollection};
 use rayon::prelude::*;
 use std::cmp::Reverse;
@@ -115,12 +115,7 @@ where
                     buffers[b].push((k, v));
                     shuffled += 1;
                     if buffer_bytes[b] > bucket_limit {
-                        let mut writer = SpillWriter::create(ctx.spill.fresh_path())?;
-                        for record in &buffers[b] {
-                            writer.write(record)?;
-                        }
-                        let file = writer.finish()?;
-                        ctx.metrics.record_spill(file.bytes);
+                        let file = ctx.spill_records(&buffers[b])?;
                         let run = Run { bytes: file.bytes, data: RunData::Disk(file) };
                         bucket_runs[b]
                             .lock()
@@ -239,13 +234,7 @@ where
     for run in runs {
         let mut records = run.into_records()?;
         records.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut writer = SpillWriter::create(ctx.spill.fresh_path())?;
-        for record in &records {
-            writer.write(record)?;
-        }
-        let file = writer.finish()?;
-        ctx.metrics.record_spill(file.bytes);
-        sorted_files.push(file);
+        sorted_files.push(ctx.spill_records(&records)?);
     }
 
     // K-way merge of the sorted runs.

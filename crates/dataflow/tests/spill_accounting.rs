@@ -30,23 +30,28 @@ fn reported_spill_bytes_are_the_bytes_on_disk() {
         .spill_dir(&dir)
         .build()
         .unwrap();
-    // Variable-width records spill as length-prefixed frames, fixed-width
-    // ones as raw columns. The barriers make both spill before the files
-    // are measured.
-    let framed = pipeline
+    // Every spill site writes the same block format: the sink behind a
+    // barrier (variable- and fixed-width records), and the shuffle's
+    // map-side runs and the external merge's sorted runs. The barriers
+    // make every collection spill before the files are measured.
+    let variable = pipeline
         .from_vec((0u64..500).map(|i| (i, format!("value-{i}"))).collect::<Vec<_>>())
         .map(|x| x)
         .unwrap()
         .materialize()
         .unwrap();
-    let columnar =
+    let fixed =
         pipeline.from_vec((0u64..500).collect()).map(|x| x * 2).unwrap().materialize().unwrap();
+    let grouped =
+        pipeline.from_vec((0u64..500).map(|i| (i % 7, i)).collect()).group_by_key().unwrap();
 
     let on_disk: u64 = spill_files(&dir).iter().map(|f| fs::metadata(f).unwrap().len()).sum();
     let metrics = pipeline.metrics();
-    assert!(metrics.spill_files >= 2, "both collections must have spilled");
+    assert!(metrics.spill_files >= 3, "every collection must have spilled");
+    assert!(metrics.external_merges > 0, "the shuffle must write its sorted runs too");
     assert_eq!(metrics.bytes_spilled, on_disk);
     assert_eq!(written.value() - before, on_disk);
-    assert_eq!(framed.count().unwrap() + columnar.count().unwrap(), 1000);
+    assert_eq!(variable.count().unwrap() + fixed.count().unwrap(), 1000);
+    assert_eq!(grouped.count().unwrap(), 7);
     let _ = fs::remove_dir_all(&dir);
 }
