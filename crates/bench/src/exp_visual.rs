@@ -1,5 +1,5 @@
 //! Figure 5: rasterized visualization of the chosen subset under 1 / 4 /
-//! 16 partitions (PCA substitutes for t-SNE; see DESIGN.md).
+//! 16 partitions (PCA substitutes for t-SNE; see [`pca_2d`]).
 
 use crate::common::BenchCtx;
 use crate::output::{print_table, write_artifact};

@@ -26,7 +26,8 @@
 //!   all       everything above
 //!
 //! options:
-//!   --scale F    dataset scale factor (default 0.1; 1.0 = paper sizes)
+//!   --scale F    dataset scale factor, finite and > 0 (default 0.1;
+//!                1.0 = paper sizes)
 //!   --out DIR    artifact directory (default results/)
 //!   --quick      coarse grids for smoke runs
 //!   --threads N  worker threads for the submod_exec pool (default:
@@ -103,8 +104,8 @@ fn main() {
                 i += 1;
                 ctx.scale = args
                     .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--scale expects a number"));
+                    .and_then(|s| parse_scale(s))
+                    .unwrap_or_else(|| die("--scale expects a finite number > 0"));
             }
             "--out" => {
                 i += 1;
@@ -231,4 +232,26 @@ fn print_usage() {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+/// The `--scale` factor `arg` names, if it is a finite number above zero:
+/// zero, negative and NaN factors would size every instance down to its
+/// floor, and an infinite one would overflow the dataset allocation.
+fn parse_scale(arg: &str) -> Option<f64> {
+    arg.parse().ok().filter(|scale: &f64| scale.is_finite() && *scale > 0.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    #[test]
+    fn scale_must_be_finite_and_positive() {
+        assert_eq!(parse_scale("0.1"), Some(0.1));
+        assert_eq!(parse_scale("1"), Some(1.0));
+        assert_eq!(parse_scale("2.5e-3"), Some(2.5e-3));
+        for bad in ["0", "-0", "-1", "nan", "NaN", "inf", "-inf", "infinity", "", "x", "1.0x"] {
+            assert_eq!(parse_scale(bad), None, "`{bad}` must be rejected");
+        }
+    }
 }

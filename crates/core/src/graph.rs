@@ -525,10 +525,6 @@ impl SimilarityGraph {
         symmetric: bool,
     ) -> Self {
         let graph = SimilarityGraph::from_backing(Backing::Owned { offsets, neighbors, weights });
-        // SUBMOD_GRAPH_STORE=mmap: route every built graph through a
-        // temporary on-disk store so the whole suite exercises the mapped
-        // backing.
-        let graph = if store::force_mmap() { store::reopen_via_temp_store(graph) } else { graph };
         if symmetric {
             let _ = graph.symmetric.set(true);
         }
@@ -896,12 +892,7 @@ mod tests {
 
     #[test]
     fn store_roundtrip_is_exact_and_mapped() {
-        // Under SUBMOD_GRAPH_STORE=mmap the builder output is itself
-        // mapped, so materialize an explicitly owned copy to cover both
-        // backings regardless of the knob.
-        let built = diamond();
-        let (o, n, w) = built.csr_parts();
-        let g = SimilarityGraph::from_csr_parts(o.to_vec(), n.to_vec(), w.to_vec()).unwrap();
+        let g = diamond();
         let path = temp_store("roundtrip");
         g.write_store(&path).unwrap();
         let mapped = SimilarityGraph::open_store(&path).unwrap();

@@ -32,12 +32,9 @@
 //! validation sweep. Validation is exhaustive and typed: a malformed store
 //! surfaces as a [`GraphError`], never as UB or a panic.
 
-use crate::graph::SimilarityGraph;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// First 8 bytes of every store file.
 pub const MAGIC: [u8; 8] = *b"SUBMCSR1";
@@ -303,6 +300,8 @@ fn expected_len(num_nodes: u64, num_edges: u64, has_utilities: bool) -> Option<u
 /// The caller guarantees the arrays already satisfy the CSR invariants
 /// (they come from a live [`SimilarityGraph`]); utilities are validated
 /// here because they enter from outside the graph.
+///
+/// [`SimilarityGraph`]: crate::SimilarityGraph
 pub(crate) fn write_store(
     path: &Path,
     offsets: &[u64],
@@ -559,6 +558,8 @@ pub(crate) fn open_store(path: &Path) -> Result<(MappedCsr, Option<Vec<f32>>), G
 ///
 /// Shared by the store loader and [`SimilarityGraph::from_csr_parts`], so
 /// an on-disk row is held to exactly the standard an in-memory row is.
+///
+/// [`SimilarityGraph::from_csr_parts`]: crate::SimilarityGraph::from_csr_parts
 pub(crate) fn validate_csr(
     offsets: &[u64],
     neighbors: &[u32],
@@ -619,57 +620,4 @@ pub(crate) fn validate_csr(
         }
     }
     Ok(())
-}
-
-/// `true` when `SUBMOD_GRAPH_STORE=mmap` forces every built graph through
-/// a temporary on-disk store (the CI determinism knob). Read once per
-/// process, like the kernel dispatch override.
-pub(crate) fn force_mmap() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("SUBMOD_GRAPH_STORE").map(|v| v.eq_ignore_ascii_case("mmap")).unwrap_or(false)
-    })
-}
-
-/// Removes a temp store file on drop, so a panic or early return between
-/// write and unlink cannot leak it into the temp dir.
-struct TempStoreGuard {
-    path: std::path::PathBuf,
-}
-
-impl Drop for TempStoreGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// Writes `graph` to a fresh temp file, reopens it memory-mapped, and
-/// unlinks the file (the mapping keeps it alive). Used by the
-/// `SUBMOD_GRAPH_STORE=mmap` forcing knob. A failure here keeps the
-/// original in-memory graph — the run proceeds on the backing the knob
-/// exists to exclude, and the degradation is recorded via the
-/// `store.forced_store_fallbacks` counter plus a stderr note, never
-/// silently.
-pub(crate) fn reopen_via_temp_store(graph: SimilarityGraph) -> SimilarityGraph {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let guard = TempStoreGuard {
-        path: std::env::temp_dir().join(format!(
-            "submod-forced-store-{}-{}.csr",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        )),
-    };
-    let reopened =
-        graph.write_store(&guard.path).and_then(|()| SimilarityGraph::open_store(&guard.path));
-    match reopened {
-        Ok(mapped) => mapped,
-        Err(err) => {
-            submod_obs::counter!("store.forced_store_fallbacks").incr();
-            eprintln!(
-                "SUBMOD_GRAPH_STORE=mmap: forced store round-trip failed ({err}); \
-                 continuing with the in-memory backing"
-            );
-            graph
-        }
-    }
 }

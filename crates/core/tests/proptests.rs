@@ -144,9 +144,7 @@ proptest! {
     /// every edge added in both directions to a `GraphBuilder`, globally
     /// sorted and deduplicated keeping the larger weight — on directed
     /// graphs with conflicting back-edge weights (±0 and exact ties
-    /// included), repeated edges, and empty rows. Under
-    /// `SUBMOD_GRAPH_STORE=mmap` both sides are mapped and must still
-    /// agree.
+    /// included), repeated edges, and empty rows.
     #[test]
     fn symmetrize_matches_the_edge_stream_closure(
         (n, edges) in (2usize..=24).prop_flat_map(|n| {

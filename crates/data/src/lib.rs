@@ -7,7 +7,7 @@
 //! notes that *"the exact choice of similarity and utility scores … does
 //! not impact the comparison of the algorithms, as long as they are
 //! consistently used"* — so this crate substitutes statistically similar
-//! synthetic instances (see DESIGN.md for the substitution argument):
+//! synthetic instances:
 //!
 //! - [`ClusteredDataset`] — Gaussian-mixture embeddings with class
 //!   structure ([`DatasetConfig::cifar100_like`],

@@ -5,7 +5,7 @@
 //! chosen subset; the figure's claim is that *fewer partitions spread the
 //! selected points more uniformly across the plane*. PCA preserves exactly
 //! that spread-vs-clumping contrast at a fraction of the cost, so the
-//! reproduction substitutes it (documented in DESIGN.md).
+//! reproduction substitutes it.
 
 use crate::DataError;
 use rayon::prelude::*;
@@ -13,6 +13,10 @@ use submod_knn::Embeddings;
 
 /// Projects embeddings onto their top two principal components via power
 /// iteration with deflation.
+///
+/// This stands in for the paper's t-SNE projection (Figure 5): PCA keeps
+/// the contrast the figure shows, selected points spread evenly versus
+/// clumped, at a fraction of t-SNE's cost.
 ///
 /// Deterministic (fixed internal start vectors). Returns one `(x, y)` pair
 /// per row.

@@ -19,7 +19,7 @@ use submod_knn::Embeddings;
 /// cosine weights, and (b) the same-variant copies of the base point's
 /// graph neighbors with the base edge weight. Both rules are symmetric by
 /// construction, preserving the bounded-degree symmetric-graph contract
-/// the algorithms require (§5). DESIGN.md records this substitution.
+/// the algorithms require (§5).
 #[derive(Clone, Debug)]
 pub struct PerturbedDataset {
     base_embeddings: Embeddings,

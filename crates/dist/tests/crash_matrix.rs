@@ -286,8 +286,7 @@ fn greedi_resumes_bitwise_identically_both_drivers() {
 }
 
 /// The whole matrix holds over the mmap-backed graph store, and the
-/// mapped baseline equals the owned one (the CI matrix additionally
-/// forces `SUBMOD_GRAPH_STORE=mmap` across the full suite).
+/// mapped baseline equals the owned one.
 #[test]
 fn mapped_store_resumes_bitwise_identically() {
     let (graph, objective) = instance(90, 53);

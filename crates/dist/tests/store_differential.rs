@@ -5,12 +5,13 @@
 //! (in-memory and dataflow), at 1/2/8 pool threads.
 //!
 //! The CI matrix additionally runs this whole suite under
-//! `SUBMOD_KERNELS=scalar` and with `SUBMOD_GRAPH_STORE=mmap` forced on,
-//! so the contract holds under both kernel dispatches and when *every*
-//! graph in the workspace is mapped.
+//! `SUBMOD_KERNELS=scalar`, so the contract holds under both kernel
+//! dispatches.
 //!
 //! A round-trip property test (build → write → mmap → compare the raw CSR
-//! arrays bit-for-bit) pins the storage layer itself; the algorithm
+//! arrays bit-for-bit) pins the storage layer itself, over every graph
+//! shape the builders produce: undirected and directed edges, isolated
+//! nodes, a single node, and `symmetrized()` output. The algorithm
 //! differentials then pin everything stacked on top of it.
 
 use proptest::prelude::*;
@@ -24,14 +25,19 @@ use submod_exec::with_threads;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// A deterministic pseudo-random instance (splitmix-style weights).
-fn instance(n: usize, seed: u64) -> (SimilarityGraph, PairwiseObjective) {
-    let mut b = GraphBuilder::new(n);
+/// A seeded 64-bit LCG stream.
+fn lcg(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let mut next = move || {
+    move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         state >> 11
-    };
+    }
+}
+
+/// A deterministic pseudo-random instance (LCG-drawn weights).
+fn instance(n: usize, seed: u64) -> (SimilarityGraph, PairwiseObjective) {
+    let mut b = GraphBuilder::new(n);
+    let mut next = lcg(seed);
     for v in 0..n as u64 {
         for _ in 0..3 {
             let w = next() % n as u64;
@@ -45,6 +51,42 @@ fn instance(n: usize, seed: u64) -> (SimilarityGraph, PairwiseObjective) {
     let utilities: Vec<f32> = (0..n).map(|_| 0.1 + (next() % 900) as f32 / 1000.0).collect();
     let objective = PairwiseObjective::from_alpha(0.85, utilities).expect("objective");
     (graph, objective)
+}
+
+/// A random graph of one of the shapes a store must map exactly: up to
+/// three edges out of each node, added with `add_directed` (rows need not
+/// mirror each other) or `add_undirected`; nodes with `v % 4 < isolated`
+/// get no edge at all; and with `symmetrize` the result goes through
+/// `symmetrized()`.
+fn shaped_graph(
+    n: usize,
+    seed: u64,
+    directed: bool,
+    isolated: u64,
+    symmetrize: bool,
+) -> SimilarityGraph {
+    let mut b = GraphBuilder::new(n);
+    let mut next = lcg(seed);
+    let linked = |v: u64| v % 4 >= isolated;
+    for v in (0..n as u64).filter(|&v| linked(v)) {
+        for _ in 0..3 {
+            let w = next() % n as u64;
+            if w != v && linked(w) {
+                let s = 0.05 + (next() % 900) as f32 / 1000.0;
+                if directed {
+                    b.add_directed(v, w, s).expect("edge");
+                } else {
+                    b.add_undirected(v, w, s).expect("edge");
+                }
+            }
+        }
+    }
+    let graph = b.build();
+    if symmetrize {
+        graph.symmetrized()
+    } else {
+        graph
+    }
 }
 
 /// Writes `graph` to a temp store and reopens it memory-mapped.
@@ -151,18 +193,24 @@ fn mapped_clones_share_the_mapping() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Round-trip property: build a random graph, write it, map it back,
-    /// and compare the raw CSR arrays **bit for bit** — offsets, neighbor
-    /// ids, and the exact f32 weight bits.
+    /// Round-trip property: build a random graph of any shape, write it,
+    /// map it back, and compare the raw CSR arrays **bit for bit** —
+    /// offsets, neighbor ids, and the exact f32 weight bits — plus every
+    /// row through the accessors, the symmetry flag, and the heap bytes.
     #[test]
     fn store_roundtrip_preserves_adjacency_exactly(
         seed in 0u64..10_000,
-        n in 2usize..64,
+        // One case in eight is the one-node graph.
+        n in (0usize..72).prop_map(|x| x.saturating_sub(8).max(1)),
+        directed in any::<bool>(),
+        isolated in 0u64..4,
+        symmetrize in any::<bool>(),
     ) {
-        let (graph, _) = instance(n, seed);
-        let mapped = mapped_copy(&graph, &format!("roundtrip-{seed}-{n}"));
+        let graph = shaped_graph(n, seed, directed, isolated, symmetrize);
+        let name = format!("roundtrip-{seed}-{n}-{directed}-{isolated}-{symmetrize}");
+        let mapped = mapped_copy(&graph, &name);
         let (o1, n1, w1) = graph.csr_parts();
         let (o2, n2, w2) = mapped.csr_parts();
         prop_assert_eq!(o1, o2);
@@ -171,13 +219,19 @@ proptest! {
         for (a, b) in w1.iter().zip(w2.iter()) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "weight bits must round-trip");
         }
-        // Accessor-level equivalence on a few rows.
-        for v in 0..n.min(8) {
-            let v = NodeId::from_index(v);
+        for v in (0..n).map(NodeId::from_index) {
             prop_assert_eq!(graph.neighbors(v), mapped.neighbors(v));
+            prop_assert_eq!(graph.weights(v), mapped.weights(v));
             prop_assert_eq!(graph.degree(v), mapped.degree(v));
         }
+        prop_assert_eq!(mapped.is_symmetric(), graph.is_symmetric());
+        prop_assert_eq!(mapped.heap_bytes(), 0);
+        prop_assert_eq!(mapped.memory_bytes(), graph.memory_bytes());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random instances: a full selection over the mapped store equals
     /// the owned one, ids and value bits, on arbitrary configurations.

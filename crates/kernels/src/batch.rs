@@ -213,7 +213,7 @@ pub fn batch_top_k(
 }
 
 /// Top-`k` of an explicit candidate list by cosine similarity to `query`
-/// — the gather variant the IVF and LSH probes rank with: a one-query
+/// — the gather variant IVF's widening search ranks with: a one-query
 /// [`TopKBlock`] scored against `ids` (each id at most once), with
 /// results bitwise-identical to scoring each candidate individually.
 ///

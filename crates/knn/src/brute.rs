@@ -112,10 +112,9 @@ pub(crate) fn top_k_by_cosine(
 }
 
 /// Ranks an explicit candidate list (each id at most once) by cosine
-/// similarity to `query`, keeping the top `k`. Shared by the IVF
-/// widening fallback and the LSH backend; the scan is tiled four
-/// candidates per micro-kernel pass with the query norm hoisted out of
-/// the loop.
+/// similarity to `query`, keeping the top `k`. Used by the IVF widening
+/// fallback; the scan is tiled four candidates per micro-kernel pass with
+/// the query norm hoisted out of the loop.
 pub(crate) fn rank_candidates(
     data: &Embeddings,
     query: &[f32],

@@ -1,8 +1,8 @@
-use crate::{Embeddings, ExactKnn, IvfIndex, KnnError, LshIndex, NearestNeighbors, Neighbor};
+use crate::{Embeddings, ExactKnn, IvfIndex, KnnError, NearestNeighbors, Neighbor};
 use submod_core::SimilarityGraph;
 
-/// Queries per graph-build work item of the backends without a notion of
-/// locality (exact, LSH). Each block is one task on the `submod_exec`
+/// Queries per graph-build work item of the exact backend, which has no
+/// notion of locality. Each block is one task on the `submod_exec`
 /// pool and one `search_batch_excluding` call, so the backend's batch
 /// kernel streams the row matrix once per block; 64 queries keeps tens
 /// of stealable tasks even at the 2 k-point exact crossover while
@@ -22,13 +22,6 @@ pub enum KnnBackend {
         nlist: usize,
         /// Cells probed per query.
         nprobe: usize,
-    },
-    /// Random-hyperplane LSH.
-    Lsh {
-        /// Number of hash tables.
-        tables: usize,
-        /// Signature bits per table.
-        bits: usize,
     },
 }
 
@@ -110,10 +103,6 @@ pub fn build_knn_graph(
             let nlist = if *nlist == 0 { IvfIndex::default_nlist(n) } else { *nlist };
             let index = IvfIndex::build(embeddings.clone(), nlist.min(n), *nprobe, seed)?;
             search_all(&index, embeddings, k, index.home_cell_blocks())
-        }
-        KnnBackend::Lsh { tables, bits } => {
-            let index = LshIndex::build(embeddings.clone(), *tables, *bits, seed)?;
-            search_all(&index, embeddings, k, id_order_blocks(n))
         }
     };
 
@@ -262,14 +251,6 @@ mod tests {
         }
         let overlap = shared as f64 / total as f64;
         assert!(overlap > 0.85, "IVF edge overlap {overlap} too low");
-    }
-
-    #[test]
-    fn lsh_graph_builds_and_is_symmetric() {
-        let data = gaussian_mixture(300, 8, 6, 4);
-        let graph = build_knn_graph(&data, 5, &KnnBackend::Lsh { tables: 6, bits: 8 }, 4).unwrap();
-        assert!(graph.is_symmetric());
-        assert!(graph.min_degree() >= 4);
     }
 
     /// Pins the profiled Exact→IVF decision boundary: exactly at

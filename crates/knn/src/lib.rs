@@ -8,7 +8,6 @@
 //! - [`ExactKnn`] — brute-force exact search (the small-dataset reference).
 //! - [`IvfIndex`] — an inverted-file index over a k-means coarse quantizer
 //!   (the same coarse-quantization family ScaNN belongs to).
-//! - [`LshIndex`] — random-hyperplane locality-sensitive hashing.
 //! - [`build_knn_graph`] — directed top-k search + symmetrization into a
 //!   [`submod_core::SimilarityGraph`], with edge weights set to cosine
 //!   similarity clamped to `[0, 1]` (the objective requires non-negative
@@ -51,7 +50,6 @@ mod embeddings;
 mod error;
 mod ivf;
 mod kmeans;
-mod lsh;
 
 pub use brute::ExactKnn;
 pub use builder::{build_knn_graph, build_knn_graph_store, KnnBackend, AUTO_EXACT_MAX_POINTS};
@@ -60,7 +58,6 @@ pub use embeddings::Embeddings;
 pub use error::KnnError;
 pub use ivf::IvfIndex;
 pub use kmeans::{kmeans, KMeansModel};
-pub use lsh::LshIndex;
 
 /// A scored neighbor: `(point index, cosine similarity)`.
 pub type Neighbor = (u32, f32);

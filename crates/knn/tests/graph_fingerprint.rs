@@ -1,12 +1,12 @@
 //! Golden fingerprints of the k-NN build, recorded on the commit
-//! **before** the tile-kernel rewrite (PR 12's tip) and required of every
-//! commit since: an FNV-1a over the CSR arrays of the Exact, IVF (`auto`
-//! parameters) and LSH graphs, and over the k-means model (centroid bits,
+//! **before** the tile-kernel rewrite and required of every commit
+//! since: an FNV-1a over the CSR arrays of the Exact and IVF (`auto`
+//! parameters) graphs, and over the k-means model (centroid bits,
 //! assignments, inertia bits, `iterations_run`), on two seeded inputs —
 //! 5 000 × 64-d (whole 8-lane chunks) and 3 000 × 33-d (a one-element
 //! tail lane). A kernel, scheduler or graph-assembly change that moves a
-//! single bit of any graph fails here, at any `EXEC_NUM_THREADS`, under
-//! `SUBMOD_KERNELS=scalar` and under `SUBMOD_GRAPH_STORE=mmap`.
+//! single bit of any graph fails here, at any `EXEC_NUM_THREADS` and
+//! under `SUBMOD_KERNELS=scalar`.
 
 use submod_core::SimilarityGraph;
 use submod_knn::{build_knn_graph, kmeans, Embeddings, IvfIndex, KMeansModel, KnnBackend};
@@ -76,7 +76,6 @@ fn model_hash(model: &KMeansModel) -> u64 {
 struct Golden {
     exact: u64,
     ivf: u64,
-    lsh: u64,
     kmeans: u64,
 }
 
@@ -87,16 +86,10 @@ fn check(n: usize, dim: usize, seed: u64, golden: &Golden) {
     let got = Golden {
         exact: graph_hash(&build_knn_graph(&data, 10, &KnnBackend::Exact, seed).unwrap()),
         ivf: graph_hash(&build_knn_graph(&data, 10, &auto, seed).unwrap()),
-        lsh: graph_hash(
-            &build_knn_graph(&data, 10, &KnnBackend::Lsh { tables: 6, bits: 10 }, seed).unwrap(),
-        ),
         kmeans: model_hash(&kmeans(&data, IvfIndex::default_nlist(n), 25, seed).unwrap()),
     };
     let line = |g: &Golden| {
-        format!(
-            "exact: {:#018x}, ivf: {:#018x}, lsh: {:#018x}, kmeans: {:#018x}",
-            g.exact, g.ivf, g.lsh, g.kmeans
-        )
+        format!("exact: {:#018x}, ivf: {:#018x}, kmeans: {:#018x}", g.exact, g.ivf, g.kmeans)
     };
     assert_eq!(line(&got), line(golden), "{n} x {dim}-d fingerprints moved");
 }
@@ -107,12 +100,7 @@ fn fingerprints_5000_by_64() {
         5_000,
         64,
         11,
-        &Golden {
-            exact: 0x451725c3c779d165,
-            ivf: 0x09a19d53c52db216,
-            lsh: 0xba1d2a8ab0f30bcd,
-            kmeans: 0x088012c0b9778d84,
-        },
+        &Golden { exact: 0x451725c3c779d165, ivf: 0x09a19d53c52db216, kmeans: 0x088012c0b9778d84 },
     );
 }
 
@@ -122,11 +110,6 @@ fn fingerprints_3000_by_33_tail_lanes() {
         3_000,
         33,
         12,
-        &Golden {
-            exact: 0x9439294d0e31adfb,
-            ivf: 0xcda7adfa751a9830,
-            lsh: 0x94f900ab12cd74a6,
-            kmeans: 0x6e107b0e299b0fd3,
-        },
+        &Golden { exact: 0x9439294d0e31adfb, ivf: 0xcda7adfa751a9830, kmeans: 0x6e107b0e299b0fd3 },
     );
 }

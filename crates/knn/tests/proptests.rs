@@ -91,13 +91,12 @@ proptest! {
     fn build_is_identical_at_any_thread_count(
         data in arb_embeddings(90, 6),
         k in 1usize..8,
-        backend_pick in 0u8..3,
+        backend_pick in 0u8..2,
         seed in 0u64..64,
     ) {
         let backend = match backend_pick {
             0 => KnnBackend::Exact,
-            1 => KnnBackend::Ivf { nlist: 6.min(data.len()), nprobe: 2 },
-            _ => KnnBackend::Lsh { tables: 4, bits: 6 },
+            _ => KnnBackend::Ivf { nlist: 6.min(data.len()), nprobe: 2 },
         };
         let build = |threads: usize| {
             submod_exec::with_threads(threads, || build_knn_graph(&data, k, &backend, seed).unwrap())
@@ -130,12 +129,11 @@ proptest! {
     fn graphs_are_symmetric_with_valid_weights(
         data in arb_embeddings(60, 4),
         k in 1usize..6,
-        backend_pick in 0u8..3,
+        backend_pick in 0u8..2,
     ) {
         let backend = match backend_pick {
             0 => KnnBackend::Exact,
-            1 => KnnBackend::Ivf { nlist: 4, nprobe: 2 },
-            _ => KnnBackend::Lsh { tables: 4, bits: 6 },
+            _ => KnnBackend::Ivf { nlist: 4, nprobe: 2 },
         };
         prop_assume!(data.len() > k);
         let graph = build_knn_graph(&data, k, &backend, 7).unwrap();

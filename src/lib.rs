@@ -12,7 +12,7 @@
 //! | [`submod_exec`] | work-stealing thread pool behind every parallel path (`EXEC_NUM_THREADS`) |
 //! | [`submod_kernels`] | runtime-dispatched SIMD distance kernels (`SUBMOD_KERNELS`) |
 //! | [`submod_dataflow`] | Beam-style engine with memory budgets & spill-to-disk |
-//! | [`submod_knn`] | exact / IVF / LSH k-NN graph construction |
+//! | [`submod_knn`] | exact / IVF k-NN graph construction |
 //! | [`submod_data`] | synthetic datasets, margin utilities, virtual perturbed data |
 //! | [`submod_dist`] | bounding + multi-round distributed greedy + baselines |
 //! | [`submod_obs`] | tracing + metrics: spans, counters, chrome-trace export (`SUBMOD_TRACE`) |
