@@ -82,12 +82,13 @@ pub enum DeltaSchedule {
     /// Power-law interpolation `k + (n − k)·((r − t)/r)^(1/γ)`.
     ///
     /// `γ = 1` is a straight line; smaller γ shrinks the pool harder in
-    /// early rounds. The paper's default is `γ = 0.75`. Values outside
-    /// `(0, 1]` are clamped into that range when targets are computed
-    /// (the field is public, so construction cannot validate).
+    /// early rounds. The paper's default is `γ = 0.75`. Finite values
+    /// outside `(0, 1]` are clamped into that range when targets are
+    /// computed; the greedy drivers reject a non-finite γ (the field is
+    /// public, so construction cannot validate).
     Linear {
-        /// Interpolation exponent factor `γ ∈ (0, 1]`; out-of-range
-        /// values are clamped.
+        /// Interpolation exponent factor `γ ∈ (0, 1]`; finite
+        /// out-of-range values are clamped.
         gamma: f64,
     },
     /// Geometric interpolation `k·(n/k)^((r − t)/r)`: equal shrink

@@ -35,7 +35,7 @@ use crate::engine::{
     machine_select, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend,
     MachineKeying,
 };
-use crate::{DistError, DistGreedyConfig};
+use crate::{DeltaSchedule, DistError, DistGreedyConfig};
 use std::sync::Arc;
 use submod_core::{NodeId, NodeSet, PairwiseObjective, Selection, SimilarityGraph};
 use submod_dataflow::Pipeline;
@@ -136,19 +136,19 @@ fn validate(
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
     ground: &[NodeId],
-    k: usize,
+    config: &DistGreedyConfig,
 ) -> Result<(), DistError> {
+    if let DeltaSchedule::Linear { gamma } = config.schedule {
+        if !gamma.is_finite() {
+            return Err(DistError::config(format!("Δ-schedule γ must be finite, got {gamma}")));
+        }
+    }
     if objective.num_nodes() != graph.num_nodes() {
         return Err(submod_core::CoreError::UtilityLengthMismatch {
             utilities: objective.num_nodes(),
             num_nodes: graph.num_nodes(),
         }
         .into());
-    }
-    if k > ground.len() {
-        return Err(
-            submod_core::CoreError::BudgetTooLarge { budget: k, available: ground.len() }.into()
-        );
     }
     for &v in ground {
         if v.index() >= graph.num_nodes() {
@@ -192,6 +192,8 @@ pub(crate) fn fill_by_utility(
     let mut spare: Vec<NodeId> =
         candidates.iter().copied().filter(|&v| !members.contains(v)).collect();
     spare.sort_by(|&a, &b| objective.utility(b).total_cmp(&objective.utility(a)).then(a.cmp(&b)));
+    // A ground set may repeat an id; its copies are adjacent now.
+    spare.dedup();
     chosen.extend(spare.into_iter().take(k - chosen.len()));
 }
 
@@ -237,7 +239,12 @@ fn run_multiround(
 ) -> Result<(DistGreedyReport, GreedyStats), DistError> {
     let _span = submod_obs::span("greedy.run");
     let n = graph.num_nodes();
+    // The distinct ground ids: a ground set with duplicates holds fewer
+    // points than its length.
     let n0 = backend.pool_len();
+    if k > n0 {
+        return Err(submod_core::CoreError::BudgetTooLarge { budget: k, available: n0 }.into());
+    }
     let capacity = n0.div_ceil(config.machines).max(1);
     let adversarial: Option<Arc<NodeSet>> = config
         .adversarial_first_round
@@ -354,7 +361,8 @@ fn run_multiround(
 /// # Errors
 ///
 /// Returns an error if the objective does not match the graph, `k`
-/// exceeds the ground set, or a ground id is out of bounds.
+/// exceeds the number of distinct ground ids, a ground id is out of
+/// bounds, or a [`DeltaSchedule::Linear`] γ is not finite.
 pub fn distributed_greedy(
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
@@ -390,7 +398,7 @@ pub(crate) fn distributed_greedy_with_journal(
     config: &DistGreedyConfig,
     journal: Option<&mut crate::journal::RunJournal>,
 ) -> Result<(DistGreedyReport, GreedyStats), DistError> {
-    validate(graph, objective, ground, k)?;
+    validate(graph, objective, ground, config)?;
     let mut backend = InMemoryGreedyBackend::new(graph, objective, ground);
     run_multiround(graph, objective, ground, k, config, &mut backend, journal)
 }
@@ -453,7 +461,7 @@ pub(crate) fn distributed_greedy_dataflow_with_journal(
     config: &DistGreedyConfig,
     journal: Option<&mut crate::journal::RunJournal>,
 ) -> Result<(DistGreedyReport, GreedyStats), DistError> {
-    validate(graph, objective, ground, k)?;
+    validate(graph, objective, ground, config)?;
     let mut backend =
         DataflowGreedyBackend::new(pipeline, graph, objective, ground, config.winner_batch);
     run_multiround(graph, objective, ground, k, config, &mut backend, journal)
@@ -565,6 +573,48 @@ mod tests {
         assert!(distributed_greedy(&graph, &objective, &ground(10), 11, &config).is_err());
         let bad = vec![NodeId::new(99)];
         assert!(distributed_greedy(&graph, &objective, &bad, 1, &config).is_err());
+    }
+
+    /// Both drivers count a ground set's distinct ids, not its length, and
+    /// reject a γ that no clamp can bring into range.
+    #[test]
+    fn duplicate_ground_ids_and_non_finite_gamma_are_rejected() {
+        let (graph, objective) = ring_instance(6);
+        let pipeline = Pipeline::new(2).unwrap();
+        let run = |ground: &[NodeId], k: usize, config: &DistGreedyConfig| {
+            let mem = distributed_greedy(&graph, &objective, ground, k, config);
+            let df = distributed_greedy_dataflow(&pipeline, &graph, &objective, ground, k, config);
+            [mem.map(|r| r.selection), df.map(|r| r.selection)]
+        };
+        let config = DistGreedyConfig::new(2, 2).unwrap();
+        for result in run(&[NodeId::new(0); 3], 3, &config) {
+            assert!(
+                matches!(
+                    result,
+                    Err(DistError::Core(submod_core::CoreError::BudgetTooLarge {
+                        budget: 3,
+                        available: 1
+                    }))
+                ),
+                "{result:?}"
+            );
+        }
+        let doubled: Vec<NodeId> = (0..12).map(|i| NodeId::new(i / 2)).collect();
+        for machines in 1..=6 {
+            let config = DistGreedyConfig::new(machines, 3).unwrap().seed(machines as u64);
+            for selection in run(&doubled, 6, &config) {
+                let mut ids = selection.unwrap().selected().to_vec();
+                ids.sort_unstable();
+                ids.dedup();
+                assert_eq!(ids.len(), 6, "{machines} machines: duplicate or missing points");
+            }
+        }
+        for gamma in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let config = config.clone().schedule(DeltaSchedule::Linear { gamma });
+            for result in run(&ground(6), 3, &config) {
+                assert!(matches!(result, Err(DistError::InvalidConfig { .. })), "γ = {gamma}");
+            }
+        }
     }
 
     #[test]

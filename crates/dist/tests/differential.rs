@@ -3,16 +3,15 @@
 //! identical** subsets — same ids, same order, same objective-value bits,
 //! same round statistics — on proptest-generated datasets (clustered,
 //! degenerate/duplicate, adversarially partitioned, `k` near 0 and near
-//! `n`), at 1, 2, and 8 pool threads — and on **both sides of the
-//! dataflow driver's computed path choice**: under an unlimited budget
-//! (every round partition-resident) and under a budget below a one-row
-//! partition (every round on the over-budget fallback), with the path
-//! that ran read back from the `greedy.phases_*` counters.
+//! `n`), and on **both sides of the dataflow driver's computed path
+//! choice**: under an unlimited budget (every round partition-resident)
+//! and under a budget below a one-row partition (every round on the
+//! over-budget fallback), with the path that ran read back from the
+//! `greedy.phases_*` counters.
 //!
-//! Kernel dispatch: nothing here calls the SIMD kernels directly, but CI
-//! runs this suite under `SUBMOD_KERNELS=scalar` as well as the default
-//! dispatch (the workspace test jobs), so the equality also holds with
-//! the portable kernels forced.
+//! Thread counts, trace modes, fault plans and graph backings are the
+//! axes of the facade's invariance harness (`tests/invariance.rs`); this
+//! suite owns the adversarial instances and the batched path's edge cases.
 
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
@@ -22,9 +21,6 @@ use submod_dist::{
     distributed_greedy, distributed_greedy_dataflow, greedi, greedi_dataflow, DistGreedyConfig,
     DistGreedyReport, PartitionStyle,
 };
-use submod_exec::with_threads;
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Worker bytes one resident partition row costs before its shard
 /// entries (README, "The driver memory model"): 40 B of row, bucket and
@@ -168,8 +164,8 @@ fn fingerprint(report: &DistGreedyReport) -> Fingerprint {
 }
 
 /// Runs the in-memory driver and the dataflow driver on both sides of the
-/// fit line at every thread count, asserts one bit-exact outcome and the
-/// path each dataflow run took, and returns the outcome.
+/// fit line, asserts one bit-exact outcome and the path each dataflow run
+/// took, and returns the outcome.
 fn assert_drivers_identical(
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
@@ -181,37 +177,26 @@ fn assert_drivers_identical(
 ) -> Fingerprint {
     let _registry = registry_lock();
     let config = config.clone().winner_batch(winner_batch);
-    let mut outcomes = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        let mem = with_threads(threads, || {
-            distributed_greedy(graph, objective, ground, k, &config).expect("in-memory")
-        });
-        for starved in [false, true] {
-            let before = phases_since([0; 2]);
-            let pipeline = pipeline(workers, starved);
-            let df = with_threads(threads, || {
-                distributed_greedy_dataflow(&pipeline, graph, objective, ground, k, &config)
-                    .expect("dataflow")
-            });
-            assert_eq!(
-                fingerprint(&mem),
-                fingerprint(&df),
-                "drivers diverged at {threads} threads (machines {}, rounds {}, k {k}, \
-                 starved {starved})",
-                config.machines(),
-                config.rounds()
-            );
-            let pool_sizes: Vec<usize> = df.rounds.iter().map(|r| r.input_size).collect();
-            assert_phases(before, starved, &pool_sizes);
-            if starved {
-                assert!(pipeline.metrics().bytes_spilled > 0, "the budget must force spills");
-            }
+    let mem = distributed_greedy(graph, objective, ground, k, &config).expect("in-memory");
+    for starved in [false, true] {
+        let before = phases_since([0; 2]);
+        let pipeline = pipeline(workers, starved);
+        let df = distributed_greedy_dataflow(&pipeline, graph, objective, ground, k, &config)
+            .expect("dataflow");
+        assert_eq!(
+            fingerprint(&mem),
+            fingerprint(&df),
+            "drivers diverged (machines {}, rounds {}, k {k}, starved {starved})",
+            config.machines(),
+            config.rounds()
+        );
+        let pool_sizes: Vec<usize> = df.rounds.iter().map(|r| r.input_size).collect();
+        assert_phases(before, starved, &pool_sizes);
+        if starved {
+            assert!(pipeline.metrics().bytes_spilled > 0, "the budget must force spills");
         }
-        outcomes.push(fingerprint(&mem));
     }
-    assert_eq!(outcomes[0], outcomes[1], "thread-count variance (1 vs 2)");
-    assert_eq!(outcomes[0], outcomes[2], "thread-count variance (1 vs 8)");
-    outcomes.pop().expect("three outcomes")
+    fingerprint(&mem)
 }
 
 #[test]
@@ -256,7 +241,7 @@ fn adversarial_partitions_are_identical() {
 #[test]
 fn batched_winner_passes_are_identical_to_in_memory() {
     // The multi-winner engine passes must select the identical subset as
-    // the in-memory driver, at every batch size and thread count.
+    // the in-memory driver, at every batch size.
     let (graph, objective) = clustered_instance(4, 8, 33);
     let n = graph.num_nodes();
     let config = DistGreedyConfig::new(3, 2).unwrap().seed(19).adaptive(true);
@@ -286,8 +271,8 @@ fn batched_winner_invalidation_falls_back_identically() {
 /// entries) that still holds many batches' worth of overlay events, so
 /// the batched fallback scans several times per rewrite — where the
 /// one-row budget above rewrites after every batch.
-/// Bit-identical to the in-memory driver at every thread count, with the rewrite count and the overlay's peak read back from
-/// the registry.
+/// Bit-identical to the in-memory driver, with the rewrite count and the
+/// overlay's peak read back from the registry.
 #[test]
 fn overlay_spans_several_batches_between_rewrites() {
     let _registry = registry_lock();
@@ -298,34 +283,30 @@ fn overlay_spans_several_batches_between_rewrites() {
     let counters = || {
         ["greedy.batch_scans", "greedy.overlay_rewrites"].map(|c| submod_obs::counter(c).value())
     };
-    for &threads in &THREAD_COUNTS {
-        let mem = with_threads(threads, || {
-            distributed_greedy(&graph, &objective, &ground(n), n / 4, &config).expect("in-memory")
-        });
-        let pipeline = Pipeline::builder()
-            .workers(3)
-            .memory_budget(MemoryBudget::bytes(budget))
-            .build()
-            .expect("pipeline");
-        let config = config.clone().winner_batch(1);
-        // Zero the overlay's peak gauge (a running maximum).
-        submod_obs::reset_metrics();
-        let batched = with_threads(threads, || {
-            distributed_greedy_dataflow(&pipeline, &graph, &objective, &ground(n), n / 4, &config)
-                .expect("dataflow")
-        });
-        let [scans, rewrites] = counters();
-        assert_eq!(phases_since([0; 2])[1], 1, "round 1 alone must take the batched path");
-        assert!(0 < rewrites && rewrites * 3 < scans, "{rewrites} rewrites over {scans} scans");
-        let overlay = submod_obs::gauge("greedy.overlay_bytes_peak").value();
-        assert!(0 < overlay && overlay <= budget, "overlay peak {overlay} over {budget}");
-        assert_eq!(fingerprint(&batched), fingerprint(&mem), "batched at {threads} threads");
-    }
+    let mem =
+        distributed_greedy(&graph, &objective, &ground(n), n / 4, &config).expect("in-memory");
+    let pipeline = Pipeline::builder()
+        .workers(3)
+        .memory_budget(MemoryBudget::bytes(budget))
+        .build()
+        .expect("pipeline");
+    let config = config.clone().winner_batch(1);
+    // Zero the overlay's peak gauge (a running maximum).
+    submod_obs::reset_metrics();
+    let batched =
+        distributed_greedy_dataflow(&pipeline, &graph, &objective, &ground(n), n / 4, &config)
+            .expect("dataflow");
+    let [scans, rewrites] = counters();
+    assert_eq!(phases_since([0; 2])[1], 1, "round 1 alone must take the batched path");
+    assert!(0 < rewrites && rewrites * 3 < scans, "{rewrites} rewrites over {scans} scans");
+    let overlay = submod_obs::gauge("greedy.overlay_bytes_peak").value();
+    assert!(0 < overlay && overlay <= budget, "overlay peak {overlay} over {budget}");
+    assert_eq!(fingerprint(&batched), fingerprint(&mem), "batched");
 }
 
 /// GreeDi's map phase rides the same backend: in-memory against dataflow
 /// on both sides of the fit line (the starved side falls back to the
-/// default batched passes), one phase per run, at every thread count.
+/// default batched passes), one phase per run.
 fn assert_greedi_identical(
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
@@ -342,29 +323,19 @@ fn assert_greedi_identical(
             r.merge,
         )
     };
-    let mut outcomes = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        let mem = with_threads(threads, || {
-            greedi(graph, objective, k, machines, style, seed).expect("in-memory")
-        });
-        for starved in [false, true] {
-            let before = phases_since([0; 2]);
-            let pipeline = pipeline(3, starved);
-            let df = with_threads(threads, || {
-                greedi_dataflow(&pipeline, graph, objective, k, machines, style, seed)
-                    .expect("dataflow")
-            });
-            assert_eq!(fp(&mem), fp(&df), "{style:?} diverged at {threads} threads");
-            assert_phases(before, starved, &[graph.num_nodes()]);
-        }
-        outcomes.push(fp(&mem));
+    let mem = greedi(graph, objective, k, machines, style, seed).expect("in-memory");
+    for starved in [false, true] {
+        let before = phases_since([0; 2]);
+        let pipeline = pipeline(3, starved);
+        let df = greedi_dataflow(&pipeline, graph, objective, k, machines, style, seed)
+            .expect("dataflow");
+        assert_eq!(fp(&mem), fp(&df), "{style:?} diverged (starved {starved})");
+        assert_phases(before, starved, &[graph.num_nodes()]);
     }
-    assert_eq!(outcomes[0], outcomes[1], "{style:?} thread variance");
-    assert_eq!(outcomes[0], outcomes[2], "{style:?} thread variance");
 }
 
 #[test]
-fn greedi_drivers_are_identical_across_threads() {
+fn greedi_drivers_are_identical() {
     let (graph, objective) = clustered_instance(4, 9, 17);
     for style in [PartitionStyle::Arbitrary, PartitionStyle::Random] {
         assert_greedi_identical(&graph, &objective, 7, 4, style, 3);
@@ -428,8 +399,8 @@ fn fit_predicate_flips_at_the_largest_partition_footprint() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Clustered datasets, random shapes: both drivers, every thread
-    /// count, one bit-exact outcome.
+    /// Clustered datasets, random shapes: both drivers, one bit-exact
+    /// outcome.
     #[test]
     fn clustered_instances_are_identical(
         clusters in 2usize..5,
@@ -467,8 +438,7 @@ proptest! {
     }
 
     /// Batched-winner passes under random shapes, batch sizes, and
-    /// configurations: bit-exact against the in-memory driver at every
-    /// thread count.
+    /// configurations: bit-exact against the in-memory driver.
     #[test]
     fn batched_instances_are_identical(
         clusters in 2usize..5,

@@ -1,29 +1,13 @@
-//! Differential suite: the same instance selected over the **owned**
-//! in-memory graph and over the **mmap-backed** on-disk store must produce
-//! bitwise-identical results — ids, order, and objective value bits — for
-//! every algorithm (bounding, multi-round greedy, GreeDi), both drivers
-//! (in-memory and dataflow), at 1/2/8 pool threads.
-//!
-//! The CI matrix additionally runs this whole suite under
-//! `SUBMOD_KERNELS=scalar`, so the contract holds under both kernel
-//! dispatches.
-//!
-//! A round-trip property test (build → write → mmap → compare the raw CSR
-//! arrays bit-for-bit) pins the storage layer itself, over every graph
-//! shape the builders produce: undirected and directed edges, isolated
-//! nodes, a single node, and `symmetrized()` output. The algorithm
-//! differentials then pin everything stacked on top of it.
+//! The mmap-backed graph store maps exactly what was written: a
+//! round-trip property test (build → write → mmap → compare the raw CSR
+//! arrays bit-for-bit) pins the storage layer over every graph shape the
+//! builders produce: undirected and directed edges, isolated nodes, a
+//! single node, and `symmetrized()` output. That selections over a mapped
+//! graph equal those over the owned one is the backing axis of the
+//! facade's invariance harness (`tests/invariance.rs`).
 
 use proptest::prelude::*;
-use submod_core::{GraphBuilder, NodeId, PairwiseObjective, SimilarityGraph};
-use submod_dataflow::Pipeline;
-use submod_dist::{
-    bound_dataflow, bound_in_memory, distributed_greedy, distributed_greedy_dataflow, greedi,
-    greedi_dataflow, BoundingConfig, DistGreedyConfig, PartitionStyle, SamplingStrategy,
-};
-use submod_exec::with_threads;
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+use submod_core::{GraphBuilder, NodeId, SimilarityGraph};
 
 /// A seeded 64-bit LCG stream.
 fn lcg(seed: u64) -> impl FnMut() -> u64 {
@@ -32,25 +16,6 @@ fn lcg(seed: u64) -> impl FnMut() -> u64 {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         state >> 11
     }
-}
-
-/// A deterministic pseudo-random instance (LCG-drawn weights).
-fn instance(n: usize, seed: u64) -> (SimilarityGraph, PairwiseObjective) {
-    let mut b = GraphBuilder::new(n);
-    let mut next = lcg(seed);
-    for v in 0..n as u64 {
-        for _ in 0..3 {
-            let w = next() % n as u64;
-            if w != v {
-                let s = 0.05 + (next() % 900) as f32 / 1000.0;
-                b.add_undirected(v, w, s).expect("edge");
-            }
-        }
-    }
-    let graph = b.build();
-    let utilities: Vec<f32> = (0..n).map(|_| 0.1 + (next() % 900) as f32 / 1000.0).collect();
-    let objective = PairwiseObjective::from_alpha(0.85, utilities).expect("objective");
-    (graph, objective)
 }
 
 /// A random graph of one of the shapes a store must map exactly: up to
@@ -100,90 +65,11 @@ fn mapped_copy(graph: &SimilarityGraph, name: &str) -> SimilarityGraph {
     mapped
 }
 
-fn ground(n: usize) -> Vec<NodeId> {
-    (0..n).map(NodeId::from_index).collect()
-}
-
-/// Selections as raw ids (order preserved) plus the objective value's
-/// exact bits.
-fn fingerprint(selection: &submod_core::Selection) -> (Vec<u64>, u64) {
-    (selection.selected().iter().map(|v| v.raw()).collect(), selection.objective_value().to_bits())
-}
-
-/// Runs `f` against the owned and the mapped graph at every thread count
-/// and demands one identical result.
-fn differential<R: PartialEq + std::fmt::Debug>(
-    what: &str,
-    owned: &SimilarityGraph,
-    mapped: &SimilarityGraph,
-    f: impl Fn(&SimilarityGraph) -> R,
-) {
-    let reference = with_threads(THREAD_COUNTS[0], || f(owned));
-    for &threads in &THREAD_COUNTS {
-        let mem = with_threads(threads, || f(owned));
-        let map = with_threads(threads, || f(mapped));
-        assert_eq!(mem, reference, "{what}: owned drifted at {threads} threads");
-        assert_eq!(map, reference, "{what}: mapped diverged at {threads} threads");
-    }
-}
-
-#[test]
-fn bounding_matches_over_the_store_both_drivers() {
-    let (graph, objective) = instance(80, 29);
-    let mapped = mapped_copy(&graph, "bounding");
-    for config in [
-        BoundingConfig::exact(),
-        BoundingConfig::approximate(0.5, SamplingStrategy::Uniform, 3).expect("config"),
-        BoundingConfig::approximate(0.4, SamplingStrategy::Weighted, 9).expect("config"),
-    ] {
-        differential("bounding", &graph, &mapped, |g| {
-            let mem = bound_in_memory(g, &objective, 12, &config).expect("in-memory");
-            let pipeline = Pipeline::new(3).expect("pipeline");
-            let df = bound_dataflow(&pipeline, g, &objective, 12, &config).expect("dataflow");
-            assert_eq!(mem, df, "drivers diverged");
-            mem
-        });
-    }
-}
-
-#[test]
-fn multiround_greedy_matches_over_the_store_both_drivers() {
-    let (graph, objective) = instance(120, 7);
-    let mapped = mapped_copy(&graph, "multiround");
-    differential("multi-round greedy", &graph, &mapped, |g| {
-        let config = DistGreedyConfig::new(6, 4).expect("config").seed(11).adaptive(true);
-        let report = distributed_greedy(g, &objective, &ground(120), 18, &config).expect("run");
-        let pipeline = Pipeline::new(4).expect("pipeline");
-        let df = distributed_greedy_dataflow(&pipeline, g, &objective, &ground(120), 18, &config)
-            .expect("dataflow");
-        assert_eq!(fingerprint(&report.selection), fingerprint(&df.selection));
-        assert_eq!(report.rounds, df.rounds);
-        (fingerprint(&report.selection), report.rounds)
-    });
-}
-
-#[test]
-fn greedi_matches_over_the_store_both_drivers() {
-    let (graph, objective) = instance(100, 13);
-    let mapped = mapped_copy(&graph, "greedi");
-    for style in [PartitionStyle::Arbitrary, PartitionStyle::Random] {
-        differential("GreeDi", &graph, &mapped, |g| {
-            let report = greedi(g, &objective, 10, 4, style, 5).expect("run");
-            let pipeline = Pipeline::new(3).expect("pipeline");
-            let df = greedi_dataflow(&pipeline, g, &objective, 10, 4, style, 5).expect("dataflow");
-            assert_eq!(fingerprint(&report.selection), fingerprint(&df.selection));
-            assert_eq!(report.merge, df.merge);
-            (fingerprint(&report.selection), report.merge.union_size)
-        });
-    }
-}
-
 /// The GreeDi shards of a mapped graph are induced subgraphs of one
 /// shared mapping — `Clone` must alias, not copy, the store.
 #[test]
 fn mapped_clones_share_the_mapping() {
-    let (graph, _) = instance(60, 99);
-    let mapped = mapped_copy(&graph, "clones");
+    let mapped = mapped_copy(&shaped_graph(60, 99, false, 0, false), "clones");
     let clone = mapped.clone();
     assert_eq!(
         mapped.csr_parts().1.as_ptr(),
@@ -227,27 +113,5 @@ proptest! {
         prop_assert_eq!(mapped.is_symmetric(), graph.is_symmetric());
         prop_assert_eq!(mapped.heap_bytes(), 0);
         prop_assert_eq!(mapped.memory_bytes(), graph.memory_bytes());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Random instances: a full selection over the mapped store equals
-    /// the owned one, ids and value bits, on arbitrary configurations.
-    #[test]
-    fn random_selections_match_over_the_store(
-        seed in 0u64..500,
-        machines in 1usize..6,
-        rounds in 1usize..4,
-        k in 4usize..16,
-    ) {
-        let (graph, objective) = instance(60, seed);
-        let mapped = mapped_copy(&graph, &format!("random-{seed}"));
-        let config = DistGreedyConfig::new(machines, rounds).expect("config").seed(seed);
-        let mem = distributed_greedy(&graph, &objective, &ground(60), k, &config).expect("owned");
-        let map = distributed_greedy(&mapped, &objective, &ground(60), k, &config).expect("mapped");
-        prop_assert_eq!(fingerprint(&mem.selection), fingerprint(&map.selection));
-        prop_assert_eq!(mem.rounds, map.rounds);
     }
 }

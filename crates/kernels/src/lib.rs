@@ -18,9 +18,9 @@
 //! sequentially. Multiplication and addition of `f32` are IEEE-exact, so
 //! the scalar and SIMD paths return **bitwise-identical** results for any
 //! input (including denormals, infinities, and misaligned slices). The
-//! property tests in `tests/identity.rs` pin this, and the workspace test
-//! suite runs under both `SUBMOD_KERNELS=scalar` and the default dispatch
-//! in CI.
+//! property tests in `tests/identity.rs` pin this, and CI runs the kernel
+//! and k-NN suites under both `SUBMOD_KERNELS=scalar` and the default
+//! dispatch.
 //!
 //! ## One tile micro-kernel per backend
 //!

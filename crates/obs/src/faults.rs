@@ -25,8 +25,7 @@
 //! Transient faults are **self-clearing**: a site that just injected a
 //! failure never injects one on the immediately following attempt (a
 //! per-thread suppression bit), so a bounded retry loop always converges
-//! — the suite under `SUBMOD_FAULTS=transient-io` is green by
-//! construction, not by luck.
+//! — a run under `transient-io` is green by construction, not by luck.
 //!
 //! Injected errors are ordinary [`std::io::Error`]s carrying the
 //! [`INJECTED_MARKER`] in their message: [`is_injected_transient`] is how
