@@ -2,19 +2,9 @@
 //! and the heatmap runner behind Figures 3/4/12–17.
 
 use std::path::PathBuf;
-use submod_core::{greedy_select, PairwiseObjective, ScoreNormalizer, SimilarityGraph};
+use submod_core::{greedy_select, PairwiseObjective, ScoreNormalizer};
 use submod_data::{build_instance, DatasetConfig, SelectionInstance};
 use submod_dist::{distributed_greedy, DeltaSchedule, DistGreedyConfig};
-
-/// Which backing the experiment graphs run on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GraphStoreMode {
-    /// Owned in-memory CSR arrays (the default).
-    Mem,
-    /// The on-disk store: the graph is written once and reopened as a
-    /// read-only memory mapping, so adjacency costs zero driver heap.
-    Mmap,
-}
 
 /// Global harness context parsed from the command line.
 #[derive(Clone, Debug)]
@@ -25,17 +15,6 @@ pub struct BenchCtx {
     pub scale: f64,
     /// Quick mode: coarser grids for smoke runs.
     pub quick: bool,
-    /// Report peak driver-side bytes for the bounding drivers, so the
-    /// larger-than-memory claim is a printed number instead of prose.
-    pub report_memory: bool,
-    /// Graph backing selected with `--graph-store mem|mmap`.
-    pub graph_store: GraphStoreMode,
-    /// Directory journaled experiments write their WALs under
-    /// (`--journal DIR`); `None` runs everything unjournaled.
-    pub journal: Option<PathBuf>,
-    /// Resume from existing journals instead of starting fresh
-    /// (`--resume`; only meaningful with `--journal`).
-    pub resume: bool,
 }
 
 impl BenchCtx {
@@ -78,51 +57,6 @@ impl BenchCtx {
             vec![0.1]
         } else {
             vec![0.1, 0.5, 0.8]
-        }
-    }
-
-    /// The write-ahead-journal path for one journaled selection, when
-    /// `--journal DIR` was given. Each selection gets its own
-    /// `<dir>/<tag>.wal` (the run header refuses cross-configuration
-    /// splices, so journals are never shared between selections). A
-    /// fresh run removes any stale journal first; with `--resume` an
-    /// existing journal is replayed to its last complete round boundary
-    /// and the run continues from there, bit-identically.
-    pub fn journal_path(&self, tag: &str) -> Option<PathBuf> {
-        let dir = self.journal.as_ref()?;
-        std::fs::create_dir_all(dir).expect("create journal directory");
-        let path = dir.join(format!("{tag}.wal"));
-        if !self.resume {
-            let _ = std::fs::remove_file(&path);
-        }
-        Some(path)
-    }
-
-    /// Rebases `graph` onto the backing selected with `--graph-store`.
-    /// `mem` materializes owned CSR arrays (the instance graph arrives
-    /// mmap-backed from the k-NN cache, so this is a real copy, not a
-    /// clone); `mmap` does a write → mmap round-trip through a temp
-    /// store (the file is unlinked immediately; the live mapping keeps
-    /// it readable).
-    pub fn bench_graph(&self, graph: &SimilarityGraph, tag: &str) -> SimilarityGraph {
-        match self.graph_store {
-            GraphStoreMode::Mem => {
-                let (offsets, neighbors, weights) = graph.csr_parts();
-                SimilarityGraph::from_csr_parts(
-                    offsets.to_vec(),
-                    neighbors.to_vec(),
-                    weights.to_vec(),
-                )
-                .expect("owned copy of a valid graph")
-            }
-            GraphStoreMode::Mmap => {
-                let path = std::env::temp_dir()
-                    .join(format!("submod-bench-{}-{tag}.csr", std::process::id()));
-                graph.write_store(&path).expect("write graph store");
-                let mapped = SimilarityGraph::open_store(&path).expect("open graph store");
-                let _ = std::fs::remove_file(&path);
-                mapped
-            }
         }
     }
 }
@@ -238,24 +172,8 @@ mod tests {
 
     #[test]
     fn quick_mode_shrinks_grids() {
-        let full = BenchCtx {
-            out_dir: "r".into(),
-            scale: 0.1,
-            quick: false,
-            report_memory: false,
-            graph_store: GraphStoreMode::Mem,
-            journal: None,
-            resume: false,
-        };
-        let quick = BenchCtx {
-            out_dir: "r".into(),
-            scale: 0.1,
-            quick: true,
-            report_memory: false,
-            graph_store: GraphStoreMode::Mem,
-            journal: None,
-            resume: false,
-        };
+        let full = BenchCtx { out_dir: "r".into(), scale: 0.1, quick: false };
+        let quick = BenchCtx { out_dir: "r".into(), scale: 0.1, quick: true };
         assert!(quick.grid_axis().len() < full.grid_axis().len());
         assert!(quick.alphas().len() < full.alphas().len());
         assert!(quick.subset_fractions().len() < full.subset_fractions().len());

@@ -68,7 +68,7 @@ pub fn baselines(ctx: &BenchCtx) {
         &["algorithm", "machines", "score", "merge holds", "memory"],
         &rows,
     );
-    let _ = write_artifact(&ctx.out_dir, "baselines_greedi.csv", &csv);
+    write_artifact(&ctx.out_dir, "baselines_greedi.csv", &csv);
 
     // §3's DRAM arithmetic at the paper's scale, reproduced exactly:
     // 5 B keys+values (16 B) + 10 neighbors (8 B id + 8 B distance).

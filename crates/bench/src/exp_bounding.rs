@@ -86,7 +86,7 @@ pub fn table2(ctx: &BenchCtx) {
             &rows,
         );
     }
-    let _ = write_artifact(&ctx.out_dir, "table2_bounding.csv", &csv);
+    write_artifact(&ctx.out_dir, "table2_bounding.csv", &csv);
 
     // The paper's §6.2 α observation: lower α ⇒ no decisions.
     let instance = ctx.cifar();
@@ -175,7 +175,7 @@ pub fn fig16_17(ctx: &BenchCtx) {
                 }
             }
         }
-        let _ = write_artifact(&ctx.out_dir, &format!("{artifact}.csv"), &csv);
+        write_artifact(&ctx.out_dir, &format!("{artifact}.csv"), &csv);
     }
 }
 
@@ -229,5 +229,5 @@ pub fn theory(ctx: &BenchCtx) {
         &["p", "gamma", "factor", "probability", "empirical"],
         &rows,
     );
-    let _ = write_artifact(&ctx.out_dir, "theory_theorem46.csv", &csv);
+    write_artifact(&ctx.out_dir, "theory_theorem46.csv", &csv);
 }

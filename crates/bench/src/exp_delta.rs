@@ -40,7 +40,7 @@ fn delta_for(ctx: &BenchCtx, instance: &SelectionInstance, dataset: &str) {
             }
         }
     }
-    let _ = write_artifact(&ctx.out_dir, &format!("fig6_11_delta_{dataset}.csv"), &csv);
+    write_artifact(&ctx.out_dir, &format!("fig6_11_delta_{dataset}.csv"), &csv);
 }
 
 /// Difference of normalized scores: positive = γ variant better than 0.75.

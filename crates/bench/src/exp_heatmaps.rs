@@ -85,7 +85,7 @@ fn heatmap_figure(
         }
         matrix.print();
     }
-    let _ = write_artifact(&ctx.out_dir, &format!("{artifact}.csv"), &csv);
+    write_artifact(&ctx.out_dir, &format!("{artifact}.csv"), &csv);
 
     // Shape assertions mirrored from the paper's prose, printed as a
     // verdict line so EXPERIMENTS.md can cite them.

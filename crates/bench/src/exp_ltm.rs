@@ -10,25 +10,23 @@
 //! each measured run, `submod_obs::snapshot` after), so the printed
 //! tables are the same numbers any trace consumer sees.
 //!
-//! With `--graph-store mmap` the adjacency itself moves out of driver
-//! heap too: the graph is written to the on-disk CSR store once,
-//! reopened read-only memory-mapped, and the experiment reports the
-//! graph's bytes against the measured peak RSS growth of one
+//! The adjacency itself is off the driver heap too: the instance graph
+//! arrives memory-mapped from the k-NN cache, and the experiment asserts
+//! the graph's bytes exceed the measured peak RSS growth of one
 //! steady-state selection pass (the budget sweeps double as warmup, so
 //! one-time thread/allocator costs are excluded). Open-time validation
 //! pages the whole file sequentially, so the RSS baseline — marked
 //! after the store is opened — charges none of the adjacency to the
 //! selections.
 
-use crate::common::{BenchCtx, GraphStoreMode};
+use crate::common::BenchCtx;
 use crate::output::{print_table, write_artifact};
 use std::time::Instant;
 use submod_core::{NodeId, SimilarityGraph};
 use submod_dataflow::{MemoryBudget, Pipeline};
 use submod_dist::{
     bound_dataflow, bound_in_memory, distributed_greedy, distributed_greedy_dataflow,
-    select_subset, select_subset_journaled, BoundingConfig, DistGreedyConfig, PipelineConfig,
-    SamplingStrategy,
+    BoundingConfig, DistGreedyConfig, SamplingStrategy,
 };
 use submod_obs::MetricsSnapshot;
 
@@ -45,31 +43,23 @@ fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
 /// Runs the budget sweep on the CIFAR-like dataset.
 pub fn ltm(ctx: &BenchCtx) {
     let instance = ctx.cifar();
-    let graph = ctx.bench_graph(&instance.graph, "ltm");
-    match ctx.graph_store {
-        GraphStoreMode::Mem => println!(
-            "graph store: mem ({} KiB owned adjacency on the driver heap)",
-            graph.memory_bytes() / 1024
-        ),
-        GraphStoreMode::Mmap => println!(
-            "graph store: mmap ({} KiB file, {} B adjacency on the driver heap)",
-            graph.store_file_bytes().expect("mapped graph has a file") / 1024,
-            graph.heap_bytes()
-        ),
-    }
+    let graph = &instance.graph;
+    println!(
+        "graph: {} KiB adjacency, mapped: {}, {} B of it on the driver heap",
+        graph.memory_bytes() / 1024,
+        graph.is_mapped(),
+        graph.heap_bytes()
+    );
 
     // The budget sweeps double as warmup: they pre-create worker
     // threads, allocator arenas, and spill buffers, so the metered
     // region below charges only the *selections* — not one-time
     // process-runtime costs — against the graph's size.
-    bounding_sweep(ctx, &instance, &graph);
-    greedy_sweep(ctx, &instance, &graph);
-    if ctx.journal.is_some() {
-        journaled_selection(ctx, &instance, &graph);
-    }
+    bounding_sweep(ctx, &instance, graph);
+    greedy_sweep(ctx, &instance, graph);
 
     let baseline_kib = submod_obs::mark_rss_baseline();
-    steady_state_pass(&instance, &graph);
+    steady_state_pass(&instance, graph);
     let snap = submod_obs::snapshot();
     let delta_kib =
         baseline_kib.map(|base| gauge(&snap, "process.rss_peak_kib").saturating_sub(base));
@@ -83,94 +73,21 @@ pub fn ltm(ctx: &BenchCtx) {
         delta_label,
         graph.heap_bytes()
     );
-    if let (GraphStoreMode::Mmap, Some(delta)) = (ctx.graph_store, delta_kib) {
+    if let Some(delta) = delta_kib {
         assert!(
             graph_kib > delta,
-            "mapped adjacency should dwarf a steady-state selection pass's RSS growth \
+            "the adjacency should dwarf a steady-state selection pass's RSS growth \
              (graph {graph_kib} KiB, growth {delta} KiB)"
         );
     }
-    let store = match ctx.graph_store {
-        GraphStoreMode::Mem => "mem",
-        GraphStoreMode::Mmap => "mmap",
-    };
-    let _ = write_artifact(
+    write_artifact(
         &ctx.out_dir,
         "ltm_graph_store.csv",
         &format!(
-            "store,graph_kib,graph_heap_bytes,steady_state_rss_growth_kib\n{store},{graph_kib},{},{}\n",
+            "mapped,graph_kib,graph_heap_bytes,steady_state_rss_growth_kib\n{},{graph_kib},{},{}\n",
+            graph.is_mapped(),
             graph.heap_bytes(),
             delta_kib.map_or_else(|| "n/a".to_string(), |d| d.to_string()),
-        ),
-    );
-}
-
-/// The crash-safety demonstration (`--journal DIR [--resume]`): the
-/// full bounding→greedy pipeline runs with a write-ahead journal, every
-/// round boundary fsynced. The journaled selection must be bit-identical
-/// to the plain one, and the journal/fault counters — records written,
-/// records replayed on a resume, torn bytes truncated, transient-fault
-/// retries — land in the printed table, the CSV artifact, and (via the
-/// registry) the end-of-run metrics export.
-fn journaled_selection(
-    ctx: &BenchCtx,
-    instance: &submod_data::SelectionInstance,
-    graph: &SimilarityGraph,
-) {
-    let Some(path) = ctx.journal_path("ltm_pipeline") else { return };
-    println!(
-        "\njournaled pipeline selection (WAL at {}{})",
-        path.display(),
-        if ctx.resume { ", resuming" } else { "" }
-    );
-    let objective = instance.objective(0.9).expect("objective");
-    let k = instance.len() / 10;
-    let config = PipelineConfig::with_bounding(
-        BoundingConfig::approximate(0.3, SamplingStrategy::Uniform, 17).expect("config"),
-        DistGreedyConfig::new(8, 4).expect("config").seed(17).adaptive(true),
-    );
-    submod_obs::reset_metrics();
-    let start = Instant::now();
-    let outcome =
-        select_subset_journaled(graph, &objective, k, &config, &path).expect("journaled pipeline");
-    let secs = start.elapsed().as_secs_f64();
-    let snap = submod_obs::snapshot();
-
-    let plain = select_subset(graph, &objective, k, &config).expect("plain pipeline");
-    assert!(
-        outcome.selection.selected() == plain.selection.selected()
-            && outcome.selection.objective_value().to_bits()
-                == plain.selection.objective_value().to_bits(),
-        "the journaled selection diverged from the plain one"
-    );
-    println!("journaled selection is bit-identical to the unjournaled run");
-
-    let written = counter(&snap, "journal.records_written");
-    let replayed = counter(&snap, "journal.records_replayed");
-    let torn = counter(&snap, "journal.torn_bytes");
-    let syncs = counter(&snap, "journal.syncs");
-    let retries = counter(&snap, "faults.retries");
-    let injected = counter(&snap, "faults.injected");
-    print_table(
-        "write-ahead journal (counters also land in metrics.json)",
-        &["wall clock", "records written", "replayed", "torn bytes", "fsyncs", "faults", "retries"],
-        &[vec![
-            format!("{secs:.2} s"),
-            written.to_string(),
-            replayed.to_string(),
-            torn.to_string(),
-            syncs.to_string(),
-            injected.to_string(),
-            retries.to_string(),
-        ]],
-    );
-    let _ = write_artifact(
-        &ctx.out_dir,
-        "ltm_journal.csv",
-        &format!(
-            "resumed,seconds,records_written,records_replayed,torn_bytes,syncs,faults_injected,faults_retries\n\
-             {},{secs:.4},{written},{replayed},{torn},{syncs},{injected},{retries}\n",
-            ctx.resume,
         ),
     );
 }
@@ -253,18 +170,16 @@ fn bounding_sweep(
             metrics.bytes_spilled,
             metrics.peak_worker_bytes / 1024
         ));
-        if ctx.report_memory {
-            // Two status bitsets ride to the workers every pass.
-            let per_pass = counter(&snap, "dataflow.broadcast.bytes")
-                / counter(&snap, "bounding.passes").max(1);
-            memory_rows.push(vec![
-                label,
-                format!("{} B", gauge(&snap, "bounding.peak_pass_bytes")),
-                gauge(&snap, "bounding.peak_candidates").to_string(),
-                format!("{} B", gauge(&snap, "bounding.peak_state_bytes")),
-                format!("{per_pass} B"),
-            ]);
-        }
+        // Two status bitsets ride to the workers every pass.
+        let per_pass =
+            counter(&snap, "dataflow.broadcast.bytes") / counter(&snap, "bounding.passes").max(1);
+        memory_rows.push(vec![
+            label,
+            format!("{} B", gauge(&snap, "bounding.peak_pass_bytes")),
+            gauge(&snap, "bounding.peak_candidates").to_string(),
+            format!("{} B", gauge(&snap, "bounding.peak_state_bytes")),
+            format!("{per_pass} B"),
+        ]);
         assert!(identical, "memory budget changed the bounding outcome");
     }
     print_table(
@@ -272,20 +187,18 @@ fn bounding_sweep(
         &["budget/worker", "identical", "wall clock", "spill files", "spilled", "peak worker"],
         &rows,
     );
-    if ctx.report_memory {
-        println!(
-            "\nreference in-memory driver: peak pass bytes {} (full bound table), \
-             peak state bytes {}",
-            gauge(&reference_snap, "bounding.peak_pass_bytes"),
-            gauge(&reference_snap, "bounding.peak_state_bytes")
-        );
-        print_table(
-            "engine-resident driver memory: per-pass collections are candidates only",
-            &["budget/worker", "peak pass", "peak candidates", "driver state", "broadcast/pass"],
-            &memory_rows,
-        );
-    }
-    let _ = write_artifact(&ctx.out_dir, "ltm_budget_sweep.csv", &csv);
+    println!(
+        "\nreference in-memory driver: peak pass bytes {} (full bound table), \
+         peak state bytes {}",
+        gauge(&reference_snap, "bounding.peak_pass_bytes"),
+        gauge(&reference_snap, "bounding.peak_state_bytes")
+    );
+    print_table(
+        "engine-resident driver memory: per-pass collections are candidates only",
+        &["budget/worker", "peak pass", "peak candidates", "driver state", "broadcast/pass"],
+        &memory_rows,
+    );
+    write_artifact(&ctx.out_dir, "ltm_budget_sweep.csv", &csv);
 }
 
 /// The greedy half of the sweep: the engine-resident multi-round driver
@@ -346,15 +259,13 @@ fn greedy_sweep(
             "{budget_kib},{identical},{secs:.4},{},{}\n",
             metrics.spill_files, metrics.bytes_spilled
         ));
-        if ctx.report_memory {
-            memory_rows.push(vec![
-                label,
-                format!("{} B", gauge(&snap, "greedy.peak_round_bytes")),
-                counter(&snap, "greedy.winners_collected").to_string(),
-                format!("{} B", gauge(&snap, "greedy.peak_state_bytes")),
-                format!("{} B", gauge(&snap, "greedy.bytes_broadcast")),
-            ]);
-        }
+        memory_rows.push(vec![
+            label,
+            format!("{} B", gauge(&snap, "greedy.peak_round_bytes")),
+            counter(&snap, "greedy.winners_collected").to_string(),
+            format!("{} B", gauge(&snap, "greedy.peak_state_bytes")),
+            format!("{} B", gauge(&snap, "greedy.bytes_broadcast")),
+        ]);
         assert!(identical, "memory budget changed the greedy selection");
     }
     print_table(
@@ -362,18 +273,16 @@ fn greedy_sweep(
         &["budget/worker", "identical", "wall clock", "spill files", "spilled"],
         &rows,
     );
-    if ctx.report_memory {
-        println!(
-            "\nreference in-memory driver: peak round bytes {} (keyed pool + queues), \
-             peak state bytes {}",
-            gauge(&reference_snap, "greedy.peak_round_bytes"),
-            gauge(&reference_snap, "greedy.peak_state_bytes")
-        );
-        print_table(
-            "engine-resident greedy driver memory: per-round collections are winner rows only",
-            &["budget/worker", "peak round", "winners", "driver state", "broadcast"],
-            &memory_rows,
-        );
-    }
-    let _ = write_artifact(&ctx.out_dir, "ltm_greedy_budget_sweep.csv", &csv);
+    println!(
+        "\nreference in-memory driver: peak round bytes {} (keyed pool + queues), \
+         peak state bytes {}",
+        gauge(&reference_snap, "greedy.peak_round_bytes"),
+        gauge(&reference_snap, "greedy.peak_state_bytes")
+    );
+    print_table(
+        "engine-resident greedy driver memory: per-round collections are winner rows only",
+        &["budget/worker", "peak round", "winners", "driver state", "broadcast"],
+        &memory_rows,
+    );
+    write_artifact(&ctx.out_dir, "ltm_greedy_budget_sweep.csv", &csv);
 }

@@ -11,7 +11,7 @@ use crate::common::BenchCtx;
 use crate::output::{print_table, write_artifact};
 use std::collections::BTreeMap;
 use std::time::Instant;
-use submod_core::NodeId;
+use submod_core::{NodeId, SimilarityGraph};
 use submod_data::DatasetConfig;
 use submod_dataflow::{MemoryBudget, Pipeline};
 use submod_dist::{
@@ -58,7 +58,7 @@ pub fn profile(ctx: &BenchCtx) {
 
     let config = DatasetConfig::cifar100_like().scaled(ctx.scale);
     let instance = ctx.cifar();
-    let graph = ctx.bench_graph(&instance.graph, "profile");
+    let graph = &instance.graph;
     let objective = instance.objective(0.9).expect("objective");
     let n = instance.len();
     let k = n / 10;
@@ -68,13 +68,14 @@ pub fn profile(ctx: &BenchCtx) {
     let pipeline = Pipeline::new(8).expect("pipeline");
     let backend = KnnBackend::auto(n);
 
-    // Everything above (dataset generation, graph-cache hits, the
-    // store rebase) is setup; the measured phases start clean. The
-    // k-NN build below runs explicitly — never through the cache — so
-    // the trace always carries the `knn.build` subtree.
+    // Everything above (dataset generation, graph-cache hits) is setup;
+    // the measured phases start clean. The k-NN build below runs
+    // explicitly — never through the cache — so the trace always carries
+    // the `knn.build` subtree.
     println!(
-        "profile: {n} points, {} undirected edges, tracing full",
-        graph.num_undirected_edges()
+        "profile: {n} points, {} undirected edges, graph mapped: {}, tracing full",
+        graph.num_undirected_edges(),
+        graph.is_mapped()
     );
     submod_obs::reset();
     submod_obs::mark_rss_baseline();
@@ -87,18 +88,18 @@ pub fn profile(ctx: &BenchCtx) {
             .expect("knn build");
     });
     run_phase(&mut phases, "bounding (in-memory driver)", || {
-        bound_in_memory(&graph, &objective, k, &bounding).map(drop).expect("bounding");
+        bound_in_memory(graph, &objective, k, &bounding).map(drop).expect("bounding");
     });
     run_phase(&mut phases, "bounding (dataflow driver)", || {
-        bound_dataflow(&pipeline, &graph, &objective, k, &bounding)
+        bound_dataflow(&pipeline, graph, &objective, k, &bounding)
             .map(drop)
             .expect("dataflow bounding");
     });
     run_phase(&mut phases, "greedy (in-memory driver)", || {
-        distributed_greedy(&graph, &objective, &ground, k, &greedy).map(drop).expect("greedy");
+        distributed_greedy(graph, &objective, &ground, k, &greedy).map(drop).expect("greedy");
     });
     run_phase(&mut phases, "greedy (dataflow driver)", || {
-        distributed_greedy_dataflow(&pipeline, &graph, &objective, &ground, k, &greedy)
+        distributed_greedy_dataflow(&pipeline, graph, &objective, &ground, k, &greedy)
             .map(drop)
             .expect("dataflow greedy");
     });
@@ -115,7 +116,7 @@ pub fn profile(ctx: &BenchCtx) {
         .build()
         .expect("pipeline");
     run_phase(&mut phases, "greedy (dataflow driver, over budget: winner_batch 64)", || {
-        distributed_greedy_dataflow(&starved, &graph, &objective, &ground, k, &greedy)
+        distributed_greedy_dataflow(&starved, graph, &objective, &ground, k, &greedy)
             .map(drop)
             .expect("batched dataflow greedy");
     });
@@ -127,9 +128,8 @@ pub fn profile(ctx: &BenchCtx) {
         "profile trace should contain nested spans (knn build / bounding passes / greedy rounds)"
     );
     let snap = submod_obs::snapshot();
-    let _ =
-        write_artifact(&ctx.out_dir, "profile_trace.json", &submod_obs::chrome_trace_json(&events));
-    let _ = write_artifact(&ctx.out_dir, "profile_metrics.json", &submod_obs::metrics_json(&snap));
+    write_artifact(&ctx.out_dir, "profile_trace.json", &submod_obs::chrome_trace_json(&events));
+    write_artifact(&ctx.out_dir, "profile_metrics.json", &submod_obs::metrics_json(&snap));
 
     let rollup = rollup_spans(&events);
     let rows: Vec<Vec<String>> = rollup
@@ -145,14 +145,13 @@ pub fn profile(ctx: &BenchCtx) {
         .collect();
     print_table("span rollup (inclusive time)", &["span", "count", "total", "max"], &rows);
 
-    let md =
-        render_markdown(ctx, n, graph.num_undirected_edges(), total_secs, &phases, &rollup, &snap);
+    let md = render_markdown(ctx, graph, total_secs, &phases, &rollup, &snap);
     let md_name = if (ctx.scale - 1.0).abs() < 1e-9 {
         "scale1_profile.md".to_string()
     } else {
         format!("profile_scale{}.md", ctx.scale)
     };
-    let _ = write_artifact(&ctx.out_dir, &md_name, &md);
+    write_artifact(&ctx.out_dir, &md_name, &md);
 }
 
 /// Aggregates the span stream per name.
@@ -171,17 +170,14 @@ fn rollup_spans(events: &[SpanEvent]) -> Rollup {
 /// the span rollup, and the registry snapshot.
 fn render_markdown(
     ctx: &BenchCtx,
-    n: usize,
-    edges: usize,
+    graph: &SimilarityGraph,
     total_secs: f64,
     phases: &[(&'static str, f64)],
     rollup: &Rollup,
     snap: &MetricsSnapshot,
 ) -> String {
-    let store = match ctx.graph_store {
-        crate::common::GraphStoreMode::Mem => "mem",
-        crate::common::GraphStoreMode::Mmap => "mmap",
-    };
+    let (n, edges) = (graph.num_nodes(), graph.num_undirected_edges());
+    let backing = if graph.is_mapped() { "mapped" } else { "owned" };
     let mut md = format!(
         "# `--scale {}` end-to-end profile\n\n\
          Generated by `experiments profile --scale {}` from the `submod_obs`\n\
@@ -194,8 +190,8 @@ fn render_markdown(
          under `greedy.run`, across worker-pool boundaries.\n\n\
          **Instance:** {n} points × 64-d CIFAR-like, {edges} undirected\n\
          edges, α = 0.9, k = n/10.\n\
-         **Runner:** {} worker thread(s), `{}` kernel dispatch, graph\n\
-         store `{store}`, 8 dataflow workers / 8 machines × 4 rounds.\n\n\
+         **Runner:** {} worker thread(s), `{}` kernel dispatch, {backing}\n\
+         graph, 8 dataflow workers / 8 machines × 4 rounds.\n\n\
          ## Phase wall-clock\n\n\
          | Phase | Wall clock |\n|---|---|\n",
         ctx.scale,

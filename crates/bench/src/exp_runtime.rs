@@ -12,8 +12,8 @@ use std::time::Instant;
 use submod_core::{NodeId, PairwiseObjective};
 use submod_data::{build_instance, DatasetConfig, PerturbedDataset};
 use submod_dist::{
-    distributed_greedy, distributed_greedy_journaled, select_subset, BoundingConfig,
-    DistGreedyConfig, PipelineConfig, SamplingStrategy,
+    distributed_greedy, select_subset, BoundingConfig, DistGreedyConfig, PipelineConfig,
+    SamplingStrategy,
 };
 
 /// Table 4: runtimes of bounding / greedy combinations on the perturbed
@@ -77,47 +77,17 @@ pub fn table4(ctx: &BenchCtx) {
     }
 
     // Greedy without bounding: 1 / 2 / 8 rounds for 10 % and 50 % subsets.
-    // With `--journal DIR` each of these runs through the write-ahead
-    // journal (one WAL per cell) — crash one with
-    // SUBMOD_FAULTS=crash-round-N and rerun with --resume to continue it.
     for rounds in [8usize, 2, 1] {
         for frac in [0.1, 0.5] {
-            let name = format!("{rounds}-round greedy, no bounding");
-            let journal =
-                ctx.journal_path(&format!("table4_greedy_{rounds}r_{:02.0}pct", frac * 100.0));
-            timed(&name, frac, &|k| {
+            timed(&format!("{rounds}-round greedy, no bounding"), frac, &|k| {
                 let config =
                     DistGreedyConfig::new(16, rounds).expect("config").adaptive(true).seed(2);
-                match &journal {
-                    Some(path) => {
-                        distributed_greedy_journaled(&graph, &objective, &ground, k, &config, path)
-                            .expect("journaled distributed")
-                            .0
-                            .selection
-                            .objective_value()
-                    }
-                    None => distributed_greedy(&graph, &objective, &ground, k, &config)
-                        .expect("distributed")
-                        .selection
-                        .objective_value(),
-                }
+                distributed_greedy(&graph, &objective, &ground, k, &config)
+                    .expect("distributed")
+                    .selection
+                    .objective_value()
             });
         }
-    }
-
-    if ctx.journal.is_some() {
-        let snap = submod_obs::snapshot();
-        let get = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-        println!(
-            "journal: {} records written, {} replayed, {} torn bytes truncated, {} fsyncs; \
-             faults: {} injected, {} retried",
-            get("journal.records_written"),
-            get("journal.records_replayed"),
-            get("journal.torn_bytes"),
-            get("journal.syncs"),
-            get("faults.injected"),
-            get("faults.retries"),
-        );
     }
 
     print_table(
@@ -125,7 +95,7 @@ pub fn table4(ctx: &BenchCtx) {
         &["algorithm", "subset", "wall clock", "score"],
         &rows,
     );
-    let _ = write_artifact(&ctx.out_dir, "table4_runtime.csv", &csv);
+    write_artifact(&ctx.out_dir, "table4_runtime.csv", &csv);
 }
 
 /// §6.3: scores vs rounds at scale, plus bounding decisions.
@@ -200,7 +170,7 @@ pub fn sec63(ctx: &BenchCtx) {
             outcome.excluded_count
         ));
     }
-    let _ = write_artifact(&ctx.out_dir, "sec63_scalability.csv", &csv);
+    write_artifact(&ctx.out_dir, "sec63_scalability.csv", &csv);
 }
 
 /// Builds the perturbed-dataset slice: an ImageNet-like base expanded by a

@@ -72,7 +72,7 @@ pub fn table3(ctx: &BenchCtx) {
         &["partitioning", "rounds", "non-adaptive", "adaptive"],
         &rows,
     );
-    let _ = write_artifact(&ctx.out_dir, "table3_worstcase.csv", &csv);
+    write_artifact(&ctx.out_dir, "table3_worstcase.csv", &csv);
 
     // Paper's headline: the multi-round penalty for worst-case
     // partitioning is only a few points.

@@ -1,7 +1,7 @@
 //! Table rendering and artifact writing for the experiment harness.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A rendered matrix (partitions × rounds, like the paper's heatmaps).
 pub struct Matrix {
@@ -39,13 +39,14 @@ impl Matrix {
 }
 
 /// Writes an artifact file under the output directory, creating it as
-/// needed. Prints the path so users can find it.
-pub fn write_artifact(out_dir: &Path, name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    fs::create_dir_all(out_dir)?;
+/// needed, and prints the path so users can find it. A failed write
+/// exits 2 naming the path: a run that cannot record its result fails.
+pub fn write_artifact(out_dir: &Path, name: &str, contents: &str) {
     let path = out_dir.join(name);
-    fs::write(&path, contents)?;
+    if let Err(e) = fs::create_dir_all(out_dir).and_then(|()| fs::write(&path, contents)) {
+        crate::die(&format!("cannot write {}: {e}", path.display()));
+    }
     println!("  wrote {}", path.display());
-    Ok(path)
 }
 
 /// Formats a row-oriented text table with a header.
@@ -98,8 +99,8 @@ mod tests {
         let dir = std::env::temp_dir()
             .join(format!("submod-artifact-test-{}", std::process::id()))
             .join("nested");
-        let path = write_artifact(&dir, "x.csv", "a,b\n").unwrap();
-        assert!(path.exists());
+        write_artifact(&dir, "x.csv", "a,b\n");
+        let path = dir.join("x.csv");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n");
         let _ = std::fs::remove_dir_all(dir.parent().unwrap());
     }

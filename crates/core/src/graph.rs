@@ -441,15 +441,6 @@ impl SimilarityGraph {
         Ok((SimilarityGraph::from_backing(Backing::Mapped(Arc::new(mapped))), utilities))
     }
 
-    /// Bytes of the backing store file for a mapped graph (header included),
-    /// or `None` for an owned graph.
-    pub fn store_file_bytes(&self) -> Option<usize> {
-        match &self.backing {
-            Backing::Owned { .. } => None,
-            Backing::Mapped(m) => Some(m.file_bytes()),
-        }
-    }
-
     /// Builds the subgraph induced by `nodes`, relabeling to local dense
     /// indices `0..nodes.len()` in the given order.
     ///
@@ -903,7 +894,6 @@ mod tests {
         assert_eq!(mapped.heap_bytes(), 0);
         assert_eq!(g.heap_bytes(), g.memory_bytes());
         assert_eq!(mapped.memory_bytes(), g.memory_bytes());
-        assert!(mapped.store_file_bytes().unwrap() > mapped.memory_bytes());
         let _ = std::fs::remove_file(&path);
     }
 

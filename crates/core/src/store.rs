@@ -422,11 +422,6 @@ impl MappedCsr {
     pub(crate) fn weights(&self) -> &[f32] {
         self.view.weights()
     }
-
-    /// Bytes of the backing file.
-    pub(crate) fn file_bytes(&self) -> usize {
-        self.view.file_len()
-    }
 }
 
 /// Opens and fully validates a store file.

@@ -21,9 +21,6 @@
 //!   materialized.
 //! - [`SelectionInstance`] — a ready-to-optimize bundle (graph, utilities,
 //!   objective parameters) built end-to-end by [`build_instance`].
-//! - [`pca_2d`] / [`rasterize`] — the 2-D projection behind the Figure 5
-//!   subset visualization (PCA substitutes for t-SNE; the figure's claim is
-//!   about spatial spread, which a linear projection preserves).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +29,6 @@ mod classifier;
 mod dataset;
 mod error;
 mod instance;
-mod pca;
 mod perturb;
 mod synthetic;
 mod utility;
@@ -41,7 +37,6 @@ pub use classifier::CoarseClassifier;
 pub use dataset::DatasetConfig;
 pub use error::DataError;
 pub use instance::{build_instance, SelectionInstance};
-pub use pca::{pca_2d, rasterize, RasterGrid};
 pub use perturb::PerturbedDataset;
 pub use synthetic::ClusteredDataset;
 pub use utility::{center_utilities, margin_utilities};

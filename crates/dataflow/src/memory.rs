@@ -18,6 +18,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// assert_eq!(budget.per_worker_bytes(), 64 * 1024);
 /// assert!(!budget.is_unlimited());
 /// assert!(MemoryBudget::unlimited().is_unlimited());
+/// // A mebibyte count too large for bytes saturates to no limit.
+/// assert_eq!(MemoryBudget::mib(4), MemoryBudget::bytes(4 << 20));
+/// assert!(MemoryBudget::mib(1 << 44).is_unlimited());
+/// assert!(MemoryBudget::mib((1 << 44) + 3).is_unlimited());
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryBudget {
@@ -30,9 +34,10 @@ impl MemoryBudget {
         MemoryBudget { per_worker: bytes }
     }
 
-    /// A budget of `mib` mebibytes per worker.
+    /// A budget of `mib` mebibytes per worker; one whose byte count
+    /// overflows `u64` is [`MemoryBudget::unlimited`].
     pub const fn mib(mib: u64) -> Self {
-        MemoryBudget { per_worker: mib * 1024 * 1024 }
+        MemoryBudget { per_worker: mib.saturating_mul(1024 * 1024) }
     }
 
     /// No limit: workers never spill.

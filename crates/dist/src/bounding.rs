@@ -121,7 +121,7 @@ impl BoundingStats {
         self.peak_candidates = self.peak_candidates.max(candidates);
         self.peak_state_bytes = self.peak_state_bytes.max(state_bytes);
         // Mirror into the metrics registry — the workspace-wide source of
-        // truth `--report-memory` reads; the struct keeps its exact
+        // truth `experiments ltm` reads; the struct keeps its exact
         // per-run semantics for the driver-contrast tests.
         submod_obs::counter!("bounding.passes").incr();
         submod_obs::gauge!("bounding.peak_pass_bytes").fetch_max(pass_bytes);

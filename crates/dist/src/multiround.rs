@@ -121,7 +121,7 @@ impl GreedyStats {
         self.winners_collected += winners;
         self.peak_state_bytes = self.peak_state_bytes.max(state_bytes);
         // Mirror into the metrics registry — the workspace-wide source of
-        // truth `--report-memory` reads; the struct keeps its exact
+        // truth `experiments ltm` reads; the struct keeps its exact
         // per-run semantics for the driver-contrast tests.
         submod_obs::counter!("greedy.rounds").incr();
         submod_obs::counter!("greedy.steps").add(steps as u64);

@@ -128,33 +128,6 @@ pub fn build_knn_graph(
     Ok(SimilarityGraph::from_csr_parts(offsets, neighbors, weights)?.symmetrized())
 }
 
-/// Emit-to-disk graph build: constructs the same symmetrized k-NN graph as
-/// [`build_knn_graph`], writes it to `path` as an on-disk CSR store in one
-/// shot, and returns it reopened **memory-mapped**.
-///
-/// This is the builder the larger-than-memory pipeline uses: the owned
-/// arrays exist only transiently inside the build, after which the graph
-/// lives in the page cache and every shard of a distributed selection
-/// shares the single read-only mapping. The store file persists at `path`
-/// for later runs ([`SimilarityGraph::open_store`] amortizes the build to
-/// zero).
-///
-/// # Errors
-///
-/// Same conditions as [`build_knn_graph`], plus any store write/open
-/// failure as [`KnnError::Store`].
-pub fn build_knn_graph_store(
-    embeddings: &Embeddings,
-    k: usize,
-    backend: &KnnBackend,
-    seed: u64,
-    path: &std::path::Path,
-) -> Result<SimilarityGraph, KnnError> {
-    let graph = build_knn_graph(embeddings, k, backend, seed)?;
-    graph.write_store(path)?;
-    Ok(SimilarityGraph::open_store(path)?)
-}
-
 /// Every point once, in ascending [`QUERY_BLOCK`]-sized runs of ids.
 fn id_order_blocks(n: usize) -> Vec<Vec<u32>> {
     let ids: Vec<u32> = (0..n as u32).collect();
@@ -269,22 +242,6 @@ mod tests {
             }
         );
         assert!(matches!(KnnBackend::auto(100_000), KnnBackend::Ivf { .. }));
-    }
-
-    #[test]
-    fn emit_to_disk_build_matches_in_memory() {
-        let data = gaussian_mixture(150, 6, 4, 7);
-        let in_memory = build_knn_graph(&data, 5, &KnnBackend::Exact, 0).unwrap();
-        let path =
-            std::env::temp_dir().join(format!("submod-builder-test-{}.csr", std::process::id()));
-        let stored = build_knn_graph_store(&data, 5, &KnnBackend::Exact, 0, &path).unwrap();
-        assert!(stored.is_mapped(), "emit-to-disk must return the mapped graph");
-        assert_eq!(stored, in_memory, "mapped graph must be bit-identical to the in-memory build");
-        assert_eq!(stored.csr_parts(), in_memory.csr_parts());
-        // The persisted store reopens identically (the amortize-to-zero path).
-        let reopened = SimilarityGraph::open_store(&path).unwrap();
-        assert_eq!(reopened, in_memory);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

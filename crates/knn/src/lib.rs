@@ -52,7 +52,7 @@ mod ivf;
 mod kmeans;
 
 pub use brute::ExactKnn;
-pub use builder::{build_knn_graph, build_knn_graph_store, KnnBackend, AUTO_EXACT_MAX_POINTS};
+pub use builder::{build_knn_graph, KnnBackend, AUTO_EXACT_MAX_POINTS};
 pub use distance::{cosine_similarity, dot, l2_distance_squared, norm};
 pub use embeddings::Embeddings;
 pub use error::KnnError;

@@ -17,10 +17,10 @@
 //! compare, so the `off` path costs near-zero (the repo benchmark's
 //! `obs.trace_overhead_frac` measures it).
 //! The metrics registry itself is always live — it is the single source
-//! of truth behind `BoundingStats`/`GreedyStats` mirrors and
-//! `experiments ltm --report-memory`, which must work without any env
-//! knob — but every recording site sits at *flush* granularity (once
-//! per shard / pass / block), never per record.
+//! of truth behind `BoundingStats`/`GreedyStats` mirrors and the
+//! driver-memory tables of `experiments ltm`, which must work without
+//! any env knob — but every recording site sits at *flush* granularity
+//! (once per shard / pass / block), never per record.
 //!
 //! # Determinism
 //!
