@@ -139,7 +139,6 @@ pub fn fig16_17(ctx: &BenchCtx) {
                             k,
                             outcome.clone(),
                             &greedy,
-                            cell_seed(p, r, 0.9, k),
                         )
                         .expect("pipeline")
                         .selection

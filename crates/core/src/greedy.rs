@@ -26,60 +26,6 @@ use crate::{
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Options controlling the greedy variants.
-///
-/// ```
-/// use submod_core::GreedyOptions;
-///
-/// let opts = GreedyOptions::new().record_gains(true);
-/// assert!(opts.gains_recorded());
-/// ```
-#[derive(Clone, Debug)]
-pub struct GreedyOptions {
-    record_gains: bool,
-    allow_negative_gains: bool,
-}
-
-impl GreedyOptions {
-    /// Default options: gains recorded, negative-gain pops allowed (the
-    /// paper's greedy always selects exactly `k` points).
-    pub fn new() -> Self {
-        GreedyOptions { record_gains: true, allow_negative_gains: true }
-    }
-
-    /// Whether to record per-step marginal gains in the [`Selection`].
-    pub fn record_gains(mut self, yes: bool) -> Self {
-        self.record_gains = yes;
-        self
-    }
-
-    /// Returns `true` if gains will be recorded.
-    pub fn gains_recorded(&self) -> bool {
-        self.record_gains
-    }
-
-    /// Whether to keep selecting once the best marginal gain turns negative.
-    ///
-    /// Algorithm 2 always fills the budget; setting this to `false` stops
-    /// early instead, which is useful when the objective is non-monotone and
-    /// a smaller subset scores higher.
-    pub fn allow_negative_gains(mut self, yes: bool) -> Self {
-        self.allow_negative_gains = yes;
-        self
-    }
-
-    /// Returns `true` if negative-gain selections are permitted.
-    pub fn negative_gains_allowed(&self) -> bool {
-        self.allow_negative_gains
-    }
-}
-
-impl Default for GreedyOptions {
-    fn default() -> Self {
-        GreedyOptions::new()
-    }
-}
-
 fn validate_instance(
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
@@ -129,35 +75,18 @@ pub fn greedy_select(
     objective: &PairwiseObjective,
     k: usize,
 ) -> Result<Selection, CoreError> {
-    greedy_select_with(graph, objective, k, &GreedyOptions::new())
-}
-
-/// [`greedy_select`] with explicit [`GreedyOptions`].
-///
-/// # Errors
-///
-/// Same conditions as [`greedy_select`].
-pub fn greedy_select_with(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-    options: &GreedyOptions,
-) -> Result<Selection, CoreError> {
     validate_instance(graph, objective, k)?;
     let ratio = objective.ratio();
     let priorities: Vec<f64> = objective.utilities().iter().map(|&u| f64::from(u)).collect();
     let mut pq = AddressablePq::with_priorities(priorities);
 
     let mut selected = Vec::with_capacity(k);
-    let mut gains = Vec::with_capacity(if options.record_gains { k } else { 0 });
+    let mut gains = Vec::with_capacity(k);
     let mut value = 0.0f64;
 
     while selected.len() < k {
         let Some((v, priority)) = pq.pop_max() else { break };
         let gain = objective.alpha() * priority;
-        if gain < 0.0 && !options.allow_negative_gains {
-            break;
-        }
         let vid = NodeId::new(u64::from(v));
         for (w, s) in graph.edges(vid) {
             let w = w.index() as u32;
@@ -166,9 +95,7 @@ pub fn greedy_select_with(
             }
         }
         selected.push(vid);
-        if options.record_gains {
-            gains.push(gain);
-        }
+        gains.push(gain);
         value += gain;
     }
     Ok(Selection::new(selected, gains, value))
@@ -505,25 +432,6 @@ mod tests {
         for pair in sel.gains().windows(2) {
             assert!(pair[1] <= pair[0] + 1e-9, "gains must be non-increasing: {pair:?}");
         }
-    }
-
-    #[test]
-    fn stop_on_negative_gain_option() {
-        // Utilities of zero with strong similarities: every pick after the
-        // first few has negative gain.
-        let mut b = GraphBuilder::new(4);
-        for v in 0..4u64 {
-            for w in v + 1..4 {
-                b.add_undirected(v, w, 1.0).unwrap();
-            }
-        }
-        let graph = b.build();
-        let obj = PairwiseObjective::new(1.0, 1.0, vec![0.1; 4]).unwrap();
-        let opts = GreedyOptions::new().allow_negative_gains(false);
-        let sel = greedy_select_with(&graph, &obj, 4, &opts).unwrap();
-        assert!(sel.len() < 4, "selection must stop before negative gains");
-        let full = greedy_select(&graph, &obj, 4).unwrap();
-        assert_eq!(full.len(), 4, "default fills the budget regardless");
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub mod store;
 pub use error::CoreError;
 pub use graph::{GraphBuilder, SimilarityGraph};
 pub use greedy::{
-    greedy_select, greedy_select_with, lazy_greedy_select, naive_greedy_select,
-    stochastic_greedy_select, threshold_greedy_select, GreedyOptions,
+    greedy_select, lazy_greedy_select, naive_greedy_select, stochastic_greedy_select,
+    threshold_greedy_select,
 };
 pub use ids::NodeId;
 pub use nodeset::NodeSet;

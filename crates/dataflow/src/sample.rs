@@ -11,8 +11,8 @@
 
 /// splitmix64 finalizer: well-dispersed, order-independent, and stable
 /// across platforms. The canonical mixer for every deterministic coin in
-/// the workspace (the `submod_dist` sampling coins delegate here so both
-/// bounding drivers flip identical coins).
+/// the workspace (the `submod_dist` sampling coins and partition hash call
+/// it, so both drivers flip identical coins and key identical machines).
 pub fn splitmix64(state: u64) -> u64 {
     let mut z = state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -43,5 +43,21 @@ mod tests {
         assert!(coins.iter().all(|c| (0.0..1.0).contains(c)));
         let mean = coins.iter().sum::<f64>() / coins.len() as f64;
         assert!((mean - 0.5).abs() < 0.02, "coin mean {mean} far from 0.5");
+    }
+
+    /// The partition assignments and sampling coins of recorded runs (and
+    /// of journals written by earlier builds) depend on these exact bits.
+    #[test]
+    fn mix_seed_key_matches_the_historical_splitmix64_values() {
+        fn reference(state: u64) -> u64 {
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        for (seed, node) in [(0u64, 0u64), (1, 2), (17, 93), (u64::MAX, 12345)] {
+            let expected = reference(seed ^ node.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            assert_eq!(mix_seed_key(seed, node), expected);
+        }
     }
 }

@@ -47,7 +47,8 @@
 //! derives everything.
 
 use crate::config::BoundingMode;
-use crate::{BoundingConfig, DistError, SamplingStrategy};
+use crate::journal::RunJournal;
+use crate::{check_instance, BoundingConfig, DistError, Driver, SamplingStrategy};
 use submod_core::{NodeId, NodeSet, PairwiseObjective, SimilarityGraph};
 use submod_dataflow::{PCollection, Pipeline};
 use submod_journal::Record;
@@ -67,6 +68,9 @@ pub struct BoundingOutcome {
     pub shrink_rounds: usize,
     /// Budget still open after bounding: `k − |included|`.
     pub k_remaining: usize,
+    /// The driver-side memory accounting of the run. It differs between
+    /// the drivers, so cross-driver checks compare every field but this.
+    pub stats: BoundingStats,
 }
 
 impl BoundingOutcome {
@@ -660,28 +664,6 @@ impl PassBackend for DataflowBackend<'_> {
     }
 }
 
-fn validate(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-) -> Result<(), DistError> {
-    if objective.num_nodes() != graph.num_nodes() {
-        return Err(submod_core::CoreError::UtilityLengthMismatch {
-            utilities: objective.num_nodes(),
-            num_nodes: graph.num_nodes(),
-        }
-        .into());
-    }
-    if k > graph.num_nodes() {
-        return Err(submod_core::CoreError::BudgetTooLarge {
-            budget: k,
-            available: graph.num_nodes(),
-        }
-        .into());
-    }
-    Ok(())
-}
-
 fn mean_utility(objective: &PairwiseObjective, n: usize) -> f64 {
     objective.utilities().iter().map(|&u| f64::from(u)).sum::<f64>() / (n.max(1)) as f64
 }
@@ -698,45 +680,19 @@ pub fn bound_in_memory(
     k: usize,
     config: &BoundingConfig,
 ) -> Result<BoundingOutcome, DistError> {
-    bound_in_memory_with_stats(graph, objective, k, config).map(|(outcome, _)| outcome)
-}
-
-/// [`bound_in_memory`] plus the driver-side memory accounting.
-///
-/// # Errors
-///
-/// Returns an error if the objective does not match the graph or `k`
-/// exceeds the ground set.
-pub fn bound_in_memory_with_stats(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-    config: &BoundingConfig,
-) -> Result<(BoundingOutcome, BoundingStats), DistError> {
-    bound_in_memory_with_journal(graph, objective, k, config, None)
-}
-
-/// [`bound_in_memory_with_stats`] with an optional run journal — the
-/// crate-internal seam the journaled pipeline threads through.
-pub(crate) fn bound_in_memory_with_journal(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-    config: &BoundingConfig,
-    journal: Option<&mut crate::journal::RunJournal>,
-) -> Result<(BoundingOutcome, BoundingStats), DistError> {
-    validate(graph, objective, k)?;
-    let mut backend = InMemoryBackend::new(graph, objective, config.mode);
-    run_bounding(graph, k, config, &mut backend, journal)
+    run(Driver::InMemory, graph, objective, k, config, None)
 }
 
 /// Runs bounding on the dataflow engine with the bound table
 /// engine-resident end to end (see the module docs): broadcast status
 /// side-inputs, shard-local derive, engine-side sampling and candidate
 /// filters, distributed threshold selection, and every worker buffer held
-/// to the pipeline's memory budget.
+/// to the pipeline's memory budget. The outcome's
+/// [`BoundingStats::peak_pass_bytes`] covers only the collected candidate
+/// lists.
 ///
-/// The outcome is identical to [`bound_in_memory`] by construction.
+/// The outcome's decisions are identical to [`bound_in_memory`]'s by
+/// construction.
 ///
 /// # Errors
 ///
@@ -749,33 +705,37 @@ pub fn bound_dataflow(
     k: usize,
     config: &BoundingConfig,
 ) -> Result<BoundingOutcome, DistError> {
-    bound_dataflow_with_stats(pipeline, graph, objective, k, config).map(|(outcome, _)| outcome)
+    run(Driver::Dataflow(pipeline), graph, objective, k, config, None)
 }
 
-/// [`bound_dataflow`] plus the driver-side memory accounting that proves
-/// the bound table stayed engine-resident: `peak_pass_bytes` covers only
-/// the collected candidate lists.
-///
-/// # Errors
-///
-/// Returns an error if the objective does not match the graph, `k`
-/// exceeds the ground set, or spill I/O fails.
-pub fn bound_dataflow_with_stats(
-    pipeline: &Pipeline,
+/// The one bounding run: checks the instance, builds the driver's
+/// backend, and runs the shared grow/shrink loop, journaled when a
+/// journal is given.
+pub(crate) fn run(
+    driver: Driver<'_>,
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
     k: usize,
     config: &BoundingConfig,
-) -> Result<(BoundingOutcome, BoundingStats), DistError> {
-    validate(graph, objective, k)?;
-    let mut backend = DataflowBackend {
-        pipeline,
-        graph,
-        objective,
-        mode: config.mode,
-        mean_utility: mean_utility(objective, graph.num_nodes()),
-    };
-    run_bounding(graph, k, config, &mut backend, None)
+    journal: Option<&mut RunJournal>,
+) -> Result<BoundingOutcome, DistError> {
+    check_instance(graph, objective, k)?;
+    match driver {
+        Driver::InMemory => {
+            let mut backend = InMemoryBackend::new(graph, objective, config.mode);
+            run_bounding(graph, k, config, &mut backend, journal)
+        }
+        Driver::Dataflow(pipeline) => {
+            let mut backend = DataflowBackend {
+                pipeline,
+                graph,
+                objective,
+                mode: config.mode,
+                mean_utility: mean_utility(objective, graph.num_nodes()),
+            };
+            run_bounding(graph, k, config, &mut backend, journal)
+        }
+    }
 }
 
 /// Rebuilds a [`NodeSet`] from the journal's dense word representation.
@@ -807,8 +767,8 @@ fn run_bounding(
     k: usize,
     config: &BoundingConfig,
     backend: &mut dyn PassBackend,
-    mut journal: Option<&mut crate::journal::RunJournal>,
-) -> Result<(BoundingOutcome, BoundingStats), DistError> {
+    mut journal: Option<&mut RunJournal>,
+) -> Result<BoundingOutcome, DistError> {
     let _span = submod_obs::span("bound.run");
     let n = graph.num_nodes();
     let mut state = State { included: NodeSet::new(n), excluded: NodeSet::new(n), k };
@@ -859,18 +819,15 @@ fn run_bounding(
                 excluded: nodeset_from_words(n, &excluded_words),
                 k,
             };
-            let remaining = done.undecided(n);
-            return Ok((
-                BoundingOutcome {
-                    included: included.iter().map(|&v| NodeId::new(v)).collect(),
-                    excluded_count: done.excluded.len(),
-                    remaining,
-                    grow_rounds: grow as usize,
-                    shrink_rounds: shrink as usize,
-                    k_remaining: k_remaining as usize,
-                },
+            return Ok(BoundingOutcome {
+                included: included.iter().map(|&v| NodeId::new(v)).collect(),
+                excluded_count: done.excluded.len(),
+                remaining: done.undecided(n),
+                grow_rounds: grow as usize,
+                shrink_rounds: shrink as usize,
+                k_remaining: k_remaining as usize,
                 stats,
-            ));
+            });
         }
     }
 
@@ -988,17 +945,15 @@ fn run_bounding(
             excluded_words: state.excluded.words().to_vec(),
         })?;
     }
-    Ok((
-        BoundingOutcome {
-            excluded_count: state.excluded.len(),
-            included,
-            remaining,
-            grow_rounds,
-            shrink_rounds,
-            k_remaining,
-        },
+    Ok(BoundingOutcome {
+        excluded_count: state.excluded.len(),
+        included,
+        remaining,
+        grow_rounds,
+        shrink_rounds,
+        k_remaining,
         stats,
-    ))
+    })
 }
 
 /// The uniform-completion ratio `q = k_rem / |undecided|` of Def. 4.5.
@@ -1014,6 +969,11 @@ fn completion_ratio(k_remaining: usize, undecided_len: usize) -> f64 {
 mod tests {
     use super::*;
     use submod_core::GraphBuilder;
+
+    /// The outcome without its driver-dependent stats.
+    fn decisions(outcome: BoundingOutcome) -> BoundingOutcome {
+        BoundingOutcome { stats: BoundingStats::default(), ..outcome }
+    }
 
     fn figure1_instance() -> (SimilarityGraph, PairwiseObjective) {
         // The paper's Figure 1 layout: two similar pairs plus two loners.
@@ -1092,7 +1052,7 @@ mod tests {
         ] {
             let mem = bound_in_memory(&graph, &objective, 3, &config).unwrap();
             let df = bound_dataflow(&pipeline, &graph, &objective, 3, &config).unwrap();
-            assert_eq!(mem, df);
+            assert_eq!(decisions(mem), decisions(df));
         }
     }
 
@@ -1101,10 +1061,10 @@ mod tests {
         let (graph, objective) = figure1_instance();
         let pipeline = Pipeline::new(3).unwrap();
         let config = BoundingConfig::exact();
-        let (mem, mem_stats) = bound_in_memory_with_stats(&graph, &objective, 3, &config).unwrap();
-        let (df, df_stats) =
-            bound_dataflow_with_stats(&pipeline, &graph, &objective, 3, &config).unwrap();
-        assert_eq!(mem, df);
+        let mem = bound_in_memory(&graph, &objective, 3, &config).unwrap();
+        let df = bound_dataflow(&pipeline, &graph, &objective, 3, &config).unwrap();
+        let (mem_stats, df_stats) = (mem.stats, df.stats);
+        assert_eq!(decisions(mem), decisions(df));
         assert_eq!(mem_stats.passes, df_stats.passes);
         assert_eq!(mem_stats.peak_candidates, df_stats.peak_candidates);
         // The in-memory driver pays for the full table; the dataflow
@@ -1146,7 +1106,7 @@ mod tests {
         let mut b = GraphBuilder::new(n);
         let mut s = seed;
         for _ in 0..4 * n {
-            s = crate::mix::mix_seed_node(s, 1);
+            s = submod_dataflow::mix_seed_key(s, 1);
             let (v, w) = ((s >> 8) % n as u64, (s >> 40) % n as u64);
             let weight = (s % 7) as f32 / 8.0;
             if v != w {
@@ -1158,7 +1118,7 @@ mod tests {
             }
         }
         let utilities =
-            (0..n as u64).map(|i| (crate::mix::mix_seed_node(seed, i) % 5) as f32 / 4.0);
+            (0..n as u64).map(|i| (submod_dataflow::mix_seed_key(seed, i) % 5) as f32 / 4.0);
         (b.build(), PairwiseObjective::from_alpha(0.8, utilities.collect()).unwrap())
     }
 
@@ -1182,7 +1142,7 @@ mod tests {
                 backend.run_pass(&state, &undecided, spec).unwrap();
                 let before = (state.included.clone(), state.excluded.clone());
                 for i in 0..decisions {
-                    s = crate::mix::mix_seed_node(s, 2);
+                    s = submod_dataflow::mix_seed_key(s, 2);
                     let v = undecided[s as usize % undecided.len()];
                     if state.included.contains(v) || state.excluded.contains(v) {
                         continue;
@@ -1223,13 +1183,11 @@ mod tests {
                 BoundingConfig::exact(),
                 BoundingConfig::approximate(0.5, SamplingStrategy::Uniform, seed).unwrap(),
             ] {
-                let (mem, mem_stats) =
-                    bound_in_memory_with_stats(&graph, &objective, 20, &config).unwrap();
-                let (df, df_stats) =
-                    bound_dataflow_with_stats(&pipeline, &graph, &objective, 20, &config).unwrap();
-                assert_eq!(mem, df, "{directed} {seed}");
-                assert_eq!(mem_stats.passes, df_stats.passes);
-                assert_eq!(mem_stats.peak_candidates, df_stats.peak_candidates);
+                let mem = bound_in_memory(&graph, &objective, 20, &config).unwrap();
+                let df = bound_dataflow(&pipeline, &graph, &objective, 20, &config).unwrap();
+                assert_eq!(mem.stats.passes, df.stats.passes);
+                assert_eq!(mem.stats.peak_candidates, df.stats.peak_candidates);
+                assert_eq!(decisions(mem), decisions(df), "{directed} {seed}");
             }
         }
     }

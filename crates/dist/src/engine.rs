@@ -76,13 +76,13 @@ impl MachineKeying {
     pub(crate) fn machine_of(&self, v: u64) -> u64 {
         match self {
             MachineKeying::Hash { seed, machines } => {
-                crate::mix::mix_seed_node(*seed, v) % *machines
+                submod_dataflow::mix_seed_key(*seed, v) % *machines
             }
             MachineKeying::HashForced { seed, machines, forced } => {
                 if forced.contains(NodeId::new(v)) {
                     0
                 } else {
-                    crate::mix::mix_seed_node(*seed, v) % *machines
+                    submod_dataflow::mix_seed_key(*seed, v) % *machines
                 }
             }
             MachineKeying::Contiguous { chunk } => v / *chunk,
@@ -1204,7 +1204,7 @@ mod tests {
             pool.truncate([0, 1, n, n][size_pick]);
             let mut state = shuffle;
             for i in (1..pool.len()).rev() {
-                state = crate::mix::mix_seed_node(state, i as u64);
+                state = submod_dataflow::mix_seed_key(state, i as u64);
                 pool.swap(i, (state % (i as u64 + 1)) as usize);
             }
             let quota = [0, 1, pool.len().saturating_sub(1), pool.len()][quota_pick];

@@ -5,25 +5,19 @@
 //! the merge machine must hold `m·k` points, growing linearly with the
 //! cluster size. The multi-round algorithm exists to avoid exactly that.
 //!
-//! The **map phase** runs through the same shared backend as the
-//! multi-round algorithm (`MachineGreedyBackend`): partitions are a
-//! deterministic keyed transform (contiguous chunks for the original
-//! "arbitrary" analysis, a seeded hash for RandGreeDi), every machine
-//! runs Algorithm 2 on its partition in one backend phase, and on the
-//! dataflow driver ([`greedi_dataflow`]) the scored pool stays inside
-//! the engine — partition-resident when a partition fits a worker,
-//! τ-batched passes when not — with only winner rows collected.
-//! The **merge phase** is deliberately driver-side on both drivers —
-//! holding the `m·k`-point union on one machine *is* the baseline's
-//! memory story the paper argues against.
+//! The **map phase** is one phase of the in-memory backend the
+//! multi-round algorithm runs on (`MachineGreedyBackend`): partitions are
+//! a deterministic keyed transform (contiguous chunks for the original
+//! "arbitrary" analysis, a seeded hash for RandGreeDi), and every machine
+//! runs Algorithm 2 on its partition. The dataflow backend's phase is the
+//! one the multi-round dataflow driver runs and its tests pin, so GreeDi
+//! has no dataflow driver of its own. The **merge phase** runs on the
+//! driver — holding the `m·k`-point union on one machine *is* the
+//! baseline's memory story the paper argues against.
 
-use crate::engine::{
-    machine_select, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend,
-    MachineKeying,
-};
-use crate::{DistError, PartitionStyle};
+use crate::engine::{machine_select, InMemoryGreedyBackend, MachineGreedyBackend, MachineKeying};
+use crate::{check_instance, DistError, PartitionStyle};
 use submod_core::{NodeId, PairwiseObjective, Selection, SimilarityGraph};
-use submod_dataflow::Pipeline;
 
 /// Memory footprint of the centralized merge step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,32 +45,6 @@ pub struct GreediReport {
 /// plus a 10-neighbor adjacency list at 16 B per entry).
 const MERGE_BYTES_PER_POINT: u64 = 16 + 10 * 16;
 
-fn validate(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-    machines: usize,
-) -> Result<(), DistError> {
-    if machines == 0 {
-        return Err(DistError::config("machine count must be at least 1"));
-    }
-    if objective.num_nodes() != graph.num_nodes() {
-        return Err(submod_core::CoreError::UtilityLengthMismatch {
-            utilities: objective.num_nodes(),
-            num_nodes: graph.num_nodes(),
-        }
-        .into());
-    }
-    if k > graph.num_nodes() {
-        return Err(submod_core::CoreError::BudgetTooLarge {
-            budget: k,
-            available: graph.num_nodes(),
-        }
-        .into());
-    }
-    Ok(())
-}
-
 /// The keyed partition assignment of a GreeDi run.
 fn keying_for(style: PartitionStyle, n: usize, machines: usize, seed: u64) -> MachineKeying {
     match style {
@@ -87,70 +55,6 @@ fn keying_for(style: PartitionStyle, n: usize, machines: usize, seed: u64) -> Ma
             MachineKeying::Hash { seed: seed ^ 0x0006_EED1, machines: machines as u64 }
         }
     }
-}
-
-/// The shared map + merge driver: identical on both backends, which is
-/// what makes the in-memory and dataflow runs bitwise-identical.
-///
-/// With a journal, the completed map phase is committed as a single
-/// round-1 record; a resume replays it and jumps straight to the
-/// driver-side merge, which is recomputed deterministically.
-#[allow(clippy::too_many_arguments)]
-fn run_greedi(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-    machines: usize,
-    style: PartitionStyle,
-    seed: u64,
-    backend: &mut dyn MachineGreedyBackend,
-    mut journal: Option<&mut crate::journal::RunJournal>,
-) -> Result<GreediReport, DistError> {
-    let n = graph.num_nodes();
-    let replayed_union = journal.as_deref_mut().and_then(|j| j.take_greedy_round(1));
-    let union: Vec<NodeId> =
-        if let Some(submod_journal::Record::GreedyRound { selected, .. }) = replayed_union {
-            selected.iter().map(|&v| NodeId::new(v)).collect()
-        } else {
-            // Map phase: every machine solves its partition for the full
-            // budget `k` in one backend phase. The phase also narrows the
-            // backend's pool to the winners; nothing reads it afterwards.
-            let keying = keying_for(style, n, machines, seed);
-            let outcome = backend.phase(keying, machines, n, k)?;
-            if let Some(j) = journal.as_mut() {
-                j.append_sync(&submod_journal::Record::GreedyRound {
-                    round: 1,
-                    input_size: n as u64,
-                    target: k as u64,
-                    partitions: machines as u64,
-                    seed,
-                    stats: submod_journal::GreedySnapshot {
-                        rounds: 1,
-                        steps: outcome.steps as u64,
-                        peak_step_winners: outcome.peak_step_winners as u64,
-                        winners_collected: outcome.selected.len() as u64,
-                        ..Default::default()
-                    },
-                    selected: outcome.selected.iter().map(|v| v.raw()).collect(),
-                })?;
-                submod_obs::faults::maybe_crash_after_round(1);
-            }
-            outcome.selected
-        };
-
-    // Merge phase: one machine holds the whole union and re-runs greedy.
-    let union_size = union.len();
-    let mut merge_pool = union;
-    let chosen = machine_select(graph, objective, &mut merge_pool, k);
-    let value = objective.evaluate(graph, &chosen);
-
-    Ok(GreediReport {
-        selection: Selection::new(chosen, Vec::new(), value),
-        merge: MergeStats {
-            union_size,
-            merge_memory_bytes: union_size as u64 * MERGE_BYTES_PER_POINT,
-        },
-    })
 }
 
 /// Runs GreeDi with `machines` partitions.
@@ -171,68 +75,31 @@ pub fn greedi(
     style: PartitionStyle,
     seed: u64,
 ) -> Result<GreediReport, DistError> {
-    greedi_with_journal(graph, objective, k, machines, style, seed, None)
-}
-
-/// [`greedi`] with an optional run journal — the crate-internal seam the
-/// journaled entry points thread through.
-pub(crate) fn greedi_with_journal(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-    machines: usize,
-    style: PartitionStyle,
-    seed: u64,
-    journal: Option<&mut crate::journal::RunJournal>,
-) -> Result<GreediReport, DistError> {
-    validate(graph, objective, k, machines)?;
-    let ground: Vec<NodeId> = (0..graph.num_nodes()).map(NodeId::from_index).collect();
+    if machines == 0 {
+        return Err(DistError::config("machine count must be at least 1"));
+    }
+    check_instance(graph, objective, k)?;
+    let n = graph.num_nodes();
+    let ground: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
     let mut backend = InMemoryGreedyBackend::new(graph, objective, &ground);
-    run_greedi(graph, objective, k, machines, style, seed, &mut backend, journal)
-}
 
-/// [`greedi`] with the map phase on the dataflow engine: the keyed pool
-/// is grouped by machine and every machine solved inside its worker
-/// (or, when a partition exceeds the per-worker budget, by τ-batched
-/// engine passes), and the driver collects only the winner rows that
-/// make up the `m·k`-point union for the (deliberately driver-side)
-/// merge.
-///
-/// The outcome is **identical** to [`greedi`] by construction.
-///
-/// # Errors
-///
-/// Same conditions as [`greedi`], plus spill I/O failures.
-pub fn greedi_dataflow(
-    pipeline: &Pipeline,
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-    machines: usize,
-    style: PartitionStyle,
-    seed: u64,
-) -> Result<GreediReport, DistError> {
-    greedi_dataflow_with_journal(pipeline, graph, objective, k, machines, style, seed, None)
-}
+    // Map phase: every machine solves its partition for the full budget
+    // `k` in one backend phase. The phase also narrows the backend's pool
+    // to the winners; nothing reads it afterwards.
+    let keying = keying_for(style, n, machines, seed);
+    let mut union = backend.phase(keying, machines, n, k)?.selected;
 
-/// [`greedi_dataflow`] with an optional run journal — the crate-internal
-/// seam the journaled entry points thread through.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn greedi_dataflow_with_journal(
-    pipeline: &Pipeline,
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-    machines: usize,
-    style: PartitionStyle,
-    seed: u64,
-    journal: Option<&mut crate::journal::RunJournal>,
-) -> Result<GreediReport, DistError> {
-    validate(graph, objective, k, machines)?;
-    let ground: Vec<NodeId> = (0..graph.num_nodes()).map(NodeId::from_index).collect();
-    let batch = crate::DistGreedyConfig::DEFAULT_WINNER_BATCH;
-    let mut backend = DataflowGreedyBackend::new(pipeline, graph, objective, &ground, batch);
-    run_greedi(graph, objective, k, machines, style, seed, &mut backend, journal)
+    // Merge phase: one machine holds the whole union and re-runs greedy.
+    let union_size = union.len();
+    let chosen = machine_select(graph, objective, &mut union, k);
+    let value = objective.evaluate(graph, &chosen);
+    Ok(GreediReport {
+        selection: Selection::new(chosen, Vec::new(), value),
+        merge: MergeStats {
+            union_size,
+            merge_memory_bytes: union_size as u64 * MERGE_BYTES_PER_POINT,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -291,22 +158,6 @@ mod tests {
             "GreeDi quality too low: {} vs {central}",
             report.selection.objective_value()
         );
-    }
-
-    #[test]
-    fn dataflow_map_phase_is_bitwise_identical() {
-        let (graph, objective) = instance(80);
-        for style in [PartitionStyle::Arbitrary, PartitionStyle::Random] {
-            let mem = greedi(&graph, &objective, 8, 4, style, 5).unwrap();
-            let pipeline = Pipeline::new(3).unwrap();
-            let df = greedi_dataflow(&pipeline, &graph, &objective, 8, 4, style, 5).unwrap();
-            assert_eq!(df.selection.selected(), mem.selection.selected(), "{style:?}");
-            assert_eq!(
-                df.selection.objective_value().to_bits(),
-                mem.selection.objective_value().to_bits()
-            );
-            assert_eq!(df.merge, mem.merge);
-        }
     }
 
     #[test]

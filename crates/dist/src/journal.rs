@@ -1,10 +1,10 @@
 //! Journaled checkpoint/resume for the selection stack.
 //!
-//! Every journaled entry point wraps its plain counterpart around a
-//! [`submod_journal`] write-ahead log: the run writes a
+//! Every journaled entry point runs its algorithm's one run function with
+//! a [`submod_journal`] write-ahead log: the run writes a
 //! [`Record::RunStart`] header first, then one record per completed unit
-//! of work (a greedy round, a bounding cycle, the GreeDi map phase),
-//! fsyncing at each boundary, and a [`Record::RunComplete`] at the end.
+//! of work (a greedy round, a bounding cycle), fsyncing at each boundary,
+//! and a [`Record::RunComplete`] at the end.
 //!
 //! On restart with the same journal path, the valid prefix is replayed —
 //! a torn tail from a crash mid-append is truncated first — and the run
@@ -22,8 +22,8 @@
 
 use crate::config::BoundingMode;
 use crate::{
-    BoundingConfig, DeltaSchedule, DistError, DistGreedyConfig, DistGreedyReport, GreediReport,
-    GreedyStats, PartitionStyle, PipelineConfig, PipelineOutcome,
+    BoundingConfig, DeltaSchedule, DistError, DistGreedyConfig, DistGreedyReport, Driver,
+    GreedyStats, PipelineConfig, PipelineOutcome,
 };
 use std::collections::VecDeque;
 use std::path::Path;
@@ -31,9 +31,9 @@ use submod_core::{NodeId, PairwiseObjective, SimilarityGraph};
 use submod_dataflow::Pipeline;
 use submod_journal::{BoundingSnapshot, GreedySnapshot, Journal, Record};
 
-/// Algorithm tags stored in [`Record::RunStart`].
+/// Algorithm tags stored in [`Record::RunStart`]. Tag 2 belonged to a
+/// journaled GreeDi and is not reused.
 const ALGO_GREEDY: u64 = 1;
-const ALGO_GREEDI: u64 = 2;
 const ALGO_PIPELINE: u64 = 3;
 
 /// An open run journal: the append handle plus the queue of records
@@ -293,10 +293,26 @@ fn greedy_start(
     run_start(ALGO_GREEDY, &body, graph.num_nodes(), k, config.seed, config.machines, config.rounds)
 }
 
-/// [`crate::distributed_greedy_with_stats`] with a write-ahead journal at
+/// Opens the journal at `path` for the run `start` describes, runs `body`
+/// against it, and closes the run.
+fn journaled<T>(
+    path: &Path,
+    start: &Record,
+    body: impl FnOnce(&mut RunJournal) -> Result<T, DistError>,
+) -> Result<T, DistError> {
+    let mut journal = RunJournal::open(path, start)?;
+    let result = body(&mut journal)?;
+    journal.finish()?;
+    Ok(result)
+}
+
+/// [`crate::distributed_greedy`] with a write-ahead journal at
 /// `journal_path`: each completed round is committed to the journal, and
 /// a rerun against the same path resumes from the last complete round,
 /// selecting a bitwise-identical subset.
+///
+/// The stats also ride on the report; the tuple stays until the repo
+/// benchmark, which destructures it, is re-versioned.
 ///
 /// # Errors
 ///
@@ -311,22 +327,17 @@ pub fn distributed_greedy_journaled(
     config: &DistGreedyConfig,
     journal_path: &Path,
 ) -> Result<(DistGreedyReport, GreedyStats), DistError> {
-    let mut journal = RunJournal::open(journal_path, &greedy_start(graph, ground, k, config))?;
-    let result = crate::multiround::distributed_greedy_with_journal(
-        graph,
-        objective,
-        ground,
-        k,
-        config,
-        Some(&mut journal),
-    )?;
-    journal.finish()?;
-    Ok(result)
+    let report = journaled(journal_path, &greedy_start(graph, ground, k, config), |journal| {
+        crate::multiround::run(Driver::InMemory, graph, objective, ground, k, config, Some(journal))
+    })?;
+    let stats = report.stats;
+    Ok((report, stats))
 }
 
-/// [`distributed_greedy_journaled`] on the dataflow driver. The journal
-/// format and fingerprint are driver-agnostic: a run may crash under one
-/// driver and resume under the other.
+/// [`distributed_greedy_journaled`] on the dataflow driver, with the same
+/// `(report, stats)` tuple. The journal format and fingerprint are
+/// driver-agnostic: a run may crash under one driver and resume under the
+/// other.
 ///
 /// # Errors
 ///
@@ -341,101 +352,12 @@ pub fn distributed_greedy_dataflow_journaled(
     config: &DistGreedyConfig,
     journal_path: &Path,
 ) -> Result<(DistGreedyReport, GreedyStats), DistError> {
-    let mut journal = RunJournal::open(journal_path, &greedy_start(graph, ground, k, config))?;
-    let result = crate::multiround::distributed_greedy_dataflow_with_journal(
-        pipeline,
-        graph,
-        objective,
-        ground,
-        k,
-        config,
-        Some(&mut journal),
-    )?;
-    journal.finish()?;
-    Ok(result)
-}
-
-fn greedi_start(
-    graph: &SimilarityGraph,
-    k: usize,
-    machines: usize,
-    style: PartitionStyle,
-    seed: u64,
-) -> Record {
-    let mut body = Vec::new();
-    put(
-        &mut body,
-        match style {
-            PartitionStyle::Arbitrary => 1,
-            PartitionStyle::Random => 2,
-        },
-    );
-    run_start(ALGO_GREEDI, &body, graph.num_nodes(), k, seed, machines, 1)
-}
-
-/// [`crate::greedi`] with a write-ahead journal: the map phase (the
-/// expensive part) is committed as a single round record, so a rerun
-/// resumes straight at the driver-side merge.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::greedi`], plus journal I/O failures and a
-/// refused resume on a configuration mismatch.
-pub fn greedi_journaled(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-    machines: usize,
-    style: PartitionStyle,
-    seed: u64,
-    journal_path: &Path,
-) -> Result<GreediReport, DistError> {
-    let mut journal =
-        RunJournal::open(journal_path, &greedi_start(graph, k, machines, style, seed))?;
-    let report = crate::greedi::greedi_with_journal(
-        graph,
-        objective,
-        k,
-        machines,
-        style,
-        seed,
-        Some(&mut journal),
-    )?;
-    journal.finish()?;
-    Ok(report)
-}
-
-/// [`greedi_journaled`] on the dataflow driver (driver-agnostic journal,
-/// like [`distributed_greedy_dataflow_journaled`]).
-///
-/// # Errors
-///
-/// Same conditions as [`greedi_journaled`], plus spill I/O failures.
-#[allow(clippy::too_many_arguments)]
-pub fn greedi_dataflow_journaled(
-    pipeline: &Pipeline,
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-    machines: usize,
-    style: PartitionStyle,
-    seed: u64,
-    journal_path: &Path,
-) -> Result<GreediReport, DistError> {
-    let mut journal =
-        RunJournal::open(journal_path, &greedi_start(graph, k, machines, style, seed))?;
-    let report = crate::greedi::greedi_dataflow_with_journal(
-        pipeline,
-        graph,
-        objective,
-        k,
-        machines,
-        style,
-        seed,
-        Some(&mut journal),
-    )?;
-    journal.finish()?;
-    Ok(report)
+    let driver = Driver::Dataflow(pipeline);
+    let report = journaled(journal_path, &greedy_start(graph, ground, k, config), |journal| {
+        crate::multiround::run(driver, graph, objective, ground, k, config, Some(journal))
+    })?;
+    let stats = report.stats;
+    Ok((report, stats))
 }
 
 fn pipeline_start(graph: &SimilarityGraph, k: usize, config: &PipelineConfig) -> Record {
@@ -476,29 +398,7 @@ pub fn select_subset_journaled(
     config: &PipelineConfig,
     journal_path: &Path,
 ) -> Result<PipelineOutcome, DistError> {
-    let mut journal = RunJournal::open(journal_path, &pipeline_start(graph, k, config))?;
-    let bounding = match &config.bounding {
-        Some(bounding_config) => {
-            let (outcome, _) = crate::bounding::bound_in_memory_with_journal(
-                graph,
-                objective,
-                k,
-                bounding_config,
-                Some(&mut journal),
-            )?;
-            Some(outcome)
-        }
-        None => None,
-    };
-    let outcome = crate::pipeline::complete_selection_with_journal(
-        graph,
-        objective,
-        k,
-        bounding,
-        &config.greedy,
-        config.greedy.seed,
-        Some(&mut journal),
-    )?;
-    journal.finish()?;
-    Ok(outcome)
+    journaled(journal_path, &pipeline_start(graph, k, config), |journal| {
+        crate::pipeline::run(graph, objective, k, config, Some(journal))
+    })
 }

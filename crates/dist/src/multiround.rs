@@ -35,7 +35,8 @@ use crate::engine::{
     machine_select, DataflowGreedyBackend, InMemoryGreedyBackend, MachineGreedyBackend,
     MachineKeying,
 };
-use crate::{DeltaSchedule, DistError, DistGreedyConfig};
+use crate::journal::RunJournal;
+use crate::{check_instance, DeltaSchedule, DistError, DistGreedyConfig, Driver};
 use std::sync::Arc;
 use submod_core::{NodeId, NodeSet, PairwiseObjective, Selection, SimilarityGraph};
 use submod_dataflow::Pipeline;
@@ -63,6 +64,8 @@ pub struct DistGreedyReport {
     pub selection: Selection,
     /// Per-round statistics, one entry per configured round.
     pub rounds: Vec<RoundStats>,
+    /// The driver-side memory accounting of the run.
+    pub stats: GreedyStats,
 }
 
 /// Driver-side memory accounting for one multi-round greedy run — the §5
@@ -136,6 +139,7 @@ fn validate(
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
     ground: &[NodeId],
+    k: usize,
     config: &DistGreedyConfig,
 ) -> Result<(), DistError> {
     if let DeltaSchedule::Linear { gamma } = config.schedule {
@@ -143,13 +147,7 @@ fn validate(
             return Err(DistError::config(format!("Δ-schedule γ must be finite, got {gamma}")));
         }
     }
-    if objective.num_nodes() != graph.num_nodes() {
-        return Err(submod_core::CoreError::UtilityLengthMismatch {
-            utilities: objective.num_nodes(),
-            num_nodes: graph.num_nodes(),
-        }
-        .into());
-    }
+    check_instance(graph, objective, k)?;
     for &v in ground {
         if v.index() >= graph.num_nodes() {
             return Err(submod_core::CoreError::NodeOutOfBounds {
@@ -235,8 +233,8 @@ fn run_multiround(
     k: usize,
     config: &DistGreedyConfig,
     backend: &mut dyn MachineGreedyBackend,
-    mut journal: Option<&mut crate::journal::RunJournal>,
-) -> Result<(DistGreedyReport, GreedyStats), DistError> {
+    mut journal: Option<&mut RunJournal>,
+) -> Result<DistGreedyReport, DistError> {
     let _span = submod_obs::span("greedy.run");
     let n = graph.num_nodes();
     // The distinct ground ids: a ground set with duplicates holds fewer
@@ -349,7 +347,7 @@ fn run_multiround(
     submod_obs::gauge!("greedy.bytes_broadcast").fetch_max(stats.bytes_broadcast);
 
     let selection = finalize(graph, objective, ground, final_pool, k)?;
-    Ok((DistGreedyReport { selection, rounds }, stats))
+    Ok(DistGreedyReport { selection, rounds, stats })
 }
 
 /// Runs the multi-round distributed greedy algorithm over `ground`.
@@ -370,37 +368,7 @@ pub fn distributed_greedy(
     k: usize,
     config: &DistGreedyConfig,
 ) -> Result<DistGreedyReport, DistError> {
-    distributed_greedy_with_stats(graph, objective, ground, k, config).map(|(report, _)| report)
-}
-
-/// [`distributed_greedy`] plus the driver-side memory accounting.
-///
-/// # Errors
-///
-/// Same conditions as [`distributed_greedy`].
-pub fn distributed_greedy_with_stats(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    ground: &[NodeId],
-    k: usize,
-    config: &DistGreedyConfig,
-) -> Result<(DistGreedyReport, GreedyStats), DistError> {
-    distributed_greedy_with_journal(graph, objective, ground, k, config, None)
-}
-
-/// [`distributed_greedy_with_stats`] with an optional run journal —
-/// the crate-internal seam the journaled entry points thread through.
-pub(crate) fn distributed_greedy_with_journal(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    ground: &[NodeId],
-    k: usize,
-    config: &DistGreedyConfig,
-    journal: Option<&mut crate::journal::RunJournal>,
-) -> Result<(DistGreedyReport, GreedyStats), DistError> {
-    validate(graph, objective, ground, config)?;
-    let mut backend = InMemoryGreedyBackend::new(graph, objective, ground);
-    run_multiround(graph, objective, ground, k, config, &mut backend, journal)
+    run(Driver::InMemory, graph, objective, ground, k, config, None)
 }
 
 /// [`distributed_greedy`] on the dataflow engine: the scored pool lives
@@ -410,10 +378,11 @@ pub(crate) fn distributed_greedy_with_journal(
 /// every machine's priority-queue greedy runs inside its worker; a round
 /// that does not fit falls back to one engine scan per τ-certified batch
 /// of winners ([`DistGreedyConfig::winner_batch`]). Either way the driver
-/// only collects winner rows and threshold candidates.
+/// only collects winner rows and threshold candidates, which the report's
+/// [`GreedyStats::peak_round_bytes`] meters.
 ///
-/// The outcome is **identical** to [`distributed_greedy`] by
-/// construction: both drivers share the round loop, the keying, the
+/// The selection and rounds are **identical** to [`distributed_greedy`]'s
+/// by construction: both drivers share the round loop, the keying, the
 /// priority arithmetic, and the tie order.
 ///
 /// # Errors
@@ -427,44 +396,33 @@ pub fn distributed_greedy_dataflow(
     k: usize,
     config: &DistGreedyConfig,
 ) -> Result<DistGreedyReport, DistError> {
-    distributed_greedy_dataflow_with_stats(pipeline, graph, objective, ground, k, config)
-        .map(|(report, _)| report)
+    run(Driver::Dataflow(pipeline), graph, objective, ground, k, config, None)
 }
 
-/// [`distributed_greedy_dataflow`] plus the driver-side memory
-/// accounting that proves the pool stayed engine-resident:
-/// `peak_round_bytes` covers only the collected winner rows.
-///
-/// # Errors
-///
-/// Same conditions as [`distributed_greedy_dataflow`].
-pub fn distributed_greedy_dataflow_with_stats(
-    pipeline: &Pipeline,
+/// The one multi-round greedy run: checks the instance, builds the
+/// driver's backend, and runs the shared round loop, journaled when a
+/// journal is given.
+pub(crate) fn run(
+    driver: Driver<'_>,
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
     ground: &[NodeId],
     k: usize,
     config: &DistGreedyConfig,
-) -> Result<(DistGreedyReport, GreedyStats), DistError> {
-    distributed_greedy_dataflow_with_journal(pipeline, graph, objective, ground, k, config, None)
-}
-
-/// [`distributed_greedy_dataflow_with_stats`] with an optional run
-/// journal — the crate-internal seam the journaled entry points thread
-/// through.
-pub(crate) fn distributed_greedy_dataflow_with_journal(
-    pipeline: &Pipeline,
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    ground: &[NodeId],
-    k: usize,
-    config: &DistGreedyConfig,
-    journal: Option<&mut crate::journal::RunJournal>,
-) -> Result<(DistGreedyReport, GreedyStats), DistError> {
-    validate(graph, objective, ground, config)?;
-    let mut backend =
-        DataflowGreedyBackend::new(pipeline, graph, objective, ground, config.winner_batch);
-    run_multiround(graph, objective, ground, k, config, &mut backend, journal)
+    journal: Option<&mut RunJournal>,
+) -> Result<DistGreedyReport, DistError> {
+    validate(graph, objective, ground, k, config)?;
+    match driver {
+        Driver::InMemory => {
+            let mut backend = InMemoryGreedyBackend::new(graph, objective, ground);
+            run_multiround(graph, objective, ground, k, config, &mut backend, journal)
+        }
+        Driver::Dataflow(pipeline) => {
+            let batch = config.winner_batch;
+            let mut backend = DataflowGreedyBackend::new(pipeline, graph, objective, ground, batch);
+            run_multiround(graph, objective, ground, k, config, &mut backend, journal)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -638,18 +596,12 @@ mod tests {
     fn stats_contrast_the_two_drivers() {
         let (graph, objective) = ring_instance(80);
         let config = DistGreedyConfig::new(4, 3).unwrap().seed(7);
-        let (mem, mem_stats) =
-            distributed_greedy_with_stats(&graph, &objective, &ground(80), 10, &config).unwrap();
+        let mem = distributed_greedy(&graph, &objective, &ground(80), 10, &config).unwrap();
         let pipeline = Pipeline::new(3).unwrap();
-        let (df, df_stats) = distributed_greedy_dataflow_with_stats(
-            &pipeline,
-            &graph,
-            &objective,
-            &ground(80),
-            10,
-            &config,
-        )
-        .unwrap();
+        let df =
+            distributed_greedy_dataflow(&pipeline, &graph, &objective, &ground(80), 10, &config)
+                .unwrap();
+        let (mem_stats, df_stats) = (mem.stats, df.stats);
         assert_eq!(df.selection.selected(), mem.selection.selected());
         assert_eq!(mem_stats.rounds, df_stats.rounds);
         assert_eq!(mem_stats.steps, df_stats.steps);
@@ -683,7 +635,7 @@ mod tests {
             let config = DistGreedyConfig::new(4, 3).unwrap().seed(5).winner_batch(batch);
             assert_eq!(config.winner_batch, 1);
             let batched = submod_obs::counter("greedy.phases_batched").value();
-            let (report, stats) = distributed_greedy_dataflow_with_stats(
+            let report = distributed_greedy_dataflow(
                 &pipeline,
                 &graph,
                 &objective,
@@ -693,7 +645,7 @@ mod tests {
             )
             .unwrap();
             assert!(submod_obs::counter("greedy.phases_batched").value() > batched);
-            (report.selection.selected().to_vec(), stats)
+            (report.selection.selected().to_vec(), report.stats)
         };
         assert_eq!(run(0), run(1));
     }

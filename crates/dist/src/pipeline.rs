@@ -3,8 +3,9 @@
 //! the remaining budget over the undecided points, and the completed
 //! subset is scored on the full graph.
 
-use crate::{bound_in_memory, BoundingConfig, BoundingOutcome, DistError, DistGreedyConfig};
-use submod_core::{NodeId, NodeSet, PairwiseObjective, Selection, SimilarityGraph};
+use crate::journal::RunJournal;
+use crate::{check_instance, BoundingConfig, BoundingOutcome, DistError, DistGreedyConfig, Driver};
+use submod_core::{CoreError, NodeId, NodeSet, PairwiseObjective, Selection, SimilarityGraph};
 
 /// Configuration of [`select_subset`]: an optional bounding phase plus the
 /// distributed greedy phase.
@@ -59,15 +60,35 @@ pub fn select_subset(
     k: usize,
     config: &PipelineConfig,
 ) -> Result<PipelineOutcome, DistError> {
+    run(graph, objective, k, config, None)
+}
+
+/// The one pipeline run, journaled when a journal is given: the bounding
+/// cycles and the greedy rounds then commit to the same journal.
+pub(crate) fn run(
+    graph: &SimilarityGraph,
+    objective: &PairwiseObjective,
+    k: usize,
+    config: &PipelineConfig,
+    mut journal: Option<&mut RunJournal>,
+) -> Result<PipelineOutcome, DistError> {
     let bounding = match &config.bounding {
-        Some(bounding_config) => Some(bound_in_memory(graph, objective, k, bounding_config)?),
+        Some(bounding_config) => Some(crate::bounding::run(
+            Driver::InMemory,
+            graph,
+            objective,
+            k,
+            bounding_config,
+            journal.as_deref_mut(),
+        )?),
         None => None,
     };
-    complete_selection(graph, objective, k, bounding, &config.greedy, config.greedy.seed)
+    complete(graph, objective, k, bounding, &config.greedy, journal)
 }
 
 /// Completes a (possibly partial) bounding outcome into a full `k`-point
-/// selection with the distributed greedy algorithm.
+/// selection with the distributed greedy algorithm, seeded by
+/// `greedy`'s own seed.
 ///
 /// Points the bounding phase already included are fixed; the greedy phase
 /// runs over the undecided points with the *residual* objective — each
@@ -80,44 +101,52 @@ pub fn select_subset(
 ///
 /// # Errors
 ///
-/// Returns an error if the objective does not match the graph or `k`
-/// exceeds the ground set.
+/// Returns an error if the objective does not match the graph, `k`
+/// exceeds the ground set, or the bounding outcome is not one a bounding
+/// run of this graph can produce: an id out of range, an id included
+/// twice, or an id both included and remaining.
 pub fn complete_selection(
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
     k: usize,
     bounding: Option<BoundingOutcome>,
     greedy: &DistGreedyConfig,
-    seed: u64,
 ) -> Result<PipelineOutcome, DistError> {
-    complete_selection_with_journal(graph, objective, k, bounding, greedy, seed, None)
+    complete(graph, objective, k, bounding, greedy, None)
 }
 
-/// [`complete_selection`] with an optional run journal — the
-/// crate-internal seam [`crate::select_subset_journaled`] threads
-/// through.
-pub(crate) fn complete_selection_with_journal(
+/// Checks that `outcome`'s included ids are in range, distinct, and
+/// disjoint from its remaining ids. Remaining ids reach the greedy
+/// phase, which range-checks them.
+fn check_outcome(n: usize, outcome: &BoundingOutcome) -> Result<(), DistError> {
+    let mut included = NodeSet::new(n);
+    for &v in &outcome.included {
+        if v.index() >= n {
+            return Err(CoreError::NodeOutOfBounds { node: v.raw(), num_nodes: n }.into());
+        }
+        if !included.insert(v) {
+            return Err(DistError::config(format!("bounding outcome includes node {v} twice")));
+        }
+    }
+    match outcome.remaining.iter().find(|&&v| included.contains(v)) {
+        Some(v) => Err(DistError::config(format!(
+            "bounding outcome lists node {v} as both included and remaining"
+        ))),
+        None => Ok(()),
+    }
+}
+
+fn complete(
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
     k: usize,
     bounding: Option<BoundingOutcome>,
     greedy: &DistGreedyConfig,
-    seed: u64,
-    journal: Option<&mut crate::journal::RunJournal>,
+    journal: Option<&mut RunJournal>,
 ) -> Result<PipelineOutcome, DistError> {
-    if objective.num_nodes() != graph.num_nodes() {
-        return Err(submod_core::CoreError::UtilityLengthMismatch {
-            utilities: objective.num_nodes(),
-            num_nodes: graph.num_nodes(),
-        }
-        .into());
-    }
-    if k > graph.num_nodes() {
-        return Err(submod_core::CoreError::BudgetTooLarge {
-            budget: k,
-            available: graph.num_nodes(),
-        }
-        .into());
+    check_instance(graph, objective, k)?;
+    if let Some(outcome) = &bounding {
+        check_outcome(graph.num_nodes(), outcome)?;
     }
 
     let (included, ground, k_remaining) = match &bounding {
@@ -151,9 +180,14 @@ pub(crate) fn complete_selection_with_journal(
             PairwiseObjective::new(objective.alpha(), objective.beta(), utilities)?
         };
         let budget = k_remaining.min(ground.len());
-        let config = greedy.clone().seed(seed);
-        let (report, _) = crate::multiround::distributed_greedy_with_journal(
-            graph, &residual, &ground, budget, &config, journal,
+        let report = crate::multiround::run(
+            Driver::InMemory,
+            graph,
+            &residual,
+            &ground,
+            budget,
+            greedy,
+            journal,
         )?;
         chosen.extend(report.selection.selected());
     }
@@ -236,7 +270,7 @@ mod tests {
     fn complete_selection_without_bounding_matches_greedy_only() {
         let (graph, objective) = instance(40);
         let greedy = DistGreedyConfig::new(2, 2).unwrap().seed(7);
-        let via_complete = complete_selection(&graph, &objective, 8, None, &greedy, 7).unwrap();
+        let via_complete = complete_selection(&graph, &objective, 8, None, &greedy).unwrap();
         let via_select =
             select_subset(&graph, &objective, 8, &PipelineConfig::greedy_only(greedy)).unwrap();
         assert_eq!(via_complete.selection.selected(), via_select.selection.selected());
@@ -256,5 +290,38 @@ mod tests {
         let (graph, objective) = instance(10);
         let config = PipelineConfig::greedy_only(DistGreedyConfig::new(2, 1).unwrap());
         assert!(select_subset(&graph, &objective, 11, &config).is_err());
+    }
+
+    /// `complete_selection` takes a caller-built outcome: an included id
+    /// out of range, included twice, or also remaining is refused, where
+    /// it used to panic or return duplicate points.
+    #[test]
+    fn complete_selection_rejects_inconsistent_outcomes() {
+        let (graph, objective) = instance(8);
+        let greedy = DistGreedyConfig::new(2, 2).unwrap().seed(3);
+        let outcome = |included: &[u64], remaining: &[u64]| BoundingOutcome {
+            included: included.iter().map(|&v| NodeId::new(v)).collect(),
+            excluded_count: 0,
+            remaining: remaining.iter().map(|&v| NodeId::new(v)).collect(),
+            grow_rounds: 1,
+            shrink_rounds: 1,
+            k_remaining: 3 - included.len(),
+            stats: crate::BoundingStats::default(),
+        };
+        let run = |bounding| complete_selection(&graph, &objective, 3, Some(bounding), &greedy);
+        let others: Vec<u64> = (2..8).collect();
+        assert!(matches!(
+            run(outcome(&[15], &others)),
+            Err(DistError::Core(CoreError::NodeOutOfBounds { node: 15, num_nodes: 8 }))
+        ));
+        assert!(matches!(run(outcome(&[1, 1], &others)), Err(DistError::InvalidConfig { .. })));
+        assert!(matches!(run(outcome(&[2], &[0, 1, 2, 3])), Err(DistError::InvalidConfig { .. })));
+        // The same outcomes made consistent complete to 3 distinct points.
+        for bounding in [outcome(&[1], &others), outcome(&[2], &[0, 1, 3])] {
+            let mut ids = run(bounding).unwrap().selection.selected().to_vec();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), 3);
+        }
     }
 }

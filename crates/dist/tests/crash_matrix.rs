@@ -2,11 +2,13 @@
 //! and at torn mid-append offsets just past each boundary — must resume
 //! to a bitwise-identical selection (same ids, same order, same
 //! objective-value bits) as a run that never died. The matrix covers
-//! both drivers (in-memory and dataflow), 1 and 8 pool threads, the
-//! owned and the mmap-backed graph store, cross-driver resume (crash
-//! under one driver, resume under the other), and — via a re-exec'd
-//! subprocess with `SUBMOD_FAULTS=crash-round-N` — a real
-//! `process::abort()` at a round boundary.
+//! the multi-round greedy on both drivers (in-memory and dataflow) and
+//! the full pipeline, 1 and 8 pool threads, the owned and the mmap-backed
+//! graph store, cross-driver resume (crash under one driver, resume under
+//! the other), and — via a re-exec'd subprocess with
+//! `SUBMOD_FAULTS=crash-round-N` — a real `process::abort()` at a round
+//! boundary. The run header's fingerprints are pinned, so journals
+//! written by earlier builds keep resuming.
 //!
 //! Resume against a journal written by a *different* configuration (or
 //! a different algorithm, or a non-journal file) must be refused with a
@@ -17,9 +19,8 @@ use std::path::{Path, PathBuf};
 use submod_core::{GraphBuilder, NodeId, PairwiseObjective, Selection, SimilarityGraph};
 use submod_dataflow::Pipeline;
 use submod_dist::{
-    distributed_greedy_dataflow_journaled, distributed_greedy_journaled,
-    distributed_greedy_with_stats, greedi_dataflow_journaled, greedi_journaled, select_subset,
-    select_subset_journaled, BoundingConfig, DistGreedyConfig, PartitionStyle, PipelineConfig,
+    distributed_greedy, distributed_greedy_dataflow_journaled, distributed_greedy_journaled,
+    select_subset, select_subset_journaled, BoundingConfig, DistGreedyConfig, PipelineConfig,
     SamplingStrategy,
 };
 use submod_exec::with_threads;
@@ -154,7 +155,7 @@ fn multiround_in_memory_resumes_bitwise_identically() {
     let g = ground(90);
     let config = DistGreedyConfig::new(4, 3).expect("config").seed(11).adaptive(true);
     // The journaled run must also match the plain (never-journaled) one.
-    let plain = distributed_greedy_with_stats(&graph, &objective, &g, 15, &config).expect("plain");
+    let plain = distributed_greedy(&graph, &objective, &g, 15, &config).expect("plain");
     for &threads in &THREAD_COUNTS {
         // RunStart + 3 rounds + RunComplete = 5 frames.
         let baseline = crash_matrix(&format!("mem-{threads}"), 4, |path| {
@@ -165,7 +166,7 @@ fn multiround_in_memory_resumes_bitwise_identically() {
                 fingerprint(&report.selection)
             })
         });
-        assert_eq!(baseline, fingerprint(&plain.0.selection), "journaling perturbed the selection");
+        assert_eq!(baseline, fingerprint(&plain.selection), "journaling perturbed the selection");
     }
 }
 
@@ -262,29 +263,6 @@ fn full_pipeline_resumes_bitwise_identically() {
     }
 }
 
-#[test]
-fn greedi_resumes_bitwise_identically_both_drivers() {
-    let (graph, objective) = instance(70, 41);
-    for (tag, style) in
-        [("arbitrary", PartitionStyle::Arbitrary), ("random", PartitionStyle::Random)]
-    {
-        // RunStart + the map-phase round + RunComplete = 3 frames.
-        let mem = crash_matrix(&format!("greedi-{tag}"), 2, |path| {
-            let report =
-                greedi_journaled(&graph, &objective, 10, 4, style, 9, path).expect("greedi");
-            fingerprint(&report.selection)
-        });
-        let df = crash_matrix(&format!("greedi-df-{tag}"), 2, |path| {
-            let pipeline = Pipeline::new(2).expect("pipeline");
-            let report =
-                greedi_dataflow_journaled(&pipeline, &graph, &objective, 10, 4, style, 9, path)
-                    .expect("greedi dataflow");
-            fingerprint(&report.selection)
-        });
-        assert_eq!(mem, df, "GreeDi drivers diverged under the journal");
-    }
-}
-
 /// The whole matrix holds over the mmap-backed graph store, and the
 /// mapped baseline equals the owned one.
 #[test]
@@ -347,6 +325,36 @@ fn mismatched_resume_is_refused() {
         "garbage accepted as a journal"
     );
     assert_eq!(fs::read(&path).expect("reread").as_slice(), b"definitely not a journal");
+}
+
+/// The run header is part of the on-disk format: a journal written by an
+/// earlier build must still resume, so the algorithm tag and fingerprint
+/// of one greedy and one pipeline configuration are pinned.
+#[test]
+fn run_start_fingerprints_are_pinned() {
+    let (graph, objective) = instance(40, 3);
+    let greedy = DistGreedyConfig::new(3, 2).expect("config").seed(5).adaptive(true);
+    let pipeline = PipelineConfig::with_bounding(
+        BoundingConfig::approximate(0.5, SamplingStrategy::Weighted, 3).expect("config"),
+        greedy.clone(),
+    );
+    let path = temp_journal("pinned-header");
+    let _guard = FileGuard(path.clone());
+    let header = |path: &Path| match submod_journal::replay(path).expect("replay").records.first() {
+        Some(&submod_journal::Record::RunStart { algorithm, fingerprint, .. }) => {
+            (algorithm, fingerprint)
+        }
+        other => panic!("the journal does not start with a run header: {other:?}"),
+    };
+
+    let _ = fs::remove_file(&path);
+    distributed_greedy_journaled(&graph, &objective, &ground(40), 8, &greedy, &path)
+        .expect("greedy run");
+    assert_eq!(header(&path), (1, 0xC933_CAA6_1E08_B50D));
+
+    let _ = fs::remove_file(&path);
+    select_subset_journaled(&graph, &objective, 8, &pipeline, &path).expect("pipeline run");
+    assert_eq!(header(&path), (3, 0x567C_935C_00E8_ED46));
 }
 
 /// End-to-end: a subprocess under `SUBMOD_FAULTS=crash-round-2` really

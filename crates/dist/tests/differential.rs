@@ -1,6 +1,5 @@
 //! Cross-driver differential suite: the in-memory and dataflow drivers
-//! of the multi-round greedy and of GreeDi must select **bitwise
-//! identical** subsets — same ids, same order, same objective-value bits,
+//! of the multi-round greedy must select **bitwise identical** subsets — same ids, same order, same objective-value bits,
 //! same round statistics — on proptest-generated datasets (clustered,
 //! degenerate/duplicate, adversarially partitioned, `k` near 0 and near
 //! `n`), and on **both sides of the dataflow driver's computed path
@@ -18,8 +17,7 @@ use std::sync::{Mutex, MutexGuard};
 use submod_core::{GraphBuilder, NodeId, PairwiseObjective, SimilarityGraph};
 use submod_dataflow::{MemoryBudget, Pipeline};
 use submod_dist::{
-    distributed_greedy, distributed_greedy_dataflow, greedi, greedi_dataflow, DistGreedyConfig,
-    DistGreedyReport, PartitionStyle,
+    distributed_greedy, distributed_greedy_dataflow, DistGreedyConfig, DistGreedyReport,
 };
 
 /// Worker bytes one resident partition row costs before its shard
@@ -304,44 +302,6 @@ fn overlay_spans_several_batches_between_rewrites() {
     assert_eq!(fingerprint(&batched), fingerprint(&mem), "batched");
 }
 
-/// GreeDi's map phase rides the same backend: in-memory against dataflow
-/// on both sides of the fit line (the starved side falls back to the
-/// default batched passes), one phase per run.
-fn assert_greedi_identical(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-    machines: usize,
-    style: PartitionStyle,
-    seed: u64,
-) {
-    let _registry = registry_lock();
-    let fp = |r: &submod_dist::GreediReport| {
-        (
-            r.selection.selected().iter().map(|v| v.raw()).collect::<Vec<_>>(),
-            r.selection.objective_value().to_bits(),
-            r.merge,
-        )
-    };
-    let mem = greedi(graph, objective, k, machines, style, seed).expect("in-memory");
-    for starved in [false, true] {
-        let before = phases_since([0; 2]);
-        let pipeline = pipeline(3, starved);
-        let df = greedi_dataflow(&pipeline, graph, objective, k, machines, style, seed)
-            .expect("dataflow");
-        assert_eq!(fp(&mem), fp(&df), "{style:?} diverged (starved {starved})");
-        assert_phases(before, starved, &[graph.num_nodes()]);
-    }
-}
-
-#[test]
-fn greedi_drivers_are_identical() {
-    let (graph, objective) = clustered_instance(4, 9, 17);
-    for style in [PartitionStyle::Arbitrary, PartitionStyle::Random] {
-        assert_greedi_identical(&graph, &objective, 7, 4, style, 3);
-    }
-}
-
 /// The fit predicate at its boundary: a finite budget exactly at (or one
 /// byte above) the largest partition's footprint runs the round resident,
 /// one byte below takes the fallback, and the selection never moves. The
@@ -453,22 +413,5 @@ proptest! {
         let k = (n / 4).max(1);
         let config = DistGreedyConfig::new(machines, rounds).expect("config").seed(seed);
         assert_drivers_identical(&graph, &objective, &ground(n), k, &config, 3, batch);
-    }
-
-    /// GreeDi under random shapes and both partition styles.
-    #[test]
-    fn greedi_instances_are_identical(
-        clusters in 2usize..4,
-        per_cluster in 4usize..8,
-        machines in 1usize..5,
-        seed in 0u64..200,
-        random_style in any::<bool>(),
-    ) {
-        let (graph, objective) = clustered_instance(clusters, per_cluster, seed);
-        let n = graph.num_nodes();
-        let k = (n / 4).max(1);
-        let style =
-            if random_style { PartitionStyle::Random } else { PartitionStyle::Arbitrary };
-        assert_greedi_identical(&graph, &objective, k, machines, style, seed);
     }
 }

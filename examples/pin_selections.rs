@@ -22,8 +22,8 @@ use std::time::Instant;
 use submod_core::{greedy_select, NodeId, PairwiseObjective};
 use submod_dataflow::{MemoryBudget, Pipeline};
 use submod_dist::{
-    distributed_greedy, distributed_greedy_dataflow_with_stats, greedi, select_subset,
-    BoundingConfig, DistGreedyConfig, PartitionStyle, PipelineConfig, SamplingStrategy,
+    distributed_greedy, distributed_greedy_dataflow, greedi, select_subset, BoundingConfig,
+    DistGreedyConfig, PartitionStyle, PipelineConfig, SamplingStrategy,
 };
 use submod_knn::{build_knn_graph, kmeans, Embeddings, KnnBackend};
 
@@ -128,10 +128,10 @@ fn main() {
             Pipeline::builder().workers(4).memory_budget(MemoryBudget::bytes(47)).build().unwrap(),
         ]
         .map(|pipeline| {
-            let (report, stats) = distributed_greedy_dataflow_with_stats(
-                &pipeline, &graph, &objective, &ground, half, &config,
-            )
-            .unwrap();
+            let report =
+                distributed_greedy_dataflow(&pipeline, &graph, &objective, &ground, half, &config)
+                    .unwrap();
+            let stats = report.stats;
             format!(
                 "{:016x} {} {} {} {}",
                 hash_ids(report.selection.selected()),

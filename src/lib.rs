@@ -60,9 +60,9 @@ pub use submod_obs;
 /// One-stop imports for the common workflow.
 pub mod prelude {
     pub use submod_core::{
-        greedy_select, greedy_select_with, lazy_greedy_select, naive_greedy_select,
-        stochastic_greedy_select, threshold_greedy_select, CoreError, GraphBuilder, GreedyOptions,
-        NodeId, NodeSet, PairwiseObjective, ScoreNormalizer, Selection, SimilarityGraph,
+        greedy_select, lazy_greedy_select, naive_greedy_select, stochastic_greedy_select,
+        threshold_greedy_select, CoreError, GraphBuilder, NodeId, NodeSet, PairwiseObjective,
+        ScoreNormalizer, Selection, SimilarityGraph,
     };
     pub use submod_data::{
         build_instance, center_utilities, ClusteredDataset, CoarseClassifier, DataError,
@@ -70,12 +70,10 @@ pub mod prelude {
     };
     pub use submod_dataflow::{DataflowError, MemoryBudget, PCollection, Pipeline};
     pub use submod_dist::{
-        bound_dataflow, bound_dataflow_with_stats, bound_in_memory, bound_in_memory_with_stats,
-        complete_selection, distributed_greedy, distributed_greedy_dataflow,
-        distributed_greedy_dataflow_with_stats, distributed_greedy_with_stats, greedi,
-        greedi_dataflow, score_dataflow, score_in_memory, select_subset, theorem_4_6,
-        BoundingConfig, BoundingOutcome, BoundingStats, DeltaSchedule, DistError, DistGreedyConfig,
-        GreedyStats, PartitionStyle, PipelineConfig, SamplingStrategy,
+        bound_dataflow, bound_in_memory, complete_selection, distributed_greedy,
+        distributed_greedy_dataflow, greedi, score_dataflow, score_in_memory, select_subset,
+        theorem_4_6, BoundingConfig, BoundingOutcome, BoundingStats, DeltaSchedule, DistError,
+        DistGreedyConfig, GreedyStats, PartitionStyle, PipelineConfig, SamplingStrategy,
     };
     pub use submod_knn::{build_knn_graph, Embeddings, KnnBackend, NearestNeighbors};
 }

@@ -11,9 +11,10 @@
 //!
 //! Each row sets its levels in-process, then runs bounding (exact,
 //! approximate-uniform, approximate-weighted), the adaptive multi-round
-//! greedy, GreeDi in both partition styles and the journaled multi-round
-//! greedy on both drivers, plus `select_subset` (in-memory only), over a
-//! seeded random graph and a graph of duplicate points. It asserts:
+//! greedy and the journaled multi-round greedy on both drivers, plus
+//! GreeDi in both partition styles and `select_subset` (in-memory only),
+//! over a seeded random graph and a graph of duplicate points. It
+//! asserts:
 //! - in the row, the dataflow driver's output equals the in-memory one's;
 //! - across rows, every output and the in-memory driver's stats equal
 //!   row 1's, and the dataflow driver's stats equal those of the first
@@ -222,9 +223,20 @@ struct Run {
     stats: Stats,
 }
 
-fn greedy_run((report, stats): (DistGreedyReport, GreedyStats)) -> Run {
+/// A bounding outcome without its stats, which differ between the
+/// drivers: every decision field.
+fn decisions(outcome: BoundingOutcome) -> BoundingOutcome {
+    BoundingOutcome { stats: BoundingStats::default(), ..outcome }
+}
+
+fn bounding_run(outcome: BoundingOutcome) -> Run {
+    let stats = Stats::Bounding(outcome.stats);
+    Run { output: Output::Bounding(decisions(outcome)), stats }
+}
+
+fn greedy_run(report: DistGreedyReport) -> Run {
     let output = Output::Greedy(fingerprint(&report.selection), report.rounds);
-    Run { output, stats: Stats::Greedy(stats) }
+    Run { output, stats: Stats::Greedy(report.stats) }
 }
 
 fn greedi_run(report: GreediReport) -> Run {
@@ -262,30 +274,22 @@ fn run_paths(
     ] {
         let name = format!("{instance}: {path}");
         let config = config.expect("bounding config");
-        let (mem, mem_stats) =
-            bound_in_memory_with_stats(graph, objective, k, &config).expect(&name);
-        let (df, df_stats) =
-            bound_dataflow_with_stats(&pipeline(), graph, objective, k, &config).expect(&name);
-        push(
-            name,
-            Run { output: Output::Bounding(mem), stats: Stats::Bounding(mem_stats) },
-            Some(Run { output: Output::Bounding(df), stats: Stats::Bounding(df_stats) }),
-        );
+        let mem = bound_in_memory(graph, objective, k, &config).expect(&name);
+        let df = bound_dataflow(&pipeline(), graph, objective, k, &config).expect(&name);
+        push(name, bounding_run(mem), Some(bounding_run(df)));
     }
 
     let name = format!("{instance}: adaptive multi-round");
     let config = DistGreedyConfig::new(6, 4).expect("config").seed(11).adaptive(true);
-    let mem = distributed_greedy_with_stats(graph, objective, &ground, k, &config).expect(&name);
-    let df =
-        distributed_greedy_dataflow_with_stats(&pipeline(), graph, objective, &ground, k, &config)
-            .expect(&name);
+    let mem = distributed_greedy(graph, objective, &ground, k, &config).expect(&name);
+    let df = distributed_greedy_dataflow(&pipeline(), graph, objective, &ground, k, &config)
+        .expect(&name);
     push(name, greedy_run(mem), Some(greedy_run(df)));
 
     for style in [PartitionStyle::Arbitrary, PartitionStyle::Random] {
         let name = format!("{instance}: GreeDi {style:?}");
         let mem = greedi(graph, objective, k, 4, style, 5).expect(&name);
-        let df = greedi_dataflow(&pipeline(), graph, objective, k, 4, style, 5).expect(&name);
-        push(name, greedi_run(mem), Some(greedi_run(df)));
+        push(name, greedi_run(mem), None);
     }
 
     // Geometric targets and a narrow winner batch, so a starved run
@@ -300,9 +304,10 @@ fn run_paths(
         let _ = std::fs::remove_file(journal);
         journal
     };
-    let mem = distributed_greedy_journaled(graph, objective, &ground, k, &config, fresh_journal())
-        .expect(&name);
-    let df = distributed_greedy_dataflow_journaled(
+    let (mem, _) =
+        distributed_greedy_journaled(graph, objective, &ground, k, &config, fresh_journal())
+            .expect(&name);
+    let (df, _) = distributed_greedy_dataflow_journaled(
         &pipeline(),
         graph,
         objective,
@@ -321,7 +326,7 @@ fn run_paths(
         DistGreedyConfig::new(4, 3).expect("config").seed(17).adaptive(true),
     );
     let outcome = select_subset(graph, objective, k, &config).expect(&name);
-    let output = Output::Pipeline(fingerprint(&outcome.selection), outcome.bounding);
+    let output = Output::Pipeline(fingerprint(&outcome.selection), outcome.bounding.map(decisions));
     push(name, Run { output, stats: Stats::None }, None);
     paths
 }

@@ -4,6 +4,12 @@
 
 use submod_select::prelude::*;
 
+/// A bounding outcome without its stats, which differ between the
+/// drivers: every decision field.
+fn decisions(outcome: BoundingOutcome) -> BoundingOutcome {
+    BoundingOutcome { stats: BoundingStats::default(), ..outcome }
+}
+
 fn instance() -> SelectionInstance {
     build_instance(&DatasetConfig::tiny().with_points_per_class(25).with_seed(77))
         .expect("instance")
@@ -25,7 +31,11 @@ fn dataflow_bounding_matches_reference_under_memory_pressure() {
         Pipeline::builder().workers(4).memory_budget(MemoryBudget::bytes(1024)).build().unwrap();
     let constrained = bound_dataflow(&pipeline, &instance.graph, &objective, k, &config).unwrap();
 
-    assert_eq!(reference, constrained, "memory pressure must not change the outcome");
+    assert_eq!(
+        decisions(reference),
+        decisions(constrained),
+        "memory pressure must not change the outcome"
+    );
     let metrics = pipeline.metrics();
     assert!(metrics.bytes_spilled > 0, "the budget must actually have forced spills");
     assert!(
@@ -50,15 +60,18 @@ fn engine_resident_bounding_driver_memory_is_candidates_only() {
     let objective = instance.objective(0.9).unwrap();
     let config = BoundingConfig::approximate(0.3, SamplingStrategy::Uniform, 9).unwrap();
 
-    let (reference, mem_stats) =
-        bound_in_memory_with_stats(&instance.graph, &objective, k, &config).unwrap();
+    let reference = bound_in_memory(&instance.graph, &objective, k, &config).unwrap();
+    let mem_stats = reference.stats;
+    let reference = decisions(reference);
 
     let mut fingerprints = Vec::new();
     for threads in [1usize, 2, 8] {
-        let (outcome, stats) = submod_exec::with_threads(threads, || {
+        let outcome = submod_exec::with_threads(threads, || {
             let pipeline = Pipeline::new(4).unwrap();
-            bound_dataflow_with_stats(&pipeline, &instance.graph, &objective, k, &config).unwrap()
+            bound_dataflow(&pipeline, &instance.graph, &objective, k, &config).unwrap()
         });
+        let stats = outcome.stats;
+        let outcome = decisions(outcome);
         assert_eq!(outcome, reference, "dataflow outcome diverged at {threads} threads");
 
         // Per-pass driver traffic is exactly the collected candidate
@@ -112,8 +125,8 @@ fn engine_resident_greedy_driver_memory_is_winners_only() {
     let config =
         DistGreedyConfig::new(machines, 3).unwrap().seed(41).adaptive(true).winner_batch(batch);
 
-    let (reference, mem_stats) =
-        distributed_greedy_with_stats(&instance.graph, &objective, &ground, k, &config).unwrap();
+    let reference = distributed_greedy(&instance.graph, &objective, &ground, k, &config).unwrap();
+    let mem_stats = reference.stats;
 
     let mut fingerprints = Vec::new();
     for threads in [1usize, 2, 8] {
@@ -121,12 +134,12 @@ fn engine_resident_greedy_driver_memory_is_winners_only() {
         // worker: far below a single keyed partition (~n/machines × 24 B),
         // so a driver that shipped partitions around would have to hold
         // what the budget forbids.
-        let [(report, stats), (batched, batched_stats)] =
+        let [report, batched] =
             [MemoryBudget::unlimited(), MemoryBudget::bytes(2048)].map(|budget| {
                 let pipeline =
                     Pipeline::builder().workers(workers).memory_budget(budget).build().unwrap();
                 submod_exec::with_threads(threads, || {
-                    distributed_greedy_dataflow_with_stats(
+                    distributed_greedy_dataflow(
                         &pipeline,
                         &instance.graph,
                         &objective,
@@ -137,6 +150,7 @@ fn engine_resident_greedy_driver_memory_is_winners_only() {
                     .unwrap()
                 })
             });
+        let (stats, batched_stats) = (report.stats, batched.stats);
         for report in [&report, &batched] {
             assert_eq!(
                 report.selection.selected(),
@@ -212,23 +226,17 @@ fn partition_resident_greedy_stays_inside_a_fitting_budget() {
     let ground: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
     let (machines, rounds) = (4, 3);
     let config = DistGreedyConfig::new(machines, rounds).unwrap().seed(41).adaptive(true);
-    let (reference, _) =
-        distributed_greedy_with_stats(&instance.graph, &objective, &ground, k, &config).unwrap();
+    let reference = distributed_greedy(&instance.graph, &objective, &ground, k, &config).unwrap();
 
     // ~n/4 rows × 48 B ≈ 6 KB per partition, plus its shard entries
     // (8 B per same-machine edge): fits 9 KiB, with little room to spare.
     let budget = 9 * 1024;
     let pipeline =
         Pipeline::builder().workers(4).memory_budget(MemoryBudget::bytes(budget)).build().unwrap();
-    let (report, stats) = distributed_greedy_dataflow_with_stats(
-        &pipeline,
-        &instance.graph,
-        &objective,
-        &ground,
-        k,
-        &config,
-    )
-    .unwrap();
+    let report =
+        distributed_greedy_dataflow(&pipeline, &instance.graph, &objective, &ground, k, &config)
+            .unwrap();
+    let stats = report.stats;
     assert_eq!(report.selection.selected(), reference.selection.selected());
     assert_eq!(report.rounds, reference.rounds);
 
@@ -277,8 +285,7 @@ fn batched_greedy_overlay_and_scans_stay_bounded() {
     let (machines, workers, batch) = (4, 4, 8);
     let config =
         DistGreedyConfig::new(machines, 3).unwrap().seed(41).adaptive(true).winner_batch(batch);
-    let (reference, _) =
-        distributed_greedy_with_stats(graph, &objective, &ground, k, &config).unwrap();
+    let reference = distributed_greedy(graph, &objective, &ground, k, &config).unwrap();
 
     // ~n/4 rows × 40 B per partition is over 2 KiB: no round fits.
     let budget = 2048;
@@ -288,9 +295,8 @@ fn batched_greedy_overlay_and_scans_stay_bounded() {
         .build()
         .unwrap();
     let batched_before = submod_obs::counter("greedy.phases_batched").value();
-    let (report, _) =
-        distributed_greedy_dataflow_with_stats(&pipeline, graph, &objective, &ground, k, &config)
-            .unwrap();
+    let report =
+        distributed_greedy_dataflow(&pipeline, graph, &objective, &ground, k, &config).unwrap();
     assert_eq!(report.selection.selected(), reference.selection.selected());
     assert_eq!(report.rounds, reference.rounds);
     assert!(submod_obs::counter("greedy.phases_batched").value() > batched_before);
