@@ -14,6 +14,16 @@ pub enum DataError {
     Knn(submod_knn::KnnError),
     /// Objective construction failed in the core layer.
     Core(submod_core::CoreError),
+    /// Assembling a graph's CSR arrays failed validation.
+    Graph(submod_core::GraphError),
+    /// A materialized slice would have more points than a graph's `u32`
+    /// neighbor ids can address.
+    TooManyPoints {
+        /// Points the slice would have.
+        points: u64,
+        /// The most nodes a graph holds.
+        cap: u64,
+    },
 }
 
 impl DataError {
@@ -28,6 +38,10 @@ impl fmt::Display for DataError {
             DataError::InvalidConfig { detail } => write!(f, "invalid dataset config: {detail}"),
             DataError::Knn(inner) => write!(f, "k-nn failure: {inner}"),
             DataError::Core(inner) => write!(f, "core failure: {inner}"),
+            DataError::Graph(inner) => write!(f, "graph failure: {inner}"),
+            DataError::TooManyPoints { points, cap } => {
+                write!(f, "{points} points exceed the {cap}-node cap of a graph's u32 neighbor ids")
+            }
         }
     }
 }
@@ -37,6 +51,7 @@ impl Error for DataError {
         match self {
             DataError::Knn(inner) => Some(inner),
             DataError::Core(inner) => Some(inner),
+            DataError::Graph(inner) => Some(inner),
             _ => None,
         }
     }
@@ -54,6 +69,12 @@ impl From<submod_core::CoreError> for DataError {
     }
 }
 
+impl From<submod_core::GraphError> for DataError {
+    fn from(err: submod_core::GraphError) -> Self {
+        DataError::Graph(err)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,6 +84,8 @@ mod tests {
         let err: DataError = submod_core::CoreError::SelfLoop { node: 1 }.into();
         assert!(err.source().is_some());
         let err: DataError = submod_knn::KnnError::EmptyParameter { name: "k" }.into();
+        assert!(err.source().is_some());
+        let err: DataError = submod_core::GraphError::SelfLoop { node: 1 }.into();
         assert!(err.source().is_some());
         assert!(DataError::config("bad").source().is_none());
     }

@@ -59,17 +59,34 @@ fn rounds_improve_scores_on_perturbed_data() {
 
 #[test]
 fn virtual_and_materialized_utilities_agree() {
-    // The materialized slice must be a faithful prefix of the virtual view.
-    let base =
-        build_instance(&DatasetConfig::tiny().with_points_per_class(10).with_seed(64)).unwrap();
-    let full = PerturbedDataset::new(&base, 100, 0.02, 9).unwrap();
-    let (_, utilities) = full.materialize(3).unwrap();
-    let scaled = PerturbedDataset::new(&base, 3, 0.02, 9).unwrap();
-    for i in (0..scaled.total_points()).step_by(37) {
-        assert!(
-            (utilities[i as usize] - scaled.utility(i)).abs() < 1e-6,
-            "virtual/materialized mismatch at {i}"
-        );
+    // The materialized slice is the virtual view bit for bit: every
+    // utility, and every row as `neighbors(i)` keeps it with `w > 0`,
+    // weight bits included. f = 2 and 3 wrap the sibling ring onto itself.
+    for seed in [64, 65] {
+        let base = build_instance(&DatasetConfig::tiny().with_points_per_class(10).with_seed(seed))
+            .unwrap();
+        let full = PerturbedDataset::new(&base, 100, 0.02, 9).unwrap();
+        for f in [1, 2, 3, 4, 5, 10] {
+            let (graph, utilities) = full.materialize(f).unwrap();
+            let scaled = PerturbedDataset::new(&base, f, 0.02, 9).unwrap();
+            assert_eq!(graph.num_nodes() as u64, scaled.total_points());
+            for i in 0..scaled.total_points() {
+                assert_eq!(
+                    utilities[i as usize].to_bits(),
+                    scaled.utility(i).to_bits(),
+                    "utility {i} at f = {f}, base seed {seed}"
+                );
+                let virtual_row: Vec<(u64, u32)> = scaled
+                    .neighbors(i)
+                    .into_iter()
+                    .filter(|&(_, w)| w > 0.0)
+                    .map(|(id, w)| (id, w.to_bits()))
+                    .collect();
+                let row: Vec<(u64, u32)> =
+                    graph.edges(NodeId::new(i)).map(|(nb, w)| (nb.raw(), w.to_bits())).collect();
+                assert_eq!(row, virtual_row, "row {i} at f = {f}, base seed {seed}");
+            }
+        }
     }
 }
 
