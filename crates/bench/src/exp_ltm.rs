@@ -11,7 +11,8 @@
 //! tables are the same numbers any trace consumer sees.
 //!
 //! The adjacency itself is off the driver heap too: the instance graph
-//! arrives memory-mapped from the k-NN cache, and the experiment asserts
+//! is written to a temporary store file and reopened memory-mapped (the
+//! file is removed at the end), and the experiment asserts
 //! the graph's bytes exceed the measured peak RSS growth of one
 //! steady-state selection pass (the budget sweeps double as warmup, so
 //! one-time thread/allocator costs are excluded). Open-time validation
@@ -42,7 +43,10 @@ fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
 
 /// Runs the budget sweep on the CIFAR-like dataset.
 pub fn ltm(ctx: &BenchCtx) {
-    let instance = ctx.cifar();
+    let mut instance = ctx.cifar();
+    let store = std::env::temp_dir().join(format!("submod-ltm-{}.graph", std::process::id()));
+    instance.graph.write_store(&store).expect("write graph store");
+    instance.graph = SimilarityGraph::open_store(&store).expect("open graph store");
     let graph = &instance.graph;
     println!(
         "graph: {} KiB adjacency, mapped: {}, {} B of it on the driver heap",
@@ -90,6 +94,7 @@ pub fn ltm(ctx: &BenchCtx) {
             delta_kib.map_or_else(|| "n/a".to_string(), |d| d.to_string()),
         ),
     );
+    let _ = std::fs::remove_file(&store);
 }
 
 /// One more full selection of each kind against a warm process: the

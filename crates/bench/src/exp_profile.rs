@@ -68,10 +68,10 @@ pub fn profile(ctx: &BenchCtx) {
     let pipeline = Pipeline::new(8).expect("pipeline");
     let backend = KnnBackend::auto(n);
 
-    // Everything above (dataset generation, graph-cache hits) is setup;
-    // the measured phases start clean. The k-NN build below runs
-    // explicitly — never through the cache — so the trace always carries
-    // the `knn.build` subtree.
+    // Everything above (dataset generation, the instance's own k-NN
+    // build) is setup; the measured phases start clean. The k-NN build
+    // below runs again inside them so the trace carries the `knn.build`
+    // subtree.
     println!(
         "profile: {n} points, {} undirected edges, graph mapped: {}, tracing full",
         graph.num_undirected_edges(),

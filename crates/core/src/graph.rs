@@ -193,21 +193,6 @@ impl SimilarityGraph {
         self.num_directed_edges() as f64 / self.num_nodes() as f64
     }
 
-    /// Smallest and largest non-zero edge weight `[a, b]` (Theorem 4.6).
-    ///
-    /// Returns `None` if the graph has no edges.
-    pub fn weight_range(&self) -> Option<(f32, f32)> {
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
-        for &w in self.parts().2 {
-            if w > 0.0 {
-                min = min.min(w);
-                max = max.max(w);
-            }
-        }
-        (min <= max).then_some((min, max))
-    }
-
     /// Returns the weight of edge `(v, w)` if present.
     pub fn edge_weight(&self, v: NodeId, w: NodeId) -> Option<f32> {
         let target = u32::try_from(w.raw()).ok()?;
@@ -396,8 +381,7 @@ impl SimilarityGraph {
         store::write_store(path, offsets, neighbors, weights, self.is_symmetric(), None)
     }
 
-    /// Writes this graph plus a per-node utility vector as one store file
-    /// (the k-NN disk cache bundles both).
+    /// Writes this graph plus a per-node utility vector as one store file.
     ///
     /// # Errors
     ///
@@ -699,13 +683,6 @@ mod tests {
         let g = diamond();
         assert_eq!(g.min_degree(), 2);
         assert!((g.avg_degree() - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weight_range_covers_extremes() {
-        let g = diamond();
-        assert_eq!(g.weight_range(), Some((0.1, 0.5)));
-        assert_eq!(SimilarityGraph::empty(3).weight_range(), None);
     }
 
     #[test]

@@ -130,8 +130,8 @@ impl PairwiseObjective {
         self.evaluate_members(graph, &members)
     }
 
-    /// Evaluates `f(S)` given a membership bitset (avoids re-building it).
-    pub fn evaluate_members(&self, graph: &SimilarityGraph, members: &NodeSet) -> f64 {
+    /// Evaluates `f(S)` given a membership bitset.
+    fn evaluate_members(&self, graph: &SimilarityGraph, members: &NodeSet) -> f64 {
         let mut unary = 0.0f64;
         let mut pair_directed = 0.0f64;
         for v in members.iter() {

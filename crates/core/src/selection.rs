@@ -1,6 +1,4 @@
 use crate::NodeId;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// The result of a subset-selection run.
 ///
@@ -73,27 +71,6 @@ impl Selection {
     pub fn is_empty(&self) -> bool {
         self.selected.is_empty()
     }
-
-    /// Consumes the selection, returning the selected ids.
-    pub fn into_selected(self) -> Vec<NodeId> {
-        self.selected
-    }
-
-    /// Uniformly subsamples the selection down to `k` points (paper §4.2 and
-    /// Algorithm 6's final step use this when a phase overshoots the budget).
-    ///
-    /// Gains are dropped because they no longer align with a greedy prefix.
-    /// If the selection already has `≤ k` points it is returned unchanged.
-    pub fn subsample(self, k: usize, seed: u64) -> Selection {
-        if self.selected.len() <= k {
-            return self;
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut ids = self.selected;
-        ids.shuffle(&mut rng);
-        ids.truncate(k);
-        Selection { selected: ids, gains: Vec::new(), objective_value: f64::NAN }
-    }
 }
 
 impl Default for Selection {
@@ -126,34 +103,6 @@ mod tests {
         assert_eq!(sel.len(), 0);
         assert_eq!(sel.objective_value(), 0.0);
         assert_eq!(Selection::default(), sel);
-    }
-
-    #[test]
-    fn subsample_reduces_to_k() {
-        let sel = Selection::new(ids(&[0, 1, 2, 3, 4, 5]), vec![], 10.0);
-        let sub = sel.subsample(3, 7);
-        assert_eq!(sub.len(), 3);
-        // Members must come from the original selection, without duplicates.
-        let mut raw: Vec<u64> = sub.selected().iter().map(|n| n.raw()).collect();
-        raw.sort_unstable();
-        raw.dedup();
-        assert_eq!(raw.len(), 3);
-        assert!(raw.iter().all(|&r| r < 6));
-    }
-
-    #[test]
-    fn subsample_is_deterministic_per_seed() {
-        let sel = Selection::new(ids(&[0, 1, 2, 3, 4, 5, 6, 7]), vec![], 0.0);
-        let a = sel.clone().subsample(4, 42);
-        let b = sel.subsample(4, 42);
-        assert_eq!(a.selected(), b.selected());
-    }
-
-    #[test]
-    fn subsample_noop_when_small_enough() {
-        let sel = Selection::new(ids(&[1, 2]), vec![1.0, 0.5], 1.5);
-        let same = sel.clone().subsample(5, 0);
-        assert_eq!(same, sel);
     }
 
     #[test]

@@ -92,12 +92,6 @@ impl DatasetConfig {
         self
     }
 
-    /// Overrides the number of nearest neighbors for the graph.
-    pub fn with_knn_k(mut self, k: usize) -> Self {
-        self.knn_k = k.max(1);
-        self
-    }
-
     /// Overrides the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -149,20 +143,6 @@ impl DatasetConfig {
     pub fn total_points(&self) -> usize {
         self.num_classes * self.points_per_class
     }
-
-    /// A filesystem-safe cache key encoding every generation parameter.
-    pub fn cache_key(&self) -> String {
-        format!(
-            "{}-c{}-p{}-d{}-s{}-k{}-seed{:x}",
-            self.name,
-            self.num_classes,
-            self.points_per_class,
-            self.dim,
-            (self.cluster_std * 1000.0) as u32,
-            self.knn_k,
-            self.seed
-        )
-    }
 }
 
 #[cfg(test)]
@@ -181,18 +161,15 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let cfg = DatasetConfig::tiny().with_points_per_class(7).with_knn_k(3).with_seed(1);
+        let cfg = DatasetConfig::tiny().with_points_per_class(7).with_seed(1);
         assert_eq!(cfg.points_per_class(), 7);
-        assert_eq!(cfg.knn_k(), 3);
         assert_eq!(cfg.seed(), 1);
     }
 
     #[test]
-    fn scaling_changes_cache_key() {
-        let a = DatasetConfig::cifar100_like();
-        let b = a.clone().scaled(0.1);
+    fn scaling_rounds_points_per_class() {
+        let b = DatasetConfig::cifar100_like().scaled(0.1);
         assert_eq!(b.points_per_class(), 50);
-        assert_ne!(a.cache_key(), b.cache_key());
     }
 
     #[test]

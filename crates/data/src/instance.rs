@@ -1,6 +1,6 @@
 use crate::{margin_utilities, ClusteredDataset, CoarseClassifier, DataError, DatasetConfig};
 use submod_core::{PairwiseObjective, SimilarityGraph};
-use submod_knn::{build_knn_graph, cache, Embeddings, KnnBackend};
+use submod_knn::{build_knn_graph, Embeddings, KnnBackend};
 
 /// A ready-to-optimize subset-selection instance: the symmetrized k-NN
 /// similarity graph, centered margin utilities, and the raw embeddings /
@@ -43,8 +43,7 @@ impl SelectionInstance {
     }
 }
 
-/// Builds a [`SelectionInstance`] from a [`DatasetConfig`], caching the
-/// expensive k-NN graph on disk keyed by the config.
+/// Builds a [`SelectionInstance`] from a [`DatasetConfig`].
 ///
 /// # Errors
 ///
@@ -72,15 +71,8 @@ pub fn build_instance(config: &DatasetConfig) -> Result<SelectionInstance, DataE
     )?;
     let classifier = CoarseClassifier::fit(&dataset, 0.10, 0.05, 0.5, config.seed() ^ 0xA11CE)?;
     let utilities = margin_utilities(&classifier, dataset.embeddings())?;
-
-    let cache_path = cache::default_cache_dir().join(format!("{}.graph", config.cache_key()));
     let backend = KnnBackend::auto(dataset.len());
-    let embeddings = dataset.embeddings().clone();
-    let utilities_for_cache = utilities.clone();
-    let (graph, utilities) = cache::load_or_build(&cache_path, move || {
-        let graph = build_knn_graph(&embeddings, config.knn_k(), &backend, config.seed())?;
-        Ok((graph, utilities_for_cache))
-    })?;
+    let graph = build_knn_graph(dataset.embeddings(), config.knn_k(), &backend, config.seed())?;
 
     Ok(SelectionInstance {
         graph,
@@ -127,7 +119,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_makes_rebuilds_identical() {
+    fn rebuilds_are_identical() {
         let cfg = DatasetConfig::tiny().with_points_per_class(15).with_seed(77);
         let a = build_instance(&cfg).unwrap();
         let b = build_instance(&cfg).unwrap();

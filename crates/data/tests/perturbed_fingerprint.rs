@@ -36,7 +36,7 @@ impl Fnv {
 }
 
 /// A clustered base with its exact 10-NN graph and utilities spread over
-/// `[0, 1)`, built without the on-disk graph cache.
+/// `[0, 1)`.
 fn base(classes: usize, points_per_class: usize, dim: usize, seed: u64) -> SelectionInstance {
     let data = ClusteredDataset::generate(classes, points_per_class, dim, 0.25, seed).unwrap();
     let graph = build_knn_graph(data.embeddings(), 10, &KnnBackend::Exact, seed).unwrap();

@@ -247,22 +247,6 @@ where
     }
 }
 
-impl<T> PCollection<T>
-where
-    T: Record + Ord + Hash + Eq,
-{
-    /// Removes duplicate records via the keyed combiner: duplicates are
-    /// collapsed map-side before the shuffle, so heavy duplication never
-    /// inflates a group buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if spill I/O fails.
-    pub fn distinct(&self) -> Result<PCollection<T>, DataflowError> {
-        self.map(|t| (t, ()))?.aggregate_per_key((), |(), ()| (), |(), ()| ())?.map(|(t, ())| t)
-    }
-}
-
 /// Returns `true` when the `challenger` `(id, score)` pair beats the
 /// `incumbent` under the engine's argmax order: larger score first,
 /// smaller id on score ties.
@@ -413,15 +397,6 @@ mod tests {
         assert_eq!(pc.kth_largest(2000).unwrap(), -1000.0);
         assert_eq!(pc.kth_largest(1000).unwrap(), 0.0);
         assert!(p.metrics().bytes_spilled > 0);
-    }
-
-    #[test]
-    fn distinct_removes_duplicates() {
-        let p = Pipeline::new(3).unwrap();
-        let pc = p.from_vec(vec![1u64, 2, 2, 3, 3, 3]);
-        let mut out = pc.distinct().unwrap().collect().unwrap();
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]

@@ -224,46 +224,6 @@ impl_record_tuple!(
     (A: 0, B: 1, C: 2, D: 3, E: 4)
 );
 
-/// A value of one of two types, used by [`crate::PCollection::co_group_2`]
-/// to shuffle both join sides through a single grouping pass.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Either2<A, B> {
-    /// Value from the left collection.
-    Left(A),
-    /// Value from the right collection.
-    Right(B),
-}
-
-impl<A: Record, B: Record> Record for Either2<A, B> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Either2::Left(a) => {
-                buf.push(0);
-                a.encode(buf);
-            }
-            Either2::Right(b) => {
-                buf.push(1);
-                b.encode(buf);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, DataflowError> {
-        match take(input, 1)?[0] {
-            0 => Ok(Either2::Left(A::decode(input)?)),
-            1 => Ok(Either2::Right(B::decode(input)?)),
-            other => Err(DataflowError::codec(format!("invalid either2 tag {other}"))),
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        1 + match self {
-            Either2::Left(a) => a.approx_bytes(),
-            Either2::Right(b) => b.approx_bytes(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,12 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn eithers_roundtrip() {
-        roundtrip(Either2::<u64, f32>::Left(7));
-        roundtrip(Either2::<u64, f32>::Right(0.5));
-    }
-
-    #[test]
     fn truncated_input_is_an_error() {
         let mut buf = Vec::new();
         12345u64.encode(&mut buf);
@@ -329,7 +283,6 @@ mod tests {
         let buf = [7u8];
         assert!(bool::decode(&mut &buf[..]).is_err());
         assert!(Option::<u8>::decode(&mut &buf[..]).is_err());
-        assert!(Either2::<u8, u8>::decode(&mut &buf[..]).is_err());
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! the MLSys 2025 paper *"On Distributed Larger-Than-Memory Subset
 //! Selection With Pairwise Submodular Functions"* (Böther et al., §5).
 //!
-//! The paper implements its bounding and scoring algorithms on Apache Beam
+//! The paper implements its bounding and greedy algorithms on Apache Beam
 //! so that *no machine ever holds the target subset in DRAM*. This crate
 //! reproduces that substrate from scratch:
 //!
 //! - [`PCollection`] — an immutable, sharded, possibly disk-resident
 //!   collection (Beam's `PCollection`).
 //! - Transforms: [`PCollection::map`], [`PCollection::flat_map`],
-//!   [`PCollection::filter`], [`PCollection::group_by_key`], the two-way
-//!   join [`PCollection::co_group_2`], the budget-aware keyed combiner
-//!   [`PCollection::aggregate_per_key`], and aggregations including the
+//!   [`PCollection::filter`], [`PCollection::group_by_key`], the
+//!   budget-aware keyed combiner [`PCollection::aggregate_per_key`], and
+//!   aggregations including the
 //!   distributed [`PCollection::kth_largest`] selection that powers the
 //!   bounding thresholds, and [`argmax_prefers`], the one tie order of the
 //!   engine-resident distributed greedy.
@@ -72,7 +72,7 @@ mod side;
 mod spill;
 
 pub use agg::argmax_prefers;
-pub use codec::{Either2, Record};
+pub use codec::Record;
 pub use error::DataflowError;
 pub use memory::{MemoryBudget, PipelineMetrics};
 pub use pcollection::PCollection;

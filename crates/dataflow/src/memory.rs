@@ -157,7 +157,7 @@ impl MetricsInner {
 pub struct PipelineMetrics {
     /// Records consumed by map-like transforms.
     pub records_processed: u64,
-    /// Records moved through a shuffle (group / co-group).
+    /// Records moved through a shuffle (`group_by_key`).
     pub records_shuffled: u64,
     /// Total bytes written to spill files.
     pub bytes_spilled: u64,

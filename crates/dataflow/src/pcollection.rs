@@ -329,25 +329,6 @@ impl<T: Record> PCollection<T> {
         })
     }
 
-    /// Concatenates two collections of the same pipeline without moving
-    /// data (§4.4: *"A union can be implemented without materializing all
-    /// data in memory"*). Pending fused chains on either side carry over
-    /// untouched — a union never re-encodes or re-executes its inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the collections belong to different pipelines.
-    pub(crate) fn union(&self, other: &PCollection<T>) -> Result<PCollection<T>, DataflowError> {
-        if !Arc::ptr_eq(&self.ctx, &other.ctx) {
-            return Err(DataflowError::invalid(
-                "cannot union collections from different pipelines",
-            ));
-        }
-        let mut segments = self.segments.clone();
-        segments.extend(other.segments.iter().cloned());
-        Ok(PCollection { ctx: self.ctx.clone(), segments })
-    }
-
     /// Defers `body` onto every segment's operator chain: each output
     /// segment is a [`FusedUnit`] that will stream its source through the
     /// composed chain in one pass at the next barrier. A unit that already
@@ -461,26 +442,6 @@ mod tests {
         assert_eq!(expanded.count().unwrap(), 6);
         let none = pc.flat_map(|_| Vec::<u64>::new()).unwrap();
         assert_eq!(none.count().unwrap(), 0);
-    }
-
-    #[test]
-    fn union_concatenates() {
-        let p = pipeline();
-        let a = p.from_vec(vec![1u64, 2]);
-        let b = p.from_vec(vec![3u64]);
-        let u = a.union(&b).unwrap();
-        let mut out = u.collect().unwrap();
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn union_across_pipelines_is_an_error() {
-        let p1 = pipeline();
-        let p2 = pipeline();
-        let a = p1.from_vec(vec![1u64]);
-        let b = p2.from_vec(vec![2u64]);
-        assert!(a.union(&b).is_err());
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! Hash shuffles: `group_by_key` and the co-group joins built on it.
+//! Hash shuffles: `group_by_key`.
 //!
 //! The shuffle is the engine's only all-to-all data movement. Records are
 //! hash-partitioned by key into one bucket per worker; each bucket is
 //! grouped independently. A bucket whose runs exceed the worker budget is
 //! grouped by an external sort-merge over sorted spill runs, so grouping
 //! works even when a single bucket is larger than memory — the property
-//! the paper's three-way bounding joins rely on (§5).
+//! the partition-resident distributed greedy and the per-key combiner's
+//! final merge rely on.
 //!
 //! Both shuffle sides run concurrently on the `submod_exec` pool. Runs
 //! are tagged with their (shard, sequence) origin and re-sorted before
 //! grouping, so the shuffle output — including the order of values
 //! inside each group — is bitwise-identical at any thread count.
 
-use crate::codec::{Either2, Record};
+use crate::codec::Record;
 use crate::pipeline::{Shard, ShardSink};
 use crate::spill::{SpillFile, SpillReader};
 use crate::{DataflowError, PCollection};
@@ -166,36 +167,6 @@ where
             .collect::<Result<_, _>>()?;
 
         Ok(PCollection::from_parts(ctx, grouped_shards.into_iter().flatten().collect()))
-    }
-
-    /// Co-groups with `other` by key: for every key appearing in either
-    /// collection, yields the values from both sides.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the collections belong to different pipelines or
-    /// spill I/O fails.
-    #[allow(clippy::type_complexity)] // the co-group result type *is* the API
-    pub fn co_group_2<W>(
-        &self,
-        other: &PCollection<(K, W)>,
-    ) -> Result<PCollection<(K, (Vec<V>, Vec<W>))>, DataflowError>
-    where
-        W: Record,
-    {
-        let left = self.map(|(k, v)| (k, Either2::<V, W>::Left(v)))?;
-        let right = other.map(|(k, w)| (k, Either2::<V, W>::Right(w)))?;
-        left.union(&right)?.group_by_key()?.map(|(k, tagged)| {
-            let mut vs = Vec::new();
-            let mut ws = Vec::new();
-            for t in tagged {
-                match t {
-                    Either2::Left(v) => vs.push(v),
-                    Either2::Right(w) => ws.push(w),
-                }
-            }
-            (k, (vs, ws))
-        })
     }
 }
 
@@ -374,23 +345,6 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), 10);
-    }
-
-    #[test]
-    fn co_group_2_pairs_both_sides() {
-        let p = Pipeline::new(2).unwrap();
-        let left = p.from_vec(vec![(1u64, 10u64), (1, 11), (2, 20)]);
-        let right = p.from_vec(vec![(1u64, 0.5f32), (3, 0.25)]);
-        let joined = left.co_group_2(&right).unwrap();
-        let mut out = joined.collect().unwrap();
-        out.sort_by_key(|(k, _)| *k);
-        assert_eq!(out.len(), 3);
-        let (k1, (v1, w1)) = &out[0];
-        assert_eq!((*k1, v1.len(), w1.len()), (1, 2, 1));
-        let (k2, (v2, w2)) = &out[1];
-        assert_eq!((*k2, v2.len(), w2.len()), (2, 1, 0));
-        let (k3, (v3, w3)) = &out[2];
-        assert_eq!((*k3, v3.len(), w3.len()), (3, 0, 1));
     }
 
     #[test]

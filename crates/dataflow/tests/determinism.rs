@@ -70,16 +70,6 @@ fn float_aggregations_are_bitwise_invariant() {
 }
 
 #[test]
-fn co_group_2_is_thread_count_invariant() {
-    assert_invariant("co_group_2", || {
-        let p = Pipeline::new(4).unwrap();
-        let a = p.from_vec((0u64..600).map(|i| (i % 19, i)).collect::<Vec<_>>());
-        let b = p.from_vec((0u64..400).map(|i| (i % 19, i as f32)).collect::<Vec<_>>());
-        a.co_group_2(&b).unwrap().collect().unwrap()
-    });
-}
-
-#[test]
 fn generate_is_thread_count_invariant() {
     assert_invariant("generate", || {
         let p = Pipeline::new(5).unwrap();

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
-use submod_dataflow::{Either2, MemoryBudget, PCollection, Pipeline, Record};
+use submod_dataflow::{MemoryBudget, PCollection, Pipeline, Record};
 
 // The operators of a random chain (`op % 4` picks one; `salt` is the
 // operator's position), shared by the deferred, eager and `Vec` versions.
@@ -109,12 +109,6 @@ proptest! {
         roundtrip(&s)?;
         roundtrip(&o)?;
         roundtrip(&(s.clone(), v.clone()))?;
-    }
-
-    #[test]
-    fn codec_roundtrips_eithers(x in any::<u64>(), y in 0.0f64..1.0) {
-        roundtrip(&Either2::<u64, f64>::Left(x))?;
-        roundtrip(&Either2::<u64, f64>::Right(y))?;
     }
 
     /// Concatenated encodings decode back record by record — the framing
@@ -336,32 +330,5 @@ proptest! {
             values.sort_unstable();
         }
         prop_assert_eq!(fused, reference);
-    }
-
-    /// co_group_2 is a full outer join: every key from either side appears
-    /// exactly once with all its values.
-    #[test]
-    fn co_group_2_is_full_outer_join(
-        left in proptest::collection::vec((0u64..15, any::<u32>()), 0..150),
-        right in proptest::collection::vec((0u64..15, any::<bool>()), 0..150),
-    ) {
-        let pipeline = Pipeline::new(3).unwrap();
-        let joined = pipeline
-            .from_vec(left.clone())
-            .co_group_2(&pipeline.from_vec(right.clone()))
-            .unwrap();
-        let out = joined.collect().unwrap();
-        let mut keys: Vec<u64> = out.iter().map(|(k, _)| *k).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let mut expected_keys: Vec<u64> =
-            left.iter().map(|(k, _)| *k).chain(right.iter().map(|(k, _)| *k)).collect();
-        expected_keys.sort_unstable();
-        expected_keys.dedup();
-        prop_assert_eq!(keys, expected_keys);
-        for (k, (ls, rs)) in out {
-            prop_assert_eq!(ls.len(), left.iter().filter(|(lk, _)| *lk == k).count());
-            prop_assert_eq!(rs.len(), right.iter().filter(|(rk, _)| *rk == k).count());
-        }
     }
 }

@@ -64,14 +64,6 @@ impl BoundingConfig {
     pub fn is_exact(&self) -> bool {
         matches!(self.mode, BoundingMode::Exact)
     }
-
-    /// The sampling probability (1.0 for exact bounding).
-    pub fn sampling_probability(&self) -> f64 {
-        match self.mode {
-            BoundingMode::Exact => 1.0,
-            BoundingMode::Approximate { p, .. } => p,
-        }
-    }
 }
 
 /// The Δ-schedule: how the multi-round algorithm's per-round pool target
@@ -251,7 +243,6 @@ mod tests {
         assert!(BoundingConfig::approximate(1.5, SamplingStrategy::Uniform, 1).is_err());
         assert!(BoundingConfig::approximate(f64::NAN, SamplingStrategy::Uniform, 1).is_err());
         assert!(BoundingConfig::exact().is_exact());
-        assert_eq!(BoundingConfig::exact().sampling_probability(), 1.0);
     }
 
     #[test]

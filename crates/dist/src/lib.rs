@@ -40,9 +40,6 @@
 //! Each algorithm has one crate-internal run function, and each driver
 //! function is a call into it. Alongside the drivers:
 //!
-//! - [`score_in_memory`] / [`score_dataflow`] — subset scoring, including
-//!   the §5 dataflow pipeline that joins the fanned-out neighbor graph
-//!   against the subset.
 //! - [`theorem_4_6`] — the paper's probabilistic quality guarantee for
 //!   approximate bounding, with a [`Theorem46Guarantee::holds`] check.
 //!
@@ -82,7 +79,6 @@ mod greedi;
 mod journal;
 mod multiround;
 mod pipeline;
-mod score;
 mod theorem;
 
 pub use bounding::{bound_dataflow, bound_in_memory, BoundingOutcome, BoundingStats};
@@ -98,7 +94,6 @@ pub use multiround::{
     distributed_greedy, distributed_greedy_dataflow, DistGreedyReport, GreedyStats, RoundStats,
 };
 pub use pipeline::{complete_selection, select_subset, PipelineConfig, PipelineOutcome};
-pub use score::{score_dataflow, score_in_memory};
 pub use theorem::{theorem_4_6, Theorem46Guarantee};
 
 use submod_core::{CoreError, PairwiseObjective, SimilarityGraph};

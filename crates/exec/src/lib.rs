@@ -15,8 +15,8 @@
 //! **persistent**: region entry publishes the region to a
 //! process-lifetime worker set and wakes parked threads instead of
 //! spawning OS threads, so at steady state entering a region costs a
-//! mutex hop and a condvar signal ([`region_entry_nanos`] /
-//! [`region_entry_spawn_count`] meter this; the owner blocks until every
+//! mutex hop and a condvar signal (the `exec.region_entry_nanos` /
+//! `exec.region_spawns` counters meter this; the owner blocks until every
 //! attached helper detaches, which is what keeps borrowed state sound —
 //! the one lifetime-erasing `unsafe impl` and its argument live in
 //! `src/workers.rs`). Inside a region:
@@ -29,7 +29,7 @@
 //!   variable** (after a handful of yields for low-latency pickup):
 //!   spawns unpark one worker, the final completion unparks everyone.
 //!   Idle workers burn zero CPU — there is no spin loop and no
-//!   sleep-polling, which [`idle_poll_count`] lets tests assert;
+//!   sleep-polling, which the `exec.idle_polls` counter lets tests assert;
 //! - a panicking task poisons the region: queued tasks are drained and
 //!   dropped, and the first captured payload is re-raised on the caller's
 //!   thread once every worker has finished
@@ -67,10 +67,7 @@ mod pool;
 mod threads;
 mod workers;
 
-pub use pool::{
-    idle_poll_count, join, parallel_map, parallel_map_result, park_count, region_entry_count,
-    region_entry_nanos, region_entry_spawn_count, scope, steal_count, Scope,
-};
+pub use pool::{join, parallel_map, scope, Scope};
 pub use threads::{current_num_threads, in_worker, set_num_threads, with_threads};
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! the process-lifetime worker set* (`crate::workers`) — region entry
 //! publishes the region and wakes parked persistent workers instead of
 //! spawning OS threads, so at steady state entering a region costs a
-//! mutex hop and a condvar signal ([`region_entry_nanos`] meters it,
-//! [`region_entry_spawn_count`] pins that spawning stops). A region
+//! mutex hop and a condvar signal (the `exec.region_entry_nanos`
+//! counter meters it, `exec.region_spawns` pins that spawning stops). A region
 //! entered with one thread (or from inside another region) runs inline
 //! with zero dispatch.
 
@@ -16,7 +16,7 @@ use crate::workers;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -24,63 +24,6 @@ use std::time::Instant;
 /// uneven workload leaves chunks to steal, large enough that queue
 /// traffic stays negligible.
 const CHUNKS_PER_WORKER: usize = 4;
-
-static STEALS: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative count of successful steals across all regions in this
-/// process (a task taken from *another* worker's deque, not from the
-/// global injector). Exposed for the pool's own tests and for ad-hoc
-/// diagnostics; never used for control flow.
-pub fn steal_count() -> u64 {
-    STEALS.load(Ordering::Relaxed)
-}
-
-static PARKS: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative count of condvar parks across all regions: a worker found
-/// no runnable task and went to sleep on the region's condition variable
-/// (instead of spinning or sleep-polling). Exposed for the pool's tests.
-pub fn park_count() -> u64 {
-    PARKS.load(Ordering::Relaxed)
-}
-
-static IDLE_POLLS: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative count of empty idle polls (a worker scanned every queue and
-/// found nothing). With condvar parking this stays bounded by
-/// O(workers) per region — the pool's no-busy-wait regression tests
-/// assert it does not grow with how *long* workers sit idle.
-pub fn idle_poll_count() -> u64 {
-    IDLE_POLLS.load(Ordering::Relaxed)
-}
-
-static REGION_ENTRIES: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative count of non-inline region entries (a [`scope`] that
-/// dispatched helpers from the persistent worker set).
-pub fn region_entry_count() -> u64 {
-    REGION_ENTRIES.load(Ordering::Relaxed)
-}
-
-static REGION_SPAWNS: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative count of OS threads spawned *at region entry* because the
-/// persistent worker set had fewer idle workers than the region wanted.
-/// At steady state this stops growing — the regression tests assert
-/// that repeated region entries add zero.
-pub fn region_entry_spawn_count() -> u64 {
-    REGION_SPAWNS.load(Ordering::Relaxed)
-}
-
-static REGION_ENTRY_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative nanoseconds spent *entering* regions (publishing to the
-/// worker set, spawning any missing workers, waking parked ones) —
-/// the latency the persistent set exists to shrink. Task execution time
-/// is not included.
-pub fn region_entry_nanos() -> u64 {
-    REGION_ENTRY_NANOS.load(Ordering::Relaxed)
-}
 
 /// A queued task: boxed so heterogeneous closures share one deque. The
 /// task receives the scope so it can spawn follow-up work (which lands in
@@ -200,12 +143,10 @@ impl<'scope> Scope<'scope> {
                 slots: helpers,
                 next_index: 1,
             });
-            REGION_ENTRIES.fetch_add(1, Ordering::Relaxed);
-            REGION_SPAWNS.fetch_add(spawned as u64, Ordering::Relaxed);
-            REGION_ENTRY_NANOS.fetch_add(entry.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            let nanos = entry.elapsed().as_nanos() as u64;
             submod_obs::counter!("exec.region_entries").incr();
             submod_obs::counter!("exec.region_spawns").add(spawned as u64);
-            submod_obs::counter!("exec.region_entry_nanos").add(entry.elapsed().as_nanos() as u64);
+            submod_obs::counter!("exec.region_entry_nanos").add(nanos);
         }
         // Close the region even if `work` unwinds: the guard retires the
         // published job and waits out every attached helper, so no
@@ -256,7 +197,7 @@ impl<'scope> Scope<'scope> {
                     // a few times for low-latency pickup, then park on
                     // the condvar: zero CPU until a spawn, the final
                     // completion, or a poisoning unparks us.
-                    IDLE_POLLS.fetch_add(1, Ordering::Relaxed);
+                    submod_obs::counter!("exec.idle_polls").incr();
                     idle_polls += 1;
                     if idle_polls < 16 {
                         std::thread::yield_now();
@@ -280,7 +221,6 @@ impl<'scope> Scope<'scope> {
     fn park(&self) {
         let guard = self.parking.lock().expect("parking mutex");
         if self.queued.load(Ordering::SeqCst) == 0 && self.outstanding.load(Ordering::SeqCst) != 0 {
-            PARKS.fetch_add(1, Ordering::Relaxed);
             submod_obs::counter!("exec.parks").incr();
             drop(self.wakeup.wait(guard).expect("parking condvar"));
         }
@@ -305,7 +245,6 @@ impl<'scope> Scope<'scope> {
             let victim = (me + offset) % self.threads;
             if let Some(job) = self.locals[victim].lock().expect("victim deque").pop_back() {
                 self.queued.fetch_sub(1, Ordering::SeqCst);
-                STEALS.fetch_add(1, Ordering::Relaxed);
                 submod_obs::counter!("exec.steals").incr();
                 return Some(job);
             }
@@ -501,23 +440,6 @@ where
     out
 }
 
-/// [`parallel_map`] for fallible work: every item is attempted, then the
-/// first error **in input order** is returned (deterministic at any
-/// thread count, unlike a first-to-fail race).
-///
-/// # Errors
-///
-/// Returns the error of the lowest-indexed item whose closure failed.
-pub fn parallel_map_result<T, R, E, F>(items: Vec<T>, f: F) -> Result<Vec<R>, E>
-where
-    T: Send,
-    R: Send,
-    E: Send,
-    F: Fn(T) -> Result<R, E> + Sync,
-{
-    parallel_map(items, f).into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,19 +467,5 @@ mod tests {
     #[test]
     fn empty_scope_is_a_no_op() {
         with_threads(8, || scope(|_| {}));
-    }
-
-    #[test]
-    fn parallel_map_result_returns_first_error_by_index() {
-        let out: Result<Vec<u32>, String> = with_threads(4, || {
-            parallel_map_result((0u32..100).collect(), |x| {
-                if x % 30 == 7 {
-                    Err(format!("bad {x}"))
-                } else {
-                    Ok(x)
-                }
-            })
-        });
-        assert_eq!(out.unwrap_err(), "bad 7");
     }
 }

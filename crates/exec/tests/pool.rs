@@ -6,9 +6,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
-use submod_exec::{
-    idle_poll_count, join, parallel_map, park_count, scope, steal_count, with_threads,
-};
+use submod_exec::{join, parallel_map, scope, with_threads};
+
+/// Reads one of the pool's `exec.*` counters from the metrics registry.
+fn counter(name: &str) -> u64 {
+    submod_obs::counter(name).value()
+}
 
 /// Spins until `predicate` holds, failing the test after 30 s — long
 /// enough for any scheduler hiccup, short enough to catch a lost-task
@@ -29,7 +32,7 @@ fn work_is_stolen_from_a_blocked_workers_deque() {
         // worker 0's remaining chunks (2, 4, 6) can only complete if
         // worker 1 steals them — otherwise this test times out.
         let done = AtomicUsize::new(0);
-        let steals_before = steal_count();
+        let steals_before = counter("exec.steals");
         let out = parallel_map((0..8usize).collect(), |i| {
             if i == 0 {
                 wait_until("the other 7 tasks (work stealing)", || {
@@ -41,7 +44,7 @@ fn work_is_stolen_from_a_blocked_workers_deque() {
             i * 10
         });
         assert_eq!(out, (0..8).map(|i| i * 10).collect::<Vec<_>>());
-        assert!(steal_count() > steals_before, "completion required at least one steal");
+        assert!(counter("exec.steals") > steals_before, "completion required at least one steal");
     });
 }
 
@@ -146,7 +149,7 @@ fn results_are_identical_across_thread_counts() {
 #[test]
 fn idle_workers_park_on_the_condvar() {
     with_threads(4, || {
-        let parks_before = park_count();
+        let parks_before = counter("exec.parks");
         // One straggler holds the region open while the other three
         // workers run dry: they must end up parked, not polling.
         parallel_map((0..4usize).collect(), |i| {
@@ -155,7 +158,7 @@ fn idle_workers_park_on_the_condvar() {
             }
             i
         });
-        assert!(park_count() > parks_before, "idle workers never parked");
+        assert!(counter("exec.parks") > parks_before, "idle workers never parked");
     });
 }
 
@@ -168,14 +171,14 @@ fn idle_workers_park_on_the_condvar() {
 #[test]
 fn idle_workers_do_not_poll_while_parked() {
     with_threads(4, || {
-        let polls_before = idle_poll_count();
+        let polls_before = counter("exec.idle_polls");
         parallel_map((0..4usize).collect(), |i| {
             if i == 0 {
                 thread::sleep(Duration::from_millis(300));
             }
             i
         });
-        let polls = idle_poll_count() - polls_before;
+        let polls = counter("exec.idle_polls") - polls_before;
         // 3 idle workers × (16 yields + a few park/wake cycles), plus
         // slack for concurrently running tests that share the global
         // counter. Sleep-polling at 100 µs would alone contribute ~9 000.

@@ -521,7 +521,6 @@ fn journal_io<T>(
 pub struct Journal {
     file: File,
     path: PathBuf,
-    appended: u64,
 }
 
 impl Journal {
@@ -540,7 +539,7 @@ impl Journal {
         // Flags and reserved bytes stay zero.
         journal_io("writing the journal header", || file.write_all(&header))?;
         journal_io("syncing the journal header", || file.sync_data())?;
-        Ok(Journal { file, path: path.to_path_buf(), appended: 0 })
+        Ok(Journal { file, path: path.to_path_buf() })
     }
 
     /// Appends one record (framed and checksummed). The record is
@@ -557,7 +556,6 @@ impl Journal {
         put_u64(&mut frame, checksum(&payload));
         let file = &mut self.file;
         journal_io("appending a journal record", || file.write_all(&frame))?;
-        self.appended += 1;
         submod_obs::counter!("journal.records_written").incr();
         submod_obs::counter!("journal.bytes_written").add(frame.len() as u64);
         Ok(())
@@ -574,11 +572,6 @@ impl Journal {
         journal_io("syncing the journal", || file.sync_data())?;
         submod_obs::counter!("journal.syncs").incr();
         Ok(())
-    }
-
-    /// Records appended through this handle.
-    pub fn records_appended(&self) -> u64 {
-        self.appended
     }
 
     /// The journal's path.
@@ -686,7 +679,7 @@ pub fn open_resume(path: &Path) -> Result<(Replay, Journal), JournalError> {
     journal_io("seeking to the journal's end", || {
         file.seek(SeekFrom::Start(replayed.valid_len)).map(|_| ())
     })?;
-    Ok((replayed, Journal { file, path: path.to_path_buf(), appended: 0 }))
+    Ok((replayed, Journal { file, path: path.to_path_buf() }))
 }
 
 #[cfg(test)]
@@ -777,7 +770,6 @@ mod tests {
             journal.append(&record).unwrap();
         }
         journal.sync().unwrap();
-        assert_eq!(journal.records_appended(), 5);
         let replayed = replay(&path).unwrap();
         assert_eq!(replayed.records, sample_records());
         assert_eq!(replayed.torn_bytes, 0);

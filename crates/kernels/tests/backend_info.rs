@@ -14,6 +14,5 @@ fn backend_identity_survives_a_metrics_reset() {
     let snap = submod_obs::snapshot();
     assert_eq!(snap.info.get("kernels.backend").map(String::as_str), Some(name));
     assert!(submod_obs::metrics_json(&snap).contains(&entry));
-    assert!(submod_obs::metrics_csv(&snap).contains(&format!("info,kernels.backend,{name}\n")));
     assert!(submod_obs::chrome_trace_json(&[]).contains(&entry));
 }

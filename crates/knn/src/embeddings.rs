@@ -98,12 +98,6 @@ impl Embeddings {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Precomputed Euclidean norm of the `i`-th vector.
-    #[inline]
-    pub fn row_norm(&self, i: usize) -> f32 {
-        self.norms[i]
-    }
-
     /// All precomputed row norms (`len()` entries) — the hoisted-norm
     /// input the batch kernels take alongside [`Self::as_flat`].
     #[inline]
@@ -130,21 +124,6 @@ impl Embeddings {
         }
         crate::distance::dot(self.row(i), self.row(j)) / denom
     }
-
-    /// Cosine similarity between row `i` and an external `query` vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query.len() != dim()`.
-    pub fn cosine_to(&self, i: usize, query: &[f32]) -> f32 {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let qn = crate::distance::norm(query);
-        let denom = self.norms[i] * qn;
-        if denom <= f32::MIN_POSITIVE {
-            return 0.0;
-        }
-        crate::distance::dot(self.row(i), query) / denom
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +136,7 @@ mod tests {
         assert_eq!(e.len(), 2);
         assert_eq!(e.dim(), 2);
         assert_eq!(e.row(0), &[3.0, 4.0]);
-        assert!((e.row_norm(0) - 5.0).abs() < 1e-6);
+        assert!((e.norms()[0] - 5.0).abs() < 1e-6);
         assert_eq!(e.iter().count(), 2);
         assert_eq!(e.as_flat(), &[3.0, 4.0, 1.0, 0.0]);
     }
@@ -167,7 +146,6 @@ mod tests {
         let e = Embeddings::from_rows(2, &[&[1.0, 0.0], &[0.0, 1.0], &[2.0, 0.0]]).unwrap();
         assert!((e.cosine(0, 1)).abs() < 1e-6);
         assert!((e.cosine(0, 2) - 1.0).abs() < 1e-6);
-        assert!((e.cosine_to(0, &[0.5, 0.5]) - (0.5f32 / (0.5f32.hypot(0.5)))).abs() < 1e-6);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors produced while building k-NN indexes and graphs.
 #[derive(Clone, Debug)]
@@ -23,23 +22,10 @@ pub enum KnnError {
         /// Row of the offending value.
         row: usize,
     },
-    /// The graph cache file was missing, unreadable, or corrupt.
-    Cache {
-        /// Description of the failure.
-        detail: String,
-    },
     /// Graph assembly failed in the core layer.
     Graph(submod_core::CoreError),
-    /// The on-disk graph store rejected a cache file (corrupt, foreign, or
-    /// truncated) or failed to write one.
+    /// The graph store rejected the assembled CSR arrays.
     Store(submod_core::GraphError),
-    /// An I/O failure while reading or writing a cache file.
-    Io {
-        /// What was being done.
-        context: &'static str,
-        /// Underlying error (shared to stay `Clone`).
-        source: Arc<std::io::Error>,
-    },
 }
 
 impl fmt::Display for KnnError {
@@ -54,12 +40,8 @@ impl fmt::Display for KnnError {
             KnnError::NonFiniteValue { row } => {
                 write!(f, "embedding row {row} contains a non-finite value")
             }
-            KnnError::Cache { detail } => write!(f, "graph cache failure: {detail}"),
             KnnError::Graph(inner) => write!(f, "graph assembly failure: {inner}"),
             KnnError::Store(inner) => write!(f, "graph store failure: {inner}"),
-            KnnError::Io { context, source } => {
-                write!(f, "i/o failure while {context}: {source}")
-            }
         }
     }
 }
@@ -69,7 +51,6 @@ impl Error for KnnError {
         match self {
             KnnError::Graph(inner) => Some(inner),
             KnnError::Store(inner) => Some(inner),
-            KnnError::Io { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }

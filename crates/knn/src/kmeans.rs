@@ -44,15 +44,6 @@ impl KMeansModel {
         self.iterations_run
     }
 
-    /// Index of the centroid nearest to `query`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` has the wrong dimension.
-    pub fn nearest_centroid(&self, query: &[f32]) -> u32 {
-        self.nearest_centroids(query, 1)[0]
-    }
-
     /// Indices of the `p` centroids nearest to `query`, closest first.
     ///
     /// Centroids are ranked by `‖c‖² − 2⟨c, q⟩` (equivalent to squared
@@ -378,8 +369,8 @@ mod tests {
     fn nearest_centroid_queries() {
         let data = blobs(20, &[(0.0, 0.0), (10.0, 10.0)], 5);
         let model = kmeans(&data, 2, 20, 1).unwrap();
-        let near_origin = model.nearest_centroid(&[0.2, -0.1]);
-        let near_far = model.nearest_centroid(&[9.8, 10.1]);
+        let near_origin = model.nearest_centroids(&[0.2, -0.1], 1);
+        let near_far = model.nearest_centroids(&[9.8, 10.1], 1);
         assert_ne!(near_origin, near_far);
         let both = model.nearest_centroids(&[5.0, 5.0], 2);
         assert_eq!(both.len(), 2);

@@ -12,8 +12,6 @@
 //!   [`submod_core::SimilarityGraph`], with edge weights set to cosine
 //!   similarity clamped to `[0, 1]` (the objective requires non-negative
 //!   similarities, §3).
-//! - [`cache`] — a binary disk cache so experiment sweeps build each graph
-//!   once.
 //!
 //! All distance arithmetic dispatches through `submod_kernels` (AVX2 /
 //! scalar, selected at runtime, `SUBMOD_KERNELS=scalar` to force
@@ -44,7 +42,6 @@
 
 mod brute;
 mod builder;
-pub mod cache;
 mod distance;
 mod embeddings;
 mod error;

@@ -341,9 +341,9 @@ pub fn histogram(name: &str) -> &'static Histogram {
 /// Records an identity fact about this process — which kernel backend
 /// it dispatched to, say. Unlike a metric, an info entry is not a tally:
 /// [`reset_metrics`] leaves it alone, and every export carries it
-/// ([`MetricsSnapshot::info`], the `"info"` object of [`metrics_json`],
-/// `info` rows of [`metrics_csv`], `otherData` of [`chrome_trace_json`]),
-/// so whatever numbers a file holds, it says what they were measured on.
+/// ([`MetricsSnapshot::info`], the `"info"` object of [`metrics_json`] and
+/// `otherData` of [`chrome_trace_json`]), so whatever numbers a file
+/// holds, it says what they were measured on.
 pub fn set_info(name: &str, value: &str) {
     registry().info.lock().expect("info registry").insert(name.to_string(), value.to_string());
 }
@@ -739,32 +739,6 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// Serializes a metrics snapshot as `kind,name,value` CSV (name-sorted;
-/// histograms emit one `le_<bound>` row per bucket).
-pub fn metrics_csv(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("kind,name,value\n");
-    for (name, v) in &snap.info {
-        out.push_str(&format!("info,{name},{v}\n"));
-    }
-    for (name, v) in &snap.counters {
-        out.push_str(&format!("counter,{name},{v}\n"));
-    }
-    for (name, v) in &snap.gauges {
-        out.push_str(&format!("gauge,{name},{v}\n"));
-    }
-    for (name, h) in &snap.histograms {
-        out.push_str(&format!("histogram,{name}.sum,{}\n", h.sum));
-        for (bound, count) in h.bounds.iter().zip(&h.counts) {
-            if *count == 0 {
-                continue;
-            }
-            let label = if *bound == u64::MAX { "inf".to_string() } else { bound.to_string() };
-            out.push_str(&format!("histogram,{name}.le_{label},{count}\n"));
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Process RSS (the one place /proc/self/status is parsed)
 // ---------------------------------------------------------------------------
@@ -947,11 +921,6 @@ mod tests {
         assert!(json.contains("\"test.export.c\":3"));
         assert!(json.contains("\"test.export.g\":7"));
         assert!(json.contains("\"test.export.h\""));
-        let csv = metrics_csv(&snap);
-        assert!(csv.contains("info,test.export.i,avx2\n"));
-        assert!(csv.contains("counter,test.export.c,3"));
-        assert!(csv.contains("gauge,test.export.g,7"));
-        assert!(csv.contains("histogram,test.export.h.le_4,1"));
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let t0 = Instant::now();
     let instance = build_instance(&config)?;
-    println!("built in {:.1?} (cached for reruns)\n", t0.elapsed());
+    println!("built in {:.1?}\n", t0.elapsed());
 
     let k = instance.len() / 10;
     let objective = instance.objective(0.9)?;

@@ -1,5 +1,5 @@
 //! A tour of the Beam-style dataflow engine on its own: transforms,
-//! shuffles, joins, memory budgets, and spill accounting.
+//! shuffles, broadcast joins, memory budgets, and spill accounting.
 //!
 //! The paper's §5 pipelines are built from exactly these pieces; this
 //! example exercises them on a toy co-occurrence workload so the engine's
@@ -30,19 +30,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let max_degree = degrees.aggregate(0u64, |acc, (_, d)| acc.max(d), |a, b| a.max(b))?;
     println!("distinct nodes: {}, max degree: {max_degree}", degrees.count()?);
 
-    // A two-way co-group, the join `score_dataflow` runs: degrees × a
-    // "solution" set.
-    let solution = pipeline.from_vec((0u64..500).map(|v| (v * 10, ())).collect::<Vec<_>>());
-    let joined = degrees.co_group_2(&solution)?;
-    let in_solution =
-        joined.filter(|(_, (deg, sol))| !deg.is_empty() && !sol.is_empty())?.count()?;
-    println!("nodes with degree info that are in the solution: {in_solution}");
-
-    // Broadcast side-input: the same membership question answered without
-    // a shuffle — the solution set rides to every worker as a bitset.
+    // Broadcast side-input join: which nodes with degree info are in a
+    // "solution" set, answered without a shuffle — the set rides to every
+    // worker as a bitset, the way the selection drivers ship theirs.
     let members = pipeline.broadcast_set(5_000, (0u64..500).map(|v| v * 10));
-    let via_broadcast = degrees.filter(move |(v, _)| members.contains(*v))?.count()?;
-    println!("same count via a broadcast side-input join: {via_broadcast}");
+    let in_solution = degrees.filter(move |(v, _)| members.contains(*v))?.count()?;
+    println!("nodes with degree info that are in the solution: {in_solution}");
 
     // The same combiner keyed by degree: a degree histogram.
     let histogram =

@@ -71,9 +71,9 @@ pub mod prelude {
     pub use submod_dataflow::{DataflowError, MemoryBudget, PCollection, Pipeline};
     pub use submod_dist::{
         bound_dataflow, bound_in_memory, complete_selection, distributed_greedy,
-        distributed_greedy_dataflow, greedi, score_dataflow, score_in_memory, select_subset,
-        theorem_4_6, BoundingConfig, BoundingOutcome, BoundingStats, DeltaSchedule, DistError,
-        DistGreedyConfig, GreedyStats, PartitionStyle, PipelineConfig, SamplingStrategy,
+        distributed_greedy_dataflow, greedi, select_subset, theorem_4_6, BoundingConfig,
+        BoundingOutcome, BoundingStats, DeltaSchedule, DistError, DistGreedyConfig, GreedyStats,
+        PartitionStyle, PipelineConfig, SamplingStrategy,
     };
     pub use submod_knn::{build_knn_graph, Embeddings, KnnBackend, NearestNeighbors};
 }

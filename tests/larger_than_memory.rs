@@ -315,27 +315,6 @@ fn batched_greedy_overlay_and_scans_stay_bounded() {
 }
 
 #[test]
-fn dataflow_scoring_matches_reference_under_memory_pressure() {
-    let instance = instance();
-    let k = instance.len() / 4;
-    let objective = instance.objective(0.5).unwrap();
-    let subset = greedy_select(&instance.graph, &objective, k).unwrap();
-
-    let reference = score_in_memory(&instance.graph, &objective, subset.selected());
-    // 1 KiB per worker: with operator fusion the intermediate transforms
-    // never materialize, so the pressure has to land on what still does —
-    // shuffle runs and fused-stage outputs.
-    let pipeline =
-        Pipeline::builder().workers(3).memory_budget(MemoryBudget::bytes(1024)).build().unwrap();
-    let scored = score_dataflow(&pipeline, &instance.graph, &objective, subset.selected()).unwrap();
-    assert!(
-        (reference - scored).abs() < 1e-9 * reference.abs().max(1.0),
-        "{reference} vs {scored}"
-    );
-    assert!(pipeline.metrics().bytes_spilled > 0);
-}
-
-#[test]
 fn virtual_dataset_streams_without_materialization() {
     let base = instance();
     let perturbed = PerturbedDataset::new(&base, 1000, 0.02, 5).unwrap();
