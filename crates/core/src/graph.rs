@@ -59,7 +59,7 @@ pub struct SimilarityGraph {
 #[derive(Clone, Debug)]
 enum Backing {
     Owned { offsets: Vec<u64>, neighbors: Vec<u32>, weights: Vec<f32> },
-    Mapped(Arc<store::MappedCsr>),
+    Mapped(Arc<submod_mman::CsrView>),
 }
 
 impl PartialEq for SimilarityGraph {
@@ -378,51 +378,23 @@ impl SimilarityGraph {
     /// Returns a [`GraphError`] on I/O failure.
     pub fn write_store(&self, path: &Path) -> Result<(), GraphError> {
         let (offsets, neighbors, weights) = self.parts();
-        store::write_store(path, offsets, neighbors, weights, self.is_symmetric(), None)
-    }
-
-    /// Writes this graph plus a per-node utility vector as one store file.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GraphError`] on I/O failure, a utility count mismatch,
-    /// or a non-finite utility.
-    pub fn write_store_with_utilities(
-        &self,
-        path: &Path,
-        utilities: &[f32],
-    ) -> Result<(), GraphError> {
-        let (offsets, neighbors, weights) = self.parts();
-        store::write_store(path, offsets, neighbors, weights, self.is_symmetric(), Some(utilities))
+        store::write_store(path, offsets, neighbors, weights, self.is_symmetric())
     }
 
     /// Opens a store file as a read-only memory-mapped graph.
     ///
     /// Zero-copy: the CSR arrays are served straight from the mapping
-    /// after a full validation sweep. A utilities section, if present, is
-    /// ignored — use [`Self::open_store_with_utilities`] to read it.
+    /// after a full validation sweep.
     ///
     /// # Errors
     ///
     /// Returns a typed [`GraphError`] for every malformed-file mode:
-    /// truncation, wrong magic/version, checksum mismatch, non-monotone or
+    /// a bad header, truncation, checksum mismatch, non-monotone or
     /// out-of-bounds offsets, out-of-bounds/unsorted/self-loop neighbor
     /// rows, and NaN/infinite/negative weights. Never panics on bad input.
     pub fn open_store(path: &Path) -> Result<Self, GraphError> {
-        let (mapped, _utilities) = store::open_store(path)?;
+        let mapped = store::open_store(path)?;
         Ok(SimilarityGraph::from_backing(Backing::Mapped(Arc::new(mapped))))
-    }
-
-    /// Opens a store file written with utilities, returning both.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::open_store`], plus [`GraphError::MissingUtilities`]
-    /// if the file has no utilities section.
-    pub fn open_store_with_utilities(path: &Path) -> Result<(Self, Vec<f32>), GraphError> {
-        let (mapped, utilities) = store::open_store(path)?;
-        let utilities = utilities.ok_or(GraphError::MissingUtilities)?;
-        Ok((SimilarityGraph::from_backing(Backing::Mapped(Arc::new(mapped))), utilities))
     }
 
     /// Builds the subgraph induced by `nodes`, relabeling to local dense
@@ -872,46 +844,6 @@ mod tests {
         assert_eq!(g.heap_bytes(), g.memory_bytes());
         assert_eq!(mapped.memory_bytes(), g.memory_bytes());
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn store_roundtrip_with_utilities() {
-        let g = diamond();
-        let utilities = vec![0.5, 1.5, 2.5, 3.5];
-        let path = temp_store("utilities");
-        g.write_store_with_utilities(&path, &utilities).unwrap();
-        let (mapped, read) = SimilarityGraph::open_store_with_utilities(&path).unwrap();
-        assert_eq!(mapped, g);
-        assert_eq!(read, utilities);
-        // The plain open ignores the utilities section.
-        assert_eq!(SimilarityGraph::open_store(&path).unwrap(), g);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn store_without_utilities_reports_missing() {
-        let g = diamond();
-        let path = temp_store("missing-utilities");
-        g.write_store(&path).unwrap();
-        assert_eq!(
-            SimilarityGraph::open_store_with_utilities(&path).unwrap_err(),
-            GraphError::MissingUtilities
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn store_rejects_mismatched_utilities() {
-        let g = diamond();
-        let path = temp_store("bad-utilities");
-        assert!(matches!(
-            g.write_store_with_utilities(&path, &[1.0]).unwrap_err(),
-            GraphError::UtilityCountMismatch { utilities: 1, num_nodes: 4 }
-        ));
-        assert!(matches!(
-            g.write_store_with_utilities(&path, &[1.0, f32::NAN, 0.0, 0.0]).unwrap_err(),
-            GraphError::InvalidUtility { node: 1, .. }
-        ));
     }
 
     #[test]

@@ -15,16 +15,18 @@
 //! offset  size              field
 //! 0       8                 magic  b"SUBMCSR1"
 //! 8       4                 version (u32, = 1)
-//! 12      4                 flags   (u32: bit0 symmetric, bit1 has-utilities)
+//! 12      4                 flags   (u32: bit0 symmetric)
 //! 16      8                 num_nodes (u64)
 //! 24      8                 num_edges (u64, directed CSR entries)
-//! 32      8                 checksum  (u64, FNV-1a over every payload byte)
+//! 32      8                 checksum  (u64, FNV-1a-64 over every payload byte)
 //! 40      24                reserved (zero)
 //! 64      (n+1)·8           offsets   (u64 each, row v = [offsets[v], offsets[v+1]))
 //! …       e·4               neighbors (u32 dense node ids, sorted per row)
 //! …       e·4               weights   (f32, finite and non-negative)
-//! …       n·4               utilities (f32, only if bit1 of flags is set)
 //! ```
+//!
+//! The magic/version/flags/reserved checks and the checksum are
+//! `submod_obs::format`'s, shared with the write-ahead journal.
 //!
 //! Every section starts at a file offset aligned to its element size
 //! (the header is 64 bytes and `mmap` regions are page-aligned), so the
@@ -35,6 +37,7 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use submod_obs::format::{self, Fnv1a64, HeaderError};
 
 /// First 8 bytes of every store file.
 pub const MAGIC: [u8; 8] = *b"SUBMCSR1";
@@ -44,14 +47,14 @@ pub const VERSION: u32 = 1;
 pub const HEADER_LEN: usize = 64;
 
 const FLAG_SYMMETRIC: u32 = 1;
-const FLAG_UTILITIES: u32 = 2;
-const KNOWN_FLAGS: u32 = FLAG_SYMMETRIC | FLAG_UTILITIES;
+/// The zeroed bytes that close the header.
+const RESERVED: std::ops::Range<usize> = 40..HEADER_LEN;
 
 /// Errors produced while writing, opening, or validating an on-disk graph
 /// store.
 ///
 /// Every failure mode of the `mmap` path is a first-class variant: I/O,
-/// truncation, a foreign or future file, payload corruption, and each CSR
+/// a bad header, truncation, payload corruption, and each CSR
 /// invariant violation. `Io` keeps the rendered OS error so the enum stays
 /// `Clone + PartialEq` for tests.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,33 +67,15 @@ pub enum GraphError {
         /// Rendered underlying error.
         detail: String,
     },
+    /// The header is malformed: too short, a foreign magic, a future
+    /// version, unknown flags, or non-zero reserved bytes.
+    Header(HeaderError),
     /// The file is shorter (or longer) than the header-declared sections.
     Truncated {
         /// Byte length the header demands.
         expected: u64,
         /// Byte length actually on disk.
         actual: u64,
-    },
-    /// The first 8 bytes were not [`MAGIC`].
-    BadMagic {
-        /// The bytes found instead.
-        found: [u8; 8],
-    },
-    /// The version field named a format this build does not read.
-    UnsupportedVersion {
-        /// The version found.
-        found: u32,
-    },
-    /// The flags field had bits this version does not define.
-    UnknownFlags {
-        /// The flags found.
-        found: u32,
-    },
-    /// A reserved header byte was non-zero (corruption, or a future field
-    /// this version cannot interpret).
-    ReservedNonZero {
-        /// File offset of the non-zero byte.
-        position: usize,
     },
     /// The payload bytes do not hash to the stored checksum (bit rot or a
     /// partial write).
@@ -152,23 +137,6 @@ pub enum GraphError {
         /// The offending weight.
         weight: f32,
     },
-    /// A stored utility was NaN or infinite.
-    InvalidUtility {
-        /// Index of the bad utility.
-        node: usize,
-        /// The offending utility.
-        utility: f32,
-    },
-    /// Utilities were requested but the store was written without them.
-    MissingUtilities,
-    /// The number of utilities handed to the writer did not match the
-    /// graph's node count.
-    UtilityCountMismatch {
-        /// Utilities provided.
-        utilities: usize,
-        /// Nodes in the graph.
-        num_nodes: usize,
-    },
     /// A section was not aligned for its element type. Unreachable for
     /// files this crate writes (the layout is aligned by construction);
     /// kept so a hand-crafted file still fails closed.
@@ -184,20 +152,9 @@ impl std::fmt::Display for GraphError {
             GraphError::Io { context, detail } => {
                 write!(f, "i/o failure while {context}: {detail}")
             }
+            GraphError::Header(err) => write!(f, "bad graph store header: {err}"),
             GraphError::Truncated { expected, actual } => {
                 write!(f, "store file is {actual} bytes but the header demands {expected}")
-            }
-            GraphError::BadMagic { found } => {
-                write!(f, "not a graph store (magic {found:02x?})")
-            }
-            GraphError::UnsupportedVersion { found } => {
-                write!(f, "store version {found} is not supported (this build reads {VERSION})")
-            }
-            GraphError::UnknownFlags { found } => {
-                write!(f, "store flags {found:#x} contain bits this version does not define")
-            }
-            GraphError::ReservedNonZero { position } => {
-                write!(f, "reserved header byte at offset {position} is non-zero")
             }
             GraphError::ChecksumMismatch { stored, computed } => {
                 write!(f, "payload checksum {computed:#018x} does not match stored {stored:#018x}")
@@ -224,15 +181,6 @@ impl std::fmt::Display for GraphError {
             GraphError::InvalidWeight { node, weight } => {
                 write!(f, "weight {weight} of node {node} is not a finite non-negative number")
             }
-            GraphError::InvalidUtility { node, utility } => {
-                write!(f, "utility {utility} of node {node} is not finite")
-            }
-            GraphError::MissingUtilities => {
-                write!(f, "store was written without a utilities section")
-            }
-            GraphError::UtilityCountMismatch { utilities, num_nodes } => {
-                write!(f, "{utilities} utilities provided for a graph of {num_nodes} nodes")
-            }
             GraphError::Misaligned { section } => {
                 write!(f, "section `{section}` is not aligned for its element type")
             }
@@ -254,52 +202,19 @@ fn io_pair(primary: std::io::Error, fallback: std::io::Error) -> std::io::Error 
     std::io::Error::new(primary.kind(), format!("{primary}; owned-buffer fallback: {fallback}"))
 }
 
-/// FNV-1a 64-bit hash of the payload bytes (everything after the header).
-///
-/// Part of the format contract: corruption tests recompute it after
-/// altering a section so the alteration is judged by the *semantic*
-/// validator rather than caught here first.
-pub fn payload_checksum(payload: &[u8]) -> u64 {
-    let mut state = 0xCBF2_9CE4_8422_2325u64;
-    for &b in payload {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    state
-}
-
-/// Streaming FNV-1a accumulator for the writer (identical output to
-/// [`payload_checksum`] without materializing the payload).
-struct Checksum(u64);
-
-impl Checksum {
-    fn new() -> Self {
-        Checksum(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
 /// Byte length a version-1 store with these counts must have, or `None`
 /// if the counts are so large the length overflows `u64` (only reachable
 /// from a corrupt header — no real file can be that long).
-fn expected_len(num_nodes: u64, num_edges: u64, has_utilities: bool) -> Option<u64> {
+fn expected_len(num_nodes: u64, num_edges: u64) -> Option<u64> {
     let offsets = num_nodes.checked_add(1)?.checked_mul(8)?;
     let edges = num_edges.checked_mul(8)?;
-    let utilities = if has_utilities { num_nodes.checked_mul(4)? } else { 0 };
-    (HEADER_LEN as u64).checked_add(offsets)?.checked_add(edges)?.checked_add(utilities)
+    (HEADER_LEN as u64).checked_add(offsets)?.checked_add(edges)
 }
 
-/// Writes a validated CSR triple (plus optional utilities) as a store file.
+/// Writes a validated CSR triple as a store file.
 ///
 /// The caller guarantees the arrays already satisfy the CSR invariants
-/// (they come from a live [`SimilarityGraph`]); utilities are validated
-/// here because they enter from outside the graph.
+/// (they come from a live [`SimilarityGraph`]).
 ///
 /// [`SimilarityGraph`]: crate::SimilarityGraph
 pub(crate) fn write_store(
@@ -308,26 +223,15 @@ pub(crate) fn write_store(
     neighbors: &[u32],
     weights: &[f32],
     symmetric: bool,
-    utilities: Option<&[f32]>,
 ) -> Result<(), GraphError> {
     let _span = submod_obs::span_full("store.write");
     let num_nodes = offsets.len() - 1;
     if num_nodes as u64 > u64::from(u32::MAX) {
         return Err(GraphError::TooManyNodes { num_nodes: num_nodes as u64 });
     }
-    if let Some(utilities) = utilities {
-        if utilities.len() != num_nodes {
-            return Err(GraphError::UtilityCountMismatch { utilities: utilities.len(), num_nodes });
-        }
-        for (node, &u) in utilities.iter().enumerate() {
-            if !u.is_finite() {
-                return Err(GraphError::InvalidUtility { node, utility: u });
-            }
-        }
-    }
 
     // Pre-pass: checksum the payload exactly as it will be laid out.
-    let mut sum = Checksum::new();
+    let mut sum = Fnv1a64::new();
     for &o in offsets {
         sum.update(&o.to_le_bytes());
     }
@@ -336,11 +240,6 @@ pub(crate) fn write_store(
     }
     for &w in weights {
         sum.update(&w.to_le_bytes());
-    }
-    if let Some(utilities) = utilities {
-        for &u in utilities {
-            sum.update(&u.to_le_bytes());
-        }
     }
 
     if let Some(parent) = path.parent() {
@@ -355,20 +254,14 @@ pub(crate) fn write_store(
         w.write_all(bytes).map_err(|e| GraphError::io("writing the store file", e))
     };
 
-    let mut flags = 0u32;
-    if symmetric {
-        flags |= FLAG_SYMMETRIC;
-    }
-    if utilities.is_some() {
-        flags |= FLAG_UTILITIES;
-    }
+    let flags = if symmetric { FLAG_SYMMETRIC } else { 0 };
     wr(&mut w, &MAGIC)?;
     wr(&mut w, &VERSION.to_le_bytes())?;
     wr(&mut w, &flags.to_le_bytes())?;
     wr(&mut w, &(num_nodes as u64).to_le_bytes())?;
     wr(&mut w, &(neighbors.len() as u64).to_le_bytes())?;
-    wr(&mut w, &sum.0.to_le_bytes())?;
-    wr(&mut w, &[0u8; 24])?;
+    wr(&mut w, &sum.finish().to_le_bytes())?;
+    wr(&mut w, &[0u8; RESERVED.end - RESERVED.start])?;
     for &o in offsets {
         wr(&mut w, &o.to_le_bytes())?;
     }
@@ -378,78 +271,29 @@ pub(crate) fn write_store(
     for &x in weights {
         wr(&mut w, &x.to_le_bytes())?;
     }
-    if let Some(utilities) = utilities {
-        for &u in utilities {
-            wr(&mut w, &u.to_le_bytes())?;
-        }
-    }
     w.flush().map_err(|e| GraphError::io("flushing the store file", e))?;
     let payload = std::mem::size_of_val(offsets)
         + std::mem::size_of_val(neighbors)
-        + std::mem::size_of_val(weights)
-        + utilities.map_or(0, std::mem::size_of_val);
+        + std::mem::size_of_val(weights);
     submod_obs::counter!("store.writes").incr();
     submod_obs::counter!("store.written_bytes").add((HEADER_LEN + payload) as u64);
     Ok(())
 }
 
-/// A validated read-only mapping of a store file.
-///
-/// The heavy lifting lives in [`submod_mman::CsrView`], which validated
-/// each section's bounds and alignment once at open and cached the typed
-/// slices — so these accessors are bare pointer/length loads that inline
-/// into the per-edge graph-traversal loops above.
-#[derive(Debug)]
-pub(crate) struct MappedCsr {
-    view: submod_mman::CsrView,
-}
-
-impl MappedCsr {
-    /// The `(num_nodes + 1)` row offsets.
-    #[inline]
-    pub(crate) fn offsets(&self) -> &[u64] {
-        self.view.offsets()
-    }
-
-    /// All neighbor ids, concatenated row-major.
-    #[inline]
-    pub(crate) fn neighbors(&self) -> &[u32] {
-        self.view.neighbors()
-    }
-
-    /// All edge weights, aligned with [`Self::neighbors`].
-    #[inline]
-    pub(crate) fn weights(&self) -> &[f32] {
-        self.view.weights()
-    }
-}
-
 /// Opens and fully validates a store file.
 ///
-/// Returns the mapped CSR sections plus the utilities (copied out — they
-/// are `O(nodes)`, dwarfed by the `O(edges)` arrays that stay mapped).
-pub(crate) fn open_store(path: &Path) -> Result<(MappedCsr, Option<Vec<f32>>), GraphError> {
+/// The returned view checked each section's bounds and alignment once and
+/// cached the typed slices, so its accessors are bare pointer/length loads
+/// that inline into the per-edge graph-traversal loops.
+pub(crate) fn open_store(path: &Path) -> Result<submod_mman::CsrView, GraphError> {
     use submod_obs::faults::{self, FaultSite};
     let _span = submod_obs::span_full("store.open");
-    // Injected transient open faults self-clear, so a bounded retry always
-    // recovers; injected permanent faults exhaust the attempts and surface
-    // as a typed error like any real open failure would.
-    let file = {
-        let mut opened = None;
-        for attempt in 0..faults::MAX_IO_ATTEMPTS {
-            if let Some(err) = faults::inject_io(FaultSite::StoreOpen) {
-                if faults::is_injected_transient(&err) && attempt + 1 < faults::MAX_IO_ATTEMPTS {
-                    faults::backoff(attempt);
-                    continue;
-                }
-                return Err(GraphError::io("opening the store file", err));
-            }
-            opened =
-                Some(File::open(path).map_err(|e| GraphError::io("opening the store file", e))?);
-            break;
-        }
-        opened.expect("the open loop either returns an error or opens the file")
-    };
+    // Injected transient open faults self-clear, so the bounded retry
+    // always recovers; injected permanent faults exhaust the attempts and
+    // surface as a typed error like any real open failure would.
+    let file = faults::check_io(FaultSite::StoreOpen)
+        .and_then(|()| File::open(path))
+        .map_err(|e| GraphError::io("opening the store file", e))?;
     // A failed mmap (no mmap support, address-space exhaustion, or an
     // injected mmap-open fault) degrades to reading the file into an owned
     // buffer: the run proceeds at the cost of residency, and the switch is
@@ -470,81 +314,33 @@ pub(crate) fn open_store(path: &Path) -> Result<(MappedCsr, Option<Vec<f32>>), G
     submod_obs::counter!("store.opens").incr();
     submod_obs::counter!("store.mapped_bytes").add(bytes.len() as u64);
 
-    if bytes.len() < HEADER_LEN {
-        return Err(GraphError::Truncated {
-            expected: HEADER_LEN as u64,
-            actual: bytes.len() as u64,
-        });
-    }
-    let mut magic = [0u8; 8];
-    magic.copy_from_slice(&bytes[0..8]);
-    if magic != MAGIC {
-        return Err(GraphError::BadMagic { found: magic });
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(GraphError::UnsupportedVersion { found: version });
-    }
-    let flags = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-    if flags & !KNOWN_FLAGS != 0 {
-        return Err(GraphError::UnknownFlags { found: flags });
-    }
-    let num_nodes = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let num_edges = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
-    let stored_sum = u64::from_le_bytes(bytes[32..40].try_into().expect("8 bytes"));
-    if let Some(off) = bytes[40..HEADER_LEN].iter().position(|&b| b != 0) {
-        // The reserved region is outside the payload checksum, so it gets
-        // its own explicit zero check.
-        return Err(GraphError::ReservedNonZero { position: 40 + off });
-    }
+    // The reserved region is outside the payload checksum, so the header
+    // check zero-checks it explicitly.
+    format::check_header(bytes, &MAGIC, VERSION, FLAG_SYMMETRIC, RESERVED)
+        .map_err(GraphError::Header)?;
+    let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    let (num_nodes, num_edges, stored_sum) = (field(16), field(24), field(32));
     if num_nodes > u64::from(u32::MAX) {
         return Err(GraphError::TooManyNodes { num_nodes });
     }
-    let has_utilities = flags & FLAG_UTILITIES != 0;
-    let expected = expected_len(num_nodes, num_edges, has_utilities)
+    let expected = expected_len(num_nodes, num_edges)
         .ok_or(GraphError::Truncated { expected: u64::MAX, actual: bytes.len() as u64 })?;
     if bytes.len() as u64 != expected {
         return Err(GraphError::Truncated { expected, actual: bytes.len() as u64 });
     }
 
-    let computed = payload_checksum(&bytes[HEADER_LEN..]);
+    let computed = format::fnv1a64(&bytes[HEADER_LEN..]);
     if computed != stored_sum {
         return Err(GraphError::ChecksumMismatch { stored: stored_sum, computed });
     }
 
-    let n = num_nodes as usize;
-    let e = num_edges as usize;
-    let offsets_range = HEADER_LEN..HEADER_LEN + (n + 1) * 8;
-    let neighbors_range = offsets_range.end..offsets_range.end + e * 4;
-    let weights_range = neighbors_range.end..neighbors_range.end + e * 4;
-    let utilities_range =
-        weights_range.end..weights_range.end + if has_utilities { n * 4 } else { 0 };
-
-    let offsets = submod_mman::u64_slice(&bytes[offsets_range.clone()])
-        .ok_or(GraphError::Misaligned { section: "offsets" })?;
-    let neighbors = submod_mman::u32_slice(&bytes[neighbors_range.clone()])
-        .ok_or(GraphError::Misaligned { section: "neighbors" })?;
-    let weights = submod_mman::f32_slice(&bytes[weights_range.clone()])
-        .ok_or(GraphError::Misaligned { section: "weights" })?;
-
-    validate_csr(offsets, neighbors, weights)?;
-
-    let utilities = if has_utilities {
-        let raw = submod_mman::f32_slice(&bytes[utilities_range])
-            .ok_or(GraphError::Misaligned { section: "utilities" })?;
-        for (node, &u) in raw.iter().enumerate() {
-            if !u.is_finite() {
-                return Err(GraphError::InvalidUtility { node, utility: u });
-            }
-        }
-        Some(raw.to_vec())
-    } else {
-        None
-    };
-
-    let view = submod_mman::CsrView::new(mmap, offsets_range, neighbors_range, weights_range)
+    let offsets = HEADER_LEN..HEADER_LEN + (num_nodes as usize + 1) * 8;
+    let neighbors = offsets.end..offsets.end + num_edges as usize * 4;
+    let weights = neighbors.end..neighbors.end + num_edges as usize * 4;
+    let view = submod_mman::CsrView::new(mmap, offsets, neighbors, weights)
         .map_err(|section| GraphError::Misaligned { section })?;
-    Ok((MappedCsr { view }, utilities))
+    validate_csr(view.offsets(), view.neighbors(), view.weights())?;
+    Ok(view)
 }
 
 /// Checks every CSR invariant the rest of the workspace relies on:

@@ -5,12 +5,13 @@
 //! store file and break it one section at a time: truncation, foreign
 //! magic, future version, random bit-flips, and each semantic CSR
 //! invariant. For semantic corruptions the header checksum is re-fixed
-//! after the edit (via `store::payload_checksum`) so the *validator*, not
-//! the checksum, is what catches the damage.
+//! after the edit (via `submod_obs::format::fnv1a64`) so the *validator*,
+//! not the checksum, is what catches the damage.
 
 use std::path::PathBuf;
-use submod_core::store::{payload_checksum, HEADER_LEN, VERSION};
+use submod_core::store::{HEADER_LEN, VERSION};
 use submod_core::{GraphBuilder, GraphError, SimilarityGraph};
+use submod_obs::format::{fnv1a64, HeaderError};
 
 fn sample_graph() -> SimilarityGraph {
     let mut b = GraphBuilder::new(6);
@@ -36,7 +37,7 @@ fn valid_store(name: &str) -> (PathBuf, Vec<u8>) {
 /// Rewrites the file with `bytes`, after re-fixing the header checksum so
 /// semantic validation (not the checksum) judges the content.
 fn write_with_fixed_checksum(path: &PathBuf, mut bytes: Vec<u8>) {
-    let sum = payload_checksum(&bytes[HEADER_LEN..]);
+    let sum = fnv1a64(&bytes[HEADER_LEN..]);
     bytes[32..40].copy_from_slice(&sum.to_le_bytes());
     std::fs::write(path, &bytes).unwrap();
 }
@@ -69,14 +70,27 @@ fn valid_store_opens() {
 }
 
 #[test]
+fn store_bytes_are_pinned() {
+    // The exact bytes of the sample store, recorded before the header and
+    // checksum code moved to `submod_obs::format`: a change to the layout,
+    // the header or the checksum fails here.
+    let (path, bytes) = valid_store("pinned");
+    assert_eq!((bytes.len(), fnv1a64(&bytes)), (216, 0x5dba_1e9d_65a0_bce9));
+    cleanup(&path);
+}
+
+#[test]
 fn truncated_file_is_rejected_at_every_length() {
     let (path, bytes) = valid_store("truncate");
     // Sweep a selection of truncation points: inside the header, at the
     // header boundary, inside each section, and one byte short.
     for cut in [0, 1, 7, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 9, bytes.len() - 1] {
         std::fs::write(&path, &bytes[..cut]).unwrap();
+        // A cut inside the header is the header check's; any later cut is
+        // the section-length check's.
         match SimilarityGraph::open_store(&path) {
-            Err(GraphError::Truncated { expected, actual }) => {
+            Err(GraphError::Truncated { expected, actual })
+            | Err(GraphError::Header(HeaderError::Truncated { expected, actual })) => {
                 assert_eq!(actual, cut as u64);
                 assert!(expected > actual, "cut at {cut}");
             }
@@ -101,7 +115,9 @@ fn wrong_magic_is_rejected() {
     bytes[0..8].copy_from_slice(b"SUBMODG1"); // the pre-store cache format
     std::fs::write(&path, &bytes).unwrap();
     match SimilarityGraph::open_store(&path) {
-        Err(GraphError::BadMagic { found }) => assert_eq!(&found, b"SUBMODG1"),
+        Err(GraphError::Header(HeaderError::BadMagic { found })) => {
+            assert_eq!(&found, b"SUBMODG1")
+        }
         other => panic!("expected BadMagic, got {other:?}"),
     }
     cleanup(&path);
@@ -113,7 +129,9 @@ fn future_version_is_rejected() {
     bytes[8..12].copy_from_slice(&(VERSION + 1).to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     match SimilarityGraph::open_store(&path) {
-        Err(GraphError::UnsupportedVersion { found }) => assert_eq!(found, VERSION + 1),
+        Err(GraphError::Header(HeaderError::UnsupportedVersion { found })) => {
+            assert_eq!(found, VERSION + 1)
+        }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
     cleanup(&path);
@@ -121,11 +139,17 @@ fn future_version_is_rejected() {
 
 #[test]
 fn unknown_flags_are_rejected() {
-    let (path, mut bytes) = valid_store("flags");
-    bytes[12] |= 0x80;
-    std::fs::write(&path, &bytes).unwrap();
-    assert!(matches!(SimilarityGraph::open_store(&path), Err(GraphError::UnknownFlags { .. })));
-    cleanup(&path);
+    // Bit 1 once marked a utilities section; no version-1 file sets it.
+    for bit in [0x02, 0x80] {
+        let (path, mut bytes) = valid_store(&format!("flags-{bit}"));
+        bytes[12] |= bit;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            SimilarityGraph::open_store(&path),
+            Err(GraphError::Header(HeaderError::UnknownFlags { .. }))
+        ));
+        cleanup(&path);
+    }
 }
 
 #[test]
@@ -270,25 +294,6 @@ fn non_finite_and_negative_weights_are_rejected() {
         }
         cleanup(&path);
     }
-}
-
-#[test]
-fn non_finite_utility_is_rejected() {
-    let path = std::env::temp_dir()
-        .join(format!("submod-corruption-test-{}-utility.csr", std::process::id()));
-    let g = sample_graph();
-    g.write_store_with_utilities(&path, &[1.0; 6]).unwrap();
-    let mut bytes = std::fs::read(&path).unwrap();
-    let n = 6;
-    let e = g.num_directed_edges();
-    let pos = weight_pos(n, e, e); // first utility sits right after the weights
-    bytes[pos..pos + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-    write_with_fixed_checksum(&path, bytes);
-    assert!(matches!(
-        SimilarityGraph::open_store_with_utilities(&path),
-        Err(GraphError::InvalidUtility { node: 0, .. })
-    ));
-    cleanup(&path);
 }
 
 #[test]

@@ -11,28 +11,15 @@
 use submod_core::SimilarityGraph;
 use submod_data::{ClusteredDataset, PerturbedDataset, SelectionInstance};
 use submod_knn::{build_knn_graph, KnnBackend};
+use submod_obs::format::Fnv1a64;
 
-/// FNV-1a, 64-bit.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn feed(&mut self, bytes: impl IntoIterator<Item = u8>) {
-        for b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn slice(&mut self, graph: &SimilarityGraph, utilities: &[f32]) {
-        let (offsets, neighbors, weights) = graph.csr_parts();
-        self.feed(offsets.iter().flat_map(|o| o.to_le_bytes()));
-        self.feed(neighbors.iter().flat_map(|n| n.to_le_bytes()));
-        self.feed(weights.iter().flat_map(|w| w.to_bits().to_le_bytes()));
-        self.feed(utilities.iter().flat_map(|u| u.to_bits().to_le_bytes()));
-    }
+/// Feeds one materialized slice's CSR arrays and utility bits to `h`.
+fn hash_slice(h: &mut Fnv1a64, graph: &SimilarityGraph, utilities: &[f32]) {
+    let (offsets, neighbors, weights) = graph.csr_parts();
+    offsets.iter().for_each(|o| h.update(&o.to_le_bytes()));
+    neighbors.iter().for_each(|n| h.update(&n.to_le_bytes()));
+    weights.iter().for_each(|w| h.update(&w.to_bits().to_le_bytes()));
+    utilities.iter().for_each(|u| h.update(&u.to_bits().to_le_bytes()));
 }
 
 /// A clustered base with its exact 10-NN graph and utilities spread over
@@ -51,13 +38,13 @@ fn base(classes: usize, points_per_class: usize, dim: usize, seed: u64) -> Selec
 
 fn fingerprint(base: &SelectionInstance, seed: u64) -> u64 {
     let perturbed = PerturbedDataset::new(base, 100, 0.05, seed).unwrap();
-    let mut h = Fnv::new();
+    let mut h = Fnv1a64::new();
     for factor_limit in [2, 7] {
         let (graph, utilities) = perturbed.materialize(factor_limit).unwrap();
         assert!(graph.is_symmetric());
-        h.slice(&graph, &utilities);
+        hash_slice(&mut h, &graph, &utilities);
     }
-    h.0
+    h.finish()
 }
 
 fn check(base: &SelectionInstance, seed: u64, golden: u64) {

@@ -23,17 +23,12 @@ use std::collections::BinaryHeap;
 use std::hash::Hash;
 use std::sync::Mutex;
 
-/// FNV-1a over the encoded key: stable across processes and runs, unlike
-/// `std::collections::hash_map::RandomState`.
+/// FNV-1a-64 over the encoded key: stable across processes and runs,
+/// unlike `std::collections::hash_map::RandomState`.
 fn stable_hash<K: Record>(key: &K, scratch: &mut Vec<u8>) -> u64 {
     scratch.clear();
     key.encode(scratch);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in scratch.iter() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    submod_obs::format::fnv1a64(scratch)
 }
 
 /// One sorted-or-unsorted chunk of a shuffle bucket.

@@ -271,7 +271,7 @@ fn run_start(
     }
     bytes.extend_from_slice(fingerprint_body);
     Record::RunStart {
-        fingerprint: submod_journal::checksum(&bytes),
+        fingerprint: submod_obs::format::fnv1a64(&bytes),
         algorithm,
         n: n as u64,
         k: k as u64,

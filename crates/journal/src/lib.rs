@@ -12,10 +12,11 @@
 //!
 //! # File format
 //!
-//! The format discipline is the graph store's
-//! (`crates/core/src/store.rs`): magic + version header, explicit
-//! little-endian integers, per-record checksums, zero-checked reserved
-//! bytes, and a typed error for every way a file can be wrong.
+//! The format discipline is `submod_obs::format`'s, shared with the graph
+//! store: a magic + version + flags header checked by
+//! `format::check_header`, zero-checked reserved bytes, explicit
+//! little-endian integers, FNV-1a-64 record checksums, and a typed error
+//! for every way a file can be wrong.
 //!
 //! | offset | size | field                                      |
 //! |--------|------|--------------------------------------------|
@@ -27,11 +28,11 @@
 //!
 //! Each record is framed as:
 //!
-//! | size | field                                              |
-//! |------|----------------------------------------------------|
-//! | 4    | payload length `L`, little-endian                  |
-//! | `L`  | payload (`u32` record kind + kind-specific fields) |
-//! | 8    | FNV-1a-64 checksum of the payload                  |
+//! | size | field                                                  |
+//! |------|--------------------------------------------------------|
+//! | 4    | payload length `L` ≤ [`MAX_RECORD_LEN`], little-endian |
+//! | `L`  | payload (`u32` record kind + kind-specific fields)     |
+//! | 8    | FNV-1a-64 checksum of the payload                      |
 //!
 //! # Replay rules
 //!
@@ -55,6 +56,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use submod_obs::faults::{self, FaultSite};
+use submod_obs::format::{fnv1a64, HeaderError};
 
 /// Journal file magic.
 pub const MAGIC: [u8; 8] = *b"SUBMJNL1";
@@ -62,21 +64,13 @@ pub const MAGIC: [u8; 8] = *b"SUBMJNL1";
 pub const VERSION: u32 = 1;
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 32;
-/// Largest payload [`replay`] will attempt to allocate. A length prefix
-/// beyond this on a well-formed journal is corruption, treated as torn.
+/// Largest record payload. [`Journal::append`] refuses a longer one, and
+/// [`replay`] treats a longer length prefix as a torn tail.
 pub const MAX_RECORD_LEN: usize = 1 << 28;
 
-const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// FNV-1a-64 over `bytes` — the same checksum the graph store uses.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_BASIS;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+/// The one record-length rule shared by the writer and the reader.
+fn record_len_fits(len: usize) -> bool {
+    len <= MAX_RECORD_LEN
 }
 
 /// Everything that can go wrong opening, appending to, or replaying a
@@ -91,30 +85,14 @@ pub enum JournalError {
         /// The OS error (shared so the error type stays cheaply `Clone`).
         source: Arc<io::Error>,
     },
-    /// The file does not start with the journal magic.
-    BadMagic {
-        /// The bytes found where the magic should be.
-        found: [u8; 8],
-    },
-    /// The file's format version is newer than this build understands.
-    UnsupportedVersion {
-        /// The version found in the header.
-        found: u32,
-    },
-    /// The header carries flags this build does not know.
-    UnknownFlags {
-        /// The flag word found in the header.
-        found: u32,
-    },
-    /// A reserved header byte was non-zero.
-    ReservedNonZero {
-        /// Byte offset of the first non-zero reserved byte.
-        position: usize,
-    },
-    /// The file is shorter than the fixed header.
-    TruncatedHeader {
-        /// Actual file length in bytes.
-        actual: u64,
+    /// The header is malformed: too short, a foreign magic, a future
+    /// version, unknown flags, or non-zero reserved bytes.
+    Header(HeaderError),
+    /// A record payload is longer than [`MAX_RECORD_LEN`]; nothing was
+    /// written.
+    RecordTooLong {
+        /// The payload length in bytes.
+        len: usize,
     },
     /// A checksum-valid record carries a kind this build cannot decode.
     UnknownRecordKind {
@@ -140,20 +118,9 @@ impl fmt::Display for JournalError {
             JournalError::Io { context, source } => {
                 write!(f, "journal I/O failure while {context}: {source}")
             }
-            JournalError::BadMagic { found } => {
-                write!(f, "not a journal file (magic {found:02X?})")
-            }
-            JournalError::UnsupportedVersion { found } => {
-                write!(f, "unsupported journal version {found} (this build reads {VERSION})")
-            }
-            JournalError::UnknownFlags { found } => {
-                write!(f, "journal header carries unknown flags {found:#010X}")
-            }
-            JournalError::ReservedNonZero { position } => {
-                write!(f, "journal reserved header byte at offset {position} is non-zero")
-            }
-            JournalError::TruncatedHeader { actual } => {
-                write!(f, "journal shorter than its {HEADER_LEN}-byte header ({actual} bytes)")
+            JournalError::Header(err) => write!(f, "bad journal header: {err}"),
+            JournalError::RecordTooLong { len } => {
+                write!(f, "journal record of {len} bytes exceeds the {MAX_RECORD_LEN}-byte limit")
             }
             JournalError::UnknownRecordKind { kind } => {
                 write!(f, "journal record kind {kind} is unknown to this build")
@@ -497,23 +464,15 @@ impl Record {
     }
 }
 
-/// Runs `op`, injecting the fault plan's journal-write faults and
-/// retrying injected transient failures with bounded backoff.
+/// Runs `op` behind the fault plan's journal-write gate, which retries
+/// injected transient failures with bounded backoff.
 fn journal_io<T>(
     context: &'static str,
-    mut op: impl FnMut() -> io::Result<T>,
+    op: impl FnOnce() -> io::Result<T>,
 ) -> Result<T, JournalError> {
-    for attempt in 0..faults::MAX_IO_ATTEMPTS {
-        if let Some(err) = faults::inject_io(FaultSite::JournalWrite) {
-            if faults::is_injected_transient(&err) && attempt + 1 < faults::MAX_IO_ATTEMPTS {
-                faults::backoff(attempt);
-                continue;
-            }
-            return Err(JournalError::io(context, err));
-        }
-        return op().map_err(|e| JournalError::io(context, e));
-    }
-    unreachable!("the retry loop always returns within MAX_IO_ATTEMPTS");
+    faults::check_io(FaultSite::JournalWrite)
+        .and_then(|()| op())
+        .map_err(|e| JournalError::io(context, e))
 }
 
 /// An open journal positioned for appending.
@@ -547,13 +506,18 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Any I/O failure, as [`JournalError::Io`].
+    /// [`JournalError::RecordTooLong`], before any byte is written, for a
+    /// payload [`replay`] would discard as torn; any I/O failure, as
+    /// [`JournalError::Io`].
     pub fn append(&mut self, record: &Record) -> Result<(), JournalError> {
         let payload = record.encode();
+        if !record_len_fits(payload.len()) {
+            return Err(JournalError::RecordTooLong { len: payload.len() });
+        }
         let mut frame = Vec::with_capacity(12 + payload.len());
         put_u32(&mut frame, payload.len() as u32);
         frame.extend_from_slice(&payload);
-        put_u64(&mut frame, checksum(&payload));
+        put_u64(&mut frame, fnv1a64(&payload));
         let file = &mut self.file;
         journal_io("appending a journal record", || file.write_all(&frame))?;
         submod_obs::counter!("journal.records_written").incr();
@@ -598,8 +562,9 @@ pub struct Replay {
 ///
 /// # Errors
 ///
-/// [`JournalError::Io`] when the file cannot be read, the header errors
-/// of the module docs, and [`JournalError::UnknownRecordKind`] /
+/// [`JournalError::Io`] when the file cannot be read,
+/// [`JournalError::Header`] for a bad header, and
+/// [`JournalError::UnknownRecordKind`] /
 /// [`JournalError::Malformed`] for checksum-valid records this build
 /// cannot decode.
 pub fn replay(path: &Path) -> Result<Replay, JournalError> {
@@ -607,25 +572,8 @@ pub fn replay(path: &Path) -> Result<Replay, JournalError> {
         File::open(path).map_err(|e| JournalError::io("opening the journal for replay", e))?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes).map_err(|e| JournalError::io("reading the journal", e))?;
-    if bytes.len() < HEADER_LEN {
-        return Err(JournalError::TruncatedHeader { actual: bytes.len() as u64 });
-    }
-    let mut magic = [0u8; 8];
-    magic.copy_from_slice(&bytes[0..8]);
-    if magic != MAGIC {
-        return Err(JournalError::BadMagic { found: magic });
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(JournalError::UnsupportedVersion { found: version });
-    }
-    let flags = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-    if flags != 0 {
-        return Err(JournalError::UnknownFlags { found: flags });
-    }
-    if let Some(off) = bytes[16..HEADER_LEN].iter().position(|&b| b != 0) {
-        return Err(JournalError::ReservedNonZero { position: 16 + off });
-    }
+    submod_obs::format::check_header(&bytes, &MAGIC, VERSION, 0, 16..HEADER_LEN)
+        .map_err(JournalError::Header)?;
 
     let mut records = Vec::new();
     let mut offset = HEADER_LEN;
@@ -639,14 +587,14 @@ pub fn replay(path: &Path) -> Result<Replay, JournalError> {
         }
         let len =
             u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_RECORD_LEN || remaining < 4 + len + 8 {
+        if !record_len_fits(len) || remaining < 4 + len + 8 {
             break; // torn frame (or absurd length from a torn prefix)
         }
         let payload = &bytes[offset + 4..offset + 4 + len];
         let stored = u64::from_le_bytes(
             bytes[offset + 4 + len..offset + 12 + len].try_into().expect("8 bytes"),
         );
-        if checksum(payload) != stored {
+        if fnv1a64(payload) != stored {
             break; // torn checksum (or payload corrupted mid-write)
         }
         records.push(Record::decode(payload)?);
@@ -794,7 +742,7 @@ mod tests {
             let mut frame = Vec::new();
             frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             frame.extend_from_slice(&payload);
-            frame.extend_from_slice(&checksum(&payload).to_le_bytes());
+            frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
             frame.truncate(frame.len() / 2);
             frame
         };
@@ -836,6 +784,35 @@ mod tests {
     }
 
     #[test]
+    fn journal_bytes_are_pinned() {
+        // The exact bytes of the sample journal, recorded before the header
+        // and checksum code moved to `submod_obs::format`: a change to the
+        // header, the framing, the record encoding or the checksum fails
+        // here.
+        let path = temp_path("pinned");
+        let _cleanup = Cleanup(path.clone());
+        let mut journal = Journal::create(&path).unwrap();
+        for record in sample_records() {
+            journal.append(&record).unwrap();
+        }
+        journal.sync().unwrap();
+        drop(journal);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!((bytes.len(), fnv1a64(&bytes)), (808, 0x6c96_4f42_ba1b_e7e2));
+    }
+
+    #[test]
+    fn record_length_rule_stops_at_max_record_len() {
+        // `append` and `replay` share this rule, so a record `append`
+        // accepts is never one `replay` discards as a torn tail.
+        assert!(record_len_fits(MAX_RECORD_LEN));
+        assert!(!record_len_fits(MAX_RECORD_LEN + 1));
+        assert!(JournalError::RecordTooLong { len: MAX_RECORD_LEN + 1 }
+            .to_string()
+            .contains(&MAX_RECORD_LEN.to_string()));
+    }
+
+    #[test]
     fn corrupt_payload_breaks_the_checksum_and_stops_replay() {
         let path = temp_path("corrupt");
         let _cleanup = Cleanup(path.clone());
@@ -865,32 +842,44 @@ mod tests {
         let path = temp_path("header");
         let _cleanup = Cleanup(path.clone());
         std::fs::write(&path, b"short").unwrap();
-        assert!(matches!(replay(&path), Err(JournalError::TruncatedHeader { actual: 5 })));
+        assert!(matches!(
+            replay(&path),
+            Err(JournalError::Header(HeaderError::Truncated { actual: 5, .. }))
+        ));
 
         let mut bogus = vec![0u8; HEADER_LEN];
         bogus[0..8].copy_from_slice(b"NOTAJRNL");
         std::fs::write(&path, &bogus).unwrap();
-        assert!(matches!(replay(&path), Err(JournalError::BadMagic { .. })));
+        assert!(matches!(replay(&path), Err(JournalError::Header(HeaderError::BadMagic { .. }))));
 
         let mut wrong_version = vec![0u8; HEADER_LEN];
         wrong_version[0..8].copy_from_slice(&MAGIC);
         wrong_version[8..12].copy_from_slice(&9u32.to_le_bytes());
         std::fs::write(&path, &wrong_version).unwrap();
-        assert!(matches!(replay(&path), Err(JournalError::UnsupportedVersion { found: 9 })));
+        assert!(matches!(
+            replay(&path),
+            Err(JournalError::Header(HeaderError::UnsupportedVersion { found: 9 }))
+        ));
 
         let mut flagged = vec![0u8; HEADER_LEN];
         flagged[0..8].copy_from_slice(&MAGIC);
         flagged[8..12].copy_from_slice(&VERSION.to_le_bytes());
         flagged[12] = 1;
         std::fs::write(&path, &flagged).unwrap();
-        assert!(matches!(replay(&path), Err(JournalError::UnknownFlags { found: 1 })));
+        assert!(matches!(
+            replay(&path),
+            Err(JournalError::Header(HeaderError::UnknownFlags { found: 1 }))
+        ));
 
         let mut reserved = vec![0u8; HEADER_LEN];
         reserved[0..8].copy_from_slice(&MAGIC);
         reserved[8..12].copy_from_slice(&VERSION.to_le_bytes());
         reserved[20] = 7;
         std::fs::write(&path, &reserved).unwrap();
-        assert!(matches!(replay(&path), Err(JournalError::ReservedNonZero { position: 20 })));
+        assert!(matches!(
+            replay(&path),
+            Err(JournalError::Header(HeaderError::ReservedNonZero { position: 20 }))
+        ));
     }
 
     #[test]
@@ -904,7 +893,7 @@ mod tests {
         let payload = 999u32.to_le_bytes().to_vec();
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
+        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(replay(&path), Err(JournalError::UnknownRecordKind { kind: 999 })));
     }

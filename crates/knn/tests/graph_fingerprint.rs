@@ -10,6 +10,7 @@
 
 use submod_core::SimilarityGraph;
 use submod_knn::{build_knn_graph, kmeans, Embeddings, IvfIndex, KMeansModel, KnnBackend};
+use submod_obs::format::Fnv1a64;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
@@ -40,37 +41,22 @@ fn mixture(n: usize, dim: usize, clusters: usize, seed: u64) -> Embeddings {
     Embeddings::from_flat(dim, flat).expect("finite mixture")
 }
 
-/// FNV-1a, 64-bit.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn feed(&mut self, bytes: impl IntoIterator<Item = u8>) {
-        for b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100000001b3);
-        }
-    }
-}
-
 fn graph_hash(graph: &SimilarityGraph) -> u64 {
     let (offsets, neighbors, weights) = graph.csr_parts();
-    let mut h = Fnv::new();
-    h.feed(offsets.iter().flat_map(|o| o.to_le_bytes()));
-    h.feed(neighbors.iter().flat_map(|n| n.to_le_bytes()));
-    h.feed(weights.iter().flat_map(|w| w.to_bits().to_le_bytes()));
-    h.0
+    let mut h = Fnv1a64::new();
+    offsets.iter().for_each(|o| h.update(&o.to_le_bytes()));
+    neighbors.iter().for_each(|n| h.update(&n.to_le_bytes()));
+    weights.iter().for_each(|w| h.update(&w.to_bits().to_le_bytes()));
+    h.finish()
 }
 
 fn model_hash(model: &KMeansModel) -> u64 {
-    let mut h = Fnv::new();
-    h.feed(model.centroids().as_flat().iter().flat_map(|c| c.to_bits().to_le_bytes()));
-    h.feed(model.assignments().iter().flat_map(|a| a.to_le_bytes()));
-    h.feed(model.inertia().to_bits().to_le_bytes());
-    h.feed((model.iterations_run() as u64).to_le_bytes());
-    h.0
+    let mut h = Fnv1a64::new();
+    model.centroids().as_flat().iter().for_each(|c| h.update(&c.to_bits().to_le_bytes()));
+    model.assignments().iter().for_each(|a| h.update(&a.to_le_bytes()));
+    h.update(&model.inertia().to_bits().to_le_bytes());
+    h.update(&(model.iterations_run() as u64).to_le_bytes());
+    h.finish()
 }
 
 struct Golden {

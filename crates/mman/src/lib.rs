@@ -1,9 +1,9 @@
 //! Read-only memory-mapped file views.
 //!
 //! This crate is the one place the workspace talks to `mmap(2)`: it maps a
-//! file read-only, hands out the bytes as a plain `&[u8]`, and provides the
-//! checked byte→typed-slice reinterpretations (`u64`/`u32`/`f32`) the
-//! on-disk CSR graph store needs for zero-copy loading. Everything above
+//! file read-only, hands out the bytes as a plain `&[u8]`, and reinterprets
+//! the on-disk CSR graph store's sections as checked `u64`/`u32`/`f32`
+//! slices ([`CsrView`]) for zero-copy loading. Everything above
 //! this crate — including `submod_core`, which keeps
 //! `#![forbid(unsafe_code)]` — consumes only the safe surface.
 //!
@@ -129,26 +129,16 @@ impl Mmap {
     /// Returns the underlying OS error if the file's length cannot be
     /// queried or the mapping fails.
     pub fn map_readonly(file: &File) -> io::Result<Mmap> {
-        use submod_obs::faults::{self, FaultSite};
         let len = file.metadata()?.len();
         if len == 0 {
             return Ok(Mmap { backing: Backing::Empty });
         }
         let len = usize::try_from(len)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file too large to map"))?;
-        // Injected transient faults are retried here (they self-clear);
+        // Injected transient faults are retried (they self-clear);
         // injected permanent and mmap-open faults surface as `Err`, and
         // the store layer degrades to an owned backing.
-        for attempt in 0..faults::MAX_IO_ATTEMPTS {
-            if let Some(err) = faults::inject_io(FaultSite::MmanMap) {
-                if faults::is_injected_transient(&err) && attempt + 1 < faults::MAX_IO_ATTEMPTS {
-                    faults::backoff(attempt);
-                    continue;
-                }
-                return Err(err);
-            }
-            break;
-        }
+        submod_obs::faults::check_io(submod_obs::faults::FaultSite::MmanMap)?;
         #[cfg(unix)]
         {
             let ptr = sys::map(file, len)?;
@@ -235,9 +225,9 @@ impl Drop for Mmap {
 /// caches each section as a raw `(pointer, length)` pair, so the
 /// accessors compile down to a bare `slice::from_raw_parts` — small
 /// enough to inline into the graph-traversal hot loops that call them
-/// per edge. Re-deriving the slices through [`u64_slice`] & friends on
-/// every call costs a length/alignment check plus an `expect` per
-/// access, which is measurable in tight selection loops.
+/// per edge. Re-deriving the slices on every call would cost a
+/// length/alignment check plus an `expect` per access, which is
+/// measurable in tight selection loops.
 ///
 /// ## Why the cached pointers stay valid
 ///
@@ -253,11 +243,12 @@ pub struct CsrView {
     offsets: (*const u64, usize),
     neighbors: (*const u32, usize),
     weights: (*const f32, usize),
-    mmap: Mmap,
+    /// Keeps the mapping the cached pointers target alive; never read.
+    _mmap: Mmap,
 }
 
 // SAFETY: the cached pointers target the immutable PROT_READ region (or
-// the never-mutated owned buffer) owned by `self.mmap`, and are only
+// the never-mutated owned buffer) owned by `self._mmap`, and are only
 // read through shared borrows — same argument as `Mmap` itself.
 unsafe impl Send for CsrView {}
 unsafe impl Sync for CsrView {}
@@ -277,21 +268,21 @@ impl CsrView {
         weights: std::ops::Range<usize>,
     ) -> Result<CsrView, &'static str> {
         let bytes = mmap.as_bytes();
-        let o = bytes.get(offsets).and_then(u64_slice).ok_or("offsets")?;
-        let n = bytes.get(neighbors).and_then(u32_slice).ok_or("neighbors")?;
-        let w = bytes.get(weights).and_then(f32_slice).ok_or("weights")?;
+        let o = bytes.get(offsets).and_then(cast_slice::<u64>).ok_or("offsets")?;
+        let n = bytes.get(neighbors).and_then(cast_slice::<u32>).ok_or("neighbors")?;
+        let w = bytes.get(weights).and_then(cast_slice::<f32>).ok_or("weights")?;
         // Raw pointers end the borrows of `mmap`, letting it move into
         // the struct; the allocation they target is address-stable.
         let (offsets, neighbors, weights) =
             ((o.as_ptr(), o.len()), (n.as_ptr(), n.len()), (w.as_ptr(), w.len()));
-        Ok(CsrView { offsets, neighbors, weights, mmap })
+        Ok(CsrView { offsets, neighbors, weights, _mmap: mmap })
     }
 
     /// The validated `u64` offsets section.
     #[inline]
     pub fn offsets(&self) -> &[u64] {
         // SAFETY: pointer/length were validated against the live mapping
-        // in `new` and the region is immutable and owned by `self.mmap`.
+        // in `new` and the region is immutable and owned by `self._mmap`.
         unsafe { std::slice::from_raw_parts(self.offsets.0, self.offsets.1) }
     }
 
@@ -308,39 +299,16 @@ impl CsrView {
         // SAFETY: as for `offsets`.
         unsafe { std::slice::from_raw_parts(self.weights.0, self.weights.1) }
     }
-
-    /// Length of the whole underlying mapping in bytes.
-    pub fn file_len(&self) -> usize {
-        self.mmap.len()
-    }
 }
 
-/// Reinterprets `bytes` as a `u64` slice.
+/// Reinterprets `bytes` as a `T` slice: `None` unless the length is a
+/// multiple of `size_of::<T>()` and the start is aligned for `T` (mmap
+/// regions are page-aligned, so sections placed at aligned file offsets
+/// always qualify).
 ///
-/// Returns `None` unless the length is a multiple of 8 and the start is
-/// 8-byte aligned (mmap regions are page-aligned, so sections placed at
-/// 8-aligned file offsets always qualify).
-pub fn u64_slice(bytes: &[u8]) -> Option<&[u64]> {
-    cast_slice(bytes)
-}
-
-/// Reinterprets `bytes` as a `u32` slice (length multiple of 4, 4-aligned).
-pub fn u32_slice(bytes: &[u8]) -> Option<&[u32]> {
-    cast_slice(bytes)
-}
-
-/// Reinterprets `bytes` as an `f32` slice (length multiple of 4, 4-aligned).
-///
-/// Any bit pattern is a valid `f32` (including NaNs), so the cast itself is
-/// always value-sound; semantic validation is the caller's job.
-pub fn f32_slice(bytes: &[u8]) -> Option<&[f32]> {
-    cast_slice(bytes)
-}
-
-/// The checked reinterpretation shared by the typed views above.
-///
-/// Only instantiated for `u64`/`u32`/`f32` via the public wrappers — all
-/// plain-old-data types valid for every bit pattern (module docs, point 4).
+/// Only instantiated for `u64`/`u32`/`f32`, in [`CsrView::new`] — all
+/// plain-old-data types valid for every bit pattern, NaN floats included
+/// (module docs, point 4); semantic validation is the caller's job.
 fn cast_slice<T: Copy>(bytes: &[u8]) -> Option<&[T]> {
     let size = std::mem::size_of::<T>();
     if !bytes.len().is_multiple_of(size)
@@ -349,7 +317,7 @@ fn cast_slice<T: Copy>(bytes: &[u8]) -> Option<&[T]> {
         return None;
     }
     // SAFETY: alignment and length were just checked; T is POD (the
-    // private helper is only reachable through the u64/u32/f32 wrappers).
+    // private helper is only instantiated for u64/u32/f32).
     Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, bytes.len() / size) })
 }
 
@@ -406,7 +374,7 @@ mod tests {
         let path = temp_path("typed");
         std::fs::write(&path, &bytes).unwrap();
         let map = Mmap::map_readonly(&File::open(&path).unwrap()).unwrap();
-        assert_eq!(u64_slice(&map).unwrap(), values.as_slice());
+        assert_eq!(cast_slice::<u64>(&map).unwrap(), values.as_slice());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -416,12 +384,12 @@ mod tests {
         std::fs::write(&path, [0u8; 12]).unwrap();
         let map = Mmap::map_readonly(&File::open(&path).unwrap()).unwrap();
         // 12 bytes is not a multiple of 8.
-        assert!(u64_slice(&map).is_none());
+        assert!(cast_slice::<u64>(&map).is_none());
         // A view starting 1 byte in is misaligned for u32.
-        assert!(u32_slice(&map[1..9]).is_none());
+        assert!(cast_slice::<u32>(&map[1..9]).is_none());
         // An aligned 8-byte window works for u32 and u64 alike.
-        assert!(u32_slice(&map[0..8]).is_some());
-        assert!(u64_slice(&map[0..8]).is_some());
+        assert!(cast_slice::<u32>(&map[0..8]).is_some());
+        assert!(cast_slice::<u64>(&map[0..8]).is_some());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -430,7 +398,7 @@ mod tests {
         let path = temp_path("f32bits");
         std::fs::write(&path, f32::NAN.to_le_bytes()).unwrap();
         let map = Mmap::map_readonly(&File::open(&path).unwrap()).unwrap();
-        let floats = f32_slice(&map).unwrap();
+        let floats = cast_slice::<f32>(&map).unwrap();
         assert_eq!(floats.len(), 1);
         assert!(floats[0].is_nan());
         let _ = std::fs::remove_file(&path);
@@ -464,7 +432,6 @@ mod tests {
         assert_eq!(view.offsets(), &[0, 2]);
         assert_eq!(view.neighbors(), &[1, 3]);
         assert_eq!(view.weights(), &[0.5, 0.25]);
-        assert_eq!(view.file_len(), 32);
         // Moving the view must not invalidate the cached pointers.
         let moved = Box::new(view);
         assert_eq!(moved.neighbors(), &[1, 3]);

@@ -28,8 +28,9 @@
 //! — a run under `transient-io` is green by construction, not by luck.
 //!
 //! Injected errors are ordinary [`std::io::Error`]s carrying the
-//! [`INJECTED_MARKER`] in their message: [`is_injected_transient`] is how
-//! retry loops distinguish "retry this" from a real (or permanent) error.
+//! [`INJECTED_MARKER`] in their message. Every I/O site gates its real
+//! operation with [`check_io`], the one retry loop: it retries injected
+//! transient faults and surfaces everything else.
 
 use std::cell::Cell;
 use std::io;
@@ -346,30 +347,31 @@ pub fn maybe_crash_after_round(round: u64) {
 /// `true` when `err` is an injected *transient* fault — the only class a
 /// retry loop should retry (real errors and permanent injections must
 /// surface immediately).
-pub fn is_injected_transient(err: &io::Error) -> bool {
+fn is_injected_transient(err: &io::Error) -> bool {
     err.kind() == io::ErrorKind::Interrupted
         && err.get_ref().is_some_and(|inner| inner.to_string().contains(INJECTED_MARKER))
 }
 
 /// Maximum attempts a transient-I/O retry loop makes (the first attempt
 /// plus up to three retries).
-pub const MAX_IO_ATTEMPTS: usize = 4;
+const MAX_IO_ATTEMPTS: usize = 4;
 
 /// Bounded exponential backoff between transient-I/O retries: 0, then
 /// 1 ms, 2 ms, 4 ms. Also charges the `faults.retries` counter — the
 /// observable proof that degraded operation was retried, never silent.
-pub fn backoff(attempt: usize) {
+fn backoff(attempt: usize) {
     crate::counter("faults.retries").incr();
     if attempt > 0 {
         std::thread::sleep(std::time::Duration::from_millis(1u64 << (attempt - 1).min(4)));
     }
 }
 
-/// The standard retry-aware gate for an instrumented I/O site: injected
-/// transient faults are retried (with [`backoff`]) until they self-clear,
-/// a permanent injection exhausts the attempts and surfaces as the final
-/// error, and no fault means proceed. Callers run the real operation only
-/// after this returns `Ok(())`.
+/// The retry-aware gate every instrumented I/O site calls: injected
+/// transient faults are retried (with a bounded backoff that charges
+/// `faults.retries`) until they self-clear, a permanent injection
+/// exhausts the attempts and surfaces as the final error, and no fault
+/// means proceed. Callers run the real operation only after this returns
+/// `Ok(())`.
 pub fn check_io(site: FaultSite) -> io::Result<()> {
     for attempt in 0..MAX_IO_ATTEMPTS {
         match inject_io(site) {

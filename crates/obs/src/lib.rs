@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod faults;
+pub mod format;
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;

@@ -26,6 +26,7 @@ use submod_dist::{
     DistGreedyConfig, PartitionStyle, PipelineConfig, SamplingStrategy,
 };
 use submod_knn::{build_knn_graph, kmeans, Embeddings, KnnBackend};
+use submod_obs::format::Fnv1a64;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
@@ -43,15 +44,6 @@ fn embeddings(n: usize, dim: usize, seed: u64) -> Embeddings {
     let mut s = seed;
     let flat: Vec<f32> = (0..n * dim).map(|_| unit(&mut s) * 2.0 - 1.0).collect();
     Embeddings::from_flat(dim, flat).unwrap()
-}
-
-fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 fn main() {
@@ -95,7 +87,11 @@ fn main() {
         let dist_hash = hash_ids(outcome.selection.selected());
         // k-means assignments hash (IVF quantizer determinism).
         let km = kmeans(&data, 32, 25, 3).unwrap();
-        let km_hash = fnv(km.assignments().iter().flat_map(|a| a.to_le_bytes()));
+        let km_hash = {
+            let mut h = Fnv1a64::new();
+            km.assignments().iter().for_each(|a| h.update(&a.to_le_bytes()));
+            h.finish()
+        };
         println!(
             "threads {threads} {tag} central {sel_hash:016x} dist {dist_hash:016x} kmeans {km_hash:016x}"
         );
@@ -146,5 +142,7 @@ fn main() {
 }
 
 fn hash_ids(ids: &[NodeId]) -> u64 {
-    fnv(ids.iter().flat_map(|id| format!("{id:?},").into_bytes()))
+    let mut h = Fnv1a64::new();
+    ids.iter().for_each(|id| h.update(format!("{id:?},").as_bytes()));
+    h.finish()
 }
