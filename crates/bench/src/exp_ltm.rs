@@ -140,14 +140,8 @@ fn bounding_sweep(
     let mut memory_rows = Vec::new();
     let mut csv =
         String::from("budget_kib,identical,seconds,spill_files,bytes_spilled,peak_worker_kib\n");
-    for budget_kib in [u64::MAX, 4096, 512, 64, 16] {
-        let budget = if budget_kib == u64::MAX {
-            MemoryBudget::unlimited()
-        } else {
-            MemoryBudget::bytes(budget_kib * 1024)
-        };
-        let pipeline =
-            Pipeline::builder().workers(8).memory_budget(budget).build().expect("pipeline");
+    for budget_kib in [None, Some(4096), Some(512), Some(64), Some(16)] {
+        let pipeline = budget_pipeline(budget_kib);
         submod_obs::reset_metrics();
         let start = Instant::now();
         let outcome =
@@ -157,11 +151,7 @@ fn bounding_sweep(
         // Every decision field; the stats differ between the drivers.
         let identical = BoundingOutcome { stats: reference.stats, ..outcome } == reference;
         let metrics = pipeline.metrics();
-        let label = if budget_kib == u64::MAX {
-            "unlimited".to_string()
-        } else {
-            format!("{budget_kib} KiB")
-        };
+        let label = budget_label(budget_kib);
         rows.push(vec![
             label.clone(),
             if identical { "yes".into() } else { "NO".into() },
@@ -171,7 +161,7 @@ fn bounding_sweep(
             format!("{} KiB", metrics.peak_worker_bytes / 1024),
         ]);
         csv.push_str(&format!(
-            "{budget_kib},{identical},{secs:.4},{},{},{}\n",
+            "{label},{identical},{secs:.4},{},{},{}\n",
             metrics.spill_files,
             metrics.bytes_spilled,
             metrics.peak_worker_bytes / 1024
@@ -190,7 +180,7 @@ fn bounding_sweep(
     }
     print_table(
         "identical outcomes at every budget (8 workers, 30 % uniform bounding, 10 % subset)",
-        &["budget/worker", "identical", "wall clock", "spill files", "spilled", "peak worker"],
+        &["KiB/worker", "identical", "wall clock", "spill files", "spilled", "peak worker"],
         &rows,
     );
     println!(
@@ -201,10 +191,23 @@ fn bounding_sweep(
     );
     print_table(
         "engine-resident driver memory: per-pass collections are candidates only",
-        &["budget/worker", "peak pass", "peak candidates", "driver state", "broadcast/pass"],
+        &["KiB/worker", "peak pass", "peak candidates", "driver state", "broadcast/pass"],
         &memory_rows,
     );
     write_artifact(&ctx.out_dir, "ltm_budget_sweep.csv", &csv);
+}
+
+/// An 8-worker pipeline under a per-worker budget of `budget_kib` KiB
+/// (`None` = unlimited).
+fn budget_pipeline(budget_kib: Option<u64>) -> Pipeline {
+    let budget =
+        budget_kib.map_or_else(MemoryBudget::unlimited, |kib| MemoryBudget::bytes(kib * 1024));
+    Pipeline::builder().workers(8).memory_budget(budget).build().expect("pipeline")
+}
+
+/// A sweep's budget as its table and CSV print it: KiB, or `unlimited`.
+fn budget_label(budget_kib: Option<u64>) -> String {
+    budget_kib.map_or_else(|| "unlimited".to_string(), |kib| kib.to_string())
 }
 
 /// The greedy half of the sweep: the engine-resident multi-round driver
@@ -231,14 +234,8 @@ fn greedy_sweep(
     let mut rows = Vec::new();
     let mut memory_rows = Vec::new();
     let mut csv = String::from("budget_kib,identical,seconds,spill_files,bytes_spilled\n");
-    for budget_kib in [u64::MAX, 512, 64, 8] {
-        let budget = if budget_kib == u64::MAX {
-            MemoryBudget::unlimited()
-        } else {
-            MemoryBudget::bytes(budget_kib * 1024)
-        };
-        let pipeline =
-            Pipeline::builder().workers(8).memory_budget(budget).build().expect("pipeline");
+    for budget_kib in [None, Some(512), Some(64), Some(8)] {
+        let pipeline = budget_pipeline(budget_kib);
         submod_obs::reset_metrics();
         let start = Instant::now();
         let report = distributed_greedy_dataflow(&pipeline, graph, &objective, &ground, k, &config)
@@ -249,11 +246,7 @@ fn greedy_sweep(
             && report.selection.objective_value().to_bits()
                 == reference.selection.objective_value().to_bits();
         let metrics = pipeline.metrics();
-        let label = if budget_kib == u64::MAX {
-            "unlimited".to_string()
-        } else {
-            format!("{budget_kib} KiB")
-        };
+        let label = budget_label(budget_kib);
         rows.push(vec![
             label.clone(),
             if identical { "yes".into() } else { "NO".into() },
@@ -262,7 +255,7 @@ fn greedy_sweep(
             format!("{} KiB", metrics.bytes_spilled / 1024),
         ]);
         csv.push_str(&format!(
-            "{budget_kib},{identical},{secs:.4},{},{}\n",
+            "{label},{identical},{secs:.4},{},{}\n",
             metrics.spill_files, metrics.bytes_spilled
         ));
         memory_rows.push(vec![
@@ -276,7 +269,7 @@ fn greedy_sweep(
     }
     print_table(
         "identical selections at every budget (8 workers, 8 machines × 4 rounds, 10 % subset)",
-        &["budget/worker", "identical", "wall clock", "spill files", "spilled"],
+        &["KiB/worker", "identical", "wall clock", "spill files", "spilled"],
         &rows,
     );
     println!(
@@ -287,8 +280,19 @@ fn greedy_sweep(
     );
     print_table(
         "engine-resident greedy driver memory: per-round collections are winner rows only",
-        &["budget/worker", "peak round", "winners", "driver state", "broadcast"],
+        &["KiB/worker", "peak round", "winners", "driver state", "broadcast"],
         &memory_rows,
     );
     write_artifact(&ctx.out_dir, "ltm_greedy_budget_sweep.csv", &csv);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::budget_label;
+
+    #[test]
+    fn budget_labels_name_the_unlimited_budget() {
+        assert_eq!(budget_label(None), "unlimited");
+        assert_eq!(budget_label(Some(64)), "64");
+    }
 }

@@ -1,15 +1,13 @@
 //! `experiments profile`: one traced end-to-end pass over every major
 //! stage — k-NN build, bounding (both drivers), multi-round greedy
-//! (both drivers) — with `SUBMOD_TRACE=full` forced on. Exports the
+//! (both drivers) — with `SUBMOD_TRACE=spans` forced on. Exports the
 //! chrome-trace (`profile_trace.json`, loadable in Perfetto or
 //! `chrome://tracing`) and the flat metrics (`profile_metrics.json`),
-//! and regenerates the phase-breakdown markdown from the span stream:
-//! `scale1_profile.md` at `--scale 1.0`, `profile_scale<F>.md`
-//! otherwise.
+//! and writes the phase-breakdown markdown: `scale1_profile.md` at
+//! `--scale 1.0`, `profile_scale<F>.md` otherwise.
 
 use crate::common::BenchCtx;
-use crate::output::{print_table, write_artifact};
-use std::collections::BTreeMap;
+use crate::output::write_artifact;
 use std::time::Instant;
 use submod_core::{NodeId, SimilarityGraph};
 use submod_data::DatasetConfig;
@@ -19,10 +17,7 @@ use submod_dist::{
     BoundingConfig, DistGreedyConfig, SamplingStrategy,
 };
 use submod_knn::{build_knn_graph, KnnBackend};
-use submod_obs::{MetricsSnapshot, SpanEvent, TraceMode};
-
-/// Per-span-name rollup: occurrence count, total and max inclusive µs.
-type Rollup = BTreeMap<&'static str, (u64, u64, u64)>;
+use submod_obs::{MetricsSnapshot, TraceMode};
 
 /// The work counters of the selection loops, printed per phase. The
 /// greedy pair counts the global adjacency entries read while building
@@ -54,7 +49,7 @@ fn run_phase(phases: &mut Vec<(&'static str, f64)>, name: &'static str, f: impl 
 pub fn profile(ctx: &BenchCtx) {
     // Forced programmatically: a profile without spans is meaningless,
     // and forcing it here keeps the subcommand self-contained.
-    submod_obs::set_mode(TraceMode::Full);
+    submod_obs::set_mode(TraceMode::Spans);
 
     let config = DatasetConfig::cifar100_like().scaled(ctx.scale);
     let instance = ctx.cifar();
@@ -73,11 +68,12 @@ pub fn profile(ctx: &BenchCtx) {
     // below runs again inside them so the trace carries the `knn.build`
     // subtree.
     println!(
-        "profile: {n} points, {} undirected edges, graph mapped: {}, tracing full",
+        "profile: {n} points, {} undirected edges, graph mapped: {}, tracing spans",
         graph.num_undirected_edges(),
         graph.is_mapped()
     );
-    submod_obs::reset();
+    submod_obs::reset_metrics();
+    let _ = submod_obs::take_spans();
     submod_obs::mark_rss_baseline();
 
     let wall = Instant::now();
@@ -131,21 +127,7 @@ pub fn profile(ctx: &BenchCtx) {
     write_artifact(&ctx.out_dir, "profile_trace.json", &submod_obs::chrome_trace_json(&events));
     write_artifact(&ctx.out_dir, "profile_metrics.json", &submod_obs::metrics_json(&snap));
 
-    let rollup = rollup_spans(&events);
-    let rows: Vec<Vec<String>> = rollup
-        .iter()
-        .map(|(name, (count, total_us, max_us))| {
-            vec![
-                name.to_string(),
-                count.to_string(),
-                format!("{:.1} ms", *total_us as f64 / 1000.0),
-                format!("{:.1} ms", *max_us as f64 / 1000.0),
-            ]
-        })
-        .collect();
-    print_table("span rollup (inclusive time)", &["span", "count", "total", "max"], &rows);
-
-    let md = render_markdown(ctx, graph, total_secs, &phases, &rollup, &snap);
+    let md = render_markdown(ctx, graph, total_secs, &phases, &snap);
     let md_name = if (ctx.scale - 1.0).abs() < 1e-9 {
         "scale1_profile.md".to_string()
     } else {
@@ -154,40 +136,27 @@ pub fn profile(ctx: &BenchCtx) {
     write_artifact(&ctx.out_dir, &md_name, &md);
 }
 
-/// Aggregates the span stream per name.
-fn rollup_spans(events: &[SpanEvent]) -> Rollup {
-    let mut rollup = Rollup::new();
-    for e in events {
-        let entry = rollup.entry(e.name).or_insert((0, 0, 0));
-        entry.0 += 1;
-        entry.1 += e.dur_us;
-        entry.2 = entry.2.max(e.dur_us);
-    }
-    rollup
-}
-
-/// Renders the phase-breakdown markdown from the measured wall clocks,
-/// the span rollup, and the registry snapshot.
+/// Renders the phase-breakdown markdown from the measured wall clocks
+/// and the registry snapshot.
 fn render_markdown(
     ctx: &BenchCtx,
     graph: &SimilarityGraph,
     total_secs: f64,
     phases: &[(&'static str, f64)],
-    rollup: &Rollup,
     snap: &MetricsSnapshot,
 ) -> String {
     let (n, edges) = (graph.num_nodes(), graph.num_undirected_edges());
     let backing = if graph.is_mapped() { "mapped" } else { "owned" };
     let mut md = format!(
         "# `--scale {}` end-to-end profile\n\n\
-         Generated by `experiments profile --scale {}` from the `submod_obs`\n\
-         span stream. The chrome-trace itself is `profile_trace.json`\n\
-         (load it in [Perfetto](https://ui.perfetto.dev) or\n\
-         `chrome://tracing`); the flat metrics registry is\n\
-         `profile_metrics.json`. `SUBMOD_TRACE=full` is forced by the\n\
-         subcommand, so the trace nests k-NN search blocks under the\n\
-         build, bounding passes under `bound.run`, and greedy rounds\n\
-         under `greedy.run`, across worker-pool boundaries.\n\n\
+         Generated by `experiments profile --scale {}`. The chrome-trace\n\
+         is `profile_trace.json` (load it in\n\
+         [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`); the\n\
+         flat metrics registry is `profile_metrics.json`. The subcommand\n\
+         forces `SUBMOD_TRACE=spans`, so the trace nests k-NN search\n\
+         blocks under the build, bounding passes under `bound.run`, and\n\
+         greedy rounds under `greedy.run`, across worker-pool\n\
+         boundaries.\n\n\
          **Instance:** {n} points × 64-d CIFAR-like, {edges} undirected\n\
          edges, α = 0.9, k = n/10.\n\
          **Runner:** {} worker thread(s), `{}` kernel dispatch, {backing}\n\
@@ -203,17 +172,6 @@ fn render_markdown(
         md.push_str(&format!("| {name} | {secs:.2} s |\n"));
     }
     md.push_str(&format!("| **total** | **{total_secs:.2} s** |\n"));
-
-    md.push_str(
-        "\n## Span rollup (inclusive time)\n\n| Span | Count | Total | Max |\n|---|---|---|---|\n",
-    );
-    for (name, (count, total_us, max_us)) in rollup {
-        md.push_str(&format!(
-            "| `{name}` | {count} | {:.1} ms | {:.1} ms |\n",
-            *total_us as f64 / 1000.0,
-            *max_us as f64 / 1000.0,
-        ));
-    }
 
     md.push_str("\n## Registry highlights\n\n| Metric | Value |\n|---|---|\n");
     let highlights = [

@@ -22,7 +22,7 @@
 //!             every worker budget, peak driver-side bytes of both
 //!             drivers, and the mapped graph's bytes vs the RSS growth
 //!             of a steady-state selection pass (asserted smaller)
-//!   profile   traced end-to-end pass (forces SUBMOD_TRACE=full, writes
+//!   profile   traced end-to-end pass (forces SUBMOD_TRACE=spans, writes
 //!             profile_trace.json + the phase-breakdown markdown;
 //!             --scale 1.0 regenerates scale1_profile.md)
 //!   all       everything above except profile
@@ -36,8 +36,8 @@
 //!                EXEC_NUM_THREADS or the available cores; results are
 //!                identical at any value — only wall-clock changes)
 //!
-//! With `SUBMOD_TRACE=spans` or `=full` (see the README's
-//! Observability section) every experiment exports a chrome-trace to
+//! With `SUBMOD_TRACE=spans` (see the README's Observability
+//! section) every experiment exports a chrome-trace to
 //! `OUT/trace.json` and the metrics registry to `OUT/metrics.json` on
 //! exit. A failed artifact write exits 2 naming the path.
 //! ```
@@ -102,7 +102,7 @@ fn main() {
 
     // `profile` exports (and drains) its own trace; every other
     // experiment gets an end-of-run export when tracing is on, so
-    // `SUBMOD_TRACE=full experiments ltm` drops a Perfetto-loadable
+    // `SUBMOD_TRACE=spans experiments ltm` drops a Perfetto-loadable
     // trace next to its CSV artifacts.
     if experiment != "profile" && submod_obs::mode() != submod_obs::TraceMode::Off {
         write_artifact(

@@ -224,7 +224,7 @@ pub(crate) fn write_store(
     weights: &[f32],
     symmetric: bool,
 ) -> Result<(), GraphError> {
-    let _span = submod_obs::span_full("store.write");
+    let _span = submod_obs::span("store.write");
     let num_nodes = offsets.len() - 1;
     if num_nodes as u64 > u64::from(u32::MAX) {
         return Err(GraphError::TooManyNodes { num_nodes: num_nodes as u64 });
@@ -287,7 +287,7 @@ pub(crate) fn write_store(
 /// that inline into the per-edge graph-traversal loops.
 pub(crate) fn open_store(path: &Path) -> Result<submod_mman::CsrView, GraphError> {
     use submod_obs::faults::{self, FaultSite};
-    let _span = submod_obs::span_full("store.open");
+    let _span = submod_obs::span("store.open");
     // Injected transient open faults self-clear, so the bounded retry
     // always recovers; injected permanent faults exhaust the attempts and
     // surface as a typed error like any real open failure would.

@@ -79,7 +79,7 @@ impl<T: Record> FusedUnit<T> {
             UnitState::Pending(run) => Arc::clone(run),
             UnitState::Executed(shards) => return Ok(shards.clone()),
         };
-        let _span = submod_obs::span_full("dataflow.fused_stage");
+        let _span = submod_obs::span("dataflow.fused_stage");
         let mut sink = ShardSink::new(&self.ctx);
         let entered = run(&mut |record| sink.push(record))?;
         let shards = sink.finish()?;
@@ -264,7 +264,7 @@ impl<T: Record> PCollection<T> {
         U: Record,
         F: Fn(T) -> U + Send + Sync,
     {
-        self.transform_shards("map", |record, sink| sink.push(f(record)))
+        self.transform_shards("dataflow.map", |record, sink| sink.push(f(record)))
     }
 
     /// Keeps the records for which `predicate` returns `true`.
@@ -321,7 +321,7 @@ impl<T: Record> PCollection<T> {
         I: IntoIterator<Item = U>,
         F: Fn(T) -> I + Send + Sync,
     {
-        self.transform_shards("flat_map", |record, sink| {
+        self.transform_shards("dataflow.flat_map", |record, sink| {
             for out in f(record) {
                 sink.push(out)?;
             }
@@ -372,22 +372,18 @@ impl<T: Record> PCollection<T> {
         PCollection { ctx: self.ctx.clone(), segments }
     }
 
-    /// Shared eager shard-parallel transform driver. `op` names the
-    /// transform in per-op registry counters (`dataflow.op.<op>.records`),
-    /// flushed once per shard. A barrier: pending fused chains execute
-    /// first.
+    /// Shared eager shard-parallel transform driver, timed as the span
+    /// `span_name`. A barrier: pending fused chains execute first.
     fn transform_shards<U, F>(
         &self,
-        op: &'static str,
+        span_name: &'static str,
         body: F,
     ) -> Result<PCollection<U>, DataflowError>
     where
         U: Record,
         F: Fn(T, &mut ShardSink<'_, U>) -> Result<(), DataflowError> + Send + Sync,
     {
-        let _span =
-            submod_obs::span_full(if op == "map" { "dataflow.map" } else { "dataflow.flat_map" });
-        let op_records = submod_obs::counter(&format!("dataflow.op.{op}.records"));
+        let _span = submod_obs::span(span_name);
         let ctx = &self.ctx;
         let shards = self.ready_shards()?;
         let shard_groups: Vec<Vec<Shard<U>>> = shards
@@ -400,7 +396,6 @@ impl<T: Record> PCollection<T> {
                     body(record, &mut sink)
                 })?;
                 ctx.metrics.record_processed(processed);
-                op_records.add(processed);
                 sink.finish()
             })
             .collect::<Result<_, _>>()?;

@@ -1,13 +1,20 @@
 //! Property-based tests for the distributed layer: degenerate-parameter
-//! equivalence with the centralized reference, and pipeline output
-//! invariants across random instances, seeds, and configurations.
+//! equivalence with the centralized reference, pipeline output
+//! invariants across random instances, seeds, and configurations, and
+//! random configurations selecting the same bits on both drivers at 1,
+//! 2 and 8 pool threads.
 
 use proptest::prelude::*;
 use submod_core::{greedy_select, GraphBuilder, NodeId, PairwiseObjective, SimilarityGraph};
+use submod_dataflow::Pipeline;
 use submod_dist::{
-    distributed_greedy, select_subset, BoundingConfig, DistGreedyConfig, PipelineConfig,
-    SamplingStrategy,
+    bound_dataflow, bound_in_memory, distributed_greedy, distributed_greedy_dataflow,
+    select_subset, BoundingConfig, BoundingOutcome, DistGreedyConfig, DistGreedyReport,
+    PipelineConfig, RoundStats, SamplingStrategy,
 };
+use submod_exec::with_threads;
+
+const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// An arbitrary small weighted instance: edge list + utilities.
 fn arb_instance(max_nodes: usize) -> impl Strategy<Value = (SimilarityGraph, PairwiseObjective)> {
@@ -156,5 +163,85 @@ proptest! {
         prop_assert!(outcome.remaining.len() >= outcome.k_remaining);
         prop_assert!(outcome.remaining.windows(2).all(|w| w[0] < w[1]));
         prop_assert!(outcome.included.windows(2).all(|w| w[0] < w[1]));
+    }
+}
+
+/// What a greedy run selected: ids in order, objective bits, round stats.
+fn greedy_bits(report: &DistGreedyReport) -> (Vec<NodeId>, u64, Vec<RoundStats>) {
+    let selection = &report.selection;
+    (selection.selected().to_vec(), selection.objective_value().to_bits(), report.rounds.clone())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random machines/rounds/k: the multi-round greedy selects the same
+    /// bits on both drivers at every pool thread count, on every
+    /// configuration, not just the invariance harness's fixed ones.
+    #[test]
+    fn random_configs_are_thread_count_invariant(
+        (graph, objective) in arb_instance(40),
+        seed in 0u64..500,
+        machines in 1usize..8,
+        rounds in 1usize..5,
+        k_draw in 0usize..40,
+    ) {
+        let n = graph.num_nodes();
+        let k = 1 + k_draw % n;
+        let ground: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+        let config = DistGreedyConfig::new(machines, rounds).expect("config").seed(seed);
+        let runs: Vec<_> = THREAD_COUNTS
+            .iter()
+            .map(|&threads| {
+                with_threads(threads, || {
+                    let mem = distributed_greedy(&graph, &objective, &ground, k, &config)
+                        .expect("in-memory run");
+                    let pipeline = Pipeline::new(3).expect("pipeline");
+                    let df = distributed_greedy_dataflow(
+                        &pipeline, &graph, &objective, &ground, k, &config,
+                    )
+                    .expect("dataflow run");
+                    (greedy_bits(&mem), greedy_bits(&df))
+                })
+            })
+            .collect();
+        prop_assert_eq!(&runs[0].0, &runs[0].1, "the drivers diverged");
+        prop_assert_eq!(&runs[0], &runs[1]);
+        prop_assert_eq!(&runs[0], &runs[2]);
+    }
+
+    /// Random approximate bounding configurations: one outcome on both
+    /// drivers at every pool thread count (stats are compared per driver,
+    /// since the two drivers meter different state).
+    #[test]
+    fn random_bounding_is_thread_count_invariant(
+        (graph, objective) in arb_instance(40),
+        seed in 0u64..500,
+        k_draw in 0usize..40,
+        p in 0.2f64..0.9,
+    ) {
+        let k = 1 + k_draw % graph.num_nodes();
+        let config = BoundingConfig::approximate(p, SamplingStrategy::Uniform, seed)
+            .expect("config");
+        let runs: Vec<(BoundingOutcome, BoundingOutcome)> = THREAD_COUNTS
+            .iter()
+            .map(|&threads| {
+                with_threads(threads, || {
+                    let mem = bound_in_memory(&graph, &objective, k, &config).expect("in-memory");
+                    let pipeline = Pipeline::new(3).expect("pipeline");
+                    let df = bound_dataflow(&pipeline, &graph, &objective, k, &config)
+                        .expect("dataflow");
+                    (mem, df)
+                })
+            })
+            .collect();
+        let (mem, df) = &runs[0];
+        prop_assert_eq!(
+            BoundingOutcome { stats: Default::default(), ..mem.clone() },
+            BoundingOutcome { stats: Default::default(), ..df.clone() },
+            "the drivers diverged"
+        );
+        prop_assert_eq!(&runs[0], &runs[1]);
+        prop_assert_eq!(&runs[0], &runs[2]);
     }
 }

@@ -146,7 +146,7 @@ fn search_all<I: NearestNeighbors + Sync>(
     blocks: Vec<Vec<u32>>,
 ) -> Vec<Vec<Neighbor>> {
     let searched = submod_exec::parallel_map(blocks, |block| {
-        let _span = submod_obs::span_full("knn.search_block");
+        let _span = submod_obs::span("knn.search_block");
         submod_obs::counter!("knn.search.blocks").incr();
         submod_obs::counter!("knn.search.queries").add(block.len() as u64);
         let queries: Vec<&[f32]> = block.iter().map(|&v| embeddings.row(v as usize)).collect();

@@ -3,15 +3,16 @@
 //! and **zero external dependencies** (the build environment is
 //! vendored-only, so no `tracing` crate).
 //!
-//! # The three trace modes
+//! # The two trace modes
 //!
-//! Everything span-shaped is gated by `SUBMOD_TRACE`:
+//! Every span is gated by `SUBMOD_TRACE`:
 //!
-//! | `SUBMOD_TRACE` | [`span`] | [`span_full`] | metrics registry |
-//! |----------------|----------|---------------|------------------|
-//! | `off` (default)| no-op    | no-op         | recorded         |
-//! | `spans`        | recorded | no-op         | recorded         |
-//! | `full`         | recorded | recorded      | recorded         |
+//! | `SUBMOD_TRACE` | [`span`] | metrics registry |
+//! |----------------|----------|------------------|
+//! | `off` (default)| no-op    | recorded         |
+//! | `spans`        | recorded | recorded         |
+//!
+//! Any other value means `off`.
 //!
 //! The gate is a *branch on a static*: one relaxed atomic load and a
 //! compare, so the `off` path costs near-zero (the repo benchmark's
@@ -31,8 +32,8 @@
 //! Snapshots iterate a `BTreeMap`, so export order is the metric-name
 //! order — deterministic by construction. Spans only *time* work; no
 //! control flow ever reads a span or a metric, so selections are
-//! bitwise-identical across all three modes (the facade determinism
-//! suite pins this).
+//! bitwise-identical in both modes (the facade's invariance harness
+//! pins this).
 //!
 //! # Span nesting across pool workers
 //!
@@ -63,28 +64,16 @@ use std::time::Instant;
 pub enum TraceMode {
     /// No spans recorded. The hot-path cost is one atomic load + branch.
     Off,
-    /// Coarse spans ([`span`]) recorded; fine-grained ones skipped.
+    /// Every [`span`] recorded.
     Spans,
-    /// Every span recorded, including [`span_full`] fine-grained ones.
-    Full,
 }
 
 impl TraceMode {
     /// Parses the `SUBMOD_TRACE` value; unknown strings mean [`TraceMode::Off`].
-    pub fn parse(s: &str) -> TraceMode {
+    fn parse(s: &str) -> TraceMode {
         match s.trim().to_ascii_lowercase().as_str() {
             "spans" => TraceMode::Spans,
-            "full" => TraceMode::Full,
             _ => TraceMode::Off,
-        }
-    }
-
-    /// The mode's canonical env-knob spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TraceMode::Off => "off",
-            TraceMode::Spans => "spans",
-            TraceMode::Full => "full",
         }
     }
 }
@@ -116,29 +105,23 @@ fn mode_raw() -> u8 {
 /// The active trace mode (lazily resolved from `SUBMOD_TRACE`).
 #[inline]
 pub fn mode() -> TraceMode {
-    match mode_raw() {
-        1 => TraceMode::Spans,
-        2 => TraceMode::Full,
-        _ => TraceMode::Off,
+    if spans_enabled() {
+        TraceMode::Spans
+    } else {
+        TraceMode::Off
     }
 }
 
 /// Overrides the trace mode programmatically (tests, benchmarks, and the
-/// `experiments profile` subcommand, which forces `full`).
+/// `experiments profile` subcommand, which forces `spans`).
 pub fn set_mode(mode: TraceMode) {
     MODE.store(mode as u8, Ordering::Relaxed);
 }
 
-/// Returns `true` when coarse spans ([`span`]) are recorded.
+/// Returns `true` when [`span`]s are recorded.
 #[inline]
-pub fn spans_enabled() -> bool {
-    mode_raw() >= TraceMode::Spans as u8 && mode_raw() != MODE_UNINIT
-}
-
-/// Returns `true` when fine-grained spans ([`span_full`]) are recorded.
-#[inline]
-pub fn full_enabled() -> bool {
-    mode_raw() == TraceMode::Full as u8
+fn spans_enabled() -> bool {
+    mode_raw() == TraceMode::Spans as u8
 }
 
 // ---------------------------------------------------------------------------
@@ -351,28 +334,43 @@ pub fn set_info(name: &str, value: &str) {
 
 /// Caches a [`Counter`] handle per call site: the registry mutex is taken
 /// once, every later hit is a single `OnceLock` load.
+///
+/// ```
+/// submod_obs::counter!("doc.requests").incr();
+/// ```
+///
+/// The name must be a string literal: the handle cached at the call site
+/// belongs to the first name seen there, so a computed name would alias
+/// every later name to it. Use [`counter()`](fn@counter) for those.
+///
+/// ```compile_fail
+/// let name = String::from("doc.computed");
+/// submod_obs::counter!(&name).incr();
+/// ```
 #[macro_export]
 macro_rules! counter {
-    ($name:expr) => {{
+    ($name:literal) => {{
         static HANDLE: ::std::sync::OnceLock<&'static $crate::Counter> =
             ::std::sync::OnceLock::new();
         *HANDLE.get_or_init(|| $crate::counter($name))
     }};
 }
 
-/// Caches a [`Gauge`] handle per call site (see [`counter!`]).
+/// Caches a [`Gauge`] handle per call site; the name is a string literal
+/// (see [`counter!`]).
 #[macro_export]
 macro_rules! gauge {
-    ($name:expr) => {{
+    ($name:literal) => {{
         static HANDLE: ::std::sync::OnceLock<&'static $crate::Gauge> = ::std::sync::OnceLock::new();
         *HANDLE.get_or_init(|| $crate::gauge($name))
     }};
 }
 
-/// Caches a [`Histogram`] handle per call site (see [`counter!`]).
+/// Caches a [`Histogram`] handle per call site; the name is a string
+/// literal (see [`counter!`]).
 #[macro_export]
 macro_rules! histogram {
-    ($name:expr) => {{
+    ($name:literal) => {{
         static HANDLE: ::std::sync::OnceLock<&'static $crate::Histogram> =
             ::std::sync::OnceLock::new();
         *HANDLE.get_or_init(|| $crate::histogram($name))
@@ -459,13 +457,6 @@ pub fn reset_metrics() {
     }
 }
 
-/// Zeroes every registered metric (handles stay valid) and discards
-/// buffered spans — the between-phases reset for tests and `experiments`.
-pub fn reset() {
-    reset_metrics();
-    let _ = take_spans();
-}
-
 // ---------------------------------------------------------------------------
 // Spans
 // ---------------------------------------------------------------------------
@@ -530,7 +521,7 @@ fn record_event(event: SpanEvent) {
     });
 }
 
-/// RAII timing guard from [`span`] / [`span_full`]; records on drop.
+/// RAII timing guard from [`span`]; records on drop.
 #[must_use = "a span guard times its scope; dropping it immediately records nothing"]
 pub struct SpanGuard {
     name: &'static str,
@@ -565,31 +556,18 @@ impl Drop for SpanGuard {
     }
 }
 
-fn start_span(name: &'static str) -> SpanGuard {
-    let _ = epoch();
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let parent = CURRENT_SPAN.replace(id);
-    SpanGuard { name, id, parent, start: Some(Instant::now()) }
-}
-
-/// Opens a coarse span (phases, passes, rounds, shuffles). No-op unless
-/// `SUBMOD_TRACE` is `spans` or `full`.
+/// Opens a span (phases, passes, rounds, fused stages, k-NN blocks,
+/// store opens — once per call, stage or block, never per record).
+/// No-op unless `SUBMOD_TRACE=spans`.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if !spans_enabled() {
         return SpanGuard::INACTIVE;
     }
-    start_span(name)
-}
-
-/// Opens a fine-grained span (per knn block, per store section). No-op
-/// unless `SUBMOD_TRACE=full`.
-#[inline]
-pub fn span_full(name: &'static str) -> SpanGuard {
-    if !full_enabled() {
-        return SpanGuard::INACTIVE;
-    }
-    start_span(name)
+    let _ = epoch();
+    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    let parent = CURRENT_SPAN.replace(id);
+    SpanGuard { name, id, parent, start: Some(Instant::now()) }
 }
 
 /// The innermost open span's id on this thread (0 = none / tracing off).
@@ -746,7 +724,7 @@ pub fn metrics_json(snap: &MetricsSnapshot) -> String {
 
 /// Current resident-set size from `/proc/self/status`, in KiB (`None`
 /// off Linux or if the field is missing).
-pub fn current_rss_kib() -> Option<u64> {
+fn current_rss_kib() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix("VmRSS:") {
@@ -785,9 +763,8 @@ mod tests {
     fn mode_parsing() {
         assert_eq!(TraceMode::parse("off"), TraceMode::Off);
         assert_eq!(TraceMode::parse("SPANS"), TraceMode::Spans);
-        assert_eq!(TraceMode::parse(" full "), TraceMode::Full);
+        assert_eq!(TraceMode::parse(" full "), TraceMode::Off, "the retired level means off");
         assert_eq!(TraceMode::parse("garbage"), TraceMode::Off);
-        assert_eq!(TraceMode::Full.as_str(), "full");
     }
 
     #[test]
@@ -855,8 +832,6 @@ mod tests {
                 assert_ne!(current_span(), outer_id);
             }
             assert_eq!(current_span(), outer_id);
-            // Fine-grained spans are skipped below `full`.
-            assert_eq!(span_full("test.fine").id(), 0);
         }
         assert_eq!(current_span(), 0);
         let events = take_spans();

@@ -1,7 +1,7 @@
 //! The invariance harness: every selection path selects the same bits
 //! under every runtime setting that is not an input of the selection.
 //!
-//! Five axes: pool threads {1, 2, 8}, trace mode {off, full}, fault plan
+//! Five axes: pool threads {1, 2, 8}, trace mode {off, spans}, fault plan
 //! {off, transient-io}, graph backing {owned, mapped} and the dataflow
 //! worker budget {unlimited, starved below a one-row partition}. Their
 //! product is 48 runs; `ROWS` is a pairwise covering array of six (each
@@ -20,9 +20,10 @@
 //!   row 1's, and the dataflow driver's stats equal those of the first
 //!   row with the same budget (the budget picks the dataflow greedy's
 //!   path, and the batched path meters its scans, not resident rows);
-//! - each level took effect: full tracing recorded nested spans,
-//!   transient-io retried, and greedy phases ran batched exactly when
-//!   starved.
+//! - each level took effect: tracing recorded nested spans and a fused
+//!   engine stage (and, over a mapped graph, the store's write and
+//!   open), transient-io retried, and greedy phases ran batched exactly
+//!   when starved.
 //!
 //! Kernel dispatch is not an axis: no selection path calls a kernel. The
 //! kernel and k-NN suites run under both dispatches instead.
@@ -73,18 +74,18 @@ impl Budget {
 struct Row(usize, TraceMode, FaultMode, Backing, Budget);
 
 const THREADS: [usize; 3] = [1, 2, 8];
-const TRACES: [TraceMode; 2] = [TraceMode::Off, TraceMode::Full];
+const TRACES: [TraceMode; 2] = [TraceMode::Off, TraceMode::Spans];
 const FAULTS: [FaultMode; 2] = [FaultMode::Off, FaultMode::TransientIo];
 const BACKINGS: [Backing; 2] = [Owned, Mapped];
 const BUDGETS: [Budget; 2] = [Unlimited, Starved];
 
 const ROWS: [Row; 6] = [
     Row(1, TraceMode::Off, FaultMode::Off, Owned, Starved),
-    Row(1, TraceMode::Full, FaultMode::TransientIo, Mapped, Unlimited),
+    Row(1, TraceMode::Spans, FaultMode::TransientIo, Mapped, Unlimited),
     Row(2, TraceMode::Off, FaultMode::Off, Mapped, Unlimited),
-    Row(2, TraceMode::Full, FaultMode::TransientIo, Owned, Starved),
+    Row(2, TraceMode::Spans, FaultMode::TransientIo, Owned, Starved),
     Row(8, TraceMode::Off, FaultMode::TransientIo, Owned, Unlimited),
-    Row(8, TraceMode::Full, FaultMode::Off, Mapped, Starved),
+    Row(8, TraceMode::Spans, FaultMode::Off, Mapped, Starved),
 ];
 
 impl Row {
@@ -361,8 +362,15 @@ fn run_row(row: Row, instances: &[Instance]) -> Vec<PathRuns> {
         }
     }
     let spans = submod_obs::take_spans();
-    if trace == TraceMode::Full {
-        assert!(spans.iter().any(|s| s.parent != 0), "full tracing recorded no nested span");
+    if trace == TraceMode::Spans {
+        assert!(spans.iter().any(|s| s.parent != 0), "tracing recorded no nested span");
+        let mut expected = vec!["dataflow.fused_stage"];
+        if backing == Mapped {
+            expected.extend(["store.write", "store.open"]);
+        }
+        for name in expected {
+            assert!(spans.iter().any(|s| s.name == name), "tracing recorded no {name} span");
+        }
     }
     let retried = counter("faults.retries") > retries;
     assert_eq!(retried, fault_mode == FaultMode::TransientIo, "faults.retries rose: {retried}");
