@@ -199,8 +199,6 @@ fn render_markdown(
         "dataflow.stages_fused",
         "dataflow.spill.bytes_written",
         "dataflow.broadcast.bytes",
-        "exec.steals",
-        "exec.parks",
         "process.rss_baseline_kib",
         "process.rss_peak_kib",
     ];

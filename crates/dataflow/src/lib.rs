@@ -26,7 +26,7 @@
 //!   sort-merge. [`PipelineMetrics`] exposes spill counters so tests can
 //!   prove the budget held.
 //!
-//! Workers execute on the workspace's work-stealing pool
+//! Workers execute on the workspace's thread pool
 //! (`submod_exec`, reached through the vendored `rayon` facade): shard
 //! transforms, the map and reduce sides of the shuffle, and spill/codec
 //! work all run concurrently, while all data movement stays mediated by

@@ -82,19 +82,31 @@ pub(crate) struct SpillStore {
     next_id: AtomicU64,
 }
 
+/// Numbers the stores this process creates, so two pipelines built in
+/// the same clock tick still get different spill directories.
+static NEXT_STORE: AtomicU64 = AtomicU64::new(0);
+
 impl SpillStore {
     /// Creates the spill directory (unique per store) under `base`.
     pub fn create(base: &Path) -> Result<Self, DataflowError> {
         let unique = format!(
-            "submod-dataflow-{}-{:x}",
+            "submod-dataflow-{}-{:x}-{}",
             std::process::id(),
             std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_nanos())
-                .unwrap_or(0)
+                .unwrap_or(0),
+            NEXT_STORE.fetch_add(1, Ordering::Relaxed)
         );
-        let dir = base.join(unique);
-        fs::create_dir_all(&dir).map_err(|e| DataflowError::io("creating spill directory", e))?;
+        fs::create_dir_all(base).map_err(|e| DataflowError::io("creating spill directory", e))?;
+        Self::claim(base.join(unique))
+    }
+
+    /// Creates `dir` and owns it. The directory must not exist yet: a
+    /// name clash is an error, never a directory shared with another
+    /// store (whose drop would delete this store's live spills).
+    fn claim(dir: PathBuf) -> Result<Self, DataflowError> {
+        fs::create_dir(&dir).map_err(|e| DataflowError::io("creating spill directory", e))?;
         Ok(SpillStore { dir, next_id: AtomicU64::new(0) })
     }
 
@@ -443,6 +455,24 @@ mod tests {
         assert_eq!((file.count, file.bytes), (0, 0));
         let records: Vec<u64> = SpillReader::open(&file).unwrap().read_all().unwrap();
         assert!(records.is_empty());
+    }
+
+    #[test]
+    fn stores_never_share_a_directory() {
+        let dirs: Vec<PathBuf> = std::thread::scope(|s| {
+            let workers: Vec<_> =
+                (0..4).map(|_| s.spawn(|| (0..64).map(|_| store()).collect::<Vec<_>>())).collect();
+            let stores: Vec<SpillStore> =
+                workers.into_iter().flat_map(|w| w.join().expect("creator thread")).collect();
+            stores.iter().map(|store| store.dir.clone()).collect()
+        });
+        let distinct: std::collections::HashSet<&PathBuf> = dirs.iter().collect();
+        assert_eq!(distinct.len(), dirs.len(), "two stores got one directory");
+
+        let store = store();
+        let spill = write_spill(store.fresh_path(), &[7u8]).unwrap();
+        assert!(SpillStore::claim(store.dir.clone()).is_err(), "an existing directory was shared");
+        assert!(spill.path.exists(), "the failed claim touched the live store");
     }
 
     #[test]

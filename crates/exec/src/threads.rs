@@ -74,10 +74,10 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Whether the current thread is executing a pool task. Parallel
-/// combinators invoked from inside a task run inline (sequentially) so
-/// nesting cannot deadlock or oversubscribe the machine.
-pub fn in_worker() -> bool {
+/// Whether the current thread is working a region. A [`crate::parallel_map`]
+/// called from inside a chunk runs inline (sequentially) so nesting cannot
+/// deadlock or oversubscribe the machine.
+pub(crate) fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
 

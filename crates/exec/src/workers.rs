@@ -1,56 +1,82 @@
 //! The process-lifetime worker set.
 //!
-//! Entering a parallel region used to spawn its helper OS threads with
-//! `std::thread::scope` and join them at region exit — microseconds of
-//! `clone`/`join` per entry, which dominates microsecond-scale
-//! transforms. Workers now live for the life of the process: a region
-//! *publishes* itself here, idle workers *attach* (claiming a worker
-//! index), service it exactly as before, and *detach* back to the set's
-//! condvar when the region drains. At steady state a region entry spawns
-//! zero OS threads ([`crate::region_entry_spawn_count`] lets tests pin
-//! that); the set only grows when a region wants more helpers than are
-//! currently idle.
+//! Workers live for the life of the process, because spawning and
+//! joining OS threads per region costs microseconds of `clone`/`join`,
+//! which dominates microsecond-scale transforms. A region *publishes*
+//! itself here, idle workers *attach*, claim chunks from the region's
+//! cursor until none is left, and *detach* back to the set's condvar. At
+//! steady state a region entry spawns zero OS threads (the
+//! `exec.region_spawns` counter lets tests pin that); the set only grows
+//! when a region wants more helpers than are currently idle.
 //!
 //! ## Why the one `unsafe impl` is sound
 //!
 //! Persistent threads cannot borrow a region's stack through safe APIs,
-//! so the published [`RegionJob`] carries a type-erased pointer to the
-//! caller's `Scope` plus two erased entry points. The lifetime argument
-//! is the classic scoped-pool one:
+//! so the published [`RegionJob`] carries a lifetime-erased pointer to
+//! the owner's `Region`. The lifetime argument is the classic scoped-pool
+//! one:
 //!
-//! 1. workers attach **under the set's mutex**, bumping the scope's
-//!    attached count before the job can be observed as claimed;
+//! 1. workers attach **under the set's mutex**, bumping the job's
+//!    [`Attached`] count before the job can be observed as claimed;
 //! 2. at region exit the owner calls [`retire`] (same mutex), after
 //!    which no worker can ever see the job again;
 //! 3. the owner then blocks until the attached count returns to zero,
-//!    so the `Scope` — and everything the region's tasks borrow —
-//!    strictly outlives every worker access.
+//!    so the `Region` — and everything its chunks borrow — strictly
+//!    outlives every worker access.
+//!
+//! The count itself lives behind an `Arc`, not in the `Region`, so a
+//! detaching worker touches only memory it co-owns: the owner may free
+//! the `Region` the moment the count reaches zero.
 
 #![allow(unsafe_code)]
 
+use crate::pool::Region;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// A published parallel region: an erased `&Scope` plus the entry
-/// points workers drive it with, and how many helper slots remain.
-pub(crate) struct RegionJob {
-    /// Type-erased `*const Scope<'_>`; valid until the owner's `run`
-    /// returns (see module docs).
-    pub(crate) scope: *const (),
-    /// Bumps the scope's attached count. Called under the set mutex.
-    pub(crate) attach: unsafe fn(*const ()),
-    /// Runs one worker (`work(index)` + detach) against the scope.
-    pub(crate) run: unsafe fn(*const (), usize),
-    /// Helper slots not yet claimed; the job leaves the queue at zero.
-    pub(crate) slots: usize,
-    /// Worker index the next attacher receives (the owner is always 0).
-    pub(crate) next_index: usize,
+/// How many helpers are attached to one region.
+#[derive(Default)]
+pub(crate) struct Attached {
+    count: Mutex<usize>,
+    zero: Condvar,
 }
 
-// SAFETY: the scope pointer is only dereferenced by workers that
+impl Attached {
+    fn attach(&self) {
+        *self.count.lock().expect("attached count") += 1;
+    }
+
+    fn detach(&self) {
+        let mut count = self.count.lock().expect("attached count");
+        *count -= 1;
+        if *count == 0 {
+            self.zero.notify_all();
+        }
+    }
+
+    /// Blocks until every attached helper has detached.
+    pub(crate) fn wait_for_zero(&self) {
+        let mut count = self.count.lock().expect("attached count");
+        while *count > 0 {
+            count = self.zero.wait(count).expect("attached count");
+        }
+    }
+}
+
+/// A published parallel region and how many helper slots remain.
+pub(crate) struct RegionJob {
+    /// Lifetime-erased `*const Region<'_>`; valid while its helpers are
+    /// counted in `attached` (see module docs).
+    pub(crate) region: *const Region<'static>,
+    pub(crate) attached: Arc<Attached>,
+    /// Helper slots not yet claimed; the job leaves the queue at zero.
+    pub(crate) slots: usize,
+}
+
+// SAFETY: the region pointer is only dereferenced by workers that
 // attached under the set mutex, and the publishing thread keeps the
-// Scope alive until every attached worker detached (module docs).
+// Region alive until every attached worker detached (module docs).
 unsafe impl Send for RegionJob {}
 
 struct State {
@@ -64,11 +90,11 @@ struct WorkerSet {
     state: Mutex<State>,
     /// Parks idle persistent workers; notified on every publish.
     available: Condvar,
-    /// Workers currently attached to a region. Decremented at *detach*
-    /// (before the region owner is woken), not when the worker re-parks
-    /// — so by the time an owner can enter its next region, the workers
-    /// it just released already count as available and back-to-back
-    /// regions never re-spawn.
+    /// Workers currently attached to a region. Decremented right before
+    /// *detach* (before the region owner is woken), not when the worker
+    /// re-parks — so by the time an owner can enter its next region, the
+    /// workers it just released already count as available and
+    /// back-to-back regions never re-spawn.
     busy: AtomicUsize,
 }
 
@@ -118,51 +144,43 @@ pub(crate) fn dispatch(job: RegionJob) -> usize {
     spawned
 }
 
-/// Marks one attached worker as done with its region. Called by the
-/// erased worker body right before it signals the region owner, so the
-/// availability accounting is correct by the time the owner's `run`
-/// returns (the release of the owner's parking mutex orders this
-/// decrement before anything the owner does next).
-pub(crate) fn mark_available() {
-    set().busy.fetch_sub(1, Ordering::SeqCst);
-}
-
-/// Withdraws any unclaimed helper slots of `scope` (region exit). A
-/// worker holding the mutex either already attached — the owner's
-/// attached-count wait covers it — or can no longer see the job.
-pub(crate) fn retire(scope: *const ()) {
+/// Withdraws any unclaimed helper slots of the region counted by
+/// `attached` (region exit). A worker holding the mutex either already
+/// attached — the owner's attached-count wait covers it — or can no
+/// longer see the job.
+pub(crate) fn retire(attached: &Arc<Attached>) {
     let s = set();
-    s.state.lock().expect("worker-set state").queue.retain(|j| j.scope != scope);
+    s.state.lock().expect("worker-set state").queue.retain(|j| !Arc::ptr_eq(&j.attached, attached));
 }
 
 /// A persistent worker: claim a helper slot (attaching under the set
-/// mutex), service the region to completion, return to the condvar.
+/// mutex), work the region until its cursor is exhausted, detach, and
+/// return to the condvar.
 fn worker_loop() {
     let s = set();
     loop {
-        let (scope, run, index) = {
+        let (region, attached) = {
             let mut state = s.state.lock().expect("worker-set state");
             loop {
                 if let Some(front) = state.queue.front_mut() {
-                    let (scope, attach, run) = (front.scope, front.attach, front.run);
-                    let index = front.next_index;
-                    front.next_index += 1;
+                    let claim = (front.region, Arc::clone(&front.attached));
                     front.slots -= 1;
                     if front.slots == 0 {
                         state.queue.pop_front();
                     }
                     s.busy.fetch_add(1, Ordering::SeqCst);
-                    // SAFETY: attaching under the set mutex, before
-                    // `retire` could have removed the job, so the owner
-                    // is still alive and will wait for our detach.
-                    unsafe { attach(scope) };
-                    break (scope, run, index);
+                    claim.1.attach();
+                    break claim;
                 }
                 state = s.available.wait(state).expect("worker-set condvar");
             }
         };
-        // SAFETY: attached above; the owner keeps the Scope (and all
-        // region borrows) alive until our detach inside `run`.
-        unsafe { run(scope, index) };
+        // SAFETY: attached above, under the set mutex and before `retire`
+        // could have removed the job, so the owner keeps the Region (and
+        // all region borrows) alive until our `detach` below. Chunk
+        // panics are caught inside `work`.
+        unsafe { (*region).work() };
+        s.busy.fetch_sub(1, Ordering::SeqCst);
+        attached.detach();
     }
 }

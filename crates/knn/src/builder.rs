@@ -2,11 +2,11 @@ use crate::{Embeddings, ExactKnn, IvfIndex, KnnError, NearestNeighbors, Neighbor
 use submod_core::SimilarityGraph;
 
 /// Queries per graph-build work item of the exact backend, which has no
-/// notion of locality. Each block is one task on the `submod_exec`
-/// pool and one `search_batch_excluding` call, so the backend's batch
+/// notion of locality. Each block is one `submod_exec::parallel_map`
+/// item and one `search_batch_excluding` call, so the backend's batch
 /// kernel streams the row matrix once per block; 64 queries keeps tens
-/// of stealable tasks even at the 2 k-point exact crossover while
-/// amortizing the per-task overhead. The IVF build blocks by home cell
+/// of items even at the 2 k-point exact crossover while amortizing the
+/// per-item overhead. The IVF build blocks by home cell
 /// instead ([`IvfIndex::home_cell_blocks`]).
 const QUERY_BLOCK: usize = 64;
 

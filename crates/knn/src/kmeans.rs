@@ -100,9 +100,9 @@ impl KMeansModel {
     }
 }
 
-/// Points per pool task in the seeding and assignment steps: enough
-/// arithmetic to amortize a task even against a single center (seeding),
-/// while 30 000 points still make over a hundred stealable tasks.
+/// Points per `parallel_map` item in the seeding and assignment steps:
+/// enough arithmetic to amortize an item even against a single center
+/// (seeding), while 30 000 points still make over a hundred items.
 const POINT_BLOCK: usize = 256;
 
 /// k-means++ bookkeeping after choosing `center`: lowers each sampled
@@ -111,23 +111,19 @@ const POINT_BLOCK: usize = 256;
 /// depends only on its own point, so the result is thread-count-free.
 fn shrink_to_center(data: &Embeddings, sample: &[usize], center: usize, dist_sq: &mut [f32]) {
     let center = [data.row(center)];
-    submod_exec::scope(|s| {
-        for (ids, dist_sq) in sample.chunks(POINT_BLOCK).zip(dist_sq.chunks_mut(POINT_BLOCK)) {
-            s.spawn(move |_| {
-                // The tile wants one query against four rows; squared
-                // distance is symmetric bit for bit, so the center plays
-                // the query.
-                for (ids, dist_sq) in ids.chunks(4).zip(dist_sq.chunks_mut(4)) {
-                    let rows = std::array::from_fn(|j| data.row(ids[j.min(ids.len() - 1)]));
-                    let mut d = [[0.0f32; 4]];
-                    submod_kernels::l2_tile(&center, rows, &mut d);
-                    for (slot, &d) in dist_sq.iter_mut().zip(&d[0]) {
-                        if d < *slot {
-                            *slot = d;
-                        }
-                    }
+    let blocks = sample.chunks(POINT_BLOCK).zip(dist_sq.chunks_mut(POINT_BLOCK)).collect();
+    submod_exec::parallel_map(blocks, |(ids, dist_sq): (&[usize], &mut [f32])| {
+        // The tile wants one query against four rows; squared distance is
+        // symmetric bit for bit, so the center plays the query.
+        for (ids, dist_sq) in ids.chunks(4).zip(dist_sq.chunks_mut(4)) {
+            let rows = std::array::from_fn(|j| data.row(ids[j.min(ids.len() - 1)]));
+            let mut d = [[0.0f32; 4]];
+            submod_kernels::l2_tile(&center, rows, &mut d);
+            for (slot, &d) in dist_sq.iter_mut().zip(&d[0]) {
+                if d < *slot {
+                    *slot = d;
                 }
-            });
+            }
         }
     });
 }

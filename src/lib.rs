@@ -9,7 +9,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`submod_core`] | objective, similarity graph, priority queue, centralized greedy |
-//! | [`submod_exec`] | work-stealing thread pool behind every parallel path (`EXEC_NUM_THREADS`) |
+//! | [`submod_exec`] | thread pool behind every parallel path: one order-preserving `parallel_map` (`EXEC_NUM_THREADS`) |
 //! | [`submod_kernels`] | runtime-dispatched SIMD distance kernels (`SUBMOD_KERNELS`) |
 //! | [`submod_dataflow`] | Beam-style engine with memory budgets & spill-to-disk |
 //! | [`submod_knn`] | exact / IVF k-NN graph construction |
