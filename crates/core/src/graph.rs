@@ -27,6 +27,10 @@ use std::sync::{Arc, OnceLock};
 /// expose bit-identical arrays, so selections are bitwise-equal regardless
 /// of where the graph lives (see `crates/dist/tests/store_differential.rs`).
 ///
+/// Either backing sits behind an `Arc`, so a clone is O(1): it bumps one
+/// reference count and shares the arrays. That is how a dataflow closure,
+/// which must own its captures, takes the graph along.
+///
 /// Neighbor ids are stored as dense `u32` (4 B/edge instead of 8) — the
 /// node count is capped at `u32::MAX`, far beyond what a single mapping
 /// holds in practice.
@@ -54,11 +58,13 @@ pub struct SimilarityGraph {
     symmetric: OnceLock<bool>,
 }
 
-/// Where the CSR arrays live. Cloning a mapped graph clones an [`Arc`], so
-/// the distributed backends hand every shard the same mapping.
+/// Where the CSR arrays live. Either way they sit behind an [`Arc`], so a
+/// clone shares them: the distributed backends and the dataflow closures
+/// hand every shard the same arrays or the same mapping.
 #[derive(Clone, Debug)]
 enum Backing {
-    Owned { offsets: Vec<u64>, neighbors: Vec<u32>, weights: Vec<f32> },
+    /// `(offsets, neighbors, weights)`, moved in from their builder.
+    Owned(Arc<(Vec<u64>, Vec<u32>, Vec<f32>)>),
     Mapped(Arc<submod_mman::CsrView>),
 }
 
@@ -81,13 +87,7 @@ impl SimilarityGraph {
             num_nodes as u64 <= u64::from(u32::MAX),
             "num_nodes {num_nodes} exceeds the u32 neighbor id space"
         );
-        let graph = SimilarityGraph::from_backing(Backing::Owned {
-            offsets: vec![0; num_nodes + 1],
-            neighbors: Vec::new(),
-            weights: Vec::new(),
-        });
-        let _ = graph.symmetric.set(true);
-        graph
+        Self::from_built_parts(vec![0; num_nodes + 1], Vec::new(), Vec::new(), true)
     }
 
     /// A graph over `backing` whose symmetry is not known yet.
@@ -95,12 +95,17 @@ impl SimilarityGraph {
         SimilarityGraph { backing, symmetric: OnceLock::new() }
     }
 
+    /// An owned graph over CSR arrays, moved (not copied) behind an [`Arc`].
+    fn owned(offsets: Vec<u64>, neighbors: Vec<u32>, weights: Vec<f32>) -> Self {
+        Self::from_backing(Backing::Owned(Arc::new((offsets, neighbors, weights))))
+    }
+
     /// The raw CSR triple `(offsets, neighbors, weights)`, whichever
     /// backing holds it.
     #[inline]
     fn parts(&self) -> (&[u64], &[u32], &[f32]) {
         match &self.backing {
-            Backing::Owned { offsets, neighbors, weights } => (offsets, neighbors, weights),
+            Backing::Owned(csr) => (&csr.0, &csr.1, &csr.2),
             Backing::Mapped(m) => (m.offsets(), m.neighbors(), m.weights()),
         }
     }
@@ -342,7 +347,7 @@ impl SimilarityGraph {
             return Err(GraphError::NonMonotoneOffsets { node: 0 });
         }
         store::validate_csr(&offsets, &neighbors, &weights)?;
-        Ok(SimilarityGraph::from_backing(Backing::Owned { offsets, neighbors, weights }))
+        Ok(SimilarityGraph::owned(offsets, neighbors, weights))
     }
 
     /// Logical size of the CSR arrays in bytes, independent of backing.
@@ -361,7 +366,7 @@ impl SimilarityGraph {
     /// owned, 0 when the arrays live in a read-only file mapping.
     pub fn heap_bytes(&self) -> usize {
         match &self.backing {
-            Backing::Owned { .. } => self.memory_bytes(),
+            Backing::Owned(_) => self.memory_bytes(),
             Backing::Mapped(_) => 0,
         }
     }
@@ -431,7 +436,7 @@ impl SimilarityGraph {
             }
             offsets.push(neighbors.len() as u64);
         }
-        SimilarityGraph::from_backing(Backing::Owned { offsets, neighbors, weights })
+        SimilarityGraph::owned(offsets, neighbors, weights)
     }
 
     fn from_directed_edges_internal(
@@ -471,7 +476,7 @@ impl SimilarityGraph {
         weights: Vec<f32>,
         symmetric: bool,
     ) -> Self {
-        let graph = SimilarityGraph::from_backing(Backing::Owned { offsets, neighbors, weights });
+        let graph = SimilarityGraph::owned(offsets, neighbors, weights);
         if symmetric {
             let _ = graph.symmetric.set(true);
         }

@@ -1,4 +1,5 @@
 use crate::{CoreError, NodeId, NodeSet, SimilarityGraph};
+use std::sync::Arc;
 
 /// The pairwise submodular objective of the paper (§3):
 ///
@@ -14,6 +15,10 @@ use crate::{CoreError, NodeId, NodeSet, SimilarityGraph};
 /// similarities (§3). They are monotone when `α·u(v) ≥ β·Σ_j s(v,j)` for all
 /// nodes; when that fails, [`Self::monotonicity_offset`] produces the
 /// constant δ of Appendix A that restores monotonicity.
+///
+/// The utilities sit behind an `Arc`, so a clone is O(1): it bumps one
+/// reference count and shares them (a dataflow closure owns such a
+/// clone).
 ///
 /// ```
 /// use submod_core::{GraphBuilder, PairwiseObjective, NodeId};
@@ -34,7 +39,7 @@ use crate::{CoreError, NodeId, NodeSet, SimilarityGraph};
 pub struct PairwiseObjective {
     alpha: f64,
     beta: f64,
-    utilities: Vec<f32>,
+    utilities: Arc<[f32]>,
 }
 
 impl PairwiseObjective {
@@ -53,7 +58,7 @@ impl PairwiseObjective {
                 return Err(CoreError::InvalidUtility { node: i as u64, utility: u });
             }
         }
-        Ok(PairwiseObjective { alpha, beta, utilities })
+        Ok(PairwiseObjective { alpha, beta, utilities: utilities.into() })
     }
 
     /// Creates an objective with the paper's convention `β = 1 − α` (§6).
@@ -215,6 +220,17 @@ mod tests {
         assert!((f.evaluate(&g, &ids(&[0, 1])) - (2.0 - 0.6)).abs() < 1e-6);
         assert!((f.evaluate(&g, &ids(&[0, 1, 2])) - (3.0 - 1.2)).abs() < 1e-6);
         assert_eq!(f.evaluate(&g, &[]), 0.0);
+    }
+
+    /// Dataflow closures own clones of the graph and the objective, which
+    /// is affordable only while a clone shares the storage.
+    #[test]
+    fn clones_share_graph_and_utility_storage() {
+        let g = triangle();
+        let f = PairwiseObjective::from_alpha(0.7, vec![0.9, 0.5, 0.3]).unwrap();
+        let (g2, f2) = (g.clone(), f.clone());
+        assert_eq!(g2.csr_parts().1.as_ptr(), g.csr_parts().1.as_ptr());
+        assert_eq!(f2.utilities().as_ptr(), f.utilities().as_ptr());
     }
 
     #[test]

@@ -125,28 +125,7 @@ impl AddressablePq {
         }
     }
 
-    /// Sets the priority of node `v` to an arbitrary new value, restoring
-    /// the heap property in either direction. No-op if popped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_priority` is NaN or `v` was never enqueued.
-    pub fn update(&mut self, v: u32, new_priority: f64) {
-        assert!(!new_priority.is_nan(), "priority must not be NaN");
-        let old = self.prio[v as usize];
-        self.prio[v as usize] = new_priority;
-        let slot = self.pos[v as usize];
-        if slot == NOT_IN_HEAP {
-            return;
-        }
-        if new_priority > old {
-            self.sift_up(slot as usize);
-        } else {
-            self.sift_down(slot as usize);
-        }
-    }
-
-    /// Re-inserts a previously popped or removed node with a new priority.
+    /// Re-inserts a previously popped node with a new priority.
     ///
     /// Lazy greedy uses this to push stale candidates back after
     /// recomputing their true marginal gain.
@@ -162,24 +141,6 @@ impl AddressablePq {
         self.pos[v as usize] = self.heap.len() as u32;
         self.heap.push(v);
         self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Removes node `v` from the queue if present; returns whether it was.
-    pub fn remove(&mut self, v: u32) -> bool {
-        let slot = self.pos[v as usize];
-        if slot == NOT_IN_HEAP {
-            return false;
-        }
-        let slot = slot as usize;
-        let last = self.heap.pop().expect("non-empty heap has a last element");
-        self.pos[v as usize] = NOT_IN_HEAP;
-        if last != v {
-            self.heap[slot] = last;
-            self.pos[last as usize] = slot as u32;
-            self.sift_down(slot);
-            self.sift_up(self.pos[last as usize] as usize);
-        }
-        true
     }
 
     /// `true` if element at index `a` orders strictly before (above) `b`.
@@ -285,27 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn update_can_raise_and_lower() {
-        let mut pq = AddressablePq::with_priorities(vec![1.0, 2.0, 3.0]);
-        pq.update(0, 10.0);
-        pq.check_invariants();
-        assert_eq!(pq.peek(), Some((0, 10.0)));
-        pq.update(0, -1.0);
-        pq.check_invariants();
-        assert_eq!(pq.peek(), Some((2, 3.0)));
-    }
-
-    #[test]
-    fn remove_deletes_arbitrary_elements() {
-        let mut pq = AddressablePq::with_priorities(vec![1.0, 2.0, 3.0, 4.0]);
-        assert!(pq.remove(2));
-        assert!(!pq.remove(2));
-        pq.check_invariants();
-        let order: Vec<u32> = std::iter::from_fn(|| pq.pop_max().map(|(v, _)| v)).collect();
-        assert_eq!(order, vec![3, 1, 0]);
-    }
-
-    #[test]
     fn reinsert_after_pop() {
         let mut pq = AddressablePq::with_priorities(vec![3.0, 2.0, 1.0]);
         assert_eq!(pq.pop_max(), Some((0, 3.0)));
@@ -376,7 +316,9 @@ mod tests {
                     pq.pop_max();
                 }
                 _ => {
-                    pq.remove(v);
+                    if !pq.contains(v) {
+                        pq.reinsert(v, (next() % 1000) as f64 / 10.0);
+                    }
                 }
             }
             pq.check_invariants();

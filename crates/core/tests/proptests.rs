@@ -34,7 +34,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The priority queue always pops in non-increasing priority order,
-    /// regardless of the interleaved decrease/remove operations.
+    /// regardless of the interleaved decrease/pop/reinsert operations.
     #[test]
     fn pq_pops_sorted_under_mutation(
         priorities in proptest::collection::vec(-100.0f64..100.0, 1..120),
@@ -47,7 +47,7 @@ proptest! {
             match op {
                 0 => { if pq.contains(v) { pq.decrease_by(v, amount); } }
                 1 => { pq.pop_max(); }
-                _ => { pq.remove(v); }
+                _ => { if !pq.contains(v) { pq.reinsert(v, amount * 10.0 - 50.0); } }
             }
         }
         let mut last = f64::INFINITY;

@@ -379,11 +379,8 @@ struct DetRng {
 
 impl DetRng {
     fn for_index(seed: u64, index: u64) -> Self {
-        // splitmix64 of (seed ⊕ index) gives well-mixed nonzero state.
-        let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        // splitmix64 of (seed ⊕ index·γ) gives well-mixed nonzero state.
+        let z = submod_obs::format::splitmix64(seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         DetRng { state: z | 1 }
     }
 

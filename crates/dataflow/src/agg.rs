@@ -194,7 +194,7 @@ where
     where
         Acc: Record,
         F: Fn(Acc, V) -> Acc + Send + Sync,
-        M: Fn(Acc, Acc) -> Acc + Send + Sync,
+        M: Fn(Acc, Acc) -> Acc + Send + Sync + 'static,
     {
         let _span = submod_obs::span("dataflow.aggregate_per_key");
         let ctx = self.ctx().clone();
@@ -238,8 +238,9 @@ where
         let partials = PCollection::from_parts(ctx, partial_groups.into_iter().flatten().collect());
 
         // --- Reduce side: merge the partials of each key in the
-        // shuffle's deterministic (shard, sequence) order. ---
-        partials.group_by_key()?.map_eager(move |(k, accs)| {
+        // shuffle's deterministic (shard, sequence) order, fused onto
+        // whatever consumes the result. ---
+        partials.group_by_key()?.map(move |(k, accs)| {
             let mut iter = accs.into_iter();
             let first = iter.next().expect("groups are never empty");
             (k, iter.fold(first, &merge))

@@ -77,5 +77,5 @@ pub use error::DataflowError;
 pub use memory::{MemoryBudget, PipelineMetrics};
 pub use pcollection::PCollection;
 pub use pipeline::{Pipeline, PipelineBuilder};
-pub use sample::{mix_seed_key, sample_coin, splitmix64};
+pub use sample::{mix_seed_key, sample_coin};
 pub use side::{BroadcastSet, SideInput};

@@ -6,13 +6,31 @@ use crate::DataflowError;
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex};
 
-/// The emit callback a fused pass pushes records into.
-type Emit<'a, T> = &'a mut dyn FnMut(T) -> Result<(), DataflowError>;
+/// Where an operator of a fused pass puts its output records.
+enum Emit<'a, 'c, T: Record> {
+    /// Into the executing pass's budget-checked sink: the chain's last
+    /// operator pushes with a static call, so a one-operator pass runs
+    /// the same loop a hand-written shard transform would.
+    Sink(&'a mut ShardSink<'c, T>),
+    /// Into the next operator of the chain.
+    Next(&'a mut dyn FnMut(T) -> Result<(), DataflowError>),
+}
+
+impl<T: Record> Emit<'_, '_, T> {
+    /// Emits one record.
+    #[inline]
+    fn push(&mut self, record: T) -> Result<(), DataflowError> {
+        match self {
+            Emit::Sink(sink) => sink.push(record),
+            Emit::Next(next) => next(record),
+        }
+    }
+}
 
 /// Executes one deferred per-shard pass: streams the source shards through
 /// the composed operator chain into `emit`, returning how many records
 /// entered the chain.
-type RunFn<T> = Arc<dyn Fn(Emit<'_, T>) -> Result<u64, DataflowError> + Send + Sync>;
+type RunFn<T> = Arc<dyn Fn(&mut Emit<'_, '_, T>) -> Result<u64, DataflowError> + Send + Sync>;
 
 /// What a [`FusedUnit`] holds: its pending chain until the first barrier,
 /// the shards that chain produced after it.
@@ -42,13 +60,13 @@ impl<T: Record> FusedUnit<T> {
     fn over_shards<S, B>(ctx: Arc<Ctx>, shards: Vec<Shard<S>>, body: Arc<B>) -> Self
     where
         S: Record,
-        B: Fn(S, Emit<'_, T>) -> Result<(), DataflowError> + Send + Sync + 'static,
+        B: Fn(S, &mut Emit<'_, '_, T>) -> Result<(), DataflowError> + Send + Sync + 'static,
     {
         FusedUnit {
             ctx,
             ops: 1,
             state: Mutex::new(UnitState::Pending(Arc::new(move |emit| {
-                stream_shards(&shards, |record| body(record, &mut *emit))
+                stream_shards(&shards, |record| body(record, emit))
             }))),
         }
     }
@@ -63,10 +81,10 @@ impl<T: Record> FusedUnit<T> {
     /// (used when a further operator fuses on top of a pending unit).
     /// Runs the chain directly — no metrics or spans, those belong to
     /// [`FusedUnit::execute`].
-    fn stream(&self, emit: Emit<'_, T>) -> Result<u64, DataflowError> {
+    fn stream(&self, emit: &mut Emit<'_, '_, T>) -> Result<u64, DataflowError> {
         match self.state() {
             UnitState::Pending(run) => run(emit),
-            UnitState::Executed(shards) => stream_shards(&shards, emit),
+            UnitState::Executed(shards) => stream_shards(&shards, |record| emit.push(record)),
         }
     }
 
@@ -81,7 +99,7 @@ impl<T: Record> FusedUnit<T> {
         };
         let _span = submod_obs::span("dataflow.fused_stage");
         let mut sink = ShardSink::new(&self.ctx);
-        let entered = run(&mut |record| sink.push(record))?;
+        let entered = run(&mut Emit::Sink(&mut sink))?;
         let shards = sink.finish()?;
         self.ctx.metrics.record_processed(entered);
         self.ctx.metrics.record_fused_stage(u64::from(self.ops));
@@ -237,8 +255,8 @@ impl<T: Record> PCollection<T> {
 
     /// Applies `f` to every record, producing a new collection. The work
     /// defers into the shard's operator chain; the closure must therefore
-    /// own its captures (`'static`) — use [`PCollection::map_eager`] for
-    /// borrow-capturing closures.
+    /// own its captures (`'static`) — clone shared handles such as an
+    /// `Arc`, a side input, or the O(1)-clone graph and objective into it.
     ///
     /// # Errors
     ///
@@ -248,23 +266,7 @@ impl<T: Record> PCollection<T> {
         U: Record,
         F: Fn(T) -> U + Send + Sync + 'static,
     {
-        Ok(self.compose(move |record, emit: Emit<'_, U>| emit(f(record))))
-    }
-
-    /// Eager, non-deferring `map`: executes immediately via a full
-    /// per-shard pass, so `f` may borrow from the caller's stack. Used
-    /// where the mapped table is materialized right away anyway (e.g. the
-    /// greedy engine's phase-persistent pool table).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if reading or spilling a shard fails.
-    pub fn map_eager<U, F>(&self, f: F) -> Result<PCollection<U>, DataflowError>
-    where
-        U: Record,
-        F: Fn(T) -> U + Send + Sync,
-    {
-        self.transform_shards("dataflow.map", |record, sink| sink.push(f(record)))
+        Ok(self.compose(move |record, emit: &mut Emit<'_, '_, U>| emit.push(f(record))))
     }
 
     /// Keeps the records for which `predicate` returns `true`.
@@ -277,9 +279,9 @@ impl<T: Record> PCollection<T> {
         F: Fn(&T) -> bool + Send + Sync + 'static,
     {
         Ok(self.compose(
-            move |record, emit: Emit<'_, T>| {
+            move |record, emit: &mut Emit<'_, '_, T>| {
                 if predicate(&record) {
-                    emit(record)
+                    emit.push(record)
                 } else {
                     Ok(())
                 }
@@ -300,33 +302,12 @@ impl<T: Record> PCollection<T> {
         I: IntoIterator<Item = U>,
         F: Fn(T) -> I + Send + Sync + 'static,
     {
-        Ok(self.compose(move |record, emit: Emit<'_, U>| {
+        Ok(self.compose(move |record, emit: &mut Emit<'_, '_, U>| {
             for out in f(record) {
-                emit(out)?;
+                emit.push(out)?;
             }
             Ok(())
         }))
-    }
-
-    /// Eager, non-deferring `flat_map`: executes immediately via a full
-    /// per-shard pass, so `f` may borrow from the caller's stack (the
-    /// scoring pipeline fans out borrowed adjacency lists this way).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if reading or spilling a shard fails.
-    pub fn flat_map_eager<U, I, F>(&self, f: F) -> Result<PCollection<U>, DataflowError>
-    where
-        U: Record,
-        I: IntoIterator<Item = U>,
-        F: Fn(T) -> I + Send + Sync,
-    {
-        self.transform_shards("dataflow.flat_map", |record, sink| {
-            for out in f(record) {
-                sink.push(out)?;
-            }
-            Ok(())
-        })
     }
 
     /// Defers `body` onto every segment's operator chain: each output
@@ -337,7 +318,7 @@ impl<T: Record> PCollection<T> {
     fn compose<U, B>(&self, body: B) -> PCollection<U>
     where
         U: Record,
-        B: Fn(T, Emit<'_, U>) -> Result<(), DataflowError> + Send + Sync + 'static,
+        B: Fn(T, &mut Emit<'_, '_, U>) -> Result<(), DataflowError> + Send + Sync + 'static,
     {
         let body = Arc::new(body);
         let ctx = &self.ctx;
@@ -360,7 +341,7 @@ impl<T: Record> PCollection<T> {
                                 ctx: ctx.clone(),
                                 ops: prev.ops.saturating_add(1),
                                 state: Mutex::new(UnitState::Pending(Arc::new(move |emit| {
-                                    prev.stream(&mut |record| body(record, &mut *emit))
+                                    prev.stream(&mut Emit::Next(&mut |record| body(record, emit)))
                                 }))),
                             }
                         }
@@ -370,36 +351,6 @@ impl<T: Record> PCollection<T> {
             })
             .collect();
         PCollection { ctx: self.ctx.clone(), segments }
-    }
-
-    /// Shared eager shard-parallel transform driver, timed as the span
-    /// `span_name`. A barrier: pending fused chains execute first.
-    fn transform_shards<U, F>(
-        &self,
-        span_name: &'static str,
-        body: F,
-    ) -> Result<PCollection<U>, DataflowError>
-    where
-        U: Record,
-        F: Fn(T, &mut ShardSink<'_, U>) -> Result<(), DataflowError> + Send + Sync,
-    {
-        let _span = submod_obs::span(span_name);
-        let ctx = &self.ctx;
-        let shards = self.ready_shards()?;
-        let shard_groups: Vec<Vec<Shard<U>>> = shards
-            .par_iter()
-            .map(|shard| {
-                let mut sink = ShardSink::new(ctx);
-                let mut processed = 0u64;
-                shard.for_each(|record| {
-                    processed += 1;
-                    body(record, &mut sink)
-                })?;
-                ctx.metrics.record_processed(processed);
-                sink.finish()
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(PCollection::from_parts(self.ctx.clone(), shard_groups.into_iter().flatten().collect()))
     }
 }
 
@@ -454,12 +405,15 @@ mod tests {
         assert_eq!(mapped.filter(|x| x % 2 == 0).unwrap().count().unwrap(), 2500);
     }
 
+    /// Eager here means a `materialize()` barrier after every operator:
+    /// each operator then runs as its own pass, and every pass counts the
+    /// records that entered it.
     #[test]
     fn records_processed_metric_accumulates_eagerly() {
         let p = Pipeline::new(3).unwrap();
         let pc = p.from_vec((0u64..50).collect());
-        pc.map_eager(|x| x).unwrap();
-        pc.flat_map_eager(Some).unwrap();
+        pc.map(|x| x).unwrap().materialize().unwrap();
+        pc.flat_map(Some).unwrap().materialize().unwrap();
         assert_eq!(p.metrics().records_processed, 100);
     }
 
@@ -498,32 +452,37 @@ mod tests {
         assert_eq!(p.metrics().stages_fused, stages_after_first + 2);
     }
 
+    /// The fused chain, the same chain with a `materialize()` barrier
+    /// after every operator (one pass per operator), and the `Vec` chain
+    /// agree, with and without spilling.
     #[test]
     fn deferred_and_eager_chains_agree() {
-        let p = Pipeline::new(3).unwrap();
-        let pc = p.from_vec((0u64..500).collect());
-        let deferred = pc
-            .map(|x| x * 7)
-            .unwrap()
-            .filter(|x| x % 3 != 0)
-            .unwrap()
-            .flat_map(|x| vec![x, x + 1])
-            .unwrap()
-            .collect()
-            .unwrap();
-        let eager = pc
-            .map_eager(|x| x * 7)
-            .unwrap()
-            .flat_map_eager(|x| (x % 3 != 0).then_some(x))
-            .unwrap()
-            .flat_map_eager(|x| vec![x, x + 1])
-            .unwrap()
-            .collect()
-            .unwrap();
         let reference: Vec<u64> =
             (0u64..500).map(|x| x * 7).filter(|x| x % 3 != 0).flat_map(|x| [x, x + 1]).collect();
-        assert_eq!(deferred, eager);
-        assert_eq!(deferred, reference);
+        for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(256)] {
+            let p = Pipeline::builder().workers(3).memory_budget(budget).build().unwrap();
+            let pc = p.from_vec((0u64..500).collect());
+            let deferred = pc
+                .map(|x| x * 7)
+                .unwrap()
+                .filter(|x| x % 3 != 0)
+                .unwrap()
+                .flat_map(|x| vec![x, x + 1])
+                .unwrap()
+                .collect()
+                .unwrap();
+            let eager = pc
+                .map(|x| x * 7)
+                .and_then(|c| c.materialize())
+                .and_then(|c| c.filter(|x| x % 3 != 0))
+                .and_then(|c| c.materialize())
+                .and_then(|c| c.flat_map(|x| vec![x, x + 1]))
+                .and_then(|c| c.materialize())
+                .and_then(|c| c.collect())
+                .unwrap();
+            assert_eq!(deferred, eager, "{budget:?}");
+            assert_eq!(deferred, reference, "{budget:?}");
+        }
     }
 
     /// A token owned by one stage's closure; counts how many are alive.

@@ -89,7 +89,7 @@ impl Pipeline {
 
     /// Charges `bytes` of worker-resident state a transform closure builds
     /// outside the engine's own buffers (e.g. a per-group working set
-    /// inside [`PCollection::flat_map_eager`]) to
+    /// inside [`PCollection::flat_map`]) to
     /// [`PipelineMetrics::peak_worker_bytes`], so the peak covers what a
     /// worker really held.
     pub fn observe_worker_bytes(&self, bytes: u64) {

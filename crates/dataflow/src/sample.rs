@@ -9,20 +9,13 @@
 //! and keys produce the same sample on any number of shards or threads,
 //! which is the property the determinism suites pin.
 
-/// splitmix64 finalizer: well-dispersed, order-independent, and stable
-/// across platforms. The canonical mixer for every deterministic coin in
-/// the workspace (the `submod_dist` sampling coins and partition hash call
-/// it, so both drivers flip identical coins and key identical machines).
-pub fn splitmix64(state: u64) -> u64 {
-    let mut z = state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Mixes a `(seed, key)` pair into 64 dispersed bits.
+/// Mixes a `(seed, key)` pair into 64 dispersed bits: the workspace's
+/// splitmix64 ([`submod_obs::format::splitmix64`]) of `seed ⊕ key·γ`, γ
+/// the golden-ratio constant. The `submod_dist` sampling coins and
+/// partition hash call it, so both drivers flip identical coins and key
+/// identical machines.
 pub fn mix_seed_key(seed: u64, key: u64) -> u64 {
-    splitmix64(seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    submod_obs::format::splitmix64(seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// The deterministic sampling coin in `[0, 1)` for `(seed, key)`:
@@ -46,18 +39,18 @@ mod tests {
     }
 
     /// The partition assignments and sampling coins of recorded runs (and
-    /// of journals written by earlier builds) depend on these exact bits.
+    /// of journals written by earlier builds) depend on these exact bits,
+    /// pinned as the splitmix64 finalizer's outputs when it was first
+    /// written out in this crate.
     #[test]
     fn mix_seed_key_matches_the_historical_splitmix64_values() {
-        fn reference(state: u64) -> u64 {
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        for (seed, node) in [(0u64, 0u64), (1, 2), (17, 93), (u64::MAX, 12345)] {
-            let expected = reference(seed ^ node.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            assert_eq!(mix_seed_key(seed, node), expected);
+        for (seed, node, expected) in [
+            (0u64, 0u64, 0u64),
+            (1, 2, 0xBEEB_8DA1_658E_EC67),
+            (17, 93, 0xC2A5_2F8F_07D0_0BD3),
+            (u64::MAX, 12345, 0x75F4_5BBE_F948_6507),
+        ] {
+            assert_eq!(mix_seed_key(seed, node), expected, "({seed}, {node})");
         }
     }
 }

@@ -25,38 +25,31 @@ fn flip(x: u64, salt: u64) -> u64 {
     x ^ (0x5A5A + salt)
 }
 
+/// Applies the chain's operator `op` at position `salt`, deferred.
+fn apply_op(current: &PCollection<u64>, salt: u64, op: u32) -> PCollection<u64> {
+    match op % 4 {
+        0 => current.map(move |x| scramble(x, salt)),
+        1 => current.filter(move |&x| keep(x, salt)),
+        2 => current.flat_map(fan_out),
+        _ => current.map(move |x| flip(x, salt)),
+    }
+    .unwrap()
+}
+
 /// Applies a random chain of deferred operators (`map`, `filter`,
 /// `flat_map`), which fuse into one pass per shard.
 fn apply_chain(source: &PCollection<u64>, ops: &[u32]) -> PCollection<u64> {
-    let mut current = source.clone();
-    for (i, &op) in ops.iter().enumerate() {
-        let salt = i as u64;
-        current = match op % 4 {
-            0 => current.map(move |x| scramble(x, salt)),
-            1 => current.filter(move |&x| keep(x, salt)),
-            2 => current.flat_map(fan_out),
-            _ => current.map(move |x| flip(x, salt)),
-        }
-        .unwrap();
-    }
-    current
+    ops.iter()
+        .enumerate()
+        .fold(source.clone(), |current, (i, &op)| apply_op(&current, i as u64, op))
 }
 
-/// The same chain, one eager pass per operator; a filter is a
-/// `flat_map_eager` that returns an `Option`.
+/// The same chain run eagerly: a `materialize()` barrier after every
+/// operator, so each operator is its own pass.
 fn apply_chain_eager(source: &PCollection<u64>, ops: &[u32]) -> PCollection<u64> {
-    let mut current = source.clone();
-    for (i, &op) in ops.iter().enumerate() {
-        let salt = i as u64;
-        current = match op % 4 {
-            0 => current.map_eager(|x| scramble(x, salt)),
-            1 => current.flat_map_eager(|x| keep(x, salt).then_some(x)),
-            2 => current.flat_map_eager(fan_out),
-            _ => current.map_eager(|x| flip(x, salt)),
-        }
-        .unwrap();
-    }
-    current
+    ops.iter().enumerate().fold(source.clone(), |current, (i, &op)| {
+        apply_op(&current, i as u64, op).materialize().unwrap()
+    })
 }
 
 /// The same chain as a plain iterator chain over the input.

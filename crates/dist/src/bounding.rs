@@ -597,18 +597,17 @@ impl DataflowBackend<'_> {
         let n = self.graph.num_nodes();
         let included = self.pipeline.broadcast_words(state.included.words().to_vec(), n);
         let excluded = self.pipeline.broadcast_words(state.excluded.words().to_vec(), n);
-        let graph = self.graph;
-        let objective = self.objective;
+        let (graph, objective) = (self.graph.clone(), self.objective.clone());
         let source =
             self.pipeline.generate(undecided.len() as u64, move |i| undecided[i as usize].raw())?;
-        // Eager: the kernels borrow the graph and objective, and the
-        // table is the pass's materialization point anyway.
-        let table = source.map_eager(move |v| {
-            let sums = penalties(graph, v, |w| included.contains(w), |w| !excluded.contains(w));
-            let d = bounds(objective, v, spec.q, sums);
+        // Both filters of the pass read the table, so it is derived once
+        // and materialized.
+        let table = source.map(move |v| {
+            let sums = penalties(&graph, v, |w| included.contains(w), |w| !excluded.contains(w));
+            let d = bounds(&objective, v, spec.q, sums);
             (d.node, d.umin, d.umax, d.uexp, objective.utility(NodeId::new(d.node)))
         })?;
-        Ok(table)
+        Ok(table.materialize()?)
     }
 }
 

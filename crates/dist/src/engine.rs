@@ -614,9 +614,9 @@ impl<'a> DataflowGreedyBackend<'a> {
         let mean_rows = (self.pool_len as u64).div_ceil(machines as u64);
         let mut footprint = mean_rows * RESIDENT_BYTES_PER_ROW;
         if !budget.is_unlimited() && !budget.exceeded_by(footprint) {
-            let graph = self.graph;
+            let (graph, keying) = (self.graph.clone(), keying.clone());
             footprint = table
-                .map_eager(|(machine, (v, _))| {
+                .map(move |(machine, (v, _))| {
                     let same = |&&x: &&u32| keying.machine_of(x.into()) == machine;
                     let entries = graph.neighbors(NodeId::new(v)).iter().filter(same).count();
                     (machine, RESIDENT_BYTES_PER_ROW + SHARD_BYTES_PER_ENTRY * entries as u64)
@@ -642,15 +642,16 @@ impl<'a> DataflowGreedyBackend<'a> {
         quota: usize,
     ) -> Result<PhaseOutcome, DistError> {
         let _span = submod_obs::span("greedy.resident_pass");
-        let (pipeline, graph, ratio) = (self.pipeline, self.graph, self.objective.ratio());
+        let (pipeline, graph, keying, ratio) =
+            (self.pipeline.clone(), self.graph.clone(), keying.clone(), self.objective.ratio());
         let mut rows: Vec<(u64, (u64, u64))> = table
             .group_by_key()?
-            .flat_map_eager(|(machine, mut group)| {
+            .flat_map(move |(machine, mut group)| {
                 // Ascending by node id, so the queue's smaller-local-index
                 // tie-break is the in-memory bucket's.
                 group.sort_unstable_by_key(|&(node, _)| node);
                 let (bucket, priorities): (Vec<u64>, Vec<f64>) = group.into_iter().unzip();
-                let shard = LocalShard::partition(graph, bucket, keying, machine);
+                let shard = LocalShard::partition(&graph, bucket, &keying, machine);
                 let (rows, entries) = (shard.nodes.len() as u64, shard.edges.len() as u64);
                 pipeline.observe_worker_bytes(
                     rows * RESIDENT_BYTES_PER_ROW + entries * SHARD_BYTES_PER_ENTRY,
@@ -825,12 +826,13 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
         n: usize,
         quota: usize,
     ) -> Result<PhaseOutcome, DistError> {
-        let objective = self.objective;
-        // Eager map: the phase's table is materialized up front anyway,
-        // and `objective` stays borrowed on the driver.
+        let (keyed, objective) = (keying.clone(), self.objective.clone());
+        // The fit check and the phase read the table (a batched phase once
+        // per scan), so it is derived once and materialized.
         let table = self
             .pool
-            .map_eager(|v| (keying.machine_of(v), (v, objective.utility(NodeId::new(v)))))?;
+            .map(move |v| (keyed.machine_of(v), (v, objective.utility(NodeId::new(v)))))?
+            .materialize()?;
         let outcome = if self.partitions_fit(&table, &keying, machines)? {
             submod_obs::counter!("greedy.phases_resident").incr();
             self.phase_resident(&table, &keying, n, quota)?

@@ -181,11 +181,8 @@ pub(crate) fn restore_bounding(snap: &BoundingSnapshot) -> crate::BoundingStats 
 /// recomputed on every journaled run, so it must stay cheap next to a
 /// selection round, not just correct.
 fn ground_hash(ground: &[NodeId]) -> u64 {
-    fn splitmix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+    fn splitmix(z: u64) -> u64 {
+        submod_obs::format::splitmix64(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
     }
     if ground.windows(2).all(|w| w[0].raw() < w[1].raw()) {
         // Sorted and duplicate-free (the common 0..n ground set): fold

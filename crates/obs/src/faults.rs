@@ -219,12 +219,9 @@ pub fn mode() -> FaultMode {
     }
 }
 
-/// splitmix64 — the workspace's standard deterministic mixer.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+/// The workspace's splitmix64 of `x` plus the golden-ratio constant.
+fn mix(x: u64) -> u64 {
+    crate::format::splitmix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Whether draw `n` of `site` triggers under the current seed/rate.

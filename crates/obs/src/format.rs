@@ -18,13 +18,28 @@
 //! payload that follows is checksummed with [`fnv1a64`] (or its
 //! streaming twin [`Fnv1a64`], for writers that never hold the whole
 //! payload). The hash is also the workspace's stable, process-independent
-//! hash for shuffle keys and test fingerprints.
+//! hash for shuffle keys and test fingerprints, as [`splitmix64`] is its
+//! one integer mixer.
 
 use std::fmt;
 use std::ops::Range;
 
 const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// The splitmix64 finalizer: well dispersed, stable across platforms, and
+/// the workspace's one 64-bit mixer — sampling coins, partition keys,
+/// fault draws, journal ground-set hashes and virtual-point seeds all
+/// call it, each with its own pre-mix of the input (adding the
+/// golden-ratio constant `0x9E37_79B9_7F4A_7C15`, or xoring in a key
+/// multiplied by it).
+#[inline]
+pub fn splitmix64(state: u64) -> u64 {
+    let mut z = state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// FNV-1a, 64-bit, over `bytes`.
 #[inline]

@@ -25,10 +25,9 @@
 //!
 //! # Determinism
 //!
-//! Counters are sharded across a fixed array of cache-line-padded
-//! atomics indexed by a per-thread slot; snapshots **sum** the shards,
-//! and `u64` addition is commutative, so a snapshot taken after a
-//! barrier is bitwise-identical at any thread count and merge order.
+//! A counter is one relaxed atomic that every thread adds to, and `u64`
+//! addition is commutative, so a snapshot taken after a barrier is
+//! bitwise-identical at any thread count and interleaving.
 //! Snapshots iterate a `BTreeMap`, so export order is the metric-name
 //! order — deterministic by construction. Spans only *time* work; no
 //! control flow ever reads a span or a metric, so selections are
@@ -51,7 +50,7 @@ pub mod format;
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -128,51 +127,25 @@ fn spans_enabled() -> bool {
 // Metrics registry
 // ---------------------------------------------------------------------------
 
-/// Counter shard count: enough that 8-thread increments rarely collide,
-/// small enough that snapshots stay a handful of loads.
-const SHARDS: usize = 16;
-
-/// One cache line per shard so concurrent increments don't false-share.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedU64(AtomicU64);
-
-thread_local! {
-    static THREAD_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-#[inline]
-fn shard_index() -> usize {
-    THREAD_SHARD.with(|s| {
-        let cached = s.get();
-        if cached != usize::MAX {
-            return cached;
-        }
-        let idx = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-        s.set(idx);
-        idx
-    })
-}
-
-/// A monotonically-increasing `u64` metric, sharded per thread.
+/// A monotonically-increasing `u64` metric: one relaxed atomic.
 ///
-/// [`Counter::value`] sums the shards; `u64` addition is commutative, so
-/// the sum is independent of which thread incremented which shard.
+/// Every recording site sits at flush granularity, so increments never
+/// contend enough to need sharding; `u64` addition commutes, so the total
+/// is independent of which thread added what.
 #[derive(Debug)]
 pub struct Counter {
-    shards: [PaddedU64; SHARDS],
+    value: AtomicU64,
 }
 
 impl Counter {
     fn new() -> Self {
-        Counter { shards: Default::default() }
+        Counter { value: AtomicU64::new(0) }
     }
 
-    /// Adds `n` to the calling thread's shard (relaxed).
+    /// Adds `n` (relaxed, wrapping).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1.
@@ -181,16 +154,13 @@ impl Counter {
         self.add(1);
     }
 
-    /// The deterministic merged total across shards (wrapping, like the
-    /// underlying `fetch_add`s).
+    /// The total so far.
     pub fn value(&self) -> u64 {
-        self.shards.iter().fold(0u64, |acc, s| acc.wrapping_add(s.0.load(Ordering::Relaxed)))
+        self.value.load(Ordering::Relaxed)
     }
 
     fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -231,10 +201,10 @@ fn bucket_bound(i: usize) -> u64 {
     }
 }
 
-/// A fixed-bucket histogram (bounds `4^i`), sharded like [`Counter`].
+/// A fixed-bucket histogram (bounds `4^i`), one atomic per bucket.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [[PaddedU64; HIST_BUCKETS]; 1],
+    buckets: [AtomicU64; HIST_BUCKETS],
     sum: Counter,
 }
 
@@ -253,13 +223,13 @@ impl Histogram {
                 break;
             }
         }
-        self.buckets[0][idx].0.fetch_add(1, Ordering::Relaxed);
+        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.sum.add(v);
     }
 
     /// Deterministic per-bucket counts (bounds from [`HistogramSnapshot`]).
     pub fn counts(&self) -> Vec<u64> {
-        self.buckets[0].iter().map(|b| b.0.load(Ordering::Relaxed)).collect()
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
     }
 
     /// Sum of every recorded value.
@@ -268,8 +238,8 @@ impl Histogram {
     }
 
     fn reset(&self) {
-        for b in &self.buckets[0] {
-            b.0.store(0, Ordering::Relaxed);
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
         }
         self.sum.reset();
     }
@@ -403,7 +373,7 @@ pub struct MetricsSnapshot {
 }
 
 /// Snapshots every registered metric. Deterministic given quiesced
-/// writers: shard sums are order-independent and the maps are sorted.
+/// writers: totals are order-independent and the maps are sorted.
 pub fn snapshot() -> MetricsSnapshot {
     let reg = registry();
     let counters = reg

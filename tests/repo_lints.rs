@@ -132,3 +132,36 @@ fn dist_free_functions_are_the_readme_entry_points() {
     assert!(!code.is_empty(), "found no pub fn in crates/dist/src");
     assert_eq!(code, documented, "crates/dist/src pub fns (left) vs the README block (right)");
 }
+
+/// The splitmix64 finalizer is written out once, in
+/// `submod_obs::format::splitmix64`, and every crate calls that copy; a
+/// second copy could drift from it and move coins, partitions or fault
+/// draws. Its first multiplier marks a copy, in any spelling. The one
+/// exception is `cell_seed` in `crates/bench/src/common.rs`: a different,
+/// one-round mixer that shares the multiplier but not the finalizer, so
+/// calling `splitmix64` there would change every experiment seed.
+#[test]
+fn splitmix64_is_written_out_once() {
+    const MULTIPLIER: &str = "0xbf58476d1ce4e5b9";
+    let mut copies = Vec::new();
+    for file in library_sources() {
+        // Lower-cased with `_` removed, so `0xBF58_476D_…` and
+        // `0xbf58476d…` both match (identifiers lose their `_` too).
+        let text = read_file(&file).to_ascii_lowercase().replace('_', "");
+        for (at, _) in text.match_indices(MULTIPLIER) {
+            let enclosing = text[..at].rfind("fn ").map_or("", |fn_at| {
+                let name = &text[fn_at + 3..at];
+                &name[..name.find(['(', '<']).unwrap_or(name.len())]
+            });
+            let path = file.strip_prefix(repo()).expect("under the repo").to_path_buf();
+            if !(enclosing == "cellseed" && path == Path::new("crates/bench/src/common.rs")) {
+                copies.push(format!("{} (fn {enclosing})", path.display()));
+            }
+        }
+    }
+    assert_eq!(
+        copies,
+        ["crates/obs/src/format.rs (fn splitmix64)"],
+        "splitmix64 multiplier outside `submod_obs::format::splitmix64`"
+    );
+}
