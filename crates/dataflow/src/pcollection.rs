@@ -77,6 +77,11 @@ impl<T: Record> FusedUnit<T> {
         self.state.lock().expect("fused unit").clone()
     }
 
+    /// Whether the chain has yet to execute.
+    fn is_pending(&self) -> bool {
+        matches!(*self.state.lock().expect("fused unit"), UnitState::Pending(_))
+    }
+
     /// Streams the unit's records into `emit` without materializing them
     /// (used when a further operator fuses on top of a pending unit).
     /// Runs the chain directly — no metrics or spans, those belong to
@@ -185,27 +190,28 @@ impl<T: Record> PCollection<T> {
 
     /// Materialized shards, executing any pending fused chains (each unit
     /// keeps its output) — the barrier primitive every consuming operation
-    /// goes through. Fused segments execute in parallel.
+    /// goes through. Pending units execute in parallel; ready shards and
+    /// executed units hand back their shards without entering the pool.
     pub(crate) fn ready_shards(&self) -> Result<Vec<Shard<T>>, DataflowError> {
-        if self.segments.iter().all(|s| matches!(s, Segment::Ready(_))) {
-            return Ok(self
-                .segments
-                .iter()
-                .map(|s| match s {
-                    Segment::Ready(shard) => shard.clone(),
-                    Segment::Fused(_) => unreachable!("checked all-ready"),
-                })
-                .collect());
-        }
-        let groups: Vec<Vec<Shard<T>>> = self
+        let pending: Vec<&FusedUnit<T>> = self
             .segments
-            .par_iter()
-            .map(|segment| match segment {
-                Segment::Ready(shard) => Ok(vec![shard.clone()]),
-                Segment::Fused(unit) => unit.execute(),
+            .iter()
+            .filter_map(|segment| match segment {
+                Segment::Fused(unit) if unit.is_pending() => Some(&**unit),
+                _ => None,
             })
-            .collect::<Result<_, _>>()?;
-        Ok(groups.into_iter().flatten().collect())
+            .collect();
+        if !pending.is_empty() {
+            pending.par_iter().map(|unit| unit.execute()).collect::<Result<Vec<_>, _>>()?;
+        }
+        let mut shards = Vec::with_capacity(self.segments.len());
+        for segment in &self.segments {
+            match segment {
+                Segment::Ready(shard) => shards.push(shard.clone()),
+                Segment::Fused(unit) => shards.extend(unit.execute()?),
+            }
+        }
+        Ok(shards)
     }
 
     /// Forces any pending fused chains to execute, returning a collection
@@ -290,8 +296,8 @@ impl<T: Record> PCollection<T> {
     }
 
     /// Applies `f` to every record and flattens the results — the engine's
-    /// `ParDo`. This is how the bounding pipeline fans out neighbor lists
-    /// into `(neighbor, node, similarity)` triples (§5).
+    /// `ParDo`. The resident greedy pass uses it to run each machine's
+    /// partition and emit that machine's picks.
     ///
     /// # Errors
     ///

@@ -215,16 +215,99 @@ fn degree_sum(graph: &SimilarityGraph, nodes: &[NodeId]) -> u64 {
     nodes.iter().map(|&v| graph.degree(v) as u64).sum()
 }
 
-/// Mutable bounding state shared by both drivers.
+/// The indices of the set bits of a bitset's `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let rest = std::iter::successors(Some(word), |&w| Some(w & w.wrapping_sub(1)));
+        rest.take_while(|&w| w != 0).map(move |w| i * 64 + w.trailing_zeros() as usize)
+    })
+}
+
+/// Mutable bounding state shared by both drivers: the decisions, the
+/// counters the journal records, and the cumulative stats.
 struct State {
     included: NodeSet,
     excluded: NodeSet,
     k: usize,
+    /// Passes run per direction, indexed by `Direction as usize`.
+    rounds: [usize; 2],
+    /// Passes run in either direction (salts the sampling coins).
+    passes: u64,
+    stats: BoundingStats,
 }
 
 impl State {
+    fn new(n: usize, k: usize) -> State {
+        State {
+            included: NodeSet::new(n),
+            excluded: NodeSet::new(n),
+            k,
+            rounds: [0; 2],
+            passes: 0,
+            stats: BoundingStats::default(),
+        }
+    }
+
     fn k_remaining(&self) -> usize {
         self.k - self.included.len()
+    }
+
+    /// Restores the decisions and round counters a journal record holds.
+    fn restore(&mut self, included: &[u64], excluded_words: &[u64], grow: u64, shrink: u64) {
+        let n = self.included.capacity();
+        self.included = NodeSet::from_members(n, included.iter().map(|&v| NodeId::new(v)));
+        self.excluded = NodeSet::from_members(n, set_bits(excluded_words).map(NodeId::from_index));
+        self.rounds = [grow as usize, shrink as usize];
+    }
+
+    /// One `direction` pass over `undecided`: the backend finds the
+    /// candidates, and the capped decisions go into the direction's set.
+    /// Returns whether the pass decided anything.
+    fn pass(
+        &mut self,
+        direction: Direction,
+        undecided: &[NodeId],
+        backend: &mut dyn PassBackend,
+        exact: bool,
+    ) -> Result<bool, DistError> {
+        self.rounds[direction as usize] += 1;
+        self.passes += 1;
+        let k_rem = self.k_remaining();
+        let spec = direction.spec(self.passes, k_rem, undecided.len(), exact);
+        let result = {
+            let _pass_span = submod_obs::span(direction.span_name());
+            backend.run_pass(self, undecided, spec)?
+        };
+        let state_bytes = self.state_bytes(undecided.len()) + backend.state_bytes();
+        self.stats.observe_pass(result.driver_bytes, result.candidates.len(), state_bytes);
+        let decided = direction.decide(result.candidates, k_rem, undecided.len());
+        let set = match direction {
+            Direction::Grow => &mut self.included,
+            Direction::Shrink => &mut self.excluded,
+        };
+        decided.iter().for_each(|&node| _ = set.insert(NodeId::new(node)));
+        Ok(!decided.is_empty())
+    }
+
+    /// The run's outcome, for the live end and a replayed
+    /// [`Record::BoundingDone`] alike. A complete bounding (budget fully
+    /// included) has implicitly decided every still-open point *out* of
+    /// the subset, so those move to `excluded` first; a replayed record
+    /// already carries that post-processed state.
+    fn close(&mut self, n: usize) -> BoundingOutcome {
+        let mut remaining = self.undecided(n);
+        if self.k_remaining() == 0 {
+            remaining.drain(..).for_each(|v| _ = self.excluded.insert(v));
+        }
+        BoundingOutcome {
+            included: self.included.iter().collect(),
+            excluded_count: self.excluded.len(),
+            remaining,
+            grow_rounds: self.rounds[Direction::Grow as usize],
+            shrink_rounds: self.rounds[Direction::Shrink as usize],
+            k_remaining: self.k_remaining(),
+            stats: self.stats,
+        }
     }
 
     fn undecided(&self, n: usize) -> Vec<NodeId> {
@@ -248,15 +331,9 @@ fn sample_coin(seed: u64, salt: u64, node: u64) -> f64 {
     submod_dataflow::sample_coin(seed ^ salt.rotate_left(17), node)
 }
 
-/// Whether `node` is in the threshold-estimation sample of this pass.
-fn in_sample(
-    mode: &BoundingMode,
-    pass: u64,
-    phase: u64,
-    node: u64,
-    utility: f64,
-    mean_utility: f64,
-) -> bool {
+/// Whether `node` is in the threshold-estimation sample of the pass
+/// salted `salt` ([`PassSpec::salt`]).
+fn in_sample(mode: &BoundingMode, salt: u64, node: u64, utility: f64, mean_utility: f64) -> bool {
     match *mode {
         BoundingMode::Exact => true,
         BoundingMode::Approximate { p, strategy, seed } => {
@@ -272,7 +349,7 @@ fn in_sample(
                     }
                 }
             };
-            sample_coin(seed, pass << 8 | phase, node) < probability
+            sample_coin(seed, salt, node) < probability
         }
     }
 }
@@ -300,83 +377,113 @@ fn kth_largest_in_memory(values: &mut [f64], index: usize) -> Option<f64> {
     Some(*values.select_nth_unstable_by(index - 1, |a, b| b.total_cmp(a)).1)
 }
 
-/// One grow or shrink pass, parameterized over everything that differs
-/// between the two directions. `candidates` are the `(node, statistic)`
-/// pairs that beat the pass threshold — the only per-pass data a backend
-/// may hand the driver.
+/// The two mirror-image directions of a bounding pass (module docs), and
+/// every choice that differs between them. The approximate shrink decides
+/// on the expected utility `U_exp` (Def. 4.5) against the sampled
+/// `⌈SAFETY·k⌉`-th largest `U_exp`: expectation-level cuts are what let
+/// approximate bounding discard the bulk of a near-duplicate-heavy ground
+/// set (§6.3) where the worst-case Lemma 4.4 stalls, at the probabilistic
+/// price Theorem 4.6 quantifies.
+///
+/// The discriminant is the low byte of the coin salt and the index of the
+/// direction's round counter, so it is part of the journal and the bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Direction {
+    Grow = 0,
+    Shrink = 1,
+}
+
+impl Direction {
+    /// The pass's span; the benchmark's ledger charges every `bound.*`
+    /// span to the dist layer.
+    fn span_name(self) -> &'static str {
+        match self {
+            Direction::Grow => "bound.pass.grow",
+            Direction::Shrink => "bound.pass.shrink",
+        }
+    }
+
+    /// The spec of pass number `pass` in this direction. The threshold
+    /// index comes from the open budget, except that the approximate
+    /// shrink keeps a `SAFETY_POOL_FACTOR·k_rem` expected-best pool.
+    fn spec(self, pass: u64, k_rem: usize, undecided_len: usize, exact: bool) -> PassSpec {
+        let k_effective =
+            if self == Direction::Shrink && !exact { SAFETY_POOL_FACTOR * k_rem } else { k_rem };
+        PassSpec {
+            pass,
+            direction: self,
+            k_effective,
+            q: completion_ratio(k_rem, undecided_len),
+            exact,
+        }
+    }
+
+    /// The decisions among `candidates`: best first for grow, worst first
+    /// for shrink, ties by id; capped at the open budget for grow, and for
+    /// shrink so that the pool never falls below it. Shared verbatim by
+    /// both drivers — outcome equality follows.
+    fn decide(self, mut candidates: Vec<(u64, f64)>, k_rem: usize, undecided: usize) -> Vec<u64> {
+        candidates.sort_by(|a, b| {
+            let worst_first = a.1.total_cmp(&b.1);
+            let order = if self == Direction::Grow { worst_first.reverse() } else { worst_first };
+            order.then(a.0.cmp(&b.0))
+        });
+        let cap = match self {
+            Direction::Grow => k_rem,
+            Direction::Shrink => undecided.saturating_sub(k_rem),
+        };
+        candidates.into_iter().take(cap).map(|(node, _)| node).collect()
+    }
+}
+
+/// One pass: its direction and everything its backend computes from.
+/// `candidates` are the `(node, statistic)` pairs that beat the pass
+/// threshold — the only per-pass data a backend may hand the driver.
 #[derive(Clone, Copy, Debug)]
 struct PassSpec {
     /// Pass counter (salts the sampling coin).
     pass: u64,
-    /// Coin salt: 0 = grow, 1 = shrink.
-    phase: u64,
-    /// Budget the threshold index is computed from (`k_rem` for grow and
-    /// exact shrink, `SAFETY_POOL_FACTOR·k_rem` for approximate shrink).
+    direction: Direction,
+    /// Budget the threshold index is computed from.
     k_effective: usize,
     /// Completion ratio `k_rem / |undecided|` for `U_exp`.
     q: f64,
     /// Exact (lemma-grade) or approximate (expectation-grade) decisions.
     exact: bool,
-    /// Grow pass (`true`) or shrink pass (`false`).
-    grow: bool,
 }
 
 impl PassSpec {
-    /// The statistic sampled for threshold estimation.
+    /// The sampling coin's salt: the pass counter above the direction.
+    fn salt(&self) -> u64 {
+        self.pass << 8 | self.direction as u64
+    }
+
+    /// The statistic sampled for threshold estimation: `U_max` for grow,
+    /// `U_min` for the exact shrink, `U_exp` for the approximate one.
     fn sample_stat(&self, d: &Derived) -> f64 {
-        if self.grow {
-            // Grow thresholds on the best case U_max (Lemma 4.3).
-            d.umax
-        } else if self.exact {
-            // Exact shrink thresholds on the worst case U_min (Lemma 4.4).
-            d.umin
-        } else {
-            // Approximate shrink thresholds on the expectation (Def. 4.5).
-            d.uexp
+        match self.direction {
+            Direction::Grow => d.umax,
+            Direction::Shrink if self.exact => d.umin,
+            Direction::Shrink => d.uexp,
         }
     }
 
     /// The statistic a candidate is judged by.
     fn candidate_stat(&self, d: &Derived) -> f64 {
-        if self.grow {
-            d.umin
-        } else if self.exact {
-            d.umax
-        } else {
-            d.uexp
+        match self.direction {
+            Direction::Grow => d.umin,
+            Direction::Shrink if self.exact => d.umax,
+            Direction::Shrink => d.uexp,
         }
     }
 
     /// Whether a point with candidate statistic `stat` beats `threshold`.
     fn beats(&self, stat: f64, threshold: f64) -> bool {
-        if self.grow {
-            stat > threshold
-        } else {
-            stat < threshold
+        match self.direction {
+            Direction::Grow => stat > threshold,
+            Direction::Shrink => stat < threshold,
         }
     }
-}
-
-/// Grow decision (Lemma 4.3): candidates best-first, capped at the open
-/// budget. Shared verbatim by both drivers — outcome equality follows.
-fn decide_grow(mut candidates: Vec<(u64, f64)>, k_remaining: usize) -> Vec<u64> {
-    candidates.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    candidates.into_iter().take(k_remaining).map(|(node, _)| node).collect()
-}
-
-/// Shrink decision, worst candidates first, never shrinking the pool
-/// below the open budget.
-///
-/// Exact mode is Lemma 4.4 verbatim: a point is excluded when its *best*
-/// case `U_max` loses to the k-th largest *worst* case `U_min`. The
-/// approximate mode decides on the expected utility `U_exp` (Def. 4.5)
-/// against the sampled `⌈SAFETY·k⌉`-th largest `U_exp`: expectation-level
-/// cuts are what let approximate bounding discard the bulk of a
-/// near-duplicate-heavy ground set (§6.3) where the worst-case lemma
-/// stalls, at the probabilistic price Theorem 4.6 quantifies.
-fn decide_shrink(mut candidates: Vec<(u64, f64)>, max_excludable: usize) -> Vec<u64> {
-    candidates.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    candidates.into_iter().take(max_excludable).map(|(node, _)| node).collect()
 }
 
 /// What a backend hands the driver after one pass: the candidate list and
@@ -466,15 +573,10 @@ impl<'a> InMemoryBackend<'a> {
         }
         let mut marked = NodeSet::new(self.graph.num_nodes());
         let mut walked = 0u64;
-        for (i, &word) in changed.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                let c = NodeId::from_index(i * 64 + rest.trailing_zeros() as usize);
-                rest &= rest - 1;
-                let neighbors = self.graph.neighbors(c);
-                walked += neighbors.len() as u64;
-                neighbors.iter().for_each(|&w| _ = marked.insert(NodeId::new(w.into())));
-            }
+        for c in set_bits(&changed) {
+            let neighbors = self.graph.neighbors(NodeId::from_index(c));
+            walked += neighbors.len() as u64;
+            neighbors.iter().for_each(|&w| _ = marked.insert(NodeId::new(w.into())));
         }
         (undecided.iter().copied().filter(|&v| marked.contains(v)).collect(), walked)
     }
@@ -523,8 +625,7 @@ impl PassBackend for InMemoryBackend<'_> {
             .filter(|d| {
                 in_sample(
                     &self.mode,
-                    spec.pass,
-                    spec.phase,
+                    spec.salt(),
                     d.node,
                     self.objective.utility(NodeId::new(d.node)),
                     self.mean_utility,
@@ -633,8 +734,8 @@ impl PassBackend for DataflowBackend<'_> {
         // values and fuses onto the table.
         let mode = self.mode;
         let mean_utility = self.mean_utility;
-        let sample = table
-            .filter(move |r| in_sample(&mode, spec.pass, spec.phase, r.0, r.4, mean_utility))?;
+        let sample =
+            table.filter(move |r| in_sample(&mode, spec.salt(), r.0, r.4, mean_utility))?;
         let stats = sample.map(move |r| spec.sample_stat(&unpack(&r)))?;
         let sample_len = stats.count()? as usize;
         let index = threshold_index(&self.mode, spec.k_effective, sample_len);
@@ -737,23 +838,10 @@ pub(crate) fn run(
     }
 }
 
-/// Rebuilds a [`NodeSet`] from the journal's dense word representation.
-fn nodeset_from_words(n: usize, words: &[u64]) -> NodeSet {
-    let mut set = NodeSet::new(n);
-    for (index, &word) in words.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let bit = bits.trailing_zeros() as usize;
-            set.insert(NodeId::from_index(index * 64 + bit));
-            bits &= bits - 1;
-        }
-    }
-    set
-}
-
-/// The shared grow/shrink driver. The backend produces per-pass candidate
-/// lists; everything downstream — thresholds already applied, the sorted
-/// capped decisions, the state updates — is common code, which is what
+/// The shared grow/shrink driver: each cycle runs one [`State::pass`]
+/// per [`Direction`]. The backend produces per-pass candidate lists;
+/// everything downstream — thresholds already applied, the sorted capped
+/// decisions, the state updates — is common code, which is what
 /// guarantees in-memory/dataflow equality.
 ///
 /// With a journal, every completed grow+shrink cycle is committed
@@ -770,189 +858,84 @@ fn run_bounding(
 ) -> Result<BoundingOutcome, DistError> {
     let _span = submod_obs::span("bound.run");
     let n = graph.num_nodes();
-    let mut state = State { included: NodeSet::new(n), excluded: NodeSet::new(n), k };
-    let mut stats = BoundingStats::default();
-    let mut grow_rounds = 0usize;
-    let mut shrink_rounds = 0usize;
-    let mut pass = 0u64;
-    let exact = config.is_exact();
+    let mut state = State::new(n, k);
+    let mut cycles = 0..config.max_cycles;
 
     // Replay: restore the last committed cycle boundary. A cycle whose
     // record says `changed == false` is the fixpoint — an uninterrupted
     // run stops right after it, so the live loop is skipped entirely.
-    let mut start_cycle = 0usize;
-    let mut at_fixpoint = false;
     if let Some(j) = journal.as_deref_mut() {
         while let Some(Record::BoundingCycle {
             cycle,
             changed,
-            grow_rounds: grow,
-            shrink_rounds: shrink,
-            pass: pass_count,
-            stats: snapshot,
+            grow_rounds,
+            shrink_rounds,
+            pass,
+            stats,
             included,
             excluded_words,
         }) = j.take_bounding_cycle()
         {
-            state.included = NodeSet::from_members(n, included.iter().map(|&v| NodeId::new(v)));
-            state.excluded = nodeset_from_words(n, &excluded_words);
-            grow_rounds = grow as usize;
-            shrink_rounds = shrink as usize;
-            pass = pass_count;
-            stats = crate::journal::restore_bounding(&snapshot);
-            start_cycle = cycle as usize;
-            at_fixpoint = !changed;
+            state.restore(&included, &excluded_words, grow_rounds, shrink_rounds);
+            state.passes = pass;
+            state.stats = crate::journal::restore_bounding(&stats);
+            cycles.start = if changed { cycle as usize } else { config.max_cycles };
         }
         if let Some(Record::BoundingDone {
-            grow_rounds: grow,
-            shrink_rounds: shrink,
-            k_remaining,
+            grow_rounds,
+            shrink_rounds,
             included,
             excluded_words,
+            ..
         }) = j.take_bounding_done()
         {
             // The previous attempt finished bounding: the record already
             // carries the post-processed final state.
-            let done = State {
-                included: NodeSet::from_members(n, included.iter().map(|&v| NodeId::new(v))),
-                excluded: nodeset_from_words(n, &excluded_words),
-                k,
-            };
-            return Ok(BoundingOutcome {
-                included: included.iter().map(|&v| NodeId::new(v)).collect(),
-                excluded_count: done.excluded.len(),
-                remaining: done.undecided(n),
-                grow_rounds: grow as usize,
-                shrink_rounds: shrink as usize,
-                k_remaining: k_remaining as usize,
-                stats,
-            });
+            state.restore(&included, &excluded_words, grow_rounds, shrink_rounds);
+            return Ok(state.close(n));
         }
     }
 
-    for cycle in start_cycle..config.max_cycles {
-        if at_fixpoint {
-            break;
-        }
-        if state.k_remaining() == 0 {
-            break;
-        }
+    // A cycle ends early, unjournaled, once nothing is undecided or a
+    // grow pass has filled the budget.
+    'cycles: for cycle in cycles {
         let mut changed = false;
-
-        // --- Grow pass (Lemma 4.3). ---
-        let undecided = state.undecided(n);
-        if undecided.is_empty() {
-            break;
+        for direction in [Direction::Grow, Direction::Shrink] {
+            let undecided = state.undecided(n);
+            if undecided.is_empty() || state.k_remaining() == 0 {
+                break 'cycles;
+            }
+            changed |= state.pass(direction, &undecided, backend, config.is_exact())?;
         }
-        grow_rounds += 1;
-        pass += 1;
-        let k_rem = state.k_remaining();
-        let spec = PassSpec {
-            pass,
-            phase: 0,
-            k_effective: k_rem,
-            q: completion_ratio(k_rem, undecided.len()),
-            exact,
-            grow: true,
-        };
-        let result = {
-            let _pass_span = submod_obs::span("bound.pass.grow");
-            backend.run_pass(&state, &undecided, spec)?
-        };
-        stats.observe_pass(
-            result.driver_bytes,
-            result.candidates.len(),
-            state.state_bytes(undecided.len()) + backend.state_bytes(),
-        );
-        for node in decide_grow(result.candidates, k_rem) {
-            state.included.insert(NodeId::new(node));
-            changed = true;
-        }
-        if state.k_remaining() == 0 {
-            break;
-        }
-
-        // --- Shrink pass (Lemma 4.4 exactly; Def. 4.5 under sampling). ---
-        let undecided = state.undecided(n);
-        if undecided.is_empty() {
-            break;
-        }
-        shrink_rounds += 1;
-        pass += 1;
-        let k_rem = state.k_remaining();
-        // The exact threshold is the k-th largest worst case; the
-        // approximate one keeps a SAFETY_POOL_FACTOR·k expected-best pool.
-        let k_effective = if exact { k_rem } else { SAFETY_POOL_FACTOR * k_rem };
-        let spec = PassSpec {
-            pass,
-            phase: 1,
-            k_effective,
-            q: completion_ratio(k_rem, undecided.len()),
-            exact,
-            grow: false,
-        };
-        let result = {
-            let _pass_span = submod_obs::span("bound.pass.shrink");
-            backend.run_pass(&state, &undecided, spec)?
-        };
-        stats.observe_pass(
-            result.driver_bytes,
-            result.candidates.len(),
-            state.state_bytes(undecided.len()) + backend.state_bytes(),
-        );
-        let max_excludable = undecided.len().saturating_sub(k_rem);
-        for node in decide_shrink(result.candidates, max_excludable) {
-            state.excluded.insert(NodeId::new(node));
-            changed = true;
-        }
-
         if let Some(j) = journal.as_deref_mut() {
             j.append_sync(&Record::BoundingCycle {
                 cycle: (cycle + 1) as u64,
                 changed,
-                grow_rounds: grow_rounds as u64,
-                shrink_rounds: shrink_rounds as u64,
-                pass,
-                stats: crate::journal::snapshot_bounding(&stats),
+                grow_rounds: state.rounds[Direction::Grow as usize] as u64,
+                shrink_rounds: state.rounds[Direction::Shrink as usize] as u64,
+                pass: state.passes,
+                stats: crate::journal::snapshot_bounding(&state.stats),
                 included: state.included.iter().map(|v| v.raw()).collect(),
                 excluded_words: state.excluded.words().to_vec(),
             })?;
             submod_obs::faults::maybe_crash_after_round((cycle + 1) as u64);
         }
-
         if !changed {
             break;
         }
     }
 
-    // A complete bounding (budget fully included) has implicitly decided
-    // every still-open point *out* of the subset.
-    if state.k_remaining() == 0 {
-        for v in state.undecided(n) {
-            state.excluded.insert(v);
-        }
-    }
-    let included: Vec<NodeId> = state.included.iter().collect();
-    let remaining = state.undecided(n);
-    let k_remaining = state.k_remaining();
+    let outcome = state.close(n);
     if let Some(j) = journal {
         j.append_sync(&Record::BoundingDone {
-            grow_rounds: grow_rounds as u64,
-            shrink_rounds: shrink_rounds as u64,
-            k_remaining: k_remaining as u64,
-            included: included.iter().map(|v| v.raw()).collect(),
+            grow_rounds: outcome.grow_rounds as u64,
+            shrink_rounds: outcome.shrink_rounds as u64,
+            k_remaining: outcome.k_remaining as u64,
+            included: outcome.included.iter().map(|v| v.raw()).collect(),
             excluded_words: state.excluded.words().to_vec(),
         })?;
     }
-    Ok(BoundingOutcome {
-        excluded_count: state.excluded.len(),
-        included,
-        remaining,
-        grow_rounds,
-        shrink_rounds,
-        k_remaining,
-        stats,
-    })
+    Ok(outcome)
 }
 
 /// The uniform-completion ratio `q = k_rem / |undecided|` of Def. 4.5.
@@ -967,6 +950,7 @@ fn completion_ratio(k_remaining: usize, undecided_len: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::RunJournal;
     use submod_core::GraphBuilder;
 
     /// The outcome without its driver-dependent stats.
@@ -1132,9 +1116,14 @@ mod tests {
             assert_eq!(graph.is_symmetric(), !directed);
             let n = graph.num_nodes();
             let mut backend = InMemoryBackend::new(&graph, &objective, BoundingMode::Exact);
-            let mut state = State { included: NodeSet::new(n), excluded: NodeSet::new(n), k: 40 };
-            let spec =
-                PassSpec { pass: 1, phase: 0, k_effective: 5, q: 0.5, exact: true, grow: true };
+            let mut state = State::new(n, 40);
+            let spec = PassSpec {
+                pass: 1,
+                direction: Direction::Grow,
+                k_effective: 5,
+                q: 0.5,
+                exact: true,
+            };
             let mut s = 17u64;
             for decisions in [80usize, 1, 3, 0, 12, 2] {
                 let undecided = state.undecided(n);
@@ -1188,6 +1177,93 @@ mod tests {
                 assert_eq!(mem.stats.peak_candidates, df.stats.peak_candidates);
                 assert_eq!(decisions(mem), decisions(df), "{directed} {seed}");
             }
+        }
+    }
+
+    /// One journal boundary a bounding run commits: a
+    /// `Cycle(cycle, changed, grow_rounds, shrink_rounds, pass)` or the
+    /// closing `Done(grow_rounds, shrink_rounds, k_remaining)`.
+    #[derive(Debug, PartialEq)]
+    enum Boundary {
+        Cycle(u64, bool, u64, u64, u64),
+        Done(u64, u64, u64),
+    }
+
+    /// Runs bounding on both drivers with a fresh journal and returns the
+    /// boundaries each committed after the run header. A second run over
+    /// the finished journal replays its `BoundingDone` and must decide
+    /// the same.
+    fn journaled_boundaries(k: usize, config: &BoundingConfig, name: &str) -> Vec<Vec<Boundary>> {
+        let (graph, objective) = seeded_instance(20, false, 2);
+        let pipeline = Pipeline::new(3).unwrap();
+        let start = Record::RunStart {
+            fingerprint: 0,
+            algorithm: 0,
+            n: 20,
+            k: k as u64,
+            seed: 0,
+            machines: 1,
+            rounds: 0,
+        };
+        [Driver::InMemory, Driver::Dataflow(&pipeline)]
+            .into_iter()
+            .enumerate()
+            .map(|(d, driver)| {
+                let path = std::env::temp_dir()
+                    .join(format!("submod-bounding-{}-{name}-{d}.wal", std::process::id()));
+                let _ = std::fs::remove_file(&path);
+                let mut journal = RunJournal::open(&path, &start).unwrap();
+                let live = run(driver, &graph, &objective, k, config, Some(&mut journal)).unwrap();
+                drop(journal);
+                let records = submod_journal::replay(&path).unwrap().records;
+                let mut journal = RunJournal::open(&path, &start).unwrap();
+                let replayed =
+                    run(driver, &graph, &objective, k, config, Some(&mut journal)).unwrap();
+                std::fs::remove_file(&path).unwrap();
+                assert_eq!(decisions(replayed), decisions(live), "{name} replay");
+                assert_eq!(records[0], start);
+                records[1..]
+                    .iter()
+                    .map(|record| match *record {
+                        Record::BoundingCycle {
+                            cycle,
+                            changed,
+                            grow_rounds,
+                            shrink_rounds,
+                            pass,
+                            ..
+                        } => Boundary::Cycle(cycle, changed, grow_rounds, shrink_rounds, pass),
+                        Record::BoundingDone {
+                            grow_rounds, shrink_rounds, k_remaining, ..
+                        } => Boundary::Done(grow_rounds, shrink_rounds, k_remaining),
+                        ref other => panic!("{name}: unexpected record {other:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A grow pass that fills the budget ends its cycle before the shrink
+    /// pass, and that cycle is never journaled: `BoundingDone` follows
+    /// the last complete cycle and counts one grow pass more.
+    #[test]
+    fn a_grow_pass_that_fills_the_budget_leaves_its_cycle_unjournaled() {
+        let config = BoundingConfig::approximate(0.5, SamplingStrategy::Uniform, 2).unwrap();
+        let cycles = (1..=5).map(|c| Boundary::Cycle(c, true, c, c, 2 * c));
+        let expected: Vec<Boundary> = cycles.chain([Boundary::Done(6, 5, 0)]).collect();
+        for boundaries in journaled_boundaries(5, &config, "fill") {
+            assert_eq!(boundaries, expected);
+        }
+    }
+
+    /// A cycle that decides nothing is journaled with `changed == false`
+    /// and ends the run.
+    #[test]
+    fn a_cycle_that_decides_nothing_is_the_journaled_fixpoint() {
+        let cycles = (1..=5).map(|c| Boundary::Cycle(c, c < 5, c, c, 2 * c));
+        let expected: Vec<Boundary> = cycles.chain([Boundary::Done(5, 5, 1)]).collect();
+        for boundaries in journaled_boundaries(5, &BoundingConfig::exact(), "fixpoint") {
+            assert_eq!(boundaries, expected);
         }
     }
 }

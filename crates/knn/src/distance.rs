@@ -3,42 +3,11 @@
 //! The arithmetic lives in the kernels crate: explicit AVX2 SIMD
 //! with runtime dispatch and a scalar fallback in the same fixed 8-lane
 //! reduction order, so every path returns bitwise-identical `f32`s (see
-//! the `submod_kernels` crate docs for the determinism contract). These
-//! re-exports keep the historical `submod_knn::{dot, norm, …}` API.
+//! the `submod_kernels` crate docs for the determinism contract). `dot`,
+//! `norm` and `l2_distance_squared` are the kernels crate's own;
+//! [`cosine_similarity`] adds its zero-norm rule on top.
 
-/// Dot product of two equal-length vectors.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-///
-/// ```
-/// assert_eq!(submod_knn::dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-/// ```
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    submod_kernels::dot(a, b)
-}
-
-/// Euclidean norm of a vector.
-///
-/// ```
-/// assert_eq!(submod_knn::norm(&[3.0, 4.0]), 5.0);
-/// ```
-#[inline]
-pub fn norm(a: &[f32]) -> f32 {
-    submod_kernels::norm(a)
-}
-
-/// Squared Euclidean distance between two equal-length vectors.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn l2_distance_squared(a: &[f32], b: &[f32]) -> f32 {
-    submod_kernels::l2_distance_squared(a, b)
-}
+pub use submod_kernels::{dot, l2_distance_squared, norm};
 
 /// Cosine similarity in `[-1, 1]`; 0 when either vector has zero norm.
 ///

@@ -37,10 +37,10 @@
 //! # Span nesting across pool workers
 //!
 //! [`span`] guards nest through a thread-local parent id.
-//! `submod_exec` captures [`current_span`] when a task is spawned and
-//! replays it with [`with_parent`] on the worker that runs the task, so
-//! a `knn.build` span on the driver thread is the parent of every block
-//! task's span regardless of which worker stole it.
+//! `submod_exec` captures [`current_span`] when a parallel region opens
+//! and replays it with [`with_parent`] on every thread that claims a
+//! chunk, so a `knn.build` span on the driver thread is the parent of
+//! every block's span whichever thread ran the block.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,7 @@
-//! Deterministic-merge suite: concurrent counter/histogram increments at
+//! Deterministic-total suite: concurrent counter/histogram increments at
 //! 1/2/8 threads must produce identical snapshots regardless of thread
-//! count or interleaving — shard sums commute, so the totals are exact.
+//! count or interleaving — each counter and histogram bucket is one
+//! atomic, and `u64` addition commutes, so the totals are exact.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
