@@ -143,6 +143,8 @@ pub struct DistGreedyConfig {
     pub(crate) schedule: DeltaSchedule,
     pub(crate) adversarial_first_round: Option<Vec<NodeId>>,
     pub(crate) winner_batch: usize,
+    /// GreeDi's one-round plan in this style (`multiround::round_plan`).
+    pub(crate) greedi: Option<PartitionStyle>,
 }
 
 impl DistGreedyConfig {
@@ -171,6 +173,7 @@ impl DistGreedyConfig {
             schedule: DeltaSchedule::default_schedule(),
             adversarial_first_round: None,
             winner_batch: Self::DEFAULT_WINNER_BATCH,
+            greedi: None,
         })
     }
 

@@ -62,8 +62,8 @@ pub(crate) enum MachineKeying {
         /// Nodes concentrated on machine 0.
         forced: Arc<NodeSet>,
     },
-    /// Contiguous id chunks of `chunk` nodes — GreeDi's "arbitrary"
-    /// partitions.
+    /// Contiguous id chunks of `chunk` nodes — the "arbitrary"
+    /// partitions of GreeDi's round plan.
     Contiguous {
         /// Nodes per machine.
         chunk: u64,
@@ -251,8 +251,8 @@ impl LocalShard {
 /// the `t`-th entry is the machine's step-`t` winner.
 ///
 /// This is the only pop/decrease loop of the distributed drivers: the
-/// in-memory and resident phases, the final trim and GreeDi's merge all
-/// run it.
+/// in-memory and resident phases and the final trim (GreeDi's merge is
+/// the trim of its one round) all run it.
 fn run_machine(shard: &LocalShard, pq: &mut AddressablePq, ratio: f64, quota: usize) -> Vec<u64> {
     let mut sequence = Vec::with_capacity(quota.min(shard.nodes.len()));
     for _ in 0..quota {
@@ -270,10 +270,10 @@ fn run_machine(shard: &LocalShard, pq: &mut AddressablePq, ratio: f64, quota: us
     sequence
 }
 
-/// Greedy over a single pool on the driver — the final trim of a
-/// multi-round run and GreeDi's merge: `pool` sorted ascending, priorities
-/// seeded from the utilities, then [`run_machine`] for `quota` pops over
-/// the pool's shard. Pops with negative priority count like any other, as
+/// Greedy over a single pool on the driver — the final trim of the round
+/// loop, which for GreeDi is its merge: `pool` sorted ascending,
+/// priorities seeded from the utilities, then [`run_machine`] for `quota`
+/// pops over the pool's shard. Pops with negative priority count like any other, as
 /// in `greedy_select`; so do ties, which break toward the smaller id.
 /// `pool` holds distinct ids. Returns the winners in pop order. Its bytes
 /// (a 4 B-per-graph-node index, dropped before the first pop, then the

@@ -5,18 +5,14 @@
 //! the merge machine must hold `m·k` points, growing linearly with the
 //! cluster size. The multi-round algorithm exists to avoid exactly that.
 //!
-//! The **map phase** is one phase of the in-memory backend the
-//! multi-round algorithm runs on (`MachineGreedyBackend`): partitions are
-//! a deterministic keyed transform (contiguous chunks for the original
-//! "arbitrary" analysis, a seeded hash for RandGreeDi), and every machine
-//! runs Algorithm 2 on its partition. The dataflow backend's phase is the
-//! one the multi-round dataflow driver runs and its tests pin, so GreeDi
-//! has no dataflow driver of its own. The **merge phase** runs on the
-//! driver — holding the `m·k`-point union on one machine *is* the
-//! baseline's memory story the paper argues against.
+//! GreeDi is one round of the multi-round loop under its own round plan:
+//! target `m·k` over `m` partitions, so each machine's quota is `k`,
+//! keyed by contiguous chunks (the original "arbitrary" analysis) or a
+//! seeded hash (RandGreeDi). The loop's final trim of the `m·k`-point
+//! union on the driver is the merge — holding that union on one machine
+//! *is* the baseline's memory story the paper argues against.
 
-use crate::engine::{machine_select, InMemoryGreedyBackend, MachineGreedyBackend, MachineKeying};
-use crate::{check_instance, DistError, PartitionStyle};
+use crate::{DistError, DistGreedyConfig, Driver, PartitionStyle};
 use submod_core::{NodeId, PairwiseObjective, Selection, SimilarityGraph};
 
 /// Memory footprint of the centralized merge step.
@@ -45,18 +41,6 @@ pub struct GreediReport {
 /// plus a 10-neighbor adjacency list at 16 B per entry).
 const MERGE_BYTES_PER_POINT: u64 = 16 + 10 * 16;
 
-/// The keyed partition assignment of a GreeDi run.
-fn keying_for(style: PartitionStyle, n: usize, machines: usize, seed: u64) -> MachineKeying {
-    match style {
-        PartitionStyle::Arbitrary => {
-            MachineKeying::Contiguous { chunk: (n as u64).div_ceil(machines as u64).max(1) }
-        }
-        PartitionStyle::Random => {
-            MachineKeying::Hash { seed: seed ^ 0x0006_EED1, machines: machines as u64 }
-        }
-    }
-}
-
 /// Runs GreeDi with `machines` partitions.
 ///
 /// `style` picks the partitioning of the original analysis
@@ -75,37 +59,28 @@ pub fn greedi(
     style: PartitionStyle,
     seed: u64,
 ) -> Result<GreediReport, DistError> {
-    if machines == 0 {
-        return Err(DistError::config("machine count must be at least 1"));
-    }
-    check_instance(graph, objective, k)?;
-    let n = graph.num_nodes();
-    let ground: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
-    let mut backend = InMemoryGreedyBackend::new(graph, objective, &ground);
-
-    // Map phase: every machine solves its partition for the full budget
-    // `k` in one backend phase. The phase also narrows the backend's pool
-    // to the winners; nothing reads it afterwards.
-    let keying = keying_for(style, n, machines, seed);
-    let mut union = backend.phase(keying, machines, n, k)?.selected;
-
-    // Merge phase: one machine holds the whole union and re-runs greedy.
-    let union_size = union.len();
-    let chosen = machine_select(graph, objective, &mut union, k);
-    let value = objective.evaluate(graph, &chosen);
+    let plan =
+        DistGreedyConfig { greedi: Some(style), ..DistGreedyConfig::new(machines, 1)?.seed(seed) };
+    let ground: Vec<NodeId> = (0..graph.num_nodes()).map(NodeId::from_index).collect();
+    let report =
+        crate::multiround::run(Driver::InMemory, graph, objective, &ground, k, &plan, None)?;
+    let union_size = report.rounds[0].output_size;
+    let merge_memory_bytes = union_size as u64 * MERGE_BYTES_PER_POINT;
     Ok(GreediReport {
-        selection: Selection::new(chosen, Vec::new(), value),
-        merge: MergeStats {
-            union_size,
-            merge_memory_bytes: union_size as u64 * MERGE_BYTES_PER_POINT,
-        },
+        selection: report.selection,
+        merge: MergeStats { union_size, merge_memory_bytes },
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{
+        machine_select, InMemoryGreedyBackend, MachineGreedyBackend, MachineKeying,
+    };
+    use proptest::prelude::*;
     use submod_core::{greedy_select, GraphBuilder};
+    use submod_dataflow::{MemoryBudget, Pipeline};
 
     fn instance(n: usize) -> (SimilarityGraph, PairwiseObjective) {
         let mut b = GraphBuilder::new(n);
@@ -165,5 +140,127 @@ mod tests {
         let (graph, objective) = instance(10);
         assert!(greedi(&graph, &objective, 11, 2, PartitionStyle::Random, 0).is_err());
         assert!(greedi(&graph, &objective, 2, 0, PartitionStyle::Random, 0).is_err());
+    }
+
+    /// GreeDi before it became a plan of the round loop: one in-memory
+    /// phase at quota `k`, then `machine_select` over the union. Returns
+    /// the merge's picks and the union in the phase's step-major order.
+    fn separate_merge(
+        graph: &SimilarityGraph,
+        objective: &PairwiseObjective,
+        k: usize,
+        machines: usize,
+        style: PartitionStyle,
+        seed: u64,
+    ) -> (Vec<NodeId>, Vec<NodeId>) {
+        let n = graph.num_nodes();
+        let ground: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+        let mut backend = InMemoryGreedyBackend::new(graph, objective, &ground);
+        let keying = match style {
+            PartitionStyle::Arbitrary => {
+                MachineKeying::Contiguous { chunk: (n as u64).div_ceil(machines as u64).max(1) }
+            }
+            PartitionStyle::Random => {
+                MachineKeying::Hash { seed: seed ^ 0x0006_EED1, machines: machines as u64 }
+            }
+        };
+        let union = backend.phase(keying, machines, n, k).unwrap().selected;
+        (machine_select(graph, objective, &mut union.clone(), k), union)
+    }
+
+    /// An arbitrary small weighted instance, as `tests/proptests.rs` draws
+    /// them.
+    fn arb_instance(
+        max_nodes: usize,
+    ) -> impl Strategy<Value = (SimilarityGraph, PairwiseObjective)> {
+        (4usize..=max_nodes)
+            .prop_flat_map(|n| {
+                let edges =
+                    proptest::collection::vec((0..n as u64, 0..n as u64, 0.01f32..1.0), 0..n * 3);
+                (Just(n), edges, proptest::collection::vec(0.0f32..1.0, n), 0.5f64..=0.95)
+            })
+            .prop_map(|(n, edges, utilities, alpha)| {
+                let mut b = GraphBuilder::new(n);
+                for (v, w, s) in edges.into_iter().filter(|(v, w, _)| v != w) {
+                    b.add_undirected(v, w, s).unwrap();
+                }
+                (b.build(), PairwiseObjective::from_alpha(alpha, utilities).unwrap())
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `greedi` selects what the separate merge selected, bit for bit,
+        /// in both styles — with more machines than nodes too, where the
+        /// plan keeps all `m` partitions (the hash reduced mod `m`, not
+        /// mod `n`). One machine makes the union exactly `k` points: the
+        /// final trim then keeps the union in step-major order where the
+        /// separate merge re-ordered it through `machine_select`; the set
+        /// and the value bits are the same.
+        #[test]
+        fn greedi_equals_the_separate_merge(
+            (graph, objective) in arb_instance(24),
+            k_pick in 0usize..=24,
+            machines in 2usize..=48,
+            seed in any::<u64>(),
+        ) {
+            let k = k_pick % (graph.num_nodes() + 1);
+            for style in [PartitionStyle::Arbitrary, PartitionStyle::Random] {
+                for m in [1, machines] {
+                    let (merged, union) = separate_merge(&graph, &objective, k, m, style, seed);
+                    let report = greedi(&graph, &objective, k, m, style, seed).unwrap();
+                    let selected = report.selection.selected();
+                    prop_assert_eq!(report.merge.union_size, union.len());
+                    prop_assert!(union.len() >= k, "a union never under-fills");
+                    if union.len() > k {
+                        prop_assert_eq!(selected, &merged[..]);
+                    } else {
+                        prop_assert_eq!(selected, &union[..]);
+                        let (mut set, mut reference) = (selected.to_vec(), merged.clone());
+                        set.sort_unstable();
+                        reference.sort_unstable();
+                        prop_assert_eq!(set, reference);
+                    }
+                    let value = objective.evaluate(&graph, &merged);
+                    prop_assert_eq!(report.selection.objective_value().to_bits(), value.to_bits());
+                }
+            }
+        }
+    }
+
+    /// GreeDi's plan runs on the dataflow driver unchanged — resident at
+    /// an unlimited budget, batched at 47 B — and selects what the
+    /// in-memory run selects, with more machines than nodes too.
+    #[test]
+    fn greedis_plan_selects_the_same_bits_on_the_dataflow_driver() {
+        let (graph, objective) = instance(40);
+        let ground: Vec<NodeId> = (0..40).map(NodeId::from_index).collect();
+        let pipelines = [
+            Pipeline::new(3).unwrap(),
+            Pipeline::builder().workers(3).memory_budget(MemoryBudget::bytes(47)).build().unwrap(),
+        ];
+        for style in [PartitionStyle::Arbitrary, PartitionStyle::Random] {
+            for (k, machines) in [(6, 3), (5, 1), (8, 8), (4, 50)] {
+                let plan = DistGreedyConfig::new(machines, 1).unwrap().seed(7);
+                let config = DistGreedyConfig { greedi: Some(style), ..plan };
+                let run = |driver| {
+                    crate::multiround::run(driver, &graph, &objective, &ground, k, &config, None)
+                        .unwrap()
+                };
+                let mem = run(Driver::InMemory);
+                let greedi = greedi(&graph, &objective, k, machines, style, 7).unwrap();
+                assert_eq!(mem.selection.selected(), greedi.selection.selected());
+                for pipeline in &pipelines {
+                    let at = format!("{style:?}, k {k}, {machines} machines");
+                    let df = run(Driver::Dataflow(pipeline));
+                    assert_eq!(df.selection.selected(), mem.selection.selected(), "{at}");
+                    let bits =
+                        |r: &crate::DistGreedyReport| r.selection.objective_value().to_bits();
+                    assert_eq!(bits(&df), bits(&mem), "{at}");
+                    assert_eq!(df.rounds, mem.rounds, "{at}");
+                }
+            }
+        }
     }
 }

@@ -25,7 +25,9 @@
 //!   otherwise — and only collects winner rows, metered by the report's
 //!   [`GreedyStats`].
 //! - [`greedi`] — the GreeDi / RandGreeDi baseline whose merge machine
-//!   must hold `m·k` points (§2's systems motivation), in memory.
+//!   must hold `m·k` points (§2's systems motivation), in memory: one
+//!   round of the same loop with a quota of `k` per machine, whose final
+//!   trim is the merge.
 //! - [`select_subset`] / [`complete_selection`] — the end-to-end
 //!   pipeline: bounding → distributed greedy over the undecided points →
 //!   completion, always returning exactly `k` distinct points.

@@ -29,6 +29,8 @@
 //! pool shrinks, so machines stay full and late rounds approach the
 //! centralized algorithm — the §6.4 worst-case repair.
 //!
+//! GreeDi runs this same loop; only the round plan (`round_plan`) differs.
+//!
 //! [`DeltaSchedule`]: crate::DeltaSchedule
 
 use crate::engine::{
@@ -36,7 +38,7 @@ use crate::engine::{
     MachineKeying,
 };
 use crate::journal::RunJournal;
-use crate::{check_instance, DeltaSchedule, DistError, DistGreedyConfig, Driver};
+use crate::{check_instance, DeltaSchedule, DistError, DistGreedyConfig, Driver, PartitionStyle};
 use std::sync::Arc;
 use submod_core::{NodeId, NodeSet, PairwiseObjective, Selection, SimilarityGraph};
 use submod_dataflow::Pipeline;
@@ -160,16 +162,47 @@ fn validate(
     Ok(())
 }
 
-/// How many partitions round `t` uses for a pool of `pool_len` points.
-fn round_partitions(config: &DistGreedyConfig, pool_len: usize, capacity: usize) -> usize {
-    if pool_len == 0 {
-        return 1;
+/// Round `round`'s target, partition count, journaled seed and keying, for
+/// a pool of `pool_len` of the run's `n0` distinct points on `n` nodes. A
+/// Δ-schedule round hashes the pool over `m` partitions (fewer when
+/// adaptive; round 1 forced when adversarial); GreeDi's one round keeps
+/// `k` points on each of its `m` machines (target `m·k`), and the final
+/// trim of that union is its merge.
+fn round_plan(
+    config: &DistGreedyConfig,
+    n: usize,
+    n0: usize,
+    k: usize,
+    round: usize,
+    pool_len: usize,
+) -> (usize, usize, u64, MachineKeying) {
+    let (m, seed) = (config.machines, config.seed);
+    if let Some(style) = config.greedi {
+        let keying = match style {
+            PartitionStyle::Arbitrary => {
+                MachineKeying::Contiguous { chunk: (n as u64).div_ceil(m as u64).max(1) }
+            }
+            PartitionStyle::Random => {
+                MachineKeying::Hash { seed: seed ^ 0x0006_EED1, machines: m as u64 }
+            }
+        };
+        return (k.saturating_mul(m), m, seed, keying);
     }
-    if config.adaptive {
-        pool_len.div_ceil(capacity).clamp(1, config.machines)
-    } else {
-        config.machines.min(pool_len)
-    }
+    let target = config.schedule.target(n0, k, round, config.rounds);
+    let partitions = match pool_len {
+        0 => 1,
+        _ if config.adaptive => pool_len.div_ceil(n0.div_ceil(m).max(1)).clamp(1, m),
+        _ => m.min(pool_len),
+    };
+    let (seed, machines) = (seed ^ (round as u64) << 32, partitions as u64);
+    let keying = match (&config.adversarial_first_round, round) {
+        (Some(solution), 1) => {
+            let forced = Arc::new(NodeSet::from_members(n, solution.iter().copied()));
+            MachineKeying::HashForced { seed, machines, forced }
+        }
+        _ => MachineKeying::Hash { seed, machines },
+    };
+    (target, partitions, seed, keying)
 }
 
 /// Tops `chosen` up to `k` points with the best not-yet-chosen
@@ -195,10 +228,12 @@ pub(crate) fn fill_by_utility(
     chosen.extend(spare.into_iter().take(k - chosen.len()));
 }
 
-/// Closes a run: trims an oversized pool with one greedy pass, tops up an
+/// Closes a run: trims an oversized pool with one greedy pass (GreeDi's
+/// merge), keeps a pool of exactly `k` in its step-major order, tops up an
 /// undersized one by utility, and scores the result on the full graph.
-/// Runs on the driver over the final `O(k)`-sized pool — identical input
-/// on both drivers, hence identical output.
+/// Runs on the driver over the final pool (`O(k)` after a Δ-schedule,
+/// GreeDi's `m·k`-point union) — identical input on both drivers, hence
+/// identical output.
 fn finalize(
     graph: &SimilarityGraph,
     objective: &PairwiseObjective,
@@ -216,9 +251,9 @@ fn finalize(
 }
 
 /// The shared round driver. The backend runs each round's phase in one
-/// call; everything around it — the Δ-schedule targets, partition counts,
-/// keying, winner accounting, and the final trim — is common code, which
-/// is what guarantees in-memory/dataflow equality.
+/// call; everything around it — the round plan (targets, partition
+/// counts, keying), winner accounting, and the final trim — is common
+/// code, which is what guarantees in-memory/dataflow equality.
 ///
 /// With a journal, every completed round is committed (append + fsync)
 /// before the next begins, and rounds the journal already holds are
@@ -243,11 +278,6 @@ fn run_multiround(
     if k > n0 {
         return Err(submod_core::CoreError::BudgetTooLarge { budget: k, available: n0 }.into());
     }
-    let capacity = n0.div_ceil(config.machines).max(1);
-    let adversarial: Option<Arc<NodeSet>> = config
-        .adversarial_first_round
-        .as_ref()
-        .map(|solution| Arc::new(NodeSet::from_members(n, solution.iter().copied())));
 
     let mut stats = GreedyStats::default();
     let mut pool_len = n0;
@@ -290,18 +320,8 @@ fn run_multiround(
         if let Some(pool) = replayed_pool.take() {
             backend.restore_pool(&pool)?;
         }
-        let target = config.schedule.target(n0, k, round, config.rounds);
-        let partitions = round_partitions(config, pool_len, capacity);
+        let (target, partitions, seed, keying) = round_plan(config, n, n0, k, round, pool_len);
         let quota = target.div_ceil(partitions);
-        let seed = config.seed ^ (round as u64) << 32;
-        let keying = match (&adversarial, round) {
-            (Some(forced), 1) => MachineKeying::HashForced {
-                seed,
-                machines: partitions as u64,
-                forced: forced.clone(),
-            },
-            _ => MachineKeying::Hash { seed, machines: partitions as u64 },
-        };
         let round_span = submod_obs::span("greedy.round");
         let outcome = backend.phase(keying, partitions, n, quota)?;
         drop(round_span);
@@ -399,9 +419,9 @@ pub fn distributed_greedy_dataflow(
     run(Driver::Dataflow(pipeline), graph, objective, ground, k, config, None)
 }
 
-/// The one multi-round greedy run: checks the instance, builds the
-/// driver's backend, and runs the shared round loop, journaled when a
-/// journal is given.
+/// The one greedy run, of the multi-round algorithm and of GreeDi alike:
+/// checks the instance, builds the driver's backend, and runs the shared
+/// round loop, journaled when a journal is given.
 pub(crate) fn run(
     driver: Driver<'_>,
     graph: &SimilarityGraph,
@@ -494,9 +514,10 @@ mod tests {
         assert!(last < first, "adaptive must shrink partitions ({first} -> {last})");
         // A pool that fits one machine uses exactly one partition.
         let config = DistGreedyConfig::new(10, 1).unwrap().adaptive(true);
-        assert_eq!(super::round_partitions(&config, 10, 10), 1);
-        assert_eq!(super::round_partitions(&config, 95, 10), 10);
-        assert_eq!(super::round_partitions(&config, 35, 10), 4);
+        let partitions = |pool_len| super::round_plan(&config, 100, 100, 1, 1, pool_len).1;
+        assert_eq!(partitions(10), 1);
+        assert_eq!(partitions(95), 10);
+        assert_eq!(partitions(35), 4);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Crash matrix: a journaled run killed at **every** record boundary —
 //! and at torn mid-append offsets just past each boundary — must resume
 //! to a bitwise-identical selection (same ids, same order, same
-//! objective-value bits) as a run that never died. The matrix covers
+//! objective-value bits) as a run that never died, and report the same
+//! `RoundStats`, `GreedyStats` and `BoundingStats` as the uninterrupted
+//! run on the same driver. The matrix covers
 //! the multi-round greedy on both drivers (in-memory and dataflow) and
 //! the full pipeline, 1 and 8 pool threads, the owned and the mmap-backed
 //! graph store, cross-driver resume (crash under one driver, resume under
@@ -19,9 +21,9 @@ use std::path::{Path, PathBuf};
 use submod_core::{GraphBuilder, NodeId, PairwiseObjective, Selection, SimilarityGraph};
 use submod_dataflow::Pipeline;
 use submod_dist::{
-    distributed_greedy, distributed_greedy_dataflow_journaled, distributed_greedy_journaled,
-    select_subset, select_subset_journaled, BoundingConfig, DistGreedyConfig, PipelineConfig,
-    SamplingStrategy,
+    distributed_greedy, distributed_greedy_dataflow, distributed_greedy_dataflow_journaled,
+    distributed_greedy_journaled, select_subset, select_subset_journaled, BoundingConfig,
+    DistGreedyConfig, PipelineConfig, SamplingStrategy,
 };
 use submod_exec::with_threads;
 use submod_journal::HEADER_LEN;
@@ -163,6 +165,7 @@ fn multiround_in_memory_resumes_bitwise_identically() {
                 let (report, _) =
                     distributed_greedy_journaled(&graph, &objective, &g, 15, &config, path)
                         .expect("journaled run");
+                assert_eq!((&report.rounds, report.stats), (&plain.rounds, plain.stats));
                 fingerprint(&report.selection)
             })
         });
@@ -175,6 +178,9 @@ fn multiround_dataflow_resumes_bitwise_identically() {
     let (graph, objective) = instance(90, 17);
     let g = ground(90);
     let config = DistGreedyConfig::new(4, 3).expect("config").seed(11).adaptive(true);
+    let pipeline = Pipeline::new(3).expect("pipeline");
+    let plain =
+        distributed_greedy_dataflow(&pipeline, &graph, &objective, &g, 15, &config).expect("plain");
     for &threads in &THREAD_COUNTS {
         crash_matrix(&format!("df-{threads}"), 4, |path| {
             with_threads(threads, || {
@@ -183,6 +189,7 @@ fn multiround_dataflow_resumes_bitwise_identically() {
                     &pipeline, &graph, &objective, &g, 15, &config, path,
                 )
                 .expect("journaled dataflow run");
+                assert_eq!((&report.rounds, report.stats), (&plain.rounds, plain.stats));
                 fingerprint(&report.selection)
             })
         });
@@ -240,6 +247,9 @@ fn crash_under_one_driver_resumes_under_the_other() {
     }
 }
 
+/// A resumed pipeline selects the same bits and reports the same
+/// bounding stats as the uninterrupted run, from every boundary. At
+/// `k = 4` the approximate bounding's last grow pass fills the budget.
 #[test]
 fn full_pipeline_resumes_bitwise_identically() {
     let (graph, objective) = instance(80, 31);
@@ -251,15 +261,23 @@ fn full_pipeline_resumes_bitwise_identically() {
             bounding,
             DistGreedyConfig::new(3, 2).expect("config").seed(7),
         );
-        let plain = select_subset(&graph, &objective, 14, &config).expect("plain pipeline");
-        // RunStart + ≥1 bounding cycle + BoundingDone + greedy rounds +
-        // RunComplete.
-        let baseline = crash_matrix(&format!("pipeline-{tag}"), 4, |path| {
-            let outcome =
-                select_subset_journaled(&graph, &objective, 14, &config, path).expect("pipeline");
-            fingerprint(&outcome.selection)
-        });
-        assert_eq!(baseline, fingerprint(&plain.selection), "journaling perturbed the pipeline");
+        for k in [14, 4] {
+            let plain = select_subset(&graph, &objective, k, &config).expect("plain pipeline");
+            let stats = plain.bounding.as_ref().map(|b| b.stats);
+            // RunStart + ≥1 bounding cycle + BoundingDone + greedy rounds
+            // (none once bounding fills the budget) + RunComplete.
+            let baseline = crash_matrix(&format!("pipeline-{tag}-{k}"), 4, |path| {
+                let outcome = select_subset_journaled(&graph, &objective, k, &config, path)
+                    .expect("pipeline");
+                assert_eq!(outcome.bounding.map(|b| b.stats), stats, "{tag}, k {k}: stats");
+                fingerprint(&outcome.selection)
+            });
+            assert_eq!(
+                baseline,
+                fingerprint(&plain.selection),
+                "journaling perturbed the pipeline"
+            );
+        }
     }
 }
 

@@ -65,8 +65,8 @@ fn mapped_copy(graph: &SimilarityGraph, name: &str) -> SimilarityGraph {
     mapped
 }
 
-/// The GreeDi shards of a mapped graph are induced subgraphs of one
-/// shared mapping — `Clone` must alias, not copy, the store.
+/// The dataflow backends clone the graph into their closures, so a
+/// mapped graph's `Clone` must alias, not copy, the store.
 #[test]
 fn mapped_clones_share_the_mapping() {
     let mapped = mapped_copy(&shaped_graph(60, 99, false, 0, false), "clones");

@@ -2,7 +2,7 @@
 //! runs.
 //!
 //! The selection stack records one [`Record`] per completed unit of work
-//! (a greedy round, a bounding cycle, a GreeDi map phase) and fsyncs at
+//! (a greedy round, a bounding cycle) and fsyncs at
 //! those boundaries. After a crash, [`replay`] walks the file, validates
 //! every record against its FNV-1a-64 checksum, **truncates the torn
 //! tail** (a partially written final record is exactly what a crash
@@ -198,8 +198,7 @@ pub enum Record {
         /// Configured round count (0 when not applicable).
         rounds: u64,
     },
-    /// One completed multi-round greedy round (also the GreeDi map
-    /// phase, as round 1).
+    /// One completed multi-round greedy round.
     GreedyRound {
         /// 1-based round number.
         round: u64,

@@ -10,14 +10,11 @@
 
 use submod_core::SimilarityGraph;
 use submod_knn::{build_knn_graph, kmeans, Embeddings, IvfIndex, KMeansModel, KnnBackend};
-use submod_obs::format::Fnv1a64;
+use submod_obs::format::{splitmix64, Fnv1a64};
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+    splitmix64(*state)
 }
 
 fn unit(state: &mut u64) -> f32 {

@@ -13,8 +13,10 @@
 //! approximate-uniform, approximate-weighted), the adaptive multi-round
 //! greedy and the journaled multi-round greedy on both drivers, plus
 //! GreeDi in both partition styles and `select_subset` (in-memory only),
-//! over a seeded random graph and a graph of duplicate points. It
-//! asserts:
+//! over a seeded random graph and a graph of duplicate points. GreeDi is
+//! one round plan of the multi-round loop and runs on the dataflow driver
+//! in `submod_dist`'s own tests, but only `greedi` (in memory) is public:
+//! a public dataflow GreeDi would add an entry point. It asserts:
 //! - in the row, the dataflow driver's output equals the in-memory one's;
 //! - across rows, every output and the in-memory driver's stats equal
 //!   row 1's, and the dataflow driver's stats equal those of the first
