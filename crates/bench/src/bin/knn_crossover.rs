@@ -57,7 +57,10 @@ fn main() {
         n *= 2;
     }
     match crossover {
-        Some(n) => println!("\nIVF first wins at n = {n} (AUTO_EXACT_MAX_POINTS candidate)"),
+        Some(n) => println!(
+            "\nIVF first wins at n = {n}, a candidate for AUTO_EXACT_MAX_POINTS (now {})",
+            submod_knn::AUTO_EXACT_MAX_POINTS
+        ),
         None => println!("\nexact won everywhere up to {max}; raise --max"),
     }
 }

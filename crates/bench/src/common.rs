@@ -136,7 +136,7 @@ pub fn run_heatmap(
 
 /// One distributed-greedy sweep cell.
 #[allow(clippy::too_many_arguments)]
-pub fn run_cell(
+fn run_cell(
     instance: &SelectionInstance,
     objective: &PairwiseObjective,
     ground: &[submod_core::NodeId],

@@ -11,7 +11,7 @@ use submod_dist::{
 };
 
 /// The five bounding configurations of Table 2 / Figures 16–17.
-pub fn bounding_variants(seed: u64) -> Vec<(&'static str, Option<BoundingConfig>)> {
+fn bounding_variants(seed: u64) -> Vec<(&'static str, Option<BoundingConfig>)> {
     vec![
         ("regular", None),
         (

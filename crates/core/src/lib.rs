@@ -13,8 +13,8 @@
 //!   including the monotonicity offset of Appendix A.
 //! - [`AddressablePq`]: an addressable max-priority queue with
 //!   `decrease_by`, the substrate of the paper's Algorithm 2.
-//! - [`greedy`]: the centralized greedy (Algorithms 1/2) and the lazy /
-//!   stochastic variants discussed as "related optimizations" in §3.
+//! - [`greedy`]: the centralized greedy (Algorithms 1/2) and the instance
+//!   check every selection algorithm starts with.
 //!
 //! # Example
 //!
@@ -53,10 +53,7 @@ pub mod store;
 
 pub use error::CoreError;
 pub use graph::{GraphBuilder, SimilarityGraph};
-pub use greedy::{
-    greedy_select, lazy_greedy_select, naive_greedy_select, stochastic_greedy_select,
-    threshold_greedy_select,
-};
+pub use greedy::{greedy_select, naive_greedy_select, validate_instance};
 pub use ids::NodeId;
 pub use nodeset::NodeSet;
 pub use normalize::ScoreNormalizer;

@@ -165,15 +165,6 @@ impl PairwiseObjective {
         self.alpha * self.utility(v) - self.beta * sim
     }
 
-    /// Checks the monotonicity condition of §3: for every node,
-    /// `α·u(v) ≥ β·Σ_j s(v,j)`.
-    pub fn is_monotone_on(&self, graph: &SimilarityGraph) -> bool {
-        (0..graph.num_nodes()).all(|i| {
-            let v = NodeId::from_index(i);
-            self.alpha * self.utility(v) >= self.beta * graph.weighted_degree(v) - 1e-12
-        })
-    }
-
     /// The constant offset `δ = (β/α)·max_l Σ_j s(l,j)` of Appendix A.
     ///
     /// Adding δ to every utility makes the objective monotone while leaving
@@ -210,6 +201,15 @@ mod tests {
 
     fn ids(raw: &[u64]) -> Vec<NodeId> {
         raw.iter().copied().map(NodeId::new).collect()
+    }
+
+    /// The monotonicity condition of §3: for every node,
+    /// `α·u(v) ≥ β·Σ_j s(v,j)`.
+    fn is_monotone_on(f: &PairwiseObjective, graph: &SimilarityGraph) -> bool {
+        (0..graph.num_nodes()).all(|i| {
+            let v = NodeId::from_index(i);
+            f.alpha * f.utility(v) >= f.beta * graph.weighted_degree(v) - 1e-12
+        })
     }
 
     #[test]
@@ -268,10 +268,10 @@ mod tests {
         let g = triangle();
         // Low α makes the pair term dominate: non-monotone.
         let f = PairwiseObjective::from_alpha(0.1, vec![0.1, 0.1, 0.1]).unwrap();
-        assert!(!f.is_monotone_on(&g));
+        assert!(!is_monotone_on(&f, &g));
         let delta = f.monotonicity_offset(&g);
         let fixed = f.with_utility_offset(delta).unwrap();
-        assert!(fixed.is_monotone_on(&g));
+        assert!(is_monotone_on(&fixed, &g));
         // The offset is (β/α)·max weighted degree = 9 · 1.0.
         assert!((delta - 9.0 * 1.0).abs() < 1e-6);
     }
@@ -307,6 +307,6 @@ mod tests {
         let g = triangle();
         let f = PairwiseObjective::new(2.0, 0.0, vec![1.0, 2.0, 3.0]).unwrap();
         assert!((f.evaluate(&g, &ids(&[0, 1, 2])) - 12.0).abs() < 1e-9);
-        assert!(f.is_monotone_on(&g));
+        assert!(is_monotone_on(&f, &g));
     }
 }

@@ -91,11 +91,6 @@ impl AddressablePq {
         self.prio[v as usize]
     }
 
-    /// The maximum element without removing it.
-    pub fn peek(&self) -> Option<(u32, f64)> {
-        self.heap.first().map(|&v| (v, self.prio[v as usize]))
-    }
-
     /// Removes and returns the element with the largest priority (smallest
     /// index on ties).
     pub fn pop_max(&mut self) -> Option<(u32, f64)> {
@@ -125,45 +120,11 @@ impl AddressablePq {
         }
     }
 
-    /// Re-inserts a previously popped node with a new priority.
-    ///
-    /// Lazy greedy uses this to push stale candidates back after
-    /// recomputing their true marginal gain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is still enqueued, was never part of the queue, or
-    /// `priority` is NaN.
-    pub fn reinsert(&mut self, v: u32, priority: f64) {
-        assert!(!priority.is_nan(), "priority must not be NaN");
-        assert_eq!(self.pos[v as usize], NOT_IN_HEAP, "node {v} is already enqueued");
-        self.prio[v as usize] = priority;
-        self.pos[v as usize] = self.heap.len() as u32;
-        self.heap.push(v);
-        self.sift_up(self.heap.len() - 1);
-    }
-
     /// `true` if element at index `a` orders strictly before (above) `b`.
     #[inline]
     fn before(&self, a: u32, b: u32) -> bool {
         let (pa, pb) = (self.prio[a as usize], self.prio[b as usize]);
         pa > pb || (pa == pb && a < b)
-    }
-
-    fn sift_up(&mut self, mut slot: usize) {
-        let node = self.heap[slot];
-        while slot > 0 {
-            let parent = (slot - 1) / ARITY;
-            if self.before(node, self.heap[parent]) {
-                self.heap[slot] = self.heap[parent];
-                self.pos[self.heap[slot] as usize] = slot as u32;
-                slot = parent;
-            } else {
-                break;
-            }
-        }
-        self.heap[slot] = node;
-        self.pos[node as usize] = slot as u32;
     }
 
     fn sift_down(&mut self, mut slot: usize) {
@@ -232,8 +193,8 @@ mod tests {
         let mut pq = AddressablePq::with_priorities(vec![5.0, 4.0, 3.0]);
         pq.decrease_by(0, 3.5);
         pq.check_invariants();
-        assert_eq!(pq.peek(), Some((1, 4.0)));
         assert_eq!(pq.priority(0), 1.5);
+        assert_eq!(pq.pop_max(), Some((1, 4.0)));
     }
 
     #[test]
@@ -243,23 +204,6 @@ mod tests {
         pq.decrease_by(0, 1.0); // popped: only the stored priority changes
         assert_eq!(pq.priority(0), 4.0);
         assert_eq!(pq.pop_max(), Some((1, 4.0)));
-    }
-
-    #[test]
-    fn reinsert_after_pop() {
-        let mut pq = AddressablePq::with_priorities(vec![3.0, 2.0, 1.0]);
-        assert_eq!(pq.pop_max(), Some((0, 3.0)));
-        pq.reinsert(0, 1.5);
-        pq.check_invariants();
-        let order: Vec<u32> = std::iter::from_fn(|| pq.pop_max().map(|(v, _)| v)).collect();
-        assert_eq!(order, vec![1, 0, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "already enqueued")]
-    fn reinsert_of_live_node_panics() {
-        let mut pq = AddressablePq::with_priorities(vec![1.0, 2.0]);
-        pq.reinsert(0, 5.0);
     }
 
     #[test]
@@ -278,7 +222,6 @@ mod tests {
         assert!(pq.is_empty());
         assert_eq!(pq.len(), 0);
         assert_eq!(pq.pop_max(), None);
-        assert_eq!(pq.peek(), None);
     }
 
     #[test]
@@ -306,20 +249,12 @@ mod tests {
         pq.check_invariants();
         for _ in 0..2000 {
             let v = (next() % n as u64) as u32;
-            match next() % 3 {
-                0 => {
-                    if pq.contains(v) {
-                        pq.decrease_by(v, (next() % 50) as f64 / 10.0);
-                    }
+            if next() % 2 == 0 {
+                if pq.contains(v) {
+                    pq.decrease_by(v, (next() % 50) as f64 / 10.0);
                 }
-                1 => {
-                    pq.pop_max();
-                }
-                _ => {
-                    if !pq.contains(v) {
-                        pq.reinsert(v, (next() % 1000) as f64 / 10.0);
-                    }
-                }
+            } else {
+                pq.pop_max();
             }
             pq.check_invariants();
         }

@@ -98,7 +98,7 @@ impl CoarseClassifier {
     /// # Panics
     ///
     /// Panics if `embedding` has the wrong dimension.
-    pub fn predict_proba(&self, embedding: &[f32]) -> Vec<f32> {
+    fn predict_proba(&self, embedding: &[f32]) -> Vec<f32> {
         let classes = self.num_classes();
         let mut logits = Vec::with_capacity(classes);
         for c in 0..classes {
@@ -123,7 +123,7 @@ impl CoarseClassifier {
     ///
     /// Panics if `embedding` has the wrong dimension or there are fewer
     /// than two classes.
-    pub fn top2(&self, embedding: &[f32]) -> (f32, f32) {
+    fn top2(&self, embedding: &[f32]) -> (f32, f32) {
         let probs = self.predict_proba(embedding);
         assert!(probs.len() >= 2, "margin needs at least two classes");
         let mut top = f32::NEG_INFINITY;
@@ -150,14 +150,22 @@ impl CoarseClassifier {
             })
             .collect()
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn dataset() -> ClusteredDataset {
+        ClusteredDataset::generate(8, 60, 16, 0.12, 5).unwrap()
+    }
 
     /// Fraction of points whose predicted class matches the label —
     /// deliberately mediocre for a *coarse* model.
-    pub fn accuracy(&self, data: &ClusteredDataset) -> f64 {
-        let correct: usize = (0..data.len())
-            .into_par_iter()
-            .map(|i| {
-                let probs = self.predict_proba(data.embeddings().row(i));
+    fn accuracy(clf: &CoarseClassifier, data: &ClusteredDataset) -> f64 {
+        let correct = (0..data.len())
+            .filter(|&i| {
+                let probs = clf.predict_proba(data.embeddings().row(i));
                 assert!(probs.iter().all(|p| !p.is_nan()), "class probabilities must not be NaN");
                 // Total order plus reversed index tie-break: equal
                 // probabilities predict the smallest class id.
@@ -167,19 +175,10 @@ impl CoarseClassifier {
                     .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
                     .map(|(c, _)| c as u32)
                     .unwrap_or(0);
-                usize::from(pred == data.labels()[i])
+                pred == data.labels()[i]
             })
-            .sum();
+            .count();
         correct as f64 / data.len() as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn dataset() -> ClusteredDataset {
-        ClusteredDataset::generate(8, 60, 16, 0.12, 5).unwrap()
     }
 
     #[test]
@@ -197,7 +196,7 @@ mod tests {
     fn coarse_model_beats_chance_but_not_perfect() {
         let data = dataset();
         let clf = CoarseClassifier::fit(&data, 0.1, 0.05, 0.5, 1).unwrap();
-        let acc = clf.accuracy(&data);
+        let acc = accuracy(&clf, &data);
         assert!(acc > 0.5, "accuracy {acc} worse than heavily-noised chance");
     }
 
@@ -221,8 +220,8 @@ mod tests {
         let clf = CoarseClassifier::fit(&data, 0.2, 0.0, 0.5, 3).unwrap();
         // A point exactly at a class center is confident (low utility);
         // the midpoint between two centers is uncertain (high utility).
-        let c0 = data.class_centers().row(0);
-        let c1 = data.class_centers().row(1);
+        let c0 = data.class_centers.row(0);
+        let c1 = data.class_centers.row(1);
         let mid: Vec<f32> = c0.iter().zip(c1).map(|(a, b)| (a + b) / 2.0).collect();
         let (t_mid, s_mid) = clf.top2(&mid);
         let (t_c, s_c) = clf.top2(c0);

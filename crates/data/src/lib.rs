@@ -39,4 +39,4 @@ pub use error::DataError;
 pub use instance::{build_instance, SelectionInstance};
 pub use perturb::PerturbedDataset;
 pub use synthetic::ClusteredDataset;
-pub use utility::{center_utilities, margin_utilities};
+pub use utility::margin_utilities;

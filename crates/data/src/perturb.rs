@@ -91,7 +91,7 @@ impl PerturbedDataset {
     }
 
     /// Number of base points.
-    pub fn base_len(&self) -> usize {
+    fn base_len(&self) -> usize {
         self.base_embeddings.len()
     }
 
@@ -102,13 +102,13 @@ impl PerturbedDataset {
 
     /// Base point index of virtual point `i`.
     #[inline]
-    pub fn base_of(&self, i: u64) -> u64 {
+    fn base_of(&self, i: u64) -> u64 {
         i / self.factor
     }
 
     /// Variant index (`0..factor`) of virtual point `i`.
     #[inline]
-    pub fn variant_of(&self, i: u64) -> u64 {
+    fn variant_of(&self, i: u64) -> u64 {
         i % self.factor
     }
 

@@ -12,7 +12,9 @@ use submod_knn::Embeddings;
 pub struct ClusteredDataset {
     embeddings: Embeddings,
     labels: Vec<u32>,
-    class_centers: Embeddings,
+    /// The true class centers (the coarse classifier deliberately does
+    /// *not* see these).
+    pub(crate) class_centers: Embeddings,
 }
 
 impl ClusteredDataset {
@@ -106,12 +108,6 @@ impl ClusteredDataset {
     pub fn num_classes(&self) -> usize {
         self.class_centers.len()
     }
-
-    /// The true class centers (useful for diagnostics; the coarse
-    /// classifier deliberately does *not* see these).
-    pub fn class_centers(&self) -> &Embeddings {
-        &self.class_centers
-    }
 }
 
 /// A tiny internal standard-normal sampler (Box–Muller) so the crate does
@@ -166,7 +162,7 @@ mod tests {
             for c in 0..data.num_classes() {
                 let d = submod_knn::l2_distance_squared(
                     data.embeddings().row(i),
-                    data.class_centers().row(c),
+                    data.class_centers.row(c),
                 ) as f64;
                 if c == label {
                     own += d;

@@ -23,12 +23,7 @@ pub fn margin_utilities(
 }
 
 /// Shifts utilities so the minimum becomes exactly 0.
-///
-/// ```
-/// let centered = submod_data::center_utilities(vec![0.25, 0.5, 1.0]);
-/// assert_eq!(centered, vec![0.0, 0.25, 0.75]);
-/// ```
-pub fn center_utilities(mut utilities: Vec<f32>) -> Vec<f32> {
+fn center_utilities(mut utilities: Vec<f32>) -> Vec<f32> {
     let min = utilities.iter().copied().fold(f32::INFINITY, f32::min);
     if min.is_finite() {
         for u in &mut utilities {
@@ -56,6 +51,23 @@ mod tests {
         let once = center_utilities(vec![1.0, 2.0]);
         let twice = center_utilities(once.clone());
         assert_eq!(once, twice);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Centering always zeroes the minimum and preserves differences.
+        #[test]
+        fn centering_is_a_shift(values in proptest::collection::vec(-100.0f32..100.0, 1..50)) {
+            let centered = center_utilities(values.clone());
+            let min = values.iter().copied().fold(f32::INFINITY, f32::min);
+            proptest::prop_assert_eq!(centered.len(), values.len());
+            let new_min = centered.iter().copied().fold(f32::INFINITY, f32::min);
+            proptest::prop_assert!(new_min.abs() < 1e-4);
+            for (c, v) in centered.iter().zip(&values) {
+                proptest::prop_assert!((c - (v - min)).abs() < 1e-4);
+            }
+        }
     }
 
     #[test]

@@ -111,12 +111,6 @@ impl Pipeline {
         PCollection::from_parts(self.ctx.clone(), shards)
     }
 
-    /// Creates a collection from pre-sharded data (one shard per vector).
-    pub fn from_shards<T: Record>(&self, shards: Vec<Vec<T>>) -> PCollection<T> {
-        let shards = shards.into_iter().map(|s| Shard::InMemory(Arc::new(s))).collect();
-        PCollection::from_parts(self.ctx.clone(), shards)
-    }
-
     /// Creates a collection of `count` records produced by `generate(i)`
     /// without ever materializing more than one worker budget in memory —
     /// the entry point for *virtual* (larger-than-memory) datasets.
@@ -341,13 +335,5 @@ mod tests {
         let mut all = pc.collect().unwrap();
         all.sort_unstable();
         assert_eq!(all, (0u64..1000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn from_shards_preserves_layout() {
-        let p = Pipeline::new(2).unwrap();
-        let pc = p.from_shards(vec![vec![1u64, 2], vec![3], vec![]]);
-        assert_eq!(pc.num_shards(), 3);
-        assert_eq!(pc.count().unwrap(), 3);
     }
 }

@@ -85,7 +85,7 @@ impl BroadcastSet {
     }
 
     /// Bytes replicated to each worker for this set.
-    pub fn broadcast_bytes(&self) -> u64 {
+    fn broadcast_bytes(&self) -> u64 {
         (self.words.len() * size_of::<u64>()) as u64
     }
 }

@@ -48,8 +48,8 @@
 
 use crate::config::BoundingMode;
 use crate::journal::RunJournal;
-use crate::{check_instance, BoundingConfig, DistError, Driver, SamplingStrategy};
-use submod_core::{NodeId, NodeSet, PairwiseObjective, SimilarityGraph};
+use crate::{BoundingConfig, DistError, Driver, SamplingStrategy};
+use submod_core::{validate_instance, NodeId, NodeSet, PairwiseObjective, SimilarityGraph};
 use submod_dataflow::{PCollection, Pipeline};
 use submod_journal::Record;
 
@@ -819,7 +819,7 @@ pub(crate) fn run(
     config: &BoundingConfig,
     journal: Option<&mut RunJournal>,
 ) -> Result<BoundingOutcome, DistError> {
-    check_instance(graph, objective, k)?;
+    validate_instance(graph, objective, k)?;
     match driver {
         Driver::InMemory => {
             let mut backend = InMemoryBackend::new(graph, objective, config.mode);

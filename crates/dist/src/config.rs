@@ -38,6 +38,15 @@ pub(crate) enum BoundingMode {
     },
 }
 
+/// The check both [`BoundingConfig::approximate`] and
+/// [`theorem_4_6`](crate::theorem_4_6) run on a sampling probability.
+pub(crate) fn check_probability(p: f64) -> Result<(), DistError> {
+    if !(p.is_finite() && p > 0.0 && p <= 1.0) {
+        return Err(DistError::config(format!("sampling probability must be in (0, 1], got {p}")));
+    }
+    Ok(())
+}
+
 impl BoundingConfig {
     /// Exact bounding: thresholds are true order statistics, so every
     /// decision is sound (included points are in every optimal completion,
@@ -52,11 +61,7 @@ impl BoundingConfig {
     ///
     /// Returns an error unless `p ∈ (0, 1]`.
     pub fn approximate(p: f64, strategy: SamplingStrategy, seed: u64) -> Result<Self, DistError> {
-        if !(p.is_finite() && p > 0.0 && p <= 1.0) {
-            return Err(DistError::config(format!(
-                "sampling probability must be in (0, 1], got {p}"
-            )));
-        }
+        check_probability(p)?;
         Ok(BoundingConfig { mode: BoundingMode::Approximate { p, strategy, seed }, max_cycles: 50 })
     }
 
@@ -89,11 +94,6 @@ pub enum DeltaSchedule {
 }
 
 impl DeltaSchedule {
-    /// The paper's default schedule.
-    pub fn default_schedule() -> Self {
-        DeltaSchedule::Linear { gamma: 0.75 }
-    }
-
     /// Pool-size target after round `round` of `rounds` when shrinking
     /// from `n` candidates toward `k`.
     ///
@@ -115,9 +115,10 @@ impl DeltaSchedule {
     }
 }
 
+/// The paper's default schedule, `Linear { gamma: 0.75 }`.
 impl Default for DeltaSchedule {
     fn default() -> Self {
-        DeltaSchedule::default_schedule()
+        DeltaSchedule::Linear { gamma: 0.75 }
     }
 }
 
@@ -170,7 +171,7 @@ impl DistGreedyConfig {
             rounds,
             adaptive: false,
             seed: 0,
-            schedule: DeltaSchedule::default_schedule(),
+            schedule: DeltaSchedule::default(),
             adversarial_first_round: None,
             winner_batch: Self::DEFAULT_WINNER_BATCH,
             greedi: None,
@@ -286,7 +287,7 @@ mod tests {
     #[test]
     fn geometric_shrinks_harder_than_default_linear_early() {
         let (n, k, rounds) = (10_000, 250, 8);
-        let linear = DeltaSchedule::default_schedule();
+        let linear = DeltaSchedule::default();
         let geometric = DeltaSchedule::Geometric;
         assert!(
             geometric.target(n, k, 1, rounds) <= linear.target(n, k, 1, rounds),
@@ -307,7 +308,7 @@ mod tests {
 
     #[test]
     fn degenerate_schedule_inputs() {
-        let s = DeltaSchedule::default_schedule();
+        let s = DeltaSchedule::default();
         assert_eq!(s.target(100, 100, 1, 4), 100, "n == k pins the target");
         assert_eq!(s.target(50, 100, 1, 4), 100, "n < k yields k (caller validates)");
         assert_eq!(s.target(100, 10, 4, 4), 10, "final round is exactly k");

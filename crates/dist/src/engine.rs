@@ -1033,18 +1033,16 @@ mod tests {
                 .collect();
             let batch = [1, 2, 64, rows.len() + 1][batch_pick];
             let budget = if spilled { 64 } else { u64::MAX };
+            // `from_vec` cuts one shard per worker.
             let pipeline = Pipeline::builder()
-                .workers(3)
+                .workers(shards)
                 .memory_budget(submod_dataflow::MemoryBudget::bytes(budget))
                 .build()
                 .unwrap();
-            let chunk = rows.len().div_ceil(shards);
-            let table = pipeline
-                .from_shards(rows.chunks(chunk).map(<[_]>::to_vec).collect())
-                .map(|row| row)
-                .unwrap();
+            let n = rows.len();
+            let table = pipeline.from_vec(rows).map(|row| row).unwrap();
 
-            let k = batch.min(rows.len());
+            let k = batch.min(n);
             let tau = table.map(|(_, (_, p))| p).unwrap().kth_largest(k as u64).unwrap();
             let mut expected: Vec<Candidate> = table
                 .filter(move |&(_, (_, p))| p >= tau)
@@ -1057,7 +1055,7 @@ mod tests {
             expected.sort_unstable_by_key(|&(m, v, _)| (m, v));
 
             let (live, mut candidates) = scan(&table, &Overlay::new(3), 1.0, batch).unwrap();
-            prop_assert_eq!(live.iter().sum::<u64>(), rows.len() as u64);
+            prop_assert_eq!(live.iter().sum::<u64>(), n as u64);
             prop_assert_eq!(keep_top(&mut candidates, k).to_bits(), tau.to_bits());
             candidates.sort_unstable_by_key(|&(m, v, _)| (m, v));
             let bits = |rows: &[Candidate]| -> Vec<(u64, u64, u64)> {

@@ -98,7 +98,6 @@ pub use multiround::{
 pub use pipeline::{complete_selection, select_subset, PipelineConfig, PipelineOutcome};
 pub use theorem::{theorem_4_6, Theorem46Guarantee};
 
-use submod_core::{CoreError, PairwiseObjective, SimilarityGraph};
 use submod_dataflow::Pipeline;
 
 /// Where an algorithm runs: each algorithm has one crate-internal run
@@ -110,24 +109,4 @@ pub(crate) enum Driver<'a> {
     InMemory,
     /// Engine-resident on this pipeline.
     Dataflow(&'a Pipeline),
-}
-
-/// The instance check every algorithm starts with: one utility per graph
-/// node, and a budget `k` no larger than the graph.
-pub(crate) fn check_instance(
-    graph: &SimilarityGraph,
-    objective: &PairwiseObjective,
-    k: usize,
-) -> Result<(), DistError> {
-    if objective.num_nodes() != graph.num_nodes() {
-        return Err(CoreError::UtilityLengthMismatch {
-            utilities: objective.num_nodes(),
-            num_nodes: graph.num_nodes(),
-        }
-        .into());
-    }
-    if k > graph.num_nodes() {
-        return Err(CoreError::BudgetTooLarge { budget: k, available: graph.num_nodes() }.into());
-    }
-    Ok(())
 }

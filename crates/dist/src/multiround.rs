@@ -38,9 +38,11 @@ use crate::engine::{
     MachineKeying,
 };
 use crate::journal::RunJournal;
-use crate::{check_instance, DeltaSchedule, DistError, DistGreedyConfig, Driver, PartitionStyle};
+use crate::{DeltaSchedule, DistError, DistGreedyConfig, Driver, PartitionStyle};
 use std::sync::Arc;
-use submod_core::{NodeId, NodeSet, PairwiseObjective, Selection, SimilarityGraph};
+use submod_core::{
+    validate_instance, NodeId, NodeSet, PairwiseObjective, Selection, SimilarityGraph,
+};
 use submod_dataflow::Pipeline;
 use submod_journal::Record;
 
@@ -149,7 +151,7 @@ fn validate(
             return Err(DistError::config(format!("Δ-schedule γ must be finite, got {gamma}")));
         }
     }
-    check_instance(graph, objective, k)?;
+    validate_instance(graph, objective, k)?;
     for &v in ground {
         if v.index() >= graph.num_nodes() {
             return Err(submod_core::CoreError::NodeOutOfBounds {

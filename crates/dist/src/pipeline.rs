@@ -4,8 +4,10 @@
 //! subset is scored on the full graph.
 
 use crate::journal::RunJournal;
-use crate::{check_instance, BoundingConfig, BoundingOutcome, DistError, DistGreedyConfig, Driver};
-use submod_core::{CoreError, NodeId, NodeSet, PairwiseObjective, Selection, SimilarityGraph};
+use crate::{BoundingConfig, BoundingOutcome, DistError, DistGreedyConfig, Driver};
+use submod_core::{
+    validate_instance, CoreError, NodeId, NodeSet, PairwiseObjective, Selection, SimilarityGraph,
+};
 
 /// Configuration of [`select_subset`]: an optional bounding phase plus the
 /// distributed greedy phase.
@@ -144,7 +146,7 @@ fn complete(
     greedy: &DistGreedyConfig,
     journal: Option<&mut RunJournal>,
 ) -> Result<PipelineOutcome, DistError> {
-    check_instance(graph, objective, k)?;
+    validate_instance(graph, objective, k)?;
     if let Some(outcome) = &bounding {
         check_outcome(graph.num_nodes(), outcome)?;
     }

@@ -2,8 +2,9 @@
 //! approximate-bounding pipeline as a function of the sampling
 //! probability `p` and the instance's bound spread γ.
 
+use crate::config::check_probability;
 use crate::DistError;
-use submod_core::{NodeId, PairwiseObjective, SimilarityGraph};
+use submod_core::{validate_instance, NodeId, PairwiseObjective, SimilarityGraph};
 
 /// The instantiated Theorem 4.6 guarantee for one instance and one `p`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -54,16 +55,8 @@ pub fn theorem_4_6(
     objective: &PairwiseObjective,
     p: f64,
 ) -> Result<Theorem46Guarantee, DistError> {
-    if !(p.is_finite() && p > 0.0 && p <= 1.0) {
-        return Err(DistError::config(format!("sampling probability must be in (0, 1], got {p}")));
-    }
-    if objective.num_nodes() != graph.num_nodes() {
-        return Err(submod_core::CoreError::UtilityLengthMismatch {
-            utilities: objective.num_nodes(),
-            num_nodes: graph.num_nodes(),
-        }
-        .into());
-    }
+    check_probability(p)?;
+    validate_instance(graph, objective, 0)?;
 
     let ratio = objective.ratio();
     let mut umax_max = f64::NEG_INFINITY;

@@ -13,7 +13,7 @@ use crate::{Embeddings, KnnError, NearestNeighbors, Neighbor};
 /// use submod_knn::{Embeddings, ExactKnn, NearestNeighbors};
 ///
 /// # fn main() -> Result<(), submod_knn::KnnError> {
-/// let data = Embeddings::from_rows(2, &[&[1.0, 0.0], &[0.9, 0.1], &[0.0, 1.0]])?;
+/// let data = Embeddings::from_flat(2, vec![1.0, 0.0, 0.9, 0.1, 0.0, 1.0])?;
 /// let index = ExactKnn::build(data)?;
 /// let hits = index.search(&[1.0, 0.05], 2);
 /// assert_eq!(hits[0].0, 0);
@@ -140,14 +140,13 @@ mod tests {
     fn line_data(n: usize) -> Embeddings {
         // Points on the unit circle at increasing angles: neighbors in
         // index order.
-        let rows: Vec<Vec<f32>> = (0..n)
-            .map(|i| {
+        let flat: Vec<f32> = (0..n)
+            .flat_map(|i| {
                 let theta = i as f32 * 0.1;
-                vec![theta.cos(), theta.sin()]
+                [theta.cos(), theta.sin()]
             })
             .collect();
-        let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-        Embeddings::from_rows(2, &refs).unwrap()
+        Embeddings::from_flat(2, flat).unwrap()
     }
 
     #[test]
@@ -194,8 +193,7 @@ mod tests {
     #[test]
     fn ties_break_toward_smaller_index() {
         // Identical points: smaller indices must win the top-k slots.
-        let data = Embeddings::from_rows(2, &[&[1.0, 0.0], &[1.0, 0.0], &[1.0, 0.0], &[1.0, 0.0]])
-            .unwrap();
+        let data = Embeddings::from_flat(2, [1.0, 0.0].repeat(4)).unwrap();
         let index = ExactKnn::build(data).unwrap();
         let hits = index.search(&[1.0, 0.0], 2);
         let ids: Vec<u32> = hits.iter().map(|&(id, _)| id).collect();

@@ -69,7 +69,7 @@ impl KnnBackend {
 /// use submod_knn::{build_knn_graph, Embeddings, KnnBackend};
 ///
 /// # fn main() -> Result<(), submod_knn::KnnError> {
-/// let data = Embeddings::from_rows(2, &[&[1.0, 0.0], &[0.9, 0.1], &[0.0, 1.0]])?;
+/// let data = Embeddings::from_flat(2, vec![1.0, 0.0, 0.9, 0.1, 0.0, 1.0])?;
 /// let graph = build_knn_graph(&data, 1, &KnnBackend::Exact, 0)?;
 /// assert!(graph.is_symmetric());
 /// assert!(graph.min_degree() >= 1);

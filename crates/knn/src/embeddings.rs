@@ -16,7 +16,7 @@ use std::sync::Arc;
 /// use submod_knn::Embeddings;
 ///
 /// # fn main() -> Result<(), submod_knn::KnnError> {
-/// let e = Embeddings::from_rows(3, &[&[1.0, 0.0, 0.0], &[0.0, 2.0, 0.0]])?;
+/// let e = Embeddings::from_flat(3, vec![1.0, 0.0, 0.0, 0.0, 2.0, 0.0])?;
 /// assert_eq!(e.len(), 2);
 /// assert_eq!(e.dim(), 3);
 /// assert_eq!(e.row(1), &[0.0, 2.0, 0.0]);
@@ -51,23 +51,6 @@ impl Embeddings {
         }
         let norms = data.chunks_exact(dim).map(crate::distance::norm).collect();
         Ok(Embeddings { dim, data: data.into(), norms })
-    }
-
-    /// Creates embeddings from row slices.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if rows disagree in length or contain non-finite
-    /// values.
-    pub fn from_rows(dim: usize, rows: &[&[f32]]) -> Result<Self, KnnError> {
-        let mut data = Vec::with_capacity(rows.len() * dim);
-        for row in rows {
-            if row.len() != dim {
-                return Err(KnnError::DimensionMismatch { expected: dim, got: row.len() });
-            }
-            data.extend_from_slice(row);
-        }
-        Self::from_flat(dim, data)
     }
 
     /// Number of vectors.
@@ -114,16 +97,6 @@ impl Embeddings {
     pub fn as_flat(&self) -> &[f32] {
         &self.data
     }
-
-    /// Cosine similarity between rows `i` and `j` (0 when either is a zero
-    /// vector).
-    pub fn cosine(&self, i: usize, j: usize) -> f32 {
-        let denom = self.norms[i] * self.norms[j];
-        if denom <= f32::MIN_POSITIVE {
-            return 0.0;
-        }
-        crate::distance::dot(self.row(i), self.row(j)) / denom
-    }
 }
 
 #[cfg(test)]
@@ -131,27 +104,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_rows_and_accessors() {
-        let e = Embeddings::from_rows(2, &[&[3.0, 4.0], &[1.0, 0.0]]).unwrap();
+    fn from_flat_and_accessors() {
+        let e = Embeddings::from_flat(2, vec![3.0, 4.0, 1.0, 0.0]).unwrap();
         assert_eq!(e.len(), 2);
         assert_eq!(e.dim(), 2);
         assert_eq!(e.row(0), &[3.0, 4.0]);
         assert!((e.norms()[0] - 5.0).abs() < 1e-6);
         assert_eq!(e.iter().count(), 2);
         assert_eq!(e.as_flat(), &[3.0, 4.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn cosine_between_rows() {
-        let e = Embeddings::from_rows(2, &[&[1.0, 0.0], &[0.0, 1.0], &[2.0, 0.0]]).unwrap();
-        assert!((e.cosine(0, 1)).abs() < 1e-6);
-        assert!((e.cosine(0, 2) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn zero_vectors_have_zero_cosine() {
-        let e = Embeddings::from_rows(2, &[&[0.0, 0.0], &[1.0, 0.0]]).unwrap();
-        assert_eq!(e.cosine(0, 1), 0.0);
     }
 
     #[test]
@@ -162,10 +122,6 @@ mod tests {
             Err(KnnError::DimensionMismatch { .. })
         ));
         assert!(matches!(
-            Embeddings::from_rows(2, &[&[1.0, 2.0], &[1.0]]),
-            Err(KnnError::DimensionMismatch { .. })
-        ));
-        assert!(matches!(
             Embeddings::from_flat(1, vec![f32::NAN]),
             Err(KnnError::NonFiniteValue { row: 0 })
         ));
@@ -173,7 +129,7 @@ mod tests {
 
     #[test]
     fn clones_share_the_buffers() {
-        let e = Embeddings::from_rows(2, &[&[3.0, 4.0], &[1.0, 0.0]]).unwrap();
+        let e = Embeddings::from_flat(2, vec![3.0, 4.0, 1.0, 0.0]).unwrap();
         let c = e.clone();
         assert_eq!(c, e);
         assert_eq!(c.as_flat().as_ptr(), e.as_flat().as_ptr());

@@ -142,7 +142,7 @@ fn shrink_to_center(data: &Embeddings, sample: &[usize], center: usize, dist_sq:
 /// use submod_knn::{kmeans, Embeddings};
 ///
 /// # fn main() -> Result<(), submod_knn::KnnError> {
-/// let data = Embeddings::from_rows(1, &[&[0.0], &[0.1], &[10.0], &[10.1]])?;
+/// let data = Embeddings::from_flat(1, vec![0.0, 0.1, 10.0, 10.1])?;
 /// let model = kmeans(&data, 2, 10, 42)?;
 /// // The two tight pairs end up in distinct clusters.
 /// assert_ne!(model.assignments()[0], model.assignments()[2]);

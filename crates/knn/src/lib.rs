@@ -27,9 +27,7 @@
 //!
 //! # fn main() -> Result<(), submod_knn::KnnError> {
 //! // Four points in 2-D: two tight pairs.
-//! let embeddings = Embeddings::from_rows(2, &[
-//!     &[1.0, 0.0], &[0.99, 0.01], &[0.0, 1.0], &[0.01, 0.99],
-//! ])?;
+//! let embeddings = Embeddings::from_flat(2, vec![1.0, 0.0, 0.99, 0.01, 0.0, 1.0, 0.01, 0.99])?;
 //! let graph = build_knn_graph(&embeddings, 1, &KnnBackend::Exact, 0)?;
 //! assert_eq!(graph.num_nodes(), 4);
 //! assert!(graph.is_symmetric());

@@ -58,7 +58,7 @@ pub enum FaultSite {
 }
 
 /// Number of instrumented sites.
-pub const FAULT_SITES: usize = 7;
+const FAULT_SITES: usize = 7;
 
 impl FaultSite {
     /// Stable human-readable name (used in injected error messages).
@@ -280,7 +280,7 @@ fn injected_error(site: FaultSite, transient: bool, n: u64) -> io::Error {
 /// Transient injections set the per-thread suppression bit, so the
 /// caller's immediate retry succeeds. Permanent injections poison the
 /// site: every later call fails too (a disk that died stays dead).
-pub fn inject_io(site: FaultSite) -> Option<io::Error> {
+fn inject_io(site: FaultSite) -> Option<io::Error> {
     match mode_byte() {
         1 => {
             // transient-io

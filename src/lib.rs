@@ -60,13 +60,12 @@ pub use submod_obs;
 /// One-stop imports for the common workflow.
 pub mod prelude {
     pub use submod_core::{
-        greedy_select, lazy_greedy_select, naive_greedy_select, stochastic_greedy_select,
-        threshold_greedy_select, CoreError, GraphBuilder, NodeId, NodeSet, PairwiseObjective,
-        ScoreNormalizer, Selection, SimilarityGraph,
+        greedy_select, naive_greedy_select, CoreError, GraphBuilder, NodeId, NodeSet,
+        PairwiseObjective, ScoreNormalizer, Selection, SimilarityGraph,
     };
     pub use submod_data::{
-        build_instance, center_utilities, ClusteredDataset, CoarseClassifier, DataError,
-        DatasetConfig, PerturbedDataset, SelectionInstance,
+        build_instance, ClusteredDataset, CoarseClassifier, DataError, DatasetConfig,
+        PerturbedDataset, SelectionInstance,
     };
     pub use submod_dataflow::{DataflowError, MemoryBudget, PCollection, Pipeline};
     pub use submod_dist::{
