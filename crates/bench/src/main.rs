@@ -36,8 +36,8 @@
 //!                EXEC_NUM_THREADS or the available cores; results are
 //!                identical at any value — only wall-clock changes)
 //!
-//! With `SUBMOD_TRACE=spans` (see the README's Observability
-//! section) every experiment exports a chrome-trace to
+//! With `SUBMOD_TRACE=spans` (see `submod_obs`'s crate docs) every
+//! experiment exports a chrome-trace to
 //! `OUT/trace.json` and the metrics registry to `OUT/metrics.json` on
 //! exit. A failed artifact write exits 2 naming the path.
 //! ```

@@ -77,19 +77,6 @@ impl PartialEq for SimilarityGraph {
 }
 
 impl SimilarityGraph {
-    /// Creates a graph with `num_nodes` nodes and no edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_nodes` exceeds the `u32` neighbor id space.
-    pub fn empty(num_nodes: usize) -> Self {
-        assert!(
-            num_nodes as u64 <= u64::from(u32::MAX),
-            "num_nodes {num_nodes} exceeds the u32 neighbor id space"
-        );
-        Self::from_built_parts(vec![0; num_nodes + 1], Vec::new(), Vec::new(), true)
-    }
-
     /// A graph over `backing` whose symmetry is not known yet.
     fn from_backing(backing: Backing) -> Self {
         SimilarityGraph { backing, symmetric: OnceLock::new() }
@@ -208,7 +195,7 @@ impl SimilarityGraph {
     /// Returns `true` if every edge `(v, w)` has a matching `(w, v)` with the
     /// same weight.
     ///
-    /// [`Self::symmetrized`], [`Self::empty`] and builders fed only
+    /// [`Self::symmetrized`] and builders fed only
     /// [`GraphBuilder::add_undirected`] are symmetric by construction and
     /// answer at once; any other graph is checked on the first call and
     /// remembers the answer.
@@ -696,7 +683,8 @@ mod tests {
         }
         let directed = directed.build();
         assert!(!checked(&directed).is_symmetric());
-        for g in [undirected.build(), directed.symmetrized(), SimilarityGraph::empty(3), diamond()]
+        for g in
+            [undirected.build(), directed.symmetrized(), GraphBuilder::new(3).build(), diamond()]
         {
             assert!(g.is_symmetric());
             assert!(checked(&g).is_symmetric());
@@ -737,8 +725,8 @@ mod tests {
             let closed = directed.symmetrized_in_stripes(min_stripe_edges);
             assert_eq!(closed.csr_parts(), reference.csr_parts(), "floor {min_stripe_edges}");
         }
-        assert_eq!(SimilarityGraph::empty(0).symmetrized().num_nodes(), 0);
-        assert_eq!(SimilarityGraph::empty(3).symmetrized(), SimilarityGraph::empty(3));
+        assert_eq!(GraphBuilder::new(0).build().symmetrized().num_nodes(), 0);
+        assert_eq!(GraphBuilder::new(3).build().symmetrized(), GraphBuilder::new(3).build());
     }
 
     #[test]
@@ -792,7 +780,7 @@ mod tests {
 
     #[test]
     fn empty_graph_behaves() {
-        let g = SimilarityGraph::empty(5);
+        let g = GraphBuilder::new(5).build();
         assert_eq!(g.num_nodes(), 5);
         assert_eq!(g.degree(NodeId::new(4)), 0);
         assert_eq!(g.min_degree(), 0);
@@ -853,7 +841,7 @@ mod tests {
 
     #[test]
     fn empty_graph_store_roundtrip() {
-        let g = SimilarityGraph::empty(3);
+        let g = GraphBuilder::new(3).build();
         let path = temp_store("empty");
         g.write_store(&path).unwrap();
         let mapped = SimilarityGraph::open_store(&path).unwrap();

@@ -234,14 +234,14 @@ mod tests {
         // Submodularity ⇒ greedy marginal gains never increase.
         let (graph, obj) = random_instance(50, 3, 0.9, 11);
         let sel = greedy_select(&graph, &obj, 25).unwrap();
-        for pair in sel.gains().windows(2) {
+        for pair in sel.gains.windows(2) {
             assert!(pair[1] <= pair[0] + 1e-9, "gains must be non-increasing: {pair:?}");
         }
     }
 
     #[test]
     fn isolated_points_selected_by_utility_order() {
-        let graph = SimilarityGraph::empty(5);
+        let graph = GraphBuilder::new(5).build();
         let obj = PairwiseObjective::from_alpha(0.9, vec![0.1, 0.5, 0.3, 0.9, 0.7]).unwrap();
         let sel = greedy_select(&graph, &obj, 3).unwrap();
         let ids: Vec<u64> = sel.selected().iter().map(|n| n.raw()).collect();

@@ -28,11 +28,6 @@ impl ScoreNormalizer {
         ScoreNormalizer { centralized, worst }
     }
 
-    /// The raw centralized-greedy score (the 100 % anchor).
-    pub fn centralized(&self) -> f64 {
-        self.centralized
-    }
-
     /// The raw worst observed score (the 0 % anchor).
     pub fn worst(&self) -> f64 {
         self.worst
@@ -61,7 +56,6 @@ mod tests {
         assert_eq!(n.normalize(4.0), 0.0);
         assert_eq!(n.normalize(10.0), 100.0);
         assert!((n.normalize(7.0) - 50.0).abs() < 1e-9);
-        assert_eq!(n.centralized(), 10.0);
         assert_eq!(n.worst(), 4.0);
     }
 

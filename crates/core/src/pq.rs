@@ -81,16 +81,6 @@ impl AddressablePq {
         (v as usize) < self.pos.len() && self.pos[v as usize] != NOT_IN_HEAP
     }
 
-    /// Current priority of node `v`, whether or not it is still enqueued.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` was never part of the queue.
-    #[inline]
-    pub fn priority(&self, v: u32) -> f64 {
-        self.prio[v as usize]
-    }
-
     /// Removes and returns the element with the largest priority (smallest
     /// index on ties).
     pub fn pop_max(&mut self) -> Option<(u32, f64)> {
@@ -193,7 +183,7 @@ mod tests {
         let mut pq = AddressablePq::with_priorities(vec![5.0, 4.0, 3.0]);
         pq.decrease_by(0, 3.5);
         pq.check_invariants();
-        assert_eq!(pq.priority(0), 1.5);
+        assert_eq!(pq.prio[0], 1.5);
         assert_eq!(pq.pop_max(), Some((1, 4.0)));
     }
 
@@ -202,7 +192,7 @@ mod tests {
         let mut pq = AddressablePq::with_priorities(vec![5.0, 4.0]);
         assert_eq!(pq.pop_max(), Some((0, 5.0)));
         pq.decrease_by(0, 1.0); // popped: only the stored priority changes
-        assert_eq!(pq.priority(0), 4.0);
+        assert_eq!(pq.prio[0], 4.0);
         assert_eq!(pq.pop_max(), Some((1, 4.0)));
     }
 

@@ -15,10 +15,12 @@ use crate::NodeId;
 /// assert_eq!(sel.objective_value(), 2.0);
 /// assert_eq!(sel.selected()[0], NodeId::new(2));
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Selection {
     selected: Vec<NodeId>,
-    gains: Vec<f64>,
+    /// Marginal gain realized at each selection step (may be empty when
+    /// the producing algorithm does not track per-step gains).
+    pub(crate) gains: Vec<f64>,
     objective_value: f64,
 }
 
@@ -36,22 +38,10 @@ impl Selection {
         Selection { selected, gains, objective_value }
     }
 
-    /// An empty selection with objective value 0.
-    pub fn empty() -> Self {
-        Selection { selected: Vec::new(), gains: Vec::new(), objective_value: 0.0 }
-    }
-
     /// Selected node ids in selection order.
     #[inline]
     pub fn selected(&self) -> &[NodeId] {
         &self.selected
-    }
-
-    /// Marginal gain realized at each selection step (may be empty when the
-    /// producing algorithm does not track per-step gains).
-    #[inline]
-    pub fn gains(&self) -> &[f64] {
-        &self.gains
     }
 
     /// Final objective value `f(S)` as accounted by the producing algorithm.
@@ -73,12 +63,6 @@ impl Selection {
     }
 }
 
-impl Default for Selection {
-    fn default() -> Self {
-        Selection::empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,18 +75,17 @@ mod tests {
     fn accessors_return_parts() {
         let sel = Selection::new(ids(&[5, 3]), vec![2.0, 1.0], 3.0);
         assert_eq!(sel.selected(), &ids(&[5, 3])[..]);
-        assert_eq!(sel.gains(), &[2.0, 1.0]);
+        assert_eq!(sel.gains, [2.0, 1.0]);
         assert_eq!(sel.objective_value(), 3.0);
         assert!(!sel.is_empty());
     }
 
     #[test]
     fn empty_selection() {
-        let sel = Selection::empty();
+        let sel = Selection::default();
         assert!(sel.is_empty());
         assert_eq!(sel.len(), 0);
         assert_eq!(sel.objective_value(), 0.0);
-        assert_eq!(Selection::default(), sel);
     }
 
     #[test]

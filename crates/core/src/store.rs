@@ -1,13 +1,16 @@
 //! The on-disk CSR graph store: a compact binary format plus a read-only
 //! `mmap` loader.
 //!
-//! The paper's headline claim is *larger-than-memory* selection; after the
-//! drivers went engine-resident the k-NN graph itself was the last
-//! process-resident piece. This module makes the ground set disk-resident:
-//! the symmetrized, parallel-edge-deduplicated CSR adjacency is written
-//! once and then memory-mapped read-only, so the OS pages rows in on
-//! demand, many concurrent selections share one immutable mapping, and the
-//! expensive graph build amortizes to zero across runs.
+//! The paper's headline claim is *larger-than-memory* selection, and the
+//! drivers keep their state in the engine; this module takes the k-NN
+//! graph itself off the heap. The symmetrized, parallel-edge-deduplicated
+//! CSR adjacency is written once and then memory-mapped read-only
+//! (through `submod_mman`, the only crate allowed `unsafe`), so the OS
+//! pages rows in and out under memory pressure like any file cache, and
+//! clones share one mapping. A graph is mapped only when it is opened
+//! from a store with
+//! [`SimilarityGraph::open_store`](crate::SimilarityGraph::open_store);
+//! its [`heap_bytes`](crate::SimilarityGraph::heap_bytes) is then 0.
 //!
 //! # Binary layout (version 1, little-endian)
 //!
@@ -31,8 +34,27 @@
 //! Every section starts at a file offset aligned to its element size
 //! (the header is 64 bytes and `mmap` regions are page-aligned), so the
 //! loader reinterprets the mapping in place — *zero-copy* — after a single
-//! validation sweep. Validation is exhaustive and typed: a malformed store
-//! surfaces as a [`GraphError`], never as UB or a panic.
+//! validation sweep. Validation is exhaustive and typed: magic, version,
+//! unknown flags, reserved bytes, the exact file length (with
+//! overflow-checked arithmetic), the payload checksum, section alignment
+//! and full CSR well-formedness are checked before `open_store` returns,
+//! and a malformed store surfaces as a [`GraphError`] (a bad header as
+//! [`GraphError::Header`]), never as UB or a panic.
+//! `tests/store_corruption.rs` drives truncations, bit flips in every
+//! section and an exhaustive single-byte corruption of a whole file. The
+//! sweep reads the file once, sequentially, so the mapping is paged in
+//! when `open_store` returns. A failed mapping degrades to an owned read
+//! (counted in `store.mmap_open_fallbacks`), never silently.
+//!
+//! A mapped graph is byte-for-byte the owned adjacency, so every
+//! selection is **bitwise identical** over owned and mapped backings:
+//! the facade's `tests/invariance.rs` pins it in its mapped rows, and
+//! `submod_dist`'s `tests/store_differential.rs` round-trips every graph
+//! shape the builders make and compares offsets, ids and weight bits.
+//! `experiments ltm` runs its selections on a graph reopened from a
+//! temporary store and asserts that the graph's bytes exceed the RSS
+//! growth of the metered selections, which they could not if the
+//! adjacency were on the heap.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};

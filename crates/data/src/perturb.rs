@@ -95,11 +95,6 @@ impl PerturbedDataset {
         self.base_embeddings.len()
     }
 
-    /// The expansion factor.
-    pub fn factor(&self) -> u64 {
-        self.factor
-    }
-
     /// Base point index of virtual point `i`.
     #[inline]
     fn base_of(&self, i: u64) -> u64 {
@@ -423,7 +418,6 @@ mod tests {
         let p = perturbed(100);
         assert_eq!(p.total_points(), 200 * 100);
         assert_eq!(p.base_len(), 200);
-        assert_eq!(p.factor(), 100);
         assert_eq!(p.base_of(250), 2);
         assert_eq!(p.variant_of(250), 50);
     }

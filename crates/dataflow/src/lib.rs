@@ -35,6 +35,38 @@
 //! is **bitwise-identical at any thread count** (`EXEC_NUM_THREADS`
 //! selects the pool size).
 //!
+//! # One executor, fused and lazy
+//!
+//! `map`, `filter` and `flat_map` return at once, as a deferred operator
+//! chained onto the source's fused unit. The chain runs as one pass over
+//! each shard (one closure per record, no intermediate `Vec` per stage)
+//! the first time a barrier needs the data: `collect`, `count`,
+//! [`PCollection::materialize`], a shuffle or an aggregation. Executing
+//! swaps the unit's chain for its output shards, so a chain never re-runs
+//! and **an executed stage releases its input**: its closures and every
+//! upstream unit they held are dropped, and a chain built on it starts
+//! over its shards. A loop that keeps deriving a table from the last
+//! executed one therefore holds one table, not its history, whatever the
+//! number of steps.
+//!
+//! `materialize()` is the explicit barrier: when it returns, every output
+//! shard exists in memory or as a spill file. A table read more than once
+//! (bounding's per-pass bound table, greedy's per-phase scored pool) ends
+//! in one, so it is derived once. A fused closure owns its captures
+//! (`'static`); what it needs from the driver it takes as a shared
+//! handle: a side input, an `Arc`, or the graph and objective themselves,
+//! which keep their arrays behind an `Arc` and clone in O(1).
+//! [`PipelineMetrics::stages_fused`] counts the stages that rode along a
+//! fused pass, and `tests/proptests.rs` checks that random fused chains
+//! give the same records, bit for bit and in order, as the same chain
+//! with a `materialize()` after every operator and as a plain iterator
+//! chain.
+//!
+//! Every spill file, from any operator and of any record type, has the
+//! one block layout of the `spill` module. The in-memory `kth_largest` is
+//! a single quickselect under `total_cmp`, which orders exactly like the
+//! spilled path's ordered-bits bisection, so both return the same bits.
+//!
 //! # Example
 //!
 //! ```

@@ -180,7 +180,8 @@ where
         records.extend(run.into_records()?);
     }
     records.sort_by(|a, b| a.0.cmp(&b.0));
-    emit_sorted_groups(records.into_iter(), sink)
+    let mut records = records.into_iter();
+    emit_sorted_groups(|| Ok(records.next()), sink)
 }
 
 /// Groups a bucket larger than the worker budget with a sort-merge over
@@ -223,43 +224,35 @@ where
         }
     }
 
-    let mut current: Option<(K, Vec<V>)> = None;
-    while let Some(Reverse((key, idx))) = heap.pop() {
-        let cursor = &mut cursors[idx];
-        let (k, v) = cursor.head.take().expect("heap entries have a head record");
-        debug_assert!(k == key);
-        cursor.head = cursor.reader.next_record()?;
-        if let Some((nk, _)) = &cursor.head {
-            heap.push(Reverse((nk.clone(), idx)));
-        }
-        match &mut current {
-            Some((ck, values)) if *ck == k => values.push(v),
-            _ => {
-                if let Some(done) = current.take() {
-                    sink.push(done)?;
-                }
-                current = Some((k, vec![v]));
+    emit_sorted_groups(
+        || {
+            let Some(Reverse((key, idx))) = heap.pop() else { return Ok(None) };
+            let cursor = &mut cursors[idx];
+            let record = cursor.head.take().expect("heap entries have a head record");
+            debug_assert!(record.0 == key);
+            cursor.head = cursor.reader.next_record()?;
+            if let Some((next, _)) = &cursor.head {
+                heap.push(Reverse((next.clone(), idx)));
             }
-        }
-    }
-    if let Some(done) = current {
-        sink.push(done)?;
-    }
-    Ok(())
+            Ok(Some(record))
+        },
+        sink,
+    )
 }
 
-/// Emits `(key, group)` pairs from a key-sorted record stream.
-fn emit_sorted_groups<K, V, I>(
-    records: I,
+/// Emits `(key, group)` pairs from a key-sorted record stream, pulled
+/// from `next` until it yields `None`: the in-memory sort and the
+/// external k-way merge both end here.
+fn emit_sorted_groups<K, V>(
+    mut next: impl FnMut() -> Result<Option<(K, V)>, DataflowError>,
     sink: &mut ShardSink<'_, (K, Vec<V>)>,
 ) -> Result<(), DataflowError>
 where
     K: Record + Ord + Hash + Eq,
     V: Record,
-    I: Iterator<Item = (K, V)>,
 {
     let mut current: Option<(K, Vec<V>)> = None;
-    for (k, v) in records {
+    while let Some((k, v)) = next()? {
         match &mut current {
             Some((ck, values)) if *ck == k => values.push(v),
             _ => {

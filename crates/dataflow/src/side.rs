@@ -79,11 +79,6 @@ impl BroadcastSet {
         (self.words[idx / 64] >> (idx % 64)) & 1 == 1
     }
 
-    /// The size of the universe the set was built over.
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
     /// Bytes replicated to each worker for this set.
     fn broadcast_bytes(&self) -> u64 {
         (self.words.len() * size_of::<u64>()) as u64
@@ -179,7 +174,6 @@ mod tests {
         for id in [1u64, 62, 65, 98, 100, 1000] {
             assert!(!set.contains(id), "{id} should not be a member");
         }
-        assert_eq!(set.universe(), 100);
         assert_eq!(set.broadcast_bytes(), 16);
     }
 

@@ -18,15 +18,9 @@
 //! - [`InMemoryGreedyBackend`] keys the pool into per-machine local
 //!   shards and [`AddressablePq`]s on the driver — the `O(pool)` baseline.
 //! - [`DataflowGreedyBackend`] keeps the scored pool inside the engine as
-//!   a `(machine, (node, priority))` collection. When every partition
-//!   fits one worker (computed per round from the pipeline's budget) the
-//!   phase is **partition-resident**: one `group_by_key`, then each
-//!   worker pops its machines' shards to completion and only the winner
-//!   rows reach the driver. Otherwise the phase is **batched**: each
-//!   τ-certified batch of winners costs one engine scan of a table that
-//!   stays materialized, the winners riding to workers in a hashed
-//!   [`Overlay`] that a rewrite folds into the table once it outgrows the
-//!   budget.
+//!   a `(machine, (node, priority))` collection and runs each phase
+//!   partition-resident or, when a partition does not fit a worker,
+//!   batched through an [`Overlay`] (the crate docs give both rules).
 //!
 //! Both backends run the same arithmetic in the same order — priorities
 //! seed from the utility, every decrease is the single subtraction

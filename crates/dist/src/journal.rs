@@ -15,10 +15,15 @@
 //! carries a configuration fingerprint; resuming against a journal
 //! written by a different configuration is refused rather than spliced.
 //!
-//! The fingerprint deliberately excludes the driver kind and the
-//! dataflow winner-batch width: both drivers select identical subsets by
-//! construction, so a run may crash under one driver and resume under
-//! the other.
+//! The fingerprint covers everything that determines the subset (n, k,
+//! seed, rounds, machines, schedule, ground-set hash, bounding mode) and
+//! deliberately excludes the driver kind and the dataflow winner-batch
+//! width: both drivers select identical subsets by construction, so a
+//! run may crash under one driver and resume under the other. The crash
+//! suite pins the run header's algorithm tags and fingerprints, so
+//! journals written by earlier builds keep resuming. The two greedy entry points
+//! still return `(report, stats)`, though the stats also ride on the
+//! report, because the repo benchmark's adapter destructures the tuple.
 
 use crate::config::BoundingMode;
 use crate::{

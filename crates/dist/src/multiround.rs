@@ -14,16 +14,8 @@
 //! balances binomially, not exactly) — the §2 systems contrast with
 //! GreeDi's `m·k`-point merge.
 //!
-//! Both drivers run the identical round loop over a shared backend
-//! (`MachineGreedyBackend`, the greedy counterpart of bounding's
-//! `PassBackend`): the in-memory driver holds per-machine priority
-//! queues (`O(pool)` driver bytes per round), while
-//! [`distributed_greedy_dataflow`] keeps the scored pool inside the
-//! engine — one grouped, partition-resident pass per round when every
-//! partition fits a worker, τ-batched passes when not — and the driver
-//! only ever collects winner rows plus the Δ-schedule bookkeeping. Their
-//! selections are **bitwise identical** at any thread count — the
-//! cross-driver differential suite pins this.
+//! Both drivers run this one round loop over a shared backend
+//! (`MachineGreedyBackend`); the crate docs give what each driver holds.
 //!
 //! With [`DistGreedyConfig::adaptive`] the partition count drops as the
 //! pool shrinks, so machines stay full and late rounds approach the

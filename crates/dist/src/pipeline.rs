@@ -27,16 +27,6 @@ impl PipelineConfig {
     pub fn greedy_only(greedy: DistGreedyConfig) -> Self {
         PipelineConfig { bounding: None, greedy }
     }
-
-    /// The bounding configuration, if any.
-    pub fn bounding(&self) -> Option<&BoundingConfig> {
-        self.bounding.as_ref()
-    }
-
-    /// The greedy configuration.
-    pub fn greedy(&self) -> &DistGreedyConfig {
-        &self.greedy
-    }
 }
 
 /// The result of a full pipeline run.
@@ -276,15 +266,6 @@ mod tests {
         let via_select =
             select_subset(&graph, &objective, 8, &PipelineConfig::greedy_only(greedy)).unwrap();
         assert_eq!(via_complete.selection.selected(), via_select.selection.selected());
-    }
-
-    #[test]
-    fn accessors_expose_parts() {
-        let greedy = DistGreedyConfig::new(2, 1).unwrap();
-        let config = PipelineConfig::with_bounding(BoundingConfig::exact(), greedy.clone());
-        assert!(config.bounding().is_some());
-        assert_eq!(config.greedy(), &greedy);
-        assert!(PipelineConfig::greedy_only(greedy).bounding().is_none());
     }
 
     #[test]

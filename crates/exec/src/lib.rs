@@ -32,7 +32,10 @@
 //! `src/workers.rs`. A panicking chunk exhausts the cursor, so no
 //! further chunk starts, and the first captured payload is re-raised on
 //! the caller's thread once every helper has detached
-//! ([`std::panic::resume_unwind`]).
+//! ([`std::panic::resume_unwind`]). Pinned by `tests/persistent.rs`
+//! (steady-state entries spawn no thread), `tests/pool.rs`'s
+//! `idle_workers_*` (idle helpers park) and `tests/stress.rs` (chunk
+//! panics race helper attach).
 //!
 //! A [`parallel_map`] called from inside a chunk runs inline on the
 //! calling worker, so nesting composes without thread explosion and
@@ -45,8 +48,12 @@
 //! the slots in chunk order, regardless of which worker executed what
 //! and when. Floating-point reductions built on the
 //! pool therefore produce **bitwise-identical** results at any thread
-//! count — the property the distributed-vs-centralized equivalence tests
-//! assert at 1, 2, and 8 threads.
+//! count. Shuffle runs are sequence-tagged and machine outputs merge in
+//! partition order on top of it, so no floating-point sum or tie-break
+//! in the workspace depends on scheduling. The facade's
+//! `tests/invariance.rs` runs every selection path at 1, 2 and 8
+//! threads, and `crates/dataflow/tests/determinism.rs` the engine
+//! operators no selection path reaches.
 //!
 //! ## Sizing the pool
 //!

@@ -45,6 +45,22 @@
 //! 3. A checksum-*valid* record that does not decode (unknown kind,
 //!    short payload) is **not** a torn tail — it is a format
 //!    incompatibility and surfaces as a typed error.
+//!
+//! A record is *committed* only once [`Journal::sync`] has fsynced it,
+//! so a crash mid-append costs at most the in-flight record (the
+//! `journal.torn_bytes` counter holds what replay cut off).
+//! [`Journal::append`] refuses a payload longer than [`MAX_RECORD_LEN`]
+//! before writing a byte, because replay would read such a frame as torn
+//! and drop it together with every record after it. Journal I/O gates
+//! through `submod_obs::faults::check_io`, so injected transient faults
+//! are retried like every other I/O site's.
+//!
+//! `submod_dist`'s journaled entry points write the records; its
+//! `tests/crash_matrix.rs` truncates a finished journal at every frame
+//! boundary, tears its tail and aborts a real subprocess under
+//! `SUBMOD_FAULTS=crash-round-2`, and asserts that every resume
+//! reproduces the uncrashed selection and stats bit for bit, on both
+//! drivers and over owned and mapped graphs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

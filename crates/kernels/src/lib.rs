@@ -18,9 +18,13 @@
 //! sequentially. Multiplication and addition of `f32` are IEEE-exact, so
 //! the scalar and SIMD paths return **bitwise-identical** results for any
 //! input (including denormals, infinities, and misaligned slices). The
-//! property tests in `tests/identity.rs` pin this, and CI runs the kernel
-//! and k-NN suites under both `SUBMOD_KERNELS=scalar` and the default
-//! dispatch.
+//! property tests in `tests/identity.rs` pin this over lengths 0–257,
+//! and every tile result against the single-pair kernels for dimensions
+//! 0–67, every query count and row remainder. CI runs the kernel and k-NN
+//! suites in release, where the intrinsics are inlined as shipped, under
+//! both `SUBMOD_KERNELS=scalar` and the default dispatch. No selection
+//! path calls a kernel, so the dispatch is not an axis of the facade's
+//! invariance harness.
 //!
 //! ## One tile micro-kernel per backend
 //!
@@ -41,7 +45,9 @@
 //! single-pair kernels. Top-k selection is
 //! offer-order-independent ([`TopK`] keeps the k best under a strict
 //! total order on `(score, id)`), so a batch primitive may visit rows in
-//! whatever order tiles best and still return what a one-query scan does.
+//! whatever order tiles best (a short last tile repeats its final row
+//! instead of taking a second code path) and still return what a
+//! one-query scan does.
 //!
 //! ## Dispatch policy
 //!
@@ -52,8 +58,10 @@
 //! - `auto`, unset, or any other value — detect at runtime: AVX2 when the
 //!   CPU reports it, scalar otherwise (and on every non-`x86_64` target).
 //!
-//! [`backend`] reports the resolved choice; [`Backend::name`] is what the
-//! README and bench output print.
+//! [`backend`] reports the resolved choice, at the cost of one atomic
+//! load per call, so two calls in one process never disagree.
+//! [`Backend::name`] is what the `kernels.backend` info entry of
+//! `submod_obs` and the bench output print.
 //!
 //! ## Layout conventions
 //!

@@ -4,10 +4,8 @@ use crate::{Embeddings, KnnError, NearestNeighbors, Neighbor};
 ///
 /// O(n·d) per query; the reference backend for recall measurements and the
 /// default for small datasets (CIFAR-100-scale) where exactness is cheap.
-/// Single queries and [`NearestNeighbors::search_batch`] blocks both run
-/// on the `submod_kernels` batch scan, so batched results are
-/// bitwise-identical to one-at-a-time searches — the batch merely streams
-/// the row matrix once per query block.
+/// Every search is one `submod_kernels::batch_top_k` scan, which
+/// streams the row matrix once per query block.
 ///
 /// ```
 /// use submod_knn::{Embeddings, ExactKnn, NearestNeighbors};
@@ -58,25 +56,6 @@ impl ExactKnn {
 }
 
 impl NearestNeighbors for ExactKnn {
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        top_k_by_cosine(&self.data, query, k, u32::MAX)
-    }
-
-    fn search_excluding(&self, query: &[f32], k: usize, exclude: u32) -> Vec<Neighbor> {
-        top_k_by_cosine(&self.data, query, k, exclude)
-    }
-
-    fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
-        submod_kernels::batch_top_k(
-            &self.flatten_queries(queries),
-            self.data.as_flat(),
-            self.data.norms(),
-            self.data.dim(),
-            k,
-            &[],
-        )
-    }
-
     fn search_batch_excluding(
         &self,
         queries: &[&[f32]],
@@ -93,22 +72,6 @@ impl NearestNeighbors for ExactKnn {
             excludes,
         )
     }
-}
-
-/// Scans every row, keeping the `k` most similar (excluding `exclude`).
-/// Deterministic: ties break toward the smaller index. This is the batch
-/// kernel invoked with a single query, so one-at-a-time and batched
-/// searches cannot drift apart.
-pub(crate) fn top_k_by_cosine(
-    data: &Embeddings,
-    query: &[f32],
-    k: usize,
-    exclude: u32,
-) -> Vec<Neighbor> {
-    assert_eq!(query.len(), data.dim(), "query dimension mismatch");
-    submod_kernels::batch_top_k(query, data.as_flat(), data.norms(), data.dim(), k, &[exclude])
-        .pop()
-        .unwrap_or_default()
 }
 
 /// Ranks an explicit candidate list (each id at most once) by cosine

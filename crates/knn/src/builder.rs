@@ -29,13 +29,10 @@ pub enum KnnBackend {
 /// backend. Profiled, not guessed: `cargo run --release -p submod-bench
 /// --bin knn-crossover` measures exact vs IVF (at `auto`'s own
 /// parameters, `nlist = √n`, `nprobe = 8`) build times over a geometric
-/// size ladder. On the reference runner IVF breaks even between 1 000
-/// and 2 000 points, is 1.2–1.5× faster from 2 000 to 8 000 and ≥ 3×
-/// from 16 000 up (the O(n²·d) brute-force gap) — re-profiled after the
-/// tile-kernel build made both backends 1.6–2× faster, which left the
-/// break-even where it was (table in the README). The crossover sits at
-/// the last size where exact's reference-grade graph costs at most a few
-/// milliseconds extra.
+/// size ladder. On a 2-vCPU x86_64 runner IVF breaks even between 1 000
+/// and 2 000 points and pulls ahead from there (the O(n²·d) brute-force
+/// gap). The crossover sits at the last size where exact's
+/// reference-grade graph costs at most a few milliseconds extra.
 pub const AUTO_EXACT_MAX_POINTS: usize = 2_000;
 
 impl KnnBackend {

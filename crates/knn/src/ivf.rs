@@ -25,9 +25,9 @@ const MAX_HOME_BLOCK: usize = 256;
 /// per-cell copy and no extra resident byte — with every query owning its
 /// own top-k tracker. A tracker's kept set does not depend on the order
 /// rows are offered in, and each tile result is bitwise the single-pair
-/// kernel's, so the batch returns exactly what a loop of
-/// [`NearestNeighbors::search_excluding`] calls would: same ids, same
-/// order, same similarity bits. Blocks whose queries share a home cell
+/// kernel's, so the batch returns exactly what the one-query widening
+/// loop returns for each query: same ids, same order, same similarity
+/// bits. Blocks whose queries share a home cell
 /// (what the graph build issues, see `home_cell_blocks`) also
 /// share most probed cells, which is what makes the groups large and the
 /// work cache-resident.
@@ -100,13 +100,8 @@ impl IvfIndex {
     }
 
     /// Number of inverted lists.
-    pub fn nlist(&self) -> usize {
+    fn nlist(&self) -> usize {
         self.lists.len()
-    }
-
-    /// Cells probed per query.
-    pub fn nprobe(&self) -> usize {
-        self.nprobe
     }
 
     /// Every indexed point exactly once, in blocks that share a home
@@ -152,18 +147,6 @@ impl IvfIndex {
 }
 
 impl NearestNeighbors for IvfIndex {
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_excluding(query, k, u32::MAX)
-    }
-
-    fn search_excluding(&self, query: &[f32], k: usize, exclude: u32) -> Vec<Neighbor> {
-        self.search_widening(query, k, exclude, self.nprobe)
-    }
-
-    fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
-        self.search_batch_excluding(queries, k, &vec![u32::MAX; queries.len()])
-    }
-
     fn search_batch_excluding(
         &self,
         queries: &[&[f32]],
@@ -211,6 +194,7 @@ impl NearestNeighbors for IvfIndex {
 mod tests {
     use super::*;
     use crate::ExactKnn;
+    use proptest::strategy::Strategy;
     use rand::{Rng, SeedableRng};
 
     fn clustered(n_clusters: usize, per_cluster: usize, dim: usize, seed: u64) -> Embeddings {
@@ -274,7 +258,66 @@ mod tests {
         let batched = ivf.search_batch_excluding(&queries, 12, &ids);
         for (v, hits) in batched.iter().enumerate() {
             assert!(hits.len() > 3, "query {v} kept {} hits: it never widened", hits.len());
-            assert_eq!(hits, &ivf.search_excluding(queries[v], 12, v as u32), "query {v}");
+            assert_eq!(
+                hits,
+                &ivf.search_widening(queries[v], 12, v as u32, ivf.nprobe),
+                "query {v}"
+            );
+        }
+    }
+
+    /// Ids and similarity bits of a result list.
+    fn bits(hits: &[Neighbor]) -> Vec<(u32, u32)> {
+        hits.iter().map(|&(id, sim)| (id, sim.to_bits())).collect()
+    }
+
+    /// Every list of `search_batch_excluding` over `block` equals, bit for
+    /// bit, what `search_widening` from `nprobe` probes returns for that
+    /// query alone — the gather-kernel loop, which shares neither the
+    /// cell grouping nor the tiled scoring with the batch. Checked with
+    /// each query excluding its own id and with nothing excluded.
+    fn assert_batch_equals_widening(ivf: &IvfIndex, block: &[u32], k: usize) {
+        let queries: Vec<&[f32]> = block.iter().map(|&v| ivf.data.row(v as usize)).collect();
+        let none = vec![u32::MAX; block.len()];
+        for excludes in [block, &none[..]] {
+            let batched = ivf.search_batch_excluding(&queries, k, excludes);
+            assert_eq!(batched.len(), block.len());
+            for (slot, (q, &e)) in queries.iter().zip(excludes).enumerate() {
+                let want = ivf.search_widening(q, k, e, ivf.nprobe);
+                assert_eq!(
+                    bits(&batched[slot]),
+                    bits(&want),
+                    "point {} at block slot {slot}, exclude {e}",
+                    block[slot]
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// The tiled batch equals the one-query widening loop for random
+        /// blocks with repeated queries and for the home-cell blocks the
+        /// graph build issues, with `nprobe` below, at and above `nlist`,
+        /// and with `k` from 1 to far more than the probed cells hold
+        /// (which sends queries through the widening fallback mid-batch).
+        #[test]
+        fn batch_equals_the_widening_loop(
+            flat in (2usize..=120).prop_flat_map(|n| proptest::collection::vec(-1.0f32..1.0, n * 5)),
+            nlist in 1usize..10,
+            nprobe in 1usize..12,
+            k in 1usize..40,
+            picks in proptest::collection::vec(0usize..120, 1..50),
+            seed in 0u64..64,
+        ) {
+            let data = Embeddings::from_flat(5, flat).unwrap();
+            let ivf = IvfIndex::build(data.clone(), nlist.min(data.len()), nprobe, seed).unwrap();
+            let random: Vec<u32> = picks.iter().map(|&p| (p % data.len()) as u32).collect();
+            assert_batch_equals_widening(&ivf, &random, k);
+            for home in ivf.home_cell_blocks() {
+                assert_batch_equals_widening(&ivf, &home, k);
+            }
         }
     }
 

@@ -31,7 +31,11 @@ fn bits(hits: &[Neighbor]) -> Vec<(u32, u32)> {
 /// The IVF batch contract on one block of indexed points: the
 /// cell-blocked `search_batch_excluding` (and `search_batch`) must return,
 /// per query, exactly what one `search_excluding` (`search`) call does —
-/// same ids, same order, same similarity bits.
+/// same ids, same order, same similarity bits. The one-query calls are
+/// the same batch path on a block of one, so this pins that a result does
+/// not depend on the block it rides in; the independent reference (the
+/// private gather-kernel widening loop) is `ivf.rs`'s
+/// `batch_equals_the_widening_loop`.
 fn assert_ivf_batch_equals_loop(index: &IvfIndex, block: &[u32], k: usize) {
     let data = index.embeddings();
     let queries: Vec<&[f32]> = block.iter().map(|&v| data.row(v as usize)).collect();
@@ -51,7 +55,7 @@ fn assert_ivf_batch_equals_loop(index: &IvfIndex, block: &[u32], k: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The cell-blocked IVF batch path equals the one-query loop for
+    /// The cell-blocked IVF batch path equals batches of one for
     /// random blocks with duplicate queries, for the home-cell blocks the
     /// graph build issues, with `nprobe` below, at and above `nlist`, and
     /// with `k` from 1 to far more than the probed cells hold (which
@@ -108,18 +112,22 @@ proptest! {
         }
     }
 
-    /// The heap-based exact search returns exactly the naive reference.
+    /// The heap-based exact search returns exactly the naive reference,
+    /// one query at a time and as one batch of every point.
     #[test]
     fn exact_search_matches_naive(data in arb_embeddings(40, 4), k in 1usize..10) {
         let index = ExactKnn::build(data.clone()).unwrap();
+        let ids = |hits: Vec<Neighbor>| -> Vec<u32> { hits.into_iter().map(|(i, _)| i).collect() };
         for q in 0..data.len().min(5) {
-            let ours: Vec<u32> = index
-                .search_excluding(data.row(q), k, q as u32)
-                .into_iter()
-                .map(|(i, _)| i)
-                .collect();
+            let ours = ids(index.search_excluding(data.row(q), k, q as u32));
             let reference = naive_top_k(&data, data.row(q), k, q as u32);
             prop_assert_eq!(&ours, &reference, "query {}", q);
+        }
+        let queries: Vec<&[f32]> = (0..data.len()).map(|q| data.row(q)).collect();
+        let excludes: Vec<u32> = (0..data.len() as u32).collect();
+        for (q, hits) in index.search_batch_excluding(&queries, k, &excludes).into_iter().enumerate() {
+            let reference = naive_top_k(&data, data.row(q), k, q as u32);
+            prop_assert_eq!(&ids(hits), &reference, "batched query {}", q);
         }
     }
 
@@ -182,6 +190,10 @@ proptest! {
 /// builds: below the crossover (exact) and above it (IVF), a
 /// `search_batch` / `search_batch_excluding` call must return the same
 /// ids **and the same similarity bits** as one-query-at-a-time calls.
+/// Those calls are the batch path on a block of one, so this checks
+/// independence from the block, not the ranking itself; the rankings'
+/// references are `exact_search_matches_naive` and `ivf.rs`'s
+/// `batch_equals_the_widening_loop`.
 #[test]
 fn auto_backend_batch_equals_single_query_searches() {
     use submod_knn::{IvfIndex, KnnBackend, AUTO_EXACT_MAX_POINTS};

@@ -11,7 +11,8 @@
 //!
 //! # Knob
 //!
-//! `SUBMOD_FAULTS=<mode>[:<seed>[:<rate>]]`, parsed once per process:
+//! `SUBMOD_FAULTS=<mode>[:<seed>[:<rate>]]` (seed `0xFA17` and rate
+//! `0.02` by default), parsed once per process:
 //!
 //! | mode            | behaviour                                                        |
 //! |-----------------|------------------------------------------------------------------|
@@ -29,8 +30,17 @@
 //!
 //! Injected errors are ordinary [`std::io::Error`]s carrying the
 //! [`INJECTED_MARKER`] in their message. Every I/O site gates its real
-//! operation with [`check_io`], the one retry loop: it retries injected
-//! transient faults and surfaces everything else.
+//! operation with [`check_io`], the one retry loop (4 attempts): it
+//! retries injected transient faults to the **fault-free answer** and
+//! surfaces everything else. Permanent faults become the layer's typed
+//! error, never a panic, with the marker kept in the error chain;
+//! `mmap-open` drives the store's owned-read fallback; RAII guards keep
+//! an aborted run from leaking partial spill files. The `faults.injected`
+//! and `faults.retries` counters make every injection and retry visible.
+//! The facade's `tests/invariance.rs` runs `transient-io` at rate 1 in
+//! some rows, so spill, store and journal I/O is retried throughout and
+//! must select the same bits as the fault-free rows, and
+//! `submod_dist`'s `tests/fault_injection.rs` pins all six modes.
 
 use std::cell::Cell;
 use std::io;

@@ -15,13 +15,106 @@
 //! Any other value means `off`.
 //!
 //! The gate is a *branch on a static*: one relaxed atomic load and a
-//! compare, so the `off` path costs near-zero (the repo benchmark's
-//! `obs.trace_overhead_frac` measures it).
-//! The metrics registry itself is always live — it is the single source
-//! of truth behind `BoundingStats`/`GreedyStats` mirrors and the
-//! driver-memory tables of `experiments ltm`, which must work without
-//! any env knob — but every recording site sits at *flush* granularity
-//! (once per shard / pass / block), never per record.
+//! compare, so the `off` path costs near-zero. The repo benchmark's
+//! `obs.trace_overhead_frac` times the same selection under both modes in
+//! one process; it is reported, not gated, because on a 2-vCPU runner it
+//! swings more from run to run than a few-percent gate could tell apart.
+//! A span site opens once per call, pass, stage or block, never per
+//! record.
+//!
+//! # Metrics
+//!
+//! The registry is always live. A counter costs one relaxed atomic add,
+//! and every recording site sits at *flush* granularity (once per pass,
+//! spill file, batch call or block), never per record or row. The
+//! registry is the source of truth behind the `BoundingStats` and
+//! `GreedyStats` mirrors and the driver-memory figures `experiments ltm`
+//! prints. [`snapshot`] returns sorted maps, [`metrics_json`] serializes
+//! them and [`reset_metrics`] zeroes them between measured phases.
+//! Identity facts are not tallies: a [`set_info`] entry (today
+//! `kernels.backend`, set once at dispatch) survives every reset and
+//! rides in every export, so a file says what its numbers were measured
+//! on. Names are dot-separated by layer. Every name the library
+//! registers has a row here, and the facade's `tests/repo_lints.rs`
+//! fails on a name without a row or a row without a name:
+//!
+//! | Metric | Kind | Unit | Meaning |
+//! |---|---|---|---|
+//! | `bounding.dirty_nodes` | counter | nodes | undecided nodes the in-memory driver re-derived |
+//! | `bounding.edges_walked` | counter | entries | adjacency entries walked to find and re-derive them |
+//! | `bounding.pass_candidates` | histogram | points | candidates one bounding pass collected on the driver |
+//! | `bounding.passes` | counter | passes | bounding passes run |
+//! | `bounding.peak_candidates` | gauge | points | largest per-pass candidate collection |
+//! | `bounding.peak_pass_bytes` | gauge | bytes | largest per-pass driver allocation |
+//! | `bounding.peak_state_bytes` | gauge | bytes | largest persistent driver state |
+//! | `dataflow.broadcast.bytes` | counter | bytes | bytes replicated to workers as side inputs |
+//! | `dataflow.combiner_flushes` | counter | flushes | partial aggregates the keyed combiner flushed under the budget |
+//! | `dataflow.external_merges` | counter | buckets | shuffle buckets grouped by external sort-merge |
+//! | `dataflow.fused_stage_ops` | histogram | operators | operators chained in one executed fused stage |
+//! | `dataflow.records_processed` | counter | records | records entering executed fused stages |
+//! | `dataflow.records_shuffled` | counter | records | records moved by shuffles |
+//! | `dataflow.spill.bytes_read` | counter | bytes | spill bytes streamed back |
+//! | `dataflow.spill.bytes_written` | counter | bytes | spill bytes written |
+//! | `dataflow.spill.file_bytes` | histogram | bytes | size of each spill file |
+//! | `dataflow.spill.files` | counter | files | spill files written |
+//! | `dataflow.stages_fused` | counter | stages | fused stages executed |
+//! | `dataflow.worker_bytes_peak` | gauge | bytes | peak bytes one worker held, mirrored when pipeline metrics are read |
+//! | `exec.region_entries` | counter | regions | parallel regions entered |
+//! | `exec.region_entry_nanos` | counter | ns | time spent entering regions |
+//! | `exec.region_spawns` | counter | threads | OS threads spawned by region entry (0 at steady state) |
+//! | `faults.injected` | counter | faults | injected faults: I/O errors and the one panic |
+//! | `faults.retries` | counter | retries | attempts `faults::check_io` made after an injected transient fault |
+//! | `greedy.batch_scans` | counter | scans | engine scans of the batched greedy path |
+//! | `greedy.bytes_broadcast` | gauge | bytes | largest bytes one greedy run broadcast |
+//! | `greedy.edges_local` | counter | entries | adjacency entries the local shards keep |
+//! | `greedy.edges_walked` | counter | entries | global adjacency entries read to build local shards |
+//! | `greedy.overlay_bytes_peak` | gauge | bytes | largest winner overlay |
+//! | `greedy.overlay_rewrites` | counter | rewrites | overlays folded into the scored table |
+//! | `greedy.partition_footprint_peak` | gauge | bytes | largest partition footprint the fit check saw |
+//! | `greedy.peak_round_bytes` | gauge | bytes | largest per-round driver collection |
+//! | `greedy.peak_state_bytes` | gauge | bytes | largest persistent driver state |
+//! | `greedy.peak_step_winners` | gauge | winners | largest winner collection of one step |
+//! | `greedy.phases_batched` | counter | phases | phases run on the batched path |
+//! | `greedy.phases_resident` | counter | phases | phases run partition-resident |
+//! | `greedy.rounds` | counter | rounds | multi-round greedy rounds run |
+//! | `greedy.scan_bytes_peak` | gauge | bytes | largest batch scan shipped to the driver |
+//! | `greedy.steps` | counter | steps | greedy steps (one pop per machine that had one) |
+//! | `greedy.winners_collected` | counter | rows | winner rows collected on the driver |
+//! | `journal.bytes_written` | counter | bytes | framed bytes appended |
+//! | `journal.records_replayed` | counter | records | records replay returned |
+//! | `journal.records_written` | counter | records | records appended |
+//! | `journal.syncs` | counter | fsyncs | commit points |
+//! | `journal.torn_bytes` | counter | bytes | torn tail cut off by replay |
+//! | `kernels.batch_top_k.calls` | counter | calls | dense batch top-k scans |
+//! | `kernels.batch_top_k.row_scans` | counter | pairs | (query, row) pairs those scans scored |
+//! | `kernels.gather_top_k.calls` | counter | calls | gathered-row top-k scans (IVF cells, widening) |
+//! | `kernels.gather_top_k.candidates` | counter | pairs | (query, candidate) pairs those scans scored |
+//! | `knn.build.points` | counter | points | points of the k-NN graphs built |
+//! | `knn.search.blocks` | counter | blocks | query blocks of the graph builds |
+//! | `knn.search.queries` | counter | queries | queries in those blocks |
+//! | `mman.mapped_bytes` | counter | bytes | bytes mapped read-only |
+//! | `mman.maps` | counter | mappings | files mapped |
+//! | `mman.owned_bytes` | counter | bytes | bytes read into owned buffers instead |
+//! | `mman.owned_reads` | counter | reads | files read into owned buffers |
+//! | `process.rss_baseline_kib` | gauge | KiB | RSS at the last `mark_rss_baseline` |
+//! | `process.rss_kib` | gauge | KiB | RSS at the last sample |
+//! | `process.rss_peak_kib` | gauge | KiB | largest RSS sampled since the baseline |
+//! | `store.mapped_bytes` | counter | bytes | graph-store bytes opened, mapped or read |
+//! | `store.mmap_open_fallbacks` | counter | opens | store opens whose mapping failed and fell back to an owned read |
+//! | `store.opens` | counter | opens | graph-store files opened and validated |
+//! | `store.writes` | counter | files | graph-store files written |
+//! | `store.written_bytes` | counter | bytes | graph-store bytes written |
+//!
+//! # Exporters
+//!
+//! Any `experiments` run with `SUBMOD_TRACE=spans` writes
+//! `OUT/trace.json` (Chrome Trace Event Format: drop it into
+//! <https://ui.perfetto.dev> or `chrome://tracing`) and
+//! `OUT/metrics.json` on exit. `experiments profile` forces `spans` and
+//! prints each phase's wall clock next to the registry's highlights. It
+//! prints no per-span totals, since inclusive time counts nested and
+//! parallel spans more than once; the repo benchmark's exclusive
+//! per-layer ledger is the account of where time went.
 //!
 //! # Determinism
 //!
@@ -31,8 +124,10 @@
 //! Snapshots iterate a `BTreeMap`, so export order is the metric-name
 //! order — deterministic by construction. Spans only *time* work; no
 //! control flow ever reads a span or a metric, so selections are
-//! bitwise-identical in both modes (the facade's invariance harness
-//! pins this).
+//! bitwise-identical in both modes. The facade's invariance harness pins
+//! this, and asserts that tracing recorded nested spans, a
+//! `dataflow.fused_stage` span and, over a mapped graph, `store.write`
+//! and `store.open`.
 //!
 //! # Span nesting across pool workers
 //!

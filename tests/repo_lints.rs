@@ -1,14 +1,18 @@
-//! Repository lints. Two tie the code to its documentation: the env vars
-//! the library reads are exactly the README's knob table, and the free
+//! Repository lints. Four tie the code to its documentation: the env
+//! vars the library reads are exactly the README's knob table, the free
 //! functions of `submod_dist` are exactly the README's entry-point block,
-//! so a knob or a driver function cannot land or go without its README
-//! row. One keeps the splitmix64 finalizer written out once. One keeps
-//! the public surface minimal: every `pub` item of `crates/*/src` has a
-//! non-test caller in another file, or a reason on a short allowlist.
+//! every metric the library registers has a row in `submod_obs`'s
+//! metrics table, and rustdoc (private items included) gives no warning,
+//! so a knob, a driver function, a metric or a doc link cannot land or
+//! go without its documentation. One keeps the splitmix64 finalizer
+//! written out once. One keeps the public surface minimal: every `pub`
+//! item of `crates/*/src` has a non-test caller in another file, or a
+//! reason on a short allowlist.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 fn repo() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -177,10 +181,16 @@ struct Scan {
     /// Names of the `pub fn|struct|enum|trait|const|type|static` items
     /// (methods in `impl` blocks included; `pub(crate)` and fields not).
     declared: Vec<String>,
+    /// The declared names that are methods: an indented `pub fn` or
+    /// `pub const fn`.
+    methods: BTreeSet<String>,
     /// Every identifier of the code, outside `//` comments, string and
     /// char literals and `use` statements; a name the file binds with
     /// `let` only where a `.` or `::` comes right before it.
     named: BTreeSet<String>,
+    /// The names of `named` that the code calls as a method or a path
+    /// item: written `.name(`, `.name::<` or `::name`.
+    called: BTreeSet<String>,
     /// Every identifier of the signatures of the file's `pub` items and
     /// `pub` fields, each signature without the name it declares.
     in_signatures: BTreeSet<String>,
@@ -189,9 +199,16 @@ struct Scan {
 /// The part of `source` above its first column-0 `#[cfg(test)]`, with
 /// `//` comments and the contents of string and char literals removed.
 fn non_test_code(source: &str) -> String {
+    code_and_strings(source).0
+}
+
+/// [`non_test_code`], plus each string literal it removed: the offset in
+/// the code of the one space that stands for it, and its text.
+fn code_and_strings(source: &str) -> (String, Vec<(usize, String)>) {
     let above = source.lines().take_while(|line| !line.starts_with("#[cfg(test)]"));
     let text = above.collect::<Vec<_>>().join("\n");
     let mut code = String::with_capacity(text.len());
+    let mut strings = Vec::new();
     let mut chars = text.chars().peekable();
     while let Some(c) = chars.next() {
         match c {
@@ -199,17 +216,20 @@ fn non_test_code(source: &str) -> String {
                 while chars.next_if(|&next| next != '\n').is_some() {}
             }
             '"' => {
+                let (at, mut literal) = (code.len(), String::new());
                 code.push(' ');
                 while let Some(inner) = chars.next() {
                     match inner {
                         '\\' => {
-                            chars.next();
+                            literal.push(inner);
+                            literal.extend(chars.next());
                         }
                         '"' => break,
                         '\n' => code.push('\n'),
-                        _ => {}
+                        _ => literal.push(inner),
                     }
                 }
+                strings.push((at, literal));
             }
             // A char literal (`'x'`, `'\''`, `'\u{1F600}'`) goes; a
             // lifetime (`'a`) stays.
@@ -229,7 +249,7 @@ fn non_test_code(source: &str) -> String {
             _ => code.push(c),
         }
     }
-    code
+    (code, strings)
 }
 
 fn identifiers(text: &str) -> impl Iterator<Item = &str> {
@@ -291,14 +311,18 @@ fn scan(source: &str) -> Scan {
         }
         // A name the file binds with `let` is its local there, unless a
         // `.` or `::` comes right before it, where no local can stand.
-        out.named.extend(
-            identifiers(line)
-                .filter(|word| {
-                    let before = &line[..word.as_ptr() as usize - line.as_ptr() as usize];
-                    !locals.contains(word) || before.trim_end().ends_with(['.', ':'])
-                })
-                .map(str::to_string),
-        );
+        for word in identifiers(line) {
+            let at = word.as_ptr() as usize - line.as_ptr() as usize;
+            let (before, after) = (&line[..at], &line[at + word.len()..]);
+            if !locals.contains(word) || before.trim_end().ends_with(['.', ':']) {
+                out.named.insert(word.to_string());
+            }
+            let method_call =
+                before.ends_with('.') && (after.starts_with('(') || after.starts_with("::<"));
+            if method_call || before.ends_with("::") {
+                out.called.insert(word.to_string());
+            }
+        }
         let Some((name, item)) = pub_declaration(line) else { continue };
         // An item's signature runs to its first `{` or `;`, over as many
         // lines as it takes; a field's is its line.
@@ -317,6 +341,10 @@ fn scan(source: &str) -> Scan {
             .extend(identifiers(&signature).filter(|w| *w != name).map(str::to_string));
         if item {
             out.declared.push(name.to_string());
+            let fn_line = trimmed.starts_with("pub fn ") || trimmed.starts_with("pub const fn ");
+            if fn_line && line.starts_with(char::is_whitespace) {
+                out.methods.insert(name.to_string());
+            }
         }
     }
     out
@@ -329,26 +357,35 @@ const UNCALLED_ALLOWED: &[(&str, &str, &str)] = &[
     ("crates/core/src/graph.rs", "add_directed", "builds the store suites' asymmetric graphs"),
     ("crates/core/src/graph.rs", "num_directed_edges", "the differential suite sizes by it"),
     ("crates/core/src/normalize.rs", "worst", "the 0 % anchor the end-to-end suite checks"),
-    ("crates/dist/src/config.rs", "DEFAULT_WINNER_BATCH", "the README's default batch width"),
+    ("crates/dist/src/config.rs", "DEFAULT_WINNER_BATCH", "submod_dist's docs name the default B"),
     ("crates/dist/src/theorem.rs", "holds", "Theorem 4.6's check: the bound's test oracle"),
     ("crates/dist/src/journal.rs", "distributed_greedy_journaled", "README entry-point block"),
     ("crates/dist/src/journal.rs", "select_subset_journaled", "README entry-point block"),
-    ("crates/exec/src/threads.rs", "with_threads", "in-process thread-count seam (README)"),
-    ("crates/journal/src/lib.rs", "MAX_RECORD_LEN", "the README's journal format table"),
-    ("crates/knn/src/kmeans.rs", "inertia", "the README's k-means determinism contract"),
-    ("crates/knn/src/kmeans.rs", "iterations_run", "the README's k-means determinism contract"),
-    ("crates/obs/src/faults.rs", "override_plan", "in-process fault-plan seam (README)"),
+    ("crates/exec/src/threads.rs", "with_threads", "thread-count seam (submod_exec's docs)"),
+    ("crates/journal/src/lib.rs", "MAX_RECORD_LEN", "submod_journal's frame-format table"),
+    ("crates/knn/src/kmeans.rs", "inertia", "submod_knn's k-means determinism contract"),
+    ("crates/knn/src/kmeans.rs", "iterations_run", "submod_knn's k-means determinism contract"),
+    ("crates/obs/src/faults.rs", "override_plan", "fault-plan seam (submod_obs::faults docs)"),
     ("crates/obs/src/faults.rs", "INJECTED_MARKER", "fault tests find injected errors by it"),
+    ("crates/obs/src/faults.rs", "off", "fault tests restore the inert plan by it"),
+    ("crates/obs/src/lib.rs", "counts", "the concurrency suite reads bucket counts by it"),
+    ("crates/knn/src/kmeans.rs", "centroids", "graph_fingerprint.rs hashes the centroids by it"),
+    ("crates/dist/src/config.rs", "machines", "the differential suite labels its cases by it"),
+    ("crates/dist/src/config.rs", "rounds", "the differential suite labels its cases by it"),
+    ("crates/data/src/perturb.rs", "embedding", "a virtual point's vector; proptests pin it"),
 ];
 
 /// Every `pub` item declared in the non-test part of `crates/*/src` is
 /// named by the non-test code of another file (`crates/*/src`, `src/`,
 /// `examples/`, the benchmark's `src/`), or by the signature of another
 /// `pub` item or field of its own file, or is on `UNCALLED_ALLOWED`.
-/// Integration tests, `//` comments, string literals, `use` statements
-/// (re-exports included) and a file's own `let`-bound locals are not
-/// callers (see `scan_follows_the_lint_rules`). Names match as whole
-/// words, so a common name can pass by accident: the lint is a floor.
+/// A method (an indented `pub fn`) counts as named only where that code
+/// calls it: `.name(`, `.name::<` or `::name`, so a field, local or
+/// variant of the same name is no caller. Integration tests, `//`
+/// comments, string literals, `use` statements (re-exports included) and
+/// a file's own `let`-bound locals are not callers (see
+/// `scan_follows_the_lint_rules`). Other names match as whole words, so
+/// a common name can pass by accident: the lint is a floor.
 #[test]
 fn every_pub_item_has_a_caller() {
     let mut callers = library_sources();
@@ -361,26 +398,34 @@ fn every_pub_item_has_a_caller() {
             (path.display().to_string(), scan(&read_file(file)))
         })
         .collect();
-    let named_elsewhere = |file: &str, name: &str| {
-        scans.iter().any(|(other, scan)| other != file && scan.named.contains(name))
+    let named_elsewhere = |file: &str, name: &str, method: bool| {
+        scans.iter().any(|(other, scan)| {
+            other != file && if method { &scan.called } else { &scan.named }.contains(name)
+        })
     };
 
     let mut failures = Vec::new();
     let mut declared = BTreeSet::new();
     for (file, scan) in scans.iter().filter(|(file, _)| file.starts_with("crates/")) {
         for name in &scan.declared {
-            declared.insert((file.as_str(), name.as_str()));
+            let method = scan.methods.contains(name);
+            declared.insert((file.as_str(), name.as_str(), method));
             let allowed = UNCALLED_ALLOWED.iter().any(|&(f, n, _)| (f, n) == (file, name));
-            let called = named_elsewhere(file, name) || scan.in_signatures.contains(name);
+            let called =
+                named_elsewhere(file, name, method) || !method && scan.in_signatures.contains(name);
             if !called && !allowed {
-                failures.push(format!("{file}: `{name}` is named by no other non-test file"));
+                let how = if method { "calls" } else { "names" };
+                failures.push(format!("{file}: no other non-test file {how} `{name}`"));
             }
         }
     }
     for &(file, name, _) in UNCALLED_ALLOWED {
-        if !declared.contains(&(file, name)) {
+        let Some(&(_, _, method)) = declared.iter().find(|&&(f, n, _)| (f, n) == (file, name))
+        else {
             failures.push(format!("{file}: allowlisted `{name}` is no longer declared there"));
-        } else if named_elsewhere(file, name) {
+            continue;
+        };
+        if named_elsewhere(file, name, method) {
             failures.push(format!("{file}: allowlisted `{name}` now has a caller; drop the entry"));
         }
     }
@@ -395,7 +440,9 @@ fn every_pub_item_has_a_caller() {
 /// nothing; a `//` inside a string is not a comment; a `let`-bound local
 /// names nothing, unless after a `.` or `::`; a signature spans lines;
 /// `pub(crate)` items and fields are not declarations, but a `pub`
-/// field's type is in a signature.
+/// field's type is in a signature; an indented `pub fn` is a method, and
+/// only `.name(`, `.name::<` and `::name` call one, so a field that
+/// shares a method's name does not.
 #[test]
 fn scan_follows_the_lint_rules() {
     let fixture = r#"use crate::alpha::Alpha;
@@ -407,6 +454,13 @@ pub use crate::beta::{
 /// Epsilon too.
 pub struct Ret {
     pub field: Kappa,
+    pub rho: u32,
+}
+
+impl Ret {
+    pub fn rho(&self) -> u32 {
+        self.rho + Tau::upsilon()
+    }
 }
 
 pub(crate) fn hidden() {}
@@ -416,7 +470,7 @@ pub fn make(
 ) -> Ret {
     let mu = zeta(n, "a//b omicron") + lambda(); // eta
     let nu = mu.nu('\'');
-    nu + mu
+    nu + mu.sigma::<u8>()
 }
 
 #[cfg(test)]
@@ -427,14 +481,157 @@ mod tests {
 }
 "#;
     let scan = scan(fixture);
-    assert_eq!(scan.declared, ["Ret", "make"]);
+    assert_eq!(scan.declared, ["Ret", "rho", "make"]);
+    assert_eq!(scan.methods, BTreeSet::from(["rho".to_string()]));
     let probes = [
-        "Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Ret", "Kappa", "hidden", "make", "mu",
-        "zeta", "omicron", "lambda", "eta", "nu", "theta", "iota",
+        "Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Ret", "Kappa", "rho", "Tau", "upsilon",
+        "hidden", "make", "mu", "zeta", "omicron", "lambda", "eta", "nu", "sigma", "theta", "iota",
     ];
     let named: Vec<&str> = probes.into_iter().filter(|p| scan.named.contains(*p)).collect();
-    assert_eq!(named, ["Ret", "Kappa", "hidden", "make", "zeta", "lambda", "nu"]);
+    assert_eq!(
+        named,
+        [
+            "Ret", "Kappa", "rho", "Tau", "upsilon", "hidden", "make", "zeta", "lambda", "nu",
+            "sigma"
+        ]
+    );
+    let called: Vec<&str> = probes.into_iter().filter(|p| scan.called.contains(*p)).collect();
+    assert_eq!(called, ["upsilon", "nu", "sigma"]);
     let in_signatures: Vec<&str> =
         probes.into_iter().filter(|p| scan.in_signatures.contains(*p)).collect();
     assert_eq!(in_signatures, ["Ret", "Kappa"]);
+}
+
+/// The metric names `source`'s non-test code registers, with their kind:
+/// each string literal passed straight to `counter!`, `gauge!` or
+/// `histogram!`, or to the `counter`, `gauge` or `histogram` function.
+fn registered_metrics(source: &str) -> Vec<(String, &'static str)> {
+    let (code, strings) = code_and_strings(source);
+    let mut metrics = Vec::new();
+    for (at, literal) in strings {
+        let Some(call) = code[..at].trim_end().strip_suffix('(') else { continue };
+        let call = call.strip_suffix('!').unwrap_or(call);
+        for kind in ["counter", "gauge", "histogram"] {
+            let whole_word = call.strip_suffix(kind).is_some_and(|head| {
+                !head.ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
+            });
+            if whole_word {
+                metrics.push((literal.clone(), kind));
+            }
+        }
+    }
+    metrics
+}
+
+/// `(name, kind)` of each row of the metrics table in `submod_obs`'s
+/// crate docs (`//! | Metric | Kind | Unit | Meaning |`).
+fn documented_metrics(obs_lib: &str) -> Vec<(String, String)> {
+    let rows = obs_lib
+        .lines()
+        .skip_while(|line| *line != "//! | Metric | Kind | Unit | Meaning |")
+        .skip(2) // the header, then the separator
+        .take_while(|line| line.starts_with("//! |"));
+    rows.map(|row| {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        (cells[1].trim_matches('`').to_string(), cells[2].to_string())
+    })
+    .collect()
+}
+
+/// Every metric name registered in the non-test code of `crates/*/src`
+/// has a row of the same kind in `submod_obs`'s metrics table, and every
+/// row names a registered metric, once.
+#[test]
+fn every_metric_is_documented() {
+    // Every registration site counts, so a name registered as a counter
+    // in one file and a gauge in another fails against either row.
+    let mut registered: BTreeMap<String, Vec<(&str, String)>> = BTreeMap::new();
+    for file in library_sources() {
+        let path = file.strip_prefix(repo()).expect("under the repo").display().to_string();
+        for (name, kind) in registered_metrics(&read_file(&file)) {
+            registered.entry(name).or_default().push((kind, path.clone()));
+        }
+    }
+    let table = documented_metrics(&read_file(&repo().join("crates/obs/src/lib.rs")));
+
+    let mut failures = Vec::new();
+    let mut rows = BTreeMap::new();
+    for (name, kind) in &table {
+        if rows.insert(name.as_str(), kind.as_str()).is_some() {
+            failures.push(format!("metrics table: `{name}` has two rows"));
+        }
+        if !registered.contains_key(name) {
+            failures.push(format!("metrics table: row `{name}` names no registered metric"));
+        }
+    }
+    for (name, sites) in &registered {
+        for (kind, file) in sites {
+            match rows.get(name.as_str()) {
+                None => failures.push(format!("{file}: {kind} `{name}` has no metrics-table row")),
+                Some(row) if row != kind => {
+                    failures.push(format!("{file}: `{name}` is a {kind}, its row says {row}"))
+                }
+                Some(_) => {}
+            }
+        }
+    }
+    assert!(!registered.is_empty(), "found no metric registration in crates/*/src");
+    assert!(!table.is_empty(), "found no metrics table in crates/obs/src/lib.rs");
+    assert!(failures.is_empty(), "undocumented metrics:\n{}", failures.join("\n"));
+}
+
+/// Pins the rules `every_metric_is_documented` reads a file by: a literal
+/// name passed to one of the three macros or functions registers, even
+/// over a line break; a computed name, a lookalike function, a `//`
+/// comment, a doc example and everything below `#[cfg(test)]` do not.
+#[test]
+fn registered_metrics_follow_the_lint_rules() {
+    let fixture = r#"/// ```
+/// counter!("doc.example").incr();
+/// ```
+fn record() {
+    submod_obs::counter!("a.count").incr(); // counter!("b.comment")
+    gauge!(
+        "c.wrapped",
+    )
+    .set(1);
+    crate::histogram("d.function").record(2);
+    my_counter("e.lookalike");
+    counter!(name).incr();
+}
+
+#[cfg(test)]
+mod tests {
+    fn t() {
+        counter!("f.test").incr();
+    }
+}
+"#;
+    let found = registered_metrics(fixture);
+    let expected = [("a.count", "counter"), ("c.wrapped", "gauge"), ("d.function", "histogram")];
+    assert_eq!(found, expected.map(|(name, kind)| (name.to_string(), kind)));
+}
+
+/// `cargo doc` over the whole workspace, private items included, gives
+/// no warning: every intra-doc link resolves, so docs cannot name an item
+/// that was deleted or renamed. Its own target directory keeps it from
+/// waiting on, or evicting, the build that runs the tests.
+#[test]
+fn rustdoc_is_clean() {
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let args = ["doc", "--workspace", "--no-deps", "--document-private-items", "--offline"];
+    let output = Command::new(cargo)
+        .current_dir(repo())
+        .args(args)
+        .arg("--quiet")
+        .env("RUSTDOCFLAGS", "-D warnings")
+        .env("CARGO_TARGET_DIR", repo().join("target/doc-check"))
+        .output()
+        .expect("running cargo doc");
+    assert!(
+        output.status.success(),
+        "`cargo {}` with RUSTDOCFLAGS=-D warnings failed:\n{}",
+        args.join(" "),
+        String::from_utf8_lossy(&output.stderr)
+    );
 }
