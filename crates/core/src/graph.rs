@@ -186,7 +186,7 @@ impl SimilarityGraph {
     }
 
     /// Returns the weight of edge `(v, w)` if present.
-    pub fn edge_weight(&self, v: NodeId, w: NodeId) -> Option<f32> {
+    fn edge_weight(&self, v: NodeId, w: NodeId) -> Option<f32> {
         let target = u32::try_from(w.raw()).ok()?;
         let nbrs = self.neighbors(v);
         nbrs.binary_search(&target).ok().map(|pos| self.weights(v)[pos])

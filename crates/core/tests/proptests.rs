@@ -193,7 +193,8 @@ proptest! {
         for li in 0..sub.num_nodes() {
             for (lw, s) in sub.edges(NodeId::from_index(li)) {
                 let (gv, gw) = (nodes[li], nodes[lw.index()]);
-                prop_assert_eq!(graph.edge_weight(gv, gw), Some(s));
+                let global = graph.edges(gv).find(|&(w, _)| w == gw).map(|(_, s)| s);
+                prop_assert_eq!(global, Some(s));
             }
         }
     }

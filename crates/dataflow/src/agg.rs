@@ -248,23 +248,6 @@ where
     }
 }
 
-/// Returns `true` when the `challenger` `(id, score)` pair beats the
-/// `incumbent` under the engine's argmax order: larger score first,
-/// smaller id on score ties.
-///
-/// This is the one comparator of the distributed greedy: the batched
-/// dataflow replay picks each machine's next pop with it, and its order is
-/// the pop order of `submod_core`'s addressable queue that the in-memory
-/// and resident phases run, so every path resolves every tie identically.
-/// Scores compare with plain `>` / `==` — exactly the priority order of
-/// `submod_core`'s addressable queue — so `-0.0` and `+0.0` tie and fall
-/// through to the id. Scores must be NaN-free: a NaN never beats and is
-/// never beaten, which would make the winner depend on visit order.
-#[inline]
-pub fn argmax_prefers(incumbent: (u64, f64), challenger: (u64, f64)) -> bool {
-    challenger.1 > incumbent.1 || (challenger.1 == incumbent.1 && challenger.0 < incumbent.0)
-}
-
 /// In-memory twin of the aggregate-based `kth_largest` bisection: one
 /// validation scan over the contiguous `&[f64]` columns, then a single
 /// quickselect over a scratch copy. `total_cmp` order is exactly the
@@ -460,17 +443,6 @@ mod tests {
             .unwrap();
         out.sort_by_key(|(k, _)| *k);
         assert_eq!(out, vec![(1, vec![10, 20, 30]), (2, vec![5, 6])]);
-    }
-
-    #[test]
-    fn argmax_prefers_is_the_pq_order() {
-        assert!(argmax_prefers((1, 1.0), (9, 2.0)));
-        assert!(!argmax_prefers((1, 1.0), (9, 0.5)));
-        assert!(argmax_prefers((9, 1.0), (1, 1.0)));
-        assert!(!argmax_prefers((1, 1.0), (9, 1.0)));
-        // NaN neither beats nor is beaten.
-        assert!(!argmax_prefers((1, 1.0), (0, f64::NAN)));
-        assert!(!argmax_prefers((1, f64::NAN), (0, f64::NAN)));
     }
 
     #[test]

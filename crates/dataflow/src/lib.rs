@@ -14,8 +14,7 @@
 //!   budget-aware keyed combiner [`PCollection::aggregate_per_key`], and
 //!   aggregations including the
 //!   distributed [`PCollection::kth_largest`] selection that powers the
-//!   bounding thresholds, and [`argmax_prefers`], the one tie order of the
-//!   engine-resident distributed greedy.
+//!   bounding thresholds.
 //! - [`SideInput`] / [`BroadcastSet`] — broadcast side-inputs for small
 //!   driver-side values (solution sets, status bitsets), metered by
 //!   [`PipelineMetrics::bytes_broadcast`], and the deterministic sampling
@@ -103,7 +102,6 @@ mod shuffle;
 mod side;
 mod spill;
 
-pub use agg::argmax_prefers;
 pub use codec::Record;
 pub use error::DataflowError;
 pub use memory::{MemoryBudget, PipelineMetrics};

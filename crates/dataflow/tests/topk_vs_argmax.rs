@@ -1,18 +1,37 @@
-//! Pins the kernel `TopK` pop order to the dataflow argmax contract.
+//! Pins the kernel `TopK` pop order to the workspace's argmax contract.
 //!
-//! `submod_kernels::TopK` and [`submod_dataflow::argmax_prefers`] are two
+//! `submod_kernels::TopK` and [`argmax_prefers`] below are two
 //! implementations of one documented order — higher score first, score
 //! ties (including `-0.0` vs `+0.0`, which compare *equal*) toward the
 //! smaller id, NaN excluded at the boundary. The k-NN search paths rank
-//! with the heap while the distributed drivers rank with the argmax, so
-//! any divergence (a NaN swallowed as a tie, or a `total_cmp` that ranks
-//! `-0.0` below `+0.0`) silently breaks the cross-driver determinism
-//! contract. The proptest feeds both sides adversarial scores — signed
-//! zeros, exact duplicates, extremes — and demands identical output.
+//! with the heap, and the distributed drivers pop `submod_core`'s
+//! addressable queue, whose order this is, so any divergence (a NaN
+//! swallowed as a tie, or a `total_cmp` that ranks `-0.0` below `+0.0`)
+//! silently breaks the cross-driver determinism contract. The proptest
+//! feeds both sides adversarial scores — signed zeros, exact duplicates,
+//! extremes — and demands identical output.
 
 use proptest::prelude::*;
-use submod_dataflow::argmax_prefers;
 use submod_kernels::TopK;
+
+/// `true` when the `challenger` `(id, score)` pair beats the `incumbent`:
+/// larger score first, smaller id on score ties. Scores compare with plain
+/// `>` / `==`, so `-0.0` and `+0.0` tie and fall through to the id; a NaN
+/// never beats and is never beaten.
+fn argmax_prefers(incumbent: (u64, f64), challenger: (u64, f64)) -> bool {
+    challenger.1 > incumbent.1 || (challenger.1 == incumbent.1 && challenger.0 < incumbent.0)
+}
+
+#[test]
+fn argmax_prefers_is_the_pq_order() {
+    assert!(argmax_prefers((1, 1.0), (9, 2.0)));
+    assert!(!argmax_prefers((1, 1.0), (9, 0.5)));
+    assert!(argmax_prefers((9, 1.0), (1, 1.0)));
+    assert!(!argmax_prefers((1, 1.0), (9, 1.0)));
+    // NaN neither beats nor is beaten.
+    assert!(!argmax_prefers((1, 1.0), (0, f64::NAN)));
+    assert!(!argmax_prefers((1, f64::NAN), (0, f64::NAN)));
+}
 
 /// Reference top-k: repeated argmax over the remaining offers using
 /// `argmax_prefers` verbatim (`f32` scores widen to `f64` losslessly, so

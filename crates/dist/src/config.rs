@@ -149,9 +149,10 @@ pub struct DistGreedyConfig {
 }
 
 impl DistGreedyConfig {
-    /// The multi-winner batch width a new configuration starts with: the
-    /// dataflow driver's fallback when a partition does not fit one
-    /// worker (see [`DistGreedyConfig::winner_batch`]).
+    /// The batch width B a new configuration starts with: the dataflow
+    /// driver's fallback, when a partition does not fit one worker, ships
+    /// at least B rows per shard and scan and certifies at least the pops
+    /// ≥ the B-th largest (see [`DistGreedyConfig::winner_batch`]).
     pub const DEFAULT_WINNER_BATCH: usize = 64;
 
     /// `machines` partitions processed over `rounds` rounds.
@@ -211,11 +212,16 @@ impl DistGreedyConfig {
     /// pass, every machine's queue inside its worker) whenever the largest
     /// partition fits the pipeline's per-worker budget; that choice is
     /// computed per round and is not configurable. Only when a partition
-    /// does not fit does `batch` matter: each engine scan then certifies
-    /// up to `batch` winners against a threshold τ (invalidated pops fall
-    /// back to further scans), selecting the **identical** subset; the
-    /// winners reach the table through a worker-resident overlay that is
-    /// rewritten into it whenever it would outgrow the budget.
+    /// does not fit does `batch` matter: each shard of an engine scan then
+    /// ships at least its `batch` largest live rows, and the driver
+    /// certifies every pop at or above τ, the `batch`-th largest shipped
+    /// priority, then further pops down to the scan's proof floor while
+    /// their overlay events fit the worker budget (invalidated pops fall
+    /// back to further scans), selecting the **identical** subset. So
+    /// `batch` sets the rows shipped and the first threshold, not a cap
+    /// on a scan's winners. The winners reach the table through a
+    /// worker-resident overlay that is rewritten into it whenever it
+    /// would outgrow the budget.
     /// The default is [`DistGreedyConfig::DEFAULT_WINNER_BATCH`]; the
     /// smallest width is 1, and `0` is taken as 1. The in-memory driver
     /// ignores the setting — it already runs machines to completion.

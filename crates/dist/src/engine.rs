@@ -25,10 +25,9 @@
 //! Both backends run the same arithmetic in the same order — priorities
 //! seed from the utility, every decrease is the single subtraction
 //! `p − (β/α)·s(winner, v)` (the graph stores each edge once per
-//! direction, deduplicated), and ties resolve by the shared
-//! [`submod_dataflow::argmax_prefers`] order, which is also the
-//! addressable queue's pop order — so the drivers select **bitwise
-//! identical** subsets.
+//! direction, deduplicated), and every pop is the addressable queue's over
+//! a machine's rows ascending by id — larger priority first, smaller id on
+//! ties — so the drivers select **bitwise identical** subsets.
 
 use crate::DistError;
 use std::sync::Arc;
@@ -320,8 +319,7 @@ fn step_major(n: usize, sequences: &[Vec<u64>]) -> PhaseOutcome {
 /// The in-memory reference: buckets and per-machine priority queues live
 /// on the driver (`O(pool)` per phase — the baseline the engine-resident
 /// driver is measured against). Buckets are ascending by id, so the
-/// queue's smaller-local-index tie-break is the smaller-node-id
-/// tie-break of [`submod_dataflow::argmax_prefers`].
+/// queue's smaller-local-index tie-break is a smaller-node-id tie-break.
 pub(crate) struct InMemoryGreedyBackend<'a> {
     graph: &'a SimilarityGraph,
     objective: &'a PairwiseObjective,
@@ -409,7 +407,7 @@ impl MachineGreedyBackend for InMemoryGreedyBackend<'_> {
 ///   its machines' queues to completion — one shuffle and one parallel
 ///   map per round, the paper's §5 deployment;
 /// - **batched** ([`Self::phase_batched`]): the over-budget fallback, one
-///   engine scan per τ-certified batch of up to `winner_batch` winners.
+///   engine scan per batch of the pops its shipped rows certify.
 ///
 /// Both select exactly what the in-memory backend selects.
 pub(crate) struct DataflowGreedyBackend<'a> {
@@ -421,7 +419,8 @@ pub(crate) struct DataflowGreedyBackend<'a> {
     /// loop never counts the engine-resident collection).
     pool_len: usize,
     broadcast_base: u64,
-    /// Winners a batched scan certifies at most (at least 1).
+    /// Rows each shard of a batched scan ships at least, and the rank of
+    /// sweep 1's threshold τ (at least 1).
     winner_batch: usize,
 }
 
@@ -523,19 +522,22 @@ impl Overlay {
 }
 
 /// One engine scan of `table` through `overlay`: the live rows per
-/// machine, and every shard's rows ≥ (IEEE) its running floor — the
-/// `batch`-th largest of the rows it kept so far, re-derived at `limit`.
-/// A floor never exceeds its shard's final `batch`-th largest, nor that
-/// the global τ, so the shards reject rows on one comparison, like
-/// `TopK::offer`, and still ship every live row ≥ τ.
+/// machine, every shard's rows ≥ (IEEE) its running floor — the
+/// `batch`-th largest of the rows it kept so far, re-derived at `limit` —
+/// and the proof floor. A floor never exceeds its shard's final
+/// `batch`-th largest, nor that the global τ, so the shards reject rows on
+/// one comparison, like `TopK::offer`, and still ship every live row ≥ τ.
+/// A shard rejects only rows below its floor, which only rises, so no
+/// live row ≥ the proof floor, the largest final floor, stays behind; it
+/// is −∞ when every live row came back.
 fn scan(
     table: &PCollection<ScoredRow>,
     overlay: &Overlay,
     ratio: f64,
     batch: usize,
-) -> Result<(Vec<u64>, Vec<Candidate>), DistError> {
+) -> Result<(Vec<u64>, Vec<Candidate>, f64), DistError> {
     let init = (vec![0u64; overlay.done.len()], Vec::new(), f64::NEG_INFINITY, 2 * batch);
-    let (live, top, _, _) = table.aggregate(
+    let (live, top, floor, _) = table.aggregate(
         init,
         |(mut live, mut top, mut floor, mut limit), (machine, (v, p))| {
             if let Some(p) = overlay.correct(machine, v, p, ratio) {
@@ -550,19 +552,25 @@ fn scan(
             }
             (live, top, floor, limit)
         },
-        |(mut live, mut top, floor, limit), (more_live, more, _, _)| {
+        |(mut live, mut top, floor, limit), (more_live, more, more_floor, _)| {
             live.iter_mut().zip(more_live).for_each(|(a, b)| *a += b);
             top.extend(more);
-            (live, top, floor, limit)
+            (live, top, floor.max(more_floor), limit)
         },
     )?;
-    Ok((live, top))
+    let complete = top.len() as u64 == live.iter().sum::<u64>();
+    Ok((live, top, if complete { f64::NEG_INFINITY } else { floor }))
 }
 
-/// Keeps the rows ≥ (IEEE) the `k`-th largest priority and returns it,
-/// taken in `f64::total_cmp` order like `kth_largest`, bit for bit.
+/// The `k`-th largest priority of `rows` (which it reorders), taken in
+/// `f64::total_cmp` order like `kth_largest`, bit for bit.
+fn kth(rows: &mut [Candidate], k: usize) -> f64 {
+    rows.select_nth_unstable_by(k - 1, |a, b| b.2.total_cmp(&a.2)).1 .2
+}
+
+/// Keeps the rows ≥ (IEEE) the `k`-th largest priority and returns it.
 fn keep_top(rows: &mut Vec<Candidate>, k: usize) -> f64 {
-    let kth = rows.select_nth_unstable_by(k - 1, |a, b| b.2.total_cmp(&a.2)).1 .2;
+    let kth = kth(rows, k);
     rows.retain(|r| r.2 >= kth);
     kth
 }
@@ -665,23 +673,6 @@ impl<'a> DataflowGreedyBackend<'a> {
         Ok(step_major(n, &sequences))
     }
 
-    /// Ships certified winners to the workers' overlay: each leaves its
-    /// machine's pool and each of its same-machine neighbours loses
-    /// `(β/α)·s(winner, ·)`, in pop order (`winners` lists each machine's
-    /// pops in order), metered as the broadcast a worker receives.
-    fn events(&self, keying: &MachineKeying, winners: &[(u64, u64)]) -> SideInput<(u64, f32)> {
-        let mut events = Vec::new();
-        for &(machine, winner) in winners {
-            events.push((winner, LEAVES));
-            for (x, s) in self.graph.edges(NodeId::new(winner)) {
-                if keying.machine_of(x.raw()) == machine {
-                    events.push((x.raw(), s));
-                }
-            }
-        }
-        self.pipeline.broadcast(events)
-    }
-
     /// Adds shipped events and the machines now at quota to `overlay`,
     /// charging its resident size to the worker peak.
     fn record(&self, overlay: &mut Overlay, events: SideInput<(u64, f32)>, done: Vec<u64>) {
@@ -707,10 +698,16 @@ impl<'a> DataflowGreedyBackend<'a> {
         Ok(table.materialize()?)
     }
 
-    /// The batched pass: each engine [`scan`] ships every live row ≥ τ,
-    /// the batch-th largest live priority, and the driver replays each
-    /// machine's pops in the shared argmax order while they stay ≥ τ.
-    /// The certified winners reach the table through the [`Overlay`].
+    /// The batched pass: each engine [`scan`] ships every live row ≥ its
+    /// proof floor, and the driver replays each machine's shipped rows
+    /// from an [`AddressablePq`] in its pop order, certifying a
+    /// pop while its corrected priority stays ≥ the floor (every row left
+    /// in the engine started below it and only decreases). Sweep 1 pops the
+    /// rows ≥ τ, the batch-th largest shipped priority; sweep 2 goes on down
+    /// to the floor while the scan's overlay events fit a fresh [`Overlay`]
+    /// within the worker budget. Each winner's row is walked once, for its
+    /// events and its discounts; the winners reach the table through the
+    /// overlay.
     fn phase_batched(
         &self,
         mut table: PCollection<ScoredRow>,
@@ -725,58 +722,70 @@ impl<'a> DataflowGreedyBackend<'a> {
         // machine `m`'s `t`-th pop is its step-`t` winner, exactly like
         // the in-memory phase.
         let mut sequences: Vec<Vec<u64>> = vec![Vec::new(); machines];
-        let mut overlay = Overlay::new(machines);
+        let (mut overlay, fresh) = (Overlay::new(machines), Overlay::new(machines));
         let (mut table_rows, mut driver_bytes) = (self.pool_len as u64, 0u64);
         let mut live_rows = if quota > 0 { table_rows } else { 0 };
         while live_rows > 0 {
-            // τ = the batch-th largest live priority: every row ≥ τ reaches
-            // the driver, everything below stays in the engine and can
-            // only decrease.
-            let (mut live, mut candidates) = scan(&table, &overlay, ratio, batch)?;
+            let (mut live, mut candidates, floor) = scan(&table, &overlay, ratio, batch)?;
             debug_assert_eq!(live.iter().sum::<u64>(), live_rows, "scan disagrees with replay");
             submod_obs::counter!("greedy.batch_scans").incr();
             let scan_bytes = (candidates.len() * WINNER_ROW_BYTES) as u64;
             submod_obs::gauge!("greedy.scan_bytes_peak").fetch_max(scan_bytes);
             driver_bytes += scan_bytes;
-            let tau = keep_top(&mut candidates, batch.min(live_rows as usize));
+            // When every live row came back ≥ τ, the replay is the rest of
+            // the phase: sweep 1 takes it whole and no overlay follows.
+            let tau = kth(&mut candidates, batch.min(live_rows as usize));
+            let all = floor == f64::NEG_INFINITY && candidates.iter().all(|c| c.2 >= tau);
+            let tau = if all { floor } else { tau };
             candidates.sort_unstable_by_key(|&(m, v, _)| (m, v));
-            // When every live row came back, the replay is complete: no
-            // engine-side row is left to invalidate a pop.
-            let complete = candidates.len() as u64 == live_rows;
-            // Driver replay, machine by machine: pop the best remaining
-            // candidate in the shared argmax order; a pop is certified
-            // while its corrected priority stays ≥ τ (every uncollected row
-            // started < τ and only decreases). Discounts apply in pop order
-            // — the subtraction sequence the overlay then replays.
-            let mut winners: Vec<(u64, u64)> = Vec::new();
-            let mut newly_done: Vec<u64> = Vec::new();
-            for group in candidates.chunk_by(|a, b| a.0 == b.0) {
-                let machine = group[0].0;
-                let mut local: Vec<(u64, f64)> = group.iter().map(|&(_, v, p)| (v, p)).collect();
-                let pops = &mut sequences[machine as usize];
-                while pops.len() < quota && !local.is_empty() {
-                    let mut best = 0usize;
-                    for i in 1..local.len() {
-                        if submod_dataflow::argmax_prefers(local[best], local[i]) {
-                            best = i;
+            // Ascending ids, so the queue's smaller-index tie-break is the
+            // in-memory bucket's; the last field holds the pop a sweep
+            // stopped at, with its priority.
+            let mut replays: Vec<_> = candidates
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|group| {
+                    let (ids, priorities): (Vec<u64>, _) =
+                        group.iter().map(|&(_, v, p)| (v, p)).unzip();
+                    (group[0].0, ids, AddressablePq::with_priorities(priorities), None)
+                })
+                .collect();
+            let mut events: Vec<(u64, f32)> = Vec::new();
+            for (threshold, capped) in [(tau, false), (floor, true)] {
+                for (machine, ids, queue, held) in &mut replays {
+                    let pops = &mut sequences[*machine as usize];
+                    while pops.len() < quota {
+                        let Some((l, p)) = held.take().or_else(|| queue.pop_max()) else { break };
+                        let (winner, mark) = (ids[l as usize], events.len());
+                        if p >= threshold {
+                            events.push((winner, LEAVES));
+                            for (x, s) in self.graph.edges(NodeId::new(winner)) {
+                                if keying.machine_of(x.raw()) == *machine {
+                                    events.push((x.raw(), s));
+                                }
+                            }
                         }
-                    }
-                    let (winner, priority) = local.swap_remove(best);
-                    if !complete && priority < tau {
-                        break; // invalidated: an engine-side row may now lead
-                    }
-                    pops.push(winner);
-                    winners.push((machine, winner));
-                    live[machine as usize] -= 1;
-                    for entry in &mut local {
-                        if let Some(s) =
-                            self.graph.edge_weight(NodeId::new(winner), NodeId::new(entry.0))
+                        if p < threshold
+                            || capped && budget.exceeded_by(fresh.bytes_with(events.len()))
                         {
-                            entry.1 -= ratio * f64::from(s);
+                            events.truncate(mark);
+                            *held = Some((l, p));
+                            break;
                         }
+                        // Discounts in pop order: the subtractions the
+                        // overlay then replays.
+                        for &(x, s) in &events[mark + 1..] {
+                            if let Ok(j) = ids.binary_search(&x) {
+                                queue.decrease_by(j as u32, ratio * f64::from(s));
+                            }
+                        }
+                        pops.push(winner);
+                        live[*machine as usize] -= 1;
                     }
                 }
-                if pops.len() == quota {
+            }
+            let mut newly_done: Vec<u64> = Vec::new();
+            for &(machine, ..) in &replays {
+                if sequences[machine as usize].len() == quota {
                     newly_done.push(machine);
                     live[machine as usize] = 0;
                 }
@@ -784,7 +793,7 @@ impl<'a> DataflowGreedyBackend<'a> {
             // Every candidate's machine is live (machines at quota are
             // masked), and its first pop has priority ≥ τ with no discount
             // applied yet, so it is certified: a batch always has winners.
-            if winners.is_empty() {
+            if events.is_empty() {
                 return Err(DistError::Dataflow(DataflowError::InvalidArgument {
                     detail: format!("internal invariant: a batch at τ = {tau} certified no pop"),
                 }));
@@ -795,7 +804,7 @@ impl<'a> DataflowGreedyBackend<'a> {
             }
             // The overlay rides to every worker, so it may not outgrow one;
             // and a table of mostly dead rows is cheaper rewritten.
-            let events = self.events(keying, &winners);
+            let events = self.pipeline.broadcast(events);
             if budget.exceeded_by(overlay.bytes_with(events.len())) || table_rows > 2 * scanned {
                 let full = std::mem::replace(&mut overlay, Overlay::new(machines));
                 table = self.rewrite(&table, full)?;
@@ -856,7 +865,7 @@ impl MachineGreedyBackend for DataflowGreedyBackend<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use submod_core::GraphBuilder;
@@ -912,9 +921,10 @@ mod tests {
         Pipeline::builder().workers(3).memory_budget(budget).build().unwrap()
     }
 
-    /// The tests that run the batched path hold this lock, so a delta of
-    /// the process-wide `greedy.batch_scans` counter belongs to one run.
-    fn batched_lock() -> std::sync::MutexGuard<'static, ()> {
+    /// The tests that run the batched path, in any module, hold this lock,
+    /// so the process-wide `greedy.*` metrics they read (a delta, or a
+    /// gauge since `reset_metrics`) belong to one run.
+    pub(crate) fn batched_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
@@ -989,6 +999,42 @@ mod tests {
         assert_eq!(firsts, [0, 6, 12, 1, 7, 13, 2, 8, 14, 3, 9, 15]);
     }
 
+    /// Sweep 2 at work, on an instance without priority ties: B = 4 and a
+    /// budget that holds sweep 1's events but not those of every pop down
+    /// to the proof floor. The scans certify more than B pops each on
+    /// average, the overlay never outgrows the budget, and the phase pops
+    /// what the in-memory phase pops.
+    #[test]
+    fn sweep_two_certifies_below_tau_within_the_overlay_budget() {
+        let _lock = batched_lock();
+        let n = 240u64;
+        let mut b = GraphBuilder::new(n as usize);
+        for v in 0..n {
+            for (hop, weight) in [(1, 0.31), (7, 0.17), (29, 0.05)] {
+                b.add_undirected(v, (v + hop) % n, weight + v as f32 * 1e-4).unwrap();
+            }
+        }
+        let graph = b.build();
+        // 37 is prime to 240: distinct utilities.
+        let utilities = (0..n).map(|i| 0.5 + ((i * 37) % n) as f32 / n as f32).collect();
+        let objective = PairwiseObjective::from_alpha(0.85, utilities).unwrap();
+        let keying = || MachineKeying::Hash { seed: 3, machines: 2 };
+        let budget = submod_dataflow::MemoryBudget::bytes(1024);
+        let pipeline = Pipeline::builder().workers(3).memory_budget(budget).build().unwrap();
+        let mut df = DataflowGreedyBackend::new(&pipeline, &graph, &objective, &ground(240), 4);
+        submod_obs::reset_metrics();
+        let batched = df.phase(keying(), 2, 240, 60).unwrap();
+        let scans = submod_obs::counter("greedy.batch_scans").value();
+        let overlay = submod_obs::gauge("greedy.overlay_bytes_peak").value();
+        let mut mem = InMemoryGreedyBackend::new(&graph, &objective, &ground(240));
+        let reference = mem.phase(keying(), 2, 240, 60).unwrap();
+        assert_eq!(batched.selected, reference.selected);
+        assert_eq!((batched.steps, batched.peak_step_winners), (60, 2));
+        let pops = batched.selected.len() as u64;
+        assert!(scans * 4 < pops, "{scans} scans of B = 4 certified {pops} pops");
+        assert!(0 < overlay && overlay <= 1024, "overlay peak {overlay} over 1 KiB");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1034,7 +1080,7 @@ mod tests {
                 .build()
                 .unwrap();
             let n = rows.len();
-            let table = pipeline.from_vec(rows).map(|row| row).unwrap();
+            let table = pipeline.from_vec(rows.clone()).map(|row| row).unwrap();
 
             let k = batch.min(n);
             let tau = table.map(|(_, (_, p))| p).unwrap().kth_largest(k as u64).unwrap();
@@ -1048,8 +1094,13 @@ mod tests {
                 .collect();
             expected.sort_unstable_by_key(|&(m, v, _)| (m, v));
 
-            let (live, mut candidates) = scan(&table, &Overlay::new(3), 1.0, batch).unwrap();
+            let (live, mut candidates, floor) = scan(&table, &Overlay::new(3), 1.0, batch).unwrap();
             prop_assert_eq!(live.iter().sum::<u64>(), n as u64);
+            let shipped: std::collections::HashSet<u64> = candidates.iter().map(|c| c.1).collect();
+            for &(_, (v, p)) in rows.iter().filter(|&&(_, (_, p))| p >= floor) {
+                prop_assert!(shipped.contains(&v), "row {} at {} ≥ floor {} unshipped", v, p, floor);
+            }
+            prop_assert!(floor <= tau, "proof floor {} above τ {}", floor, tau);
             prop_assert_eq!(keep_top(&mut candidates, k).to_bits(), tau.to_bits());
             candidates.sort_unstable_by_key(|&(m, v, _)| (m, v));
             let bits = |rows: &[Candidate]| -> Vec<(u64, u64, u64)> {

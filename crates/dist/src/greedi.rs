@@ -234,6 +234,7 @@ mod tests {
     /// in-memory run selects, with more machines than nodes too.
     #[test]
     fn greedis_plan_selects_the_same_bits_on_the_dataflow_driver() {
+        let _lock = crate::engine::tests::batched_lock();
         let (graph, objective) = instance(40);
         let ground: Vec<NodeId> = (0..40).map(NodeId::from_index).collect();
         let pipelines = [

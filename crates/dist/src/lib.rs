@@ -34,7 +34,7 @@
 //! [`Theorem46Guarantee::holds`] check.
 //!
 //! Both drivers share the keying, the priority arithmetic and the
-//! `argmax_prefers` tie order (the addressable queue's pop order), and
+//! addressable queue's pop order (smaller id on priority ties), and
 //! bounding's drivers flip the same sampling coins, so in-memory and
 //! dataflow runs select **bitwise-identical** subsets at any thread
 //! count. `tests/differential.rs` pins that over clustered,
@@ -65,15 +65,21 @@
 //! same-machine winner neighbour, or its own removal), plus the machines
 //! at quota. One `aggregate` pass reads every row through the overlay
 //! (the very subtractions a rewrite would make, in the same order) and
-//! returns the live rows per machine and, per shard, the rows at or
-//! above a running floor. The driver takes τ as the B-th largest of them,
-//! keeps the rows ≥ τ and replays the per-machine pop order, certifying
-//! each pop while its corrected priority stays ≥ τ: rows left in the
-//! engine started below τ and only decrease. A live machine's first pop
-//! is always certified, so every scan advances. One fused `flat_map` and
-//! a `materialize()` fold the overlay into the table before it would
-//! outgrow the per-worker budget, or once dead rows outnumber live ones.
-//! B is [`DistGreedyConfig::winner_batch`], default
+//! returns the live rows per machine, per shard the rows at or above a
+//! running floor (at least its B largest), and the **proof floor**, the
+//! largest final floor: no live row at or above it stayed in the engine
+//! (−∞ when every live row came back). The driver replays each machine's
+//! shipped rows from an addressable queue, certifying a pop while its
+//! corrected priority stays ≥ the proof floor: rows left in the engine
+//! started below it and only decrease. Sweep 1 pops, over every machine,
+//! the rows ≥ τ, the B-th largest shipped priority; sweep 2 goes on down
+//! to the proof floor while the scan's overlay events still fit one fresh
+//! overlay within the per-worker budget. So B is the width each shard
+//! ships and sweep 1's rank, not a cap on a scan's winners. A live
+//! machine's first pop is always certified, so every scan advances. One
+//! fused `flat_map` and a `materialize()` fold the overlay into the table
+//! before it would outgrow the per-worker budget, or once dead rows
+//! outnumber live ones. B is [`DistGreedyConfig::winner_batch`], default
 //! [`DistGreedyConfig::DEFAULT_WINNER_BATCH`].
 //!
 //! `tests/differential.rs` runs every configuration unlimited, below a

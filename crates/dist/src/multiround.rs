@@ -640,6 +640,7 @@ mod tests {
     /// the same `GreedyStats`.
     #[test]
     fn a_zero_winner_batch_is_a_batch_of_one() {
+        let _lock = crate::engine::tests::batched_lock();
         let (graph, objective) = ring_instance(60);
         let run = |batch| {
             let pipeline = Pipeline::builder()

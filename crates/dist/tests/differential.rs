@@ -21,9 +21,9 @@ use submod_dist::{
 };
 
 /// Worker bytes one resident partition row costs before its shard
-/// entries (README, "The driver memory model"): 40 B of row, bucket and
-/// queue plus the shard's 8 B row offset. A budget one byte lower fits no
-/// partition at all.
+/// entries (`submod_dist`'s crate docs, "The driver memory model"): 40 B
+/// of row, bucket and queue plus the shard's 8 B row offset. A budget one
+/// byte lower fits no partition at all.
 const RESIDENT_BYTES_PER_ROW: u64 = 48;
 
 /// Worker bytes of one shard entry (a 4 B local target and a 4 B weight).

@@ -34,7 +34,7 @@ impl TopK {
     /// `true` if `a` ranks strictly ahead of `b`: higher score, or equal
     /// score with smaller id.
     ///
-    /// This is the dataflow `argmax_prefers` contract verbatim — plain
+    /// This is the order `submod_core`'s addressable queue pops by — plain
     /// `>`/`==` on the score so `-0.0` and `+0.0` tie and fall through to
     /// the id, never `total_cmp` (which would rank them). Sound because
     /// NaN is excluded at the [`Self::offer`] boundary; the old

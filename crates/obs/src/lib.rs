@@ -327,11 +327,6 @@ impl Histogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
     }
 
-    /// Sum of every recorded value.
-    pub fn sum(&self) -> u64 {
-        self.sum.value()
-    }
-
     fn reset(&self) {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
@@ -496,7 +491,7 @@ pub fn snapshot() -> MetricsSnapshot {
                 HistogramSnapshot {
                     bounds: (0..HIST_BUCKETS).map(bucket_bound).collect(),
                     counts: h.counts(),
-                    sum: h.sum(),
+                    sum: h.sum.value(),
                 },
             )
         })
@@ -865,7 +860,7 @@ mod tests {
         assert_eq!(counts[1], 1);
         assert_eq!(counts[2], 1);
         assert_eq!(counts[HIST_BUCKETS - 1], 1);
-        assert_eq!(h.sum(), 9u64.wrapping_add(u64::MAX));
+        assert_eq!(h.sum.value(), 9u64.wrapping_add(u64::MAX));
     }
 
     #[test]

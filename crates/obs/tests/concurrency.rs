@@ -39,7 +39,7 @@ fn run_at(
             });
         }
     });
-    (counter.value(), hist.counts(), hist.sum())
+    (counter.value(), hist.counts(), submod_obs::snapshot().histograms[hist_name].sum)
 }
 
 proptest! {

@@ -62,7 +62,8 @@ enum Budget {
 
 impl Budget {
     /// Starved is one byte below the 48 B a resident partition row costs
-    /// (README, "The driver memory model"), so no partition fits a worker.
+    /// (`submod_dist`'s crate docs, "The driver memory model"), so no
+    /// partition fits a worker.
     fn memory(self) -> MemoryBudget {
         match self {
             Unlimited => MemoryBudget::unlimited(),
